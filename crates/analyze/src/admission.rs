@@ -65,7 +65,18 @@ impl AdmissionReport {
 /// cardinalities `seeds[i] = |D_i|` (the resident catalog's sizes).
 #[must_use]
 pub fn admission_report(cx: &AnalysisCx<'_>, seeds: &[u64]) -> AdmissionReport {
-    let cert = Certificate::compute(cx);
+    admission_report_with(cx, seeds, &Certificate::compute(cx))
+}
+
+/// [`admission_report`] over a caller-supplied [`Certificate`], so a caller
+/// that also needs the certificate for something else (executor selection,
+/// the memory certificate) computes it once.
+#[must_use]
+pub fn admission_report_with(
+    cx: &AnalysisCx<'_>,
+    seeds: &[u64],
+    cert: &Certificate,
+) -> AdmissionReport {
     // |⋈D[S]| ≤ Π_{i∈S} |D_i|: the join of a set of relations is a subset
     // of their Cartesian product.
     let cert_bounds = cert.evaluate_with(|set| {

@@ -96,6 +96,17 @@ impl<'a> AnalysisCx<'a> {
         catalog: &'a Catalog,
     ) -> Result<Self, ValidateError> {
         let info = validate(program, scheme)?;
+        Ok(Self::from_validated(program, scheme, catalog, info))
+    }
+
+    /// Build the context for a program already known to validate, reusing
+    /// the [`ValidationInfo`] that [`validate()`] returned for it.
+    pub fn from_validated(
+        program: &'a Program,
+        scheme: &'a DbScheme,
+        catalog: &'a Catalog,
+        info: ValidationInfo,
+    ) -> Self {
         let liveness = Liveness::compute(program);
         let sched = schedule(program);
         let lines: Vec<String> = display::render(program, scheme, catalog)
@@ -225,7 +236,7 @@ impl<'a> AnalysisCx<'a> {
             });
         }
 
-        Ok(AnalysisCx {
+        AnalysisCx {
             program,
             scheme,
             catalog,
@@ -236,7 +247,7 @@ impl<'a> AnalysisCx<'a> {
             def_of,
             schedule: sched,
             lines,
-        })
+        }
     }
 
     /// Render an attribute set in paper style (`ACE`), for messages.

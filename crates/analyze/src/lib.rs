@@ -45,7 +45,7 @@ pub mod memory;
 pub mod passes;
 
 pub use absint::{cost_blowup, interval_analysis, CardInterval};
-pub use admission::{admission_report, AdmissionBound, AdmissionReport};
+pub use admission::{admission_report, admission_report_with, AdmissionBound, AdmissionReport};
 pub use audit::{audit, audit_with_certificate, AuditReport, StmtAudit};
 pub use cert::{Certificate, StmtBound};
 pub use cx::{AnalysisCx, ExprKey, StmtFacts, Vn};

@@ -6,7 +6,8 @@
 //! selected statements through the Grace-hash partition-to-disk path. The
 //! headline numbers are the price of spilling (wall-clock ratio) and its
 //! footprint (`mem.partitions`, `mem.spilled_bytes` from a traced run),
-//! next to the static [`memory_report`] peak the gate was derived from.
+//! next to the static memory-certificate peak the gate was derived from.
+//! Every run is a [`mjoin_core::engine`] request admitted under the budget.
 //! Both runs are asserted tuple-identical before anything is timed.
 //!
 //! Results land in `BENCH_spill.json` at the repo root (or the path given
@@ -15,11 +16,10 @@
 //! with no `mem.passes` counter, while a starved budget must partition
 //! (`mem.partitions > 0`) and still match the in-memory rows.
 
-use mjoin_analyze::{memory_report, AnalysisCx, MemCertificate};
+use mjoin_analyze::MemCertificate;
 use mjoin_bench::print_table;
-use mjoin_core::derive;
-use mjoin_program::{execute_with, ExecConfig, Program};
-use mjoin_relation::{json, relation_of_ints, Catalog, Database};
+use mjoin_core::engine::{self, Admitted, ExecutorKind, Limits, Plan, Prepared};
+use mjoin_relation::{json, relation_of_ints, Catalog, Database, Relation};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -65,15 +65,31 @@ fn rel_of(catalog: &mut Catalog, name: &str, rows: &[Vec<i64>]) -> mjoin_relatio
     relation_of_ints(catalog, name, &slices).expect("workload relation")
 }
 
-/// Derive the chain program and its memory certificate on the real sizes.
-fn derived(w: &Workload) -> (Program, MemCertificate) {
+/// The chain program as an engine request over the workload's data.
+fn prepare(w: &Workload) -> Prepared {
     let tree =
         mjoin_expr::parse_join_tree(&w.catalog, &w.scheme, "(AB ⋈ BC) ⋈ CD").expect("chain tree");
-    let program = derive(&w.scheme, &tree).expect("derivation").program;
-    let seeds: Vec<u64> = w.db.relations().iter().map(|r| r.len() as u64).collect();
-    let cx = AnalysisCx::new(&program, &w.scheme, &w.catalog).expect("analysis");
-    let mem = memory_report(&cx, &seeds);
-    (program, mem)
+    engine::prepare(
+        w.scheme.clone(),
+        w.db.clone(),
+        w.catalog.clone(),
+        Plan::Tree(tree),
+        ExecutorKind::Program,
+    )
+    .expect("derivation")
+}
+
+/// Admit under `budget` bytes: over-budget build sides get a spill plan.
+fn admit(prepared: &Prepared, budget: Option<u64>) -> Admitted<'_> {
+    let limits = Limits {
+        mem_budget: budget,
+        ..Limits::default()
+    };
+    prepared.admit(&limits).expect("spilling refuses nothing")
+}
+
+fn run(admitted: &Admitted<'_>) -> Arc<Relation> {
+    admitted.execute(1, None, None).expect("no deadline").result
 }
 
 fn time_once<F: FnMut()>(f: &mut F) -> f64 {
@@ -83,13 +99,10 @@ fn time_once<F: FnMut()>(f: &mut F) -> f64 {
 }
 
 /// One traced (untimed) run; returns the `mem.*` counters.
-fn traced_counters(program: &Program, db: &Database, cfg: &ExecConfig) -> Vec<(String, u64)> {
+fn traced_counters(admitted: &Admitted<'_>) -> Vec<(String, u64)> {
     mjoin_trace::clear();
     mjoin_trace::set_enabled(true);
-    {
-        let out = execute_with(program, db, cfg);
-        std::hint::black_box(out.result.len());
-    }
+    std::hint::black_box(run(admitted).len());
     mjoin_trace::set_enabled(false);
     let trace = mjoin_trace::take();
     trace
@@ -137,25 +150,25 @@ fn starved_budget(mem: &MemCertificate) -> u64 {
 }
 
 fn measure(w: &Workload) -> Measurement {
-    let (program, mem) = derived(w);
-    let budget = starved_budget(&mem);
-    let plan = Arc::new(mem.spill_plan(budget));
+    let prepared = prepare(w);
+    let peak_bytes = prepared.analysis().memory().peak_bytes;
+    let budget = starved_budget(prepared.analysis().memory());
+    let in_memory = admit(&prepared, None);
+    let spilling = admit(&prepared, Some(budget));
+    let spilled_stmts = spilling
+        .spill()
+        .map_or(0, mjoin_program::SpillPlan::spilled_stmts);
     assert!(
-        plan.any(),
+        spilled_stmts > 0,
         "{}: half the largest build side must force at least one spill",
         w.name
     );
-    let spill_cfg = ExecConfig {
-        mem_budget: Some(budget),
-        spill: Some(Arc::clone(&plan)),
-        ..ExecConfig::default()
-    };
 
     // Correctness gate before any timing: spilled == in-memory.
-    let baseline = execute_with(&program, &w.db, &ExecConfig::default());
-    let spilled = execute_with(&program, &w.db, &spill_cfg);
+    let baseline = run(&in_memory);
     assert_eq!(
-        *baseline.result, *spilled.result,
+        baseline,
+        run(&spilling),
         "{}: the spilled run diverged from the in-memory run",
         w.name
     );
@@ -168,31 +181,23 @@ fn measure(w: &Workload) -> Measurement {
     let mut spill_ms = f64::INFINITY;
     for _ in 0..REPS {
         mem_ms = mem_ms.min(time_once(&mut || {
-            let out = execute_with(&program, &w.db, &ExecConfig::default());
-            std::hint::black_box(out.result.len());
+            std::hint::black_box(run(&in_memory).len());
         }));
         spill_ms = spill_ms.min(time_once(&mut || {
-            let out = execute_with(&program, &w.db, &spill_cfg);
-            std::hint::black_box(out.result.len());
+            std::hint::black_box(run(&spilling).len());
         }));
     }
 
-    let counters = traced_counters(&program, &w.db, &spill_cfg);
     Measurement {
         name: w.name,
-        input_tuples: w
-            .db
-            .relations()
-            .iter()
-            .map(mjoin_relation::Relation::len)
-            .sum(),
-        output_tuples: baseline.result.len(),
-        peak_bytes: mem.peak_bytes,
+        input_tuples: w.db.relations().iter().map(Relation::len).sum(),
+        output_tuples: baseline.len(),
+        peak_bytes,
         budget,
-        spilled_stmts: plan.spilled_stmts(),
+        spilled_stmts,
         mem_ms,
         spill_ms,
-        counters,
+        counters: traced_counters(&spilling),
     }
 }
 
@@ -259,23 +264,20 @@ fn check(ws: &[Workload]) -> bool {
         }
     };
     for w in ws {
-        let (program, mem) = derived(w);
-        let baseline = execute_with(&program, &w.db, &ExecConfig::default());
+        let prepared = prepare(w);
+        let analysis = prepared.analysis();
+        let mem = analysis.memory();
+        let baseline = run(&admit(&prepared, None));
 
         let roomy = mem.peak_bytes.saturating_mul(2);
-        let under_plan = mem.spill_plan(roomy);
+        let under = admit(&prepared, Some(roomy));
         gate(
             w.name,
             "over-provisioned budget yields an empty spill plan",
-            !under_plan.any(),
+            under.spill().is_none(),
             format!("peak {} budget {roomy}", mem.peak_bytes),
         );
-        let under_cfg = ExecConfig {
-            mem_budget: Some(roomy),
-            spill: Some(Arc::new(under_plan)),
-            ..ExecConfig::default()
-        };
-        let under_counters = traced_counters(&program, &w.db, &under_cfg);
+        let under_counters = traced_counters(&under);
         gate(
             w.name,
             "under-budget run never spills",
@@ -283,31 +285,22 @@ fn check(ws: &[Workload]) -> bool {
             format!("mem.* counters: {under_counters:?}"),
         );
 
-        let tight = starved_budget(&mem);
-        let over_plan = Arc::new(mem.spill_plan(tight));
+        let tight = starved_budget(mem);
+        let over = admit(&prepared, Some(tight));
         gate(
             w.name,
             "starved budget forces a spill plan",
-            over_plan.any(),
+            over.spill().is_some(),
             format!("peak {} budget {tight}", mem.peak_bytes),
         );
-        let over_cfg = ExecConfig {
-            mem_budget: Some(tight),
-            spill: Some(Arc::clone(&over_plan)),
-            ..ExecConfig::default()
-        };
-        let spilled = execute_with(&program, &w.db, &over_cfg);
+        let spilled = run(&over);
         gate(
             w.name,
             "spilled rows equal the in-memory rows",
-            *spilled.result == *baseline.result,
-            format!(
-                "{} vs {} tuples",
-                spilled.result.len(),
-                baseline.result.len()
-            ),
+            spilled == baseline,
+            format!("{} vs {} tuples", spilled.len(), baseline.len()),
         );
-        let over_counters = traced_counters(&program, &w.db, &over_cfg);
+        let over_counters = traced_counters(&over);
         let partitions = over_counters
             .iter()
             .find(|(n, _)| n == "mem.partitions")

@@ -6,12 +6,13 @@
 //! * the **program engine**: the greedy-picked join tree, derived into a
 //!   §2.2 program and interpreted (at 1 and 4 threads); and
 //! * the **WCOJ engine**: [`mjoin_wcoj::wcoj_join`]'s Generic Join
-//!   elimination loop over sorted tries.
+//!   elimination loop over sorted tries
 //!
-//! For each workload the `auto` selection is computed exactly as the query
-//! layer computes it — Theorem-2 certificate of the derived program,
-//! evaluated with AGM sub-bounds, against the component's AGM bound — with
-//! no environment hints. The headline rows are `triangle_dense` and
+//! — both as [`mjoin_core::engine`] requests with the executor forced.
+//!
+//! For each workload the `auto` selection is the engine's own — Theorem-2
+//! certificate of the derived program, evaluated with AGM sub-bounds,
+//! against the component's AGM bound — with no environment hints. The headline rows are `triangle_dense` and
 //! `clique_4_skew`, where every Cartesian-free program's certificate
 //! strictly exceeds the AGM bound, `auto` routes to WCOJ, and the measured
 //! wall-clock win is the quadratic-vs-linear separation. `cycle_gap_4` is
@@ -31,15 +32,11 @@
 //! gate: it asserts the selection outcomes above and that WCOJ-selected
 //! workloads actually drive the elimination loop (`wcoj.attr_loops > 0`).
 
-use mjoin_analyze::{AnalysisCx, Certificate};
 use mjoin_bench::print_table;
-use mjoin_core::derive;
-use mjoin_expr::JoinTree;
+use mjoin_core::engine::{self, ExecutorKind, Limits, Oracle, Plan, PlanStrategy, Prepared};
 use mjoin_hypergraph::DbScheme;
-use mjoin_optimizer::{greedy, optimize, EstimateOracle, SearchSpace};
-use mjoin_program::{execute_parallel, Program};
 use mjoin_relation::{json, Catalog, Database};
-use mjoin_wcoj::{select, wcoj_join, Selection};
+use mjoin_wcoj::Selection;
 use mjoin_workloads::HubGraph;
 use std::time::Instant;
 
@@ -82,27 +79,29 @@ fn workloads(check: bool) -> Vec<Workload> {
         .collect()
 }
 
-/// The strategy-picked tree, exactly as the query layer would pick it.
-fn pick_tree(w: &Workload, space: Option<SearchSpace>) -> JoinTree {
-    let mut oracle = EstimateOracle::new(&w.scheme, &w.db);
-    match space {
-        None => greedy(&w.scheme, &mut oracle, true).0,
-        Some(space) => {
-            optimize(&w.scheme, &mut oracle, space)
-                .expect("non-empty search space")
-                .tree
-        }
-    }
+/// One engine request over the workload: the tree searched exactly as the
+/// query layer searches it, the executor as given.
+fn prepare(w: &Workload, strategy: PlanStrategy, executor: ExecutorKind) -> Prepared {
+    let plan = Plan::Search {
+        strategy,
+        oracle: Oracle::Estimate,
+    };
+    engine::prepare(
+        w.scheme.clone(),
+        w.db.clone(),
+        w.catalog.clone(),
+        plan,
+        executor,
+    )
+    .expect("plannable workload")
 }
 
-/// Derive the program for `tree` and compute its `auto` selection: the
-/// Theorem-2 certificate (with AGM sub-bounds) against the component AGM.
-fn selection_of(w: &Workload, tree: &JoinTree) -> (Program, Selection) {
-    let program = derive(&w.scheme, tree).expect("derivation").program;
-    let cx = AnalysisCx::new(&program, &w.scheme, &w.catalog).expect("analysis");
-    let cert = Certificate::compute(&cx);
-    let sizes: Vec<u64> = w.db.relations().iter().map(|r| r.len() as u64).collect();
-    (program, select(&w.scheme, &sizes, &cert))
+/// The `auto` selection for the `strategy`-picked program: its Theorem-2
+/// certificate (with AGM sub-bounds) against the component AGM.
+fn selection_of(w: &Workload, strategy: PlanStrategy) -> Selection {
+    prepare(w, strategy, ExecutorKind::Auto)
+        .analysis()
+        .selection()
 }
 
 /// One timed call of `f`, in milliseconds.
@@ -143,8 +142,14 @@ impl Measurement {
 }
 
 fn measure(w: &Workload) -> Measurement {
-    let tree = pick_tree(w, None);
-    let (program, selection) = selection_of(w, &tree);
+    let selection = selection_of(w, PlanStrategy::Greedy);
+    let program = prepare(w, PlanStrategy::Greedy, ExecutorKind::Program);
+    let program = program.admit(&Limits::default()).expect("no budget");
+    let wcoj = prepare(w, PlanStrategy::Greedy, ExecutorKind::Wcoj);
+    let wcoj = wcoj.admit(&Limits::default()).expect("no budget");
+    let run = |admitted: &engine::Admitted<'_>, threads| {
+        admitted.execute(threads, None, None).expect("no deadline")
+    };
     let input_tuples: usize =
         w.db.relations()
             .iter()
@@ -153,10 +158,10 @@ fn measure(w: &Workload) -> Measurement {
 
     // Correctness gate: both engines must produce the full join, whose
     // size the hub construction knows in closed form.
-    let oracle = execute_parallel(&program, &w.db, 1);
-    let wcoj_rel = wcoj_join(&w.scheme, &w.db, None);
+    let oracle = run(&program, 1);
+    let wcoj_rel = run(&wcoj, 1).result;
     assert_eq!(
-        *oracle.result, wcoj_rel,
+        oracle.result, wcoj_rel,
         "{}: program and wcoj results diverged",
         w.name
     );
@@ -181,26 +186,20 @@ fn measure(w: &Workload) -> Measurement {
     let mut wcoj_ms = f64::INFINITY;
     for _ in 0..REPS {
         program_ms = program_ms.min(time_once(&mut || {
-            let out = execute_parallel(&program, &w.db, 1);
-            std::hint::black_box(out.result.len());
+            std::hint::black_box(run(&program, 1).result.len());
         }));
         program_ms_t4 = program_ms_t4.min(time_once(&mut || {
-            let out = execute_parallel(&program, &w.db, 4);
-            std::hint::black_box(out.result.len());
+            std::hint::black_box(run(&program, 4).result.len());
         }));
         wcoj_ms = wcoj_ms.min(time_once(&mut || {
-            let out = wcoj_join(&w.scheme, &w.db, None);
-            std::hint::black_box(out.len());
+            std::hint::black_box(run(&wcoj, 1).result.len());
         }));
     }
 
     // One traced (untimed) WCOJ run for the elimination-loop counters.
     mjoin_trace::clear();
     mjoin_trace::set_enabled(true);
-    {
-        let out = wcoj_join(&w.scheme, &w.db, None);
-        std::hint::black_box(out.len());
-    }
+    std::hint::black_box(run(&wcoj, 1).result.len());
     mjoin_trace::set_enabled(false);
     let trace = mjoin_trace::take();
     let wcoj_counters: Vec<(String, u64)> = trace
@@ -211,10 +210,7 @@ fn measure(w: &Workload) -> Measurement {
         .collect();
 
     // The 5-cycle's program-class dependence: the best linear program.
-    let linear = (w.name == "cycle_gap_5").then(|| {
-        let t = pick_tree(w, Some(SearchSpace::Linear));
-        selection_of(w, &t).1
-    });
+    let linear = (w.name == "cycle_gap_5").then(|| selection_of(w, PlanStrategy::DpLinear));
 
     Measurement {
         name: w.name,
@@ -330,8 +326,7 @@ fn check_strategies(ws: &[Workload]) -> bool {
             .iter()
             .find(|(n, _)| *n == w.name)
             .is_some_and(|(_, e)| *e);
-        let tree = pick_tree(w, None);
-        let (_, sel) = selection_of(w, &tree);
+        let sel = selection_of(w, PlanStrategy::Greedy);
         check(
             w.name,
             "selection sanity: certificate never below AGM",
@@ -352,8 +347,12 @@ fn check_strategies(ws: &[Workload]) -> bool {
             mjoin_trace::clear();
             mjoin_trace::set_enabled(true);
             {
-                let out = wcoj_join(&w.scheme, &w.db, None);
-                std::hint::black_box(out.len());
+                // `auto`, as a user would run it: the engine must take the
+                // worst-case-optimal path on its own.
+                let auto = prepare(w, PlanStrategy::Greedy, ExecutorKind::Auto);
+                let admitted = auto.admit(&Limits::default()).expect("no budget");
+                let out = admitted.execute(1, None, None).expect("no deadline");
+                std::hint::black_box(out.result.len());
             }
             mjoin_trace::set_enabled(false);
             let trace = mjoin_trace::take();
@@ -366,8 +365,7 @@ fn check_strategies(ws: &[Workload]) -> bool {
             );
         }
         if w.name == "cycle_gap_5" {
-            let t = pick_tree(w, Some(SearchSpace::Linear));
-            let (_, lin) = selection_of(w, &t);
+            let lin = selection_of(w, PlanStrategy::DpLinear);
             check(
                 w.name,
                 "the best linear program flips the selection to wcoj",

@@ -11,7 +11,11 @@
 //!   yields a *quasi-optimal program*, whose cost is within the
 //!   data-independent factor `r(a+5)` of the optimal join expression's cost
 //!   (Theorem 2), while computing exactly `⋈D` (Theorem 1);
-//! * [`bounds`]: the theorems as executable checks.
+//! * [`bounds`]: the theorems as executable checks;
+//! * [`engine`]: the one `prepare → admit → execute` path every front end
+//!   (CLI, server, conjunctive-query compiler, bench bins) runs requests
+//!   through — tree search, certificates, executor choice, admission and
+//!   the spill plan live there and nowhere else.
 
 #![warn(missing_docs)]
 
@@ -20,6 +24,7 @@ pub mod alg1;
 pub mod alg2;
 pub mod bounds;
 pub mod choice;
+pub mod engine;
 pub mod explain;
 pub mod pipeline;
 

@@ -1,45 +1,43 @@
 //! Compiling and executing conjunctive queries through the paper's pipeline.
 //!
-//! Execution proceeds in four stages:
+//! A query goes through four steps, each a type — the same `prepare → admit
+//! → execute` line as [`mjoin_core::engine`], with query-level admission
+//! placed where it needs no data:
 //!
-//! 1. **Atom binding** — each body atom becomes a relation over *variable*
-//!    attributes: constants select, repeated variables within an atom filter,
-//!    columns are renamed to their variables.
-//! 2. **Planning** — the bound relations form a database scheme (hyperedges
-//!    = each atom's variable set). Per connected component, an optimizer
-//!    picks a join tree, and Algorithms 1–2 compile it to a program.
-//! 3. **Execution** — the programs run with §2.3 cost accounting; component
-//!    results are combined (a Cartesian product *across* components is
-//!    semantically forced, not an ordering accident).
-//! 4. **Projection** — the full join is projected onto the head variables.
+//! 0. [`compile_query`] — **core minimization**: fold redundant atoms away
+//!    under a verified homomorphism proof (opt-out). Arithmetic over the
+//!    query text and the stored sizes only.
+//! 1. [`CompiledQuery::admit`] — refuse a query whose AGM bound exceeds the
+//!    caller's budget, before a tuple moves.
+//! 2. [`AdmittedQuery::prepare`] — **atom binding** (each body atom becomes
+//!    a relation over *variable* attributes: constants select, repeated
+//!    variables within an atom filter, columns are renamed to their
+//!    variables) and **planning** (the bound relations form a database
+//!    scheme, hyperedges = each atom's variable set; every multi-atom
+//!    connected component becomes one engine request, where tree search,
+//!    Algorithms 1–2 and the executor choice happen). Everything that can
+//!    fail is behind it.
+//! 3. [`PreparedQuery::execute`] — each component is admitted (spill plan
+//!    under a memory budget) and executed by the engine with §2.3 cost
+//!    accounting; component results are combined (a Cartesian product
+//!    *across* components is semantically forced, not an ordering accident)
+//!    and projected onto the head variables.
+//!
+//! [`execute_query_with`] is the composition of the four.
 
 use crate::ast::{Atom, ConjunctiveQuery, Term};
 use crate::minimize::{differential_validate, minimize};
 use crate::storage::NamedDatabase;
-use mjoin_analyze::{memory_report, AnalysisCx, Certificate};
-use mjoin_core::{derive, run_pipeline_with, FirstChoice};
-use mjoin_expr::JoinTree;
+use mjoin_core::engine::{self, Limits, Oracle, Plan, Rejection};
 use mjoin_hypergraph::{agm_ln, bound_u64, DbScheme};
-use mjoin_optimizer::{greedy, optimize, EstimateOracle, SearchSpace};
-use mjoin_program::{ExecConfig, SharedIndexCache};
+use mjoin_program::{CancelToken, Cancelled, SharedIndexCache};
 use mjoin_relation::{
     ops, AttrId, Catalog, CostLedger, Database, Error, Relation, Result, Row, Schema, Value,
 };
-use mjoin_wcoj::{select, wcoj_join, ExecutorKind};
+use mjoin_wcoj::ExecutorKind;
 use std::sync::Arc;
 
-/// How to choose each component's join tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanStrategy {
-    /// Greedy smallest-result with the avoid-Cartesian rule (default).
-    Greedy,
-    /// Exact DP over all trees (exponential; small components only).
-    DpOptimal,
-    /// Exact DP over CPF trees.
-    DpCpf,
-    /// Exact DP over linear (left-deep) trees.
-    DpLinear,
-}
+pub use mjoin_core::engine::PlanStrategy;
 
 /// Execution knobs beyond the planning strategy: which executor runs each
 /// component, how many threads a program execution may use, an optional
@@ -52,8 +50,8 @@ pub struct ExecOptions {
     pub executor: ExecutorKind,
     /// Threads for program execution (`0`/`1` = sequential).
     pub threads: usize,
-    /// Shared index cache for trie views (WCOJ path). `None` builds
-    /// per-query throwaway tries.
+    /// Shared index cache (hash indices on the program path, trie views
+    /// on the WCOJ path). `None` gives each component a private one.
     pub cache: Option<SharedIndexCache>,
     /// Core-minimize the query before binding (**on** by default; the
     /// `--minimize=off` opt-out). Rewrites are applied only under a
@@ -154,6 +152,21 @@ impl QueryResult {
         rows
     }
 
+    /// Write the answer as TSV: `head_vars` as the header line, then
+    /// [`QueryResult::rows_in_head_order`], one row per line.
+    pub fn write_tsv(
+        &self,
+        head_vars: &[String],
+        out: &mut impl std::io::Write,
+    ) -> std::io::Result<()> {
+        writeln!(out, "{}", head_vars.join("\t"))?;
+        for row in self.rows_in_head_order() {
+            let cells: Vec<String> = row.iter().map(ToString::to_string).collect();
+            writeln!(out, "{}", cells.join("\t"))?;
+        }
+        Ok(())
+    }
+
     /// Number of result tuples.
     pub fn len(&self) -> usize {
         self.relation.len()
@@ -233,6 +246,16 @@ fn bind_atom(ndb: &NamedDatabase, atom: &Atom, qcat: &mut Catalog) -> Result<Rel
     Relation::from_rows(out_schema, out_rows)
 }
 
+/// The attribute of each head variable, in head order; every one must have
+/// been bound by a body atom.
+fn head_attrs(query: &ConjunctiveQuery, qcat: &Catalog) -> Result<Vec<AttrId>> {
+    let bound = |v: &String| {
+        qcat.lookup(v)
+            .ok_or_else(|| Error::Parse(format!("head variable `{v}` unbound")))
+    };
+    query.head_vars.iter().map(bound).collect()
+}
+
 /// Execute `query` against `ndb` on the default (program) executor.
 pub fn execute_query(
     ndb: &NamedDatabase,
@@ -244,122 +267,279 @@ pub fn execute_query(
 
 /// Execute `query` against `ndb` with explicit executor options, returning
 /// the per-component executor decisions alongside the result (for
-/// `--explain`-style surfaces).
+/// `--explain`-style surfaces): compiled, admitted under no budget,
+/// prepared, and executed with no cancellation token.
 pub fn execute_query_with(
     ndb: &NamedDatabase,
     query: &ConjunctiveQuery,
     strategy: PlanStrategy,
     opts: &ExecOptions,
 ) -> Result<(QueryResult, Vec<ComponentDecision>)> {
-    if !query.is_safe() {
-        return Err(Error::Parse("unsafe query".to_string()));
+    compile_query(ndb, query, opts.minimize)
+        .admit(None)
+        .map_err(|r| Error::Parse(r.to_string()))?
+        .prepare(strategy, opts)?
+        .execute(None)
+        .map_err(|c| Error::Parse(c.to_string()))
+}
+
+/// A query after stage 0: the body that will run (the core, when
+/// minimization rewrote it) and what minimization did.
+pub struct CompiledQuery<'n> {
+    ndb: &'n NamedDatabase,
+    query: ConjunctiveQuery,
+    minimize: Option<MinimizeSummary>,
+}
+
+/// A [`CompiledQuery`] whose AGM bound passed the caller's budget.
+pub struct AdmittedQuery<'n>(CompiledQuery<'n>);
+
+/// One connected component of the bound body.
+enum Component {
+    /// A single atom: its binding is the component's result.
+    Single(Relation),
+    /// Several atoms: one engine request.
+    Join(Box<engine::Prepared>),
+}
+
+/// What is left to run once the atoms are bound.
+enum Body {
+    /// Binding alone decided the answer (an empty binding, or nothing but
+    /// satisfied all-constant atoms).
+    Decided(Relation),
+    /// The components, each with its relation-index set's name.
+    Components(Vec<(String, Component)>),
+}
+
+/// An admitted query bound and planned — every step that can fail is
+/// behind it. See the module docs.
+pub struct PreparedQuery {
+    minimize: Option<MinimizeSummary>,
+    qcat: Catalog,
+    head_attrs: Vec<AttrId>,
+    /// Binding costs so far; execution adds to it.
+    ledger: CostLedger,
+    body: Body,
+    opts: ExecOptions,
+}
+
+/// Stage 0 for `query`: compute its core (once) unless `minimize` is off.
+pub fn compile_query<'n>(
+    ndb: &'n NamedDatabase,
+    query: &ConjunctiveQuery,
+    minimize: bool,
+) -> CompiledQuery<'n> {
+    let (core, minimize) = compile_core(ndb, query, minimize);
+    CompiledQuery {
+        ndb,
+        query: core.unwrap_or_else(|| query.clone()),
+        minimize,
+    }
+}
+
+impl<'n> CompiledQuery<'n> {
+    /// The query that will run: the core, or the query as written.
+    pub fn query(&self) -> &ConjunctiveQuery {
+        &self.query
     }
 
-    // Stage 0: core minimization (opt-out). Only attempted when every
-    // predicate resolves (so unknown-relation/arity errors surface exactly
-    // as they would unminimized), and only applied under a verified two-way
-    // homomorphism proof *plus* differential execution of original vs core
-    // on small generated databases.
-    let (core, min_summary) = minimize_for_compile(ndb, query, opts);
-    let query = core.as_ref().unwrap_or(query);
+    /// What minimization did (`None` when it was skipped — opted out,
+    /// single-atom body, unresolvable predicates, or no verified proof).
+    pub fn minimize(&self) -> Option<&MinimizeSummary> {
+        self.minimize.as_ref()
+    }
 
-    let mut qcat = Catalog::new();
-    let mut ledger = CostLedger::new();
-    let mut decisions: Vec<ComponentDecision> = Vec::new();
+    /// AGM bound of the body that will run (see [`query_agm_bound`]): the
+    /// minimization summary's post-fold bound when there is one.
+    pub fn agm_bound(&self) -> u64 {
+        self.minimize.as_ref().map_or_else(
+            || query_agm_bound(self.ndb, &self.query.body),
+            |m| m.agm_after,
+        )
+    }
 
-    // Stage 1: bind atoms. Boolean (nullary) bindings fold into a flag.
-    let mut bound: Vec<Relation> = Vec::new();
-    let mut boolean_false = false;
-    for atom in &query.body {
-        let rel = bind_atom(ndb, atom, &mut qcat)?;
-        ledger.charge_input(format!("bind {atom}"), rel.len());
-        if rel.schema().is_empty() {
-            if rel.is_empty() {
-                boolean_false = true;
+    /// Whole-query admission: refuse when the AGM bound of the compiled
+    /// body exceeds `max_cost`. A query rejected verbatim can be admitted
+    /// once its redundant atoms fold away.
+    pub fn admit(self, max_cost: Option<u64>) -> std::result::Result<AdmittedQuery<'n>, Rejection> {
+        if let Some(budget) = max_cost {
+            let bound = self.agm_bound();
+            if bound > budget {
+                return Err(Rejection::agm(bound, budget));
             }
-            // A satisfied all-constant atom adds no join constraint.
-        } else {
-            bound.push(rel);
         }
+        Ok(AdmittedQuery(self))
+    }
+}
+
+impl AdmittedQuery<'_> {
+    /// The certified size the query was admitted at: its AGM bound.
+    pub fn certified_peak(&self) -> u64 {
+        self.0.agm_bound()
     }
 
-    let head_attrs: Vec<AttrId> = query
-        .head_vars
-        .iter()
-        .map(|v| {
-            qcat.lookup(v)
-                .ok_or_else(|| Error::Parse(format!("head variable `{v}` unbound")))
-        })
-        .collect::<Result<_>>()?;
-    let head_schema = Schema::new(head_attrs.clone());
+    /// Stages 1–2: bind every atom and hand each multi-atom connected
+    /// component to [`engine::prepare`] (`opts.minimize` was already spent
+    /// on [`compile_query`]).
+    pub fn prepare(self, strategy: PlanStrategy, opts: &ExecOptions) -> Result<PreparedQuery> {
+        let CompiledQuery {
+            ndb,
+            query,
+            minimize,
+        } = self.0;
+        if !query.is_safe() {
+            return Err(Error::Parse("unsafe query".to_string()));
+        }
+        let mut qcat = Catalog::new();
+        let mut ledger = CostLedger::new();
 
-    if boolean_false || bound.iter().any(mjoin_relation::Relation::is_empty) {
-        return Ok((
-            QueryResult {
-                relation: Relation::empty(head_schema),
-                head_attrs,
-                catalog: qcat,
-                ledger,
-                minimize: min_summary,
-            },
-            decisions,
-        ));
-    }
-    if bound.is_empty() {
-        // All atoms were satisfied constants: the answer is the unit.
-        return Ok((
-            QueryResult {
-                relation: Relation::nullary_unit(),
-                head_attrs,
-                catalog: qcat,
-                ledger,
-                minimize: min_summary,
-            },
-            decisions,
-        ));
-    }
+        // Stage 1: bind atoms. Boolean (nullary) bindings fold into a flag.
+        let mut bound: Vec<Relation> = Vec::new();
+        let mut boolean_false = false;
+        for atom in &query.body {
+            let rel = bind_atom(ndb, atom, &mut qcat)?;
+            ledger.charge_input(format!("bind {atom}"), rel.len());
+            if rel.schema().is_empty() {
+                if rel.is_empty() {
+                    boolean_false = true;
+                }
+                // A satisfied all-constant atom adds no join constraint.
+            } else {
+                bound.push(rel);
+            }
+        }
 
-    // Stage 2+3: per connected component, plan and run either executor.
-    let db = Database::from_relations(bound);
-    let scheme = DbScheme::from_schemas(&db.schemas());
-    let mut full = Relation::nullary_unit();
-    for comp in scheme.components(scheme.all()) {
-        let indices = comp.to_vec();
-        let comp_db = db.restrict(&indices);
-        let comp_scheme = DbScheme::from_schemas(&comp_db.schemas());
-        let comp_result = if indices.len() == 1 {
-            Arc::new(comp_db.relation(0).clone())
+        let head_attrs = head_attrs(&query, &qcat)?;
+
+        let body = if boolean_false || bound.iter().any(Relation::is_empty) {
+            Body::Decided(Relation::empty(Schema::new(head_attrs.clone())))
+        } else if bound.is_empty() {
+            // All atoms were satisfied constants: the answer is the unit.
+            Body::Decided(Relation::nullary_unit())
         } else {
-            let (result, decision) = run_component(
-                &comp_scheme,
-                &comp_db,
-                &qcat,
-                strategy,
-                opts,
-                &comp.to_string(),
-                &mut ledger,
-            )?;
-            decisions.push(decision);
-            result
+            // Stage 2: one engine request per multi-atom connected component.
+            let db = Database::from_relations(bound);
+            let scheme = DbScheme::from_schemas(&db.schemas());
+            let mut components = Vec::new();
+            for comp in scheme.components(scheme.all()) {
+                let indices = comp.to_vec();
+                let comp_db = db.restrict(&indices);
+                let component = if indices.len() == 1 {
+                    Component::Single(comp_db.relation(0).clone())
+                } else {
+                    let comp_scheme = DbScheme::from_schemas(&comp_db.schemas());
+                    Component::Join(Box::new(match opts.executor {
+                        // Forced generic join needs no tree and no program.
+                        ExecutorKind::Wcoj => {
+                            engine::prepare_wcoj(comp_scheme, comp_db, qcat.clone())
+                        }
+                        // Estimation-based tree search: the exact oracle would
+                        // *materialize* every candidate subjoin it ranks —
+                        // including the Cartesian pairs the greedy scan probes —
+                        // which on queries with repeated predicates costs more
+                        // than the join being planned.
+                        executor => engine::prepare(
+                            comp_scheme,
+                            comp_db,
+                            qcat.clone(),
+                            Plan::Search {
+                                strategy,
+                                oracle: Oracle::Estimate,
+                            },
+                            executor,
+                        )
+                        .map_err(|e| Error::Parse(e.to_string()))?,
+                    }))
+                };
+                components.push((comp.to_string(), component));
+            }
+            Body::Components(components)
         };
-        // Cross-component combination: a forced Cartesian product.
-        full = ops::join(&full, &comp_result);
-        ledger.charge_generated(format!("combine component {comp}"), full.len());
-    }
-
-    // Stage 4: the head projection.
-    let relation = ops::project(&full, head_schema.attrs())?;
-    ledger.charge_generated("head projection", relation.len());
-    Ok((
-        QueryResult {
-            relation,
+        Ok(PreparedQuery {
+            minimize,
+            qcat,
             head_attrs,
-            catalog: qcat,
             ledger,
-            minimize: min_summary,
-        },
-        decisions,
-    ))
+            body,
+            opts: opts.clone(),
+        })
+    }
+}
+
+impl PreparedQuery {
+    /// Stages 3–4: run every component through the engine, combine, and
+    /// project onto the head. `cancel` is checked before starting and
+    /// passed to every component's executor.
+    pub fn execute(
+        self,
+        cancel: Option<CancelToken>,
+    ) -> std::result::Result<(QueryResult, Vec<ComponentDecision>), Cancelled> {
+        let PreparedQuery {
+            minimize,
+            qcat,
+            head_attrs,
+            mut ledger,
+            body,
+            opts,
+        } = self;
+        if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            return Err(Cancelled { at_stmt: 0 });
+        }
+        let mut decisions = Vec::new();
+        let relation = match body {
+            Body::Decided(relation) => relation,
+            Body::Components(components) => {
+                let limits = Limits {
+                    mem_budget: opts.mem_budget,
+                    ..Limits::default()
+                };
+                let mut full = Relation::nullary_unit();
+                for (name, component) in components {
+                    let result = match component {
+                        Component::Single(rel) => Arc::new(rel),
+                        Component::Join(prepared) => {
+                            let out = prepared
+                                .admit(&limits)
+                                .expect(
+                                    "no cost budget and a spilling memory budget refuse nothing",
+                                )
+                                .execute(opts.threads, opts.cache.as_ref(), cancel.clone())?;
+                            // Inputs were already charged at binding.
+                            ledger.charge_generated(
+                                format!("{} over component {name}", out.decision.executor.name()),
+                                out.ledger.generated_total() as usize,
+                            );
+                            decisions.push(ComponentDecision {
+                                component: name.clone(),
+                                executor: out.decision.executor,
+                                agm_bound: out.decision.agm_bound,
+                                cert_bound: out.decision.cert_bound,
+                            });
+                            out.result
+                        }
+                    };
+                    // Cross-component combination: a forced Cartesian product.
+                    full = ops::join(&full, &result);
+                    ledger.charge_generated(format!("combine component {name}"), full.len());
+                }
+                // Stage 4: the head projection.
+                let relation = ops::project(&full, Schema::new(head_attrs.clone()).attrs())
+                    .expect("head variables are bound by the body");
+                ledger.charge_generated("head projection", relation.len());
+                relation
+            }
+        };
+        Ok((
+            QueryResult {
+                relation,
+                head_attrs,
+                catalog: qcat,
+                ledger,
+                minimize,
+            },
+            decisions,
+        ))
+    }
 }
 
 /// Differential-validation budget: beyond this many body atoms, the naive
@@ -367,19 +547,24 @@ pub fn execute_query_with(
 /// homomorphism proof alone.
 const DIFF_VALIDATE_MAX_ATOMS: usize = 8;
 
-/// Stage 0 of [`execute_query_with`]: compute the core and decide whether to
-/// compile it. Returns the replacement query (if any) and the summary for
-/// the result (if minimization ran at all).
-fn minimize_for_compile(
+/// [`compile_query`]'s decision: compute the core of `query` and decide
+/// whether to compile it.
+/// Returns the replacement query (if any) and the summary (if minimization
+/// ran at all). Only attempted when every predicate resolves (so
+/// unknown-relation/arity errors surface exactly as they would
+/// unminimized), and only applied under a verified two-way homomorphism
+/// proof *plus* differential execution of original vs core on small
+/// generated databases.
+fn compile_core(
     ndb: &NamedDatabase,
     query: &ConjunctiveQuery,
-    opts: &ExecOptions,
+    enabled: bool,
 ) -> (Option<ConjunctiveQuery>, Option<MinimizeSummary>) {
     let resolvable = query.body.iter().all(|atom| {
         ndb.get(&atom.predicate)
             .is_some_and(|s| s.columns.len() == atom.terms.len())
     });
-    if !opts.minimize || query.body.len() < 2 || !resolvable {
+    if !enabled || query.body.len() < 2 || !resolvable {
         return (None, None);
     }
     let m = minimize(query);
@@ -447,108 +632,6 @@ pub fn query_agm_bound(ndb: &NamedDatabase, body: &[Atom]) -> u64 {
     bound_u64(agm_ln(&scheme, scheme.all(), &sizes))
 }
 
-/// Run one multi-relation component on the executor `opts` calls for.
-///
-/// `Auto` derives the strategy-chosen program first, computes its Theorem-2
-/// certificate, and compares the certificate bound (evaluated with AGM
-/// sub-bounds) against the component's AGM bound — WCOJ runs exactly when
-/// its bound is strictly smaller (see [`mjoin_wcoj::select`]). Ties and
-/// wins go to the program path, preserving the engine's §2.3 cost story.
-fn run_component(
-    comp_scheme: &DbScheme,
-    comp_db: &Database,
-    qcat: &Catalog,
-    strategy: PlanStrategy,
-    opts: &ExecOptions,
-    comp_name: &str,
-    ledger: &mut CostLedger,
-) -> Result<(Arc<Relation>, ComponentDecision)> {
-    let sizes: Vec<u64> = comp_db.relations().iter().map(|r| r.len() as u64).collect();
-    let run_wcoj = |ledger: &mut CostLedger| -> Arc<Relation> {
-        let rel = wcoj_join(comp_scheme, comp_db, opts.cache.as_ref());
-        ledger.charge_generated(format!("wcoj over component {comp_name}"), rel.len());
-        Arc::new(rel)
-    };
-    let run_program = |tree: &JoinTree, ledger: &mut CostLedger| -> Result<Arc<Relation>> {
-        let run = run_pipeline_with(comp_scheme, tree, comp_db, &mut FirstChoice, |d| {
-            let mut cfg = ExecConfig::with_threads(opts.threads);
-            if let Some(budget) = opts.mem_budget {
-                cfg.mem_budget = Some(budget);
-                // Certify the derived program and gate the spill path on
-                // the certificate — an unanalyzable program (which the
-                // pipeline never produces) just runs unspilled.
-                if let Ok(cx) = AnalysisCx::new(&d.program, comp_scheme, qcat) {
-                    let plan = memory_report(&cx, &sizes).spill_plan(budget);
-                    if plan.any() {
-                        cfg.spill = Some(Arc::new(plan));
-                    }
-                }
-            }
-            cfg
-        })
-        .map_err(|e| Error::Parse(e.to_string()))?;
-        // Program cost minus the inputs (already charged at binding).
-        ledger.charge_generated(
-            format!("program over component {comp_name}"),
-            (run.program_cost() - comp_db.total_tuples()) as usize,
-        );
-        Ok(run.exec.result)
-    };
-
-    match opts.executor {
-        ExecutorKind::Wcoj => {
-            let agm = bound_u64(agm_ln(comp_scheme, comp_scheme.all(), &sizes));
-            Ok((
-                run_wcoj(ledger),
-                ComponentDecision {
-                    component: comp_name.to_string(),
-                    executor: ExecutorKind::Wcoj,
-                    agm_bound: Some(agm),
-                    cert_bound: None,
-                },
-            ))
-        }
-        ExecutorKind::Program => {
-            let tree = pick_tree(comp_scheme, comp_db, strategy)?;
-            Ok((
-                run_program(&tree, ledger)?,
-                ComponentDecision {
-                    component: comp_name.to_string(),
-                    executor: ExecutorKind::Program,
-                    agm_bound: None,
-                    cert_bound: None,
-                },
-            ))
-        }
-        ExecutorKind::Auto => {
-            let tree = pick_tree(comp_scheme, comp_db, strategy)?;
-            let derivation = derive(comp_scheme, &tree).map_err(|e| Error::Parse(e.to_string()))?;
-            let cx = AnalysisCx::new(&derivation.program, comp_scheme, qcat)
-                .map_err(|e| Error::Parse(e.to_string()))?;
-            let cert = Certificate::compute(&cx);
-            let sel = select(comp_scheme, &sizes, &cert);
-            let result = if sel.use_wcoj {
-                run_wcoj(ledger)
-            } else {
-                run_program(&tree, ledger)?
-            };
-            Ok((
-                result,
-                ComponentDecision {
-                    component: comp_name.to_string(),
-                    executor: if sel.use_wcoj {
-                        ExecutorKind::Wcoj
-                    } else {
-                        ExecutorKind::Program
-                    },
-                    agm_bound: Some(sel.agm_bound),
-                    cert_bound: Some(sel.cert_bound),
-                },
-            ))
-        }
-    }
-}
-
 /// Reference executor: bind atoms, fold-join them naively (in body order,
 /// Cartesian products and all), project. Used as the differential-testing
 /// oracle for [`execute_query`]; do not use it for anything performance
@@ -563,43 +646,7 @@ pub fn execute_query_naive(ndb: &NamedDatabase, query: &ConjunctiveQuery) -> Res
         let rel = bind_atom(ndb, atom, &mut qcat)?;
         acc = ops::join(&acc, &rel);
     }
-    let head_attrs: Vec<AttrId> = query
-        .head_vars
-        .iter()
-        .map(|v| {
-            qcat.lookup(v)
-                .ok_or_else(|| Error::Parse(format!("head variable `{v}` unbound")))
-        })
-        .collect::<Result<_>>()?;
-    ops::project(&acc, Schema::new(head_attrs).attrs())
-}
-
-fn pick_tree(scheme: &DbScheme, db: &Database, strategy: PlanStrategy) -> Result<JoinTree> {
-    // Estimation-based tree search (the same call the server's query path
-    // makes): the exact oracle would *materialize* every candidate subjoin
-    // it ranks — including the Cartesian pairs the greedy scan probes —
-    // which on queries with repeated predicates costs more than the join
-    // being planned.
-    let mut oracle = EstimateOracle::new(scheme, db);
-    let tree = match strategy {
-        PlanStrategy::Greedy => greedy(scheme, &mut oracle, true).0,
-        PlanStrategy::DpOptimal => {
-            optimize(scheme, &mut oracle, SearchSpace::All)
-                .ok_or_else(|| Error::Parse("empty search space".to_string()))?
-                .tree
-        }
-        PlanStrategy::DpCpf => {
-            optimize(scheme, &mut oracle, SearchSpace::Cpf)
-                .ok_or_else(|| Error::Parse("empty CPF search space".to_string()))?
-                .tree
-        }
-        PlanStrategy::DpLinear => {
-            optimize(scheme, &mut oracle, SearchSpace::Linear)
-                .ok_or_else(|| Error::Parse("empty linear search space".to_string()))?
-                .tree
-        }
-    };
-    Ok(tree)
+    ops::project(&acc, Schema::new(head_attrs(query, &qcat)?).attrs())
 }
 
 #[cfg(test)]

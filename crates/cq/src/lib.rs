@@ -5,8 +5,9 @@
 //! plays an important role in relational and deductive database systems";
 //! this crate is that deductive-database face: parse
 //! `Q(x, z) :- R(x, y), S(y, z), T(y, 3)`, bind atoms against a
-//! [`NamedDatabase`], pick a join tree per connected component, run
-//! Algorithms 1–2, execute, and project onto the head.
+//! [`NamedDatabase`], hand each connected component to
+//! [`mjoin_core::engine`] (tree search, Algorithms 1–2, executor choice,
+//! admission, execution), and project onto the head.
 
 #![warn(missing_docs)]
 
@@ -21,8 +22,9 @@ pub mod storage;
 
 pub use ast::{Atom, ConjunctiveQuery, Term};
 pub use compile::{
-    execute_query, execute_query_naive, execute_query_with, query_agm_bound, ComponentDecision,
-    ExecOptions, MinimizeSummary, PlanStrategy, QueryResult,
+    compile_query, execute_query, execute_query_naive, execute_query_with, query_agm_bound,
+    AdmittedQuery, CompiledQuery, ComponentDecision, ExecOptions, MinimizeSummary, PlanStrategy,
+    PreparedQuery, QueryResult,
 };
 pub use datalog::{evaluate_datalog, parse_rules, DatalogResult};
 pub use hom::{contains, equivalent, homomorphism, Hom};

@@ -69,6 +69,9 @@ pub struct Minimized {
 /// assert!(m.proof.verified);
 /// ```
 pub fn minimize(query: &ConjunctiveQuery) -> Minimized {
+    // One per core computation: lets a caller (and the server's `stats`)
+    // see that a request minimized its query once, not once per layer.
+    mjoin_trace::add("cq.minimize", 1);
     let identity = |q: &ConjunctiveQuery| -> Hom {
         q.body_variables()
             .into_iter()

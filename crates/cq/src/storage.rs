@@ -6,7 +6,7 @@
 //! terms bind to positionally.
 
 use mjoin_relation::fxhash::FxHashMap;
-use mjoin_relation::{tsv, AttrId, Catalog, Error, Relation, Result, Row, Schema, Value};
+use mjoin_relation::{ops, tsv, AttrId, Catalog, Error, Relation, Result, Row, Schema, Value};
 
 /// One stored relation with its declared column order.
 #[derive(Debug, Clone)]
@@ -117,25 +117,7 @@ impl NamedDatabase {
         column_names: &[&str],
         tuples: Vec<Vec<Value>>,
     ) -> Result<()> {
-        if self.index.contains_key(name) {
-            return Err(Error::Parse(format!("relation `{name}` already exists")));
-        }
-        // Qualify column names so `R.a` and `S.a` are unrelated attributes;
-        // joins come from query variables, not column-name coincidence.
-        let columns: Vec<AttrId> = column_names
-            .iter()
-            .map(|c| self.catalog.intern(&format!("{name}.{c}")))
-            .collect();
-        {
-            let mut sorted = columns.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            if sorted.len() != columns.len() {
-                return Err(Error::Parse(format!(
-                    "relation `{name}` repeats a column name"
-                )));
-            }
-        }
+        let columns = self.declare(name, column_names)?;
         let schema = Schema::new(columns.clone());
         // Permute declared-order tuples into canonical positions.
         let dest: Vec<usize> = columns
@@ -157,6 +139,58 @@ impl NamedDatabase {
             rows.push(row.into());
         }
         let relation = Relation::from_rows(schema, rows)?;
+        self.index.insert(name.to_string(), self.relations.len());
+        self.relations.push(StoredRelation {
+            name: name.to_string(),
+            columns,
+            relation,
+        });
+        Ok(())
+    }
+
+    /// Intern `name`'s declared columns, qualified by the relation name so
+    /// `R.a` and `S.a` are unrelated attributes (joins come from query
+    /// variables, not column-name coincidence).
+    fn declare(&mut self, name: &str, column_names: &[&str]) -> Result<Vec<AttrId>> {
+        if self.index.contains_key(name) {
+            return Err(Error::Parse(format!("relation `{name}` already exists")));
+        }
+        let columns: Vec<AttrId> = column_names
+            .iter()
+            .map(|c| self.catalog.intern(&format!("{name}.{c}")))
+            .collect();
+        let mut sorted = columns.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        if sorted.len() != columns.len() {
+            return Err(Error::Parse(format!(
+                "relation `{name}` repeats a column name"
+            )));
+        }
+        Ok(columns)
+    }
+
+    /// Adopt an already-built relation as predicate `name`, its attributes
+    /// in canonical order declared as `column_names`. The tuples are not
+    /// copied, re-deduplicated or re-interned: the stored relation shares
+    /// the source's columns under an O(arity) attribute rename.
+    pub fn add_shared(
+        &mut self,
+        name: &str,
+        column_names: &[&str],
+        relation: &Relation,
+    ) -> Result<()> {
+        let from = relation.schema().attrs();
+        if from.len() != column_names.len() {
+            return Err(Error::ArityMismatch {
+                expected: from.len(),
+                got: column_names.len(),
+            });
+        }
+        let columns = self.declare(name, column_names)?;
+        let mapping: Vec<(AttrId, AttrId)> =
+            from.iter().copied().zip(columns.iter().copied()).collect();
+        let relation = ops::rename(relation, &mapping)?;
         self.index.insert(name.to_string(), self.relations.len());
         self.relations.push(StoredRelation {
             name: name.to_string(),
@@ -249,6 +283,26 @@ mod tests {
         assert!(db.add_relation("r", &["a"], &[&[1]]).is_err());
         assert!(db.add_relation("s", &["a", "a"], &[&[1, 2]]).is_err());
         assert!(db.add_relation("t", &["a", "b"], &[&[1]]).is_err());
+    }
+
+    #[test]
+    fn add_shared_adopts_a_relation_under_qualified_columns() {
+        let mut cat = Catalog::new();
+        let rel = mjoin_relation::relation_of_ints(&mut cat, "AB", &[&[1, 2], &[3, 4]]).unwrap();
+        let mut db = NamedDatabase::new();
+        db.add_relation("pad", &["x"], &[&[9]]).unwrap(); // shift the attr ids
+        db.add_shared("e", &["A", "B"], &rel).unwrap();
+        let stored = db.get("e").unwrap();
+        assert_eq!(stored.relation.len(), 2);
+        assert_eq!(db.catalog().name(stored.columns[1]), "e.B");
+        let (a, b) = (stored.canonical_position(0), stored.canonical_position(1));
+        assert!(stored
+            .relation
+            .rows()
+            .iter()
+            .any(|r| r[a] == Value::Int(3) && r[b] == Value::Int(4)));
+        assert!(db.add_shared("e", &["A", "B"], &rel).is_err(), "name taken");
+        assert!(db.add_shared("f", &["A"], &rel).is_err(), "arity");
     }
 
     #[test]

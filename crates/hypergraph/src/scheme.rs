@@ -149,6 +149,28 @@ impl DbScheme {
         self.is_connected(base.union(addition))
     }
 
+    /// Line stored relations up with this scheme's edges by attribute set:
+    /// edge `i` takes the first not-yet-taken schema equal to it, so order
+    /// doesn't matter and duplicate edges consume distinct relations.
+    /// Returns, per edge, the index of its schema — or `Err(i)` for the
+    /// first edge nothing matches. Schemas left over are the caller's call
+    /// (a data directory must be consumed exactly; a server catalog may
+    /// hold more than one program's relations).
+    pub fn assign_relations(&self, schemas: &[Schema]) -> Result<Vec<usize>, usize> {
+        let mut taken = vec![false; schemas.len()];
+        self.edges
+            .iter()
+            .enumerate()
+            .map(|(i, want)| {
+                let j = (0..schemas.len())
+                    .find(|&j| !taken[j] && schemas[j].to_set() == *want)
+                    .ok_or(i)?;
+                taken[j] = true;
+                Ok(j)
+            })
+            .collect()
+    }
+
     /// Render with attribute names, e.g. `{ABC, CDE, EFG, GHA}`.
     pub fn display<'a>(&'a self, catalog: &'a Catalog) -> DbSchemeDisplay<'a> {
         DbSchemeDisplay {
@@ -277,6 +299,19 @@ mod tests {
         // Attributes render in canonical (id) order, so the paper's `GHA`
         // prints as `AGH`.
         assert_eq!(s.display(&c).to_string(), "{ABC, CDE, EFG, AGH}");
+    }
+
+    #[test]
+    fn assign_relations_is_order_independent_and_consumes_duplicates() {
+        let mut c = Catalog::new();
+        let s = DbScheme::parse(&mut c, &["AB", "BC", "AB"]);
+        let schemas: Vec<Schema> = ["BC", "AB", "CD", "AB"]
+            .iter()
+            .map(|n| Schema::from_chars(&mut c, n))
+            .collect();
+        assert_eq!(s.assign_relations(&schemas), Ok(vec![1, 0, 3]));
+        // One `AB` short: the second `AB` edge is the one left unmatched.
+        assert_eq!(s.assign_relations(&schemas[..3]), Err(2));
     }
 
     #[test]

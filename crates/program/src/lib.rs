@@ -36,7 +36,7 @@ pub use interp::{
     ExecOutcome, IndexCache, SharedIndexCache, SpillPlan,
 };
 pub use optimize::eliminate_dead_code;
-pub use parse::parse_program;
+pub use parse::{parse_program, parse_scheme_list, scheme_directive};
 pub use program::{Program, ProgramBuilder};
 pub use schedule::{audit_schedule, schedule, Schedule, ScheduleAuditError};
 pub use stmt::{Reg, Stmt};

@@ -88,6 +88,26 @@ fn parse_reg_token(text: &str) -> Result<(&str, &str)> {
     Ok((rest[..close].trim(), &rest[close + 1..]))
 }
 
+/// The database scheme a program text declares for itself: what follows
+/// its first `# scheme:` comment (`# scheme: AB,BC,CD`), if it has one.
+pub fn scheme_directive(text: &str) -> Option<&str> {
+    text.lines()
+        .find_map(|l| l.trim().strip_prefix("# scheme:"))
+        .map(str::trim)
+}
+
+/// Parse a comma-separated scheme list (`AB, BC, CD`) in the paper's
+/// single-letter notation, interning into `catalog`. `None` when the list
+/// names no relation scheme.
+pub fn parse_scheme_list(catalog: &mut Catalog, text: &str) -> Option<DbScheme> {
+    let parts: Vec<&str> = text
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .collect();
+    (!parts.is_empty()).then(|| DbScheme::parse(catalog, &parts))
+}
+
 /// Parse a program in display notation. `result` defaults to the last
 /// statement's head; an empty input is an error (there is no way to name a
 /// result register).
@@ -241,6 +261,17 @@ mod tests {
     use crate::interp::execute;
     use crate::validate::validate;
     use mjoin_relation::{relation_of_ints, Database};
+
+    #[test]
+    fn scheme_directive_and_list() {
+        let text = "# a comment\n  # scheme: AB, BC ,\nR(V) := R(AB) ⋈ R(BC)\n";
+        assert_eq!(scheme_directive(text), Some("AB, BC ,"));
+        assert_eq!(scheme_directive("R(V) := R(AB) ⋈ R(BC)"), None);
+        let mut c = Catalog::new();
+        let s = parse_scheme_list(&mut c, "AB, BC ,").unwrap();
+        assert_eq!(s, DbScheme::parse(&mut c, &["AB", "BC"]));
+        assert!(parse_scheme_list(&mut c, " , ").is_none());
+    }
 
     fn setup() -> (Catalog, DbScheme, Database) {
         let mut c = Catalog::new();

@@ -57,6 +57,14 @@ impl Value {
         self
     }
 
+    /// [`Value::set`] when there is a value; the object unchanged when not.
+    pub fn set_opt(self, key: &str, v: Option<Value>) -> Value {
+        match v {
+            Some(v) => self.set(key, v),
+            None => self,
+        }
+    }
+
     /// Object field by key.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {

@@ -15,7 +15,7 @@
 //! program carries a Theorem-2 cost certificate, the server can evaluate
 //! the certified per-statement bounds against the resident catalog's
 //! cardinalities *before* running anything
-//! ([`mjoin_analyze::admission_report`]). A request whose certified bound
+//! ([`mjoin_core::engine::Prepared::admit`]). A request whose certified bound
 //! exceeds the configured budget is rejected with the offending statement
 //! and its bound — a Cartesian-product program (the paper's anti-pattern)
 //! never reaches an operator. Admitted requests pass a bounded-FIFO

@@ -5,14 +5,14 @@
 //! programs, plus a single process-wide [`SharedIndexCache`] so the
 //! build-side join indices one request constructs are warm for the next —
 //! across sessions, not just across statements. Every `run`/`query` is
-//! admission-checked *before* execution: the Theorem-2 certificate is
-//! evaluated against the resident catalog's cardinalities
-//! ([`mjoin_analyze::admission_report`]), and a request whose certified
-//! per-statement bound exceeds `--max-cost` is rejected with the offending
-//! statement and bound — it never reaches an operator. Admitted requests
-//! pass through a bounded-FIFO capacity gate that keeps the *sum* of
-//! in-flight certified peaks under the same budget, so concurrent sessions
-//! cannot multiply past it.
+//! admission-checked *before* execution by the one engine path
+//! ([`mjoin_core::engine`]: `prepare → admit → execute`): the Theorem-2
+//! certificate is evaluated against the resident catalog's cardinalities,
+//! and a request whose certified per-statement bound exceeds `--max-cost`
+//! is rejected with the offending statement and bound — it never reaches
+//! an operator. Admitted requests pass through a bounded-FIFO capacity
+//! gate that keeps the *sum* of in-flight certified peaks under the same
+//! budget, so concurrent sessions cannot multiply past it.
 //!
 //! Shutdown is cooperative: the `shutdown` command raises a flag, the
 //! accept loop stops, sessions finish their in-flight request (deadlines
@@ -20,21 +20,20 @@
 
 use crate::json::Value as J;
 use crate::protocol::{err, err_with, ok, Request};
-use mjoin_analyze::{admission_report, memory_report, AdmissionReport, AnalysisCx, Certificate};
-use mjoin_core::derive;
+use mjoin_core::engine::{
+    self, Admitted, Exceeded, ExecutorKind, Limits, Oracle, Plan, PlanStrategy, Prepared, Rejection,
+};
 use mjoin_cq::{
-    execute_query_with, parse_query, query_agm_bound, ExecOptions as CqExecOptions,
-    MinimizeSummary, NamedDatabase, PlanStrategy,
+    compile_query, parse_query, query_agm_bound, ExecOptions as CqExecOptions, MinimizeSummary,
+    NamedDatabase,
 };
 use mjoin_hypergraph::DbScheme;
-use mjoin_optimizer::{greedy, optimize, EstimateOracle, SearchSpace};
 use mjoin_program::{
-    display, parse_program, try_execute_with, CancelToken, ExecConfig, IndexCache, Program,
-    SharedIndexCache,
+    display, parse_program, parse_scheme_list, scheme_directive, CancelToken, Cancelled,
+    IndexCache, Program, SharedIndexCache,
 };
-use mjoin_relation::{tsv, AttrSet, Catalog, CostLedger, Database, Relation, Schema};
+use mjoin_relation::{tsv, Catalog, CostLedger, Database, Relation, Schema};
 use mjoin_trace as trace;
-use mjoin_wcoj::{select, wcoj_join, ExecutorKind, Selection};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -72,7 +71,7 @@ pub struct ServeConfig {
     pub cache_budget_bytes: u64,
     /// Memory admission budget in bytes: reject any `run`/`query` program
     /// whose statically certified peak-resident bytes
-    /// ([`mjoin_analyze::memory_report`]) exceed this. `cq` queries are
+    /// ([`engine::Analysis::memory`]) exceed this. `cq` queries are
     /// not rejected — their per-component programs instead route
     /// over-budget join build sides through the Grace-hash spill path.
     /// `None` disables both.
@@ -267,6 +266,19 @@ struct SessionLedger {
     generated: u64,
 }
 
+impl SessionLedger {
+    /// Account one executed request.
+    fn charge(&mut self, cost: &CostLedger) {
+        self.requests += 1;
+        self.inputs += cost.input_total();
+        self.generated += cost.generated_total();
+    }
+
+    fn total(&self) -> u64 {
+        self.inputs + self.generated
+    }
+}
+
 /// The resident query server. Bind, then [`run`](Server::run) — it returns
 /// after a client sends `shutdown` and all in-flight work drains.
 pub struct Server {
@@ -390,6 +402,17 @@ fn session(shared: &Shared, stream: TcpStream) {
     trace::add("serve.session_close", 1);
 }
 
+/// A handler's outcome: the success response, or the error response.
+type Reply = Result<J, J>;
+
+/// What the execution verbs share: the request's deadline, whether the
+/// answer's TSV is wanted, and the session's running §2.3 account.
+struct Exec<'a> {
+    deadline_ms: Option<u64>,
+    want_tsv: bool,
+    ledger: &'a mut SessionLedger,
+}
+
 /// Parse and route one request line.
 fn dispatch(shared: &Shared, request_line: &str, ledger: &mut SessionLedger) -> J {
     let req = match Request::parse(request_line) {
@@ -405,7 +428,7 @@ fn dispatch(shared: &Shared, request_line: &str, ledger: &mut SessionLedger) -> 
     trace::add("serve.request", 1);
     shared.in_flight.fetch_add(1, Ordering::Relaxed);
     let resp = match req {
-        Request::Ping => ok("ping"),
+        Request::Ping => Ok(ok("ping")),
         Request::Load { catalog, name, tsv } => handle_load(shared, &catalog, name, &tsv),
         Request::Compile {
             catalog,
@@ -420,16 +443,15 @@ fn dispatch(shared: &Shared, request_line: &str, ledger: &mut SessionLedger) -> 
             scheme,
             deadline_ms,
             tsv,
-        } => handle_run(
-            shared,
-            &catalog,
-            name.as_deref(),
-            program.as_deref(),
-            scheme.as_deref(),
-            deadline_ms,
-            tsv,
-            ledger,
-        ),
+        } => {
+            let source = (name.as_deref(), program.as_deref(), scheme.as_deref());
+            let exec = Exec {
+                deadline_ms,
+                want_tsv: tsv,
+                ledger,
+            };
+            handle_run(shared, &catalog, source, exec)
+        }
         Request::Query {
             catalog,
             cq,
@@ -438,26 +460,17 @@ fn dispatch(shared: &Shared, request_line: &str, ledger: &mut SessionLedger) -> 
             minimize,
             deadline_ms,
             tsv,
-        } => match cq {
-            Some(cq) => handle_cq_query(
-                shared,
-                &catalog,
-                &cq,
-                optimizer.as_deref(),
-                executor.as_deref(),
-                minimize,
-                tsv,
-            ),
-            None => handle_query(
-                shared,
-                &catalog,
-                optimizer.as_deref(),
-                executor.as_deref(),
+        } => {
+            let exec = Exec {
                 deadline_ms,
-                tsv,
+                want_tsv: tsv,
                 ledger,
-            ),
-        },
+            };
+            query_knobs(optimizer.as_deref(), executor.as_deref()).and_then(|knobs| match cq {
+                Some(cq) => handle_cq_query(shared, &catalog, &cq, knobs, minimize, exec),
+                None => handle_query(shared, &catalog, knobs, exec),
+            })
+        }
         Request::Explain {
             catalog,
             name,
@@ -467,30 +480,28 @@ fn dispatch(shared: &Shared, request_line: &str, ledger: &mut SessionLedger) -> 
             minimize,
         } => match cq {
             Some(cq) => handle_cq_explain(shared, &catalog, &cq, minimize),
-            None => handle_explain(
-                shared,
-                &catalog,
-                name.as_deref(),
-                program.as_deref(),
-                scheme.as_deref(),
-            ),
+            None => {
+                let source = (name.as_deref(), program.as_deref(), scheme.as_deref());
+                handle_explain(shared, &catalog, source)
+            }
         },
-        Request::Stats => handle_stats(shared, ledger),
+        Request::Stats => Ok(handle_stats(shared, ledger)),
         Request::Shutdown => {
             shared.shutdown.store(true, Ordering::Relaxed);
             shared.gate.cv.notify_all();
             trace::add("serve.shutdown", 1);
-            ok("shutdown").set(
+            Ok(ok("shutdown").set(
                 "draining",
                 J::u64(shared.in_flight.load(Ordering::Relaxed) - 1),
-            )
+            ))
         }
     };
     shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-    resp
+    resp.unwrap_or_else(|e| e)
 }
 
-fn handle_load(shared: &Shared, catalog: &str, name: Option<String>, text: &str) -> J {
+fn handle_load(shared: &Shared, catalog: &str, name: Option<String>, text: &str) -> Reply {
+    let bad_tsv = |e| err("data", format!("bad TSV: {e}"));
     // Parse against a catalog *snapshot* with the lock released — a large
     // TSV payload must not stall every other session's resolve/load/
     // compile — then re-validate the interned header ids under the lock.
@@ -502,10 +513,7 @@ fn handle_load(shared: &Shared, catalog: &str, name: Option<String>, text: &str)
             .catalog
             .clone()
     };
-    let parsed = match tsv::relation_from_tsv_reader(&mut snapshot, text.as_bytes()) {
-        Ok(r) => r,
-        Err(e) => return err("data", format!("bad TSV: {e}")),
-    };
+    let parsed = tsv::relation_from_tsv_reader(&mut snapshot, text.as_bytes()).map_err(bad_tsv)?;
     // Pay the structural fingerprint once at load time (also outside the
     // lock): clones handed to each run inherit the memoized value, so
     // cross-session index-cache peeks don't re-hash a large resident
@@ -527,60 +535,44 @@ fn handle_load(shared: &Shared, catalog: &str, name: Option<String>, text: &str)
     let rel = if consistent {
         parsed
     } else {
-        match tsv::relation_from_tsv_reader(&mut entry.catalog, text.as_bytes()) {
-            Ok(r) => {
-                r.fingerprint();
-                r
-            }
-            Err(e) => return err("data", format!("bad TSV: {e}")),
-        }
+        let r =
+            tsv::relation_from_tsv_reader(&mut entry.catalog, text.as_bytes()).map_err(bad_tsv)?;
+        r.fingerprint();
+        r
     };
     let name = name.unwrap_or_else(|| format!("r{}", entry.relations.len()));
     if entry.relations.iter().any(|(n, _)| *n == name) {
-        return err("data", format!("relation `{name}` already loaded"));
+        return Err(err("data", format!("relation `{name}` already loaded")));
     }
     let rows = rel.len();
     let attrs = format!("{}", rel.schema().display(&entry.catalog));
     entry.relations.push((name.clone(), rel));
     trace::add("serve.load", 1);
-    ok("load")
+    Ok(ok("load")
         .set("catalog", J::str(catalog))
         .set("name", J::Str(name))
         .set("rows", J::u64(rows as u64))
         .set("attrs", J::Str(attrs))
-        .set("relations", J::u64(entry.relations.len() as u64))
+        .set("relations", J::u64(entry.relations.len() as u64)))
 }
 
-/// Parse a scheme string (`"AB,BC"`) into the entry's catalog, or fall
-/// back to the program text's `# scheme:` directive.
-fn parse_scheme(
+/// Parse a program and its scheme — the `scheme` field (`"AB,BC"`), or the
+/// program text's own `# scheme:` directive — into the entry's catalog.
+fn parse_program_in(
     catalog: &mut Catalog,
     scheme: Option<&str>,
-    program_text: &str,
-) -> Result<DbScheme, J> {
-    let text = match scheme {
-        Some(s) => s.to_string(),
-        None => program_text
-            .lines()
-            .filter_map(|l| l.trim().strip_prefix("# scheme:"))
-            .map(|s| s.trim().to_string())
-            .next()
-            .ok_or_else(|| {
-                err(
-                    "parse",
-                    "program has no `# scheme: AB,BC,…` directive; pass `scheme`",
-                )
-            })?,
-    };
-    let parts: Vec<&str> = text
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect();
-    if parts.is_empty() {
-        return Err(err("parse", format!("empty scheme `{text}`")));
-    }
-    Ok(DbScheme::parse(catalog, &parts))
+    text: &str,
+) -> Result<(Program, DbScheme), J> {
+    let spec = scheme.or_else(|| scheme_directive(text)).ok_or_else(|| {
+        err(
+            "parse",
+            "program has no `# scheme: AB,BC,…` directive; pass `scheme`",
+        )
+    })?;
+    let scheme = parse_scheme_list(catalog, spec)
+        .ok_or_else(|| err("parse", format!("empty scheme `{spec}`")))?;
+    let program = parse_program(catalog, &scheme, text).map_err(|e| err("parse", e.to_string()))?;
+    Ok((program, scheme))
 }
 
 fn handle_compile(
@@ -589,321 +581,195 @@ fn handle_compile(
     name: &str,
     text: &str,
     scheme: Option<&str>,
-) -> J {
+) -> Reply {
     let mut catalogs = lock(&shared.catalogs);
     let entry = catalogs.entry(catalog.to_string()).or_default();
-    let scheme = match parse_scheme(&mut entry.catalog, scheme, text) {
-        Ok(s) => s,
-        Err(e) => return e,
-    };
-    let program = match parse_program(&entry.catalog, &scheme, text) {
-        Ok(p) => p,
-        Err(e) => return err("parse", e.to_string()),
-    };
-    let statements = program.len();
-    let rendered = display::render(&program, &scheme, &entry.catalog);
-    let scheme_text = format!("{}", scheme.display(&entry.catalog));
+    let (program, scheme) = parse_program_in(&mut entry.catalog, scheme, text)?;
+    let resp = ok("compile")
+        .set("catalog", J::str(catalog))
+        .set("name", J::str(name))
+        .set("statements", J::u64(program.len() as u64))
+        .set(
+            "scheme",
+            J::Str(format!("{}", scheme.display(&entry.catalog))),
+        )
+        .set(
+            "program",
+            J::Str(display::render(&program, &scheme, &entry.catalog)),
+        );
     entry
         .programs
         .insert(name.to_string(), CompiledProgram { program, scheme });
     trace::add("serve.compile", 1);
-    ok("compile")
-        .set("catalog", J::str(catalog))
-        .set("name", J::str(name))
-        .set("statements", J::u64(statements as u64))
-        .set("scheme", J::Str(scheme_text))
-        .set("program", J::Str(rendered))
+    Ok(resp)
 }
 
-/// Everything a `run`/`explain` needs once the catalog lock is dropped:
-/// the program, its scheme, the relations matched to the scheme's edges,
-/// and a catalog snapshot for rendering.
-struct Resolved {
-    program: Program,
-    scheme: DbScheme,
-    db: Database,
-    catalog: Catalog,
-}
+/// Where a `run`/`explain` takes its program from: a compiled `name`, or
+/// inline `program` text with an optional `scheme`.
+type Source<'a> = (Option<&'a str>, Option<&'a str>, Option<&'a str>);
 
-/// Look up (or inline-parse) a program and line the entry's loaded
-/// relations up with its scheme edges by attribute set.
+/// Look up (or inline-parse) a program, line the entry's loaded relations
+/// up with its scheme edges by attribute set, and — with the catalog lock
+/// dropped — hand the lot to the engine, which validates the program.
 fn resolve(
     shared: &Shared,
     catalog_name: &str,
-    name: Option<&str>,
-    program_text: Option<&str>,
-    scheme_text: Option<&str>,
-) -> Result<Resolved, J> {
-    let mut catalogs = lock(&shared.catalogs);
-    let entry = catalogs
-        .get_mut(catalog_name)
-        .ok_or_else(|| err("not_found", format!("no catalog `{catalog_name}`")))?;
-    let (program, scheme) = if let Some(n) = name {
-        let c = entry
-            .programs
-            .get(n)
-            .ok_or_else(|| err("not_found", format!("no compiled program `{n}`")))?;
-        (c.program.clone(), c.scheme.clone())
-    } else {
-        let text = program_text.expect("protocol guarantees name xor program");
-        let scheme = parse_scheme(&mut entry.catalog, scheme_text, text)?;
-        let program = parse_program(&entry.catalog, &scheme, text)
-            .map_err(|e| err("parse", e.to_string()))?;
-        (program, scheme)
+    (name, program_text, scheme_text): Source<'_>,
+    executor: ExecutorKind,
+) -> Result<Prepared, J> {
+    let (program, scheme, db, catalog) = {
+        let mut catalogs = lock(&shared.catalogs);
+        let entry = catalogs
+            .get_mut(catalog_name)
+            .ok_or_else(|| err("not_found", format!("no catalog `{catalog_name}`")))?;
+        let (program, scheme) = if let Some(n) = name {
+            let c = entry
+                .programs
+                .get(n)
+                .ok_or_else(|| err("not_found", format!("no compiled program `{n}`")))?;
+            (c.program.clone(), c.scheme.clone())
+        } else {
+            let text = program_text.expect("protocol guarantees name xor program");
+            parse_program_in(&mut entry.catalog, scheme_text, text)?
+        };
+        // Order-independent; the catalog may hold more relations than
+        // this program's scheme names.
+        let schemas: Vec<Schema> = entry
+            .relations
+            .iter()
+            .map(|(_, rel)| rel.schema().clone())
+            .collect();
+        let picked = scheme.assign_relations(&schemas).map_err(|i| {
+            let edge = Schema::from_set(scheme.attrs_of(i));
+            let edge = edge.display(&entry.catalog);
+            err(
+                "data",
+                format!("no loaded relation matches scheme edge {i} ({edge})"),
+            )
+        })?;
+        let rels = picked.into_iter().map(|j| entry.relations[j].1.clone());
+        let db = Database::from_relations(rels.collect());
+        (program, scheme, db, entry.catalog.clone())
     };
-    let db = match_relations(entry, &scheme)?;
-    Ok(Resolved {
-        program,
-        scheme,
-        db,
-        catalog: entry.catalog.clone(),
-    })
+    engine::prepare(scheme, db, catalog, Plan::Program(program), executor)
+        .map_err(|e| err("data", e.to_string()))
 }
 
-/// Match loaded relations to scheme edges by attribute set (the same rule
-/// as the CLI's `load_db_for_scheme`): order-independent, every edge needs
-/// exactly one relation.
-fn match_relations(entry: &CatalogEntry, scheme: &DbScheme) -> Result<Database, J> {
-    let mut taken = vec![false; entry.relations.len()];
-    let mut relations = Vec::with_capacity(scheme.num_relations());
-    for i in 0..scheme.num_relations() {
-        let want = scheme.attrs_of(i);
-        let found = entry.relations.iter().enumerate().find(|(j, (_, rel))| {
-            !taken[*j] && AttrSet::from_iter_ids(rel.schema().attrs().iter().copied()) == *want
-        });
-        match found {
-            Some((j, (_, rel))) => {
-                taken[j] = true;
-                relations.push(rel.clone());
-            }
-            None => {
-                return Err(err(
-                    "data",
-                    format!(
-                        "no loaded relation matches scheme edge {} ({})",
-                        i,
-                        Schema::from_set(want).display(&entry.catalog)
-                    ),
-                ))
-            }
-        }
+/// The budgets every `run`/`query` is admitted under.
+fn limits(shared: &Shared) -> Limits {
+    Limits {
+        max_cost: shared.cfg.max_cost,
+        mem_budget: shared.cfg.mem_budget,
+        mem_rejects: true,
     }
-    Ok(Database::from_relations(relations))
 }
 
-/// Admission check: certificate + interval bounds against the resident
-/// cardinalities. `Err` is the rejection response — the request never
-/// reaches an operator.
-fn admit(shared: &Shared, r: &Resolved) -> Result<AdmissionReport, J> {
-    let cx = match AnalysisCx::new(&r.program, &r.scheme, &r.catalog) {
-        Ok(cx) => cx,
-        Err(e) => return Err(err("data", e.to_string())),
+/// The rejection response: the request never reaches an operator.
+fn rejection(r: Rejection) -> J {
+    trace::add("serve.admission_reject", 1);
+    let message = r.to_string();
+    let (bound_key, budget_key) = match r.what {
+        Exceeded::Memory => ("peak_bytes", "mem_budget"),
+        Exceeded::Cost | Exceeded::Agm => ("bound", "budget"),
     };
-    let seeds: Vec<u64> = r.db.relations().iter().map(|x| x.len() as u64).collect();
-    let report = admission_report(&cx, &seeds);
-    if let Some(budget) = shared.cfg.max_cost {
-        if let Some(v) = report.violation(budget) {
-            trace::add("serve.admission_reject", 1);
-            let mut extra = vec![
-                ("stmt".to_string(), J::u64(v.stmt as u64)),
-                ("kind_of_stmt".to_string(), J::str(v.kind)),
-                ("bound".to_string(), J::u64(v.bound)),
-                ("budget".to_string(), J::u64(budget)),
-                ("symbolic".to_string(), J::Str(v.symbolic.clone())),
-            ];
-            if let Some(x) = &v.excerpt {
-                extra.push(("excerpt".to_string(), J::Str(x.clone())));
-            }
-            return Err(err_with(
-                "admission",
-                format!(
-                    "certified bound {} for statement {} exceeds --max-cost {}",
-                    v.bound, v.stmt, budget
-                ),
-                extra,
-            ));
-        }
-    }
-    if let Some(budget) = shared.cfg.mem_budget {
-        let mem = memory_report(&cx, &seeds);
-        if let Some(v) = mem.violation(budget) {
-            trace::add("serve.admission_reject", 1);
-            let mut extra = vec![
-                ("stmt".to_string(), J::u64(v.stmt as u64)),
-                ("kind_of_stmt".to_string(), J::str(v.kind)),
-                ("peak_bytes".to_string(), J::u64(v.peak_bytes)),
-                ("mem_budget".to_string(), J::u64(budget)),
-                ("symbolic".to_string(), J::Str(v.symbolic.clone())),
-            ];
-            if let Some(x) = &v.excerpt {
-                extra.push(("excerpt".to_string(), J::Str(x.clone())));
-            }
-            return Err(err_with(
-                "admission",
-                format!(
-                    "certified memory peak {} bytes for statement {} exceeds --mem-budget {}",
-                    v.peak_bytes, v.stmt, budget
-                ),
-                extra,
-            ));
-        }
-    }
-    Ok(report)
+    let fields = [
+        ("stmt", r.stmt.map(|s| J::u64(s as u64))),
+        ("kind_of_stmt", r.kind.map(J::str)),
+        (bound_key, Some(J::u64(r.bound))),
+        (budget_key, Some(J::u64(r.budget))),
+        ("symbolic", r.symbolic.map(J::Str)),
+        ("excerpt", r.excerpt.map(J::Str)),
+    ];
+    let extra = fields
+        .into_iter()
+        .filter_map(|(k, v)| Some((k.to_string(), v?)))
+        .collect();
+    err_with("admission", message, extra)
 }
 
-/// Acquire the capacity gate for `cost`, mapping each refusal to its
-/// protocol error. Shared by the program and WCOJ execution paths.
-fn acquire_permit<'a>(
+/// Wait on the capacity gate for `cost` and start the request's clock:
+/// `deadline_ms` counts from here (planning is not charged), bounds the
+/// queue wait, and arms the returned cancellation token.
+fn gate<'a>(
     shared: &'a Shared,
     cost: u64,
-    deadline: Option<Instant>,
-) -> Result<Permit<'a>, J> {
-    match shared.gate.acquire(cost, deadline, &shared.shutdown) {
-        Ok(p) => Ok(p),
-        Err(GateErr::QueueFull) => {
-            trace::add("serve.queue_reject", 1);
-            Err(err_with(
-                "queue_full",
-                "admission queue is full; retry later",
-                vec![(
-                    "queue_depth".to_string(),
-                    J::u64(shared.cfg.queue_depth as u64),
-                )],
-            ))
-        }
-        Err(GateErr::Deadline) => {
-            trace::add("serve.deadline_cancel", 1);
-            Err(err(
-                "deadline",
-                "deadline expired while queued for capacity",
-            ))
-        }
-        Err(GateErr::ShuttingDown) => {
-            Err(err("shutting_down", "server is draining; no new requests"))
-        }
-    }
+    deadline_ms: Option<u64>,
+) -> Result<(Permit<'a>, CancelToken), J> {
+    let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+    let permit = shared
+        .gate
+        .acquire(cost, deadline, &shared.shutdown)
+        .map_err(|e| match e {
+            GateErr::QueueFull => {
+                trace::add("serve.queue_reject", 1);
+                let depth = J::u64(shared.cfg.queue_depth as u64);
+                err_with(
+                    "queue_full",
+                    "admission queue is full; retry later",
+                    vec![("queue_depth".to_string(), depth)],
+                )
+            }
+            GateErr::Deadline => {
+                trace::add("serve.deadline_cancel", 1);
+                err("deadline", "deadline expired while queued for capacity")
+            }
+            GateErr::ShuttingDown => err("shutting_down", "server is draining; no new requests"),
+        })?;
+    let cancel = deadline.map_or_else(CancelToken::new, CancelToken::with_deadline);
+    Ok((permit, cancel))
 }
 
-/// Gate + execute an admitted program; shared by `run` and `query`.
-fn execute_admitted(
-    shared: &Shared,
-    r: &Resolved,
-    report: &AdmissionReport,
-    deadline_ms: Option<u64>,
-    want_tsv: bool,
-    ledger: &mut SessionLedger,
-    response: J,
-) -> J {
-    let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let _permit = match acquire_permit(shared, report.peak, deadline) {
-        Ok(p) => p,
-        Err(e) => return e,
-    };
-    let cancel = match deadline {
-        Some(d) => CancelToken::with_deadline(d),
-        None => CancelToken::new(),
-    };
-    let cfg = ExecConfig {
-        threads: shared.cfg.threads,
-        cache: Some(Arc::clone(&shared.cache)),
-        cancel: Some(cancel),
-        // Admission already proved the certified peak fits the budget (a
-        // build side is never larger than its statement's peak, so an
-        // admitted program needs no spill plan).
-        mem_budget: shared.cfg.mem_budget,
-        ..ExecConfig::default()
-    };
-    trace::add("serve.run", 1);
-    let out = match try_execute_with(&r.program, &r.db, &cfg) {
-        Ok(out) => out,
-        Err(c) => {
-            trace::add("serve.deadline_cancel", 1);
-            return err_with(
-                "deadline",
-                format!("{c}"),
-                vec![("at_stmt".to_string(), J::u64(c.at_stmt as u64))],
-            );
-        }
-    };
-    render_outcome(
-        shared,
-        r,
-        &out.result,
-        &out.ledger,
-        want_tsv,
-        ledger,
-        response,
+/// The response to a request whose deadline fired mid-execution.
+fn deadline_cancelled(c: Cancelled) -> J {
+    trace::add("serve.deadline_cancel", 1);
+    err_with(
+        "deadline",
+        format!("{c}"),
+        vec![("at_stmt".to_string(), J::u64(c.at_stmt as u64))],
     )
 }
 
-/// Gate + execute a query on the worst-case-optimal executor. The gate
-/// cost is the AGM bound — the certified output bound for generic join.
-/// The deadline still bounds the queue wait, but a WCOJ execution is not
-/// cancellable mid-join (there is no per-statement boundary to observe a
-/// token at).
-fn execute_wcoj(
+/// Admit, gate and execute a prepared request and render its outcome onto
+/// `response`; shared by `run` and `query`, on either executor. The gate
+/// cost is the certified peak of the executor that runs.
+fn execute_prepared(
     shared: &Shared,
-    r: &Resolved,
-    gate_cost: u64,
-    deadline_ms: Option<u64>,
-    want_tsv: bool,
-    ledger: &mut SessionLedger,
-    response: J,
-) -> J {
-    let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let _permit = match acquire_permit(shared, gate_cost, deadline) {
-        Ok(p) => p,
-        Err(e) => return e,
-    };
+    prepared: &Prepared,
+    exec: Exec<'_>,
+    response: impl FnOnce(&Admitted<'_>) -> J,
+) -> Reply {
+    let admitted = prepared.admit(&limits(shared)).map_err(rejection)?;
+    let peak = admitted.certified_peak();
+    let (_permit, cancel) = gate(shared, peak, exec.deadline_ms)?;
     trace::add("serve.run", 1);
-    trace::add("serve.wcoj_run", 1);
-    let result = wcoj_join(&r.scheme, &r.db, Some(&shared.cache));
-    let mut cost = CostLedger::new();
-    for (i, rel) in r.db.relations().iter().enumerate() {
-        cost.charge_input(format!("input {i}"), rel.len());
+    if admitted.decision().executor == ExecutorKind::Wcoj {
+        trace::add("serve.wcoj_run", 1);
     }
-    cost.charge_generated("wcoj join", result.len());
-    render_outcome(shared, r, &result, &cost, want_tsv, ledger, response)
-}
-
-/// Build the success payload for an executed request: result size (and
-/// optionally the TSV), the §2.3 ledger, and warm-cache counters.
-fn render_outcome(
-    shared: &Shared,
-    r: &Resolved,
-    result: &Relation,
-    cost: &CostLedger,
-    want_tsv: bool,
-    ledger: &mut SessionLedger,
-    response: J,
-) -> J {
-    ledger.requests += 1;
-    ledger.inputs += cost.input_total();
-    ledger.generated += cost.generated_total();
-    let mut resp = response
-        .set("rows", J::u64(result.len() as u64))
+    let out = admitted
+        .execute(shared.cfg.threads, Some(&shared.cache), Some(cancel))
+        .map_err(deadline_cancelled)?;
+    let cost = &out.ledger;
+    exec.ledger.charge(cost);
+    let mut resp = response(&admitted)
+        .set("certified_peak", J::u64(peak))
+        .set("rows", J::u64(out.result.len() as u64))
         .set(
             "ledger",
             J::obj()
                 .set("inputs", J::u64(cost.input_total()))
                 .set("generated", J::u64(cost.generated_total()))
                 .set("total", J::u64(cost.total()))
-                .set("session_total", J::u64(ledger.inputs + ledger.generated)),
+                .set("session_total", J::u64(exec.ledger.total())),
         )
         .set("cache", cache_stats(shared));
-    if want_tsv {
+    if exec.want_tsv {
         let mut buf = Vec::new();
-        match tsv::relation_to_tsv_writer(&r.catalog, result, &mut buf) {
-            Ok(()) => {
-                resp = resp.set(
-                    "tsv",
-                    J::Str(String::from_utf8(buf).expect("TSV output is UTF-8")),
-                );
-            }
-            Err(e) => return err("data", format!("rendering result: {e}")),
-        }
+        tsv::relation_to_tsv_writer(prepared.catalog(), &out.result, &mut buf)
+            .map_err(|e| err("data", format!("rendering result: {e}")))?;
+        let text = String::from_utf8(buf).expect("TSV output is UTF-8");
+        resp = resp.set("tsv", J::Str(text));
     }
-    resp
+    Ok(resp)
 }
 
 /// Warm-state snapshot: cumulative hit/miss counters plus current
@@ -914,321 +780,156 @@ fn cache_stats(shared: &Shared) -> J {
         (c.entries(), c.resident_tuples(), c.resident_bytes())
     };
     let totals = shared.fold_trace();
+    let counter = |name| J::u64(totals.counter(name).unwrap_or(0));
     J::obj()
-        .set(
-            "hit",
-            J::u64(totals.counter("index_cache.hit").unwrap_or(0)),
-        )
-        .set(
-            "miss",
-            J::u64(totals.counter("index_cache.miss").unwrap_or(0)),
-        )
+        .set("hit", counter("index_cache.hit"))
+        .set("miss", counter("index_cache.miss"))
         .set("entries", J::u64(entries as u64))
         .set("resident_tuples", J::u64(tuples))
         .set("resident_bytes", J::u64(bytes))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn handle_run(
-    shared: &Shared,
-    catalog: &str,
-    name: Option<&str>,
-    program: Option<&str>,
-    scheme: Option<&str>,
-    deadline_ms: Option<u64>,
-    want_tsv: bool,
-    ledger: &mut SessionLedger,
-) -> J {
-    let r = match resolve(shared, catalog, name, program, scheme) {
-        Ok(r) => r,
-        Err(e) => return e,
-    };
-    let report = match admit(shared, &r) {
-        Ok(rep) => rep,
-        Err(e) => return e,
-    };
-    let resp = ok("run")
-        .set("catalog", J::str(catalog))
-        .set("certified_peak", J::u64(report.peak));
-    execute_admitted(shared, &r, &report, deadline_ms, want_tsv, ledger, resp)
+fn handle_run(shared: &Shared, catalog: &str, source: Source<'_>, exec: Exec<'_>) -> Reply {
+    let prepared = resolve(shared, catalog, source, ExecutorKind::Program)?;
+    execute_prepared(shared, &prepared, exec, |_| {
+        ok("run").set("catalog", J::str(catalog))
+    })
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Parse the `optimizer`/`executor` fields both `query` forms share.
+fn query_knobs(
+    optimizer: Option<&str>,
+    executor: Option<&str>,
+) -> Result<(PlanStrategy, ExecutorKind), J> {
+    let executor =
+        ExecutorKind::parse(executor.unwrap_or("program")).map_err(|e| err("protocol", e))?;
+    let strategy =
+        PlanStrategy::parse(optimizer.unwrap_or("greedy")).map_err(|e| err("protocol", e))?;
+    Ok((strategy, executor))
+}
+
+/// Snapshot a catalog entry's loaded relations (cheap shared clones) and
+/// its interner, releasing the lock before anything is planned.
+fn snapshot(shared: &Shared, catalog: &str) -> Result<(Vec<(String, Relation)>, Catalog), J> {
+    let catalogs = lock(&shared.catalogs);
+    let entry = catalogs
+        .get(catalog)
+        .ok_or_else(|| err("not_found", format!("no catalog `{catalog}`")))?;
+    if entry.relations.is_empty() {
+        return Err(err("data", "catalog has no loaded relations"));
+    }
+    Ok((entry.relations.clone(), entry.catalog.clone()))
+}
+
 fn handle_query(
     shared: &Shared,
     catalog: &str,
-    optimizer: Option<&str>,
-    executor: Option<&str>,
-    deadline_ms: Option<u64>,
-    want_tsv: bool,
-    ledger: &mut SessionLedger,
-) -> J {
-    let requested = match ExecutorKind::parse(executor.unwrap_or("program")) {
-        Ok(k) => k,
-        Err(e) => return err("protocol", e),
-    };
-    // Snapshot the catalog entry (relation `Arc` clones + the interner),
-    // then release the lock: the tree search below can be exponential
-    // (`dp` over SearchSpace::All) and must not stall every other
-    // session's resolve/load/compile.
-    let (db, catalog_snapshot) = {
-        let catalogs = lock(&shared.catalogs);
-        let entry = match catalogs.get(catalog) {
-            Some(e) => e,
-            None => return err("not_found", format!("no catalog `{catalog}`")),
-        };
-        if entry.relations.is_empty() {
-            return err("data", "catalog has no loaded relations");
-        }
-        let db =
-            Database::from_relations(entry.relations.iter().map(|(_, rel)| rel.clone()).collect());
-        (db, entry.catalog.clone())
-    };
+    (strategy, requested): (PlanStrategy, ExecutorKind),
+    exec: Exec<'_>,
+) -> Reply {
+    // The tree search below can be exponential (`dp` over every tree) and
+    // must not stall every other session's resolve/load/compile.
+    let (relations, cat) = snapshot(shared, catalog)?;
+    let db = Database::from_relations(relations.into_iter().map(|(_, rel)| rel).collect());
     let scheme = DbScheme::from_schemas(&db.schemas());
-    if !scheme.fully_connected() {
-        return err(
-            "data",
-            "the loaded relations' scheme is disconnected; the result would be a \
-             Cartesian product across components — query each component separately",
-        );
-    }
     // Estimation-based tree search: the exact oracle would execute the
     // very subjoins admission is about to gate.
-    let mut oracle = EstimateOracle::new(&scheme, &db);
-    let tree = match optimizer.unwrap_or("greedy") {
-        "greedy" => greedy(&scheme, &mut oracle, true).0,
-        dp @ ("dp" | "dp-cpf" | "dp-linear") => {
-            let space = match dp {
-                "dp" => SearchSpace::All,
-                "dp-cpf" => SearchSpace::Cpf,
-                _ => SearchSpace::Linear,
-            };
-            match optimize(&scheme, &mut oracle, space) {
-                Some(opt) => opt.tree,
-                None => return err("data", "optimizer search space is empty for this scheme"),
-            }
-        }
-        other => {
-            return err(
-                "protocol",
-                format!("unknown optimizer `{other}` (try greedy|dp|dp-cpf|dp-linear)"),
-            )
-        }
+    let plan = Plan::Search {
+        strategy,
+        oracle: Oracle::Estimate,
     };
-    let d = match derive(&scheme, &tree) {
-        Ok(d) => d,
-        Err(e) => return err("data", e.to_string()),
-    };
-    let tree_text = format!("{}", tree.display(&scheme, &catalog_snapshot));
-    let r = Resolved {
-        program: d.program,
-        scheme,
-        db,
-        catalog: catalog_snapshot,
-    };
-    // AGM bound of the whole scheme vs the derived program's Theorem-2
-    // certificate — computed for every query so the response always
-    // reports both sides of the executor decision.
-    let sel = match selection_for(&r) {
-        Ok(s) => s,
-        Err(e) => return e,
-    };
-    let chosen = match requested {
-        ExecutorKind::Program => ExecutorKind::Program,
-        ExecutorKind::Wcoj => ExecutorKind::Wcoj,
-        ExecutorKind::Auto => {
-            if sel.use_wcoj {
-                ExecutorKind::Wcoj
-            } else {
-                ExecutorKind::Program
-            }
-        }
-    };
-    let resp = ok("query")
-        .set("catalog", J::str(catalog))
-        .set("tree", J::Str(tree_text))
-        .set(
-            "program",
-            J::Str(display::render(&r.program, &r.scheme, &r.catalog)),
-        )
-        .set("executor", J::str(chosen.name()))
-        .set("agm_bound", J::u64(sel.agm_bound))
-        .set("cert_bound", J::u64(sel.cert_bound));
-    if chosen == ExecutorKind::Wcoj {
-        // Admission for generic join: its certified output bound is the
-        // AGM bound, so that (not the program certificate) gates it.
-        if let Some(budget) = shared.cfg.max_cost {
-            if sel.agm_bound > budget {
-                trace::add("serve.admission_reject", 1);
-                return err_with(
-                    "admission",
-                    format!("AGM bound {} exceeds --max-cost {budget}", sel.agm_bound),
-                    vec![
-                        ("bound".to_string(), J::u64(sel.agm_bound)),
-                        ("budget".to_string(), J::u64(budget)),
-                    ],
-                );
-            }
-        }
-        let resp = resp.set("certified_peak", J::u64(sel.agm_bound));
-        execute_wcoj(
-            shared,
-            &r,
-            sel.agm_bound,
-            deadline_ms,
-            want_tsv,
-            ledger,
-            resp,
-        )
-    } else {
-        let report = match admit(shared, &r) {
-            Ok(rep) => rep,
-            Err(e) => return e,
-        };
-        let resp = resp.set("certified_peak", J::u64(report.peak));
-        execute_admitted(shared, &r, &report, deadline_ms, want_tsv, ledger, resp)
-    }
+    let prepared = engine::prepare(scheme, db, cat, plan, requested)
+        .map_err(|e| err("data", e.to_string()))?;
+    execute_prepared(shared, &prepared, exec, |admitted| {
+        // Both sides of the executor decision are reported for every
+        // query, whichever executor was asked for.
+        let sel = admitted.analysis().selection();
+        let (scheme, cat) = (prepared.scheme(), prepared.catalog());
+        let tree = &prepared.derived().expect("searched plan has a tree").tree;
+        let program = prepared.program().expect("searched plan has a program");
+        ok("query")
+            .set("catalog", J::str(catalog))
+            .set("tree", J::Str(format!("{}", tree.display(scheme, cat))))
+            .set("program", J::Str(display::render(program, scheme, cat)))
+            .set("executor", J::str(admitted.decision().executor.name()))
+            .set("agm_bound", J::u64(sel.agm_bound))
+            .set("cert_bound", J::u64(sel.cert_bound))
+    })
 }
 
 /// Snapshot a catalog entry's relations into a [`NamedDatabase`] for the
 /// conjunctive-query front end: each loaded relation becomes a predicate
 /// under its load name, columns bound positionally in the relation's
-/// canonical attribute order.
+/// canonical attribute order. Tuples are shared with the resident
+/// relations, not copied.
 fn named_db_snapshot(shared: &Shared, catalog: &str) -> Result<NamedDatabase, J> {
-    let (pairs, cat) = {
-        let catalogs = lock(&shared.catalogs);
-        let entry = match catalogs.get(catalog) {
-            Some(e) => e,
-            None => return Err(err("not_found", format!("no catalog `{catalog}`"))),
-        };
-        if entry.relations.is_empty() {
-            return Err(err("data", "catalog has no loaded relations"));
-        }
-        (entry.relations.clone(), entry.catalog.clone())
-    };
+    let (relations, cat) = snapshot(shared, catalog)?;
     let mut ndb = NamedDatabase::new();
-    for (name, rel) in &pairs {
+    for (name, rel) in &relations {
         let cols: Vec<&str> = rel.schema().attrs().iter().map(|&a| cat.name(a)).collect();
-        let rows: Vec<Vec<mjoin_relation::Value>> = rel.rows().iter().map(|r| r.to_vec()).collect();
-        if let Err(e) = ndb.add_relation_values(name, &cols, rows) {
-            return Err(err("data", format!("relation `{name}`: {e}")));
-        }
+        ndb.add_shared(name, &cols, rel)
+            .map_err(|e| err("data", format!("relation `{name}`: {e}")))?;
     }
     Ok(ndb)
-}
-
-/// Map a wire optimizer name onto the CQ planner's strategy.
-fn plan_strategy_of(name: &str) -> Result<PlanStrategy, J> {
-    Ok(match name {
-        "greedy" => PlanStrategy::Greedy,
-        "dp" => PlanStrategy::DpOptimal,
-        "dp-cpf" => PlanStrategy::DpCpf,
-        "dp-linear" => PlanStrategy::DpLinear,
-        other => {
-            return Err(err(
-                "protocol",
-                format!("unknown optimizer `{other}` (try greedy|dp|dp-cpf|dp-linear)"),
-            ))
-        }
-    })
 }
 
 /// Render the compile-time minimization summary (or `null` when
 /// minimization did not run).
 fn minimize_summary_json(m: Option<&MinimizeSummary>) -> J {
-    match m {
-        None => J::Null,
-        Some(m) => J::obj()
-            .set("atoms_before", J::u64(m.atoms_before as u64))
-            .set("atoms_after", J::u64(m.atoms_after as u64))
-            .set(
-                "dropped",
-                J::Arr(m.dropped.iter().map(|d| J::Str(d.clone())).collect()),
-            )
-            .set("agm_before", J::u64(m.agm_before))
-            .set("agm_after", J::u64(m.agm_after)),
-    }
+    let Some(m) = m else { return J::Null };
+    let dropped = m.dropped.iter().map(|d| J::Str(d.clone())).collect();
+    J::obj()
+        .set("atoms_before", J::u64(m.atoms_before as u64))
+        .set("atoms_after", J::u64(m.atoms_after as u64))
+        .set("dropped", J::Arr(dropped))
+        .set("agm_before", J::u64(m.agm_before))
+        .set("agm_after", J::u64(m.agm_after))
 }
 
 /// `query` with a `cq` payload: run one conjunctive query over the loaded
 /// relations. The query's core is compiled unless `minimize` is false, and
 /// admission gates on the AGM bound of the body that will actually run —
 /// so a query rejected verbatim can be admitted once its redundant atoms
-/// fold away.
+/// fold away. Like every execution verb it waits on the capacity gate,
+/// honours `deadline_ms`, and lands in the session ledger.
 fn handle_cq_query(
     shared: &Shared,
     catalog: &str,
     cq: &str,
-    optimizer: Option<&str>,
-    executor: Option<&str>,
+    (strategy, executor): (PlanStrategy, ExecutorKind),
     minimize: bool,
-    want_tsv: bool,
-) -> J {
-    let requested = match ExecutorKind::parse(executor.unwrap_or("program")) {
-        Ok(k) => k,
-        Err(e) => return err("protocol", e),
-    };
-    let strategy = match plan_strategy_of(optimizer.unwrap_or("greedy")) {
-        Ok(s) => s,
-        Err(e) => return e,
-    };
-    let q = match parse_query(cq) {
-        Ok(q) => q,
-        Err(e) => return err("protocol", format!("bad cq: {e}")),
-    };
-    let ndb = match named_db_snapshot(shared, catalog) {
-        Ok(n) => n,
-        Err(e) => return e,
-    };
-    if let Some(budget) = shared.cfg.max_cost {
-        let compiled_body = if minimize {
-            let m = mjoin_cq::minimize(&q);
-            if m.proof.verified {
-                m.core.body
-            } else {
-                q.body.clone()
-            }
-        } else {
-            q.body.clone()
-        };
-        let bound = query_agm_bound(&ndb, &compiled_body);
-        if bound > budget {
-            trace::add("serve.admission_reject", 1);
-            return err_with(
-                "admission",
-                format!("AGM bound {bound} exceeds --max-cost {budget}"),
-                vec![
-                    ("bound".to_string(), J::u64(bound)),
-                    ("budget".to_string(), J::u64(budget)),
-                ],
-            );
-        }
-    }
+    exec: Exec<'_>,
+) -> Reply {
+    let q = parse_query(cq).map_err(|e| err("protocol", format!("bad cq: {e}")))?;
+    let ndb = named_db_snapshot(shared, catalog)?;
     let opts = CqExecOptions {
-        executor: requested,
+        executor,
         threads: shared.cfg.threads,
         cache: None,
         minimize,
         mem_budget: shared.cfg.mem_budget,
     };
-    let (res, decisions) = match execute_query_with(&ndb, &q, strategy, &opts) {
-        Ok(r) => r,
-        Err(e) => return err("data", e.to_string()),
-    };
+    // Admitted on the AGM bound of the compiled body before a tuple moves;
+    // binding and planning come after.
+    let admitted = compile_query(&ndb, &q, minimize)
+        .admit(shared.cfg.max_cost)
+        .map_err(rejection)?;
+    let peak = admitted.certified_peak();
+    let prepared = admitted
+        .prepare(strategy, &opts)
+        .map_err(|e| err("data", e.to_string()))?;
+    let (_permit, cancel) = gate(shared, peak, exec.deadline_ms)?;
+    let (res, decisions) = prepared.execute(Some(cancel)).map_err(deadline_cancelled)?;
     trace::add("serve.cq_query", 1);
+    exec.ledger.charge(&res.ledger);
     let components: Vec<J> = decisions
         .iter()
         .map(|d| {
-            let mut o = J::obj()
+            J::obj()
                 .set("component", J::Str(d.component.clone()))
-                .set("executor", J::str(d.executor.name()));
-            if let Some(agm) = d.agm_bound {
-                o = o.set("agm_bound", J::u64(agm));
-            }
-            if let Some(cert) = d.cert_bound {
-                o = o.set("cert_bound", J::u64(cert));
-            }
-            o
+                .set("executor", J::str(d.executor.name()))
+                .set_opt("agm_bound", d.agm_bound.map(J::u64))
+                .set_opt("cert_bound", d.cert_bound.map(J::u64))
         })
         .collect();
     let mut resp = ok("query")
@@ -1238,173 +939,98 @@ fn handle_cq_query(
         .set("components", J::Arr(components))
         .set("rows", J::u64(res.len() as u64))
         .set("cost", J::u64(res.ledger.total()));
-    if want_tsv {
-        let mut out = String::new();
-        out.push_str(&q.head_vars.join("\t"));
-        out.push('\n');
-        for row in res.rows_in_head_order() {
-            let cells: Vec<String> = row.iter().map(std::string::ToString::to_string).collect();
-            out.push_str(&cells.join("\t"));
-            out.push('\n');
-        }
-        resp = resp.set("tsv", J::Str(out));
+    if exec.want_tsv {
+        let mut buf = Vec::new();
+        res.write_tsv(&q.head_vars, &mut buf)
+            .expect("writing to memory");
+        let text = String::from_utf8(buf).expect("TSV output is UTF-8");
+        resp = resp.set("tsv", J::Str(text));
     }
-    resp
+    Ok(resp)
 }
 
 /// `explain` with a `cq` payload: the minimization report (core, dropped
-/// atoms, pre/post AGM bounds) plus the query lints — no execution.
-fn handle_cq_explain(shared: &Shared, catalog: &str, cq: &str, minimize: bool) -> J {
-    let q = match parse_query(cq) {
-        Ok(q) => q,
-        Err(e) => return err("protocol", format!("bad cq: {e}")),
-    };
-    let ndb = match named_db_snapshot(shared, catalog) {
-        Ok(n) => n,
-        Err(e) => return e,
-    };
+/// atoms, pre/post AGM bounds) plus the query lints — no execution. The
+/// core is the one `query` would compile ([`compile_query`]).
+fn handle_cq_explain(shared: &Shared, catalog: &str, cq: &str, minimize: bool) -> Reply {
+    let q = parse_query(cq).map_err(|e| err("protocol", format!("bad cq: {e}")))?;
+    let ndb = named_db_snapshot(shared, catalog)?;
     trace::add("serve.explain", 1);
     let report = mjoin_cq::lint_query(&q);
     let lints: Vec<J> = report
         .diagnostics
         .iter()
         .map(|d| {
-            let mut o = J::obj()
+            J::obj()
                 .set("severity", J::str(d.severity.as_str()))
                 .set("lint", J::str(d.lint))
-                .set("message", J::Str(d.message.clone()));
-            if let Some(s) = d.stmt {
-                o = o.set("stmt", J::u64(s as u64));
-            }
-            if let Some(x) = &d.excerpt {
-                o = o.set("excerpt", J::Str(x.clone()));
-            }
-            o
+                .set("message", J::Str(d.message.clone()))
+                .set_opt("stmt", d.stmt.map(|s| J::u64(s as u64)))
+                .set_opt("excerpt", d.excerpt.clone().map(J::Str))
         })
         .collect();
-    let agm_before = query_agm_bound(&ndb, &q.body);
-    let mut resp = ok("explain")
+    let compiled = compile_query(&ndb, &q, minimize);
+    let report = compiled.minimize().map(|m| {
+        let core = J::Str(compiled.query().to_string());
+        minimize_summary_json(Some(m)).set("core", core)
+    });
+    let (bound, max_cost) = (compiled.agm_bound(), shared.cfg.max_cost);
+    Ok(ok("explain")
         .set("catalog", J::str(catalog))
         .set("cq", J::Str(q.to_string()))
         .set("lints", J::Arr(lints))
-        .set("agm_bound", J::u64(agm_before));
-    let mut admission_bound = agm_before;
-    if minimize {
-        let m = mjoin_cq::minimize(&q);
-        if m.proof.verified {
-            let agm_after = query_agm_bound(&ndb, &m.core.body);
-            admission_bound = agm_after;
-            resp = resp.set(
-                "minimize",
-                J::obj()
-                    .set("atoms_before", J::u64(q.body.len() as u64))
-                    .set("atoms_after", J::u64(m.core.body.len() as u64))
-                    .set(
-                        "dropped",
-                        J::Arr(
-                            m.proof
-                                .dropped
-                                .iter()
-                                .map(|&i| J::Str(q.body[i].to_string()))
-                                .collect(),
-                        ),
-                    )
-                    .set("agm_before", J::u64(agm_before))
-                    .set("agm_after", J::u64(agm_after))
-                    .set("core", J::Str(m.core.to_string())),
-            );
-        }
-    }
-    if let Some(budget) = shared.cfg.max_cost {
-        resp = resp
-            .set("budget", J::u64(budget))
-            .set("admitted", J::Bool(admission_bound <= budget));
-    }
-    resp
+        .set("agm_bound", J::u64(query_agm_bound(&ndb, &q.body)))
+        .set_opt("minimize", report)
+        .set_opt("budget", max_cost.map(J::u64))
+        .set_opt("admitted", max_cost.map(|b| J::Bool(bound <= b))))
 }
 
-/// Compute the executor selection for a resolved query: the scheme's AGM
-/// bound against the derived program's Theorem-2 certificate.
-fn selection_for(r: &Resolved) -> Result<Selection, J> {
-    let cx = AnalysisCx::new(&r.program, &r.scheme, &r.catalog)
-        .map_err(|e| err("data", e.to_string()))?;
-    let cert = Certificate::compute(&cx);
-    let sizes: Vec<u64> = r.db.relations().iter().map(|x| x.len() as u64).collect();
-    Ok(select(&r.scheme, &sizes, &cert))
-}
-
-fn handle_explain(
-    shared: &Shared,
-    catalog: &str,
-    name: Option<&str>,
-    program: Option<&str>,
-    scheme: Option<&str>,
-) -> J {
-    let r = match resolve(shared, catalog, name, program, scheme) {
-        Ok(r) => r,
-        Err(e) => return e,
-    };
-    let cx = match AnalysisCx::new(&r.program, &r.scheme, &r.catalog) {
-        Ok(cx) => cx,
-        Err(e) => return err("data", e.to_string()),
-    };
-    let seeds: Vec<u64> = r.db.relations().iter().map(|x| x.len() as u64).collect();
-    let report = admission_report(&cx, &seeds);
+fn handle_explain(shared: &Shared, catalog: &str, source: Source<'_>) -> Reply {
+    let prepared = resolve(shared, catalog, source, ExecutorKind::Auto)?;
+    // One analysis context and one certificate behind all three reports.
+    let analysis = prepared.analysis();
+    let report = analysis.admission();
     trace::add("serve.explain", 1);
     let bounds: Vec<J> = report
         .bounds
         .iter()
         .map(|b| {
-            let mut o = J::obj()
+            J::obj()
                 .set("stmt", J::u64(b.stmt as u64))
                 .set("kind", J::str(b.kind))
                 .set("bound", J::u64(b.bound))
                 .set("symbolic", J::Str(b.symbolic.clone()))
-                .set("tight", J::Bool(b.tight));
-            if let Some(x) = &b.excerpt {
-                o = o.set("excerpt", J::Str(x.clone()));
-            }
-            o
+                .set("tight", J::Bool(b.tight))
+                .set_opt("excerpt", b.excerpt.clone().map(J::Str))
         })
         .collect();
-    let mut resp = ok("explain")
+    // The executor hint is which backend `query --executor auto` would
+    // pick for this scheme and these cardinalities; the memory figures are
+    // the same peak-resident bound the memory admission gate and the spill
+    // planner act on.
+    let sel = analysis.selection();
+    let mem = analysis.memory();
+    let (max_cost, mem_budget) = (shared.cfg.max_cost, shared.cfg.mem_budget);
+    let admitted = max_cost.map(|b| J::Bool(report.violation(b).is_none()));
+    let mem_admitted = mem_budget.map(|b| J::Bool(mem.violation(b).is_none()));
+    Ok(ok("explain")
         .set("catalog", J::str(catalog))
         .set("bounds", J::Arr(bounds))
-        .set("peak", J::u64(report.peak));
-    if let Some(p) = report.peak_stmt {
-        resp = resp.set("peak_stmt", J::u64(p as u64));
-    }
-    // Executor hint: which backend `query --executor auto` would pick for
-    // this scheme and these cardinalities.
-    if let Ok(sel) = selection_for(&r) {
-        resp = resp
-            .set("agm_bound", J::u64(sel.agm_bound))
-            .set("cert_bound", J::u64(sel.cert_bound))
-            .set(
-                "executor_hint",
-                J::str(if sel.use_wcoj { "wcoj" } else { "program" }),
-            );
-    }
-    if let Some(budget) = shared.cfg.max_cost {
-        resp = resp
-            .set("budget", J::u64(budget))
-            .set("admitted", J::Bool(report.violation(budget).is_none()));
-    }
-    // The static memory certificate: the same peak-resident bound the
-    // memory admission gate and the spill planner act on.
-    let mem = memory_report(&cx, &seeds);
-    resp = resp
+        .set("peak", J::u64(report.peak))
+        .set_opt("peak_stmt", report.peak_stmt.map(|p| J::u64(p as u64)))
+        .set("agm_bound", J::u64(sel.agm_bound))
+        .set("cert_bound", J::u64(sel.cert_bound))
+        .set(
+            "executor_hint",
+            J::str(if sel.use_wcoj { "wcoj" } else { "program" }),
+        )
+        .set_opt("budget", max_cost.map(J::u64))
+        .set_opt("admitted", admitted)
         .set("mem_peak_bytes", J::u64(mem.peak_bytes))
-        .set("mem_peak_tuples", J::u64(mem.peak_tuples));
-    if let Some(p) = mem.peak_stmt {
-        resp = resp.set("mem_peak_stmt", J::u64(p as u64));
-    }
-    if let Some(budget) = shared.cfg.mem_budget {
-        resp = resp
-            .set("mem_budget", J::u64(budget))
-            .set("mem_admitted", J::Bool(mem.violation(budget).is_none()));
-    }
-    resp
+        .set("mem_peak_tuples", J::u64(mem.peak_tuples))
+        .set_opt("mem_peak_stmt", mem.peak_stmt.map(|p| J::u64(p as u64)))
+        .set_opt("mem_budget", mem_budget.map(J::u64))
+        .set_opt("mem_admitted", mem_admitted))
 }
 
 fn handle_stats(shared: &Shared, ledger: &SessionLedger) -> J {

@@ -1,6 +1,18 @@
-//! Request deadlines, the bounded admission queue, and graceful shutdown.
+//! Request deadlines, the bounded admission queue, the session ledger and
+//! graceful shutdown — for every execution verb, `query` with a `cq`
+//! payload included: it runs through the same engine path as `run` and the
+//! scheme `query`, so the same bounds are enforced and reported.
 
 use mjoin_serve::{Client, ServeConfig, Server, Value};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Every server drains the one process-global trace sink into its own
+/// totals whenever it reports cache stats, so tests that read counters
+/// through `stats` cannot overlap another test's server.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn chain_tsv(a: &str, b: &str, rows: u32) -> String {
     let mut t = format!("{a}\t{b}\n");
@@ -42,6 +54,7 @@ fn spawn(
 
 #[test]
 fn expired_deadline_cancels_at_a_statement_boundary() {
+    let _serial = serial();
     let (addr, server_thread) = spawn(ServeConfig::default());
     let mut c = Client::connect(addr).unwrap();
     load_pair(&mut c, "c");
@@ -75,6 +88,7 @@ fn expired_deadline_cancels_at_a_statement_boundary() {
 
 #[test]
 fn zero_depth_queue_reports_queue_full() {
+    let _serial = serial();
     // A zero-depth queue admits nothing once the gate is active: the
     // degenerate configuration makes the overload path deterministic.
     let (addr, server_thread) = spawn(ServeConfig {
@@ -95,8 +109,115 @@ fn zero_depth_queue_reports_queue_full() {
     server_thread.join().unwrap().unwrap();
 }
 
+/// A two-hop conjunctive query over [`load_pair`]'s chain.
+const TWO_HOP: &str = "Q(x, z) :- ab(x, y), bc(y, z)";
+
+fn cq_query(c: &mut Client, extra: &[(&str, Value)]) -> Value {
+    let mut fields = vec![("catalog", Value::str("c")), ("cq", Value::str(TWO_HOP))];
+    fields.extend_from_slice(extra);
+    c.cmd("query", &fields).unwrap()
+}
+
+fn error_kind(resp: &Value) -> Option<&str> {
+    assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(false));
+    resp.get("error")?.get("kind")?.as_str()
+}
+
+#[test]
+fn cq_query_honours_an_expired_deadline() {
+    let _serial = serial();
+    let (addr, server_thread) = spawn(ServeConfig::default());
+    let mut c = Client::connect(addr).unwrap();
+    load_pair(&mut c, "c");
+    let resp = cq_query(&mut c, &[("deadline_ms", Value::u64(0))]);
+    assert_eq!(error_kind(&resp), Some("deadline"), "{}", resp.render());
+
+    // Without a deadline the same query succeeds.
+    let resp = cq_query(&mut c, &[]);
+    assert_eq!(resp.get("rows").and_then(Value::as_u64), Some(9));
+
+    let bye = c.cmd("shutdown", &[]).unwrap();
+    assert_eq!(bye.get("ok").and_then(Value::as_bool), Some(true));
+    server_thread.join().unwrap().unwrap();
+}
+
+#[test]
+fn cq_query_waits_on_the_capacity_gate() {
+    let _serial = serial();
+    // Zero queue depth: nothing gets through an active gate.
+    let (addr, server_thread) = spawn(ServeConfig {
+        max_cost: Some(1_000_000),
+        queue_depth: 0,
+        ..ServeConfig::default()
+    });
+    let mut c = Client::connect(addr).unwrap();
+    load_pair(&mut c, "c");
+    let resp = cq_query(&mut c, &[]);
+    assert_eq!(error_kind(&resp), Some("queue_full"), "{}", resp.render());
+
+    let bye = c.cmd("shutdown", &[]).unwrap();
+    assert_eq!(bye.get("ok").and_then(Value::as_bool), Some(true));
+    server_thread.join().unwrap().unwrap();
+}
+
+#[test]
+fn cq_query_lands_in_the_session_ledger() {
+    let _serial = serial();
+    let (addr, server_thread) = spawn(ServeConfig::default());
+    let mut c = Client::connect(addr).unwrap();
+    load_pair(&mut c, "c");
+    let session = |c: &mut Client, field: &str| {
+        let stats = c.cmd("stats", &[]).unwrap();
+        let v = stats.get("session").and_then(|s| s.get(field));
+        v.and_then(Value::as_u64).unwrap()
+    };
+    assert_eq!(session(&mut c, "requests"), 0);
+
+    let resp = cq_query(&mut c, &[]);
+    assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
+    let cost = resp.get("cost").and_then(Value::as_u64).unwrap();
+
+    assert_eq!(session(&mut c, "requests"), 1, "stats counts the cq query");
+    assert_eq!(
+        session(&mut c, "inputs") + session(&mut c, "generated"),
+        cost,
+        "the session ledger holds the query's §2.3 cost"
+    );
+
+    let bye = c.cmd("shutdown", &[]).unwrap();
+    assert_eq!(bye.get("ok").and_then(Value::as_bool), Some(true));
+    server_thread.join().unwrap().unwrap();
+}
+
+#[test]
+fn cq_query_under_a_budget_minimizes_once() {
+    let _serial = serial();
+    // A budget, so admission has to look at the minimized body's bound —
+    // the same core computation compilation uses, not a second one.
+    let (addr, server_thread) = spawn(ServeConfig {
+        max_cost: Some(1_000_000),
+        ..ServeConfig::default()
+    });
+    let mut c = Client::connect(addr).unwrap();
+    load_pair(&mut c, "c");
+    let minimized = |c: &mut Client| {
+        let stats = c.cmd("stats", &[]).unwrap();
+        let v = stats.get("counters").and_then(|m| m.get("cq.minimize"));
+        v.and_then(Value::as_u64).unwrap_or(0)
+    };
+    let before = minimized(&mut c);
+    let resp = cq_query(&mut c, &[]);
+    assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
+    assert_eq!(minimized(&mut c) - before, 1);
+
+    let bye = c.cmd("shutdown", &[]).unwrap();
+    assert_eq!(bye.get("ok").and_then(Value::as_bool), Some(true));
+    server_thread.join().unwrap().unwrap();
+}
+
 #[test]
 fn shutdown_drains_and_stops_the_listener() {
+    let _serial = serial();
     let (addr, server_thread) = spawn(ServeConfig::default());
     let mut a = Client::connect(addr).unwrap();
     load_pair(&mut a, "c");

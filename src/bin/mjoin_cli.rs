@@ -48,6 +48,7 @@
 //! depth/width) on stderr, and setting `MJOIN_TRACE=<path>` writes the raw
 //! span data as Chrome trace format JSON for `chrome://tracing`/Perfetto.
 
+use mjoin::core::engine::{self, Limits, Oracle, Plan};
 use mjoin::prelude::*;
 use mjoin::program::display;
 use mjoin::relation::tsv;
@@ -106,128 +107,81 @@ enum Parsed {
     Run(Box<Args>),
 }
 
+/// The value of `flag`: the next argument (`--flag=v` was split into two
+/// beforehand), parsed as `T`. `hint` names what was expected.
+fn value<T: std::str::FromStr>(
+    argv: &mut impl Iterator<Item = String>,
+    flag: &str,
+    hint: &str,
+) -> Result<T, String> {
+    let v = argv
+        .next()
+        .ok_or_else(|| format!("{flag} needs a value{hint}"))?;
+    v.parse().map_err(|_| format!("bad {flag} `{v}`"))
+}
+
 fn parse_args() -> Result<Parsed, String> {
-    let mut argv = std::env::args().skip(1);
+    // `--flag=value` reads as `--flag value`.
+    let mut argv = std::env::args()
+        .skip(1)
+        .flat_map(|a| match a.split_once('=') {
+            Some((flag, v)) if flag.starts_with("--") => vec![flag.to_string(), v.to_string()],
+            _ => vec![a],
+        });
     let command = argv.next().ok_or_else(usage)?;
     if matches!(command.as_str(), "--help" | "-h" | "help") {
         return Ok(Parsed::Help);
     }
-    let mut optimizer = "greedy".to_string();
-    let mut executor = "program".to_string();
-    let mut explain = false;
-    let mut scheme = None;
-    let mut deny = "error".to_string();
-    let mut format = "text".to_string();
-    let mut verify_run = false;
-    let mut query_lint = false;
-    let mut minimize = true;
-    let mut addr = "127.0.0.1:7878".to_string();
-    let mut threads = 1usize;
-    let mut max_cost = None;
-    let mut queue_depth = 16usize;
-    let mut mem_budget = None;
-    let mut memory = false;
-    let mut files = Vec::new();
+    let mut a = Args {
+        command,
+        optimizer: "greedy".to_string(),
+        executor: "program".to_string(),
+        explain: false,
+        scheme: None,
+        deny: "error".to_string(),
+        format: "text".to_string(),
+        verify_run: false,
+        query_lint: false,
+        minimize: true,
+        addr: "127.0.0.1:7878".to_string(),
+        threads: 1,
+        max_cost: None,
+        queue_depth: 16,
+        mem_budget: None,
+        memory: false,
+        files: Vec::new(),
+    };
     while let Some(arg) = argv.next() {
-        if arg == "--help" || arg == "-h" {
-            return Ok(Parsed::Help);
-        } else if arg == "--explain-analyze" {
-            explain = true;
-        } else if arg == "--verify-run" {
-            verify_run = true;
-        } else if arg == "--query" {
-            query_lint = true;
-        } else if arg == "--minimize" {
-            let v = argv.next().ok_or("--minimize needs a value (on|off)")?;
-            minimize = parse_on_off(&v)?;
-        } else if let Some(rest) = arg.strip_prefix("--minimize=") {
-            minimize = parse_on_off(rest)?;
-        } else if arg == "--optimizer" {
-            optimizer = argv.next().ok_or("--optimizer needs a value")?;
-        } else if let Some(rest) = arg.strip_prefix("--optimizer=") {
-            optimizer = rest.to_string();
-        } else if arg == "--executor" {
-            executor = argv.next().ok_or("--executor needs a value")?;
-        } else if let Some(rest) = arg.strip_prefix("--executor=") {
-            executor = rest.to_string();
-        } else if arg == "--scheme" {
-            scheme = Some(argv.next().ok_or("--scheme needs a value")?);
-        } else if let Some(rest) = arg.strip_prefix("--scheme=") {
-            scheme = Some(rest.to_string());
-        } else if arg == "--deny" {
-            deny = argv.next().ok_or("--deny needs a value")?;
-        } else if let Some(rest) = arg.strip_prefix("--deny=") {
-            deny = rest.to_string();
-        } else if arg == "--format" {
-            format = argv.next().ok_or("--format needs a value")?;
-        } else if let Some(rest) = arg.strip_prefix("--format=") {
-            format = rest.to_string();
-        } else if arg == "--addr" {
-            addr = argv.next().ok_or("--addr needs a value")?;
-        } else if let Some(rest) = arg.strip_prefix("--addr=") {
-            addr = rest.to_string();
-        } else if arg == "--threads" {
-            let v = argv.next().ok_or("--threads needs a value")?;
-            threads = v.parse().map_err(|_| format!("bad --threads `{v}`"))?;
-        } else if let Some(rest) = arg.strip_prefix("--threads=") {
-            threads = rest
-                .parse()
-                .map_err(|_| format!("bad --threads `{rest}`"))?;
-        } else if arg == "--max-cost" {
-            let v = argv.next().ok_or("--max-cost needs a value")?;
-            max_cost = Some(v.parse().map_err(|_| format!("bad --max-cost `{v}`"))?);
-        } else if let Some(rest) = arg.strip_prefix("--max-cost=") {
-            max_cost = Some(
-                rest.parse()
-                    .map_err(|_| format!("bad --max-cost `{rest}`"))?,
-            );
-        } else if arg == "--memory" {
-            memory = true;
-        } else if arg == "--mem-budget" {
-            let v = argv.next().ok_or("--mem-budget needs a value (bytes)")?;
-            mem_budget = Some(v.parse().map_err(|_| format!("bad --mem-budget `{v}`"))?);
-        } else if let Some(rest) = arg.strip_prefix("--mem-budget=") {
-            mem_budget = Some(
-                rest.parse()
-                    .map_err(|_| format!("bad --mem-budget `{rest}`"))?,
-            );
-        } else if arg == "--queue-depth" {
-            let v = argv.next().ok_or("--queue-depth needs a value")?;
-            queue_depth = v.parse().map_err(|_| format!("bad --queue-depth `{v}`"))?;
-        } else if let Some(rest) = arg.strip_prefix("--queue-depth=") {
-            queue_depth = rest
-                .parse()
-                .map_err(|_| format!("bad --queue-depth `{rest}`"))?;
-        } else if arg.starts_with("--") {
-            return Err(format!("unknown flag `{arg}`"));
-        } else {
-            files.push(arg);
+        let argv = &mut argv;
+        match arg.as_str() {
+            "--help" | "-h" => return Ok(Parsed::Help),
+            "--explain-analyze" => a.explain = true,
+            "--verify-run" => a.verify_run = true,
+            "--query" => a.query_lint = true,
+            "--memory" => a.memory = true,
+            "--minimize" => {
+                a.minimize = parse_on_off(&value::<String>(argv, &arg, " (on|off)")?)?;
+            }
+            "--optimizer" => a.optimizer = value(argv, &arg, "")?,
+            "--executor" => a.executor = value(argv, &arg, "")?,
+            "--scheme" => a.scheme = Some(value(argv, &arg, "")?),
+            "--deny" => a.deny = value(argv, &arg, "")?,
+            "--format" => a.format = value(argv, &arg, "")?,
+            "--addr" => a.addr = value(argv, &arg, "")?,
+            "--threads" => a.threads = value(argv, &arg, "")?,
+            "--max-cost" => a.max_cost = Some(value(argv, &arg, "")?),
+            "--mem-budget" => a.mem_budget = Some(value(argv, &arg, " (bytes)")?),
+            "--queue-depth" => a.queue_depth = value(argv, &arg, "")?,
+            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+            _ => a.files.push(arg),
         }
     }
     // `serve` holds state loaded over the wire and `client` reads stdin;
     // neither takes file arguments.
-    if files.is_empty() && !matches!(command.as_str(), "serve" | "client") {
+    if a.files.is_empty() && !matches!(a.command.as_str(), "serve" | "client") {
         return Err("no input files".to_string());
     }
-    Ok(Parsed::Run(Box::new(Args {
-        command,
-        optimizer,
-        executor,
-        explain,
-        scheme,
-        deny,
-        format,
-        verify_run,
-        query_lint,
-        minimize,
-        addr,
-        threads,
-        max_cost,
-        queue_depth,
-        mem_budget,
-        memory,
-        files,
-    })))
+    Ok(Parsed::Run(Box::new(a)))
 }
 
 fn usage() -> String {
@@ -281,25 +235,6 @@ fn parse_on_off(v: &str) -> Result<bool, String> {
     }
 }
 
-/// The one optimizer-name parser, shared by `plan`/`run` (join trees) and
-/// `query` (plan strategies) so the two command families cannot drift.
-enum Optimizer {
-    Greedy,
-    Dp(SearchSpace),
-}
-
-fn parse_optimizer(name: &str) -> Result<Optimizer, String> {
-    match name {
-        "greedy" => Ok(Optimizer::Greedy),
-        "dp" => Ok(Optimizer::Dp(SearchSpace::All)),
-        "dp-cpf" => Ok(Optimizer::Dp(SearchSpace::Cpf)),
-        "dp-linear" => Ok(Optimizer::Dp(SearchSpace::Linear)),
-        other => Err(format!(
-            "unknown optimizer `{other}` (try greedy|dp|dp-cpf|dp-linear)"
-        )),
-    }
-}
-
 /// Stream one TSV file into a relation without materializing the file as a
 /// string first.
 fn load_tsv(catalog: &mut Catalog, path: &str) -> Result<Relation, String> {
@@ -317,20 +252,6 @@ fn load(files: &[String]) -> Result<(Catalog, DbScheme, Database), String> {
     let db = Database::from_relations(relations);
     let scheme = DbScheme::from_schemas(&db.schemas());
     Ok((catalog, scheme, db))
-}
-
-fn pick_tree(name: &str, scheme: &DbScheme, db: &Database) -> Result<(JoinTree, u64), String> {
-    let mut oracle = ExactOracle::new(db);
-    let space = match parse_optimizer(name)? {
-        Optimizer::Greedy => {
-            let (tree, cost) = greedy(scheme, &mut oracle, true);
-            return Ok((tree, cost));
-        }
-        Optimizer::Dp(space) => space,
-    };
-    let opt = optimize(scheme, &mut oracle, space)
-        .ok_or_else(|| format!("optimizer `{name}`: search space is empty for this scheme"))?;
-    Ok((opt.tree, opt.cost))
 }
 
 fn analyze(catalog: &Catalog, scheme: &DbScheme, db: &Database) {
@@ -366,76 +287,72 @@ impl ExplainInfo {
     }
 }
 
+/// `plan`/`run`: the engine's `prepare → admit → execute` over the loaded
+/// files, with each stage's artifacts reported on stderr.
 fn run(args: &Args, execute_it: bool) -> Result<Option<ExplainInfo>, String> {
     let (catalog, scheme, db) = load(&args.files)?;
-    if !scheme.fully_connected() {
-        return Err(
-            "the input relations' scheme is disconnected; the result would be a Cartesian \
-             product across components — join each component separately"
-                .to_string(),
-        );
-    }
-    let (t1, t1_cost) = pick_tree(&args.optimizer, &scheme, &db)?;
+    // The exact oracle materializes the subjoins it ranks, so the planner's
+    // cost for T1 *is* cost(T1(D)).
+    let plan = Plan::Search {
+        strategy: PlanStrategy::parse(&args.optimizer)?,
+        oracle: Oracle::Exact,
+    };
+    let prepared = engine::prepare(scheme, db, catalog, plan, ExecutorKind::Program)
+        .map_err(|e| e.to_string())?;
+    let (scheme, catalog) = (prepared.scheme(), prepared.catalog());
+    let searched = "a searched plan carries its trees and program";
+    let (d, program) = (
+        prepared.derived().expect(searched),
+        prepared.program().expect(searched),
+    );
+    let t1_cost = d.tree_cost.expect(searched);
     eprintln!(
         "T1 ({}, cost {}): {}",
         args.optimizer,
         t1_cost,
-        t1.display(&scheme, &catalog)
+        d.tree.display(scheme, catalog)
     );
-
-    let d = derive(&scheme, &t1).map_err(|e| e.to_string())?;
-    eprintln!("T2 (CPF): {}", d.cpf_tree.display(&scheme, &catalog));
-    eprintln!("program ({} statements):", d.program.len());
-    eprint!("{}", display::render(&d.program, &scheme, &catalog));
-    let info = ExplainInfo::of(&d.program, &scheme, &catalog);
+    eprintln!("T2 (CPF): {}", d.cpf_tree.display(scheme, catalog));
+    eprintln!("program ({} statements):", program.len());
+    eprint!("{}", display::render(program, scheme, catalog));
+    let info = ExplainInfo::of(program, scheme, catalog);
 
     if execute_it {
-        let run = match args.mem_budget {
-            Some(budget) => {
-                run_pipeline_with(&scheme, &t1, &db, &mut FirstChoice, |d| {
-                    let mut cfg = ExecConfig::with_threads(args.threads);
-                    cfg.mem_budget = Some(budget);
-                    // Certify the derived program's memory footprint and
-                    // route over-budget build sides through the Grace-hash
-                    // spill path — decided here, before execution.
-                    if let Ok(cx) = mjoin::analyze::AnalysisCx::new(&d.program, &scheme, &catalog) {
-                        let sizes: Vec<u64> =
-                            db.relations().iter().map(|r| r.len() as u64).collect();
-                        let mem = memory_report(&cx, &sizes);
-                        eprintln!(
-                            "memory: certified peak {} bytes (budget {budget})",
-                            mem.peak_bytes
-                        );
-                        let plan = mem.spill_plan(budget);
-                        if plan.any() {
-                            eprintln!("memory: spilling statements {:?}", plan.spilled_stmts());
-                            cfg.spill = Some(std::sync::Arc::new(plan));
-                        }
-                    }
-                    cfg
-                })
-            }
-            None => run_pipeline(&scheme, &t1, &db, &mut FirstChoice),
+        // Under a budget the memory certificate gates the Grace-hash spill
+        // path — decided here, before execution.
+        let limits = Limits {
+            mem_budget: args.mem_budget,
+            ..Limits::default()
+        };
+        let admitted = prepared.admit(&limits).map_err(|r| r.to_string())?;
+        if let Some(budget) = args.mem_budget {
+            let peak = admitted.analysis().memory().peak_bytes;
+            eprintln!("memory: certified peak {peak} bytes (budget {budget})");
         }
-        .map_err(|e| e.to_string())?;
-        eprintln!("cost(T1(D)) = {}", run.tree_cost);
+        if let Some(plan) = admitted.spill() {
+            eprintln!("memory: spilling statements {:?}", plan.spilled_stmts());
+        }
+        let out = admitted
+            .execute(args.threads, None, None)
+            .map_err(|c| c.to_string())?;
+        eprintln!("cost(T1(D)) = {t1_cost}");
         eprintln!(
             "cost(P(D))  = {} (peak resident {})",
-            run.program_cost(),
-            run.exec.peak_resident
+            out.ledger.total(),
+            out.peak_resident
         );
         eprintln!(
             "ledger: inputs {} + heads {} = cost {}",
-            run.exec.ledger.input_total(),
-            run.exec.ledger.generated_total(),
-            run.exec.ledger.total()
+            out.ledger.input_total(),
+            out.ledger.generated_total(),
+            out.ledger.total()
         );
-        eprintln!("result: {} tuples", run.exec.result.len());
+        eprintln!("result: {} tuples", out.result.len());
         // Stream straight from the result's columns — no whole-file String.
         let stdout = std::io::stdout();
-        let mut out = std::io::BufWriter::new(stdout.lock());
-        tsv::relation_to_tsv_writer(&catalog, &run.exec.result, &mut out)
-            .and_then(|()| std::io::Write::flush(&mut out))
+        let mut sink = std::io::BufWriter::new(stdout.lock());
+        tsv::relation_to_tsv_writer(catalog, &out.result, &mut sink)
+            .and_then(|()| std::io::Write::flush(&mut sink))
             .map_err(|e| format!("writing result: {e}"))?;
     }
     Ok(Some(info))
@@ -448,27 +365,13 @@ fn parse_program_file(
     scheme_flag: Option<&String>,
 ) -> Result<(Catalog, DbScheme, Program), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let scheme_text = match scheme_flag {
-        Some(s) => s.clone(),
-        None => text
-            .lines()
-            .filter_map(|l| l.trim().strip_prefix("# scheme:"))
-            .map(|s| s.trim().to_string())
-            .next()
-            .ok_or_else(|| {
-                format!("`{path}` has no `# scheme: AB,BC,…` directive; pass --scheme")
-            })?,
-    };
-    let parts: Vec<&str> = scheme_text
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect();
-    if parts.is_empty() {
-        return Err(format!("empty scheme `{scheme_text}`"));
-    }
+    let spec = scheme_flag
+        .map(String::as_str)
+        .or_else(|| mjoin::program::scheme_directive(&text))
+        .ok_or_else(|| format!("`{path}` has no `# scheme: AB,BC,…` directive; pass --scheme"))?;
     let mut catalog = Catalog::new();
-    let scheme = DbScheme::parse(&mut catalog, &parts);
+    let scheme = mjoin::program::parse_scheme_list(&mut catalog, spec)
+        .ok_or_else(|| format!("empty scheme `{spec}`"))?;
     let program = mjoin::program::parse_program(&catalog, &scheme, &text)
         .map_err(|e| format!("`{path}`: {e}"))?;
     Ok((catalog, scheme, program))
@@ -502,44 +405,35 @@ fn expand_data_paths(paths: &[String]) -> Result<Vec<String>, String> {
     Ok(out)
 }
 
-/// Load TSV files and line them up with the scheme's relations: each file
-/// is matched (and consumed) by the first unmatched scheme edge with the
-/// same attribute set, so file order doesn't matter but every edge needs
-/// exactly one file.
-fn load_db_for_scheme(
+/// Load TSV files and line them up with the scheme's relations
+/// ([`DbScheme::assign_relations`]): file order doesn't matter, but every
+/// edge needs exactly one file and every file an edge.
+fn load_matched(
     catalog: &mut Catalog,
     scheme: &DbScheme,
     data_paths: &[String],
 ) -> Result<Database, String> {
-    let mut loaded: Vec<Option<(String, Relation)>> = data_paths
+    let loaded: Vec<Relation> = data_paths
         .iter()
-        .map(|p| Ok(Some((p.clone(), load_tsv(catalog, p)?))))
+        .map(|p| load_tsv(catalog, p))
         .collect::<Result<_, String>>()?;
-    let mut relations = Vec::with_capacity(scheme.num_relations());
-    for i in 0..scheme.num_relations() {
-        let want = scheme.attrs_of(i);
-        let slot = loaded.iter_mut().find(|s| {
-            s.as_ref().is_some_and(|(_, rel)| {
-                AttrSet::from_iter_ids(rel.schema().attrs().iter().copied()) == *want
-            })
-        });
-        match slot {
-            Some(s) => relations.push(s.take().expect("matched above").1),
-            None => {
-                return Err(format!(
-                    "no data file matches scheme relation {} ({})",
-                    i,
-                    Schema::from_set(want).display(catalog)
-                ))
-            }
-        }
-    }
-    if let Some((path, _)) = loaded.iter().flatten().next() {
+    let schemas: Vec<Schema> = loaded.iter().map(|r| r.schema().clone()).collect();
+    let picked = scheme.assign_relations(&schemas).map_err(|i| {
+        format!(
+            "no data file matches scheme relation {} ({})",
+            i,
+            Schema::from_set(scheme.attrs_of(i)).display(catalog)
+        )
+    })?;
+    if let Some(j) = (0..loaded.len()).find(|j| !picked.contains(j)) {
         return Err(format!(
-            "data file `{path}` matches no relation of the scheme (or a duplicate)"
+            "data file `{}` matches no relation of the scheme (or a duplicate)",
+            data_paths[j]
         ));
     }
-    Ok(Database::from_relations(relations))
+    Ok(Database::from_relations(
+        picked.into_iter().map(|j| loaded[j].clone()).collect(),
+    ))
 }
 
 /// Execute `program` over the data files/directories in `data_args` and
@@ -558,7 +452,7 @@ fn run_audit(
         return Err("audit needs TSV data files (or a directory) after the program".to_string());
     }
     let data_paths = expand_data_paths(data_args)?;
-    let db = load_db_for_scheme(catalog, scheme, &data_paths)?;
+    let db = load_matched(catalog, scheme, &data_paths)?;
     let mut oracle = mjoin::optimizer::HistogramOracle::new(scheme, &db);
     let mut estimate = |set: RelSet| oracle.subjoin_size(set);
     let report = mjoin::analyze::audit(
@@ -691,7 +585,7 @@ fn check(args: &Args) -> Result<bool, String> {
             vec![1024; scheme.num_relations()]
         } else {
             let data_paths = expand_data_paths(&data)?;
-            let db = load_db_for_scheme(&mut catalog, &scheme, &data_paths)?;
+            let db = load_matched(&mut catalog, &scheme, &data_paths)?;
             db.relations().iter().map(|r| r.len() as u64).collect()
         };
         let cx = mjoin::analyze::AnalysisCx::new(&program, &scheme, &catalog)
@@ -740,15 +634,6 @@ fn load_named(files: &[String]) -> Result<NamedDatabase, String> {
     Ok(ndb)
 }
 
-fn plan_strategy(name: &str) -> Result<PlanStrategy, String> {
-    Ok(match parse_optimizer(name)? {
-        Optimizer::Greedy => PlanStrategy::Greedy,
-        Optimizer::Dp(SearchSpace::All) => PlanStrategy::DpOptimal,
-        Optimizer::Dp(SearchSpace::Cpf) => PlanStrategy::DpCpf,
-        Optimizer::Dp(SearchSpace::Linear | SearchSpace::LinearCpf) => PlanStrategy::DpLinear,
-    })
-}
-
 fn query(args: &Args) -> Result<Option<ExplainInfo>, String> {
     let (query_text, files) = args
         .files
@@ -756,7 +641,7 @@ fn query(args: &Args) -> Result<Option<ExplainInfo>, String> {
         .ok_or("query needs a query string and at least one TSV file")?;
     let ndb = load_named(files)?;
     let q = parse_query(query_text).map_err(|e| e.to_string())?;
-    let strategy = plan_strategy(&args.optimizer)?;
+    let strategy = PlanStrategy::parse(&args.optimizer)?;
     let opts = ExecOptions {
         executor: ExecutorKind::parse(&args.executor)?,
         threads: args.threads,
@@ -797,18 +682,11 @@ fn query(args: &Args) -> Result<Option<ExplainInfo>, String> {
     eprintln!("{} answers, cost {} tuples", res.len(), res.ledger.total());
     // One locked, buffered writer for the whole dump instead of a flushing
     // `println!` per answer row.
-    use std::io::Write as _;
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
-    let emit = |out: &mut std::io::BufWriter<std::io::StdoutLock>| -> std::io::Result<()> {
-        writeln!(out, "{}", q.head_vars.join("\t"))?;
-        for row in res.rows_in_head_order() {
-            let cells: Vec<String> = row.iter().map(std::string::ToString::to_string).collect();
-            writeln!(out, "{}", cells.join("\t"))?;
-        }
-        out.flush()
-    };
-    emit(&mut out).map_err(|e| format!("writing answers: {e}"))?;
+    res.write_tsv(&q.head_vars, &mut out)
+        .and_then(|()| std::io::Write::flush(&mut out))
+        .map_err(|e| format!("writing answers: {e}"))?;
     Ok(None)
 }
 
@@ -821,7 +699,7 @@ fn datalog(args: &Args) -> Result<Option<ExplainInfo>, String> {
         .ok_or("datalog needs a rules string and at least one TSV file")?;
     let ndb = load_named(files)?;
     let rules = parse_rules(rules_text).map_err(|e| e.to_string())?;
-    let strategy = plan_strategy(&args.optimizer)?;
+    let strategy = PlanStrategy::parse(&args.optimizer)?;
     let res = evaluate_datalog(&ndb, &rules, strategy).map_err(|e| e.to_string())?;
     eprintln!(
         "{} rules, fixpoint after {} iterations, cost {} tuples",

@@ -43,6 +43,34 @@
 //! assert_eq!(*run.exec.result, db.join_all());          // Theorem 1
 //! assert!(run.bound_holds());                          // Theorem 2
 //! ```
+//!
+//! ## The engine path
+//!
+//! The CLI, the server and the conjunctive-query compiler all run requests
+//! through [`core::engine`]: `prepare → admit → execute`, where tree search,
+//! the Theorem-2 certificate, the program-vs-WCOJ executor choice,
+//! cost/memory admission and the spill plan are decided once.
+//!
+//! ```
+//! use mjoin::core::engine::{self, Limits, Oracle, Plan};
+//! use mjoin::prelude::*;
+//!
+//! let mut catalog = Catalog::new();
+//! let db = Database::from_relations(vec![
+//!     relation_of_ints(&mut catalog, "ABC", &[&[1, 2, 3]]).unwrap(),
+//!     relation_of_ints(&mut catalog, "CDE", &[&[3, 4, 5]]).unwrap(),
+//!     relation_of_ints(&mut catalog, "EFG", &[&[5, 6, 7]]).unwrap(),
+//!     relation_of_ints(&mut catalog, "GHA", &[&[7, 8, 1]]).unwrap(),
+//! ]);
+//! let scheme = DbScheme::from_schemas(&db.schemas());
+//!
+//! let plan = Plan::Search { strategy: PlanStrategy::DpOptimal, oracle: Oracle::Exact };
+//! let prepared = engine::prepare(scheme, db, catalog, plan, ExecutorKind::Auto).unwrap();
+//! let limits = Limits { max_cost: Some(1_000), ..Limits::default() };
+//! let admitted = prepared.admit(&limits).unwrap();      // certified before a tuple moves
+//! let out = admitted.execute(4, None, None).unwrap();   // only an `Admitted` runs
+//! assert_eq!(*out.result, prepared.db().join_all());
+//! ```
 
 pub use mjoin_acyclic as acyclic;
 pub use mjoin_analyze as analyze;

@@ -166,3 +166,55 @@ fn empty_join_still_correct() {
     let run = run_pipeline(&scheme, &t, &db, &mut FirstChoice).unwrap();
     assert!(run.exec.result.is_empty());
 }
+
+/// `mjoin_cli run` prints `cost(T1(D))` from the cost its exact-oracle
+/// planner returned instead of evaluating `T₁` a second time. That is the
+/// same number: under the exact oracle every strategy's planner cost is
+/// `cost_of(T₁, D)`, on the paper's fixtures.
+#[test]
+fn exact_planner_cost_is_the_tree_cost() {
+    use mjoin::core::engine::{self, Oracle, Plan};
+
+    // Example 3's database, and the Example 1 witness fixtures the CLI
+    // smokes run over (`examples/data/`).
+    let mut fixtures = Vec::new();
+    for m in [3u64, 5] {
+        let mut catalog = Catalog::new();
+        let scheme = Example3::scheme(&mut catalog);
+        let db = Example3::new(m).database(&mut catalog);
+        fixtures.push((catalog, scheme, db));
+    }
+    let mut catalog = Catalog::new();
+    let mut relations = Vec::new();
+    for name in ["abc", "cde", "efg", "gha"] {
+        let path = format!("{}/examples/data/{name}.tsv", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(path).unwrap();
+        relations.push(mjoin::relation::tsv::relation_from_tsv(&mut catalog, &text).unwrap());
+    }
+    let db = Database::from_relations(relations);
+    fixtures.push((catalog, DbScheme::from_schemas(&db.schemas()), db));
+
+    for (catalog, scheme, db) in fixtures {
+        for name in ["greedy", "dp", "dp-cpf", "dp-linear"] {
+            let plan = Plan::Search {
+                strategy: PlanStrategy::parse(name).unwrap(),
+                oracle: Oracle::Exact,
+            };
+            let prepared = engine::prepare(
+                scheme.clone(),
+                db.clone(),
+                catalog.clone(),
+                plan,
+                ExecutorKind::Program,
+            )
+            .unwrap();
+            let d = prepared.derived().unwrap();
+            assert_eq!(
+                d.tree_cost,
+                Some(cost_of(&d.tree, &db)),
+                "{name} on {}",
+                scheme.display(&catalog)
+            );
+        }
+    }
+}
