@@ -1,15 +1,16 @@
 //! Cost oracles: sources of `|⋈ D[S]|` for subsets `S` of the scheme.
 //!
 //! An optimal join expression minimizes the §2.3 cost, which is determined
-//! entirely by the sizes of sub-joins. The [`ExactOracle`] materializes and
-//! memoizes those sub-joins (the "true" optimum, affordable for small `r`);
-//! the [`EstimateOracle`] uses the classical attribute-independence formula
-//! (System-R style) and is what a real optimizer would use.
+//! entirely by the sizes of sub-joins. The [`ExactOracle`] *counts* those
+//! sub-joins (the "true" optimum, affordable for small `r`) and never builds
+//! a Cartesian product to do so; the [`EstimateOracle`] uses the classical
+//! attribute-independence formula (System-R style) and is what a real
+//! optimizer would use.
 
 use mjoin_expr::JoinTree;
 use mjoin_hypergraph::{DbScheme, RelSet};
-use mjoin_relation::fxhash::FxHashMap;
-use mjoin_relation::{ops, AttrId, Database, Relation};
+use mjoin_relation::fxhash::{FxHashMap, FxHashSet};
+use mjoin_relation::{ops, AttrId, Column, Database, Relation};
 
 /// A source of sub-join sizes.
 pub trait CostOracle {
@@ -27,13 +28,32 @@ pub trait CostOracle {
     }
 }
 
-/// Exact sizes by materializing each sub-join once (memoized).
+/// Exact sub-join sizes, counted rather than materialized.
 ///
-/// Memory is proportional to the total size of all distinct sub-joins
-/// requested; with the DP baselines that is every subset of the scheme, so
-/// keep `r` small (≤ 12 or so) and inputs laptop-sized.
+/// A size is needed far more often than the sub-join itself, so the oracle
+/// keeps two tables: every size it has been asked for (or learned on the
+/// way), and a lazy memo of materialized sub-joins that only ever holds
+/// **connected** subsets of two or more relations.
+///
+/// * A disconnected `S` is the (saturating) product of its connected
+///   components' sizes — the Cartesian product is never built.
+/// * A connected `S` peels one relation `x` that is not a cut vertex of `S`,
+///   so `S∖x` is connected and shares an attribute with `x`, and answers
+///   [`ops::join_count`]`(⋈D[S∖x], Rₓ)`: the last join is counted, not built.
+/// * `⋈D[S∖x]` itself is built by the same rule, and only at that moment — a
+///   sub-join is materialized only when a larger connected set counts
+///   against it. Among the candidates for `x` the oracle prefers a remainder
+///   that is already resident, then the smallest one (by known size, else by
+///   the product of its input sizes).
+///
+/// Memory is proportional to the connected sub-joins that were materialized
+/// ([`ExactOracle::materialized_tuples`]); with the DP baselines every
+/// connected subset but the largest ones can end up resident, so keep `r`
+/// small (≤ 12 or so).
 pub struct ExactOracle<'a> {
     db: &'a Database,
+    scheme: DbScheme,
+    sizes: FxHashMap<RelSet, u64>,
     memo: FxHashMap<RelSet, Relation>,
 }
 
@@ -42,38 +62,104 @@ impl<'a> ExactOracle<'a> {
     pub fn new(db: &'a Database) -> Self {
         ExactOracle {
             db,
+            scheme: DbScheme::from_schemas(&db.schemas()),
+            sizes: FxHashMap::default(),
             memo: FxHashMap::default(),
         }
     }
 
-    /// The materialized sub-join for `set`.
-    pub fn subjoin(&mut self, set: RelSet) -> &Relation {
-        if !self.memo.contains_key(&set) {
-            let rel = match set.len() {
-                0 => Relation::nullary_unit(),
-                1 => self.db.relation(set.first().unwrap()).clone(),
-                _ => {
-                    let first = set.first().unwrap();
-                    let rest = set.difference(RelSet::singleton(first));
-                    let sub = self.subjoin(rest).clone();
-                    ops::join(&sub, self.db.relation(first))
-                }
-            };
-            self.memo.insert(set, rel);
+    /// `|⋈ D[set]|`. All internal recursion goes through here, not through
+    /// [`CostOracle::subjoin_size`], so `optimizer.oracle_calls` counts the
+    /// planner's questions only.
+    fn size(&mut self, set: RelSet) -> u64 {
+        if let Some(&n) = self.sizes.get(&set) {
+            return n;
         }
-        &self.memo[&set]
+        let n = match set.len() {
+            0 => 1,
+            1 => self.subjoin(set).len() as u64,
+            _ => match self.scheme.components(set).as_slice() {
+                [_] => {
+                    let (rest, x) = self.peel(set);
+                    self.materialize(rest);
+                    mjoin_trace::add("optimizer.oracle_counted", 1);
+                    ops::join_count(self.subjoin(rest), self.db.relation(x))
+                }
+                components => components
+                    .iter()
+                    .fold(1u64, |acc, &c| acc.saturating_mul(self.size(c))),
+            },
+        };
+        self.sizes.insert(set, n);
+        n
     }
 
-    /// Number of memoized sub-joins (for tests/metrics).
+    /// Split a connected `set` of two or more relations into a connected
+    /// remainder and the peeled relation `x`. `x` shares an attribute with
+    /// the remainder because `set` is connected.
+    fn peel(&self, set: RelSet) -> (RelSet, usize) {
+        set.iter()
+            .map(|x| (set.difference(RelSet::singleton(x)), x))
+            .filter(|&(rest, _)| self.scheme.is_connected(rest))
+            .min_by_key(|&(rest, _)| {
+                let resident = rest.len() == 1 || self.memo.contains_key(&rest);
+                let size = self.sizes.get(&rest).copied().unwrap_or_else(|| {
+                    rest.iter().fold(1u64, |acc, i| {
+                        acc.saturating_mul(self.db.relation(i).len() as u64)
+                    })
+                });
+                (!resident, size)
+            })
+            .expect("a connected hypergraph has a non-cut edge")
+    }
+
+    /// Make `⋈ D[set]` resident, for a connected `set`.
+    fn materialize(&mut self, set: RelSet) {
+        if set.len() < 2 || self.memo.contains_key(&set) {
+            return;
+        }
+        let (rest, x) = self.peel(set);
+        self.materialize(rest);
+        let rel = ops::join(self.subjoin(rest), self.db.relation(x));
+        mjoin_trace::add("optimizer.oracle_materialized", 1);
+        mjoin_trace::add("optimizer.oracle_materialized_tuples", rel.len() as u64);
+        self.sizes.insert(set, rel.len() as u64);
+        self.memo.insert(set, rel);
+    }
+
+    /// The resident sub-join of a connected `set`: an input relation, or a
+    /// memo entry [`ExactOracle::materialize`] has put there.
+    fn subjoin(&self, set: RelSet) -> &Relation {
+        match set.len() {
+            1 => self.db.relation(set.first().expect("one member")),
+            _ => &self.memo[&set],
+        }
+    }
+
+    /// Number of subsets whose size is known (for tests/metrics).
     pub fn memo_len(&self) -> usize {
-        self.memo.len()
+        self.sizes.len()
+    }
+
+    /// The subsets whose sub-join is resident, in ascending order. Each is
+    /// connected and has at least two members.
+    pub fn materialized_sets(&self) -> Vec<RelSet> {
+        let mut sets: Vec<RelSet> = self.memo.keys().copied().collect();
+        sets.sort_unstable();
+        sets
+    }
+
+    /// Total tuples of the resident sub-joins — what the oracle built, as
+    /// opposed to counted (nothing is evicted, so also everything it built).
+    pub fn materialized_tuples(&self) -> u64 {
+        self.memo.values().map(|rel| rel.len() as u64).sum()
     }
 }
 
 impl CostOracle for ExactOracle<'_> {
     fn subjoin_size(&mut self, set: RelSet) -> u64 {
         mjoin_trace::add("optimizer.oracle_calls", 1);
-        self.subjoin(set).len() as u64
+        self.size(set)
     }
 }
 
@@ -112,15 +198,18 @@ impl EstimateOracle {
     }
 }
 
+/// Distinct values of `attr` in `rel`, from the column view: integers by
+/// value, interned cells by dictionary code (a dictionary holds each value
+/// once).
 fn distinct_count(rel: &Relation, attr: AttrId) -> u64 {
     let Some(pos) = rel.schema().position(attr) else {
         return 1;
     };
-    let mut seen = mjoin_relation::fxhash::FxHashSet::default();
-    for row in rel.rows() {
-        seen.insert(row[pos].clone());
-    }
-    seen.len() as u64
+    let distinct = match &rel.columns()[pos] {
+        Column::Int(v) => v.iter().copied().collect::<FxHashSet<i64>>().len(),
+        Column::Dict { codes, .. } => codes.iter().copied().collect::<FxHashSet<u32>>().len(),
+    };
+    distinct as u64
 }
 
 impl CostOracle for EstimateOracle {
@@ -218,6 +307,72 @@ mod tests {
         let db = Database::from_relations(vec![r, t]);
         let mut o = EstimateOracle::new(&s, &db);
         assert_eq!(o.subjoin_size(RelSet::full(2)), 6);
+    }
+
+    #[test]
+    fn estimate_oracle_counts_distinct_strings() {
+        use mjoin_relation::{Schema, Value};
+        let mut c = Catalog::new();
+        let s = DbScheme::parse(&mut c, &["AB", "BC"]);
+        let strs = |c: &mut Catalog, scheme: &str, rows: &[[&str; 2]]| {
+            let rows = rows
+                .iter()
+                .map(|r| r.iter().map(Value::str).collect())
+                .collect();
+            Relation::from_rows(Schema::from_chars(c, scheme), rows).unwrap()
+        };
+        let r = strs(
+            &mut c,
+            "AB",
+            &[["a", "x"], ["b", "x"], ["c", "y"], ["d", "z"]],
+        );
+        let t = strs(&mut c, "BC", &[["x", "p"], ["y", "p"], ["y", "q"]]);
+        let db = Database::from_relations(vec![r, t]);
+        let mut o = EstimateOracle::new(&s, &db);
+        // d_B = max(3 distinct in AB, 2 distinct in BC) = 3: 4·3 / 3.
+        assert_eq!(o.subjoin_size(RelSet::full(2)), 4);
+    }
+
+    #[test]
+    fn exact_oracle_never_builds_a_cartesian_product() {
+        let mut c = Catalog::new();
+        let rows: Vec<Vec<i64>> = (0..50).map(|i| vec![i, i % 5]).collect();
+        let rows: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+        let db = Database::from_relations(vec![
+            relation_of_ints(&mut c, "AB", &rows).unwrap(),
+            relation_of_ints(&mut c, "BC", &rows).unwrap(),
+            relation_of_ints(&mut c, "DE", &rows).unwrap(),
+            relation_of_ints(&mut c, "EF", &rows).unwrap(),
+        ]);
+        let mut o = ExactOracle::new(&db);
+        for bits in 0..16usize {
+            let set = RelSet::from_indices((0..4).filter(|i| bits >> i & 1 == 1));
+            assert_eq!(
+                o.subjoin_size(set),
+                db.join_of(&set.to_vec()).len() as u64,
+                "set {set}"
+            );
+        }
+        assert_eq!(o.memo_len(), 16);
+        // Pairs are counted against input relations and every larger set is
+        // a product of components: nothing was materialized at all.
+        assert_eq!(o.materialized_sets(), Vec::<RelSet>::new());
+        assert_eq!(o.materialized_tuples(), 0);
+    }
+
+    #[test]
+    fn exact_oracle_materializes_connected_remainders_only() {
+        let (_c, s, db) = setup();
+        let mut o = ExactOracle::new(&db);
+        assert_eq!(o.subjoin_size(RelSet::full(3)), 1);
+        // The triangle was counted against one resident pair.
+        let resident = o.materialized_sets();
+        assert_eq!(resident.len(), 1);
+        assert!(resident[0].len() == 2 && s.is_connected(resident[0]));
+        assert_eq!(
+            o.materialized_tuples(),
+            db.join_of(&resident[0].to_vec()).len() as u64
+        );
     }
 
     #[test]

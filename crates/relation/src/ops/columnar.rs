@@ -229,6 +229,56 @@ pub(crate) fn col_join(left: &Relation, right: &Relation) -> Relation {
     materialize_join(build, probe, &out_schema, std::slice::from_ref(&pair))
 }
 
+/// `|left ⋈ right|` without building the join.
+///
+/// A natural join of duplicate-free operands has no duplicates, so its size
+/// is the number of matching pairs: group the smaller side by key (one
+/// [`RawTable`] representative per distinct key, carrying the group's row
+/// count) and sum the group counts the other side's rows probe into.
+/// Disjoint schemas are the Cartesian product, `|left|·|right|`
+/// (saturating). Reads the column view only — there is no row-engine twin,
+/// so [`super::layout`] does not dispatch here.
+pub fn join_count(left: &Relation, right: &Relation) -> u64 {
+    let (build, probe) = if left.len() <= right.len() {
+        (left, right)
+    } else {
+        (right, left)
+    };
+    let (bpos, ppos) = super::join::join_key_positions(build.schema(), probe.schema());
+    if bpos.is_empty() {
+        return (left.len() as u64).saturating_mul(right.len() as u64);
+    }
+    count_batch();
+    let bcols = build.columns();
+    let bh = key_hashes(build, &bpos);
+    let mut table = RawTable::with_capacity(bh.len());
+    // Group size per representative build row (0 for the other rows).
+    let mut group = vec![0u64; bh.len()];
+    for (i, &h) in bh.iter().enumerate() {
+        let rep = table
+            .candidates(h)
+            .find(|&j| ids_eq(bcols, &bpos, j, bcols, &bpos, i));
+        match rep {
+            Some(j) => group[j] += 1,
+            None => {
+                table.insert(h, i as u32);
+                group[i] = 1;
+            }
+        }
+    }
+    let pcols = probe.columns();
+    key_hashes(probe, &ppos)
+        .iter()
+        .enumerate()
+        .filter_map(|(j, &h)| {
+            table
+                .candidates(h)
+                .find(|&bi| ids_eq(bcols, &bpos, bi, pcols, &ppos, j))
+        })
+        .map(|bi| group[bi])
+        .sum()
+}
+
 /// Columnar shared-build chunked-probe join: build once, probe contiguous
 /// id ranges concurrently, gather all parts' selection vectors once.
 pub(crate) fn col_join_chunked(build: &Relation, probe: &Relation, threads: usize) -> Relation {
@@ -566,6 +616,45 @@ mod tests {
         for (i, row) in r.rows().iter().enumerate() {
             assert_eq!(batch[i], hash_at(row, &pos));
         }
+    }
+
+    #[test]
+    fn join_count_is_the_join_size() {
+        let mut c = Catalog::new();
+        let r = relation_of_ints(&mut c, "AB", &[&[1, 10], &[2, 10], &[3, 20], &[4, 30]]).unwrap();
+        let s = relation_of_ints(&mut c, "BC", &[&[10, 1], &[10, 2], &[20, 3], &[40, 4]]).unwrap();
+        let t = relation_of_ints(&mut c, "DE", &[&[1, 1], &[2, 2], &[3, 3]]).unwrap();
+        let empty = Relation::empty(Schema::from_chars(&mut c, "BC"));
+        let unit = Relation::nullary_unit();
+        for (l, r) in [
+            (&r, &s),
+            (&s, &r),
+            (&r, &r),
+            (&r, &t),
+            (&r, &empty),
+            (&empty, &t),
+            (&r, &unit),
+        ] {
+            assert_eq!(join_count(l, r), col_join(l, r).len() as u64);
+        }
+        assert_eq!(join_count(&r, &s), 5);
+    }
+
+    #[test]
+    fn join_count_compares_strings_across_dictionaries() {
+        let mut c = Catalog::new();
+        let strs = |c: &mut Catalog, scheme: &str, rows: &[[&str; 2]]| {
+            let schema = Schema::from_chars(c, scheme);
+            let rows = rows
+                .iter()
+                .map(|r| r.iter().map(Value::str).collect())
+                .collect();
+            Relation::from_rows(schema, rows).unwrap()
+        };
+        let r = strs(&mut c, "AB", &[["a", "x"], ["b", "x"], ["c", "y"]]);
+        let s = strs(&mut c, "BC", &[["y", "p"], ["x", "q"], ["z", "r"]]);
+        assert_eq!(join_count(&r, &s), 3);
+        assert_eq!(join_count(&r, &s), col_join(&r, &s).len() as u64);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub use setops::{difference, intersection, union};
 pub use spill::{grace_hash_join, SpillStats};
 pub use trie::TrieIndex;
 
-pub use columnar::key_hashes;
+pub use columnar::{join_count, key_hashes};
 // `layout`/`set_layout`/`Layout` are defined below, alongside the
 // `par_cutoff` knobs.
 

@@ -291,8 +291,8 @@ impl ExplainInfo {
 /// files, with each stage's artifacts reported on stderr.
 fn run(args: &Args, execute_it: bool) -> Result<Option<ExplainInfo>, String> {
     let (catalog, scheme, db) = load(&args.files)?;
-    // The exact oracle materializes the subjoins it ranks, so the planner's
-    // cost for T1 *is* cost(T1(D)).
+    // The exact oracle counts the subjoins it ranks exactly, so the
+    // planner's cost for T1 *is* cost(T1(D)).
     let plan = Plan::Search {
         strategy: PlanStrategy::parse(&args.optimizer)?,
         oracle: Oracle::Exact,
