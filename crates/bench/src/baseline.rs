@@ -32,7 +32,8 @@ struct Machine {
 /// The seed's per-read copy, reproduced explicitly: a fresh row vector with
 /// every `Box<[Value]>` reallocated. `Relation::clone` no longer does this —
 /// it shares both views by `Arc` — so the baseline must spell the
-/// allocation storm out to keep measuring the status quo ante.
+/// allocation storm out to keep measuring the status quo ante. The copy is
+/// row-born, so the operator that reads it also converts it to columns.
 fn deep_copy(rel: &Relation) -> Relation {
     Relation::from_distinct_rows(rel.schema().clone(), rel.rows().to_vec())
 }

@@ -24,7 +24,6 @@ use mjoin_hypergraph::DbScheme;
 use mjoin_program::{
     execute_parallel, execute_with, schedule, ExecConfig, Program, ProgramBuilder, Reg,
 };
-use mjoin_relation::ops::{set_layout, Layout};
 use mjoin_relation::{json, Catalog, Database};
 use mjoin_workloads::{star_schema, CycleGap, Example3, StarSchemaConfig};
 use std::time::Instant;
@@ -89,10 +88,8 @@ fn workloads() -> Vec<Workload> {
     };
 
     // The wide-tuple star: an 11-dimension star whose fact relation carries
-    // 12 attributes. Row-major storage is at its worst here — every key
-    // hash walks a 12-cell `Box<[Value]>` of enum tags to reach one cell,
-    // while the columnar engine touches exactly the key column's `i64`
-    // slice. This is the headline workload for the `layout_speedup` column.
+    // 12 attributes, of which every key hash touches exactly one column's
+    // `i64` slice.
     {
         let mut c = Catalog::new();
         let cfg = StarSchemaConfig {
@@ -338,11 +335,8 @@ struct Measurement {
     schedule_width: usize,
     result_tuples: usize,
     baseline_ms: f64,
-    /// Parallel executor under the columnar engine (the default layout).
+    /// Parallel executor, per thread count.
     parallel_ms: Vec<(usize, f64)>,
-    /// Same executor, same thread counts, forced onto the row engine
-    /// (`Layout::Row`): isolates the storage-layout win from everything else.
-    row_layout_ms: Vec<(usize, f64)>,
     /// Same executor with the join-index cache disabled: the pre-cache path.
     parallel_nocache_ms: Vec<(usize, f64)>,
     /// Aggregated spans from one traced (untimed) parallel run: key is
@@ -361,22 +355,6 @@ impl Measurement {
             .map_or(f64::INFINITY, |(_, ms)| *ms);
         self.baseline_ms / t
     }
-
-    /// row-engine ms / columnar-engine ms at the same thread count: the
-    /// storage-layout win in isolation.
-    fn layout_speedup_at(&self, threads: usize) -> f64 {
-        let row = self
-            .row_layout_ms
-            .iter()
-            .find(|(n, _)| *n == threads)
-            .map_or(f64::INFINITY, |(_, ms)| *ms);
-        let col = self
-            .parallel_ms
-            .iter()
-            .find(|(n, _)| *n == threads)
-            .map_or(f64::INFINITY, |(_, ms)| *ms);
-        row / col
-    }
 }
 
 fn measure(w: &Workload) -> Measurement {
@@ -388,9 +366,8 @@ fn measure(w: &Workload) -> Measurement {
             .map(mjoin_relation::Relation::len)
             .sum();
 
-    // Correctness gate first: the baseline is the oracle. Both engines must
-    // match it before either's time is accepted.
-    set_layout(Layout::Columnar);
+    // Correctness gate first: the baseline is the oracle, and every
+    // configuration must match it before its time is accepted.
     let oracle = execute_deep_clone(program, &w.db);
     for threads in THREADS {
         let par = execute_parallel(program, &w.db, threads);
@@ -402,14 +379,6 @@ fn measure(w: &Workload) -> Measurement {
         assert_eq!(
             par.head_sizes, oracle.head_sizes,
             "{}: head sizes diverged",
-            w.name
-        );
-        set_layout(Layout::Row);
-        let by_rows = execute_parallel(program, &w.db, threads);
-        set_layout(Layout::Columnar);
-        assert_eq!(
-            *by_rows.result, oracle.result,
-            "{}: row-engine result diverged at {threads} threads",
             w.name
         );
         let nocache = execute_with(
@@ -427,9 +396,8 @@ fn measure(w: &Workload) -> Measurement {
     // Warm both physical views of every base relation, outside any timed
     // region. The executor hands each run an `Arc`-cheap clone of the bases,
     // and a clone shares exactly the views its source has materialized — so
-    // without this, the first engine to touch a view would re-pay the
-    // one-time row↔column conversion on a throwaway clone every rep, and
-    // the layout comparison would measure conversion, not kernels.
+    // without this, every rep would re-pay the one-time row↔column
+    // conversion on a throwaway clone.
     for rel in w.db.relations() {
         let _ = rel.rows();
         let _ = rel.columns();
@@ -438,46 +406,21 @@ fn measure(w: &Workload) -> Measurement {
     // Interleave configurations round-robin across reps so ambient host
     // slowness (this often runs on shared 1-CPU CI) biases every
     // configuration equally, then keep each configuration's best rep.
-    // The seed interpreter ran the row kernels — time it under the row
-    // engine, or its deep-copied (row-born) registers would pay a
-    // row→column conversion per read that the seed never performed.
     let mut run_base = || {
-        set_layout(Layout::Row);
         let out = execute_deep_clone(program, &w.db);
         std::hint::black_box(out.result.len());
-        set_layout(Layout::Columnar);
     };
     let mut baseline_ms = f64::INFINITY;
     let mut best_par = vec![f64::INFINITY; THREADS.len()];
-    let mut best_row = vec![f64::INFINITY; THREADS.len()];
     let mut best_nocache = vec![f64::INFINITY; THREADS.len()];
-    // One engine sweep: every thread count once under `layout`, folding
-    // each run into that configuration's best-so-far. Restores the
-    // columnar default before returning.
-    let time_engine = |layout: Layout, best: &mut [f64]| {
-        set_layout(layout);
-        for (slot, &threads) in best.iter_mut().zip(THREADS.iter()) {
+    for _ in 0..REPS {
+        baseline_ms = baseline_ms.min(time_once(&mut run_base));
+        for (slot, &threads) in best_par.iter_mut().zip(THREADS.iter()) {
             let mut run = || {
                 let out = execute_parallel(program, &w.db, threads);
                 std::hint::black_box(out.result.len());
             };
             *slot = slot.min(time_once(&mut run));
-        }
-        set_layout(Layout::Columnar);
-    };
-    for rep in 0..REPS {
-        baseline_ms = baseline_ms.min(time_once(&mut run_base));
-        // Alternate which engine runs first: the baseline's deep-copy storm
-        // leaves the allocator cold, and whichever engine is timed next
-        // repays the page faults. Swapping the order per rep gives both
-        // engines warm-position reps, so best-of compares warm against warm
-        // instead of charging the first engine for the baseline's churn.
-        if rep % 2 == 0 {
-            time_engine(Layout::Columnar, &mut best_par);
-            time_engine(Layout::Row, &mut best_row);
-        } else {
-            time_engine(Layout::Row, &mut best_row);
-            time_engine(Layout::Columnar, &mut best_par);
         }
         for (slot, &threads) in best_nocache.iter_mut().zip(THREADS.iter()) {
             let cfg = ExecConfig::with_threads(threads).without_cache();
@@ -489,7 +432,6 @@ fn measure(w: &Workload) -> Measurement {
         }
     }
     let parallel_ms: Vec<(usize, f64)> = THREADS.iter().copied().zip(best_par).collect();
-    let row_layout_ms: Vec<(usize, f64)> = THREADS.iter().copied().zip(best_row).collect();
     let parallel_nocache_ms: Vec<(usize, f64)> =
         THREADS.iter().copied().zip(best_nocache).collect();
 
@@ -532,7 +474,6 @@ fn measure(w: &Workload) -> Measurement {
         result_tuples: oracle.result.len(),
         baseline_ms,
         parallel_ms,
-        row_layout_ms,
         parallel_nocache_ms,
         trace_ops,
         trace_counters,
@@ -578,34 +519,6 @@ fn write_json(path: &str, pool_threads: usize, host_parallelism: usize, ms: &[Me
             .parallel_ms
             .iter()
             .map(|(t, v)| format!("\"{t}\": {v:.3}"))
-            .collect();
-        j.push_str(&cells.join(", "));
-        j.push_str("},\n");
-        // `parallel_ms` runs the default (columnar) engine; re-emit it under
-        // the explicit name so the layout columns read side by side.
-        j.push_str("      \"columnar_ms\": {");
-        let cells: Vec<String> = m
-            .parallel_ms
-            .iter()
-            .map(|(t, v)| format!("\"{t}\": {v:.3}"))
-            .collect();
-        j.push_str(&cells.join(", "));
-        j.push_str("},\n");
-        j.push_str("      \"row_layout_ms\": {");
-        let cells: Vec<String> = m
-            .row_layout_ms
-            .iter()
-            .map(|(t, v)| format!("\"{t}\": {v:.3}"))
-            .collect();
-        j.push_str(&cells.join(", "));
-        j.push_str("},\n");
-        // row-engine ms / columnar-engine ms, same executor and threads:
-        // the batch-kernel win in isolation.
-        j.push_str("      \"layout_speedup\": {");
-        let cells: Vec<String> = m
-            .row_layout_ms
-            .iter()
-            .map(|(t, _)| format!("\"{t}\": {:.2}", m.layout_speedup_at(*t)))
             .collect();
         j.push_str(&cells.join(", "));
         j.push_str("},\n");
@@ -673,15 +586,11 @@ fn write_json(path: &str, pool_threads: usize, host_parallelism: usize, ms: &[Me
 
 /// CI regression gate (`--check-strategies`): one traced 4-thread run per
 /// workload, asserting that the operator strategies the planner is supposed
-/// to pick actually fired. Catches three failure modes silently invisible to
+/// to pick actually fired. Catches two failure modes silently invisible to
 /// correctness tests: wide workloads falling off the partitioned
-/// par_join/par_semijoin paths, the join-index cache going cold on the
-/// workloads built to exercise it, and the columnar batch kernels never
-/// engaging (every workload must record `layout.columnar_batch > 0` — if an
-/// operator change quietly reroutes everything to the row path, the numbers
-/// in BENCH_parallel_exec.json stop meaning what they claim).
+/// par_join/par_semijoin paths, and the join-index cache going cold on the
+/// workloads built to exercise it.
 fn check_strategies(ws: &[Workload]) -> bool {
-    set_layout(Layout::Columnar);
     // (workload, required `name[strategy]` ops, required minimum counters)
     type Expectation = (
         &'static str,
@@ -720,8 +629,6 @@ fn check_strategies(ws: &[Workload]) -> bool {
     ];
     let mut ok = true;
     for w in ws {
-        // A workload with no strategy expectations still gets the traced run:
-        // the layout gate below applies to every workload.
         let (ops_req, ctr_req): (&[&str], &[(&str, u64)]) = expect
             .iter()
             .find(|(n, _, _)| *n == w.name)
@@ -756,17 +663,6 @@ fn check_strategies(ws: &[Workload]) -> bool {
                 println!("  FAIL {}: {name} = {got}, expected >= {min}", w.name);
                 ok = false;
             }
-        }
-        // Layout gate: the columnar fast paths must actually have fired.
-        let batches = trace.counter("layout.columnar_batch").unwrap_or(0);
-        if batches > 0 {
-            println!("  ok   {}: layout.columnar_batch = {batches}", w.name);
-        } else {
-            println!(
-                "  FAIL {}: layout.columnar_batch = 0 — columnar kernels never engaged",
-                w.name
-            );
-            ok = false;
         }
     }
     ok
@@ -833,13 +729,6 @@ fn main() {
             .find(|(t, _)| *t == 4)
             .map_or(f64::INFINITY, |(_, ms)| *ms);
         row.push(format!("{nc4:.1}"));
-        let row4 = m
-            .row_layout_ms
-            .iter()
-            .find(|(t, _)| *t == 4)
-            .map_or(f64::INFINITY, |(_, ms)| *ms);
-        row.push(format!("{row4:.1}"));
-        row.push(format!("{:.2}×", m.layout_speedup_at(4)));
         row.push(format!("{:.2}×", m.speedup_at(4)));
         rows.push(row);
     }
@@ -856,8 +745,6 @@ fn main() {
             "t=4",
             "t=8",
             "nocache t=4",
-            "rowlay t=4",
-            "layout@4",
             "speedup@4",
         ],
         &rows,

@@ -1,6 +1,7 @@
-//! The batch-at-a-time columnar kernels.
+//! The batch-at-a-time columnar kernels — the bodies of the operators in
+//! [`super`].
 //!
-//! Each hot operator has a columnar twin here that works in three phases:
+//! Each kernel works in three phases:
 //!
 //! 1. **Batch key hashing** ([`key_hashes`]): key hashes for *all* rows are
 //!    computed by zipping column slices — a tight loop over one `i64`/`u32`
@@ -15,10 +16,11 @@
 //!    [`Column::concat_gathered`]); dictionary columns copy codes and share
 //!    their pool with the input.
 //!
-//! The hashes here agree bit-for-bit with the row engine's
-//! [`super::hash_at`] (both fold [`crate::Value::stable_hash`] through
-//! [`mix`]), so tables and [`super::JoinIndex`]es built by either engine can
-//! be probed by the other.
+//! A key hash is the [`mix`]-fold of the key cells'
+//! [`crate::Value::stable_hash`]es, whichever column representation holds
+//! them — so a [`super::JoinIndex`] built over one relation probes correctly
+//! from any other, and the Grace-hash spill partitions both operands
+//! consistently.
 
 use super::hashtable::RawTable;
 use crate::column::Column;
@@ -26,22 +28,8 @@ use crate::fxhash::mix;
 use crate::relation::Relation;
 use crate::schema::Schema;
 
-/// Count one columnar batch-kernel invocation (the `--check-strategies`
-/// layout gate watches this counter).
-#[inline]
-pub(crate) fn count_batch() {
-    mjoin_trace::add("layout.columnar_batch", 1);
-}
-
-/// Count one row-engine kernel invocation.
-#[inline]
-pub(crate) fn count_row_path() {
-    mjoin_trace::add("layout.row_path", 1);
-}
-
 /// The key hash of every row of `rel` at `positions`, batch-wise: one
-/// mix-fold pass per key column over its packed payload slice. Agrees
-/// bit-for-bit with the row engine's per-row [`super::hash_at`].
+/// mix-fold pass per key column over its packed payload slice.
 pub fn key_hashes(rel: &Relation, positions: &[usize]) -> Vec<u64> {
     let cols = rel.columns();
     let mut acc = vec![0u64; rel.len()];
@@ -52,7 +40,7 @@ pub fn key_hashes(rel: &Relation, positions: &[usize]) -> Vec<u64> {
 }
 
 /// Whether row `i` of `acols` (at `apos`) and row `j` of `bcols` (at `bpos`)
-/// agree on their key — the columnar twin of [`super::keys_eq`].
+/// agree on their key (the collision check behind [`RawTable`] candidates).
 #[inline]
 pub(crate) fn ids_eq(
     acols: &[Column],
@@ -73,6 +61,28 @@ pub(crate) fn ids_eq(
 pub(crate) fn gather_relation(rel: &Relation, ids: &[u32]) -> Relation {
     let cols: Vec<Column> = rel.columns().iter().map(|c| c.gather(ids)).collect();
     Relation::from_distinct_columns(rel.schema().clone(), ids.len(), cols)
+}
+
+/// Concatenate relations over `schema` whose tuple sets are pairwise
+/// disjoint (per-partition outputs of a key-partitioned operator) into one,
+/// column by column. Parts may carry different dictionaries, or an integer
+/// column where another part interned strings — [`Column::concat_gathered`]
+/// re-interns those.
+pub(crate) fn concat_disjoint(schema: Schema, parts: &[Relation]) -> Relation {
+    let nrows: usize = parts.iter().map(Relation::len).sum();
+    let longest = parts.iter().map(Relation::len).max().unwrap_or(0);
+    let all: Vec<u32> = (0..longest as u32).collect();
+    let cols: Vec<Column> = (0..schema.arity())
+        .map(|c| {
+            Column::concat_gathered(
+                &parts
+                    .iter()
+                    .map(|r| (&r.columns()[c], &all[..r.len()]))
+                    .collect::<Vec<_>>(),
+            )
+        })
+        .collect();
+    Relation::from_distinct_columns(schema, nrows, cols)
 }
 
 // ---------------------------------------------------------------------------
@@ -215,7 +225,6 @@ pub(crate) fn materialize_join(
 
 /// Sequential columnar natural join, building on the smaller side.
 pub(crate) fn col_join(left: &Relation, right: &Relation) -> Relation {
-    count_batch();
     let out_schema = left.schema().union(right.schema());
     let (build, probe) = if left.len() <= right.len() {
         (left, right)
@@ -236,8 +245,7 @@ pub(crate) fn col_join(left: &Relation, right: &Relation) -> Relation {
 /// [`RawTable`] representative per distinct key, carrying the group's row
 /// count) and sum the group counts the other side's rows probe into.
 /// Disjoint schemas are the Cartesian product, `|left|·|right|`
-/// (saturating). Reads the column view only — there is no row-engine twin,
-/// so [`super::layout`] does not dispatch here.
+/// (saturating).
 pub fn join_count(left: &Relation, right: &Relation) -> u64 {
     let (build, probe) = if left.len() <= right.len() {
         (left, right)
@@ -248,7 +256,6 @@ pub fn join_count(left: &Relation, right: &Relation) -> u64 {
     if bpos.is_empty() {
         return (left.len() as u64).saturating_mul(right.len() as u64);
     }
-    count_batch();
     let bcols = build.columns();
     let bh = key_hashes(build, &bpos);
     let mut table = RawTable::with_capacity(bh.len());
@@ -282,7 +289,6 @@ pub fn join_count(left: &Relation, right: &Relation) -> u64 {
 /// Columnar shared-build chunked-probe join: build once, probe contiguous
 /// id ranges concurrently, gather all parts' selection vectors once.
 pub(crate) fn col_join_chunked(build: &Relation, probe: &Relation, threads: usize) -> Relation {
-    count_batch();
     let out_schema = build.schema().union(probe.schema());
     let (bpos, ppos) = super::join::join_key_positions(build.schema(), probe.schema());
     let kernel = ColJoin::new(build, probe, &bpos, &ppos);
@@ -296,7 +302,6 @@ pub(crate) fn col_join_chunked(build: &Relation, probe: &Relation, threads: usiz
 /// key hash, partition pairs build+probe independently (parallelizing the
 /// build as well), and the key-disjoint outputs concatenate into one gather.
 pub(crate) fn col_join_radix(left: &Relation, right: &Relation, threads: usize) -> Relation {
-    count_batch();
     let out_schema = left.schema().union(right.schema());
     let (build, probe) = if left.len() <= right.len() {
         (left, right)
@@ -326,8 +331,9 @@ pub(crate) fn split_ranges(n: usize, pieces: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Partition row ids `0..hashes.len()` by hash into `parts` id lists (the
-/// columnar twin of [`super::hash_partition`], minus the row borrows).
+/// Partition row ids `0..hashes.len()` by hash into `parts` id lists. Rows
+/// that agree on the key always land in the same list, so per-list operator
+/// results can be concatenated without cross-list deduplication.
 pub(crate) fn partition_ids(hashes: &[u64], parts: usize) -> Vec<Vec<u32>> {
     let parts = parts.max(1);
     let mut out: Vec<Vec<u32>> = vec![Vec::new(); parts];
@@ -399,7 +405,6 @@ pub(crate) fn col_semijoin(
     rpos: &[usize],
     threads: usize,
 ) -> (Relation, usize) {
-    count_batch();
     let filter = ColFilter::new(right, rpos);
     let lh = key_hashes(left, lpos);
     let lcols = left.columns();
@@ -471,7 +476,6 @@ pub(crate) fn materialize_project(
 
 /// Columnar `select_eq`: scan one column, gather all.
 pub(crate) fn col_select_eq(rel: &Relation, pos: usize, value: &crate::Value) -> Relation {
-    count_batch();
     let col = &rel.columns()[pos];
     let ids: Vec<u32> = (0..rel.len())
         .filter(|&i| col.cell_eq_value(i, value))
@@ -483,7 +487,6 @@ pub(crate) fn col_select_eq(rel: &Relation, pos: usize, value: &crate::Value) ->
 /// Columnar `select_where`: evaluate the row predicate against a transient
 /// scratch tuple (no row-view caching), gather survivors.
 pub(crate) fn col_select_where(rel: &Relation, pred: impl Fn(&[crate::Value]) -> bool) -> Relation {
-    count_batch();
     let cols = rel.columns();
     let mut scratch: Vec<crate::Value> = Vec::with_capacity(cols.len());
     let mut ids: Vec<u32> = Vec::new();
@@ -533,7 +536,6 @@ impl<'a> SetTable<'a> {
 /// Columnar union: `left`'s columns pass through; `right` contributes the
 /// rows absent from `left`, appended via one concat-gather per column.
 pub(crate) fn col_union(left: &Relation, right: &Relation) -> Relation {
-    count_batch();
     let (set, _) = SetTable::new(left);
     let all: Vec<usize> = (0..right.schema().arity()).collect();
     let rh = key_hashes(right, &all);
@@ -555,7 +557,6 @@ pub(crate) fn col_union(left: &Relation, right: &Relation) -> Relation {
 /// Columnar difference / intersection: filter `left`'s ids by membership in
 /// `right`, gather.
 pub(crate) fn col_diff_inter(left: &Relation, right: &Relation, keep_present: bool) -> Relation {
-    count_batch();
     let (set, _) = SetTable::new(right);
     let all: Vec<usize> = (0..left.schema().arity()).collect();
     let lh = key_hashes(left, &all);
@@ -570,11 +571,10 @@ pub(crate) fn col_diff_inter(left: &Relation, right: &Relation, keep_present: bo
 // ---------------------------------------------------------------------------
 // Rename.
 
-/// Columnar rename: the data never moves — columns are re-ordered into the
-/// new schema's canonical order by `Arc` clone, using the same permutation
-/// the row path applies per tuple.
+/// Rename: the data never moves — columns are re-ordered into the new
+/// schema's canonical order (`perm[new position] = old position`) by `Arc`
+/// clone.
 pub(crate) fn col_rename(rel: &Relation, new_schema: &Schema, perm: &[usize]) -> Relation {
-    count_batch();
     let cols = rel.columns();
     let out: Vec<Column> = perm.iter().map(|&p| cols[p].clone()).collect();
     Relation::from_distinct_columns(new_schema.clone(), rel.len(), out)

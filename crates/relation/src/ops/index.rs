@@ -12,14 +12,14 @@
 //! one table per statement.
 //!
 //! Probing is allocation-lean like the rest of the kernels: hashes come
-//! from [`hash_at`], and collisions resolve by comparing `row[pos]` slices
-//! positionally ([`keys_eq`]) — no key materialization on either side.
+//! batch-wise from [`columnar::key_hashes`], and collisions resolve by
+//! comparing cells positionally against column data ([`columnar::ids_eq`])
+//! — no key materialization on either side.
 
 use super::hashtable::RawTable;
 use super::join::join_key_positions;
-use super::{columnar, hash_at, keys_eq, layout, par_cutoff, Layout};
-use crate::relation::{Relation, Row};
-use crate::value::Value;
+use super::{columnar, par_cutoff};
+use crate::relation::Relation;
 use std::sync::Arc;
 
 /// A build-side hash table for a `(Arc<Relation>, key positions)` pair.
@@ -35,21 +35,13 @@ pub struct JoinIndex {
 }
 
 impl JoinIndex {
-    /// Build the index: one hash pass over the relation, no per-row key
-    /// allocation. Under the columnar layout the hashes come from
-    /// [`columnar::key_hashes`] (batch-wise over column slices, no row view
-    /// materialized); either way the table contents are bit-identical, so an
-    /// index built by one engine can be probed by the other.
+    /// Build the index: one batch hash pass over the key columns
+    /// ([`columnar::key_hashes`]), no per-row key allocation and no row view
+    /// materialized.
     pub fn build(rel: Arc<Relation>, key_pos: Vec<usize>) -> Self {
         let mut table = RawTable::with_capacity(rel.len());
-        if layout() == Layout::Columnar {
-            for (i, h) in columnar::key_hashes(&rel, &key_pos).into_iter().enumerate() {
-                table.insert(h, i as u32);
-            }
-        } else {
-            for (i, row) in rel.rows().iter().enumerate() {
-                table.insert(hash_at(row, &key_pos), i as u32);
-            }
+        for (i, h) in columnar::key_hashes(&rel, &key_pos).into_iter().enumerate() {
+            table.insert(h, i as u32);
         }
         JoinIndex {
             rel,
@@ -80,43 +72,15 @@ impl JoinIndex {
         self.table.heap_bytes()
     }
 
-    /// Resident bytes — the table's heap plus the pinned relation's payload.
-    /// With the column view materialized this is exact (packed columns plus
-    /// each dictionary pool once); otherwise it is a flat per-cell estimate,
-    /// so budgeting a row-engine cache never forces a layout conversion.
+    /// Resident bytes — the table's heap plus the pinned relation's payload
+    /// (packed columns plus each dictionary pool once).
     pub fn resident_bytes(&self) -> usize {
-        let rel_bytes = if self.rel.columns_materialized() {
-            self.rel.resident_col_bytes()
-        } else {
-            self.rel.len() * self.rel.schema().arity() * std::mem::size_of::<Value>()
-        };
-        self.table.heap_bytes() + rel_bytes
+        self.table.heap_bytes() + self.rel.resident_col_bytes()
     }
 
-    /// The indexed rows matching `probe` at `probe_pos` (positionally
-    /// aligned with this index's key positions).
-    #[inline]
-    pub fn matching<'a>(
-        &'a self,
-        probe: &'a Row,
-        probe_pos: &'a [usize],
-    ) -> impl Iterator<Item = &'a Row> + 'a {
-        let rows = self.rel.rows();
-        self.table
-            .candidates(hash_at(probe, probe_pos))
-            .map(move |i| &rows[i])
-            .filter(move |brow| keys_eq(brow, &self.key_pos, probe, probe_pos))
-    }
-
-    /// Whether any indexed row matches `probe` at `probe_pos`.
-    #[inline]
-    pub fn contains(&self, probe: &Row, probe_pos: &[usize]) -> bool {
-        self.matching(probe, probe_pos).next().is_some()
-    }
-
-    /// Columnar probe of rows `start..end` of `probe` (hashes indexed
-    /// globally): matched `(build_ids, probe_ids)` selection vectors,
-    /// candidates verified positionally against column data.
+    /// Probe rows `start..end` of `probe` (hashes indexed globally): matched
+    /// `(build_ids, probe_ids)` selection vectors, candidates verified
+    /// positionally against column data.
     fn probe_cols_range(
         &self,
         probe: &Relation,
@@ -140,8 +104,8 @@ impl JoinIndex {
         (bids, pids)
     }
 
-    /// Columnar membership filter over rows `start..end` of `target`: the
-    /// ids whose key matches at least one indexed row.
+    /// Membership filter over rows `start..end` of `target`: the ids whose
+    /// key matches at least one indexed row.
     fn filter_cols_range(
         &self,
         target: &Relation,
@@ -161,29 +125,6 @@ impl JoinIndex {
             .map(|j| j as u32)
             .collect()
     }
-}
-
-/// Where an output column comes from when splicing an indexed build row
-/// with a probe row (probe wins the shared key attributes — they are equal
-/// anyway).
-fn splice_plan(index: &JoinIndex, probe: &Relation) -> (Vec<(bool, usize)>, Vec<usize>) {
-    let build_schema = index.relation().schema();
-    let out_schema = build_schema.union(probe.schema());
-    let plan: Vec<(bool, usize)> = out_schema
-        .attrs()
-        .iter()
-        .map(|&a| match probe.schema().position(a) {
-            Some(p) => (false, p),
-            None => (true, build_schema.position(a).expect("attr from one side")),
-        })
-        .collect();
-    let (bpos, ppos) = join_key_positions(build_schema, probe.schema());
-    debug_assert_eq!(
-        &bpos,
-        index.key_positions(),
-        "index key positions must be the natural-join key of its relation"
-    );
-    (plan, ppos)
 }
 
 /// Natural join `index.relation() ⋈ probe` against a prebuilt index.
@@ -211,53 +152,22 @@ pub fn par_join_indexed_cutoff(
         sp.arg("threads", threads);
         sp.arg("strategy", "indexed_probe");
     }
-    let (plan, ppos) = splice_plan(index, probe);
+    let (bpos, ppos) = join_key_positions(index.relation().schema(), probe.schema());
+    debug_assert_eq!(
+        &bpos,
+        index.key_positions(),
+        "index key positions must be the natural-join key of its relation"
+    );
     let out_schema = index.relation().schema().union(probe.schema());
-
-    if layout() == Layout::Columnar {
-        columnar::count_batch();
-        let ph = columnar::key_hashes(probe, &ppos);
-        let parts: Vec<(Vec<u32>, Vec<u32>)> = if threads == 1 || probe.len() < cutoff {
-            vec![index.probe_cols_range(probe, &ppos, &ph, 0, probe.len())]
-        } else {
-            mjoin_pool::par_map(columnar::split_ranges(probe.len(), threads), |(s, e)| {
-                index.probe_cols_range(probe, &ppos, &ph, s, e)
-            })
-        };
-        let out = columnar::materialize_join(index.relation(), probe, &out_schema, &parts);
-        sp.arg("out_rows", out.len());
-        return out;
-    }
-    columnar::count_row_path();
-    let probe_chunk = |chunk: &[Row]| -> Vec<Row> {
-        let mut out = Vec::new();
-        for prow in chunk {
-            for brow in index.matching(prow, &ppos) {
-                let row: Row = plan
-                    .iter()
-                    .map(|&(from_build, p)| {
-                        if from_build {
-                            brow[p].clone()
-                        } else {
-                            prow[p].clone()
-                        }
-                    })
-                    .collect();
-                out.push(row);
-            }
-        }
-        out
-    };
-
-    let rows = if threads == 1 || probe.len() < cutoff {
-        probe_chunk(probe.rows())
+    let ph = columnar::key_hashes(probe, &ppos);
+    let parts: Vec<(Vec<u32>, Vec<u32>)> = if threads == 1 || probe.len() < cutoff {
+        vec![index.probe_cols_range(probe, &ppos, &ph, 0, probe.len())]
     } else {
-        mjoin_pool::par_map_slices(probe.rows(), threads, |_, chunk| probe_chunk(chunk))
-            .into_iter()
-            .flatten()
-            .collect()
+        mjoin_pool::par_map(columnar::split_ranges(probe.len(), threads), |(s, e)| {
+            index.probe_cols_range(probe, &ppos, &ph, s, e)
+        })
     };
-    let out = Relation::from_distinct_rows(out_schema, rows);
+    let out = columnar::materialize_join(index.relation(), probe, &out_schema, &parts);
     sp.arg("out_rows", out.len());
     out
 }
@@ -298,44 +208,18 @@ pub fn par_semijoin_indexed_cutoff(
         "index key positions must be the semijoin key of its relation"
     );
 
-    if layout() == Layout::Columnar {
-        columnar::count_batch();
-        let th = columnar::key_hashes(target, &tpos);
-        let ids: Vec<u32> = if threads == 1 || target.len() < cutoff {
-            index.filter_cols_range(target, &tpos, &th, 0, target.len())
-        } else {
-            mjoin_pool::par_map(columnar::split_ranges(target.len(), threads), |(s, e)| {
-                index.filter_cols_range(target, &tpos, &th, s, e)
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        };
-        let out = columnar::gather_relation(target, &ids);
-        sp.arg("out_rows", out.len());
-        return out;
-    }
-    columnar::count_row_path();
-    let rows: Vec<Row> = if threads == 1 || target.len() < cutoff {
-        target
-            .rows()
-            .iter()
-            .filter(|row| index.contains(row, &tpos))
-            .cloned()
-            .collect()
+    let th = columnar::key_hashes(target, &tpos);
+    let ids: Vec<u32> = if threads == 1 || target.len() < cutoff {
+        index.filter_cols_range(target, &tpos, &th, 0, target.len())
     } else {
-        mjoin_pool::par_map_slices(target.rows(), threads, |_, chunk| {
-            chunk
-                .iter()
-                .filter(|row| index.contains(row, &tpos))
-                .cloned()
-                .collect::<Vec<Row>>()
+        mjoin_pool::par_map(columnar::split_ranges(target.len(), threads), |(s, e)| {
+            index.filter_cols_range(target, &tpos, &th, s, e)
         })
         .into_iter()
         .flatten()
         .collect()
     };
-    let out = Relation::from_distinct_rows(target.schema().clone(), rows);
+    let out = columnar::gather_relation(target, &ids);
     sp.arg("out_rows", out.len());
     out
 }

@@ -1,8 +1,6 @@
 //! Natural join (`⋈`), the paper's central operator.
 
-use super::hashtable::RawTable;
-use super::{hash_at, keys_eq};
-use crate::relation::{Relation, Row};
+use crate::relation::Relation;
 use crate::schema::Schema;
 
 /// The positions, in `left` and `right`, of their shared attributes (the
@@ -29,118 +27,10 @@ pub fn join_key_positions(left: &Schema, right: &Schema) -> (Vec<usize>, Vec<usi
 /// restricted to `left`'s attributes is the contributing left row and
 /// likewise for `right`, so distinct input pairs produce distinct outputs.
 ///
-/// Dispatches on the process [`super::layout`]: the columnar engine hashes
-/// key columns batch-wise and late-materializes output columns from
-/// selection vectors; the row engine is the tuple-at-a-time baseline.
+/// Hashes the key columns batch-wise, building on the smaller side, and
+/// late-materializes the output columns from selection vectors.
 pub fn join(left: &Relation, right: &Relation) -> Relation {
-    if super::layout() == super::Layout::Columnar {
-        return super::columnar::col_join(left, right);
-    }
-    super::columnar::count_row_path();
-    let out_schema = left.schema().union(right.schema());
-    let lrows: Vec<&Row> = left.rows().iter().collect();
-    let rrows: Vec<&Row> = right.rows().iter().collect();
-    let out_rows = hash_join_rows(left.schema(), &lrows, right.schema(), &rrows, &out_schema);
-    Relation::from_distinct_rows(out_schema, out_rows)
-}
-
-/// Where an output column comes from when splicing a build row with a probe
-/// row. Probe-side columns win ties (key attributes are equal anyway).
-#[derive(Clone, Copy)]
-enum Src {
-    Build(usize),
-    Probe(usize),
-}
-
-/// A built hash-join: the build side's table plus the splice plan, ready to
-/// be probed — once, by the sequential [`join`], or concurrently over probe
-/// chunks by [`super::par_join`] (the table is read-only during probing, so
-/// sharing it across pool tasks is safe).
-pub(crate) struct JoinKernel<'a> {
-    build: &'a [&'a Row],
-    plan: Vec<Src>,
-    bpos: Vec<usize>,
-    ppos: Vec<usize>,
-    table: RawTable,
-}
-
-impl<'a> JoinKernel<'a> {
-    pub(crate) fn new(
-        build_schema: &Schema,
-        build: &'a [&'a Row],
-        probe_schema: &Schema,
-        out_schema: &Schema,
-    ) -> Self {
-        let (bpos, ppos) = join_key_positions(build_schema, probe_schema);
-        let plan: Vec<Src> = out_schema
-            .attrs()
-            .iter()
-            .map(|&a| match probe_schema.position(a) {
-                Some(p) => Src::Probe(p),
-                None => Src::Build(build_schema.position(a).expect("attr from one side")),
-            })
-            .collect();
-        // Precomputed-hash entries over the borrowed build rows — no
-        // per-row key materialization; duplicate keys chain in one bucket.
-        let mut table = RawTable::with_capacity(build.len());
-        for (i, row) in build.iter().enumerate() {
-            table.insert(hash_at(row, &bpos), i as u32);
-        }
-        JoinKernel {
-            build,
-            plan,
-            bpos,
-            ppos,
-            table,
-        }
-    }
-
-    /// Join every row of `prows` against the built table. Probing hashes
-    /// the probe row in place and verifies candidates positionally — no
-    /// key allocation per probe row either.
-    pub(crate) fn probe_rows<'r>(&self, prows: impl IntoIterator<Item = &'r Row>) -> Vec<Row> {
-        let mut out_rows: Vec<Row> = Vec::new();
-        for prow in prows {
-            for bi in self.table.candidates(hash_at(prow, &self.ppos)) {
-                let brow = &self.build[bi];
-                if !keys_eq(brow, &self.bpos, prow, &self.ppos) {
-                    continue;
-                }
-                let row: Row = self
-                    .plan
-                    .iter()
-                    .map(|src| match *src {
-                        Src::Build(p) => brow[p].clone(),
-                        Src::Probe(p) => prow[p].clone(),
-                    })
-                    .collect();
-                out_rows.push(row);
-            }
-        }
-        out_rows
-    }
-}
-
-/// The hash-join kernel on borrowed rows: joins `lrows` (over `lschema`)
-/// with `rrows` (over `rschema`) into rows of `out_schema`, building on the
-/// smaller side.
-///
-/// Shared by [`join`] and by the partitioned [`super::par_join`], whose
-/// partitions borrow from the input relations instead of copying them —
-/// key-disjoint partitions can each run this kernel and concatenate.
-pub(crate) fn hash_join_rows(
-    lschema: &Schema,
-    lrows: &[&Row],
-    rschema: &Schema,
-    rrows: &[&Row],
-    out_schema: &Schema,
-) -> Vec<Row> {
-    let (build_schema, build, probe_schema, probe) = if lrows.len() <= rrows.len() {
-        (lschema, lrows, rschema, rrows)
-    } else {
-        (rschema, rrows, lschema, lrows)
-    };
-    JoinKernel::new(build_schema, build, probe_schema, out_schema).probe_rows(probe.iter().copied())
+    super::columnar::col_join(left, right)
 }
 
 #[cfg(test)]

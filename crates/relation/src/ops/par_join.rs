@@ -17,16 +17,16 @@
 //! Semantically both are identical to [`super::join`]; the test suite
 //! checks them against each other.
 //!
-//! Unlike the earlier crossbeam-scoped version, partitioning is zero-copy:
-//! the partitions hold `&Row` borrows into the input relations, and only the
-//! joined output rows are materialized. Output row *order* is deterministic
+//! Partitioning is zero-copy: the partitions are `u32` row-id lists over the
+//! shared key-hash vectors, and only the joined output columns are
+//! materialized (one gather per column). Output row *order* is deterministic
 //! for a given `threads` value (chunks/partitions are concatenated in index
 //! order) but differs across thread counts; `Relation` equality is
 //! order-blind.
 
-use super::join::{hash_join_rows, join, join_key_positions, JoinKernel};
-use super::{columnar, hash_partition, layout, par_cutoff, Layout};
-use crate::relation::{Relation, Row};
+use super::join::{join, join_key_positions};
+use super::{columnar, par_cutoff};
+use crate::relation::Relation;
 
 /// Parallel natural join over `threads` partitions (clamped to ≥ 1), with
 /// the process-wide [`par_cutoff`] deciding the sequential fallback.
@@ -64,14 +64,9 @@ pub fn par_join_cutoff(
     } else {
         (right, left)
     };
-    let (lkey, rkey) = join_key_positions(left.schema(), right.schema());
+    let (lkey, _) = join_key_positions(left.schema(), right.schema());
     if build.len() < cutoff || lkey.is_empty() {
-        let out = if layout() == Layout::Columnar {
-            columnar::col_join_chunked(build, probe, threads)
-        } else {
-            columnar::count_row_path();
-            chunked_probe_join(build, probe, threads)
-        };
+        let out = columnar::col_join_chunked(build, probe, threads);
         sp.arg("strategy", "shared_build_probe");
         sp.arg("build_rows", build.len());
         sp.arg("probe_rows", probe.len());
@@ -79,45 +74,11 @@ pub fn par_join_cutoff(
         return out;
     }
 
-    if layout() == Layout::Columnar {
-        let out = columnar::col_join_radix(left, right, threads);
-        sp.arg("strategy", "radix_copartition");
-        sp.arg("partitions", threads);
-        sp.arg("out_rows", out.len());
-        return out;
-    }
-    columnar::count_row_path();
-    let out_schema = left.schema().union(right.schema());
-    let lparts = hash_partition(left.rows(), &lkey, threads);
-    let rparts = hash_partition(right.rows(), &rkey, threads);
-    let pairs: Vec<(Vec<&Row>, Vec<&Row>)> = lparts.into_iter().zip(rparts).collect();
-    let partitions = pairs.len();
-
-    let outputs = mjoin_pool::par_map(pairs, |(lp, rp)| {
-        hash_join_rows(left.schema(), &lp, right.schema(), &rp, &out_schema)
-    });
-
-    let out = Relation::from_distinct_rows(out_schema, outputs.into_iter().flatten().collect());
+    let out = columnar::col_join_radix(left, right, threads);
     sp.arg("strategy", "radix_copartition");
-    sp.arg("partitions", partitions);
+    sp.arg("partitions", threads);
     sp.arg("out_rows", out.len());
     out
-}
-
-/// Build once on `build` (the smaller side), then probe contiguous chunks
-/// of `probe` concurrently against the shared read-only table. Also the
-/// Cartesian-product path: with no join key, every row maps to the empty
-/// key, so each probe row matches all build rows.
-fn chunked_probe_join(build: &Relation, probe: &Relation, threads: usize) -> Relation {
-    let out_schema = build.schema().union(probe.schema());
-    let brows: Vec<&Row> = build.rows().iter().collect();
-    let kernel = JoinKernel::new(build.schema(), &brows, probe.schema(), &out_schema);
-
-    let outputs = mjoin_pool::par_map_slices(probe.rows(), threads, |_, chunk| {
-        kernel.probe_rows(chunk.iter())
-    });
-
-    Relation::from_distinct_rows(out_schema, outputs.into_iter().flatten().collect())
 }
 
 #[cfg(test)]
@@ -166,15 +127,6 @@ mod tests {
         assert_eq!(par_join_cutoff(&r, &s, 4, 0), seq);
         // A huge cutoff forces the sequential path regardless of size.
         assert_eq!(par_join_cutoff(&r, &s, 4, usize::MAX), seq);
-    }
-
-    #[test]
-    fn global_cutoff_roundtrip() {
-        let before = super::super::par_cutoff();
-        super::super::set_par_cutoff(7);
-        assert_eq!(super::super::par_cutoff(), 7);
-        super::super::set_par_cutoff(before);
-        assert_eq!(super::super::par_cutoff(), before);
     }
 
     #[test]

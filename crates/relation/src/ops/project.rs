@@ -1,10 +1,9 @@
 //! Projection (`π`), with set-semantics deduplication.
 
-use super::{columnar, hash_partition, layout, par_cutoff, Layout};
+use super::{columnar, par_cutoff};
 use crate::attr::AttrId;
 use crate::error::Result;
-use crate::fxhash::FxHashSet;
-use crate::relation::{Relation, Row};
+use crate::relation::Relation;
 use crate::schema::Schema;
 
 /// Project `rel` onto `attrs` (which must all belong to `rel`'s schema),
@@ -21,27 +20,13 @@ pub fn project(rel: &Relation, attrs: &[AttrId]) -> Result<Relation> {
         return Ok(rel.clone());
     }
 
-    if layout() == Layout::Columnar {
-        columnar::count_batch();
-        let ids = columnar::col_project_sequential(rel, &positions);
-        return Ok(columnar::materialize_project(
-            rel,
-            &out_schema,
-            &positions,
-            &ids,
-        ));
-    }
-    columnar::count_row_path();
-    let mut seen: FxHashSet<Row> = FxHashSet::default();
-    seen.reserve(rel.len());
-    let mut rows: Vec<Row> = Vec::new();
-    for row in rel.rows() {
-        let out: Row = positions.iter().map(|&p| row[p].clone()).collect();
-        if seen.insert(out.clone()) {
-            rows.push(out);
-        }
-    }
-    Ok(Relation::from_distinct_rows(out_schema, rows))
+    let ids = columnar::col_project_sequential(rel, &positions);
+    Ok(columnar::materialize_project(
+        rel,
+        &out_schema,
+        &positions,
+        &ids,
+    ))
 }
 
 /// Parallel projection with partition-then-merge deduplication.
@@ -86,43 +71,18 @@ pub fn par_project_cutoff(
         return Ok(rel.clone());
     }
 
-    if layout() == Layout::Columnar {
-        columnar::count_batch();
-        // Partition ids by projected-key hash (duplicates collide in one
-        // partition), dedup each partition against the shared hash vector,
-        // then gather the surviving ids in one pass.
-        let hashes = columnar::key_hashes(rel, &positions);
-        let cols = rel.columns();
-        let parts = columnar::partition_ids(&hashes, threads);
-        let partitions = parts.len();
-        let kept = mjoin_pool::par_map(parts, |ids| {
-            columnar::dedup_ids_by_key(cols, &positions, &hashes, ids.into_iter())
-        });
-        let ids: Vec<u32> = kept.into_iter().flatten().collect();
-        let out = columnar::materialize_project(rel, &out_schema, &positions, &ids);
-        sp.arg("strategy", "partitioned");
-        sp.arg("partitions", partitions);
-        sp.arg("out_rows", out.len());
-        sp.arg("dedup_dropped", rel.len().saturating_sub(out.len()));
-        return Ok(out);
-    }
-    columnar::count_row_path();
-    let parts = hash_partition(rel.rows(), &positions, threads);
+    // Partition ids by projected-key hash (duplicates collide in one
+    // partition), dedup each partition against the shared hash vector,
+    // then gather the surviving ids in one pass.
+    let hashes = columnar::key_hashes(rel, &positions);
+    let cols = rel.columns();
+    let parts = columnar::partition_ids(&hashes, threads);
     let partitions = parts.len();
-    let outputs = mjoin_pool::par_map(parts, |part| {
-        let mut seen: FxHashSet<Row> = FxHashSet::default();
-        seen.reserve(part.len());
-        let mut rows: Vec<Row> = Vec::new();
-        for row in part {
-            let out: Row = positions.iter().map(|&p| row[p].clone()).collect();
-            if seen.insert(out.clone()) {
-                rows.push(out);
-            }
-        }
-        rows
+    let kept = mjoin_pool::par_map(parts, |ids| {
+        columnar::dedup_ids_by_key(cols, &positions, &hashes, ids.into_iter())
     });
-
-    let out = Relation::from_distinct_rows(out_schema, outputs.into_iter().flatten().collect());
+    let ids: Vec<u32> = kept.into_iter().flatten().collect();
+    let out = columnar::materialize_project(rel, &out_schema, &positions, &ids);
     sp.arg("strategy", "partitioned");
     sp.arg("partitions", partitions);
     sp.arg("out_rows", out.len());

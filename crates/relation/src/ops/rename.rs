@@ -7,7 +7,7 @@
 
 use crate::attr::AttrId;
 use crate::error::{Error, Result};
-use crate::relation::{Relation, Row};
+use crate::relation::Relation;
 use crate::schema::Schema;
 
 /// Rename attributes of `rel` according to `(from, to)` pairs.
@@ -34,7 +34,7 @@ pub fn rename(rel: &Relation, mapping: &[(AttrId, AttrId)]) -> Result<Relation> 
             "rename would merge two attributes into one".to_string(),
         ));
     }
-    // Rows must be permuted into the new schema's canonical order.
+    // Columns must be permuted into the new schema's canonical order.
     let perm: Vec<usize> = new_schema
         .attrs()
         .iter()
@@ -45,16 +45,7 @@ pub fn rename(rel: &Relation, mapping: &[(AttrId, AttrId)]) -> Result<Relation> 
                 .expect("bijective rename")
         })
         .collect();
-    if super::layout() == super::Layout::Columnar {
-        return Ok(super::columnar::col_rename(rel, &new_schema, &perm));
-    }
-    super::columnar::count_row_path();
-    let rows: Vec<Row> = rel
-        .rows()
-        .iter()
-        .map(|row| perm.iter().map(|&p| row[p].clone()).collect())
-        .collect();
-    Ok(Relation::from_distinct_rows(new_schema, rows))
+    Ok(super::columnar::col_rename(rel, &new_schema, &perm))
 }
 
 #[cfg(test)]

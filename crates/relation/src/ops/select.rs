@@ -3,43 +3,26 @@
 
 use crate::attr::AttrId;
 use crate::error::{Error, Result};
-use crate::relation::{Relation, Row};
+use crate::relation::Relation;
 use crate::value::Value;
 
-/// Select the tuples whose `attr` column equals `value`.
-///
-/// The columnar engine scans exactly one column and gathers survivors; the
-/// row engine filters and clones whole rows.
+/// Select the tuples whose `attr` column equals `value`: scans exactly one
+/// column and gathers the survivors.
 pub fn select_eq(rel: &Relation, attr: AttrId, value: &Value) -> Result<Relation> {
     let pos = rel
         .schema()
         .position(attr)
         .ok_or_else(|| Error::AttributeNotInSchema(attr.to_string()))?;
-    if super::layout() == super::Layout::Columnar {
-        return Ok(super::columnar::col_select_eq(rel, pos, value));
-    }
-    super::columnar::count_row_path();
-    let rows: Vec<Row> = rel
-        .rows()
-        .iter()
-        .filter(|r| &r[pos] == value)
-        .cloned()
-        .collect();
-    Ok(Relation::from_distinct_rows(rel.schema().clone(), rows))
+    Ok(super::columnar::col_select_eq(rel, pos, value))
 }
 
 /// Select the tuples satisfying an arbitrary predicate over the whole row.
 ///
-/// The predicate sees values in the relation's canonical column order (the
-/// columnar engine feeds it a transient scratch tuple per row, keeping the
-/// output column-major without caching a row view).
+/// The predicate sees values in the relation's canonical column order (it is
+/// fed a transient scratch tuple per row, keeping the output column-major
+/// without caching a row view).
 pub fn select_where(rel: &Relation, pred: impl Fn(&[Value]) -> bool) -> Relation {
-    if super::layout() == super::Layout::Columnar {
-        return super::columnar::col_select_where(rel, pred);
-    }
-    super::columnar::count_row_path();
-    let rows: Vec<Row> = rel.rows().iter().filter(|r| pred(r)).cloned().collect();
-    Relation::from_distinct_rows(rel.schema().clone(), rows)
+    super::columnar::col_select_where(rel, pred)
 }
 
 #[cfg(test)]

@@ -1,43 +1,7 @@
 //! Semijoin (`⋉`), the reducer used by Algorithm 2 and by full reducers.
 
-use super::hashtable::RawTable;
-use super::{columnar, hash_at, keys_eq, layout, Layout};
-use crate::relation::{Relation, Row};
-use crate::schema::Schema;
-
-/// Build a key-deduplicated filter table over `rows` at `rpos`: one entry
-/// per distinct key, each pointing at a representative row. Probing then
-/// needs only "is there any hash-and-key match", never a chain walk over
-/// duplicates. No key materialization on either side.
-fn build_filter(rows: &[Row], rpos: &[usize]) -> RawTable {
-    let mut table = RawTable::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        let h = hash_at(row, rpos);
-        if table
-            .candidates(h)
-            .any(|j| keys_eq(&rows[j], rpos, row, rpos))
-        {
-            continue;
-        }
-        table.insert(h, i as u32);
-    }
-    table
-}
-
-/// Whether `row` (at `lpos`) matches any filter key in `table` (over
-/// `rrows` at `rpos`).
-#[inline]
-fn filter_contains(
-    table: &RawTable,
-    rrows: &[Row],
-    rpos: &[usize],
-    row: &Row,
-    lpos: &[usize],
-) -> bool {
-    table
-        .candidates(hash_at(row, lpos))
-        .any(|j| keys_eq(&rrows[j], rpos, row, lpos))
-}
+use super::columnar;
+use crate::relation::Relation;
 
 /// Semijoin `left ⋉ right`: the tuples of `left` that join with at least one
 /// tuple of `right`. Equivalently `π_{scheme(left)}(left ⋈ right)`.
@@ -64,19 +28,7 @@ pub fn semijoin(left: &Relation, right: &Relation) -> Relation {
         .positions_of(common.attrs())
         .expect("common attrs in right");
 
-    if layout() == Layout::Columnar {
-        return columnar::col_semijoin(left, right, &lpos, &rpos, 1).0;
-    }
-    columnar::count_row_path();
-    let table = build_filter(right.rows(), &rpos);
-
-    let rows = left
-        .rows()
-        .iter()
-        .filter(|row| filter_contains(&table, right.rows(), &rpos, row, &lpos))
-        .cloned()
-        .collect();
-    Relation::from_distinct_rows(left.schema().clone(), rows)
+    columnar::col_semijoin(left, right, &lpos, &rpos, 1).0
 }
 
 /// Parallel semijoin on the shared pool: build the filter's key set once,
@@ -131,42 +83,19 @@ pub fn par_semijoin_cutoff(
         .positions_of(common.attrs())
         .expect("common attrs in right");
 
-    if layout() == Layout::Columnar {
-        let (out, keys) = columnar::col_semijoin(left, right, &lpos, &rpos, threads);
-        sp.arg("strategy", "chunked_probe");
-        sp.arg("build_keys", keys);
-        sp.arg("out_rows", out.len());
-        return out;
-    }
-    columnar::count_row_path();
-    let table = build_filter(right.rows(), &rpos);
-
-    let outputs = mjoin_pool::par_map_slices(left.rows(), threads, |_, chunk| {
-        chunk
-            .iter()
-            .filter(|row| filter_contains(&table, right.rows(), &rpos, row, &lpos))
-            .cloned()
-            .collect::<Vec<Row>>()
-    });
-
-    let out = Relation::from_distinct_rows(
-        left.schema().clone(),
-        outputs.into_iter().flatten().collect(),
-    );
+    let (out, keys) = columnar::col_semijoin(left, right, &lpos, &rpos, threads);
     sp.arg("strategy", "chunked_probe");
-    sp.arg("build_keys", table.len());
+    sp.arg("build_keys", keys);
     sp.arg("out_rows", out.len());
     out
 }
-
-#[allow(dead_code)]
-fn _schema_note(_s: &Schema) {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attr::Catalog;
     use crate::ops::{join, project};
+    use crate::schema::Schema;
     use crate::value::Value;
 
     fn rel(c: &mut Catalog, scheme: &str, tuples: &[&[i64]]) -> Relation {

@@ -1,8 +1,8 @@
 //! Set operations over relations with identical schemas.
 
+use super::columnar;
 use crate::error::{Error, Result};
-use crate::fxhash::FxHashSet;
-use crate::relation::{Relation, Row};
+use crate::relation::Relation;
 
 fn require_same_schema(left: &Relation, right: &Relation) -> Result<()> {
     if left.schema() != right.schema() {
@@ -18,52 +18,19 @@ fn require_same_schema(left: &Relation, right: &Relation) -> Result<()> {
 /// Set union `left ∪ right`.
 pub fn union(left: &Relation, right: &Relation) -> Result<Relation> {
     require_same_schema(left, right)?;
-    if super::layout() == super::Layout::Columnar {
-        return Ok(super::columnar::col_union(left, right));
-    }
-    super::columnar::count_row_path();
-    let mut seen: FxHashSet<Row> = left.rows().iter().cloned().collect();
-    let mut rows: Vec<Row> = left.rows().to_vec();
-    for row in right.rows() {
-        if seen.insert(row.clone()) {
-            rows.push(row.clone());
-        }
-    }
-    Ok(Relation::from_distinct_rows(left.schema().clone(), rows))
+    Ok(columnar::col_union(left, right))
 }
 
 /// Set difference `left − right`.
 pub fn difference(left: &Relation, right: &Relation) -> Result<Relation> {
     require_same_schema(left, right)?;
-    if super::layout() == super::Layout::Columnar {
-        return Ok(super::columnar::col_diff_inter(left, right, false));
-    }
-    super::columnar::count_row_path();
-    let exclude: FxHashSet<&Row> = right.rows().iter().collect();
-    let rows: Vec<Row> = left
-        .rows()
-        .iter()
-        .filter(|r| !exclude.contains(*r))
-        .cloned()
-        .collect();
-    Ok(Relation::from_distinct_rows(left.schema().clone(), rows))
+    Ok(columnar::col_diff_inter(left, right, false))
 }
 
 /// Set intersection `left ∩ right`.
 pub fn intersection(left: &Relation, right: &Relation) -> Result<Relation> {
     require_same_schema(left, right)?;
-    if super::layout() == super::Layout::Columnar {
-        return Ok(super::columnar::col_diff_inter(left, right, true));
-    }
-    super::columnar::count_row_path();
-    let keep: FxHashSet<&Row> = right.rows().iter().collect();
-    let rows: Vec<Row> = left
-        .rows()
-        .iter()
-        .filter(|r| keep.contains(*r))
-        .cloned()
-        .collect();
-    Ok(Relation::from_distinct_rows(left.schema().clone(), rows))
+    Ok(columnar::col_diff_inter(left, right, true))
 }
 
 #[cfg(test)]

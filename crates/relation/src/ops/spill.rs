@@ -5,20 +5,22 @@
 //! the in-memory kernels: both operands are hash-partitioned by their
 //! shared-key values into `p` temp files per side via the streaming TSV
 //! writer, then each partition pair — 1/p of each input in expectation — is
-//! joined in memory with the shared [`hash_join_rows`] kernel and the
-//! results concatenated. Rows that agree on the key hash to the same
-//! partition index on both sides, so no join pair is ever split across
-//! partitions and per-pair outputs are key-disjoint (hence globally
-//! distinct).
+//! read back and joined in memory with the ordinary [`super::join`], and the
+//! per-pair outputs are concatenated column-wise. Rows that agree on the key
+//! hash to the same partition index on both sides (a row's partition is its
+//! [`key_hashes`] entry modulo `p` — the co-partitioning `par_join` uses), so
+//! no join pair is ever split across partitions and per-pair outputs are
+//! key-disjoint (hence globally distinct).
 //!
 //! The selection is *static*: the caller decides from the memory
 //! certificate's per-statement build-side bound, never from runtime sizes,
 //! so in-memory plans pay no check at all. This module only knows how to
 //! spill once asked.
 
-use super::join::hash_join_rows;
-use super::{hash_at, join_key_positions};
-use crate::relation::{Relation, Row};
+use super::columnar::concat_disjoint;
+use super::{join_key_positions, key_hashes};
+use crate::relation::Relation;
+use crate::schema::Schema;
 use crate::tsv::{read_rows_tsv, write_row_tsv};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -78,9 +80,8 @@ fn partition_to_disk(
         writers.push(w);
     }
     let mut bytes = 0u64;
-    for row in rel.rows().iter() {
-        let k = (hash_at(row, pos) as usize) % p;
-        bytes += write_row_tsv(&mut writers[k], row)? as u64;
+    for (row, h) in rel.rows().iter().zip(key_hashes(rel, pos)) {
+        bytes += write_row_tsv(&mut writers[(h as usize) % p], row)? as u64;
     }
     for mut w in writers {
         w.flush()?;
@@ -88,9 +89,13 @@ fn partition_to_disk(
     Ok((guards, bytes))
 }
 
-fn read_partition(f: &TempFile, arity: usize) -> std::io::Result<Vec<Row>> {
+/// Read one partition file back as a relation over `schema` (the rows of one
+/// operand's partition are distinct because the operand's are).
+fn read_partition(f: &TempFile, schema: &Schema) -> std::io::Result<Relation> {
     let reader = BufReader::new(File::open(&f.path)?);
-    read_rows_tsv(reader, arity).map_err(|e| std::io::Error::other(e.to_string()))
+    let rows =
+        read_rows_tsv(reader, schema.arity()).map_err(|e| std::io::Error::other(e.to_string()))?;
+    Ok(Relation::from_distinct_rows(schema.clone(), rows))
 }
 
 /// Grace-hash join `left ⋈ right` through `partitions` temp-file partition
@@ -120,30 +125,20 @@ pub fn grace_hash_join(
     let out_schema = left.schema().union(right.schema());
     let (lfiles, lbytes) = partition_to_disk(left, &lpos, p)?;
     let (rfiles, rbytes) = partition_to_disk(right, &rpos, p)?;
-    let (larity, rarity) = (left.schema().arity(), right.schema().arity());
-    let mut out_rows: Vec<Row> = Vec::new();
-    for k in 0..p {
-        let lrows = read_partition(&lfiles[k], larity)?;
-        if lrows.is_empty() {
+    let mut outputs: Vec<Relation> = Vec::new();
+    for (lfile, rfile) in lfiles.iter().zip(&rfiles) {
+        let lpart = read_partition(lfile, left.schema())?;
+        if lpart.is_empty() {
             continue;
         }
-        let rrows = read_partition(&rfiles[k], rarity)?;
-        if rrows.is_empty() {
+        let rpart = read_partition(rfile, right.schema())?;
+        if rpart.is_empty() {
             continue;
         }
-        let lrefs: Vec<&Row> = lrows.iter().collect();
-        let rrefs: Vec<&Row> = rrows.iter().collect();
-        out_rows.extend(hash_join_rows(
-            left.schema(),
-            &lrefs,
-            right.schema(),
-            &rrefs,
-            &out_schema,
-        ));
+        outputs.push(super::join(&lpart, &rpart));
     }
-    let rel = Relation::from_distinct_rows(out_schema, out_rows);
     Ok((
-        rel,
+        concat_disjoint(out_schema, &outputs),
         SpillStats {
             partitions: p as u64,
             spilled_bytes: lbytes + rbytes,
@@ -153,7 +148,7 @@ pub fn grace_hash_join(
 
 #[cfg(test)]
 mod tests {
-    use super::super::join;
+    use super::super::{hash_at, join, merge_join};
     use super::*;
     use crate::attr::Catalog;
     use crate::relation_of_ints;
@@ -170,11 +165,88 @@ mod tests {
         let r = relation_of_ints(&mut c, "AB", &rr).unwrap();
         let s = relation_of_ints(&mut c, "BC", &sr).unwrap();
         let expect = join(&r, &s);
-        for p in [1usize, 2, 4, 8, 16] {
+        assert_eq!(expect, merge_join(&r, &s));
+        for p in [1usize, 2, 4, 8, 16, 256] {
             let (got, stats) = grace_hash_join(&r, &s, p).unwrap();
             assert_eq!(got, expect, "diverged at {p} partitions");
             assert_eq!(stats.partitions, p as u64);
             assert!(stats.spilled_bytes > 0);
+        }
+    }
+
+    /// `AB ⋈ BC` on a string key `B` with 48 values, 3 rows a side per key.
+    /// `A` is an integer where the row's key lands in an even partition of
+    /// `p` and a string elsewhere, so `A` reads back as `Column::Int` from
+    /// some partition files and interned from others.
+    fn mixed_operands(c: &mut Catalog, p: usize) -> (Relation, Relation) {
+        let ab = Schema::from_chars(c, "AB");
+        let bc = Schema::from_chars(c, "BC");
+        let (mut lrows, mut rrows) = (Vec::new(), Vec::new());
+        for (k, i) in (0..48i64).flat_map(|k| (0..3i64).map(move |i| (k, i))) {
+            let b = Value::str(format!("key{k}"));
+            let part = hash_at(&vec![b.clone()].into(), &[0]) as usize % p;
+            let even = part & 1 == 0;
+            let a = if even {
+                Value::Int(k * 3 + i)
+            } else {
+                Value::str(format!("a{k}.{i}"))
+            };
+            lrows.push(vec![a, b.clone()].into());
+            rrows.push(vec![b, Value::Int(i)].into());
+        }
+        (
+            Relation::from_rows(ab, lrows).unwrap(),
+            Relation::from_rows(bc, rrows).unwrap(),
+        )
+    }
+
+    #[test]
+    fn partitions_with_different_column_representations_concatenate() {
+        let mut c = Catalog::new();
+        let (l, r) = mixed_operands(&mut c, 4);
+        let (lpos, _) = join_key_positions(l.schema(), r.schema());
+        let (files, _) = partition_to_disk(&l, &lpos, 4).unwrap();
+        let parts: Vec<Relation> = files
+            .iter()
+            .map(|f| read_partition(f, l.schema()).unwrap())
+            .collect();
+        // `A` comes back all-integer from some partitions, interned from others…
+        let interned: Vec<bool> = parts.iter().map(|p| p.columns()[0].is_interned()).collect();
+        assert!(interned.contains(&true) && interned.contains(&false));
+        // …and every partition's key column carries a dictionary of its own.
+        let dicts: Vec<_> = parts.iter().filter_map(|p| p.columns()[1].dict()).collect();
+        assert!(dicts.len() >= 2 && !std::sync::Arc::ptr_eq(dicts[0], dicts[1]));
+
+        let (got, _) = grace_hash_join(&l, &r, 4).unwrap();
+        assert_eq!(got.len(), 48 * 9);
+        assert_eq!(got, join(&l, &r));
+        assert_eq!(got, merge_join(&l, &r));
+    }
+
+    #[test]
+    fn partition_assignment_is_the_row_key_hash() {
+        let mut c = Catalog::new();
+        let (l, r) = mixed_operands(&mut c, 4);
+        let (lpos, rpos) = join_key_positions(l.schema(), r.schema());
+        for p in [1usize, 4, 16] {
+            let mut total = 0u64;
+            for (rel, pos) in [(&l, &lpos), (&r, &rpos)] {
+                let (files, bytes) = partition_to_disk(rel, pos, p).unwrap();
+                let mut want = vec![0u64; p];
+                for row in rel.rows() {
+                    let line = write_row_tsv(&mut std::io::sink(), row).unwrap();
+                    want[hash_at(row, pos) as usize % p] += line as u64;
+                }
+                let got: Vec<u64> = files
+                    .iter()
+                    .map(|f| std::fs::metadata(&f.path).unwrap().len())
+                    .collect();
+                assert_eq!(got, want, "file sizes at {p} partitions");
+                assert_eq!(bytes, want.iter().sum::<u64>());
+                total += bytes;
+            }
+            let (_, stats) = grace_hash_join(&l, &r, p).unwrap();
+            assert_eq!(stats.spilled_bytes, total);
         }
     }
 

@@ -117,12 +117,7 @@ impl TrieIndex {
     /// index kinds share one cache byte budget. Dictionary pools are shared
     /// with the relation and counted on its side.
     pub fn resident_bytes(&self) -> usize {
-        let rel_bytes = if self.rel.columns_materialized() {
-            self.rel.resident_col_bytes()
-        } else {
-            self.rel.len() * self.rel.schema().arity() * std::mem::size_of::<Value>()
-        };
-        self.heap_bytes() + rel_bytes
+        self.heap_bytes() + self.rel.resident_col_bytes()
     }
 
     /// The value of the cell at `level`, row `i` (an `Arc` bump for interned

@@ -8,12 +8,13 @@
 //!
 //! Physically a relation is **column-major**: one [`Column`] per attribute
 //! (dense `i64` for all-integer attributes, dictionary-interned `u32` codes
-//! otherwise — see [`crate::column`]). The historical row view
-//! ([`Relation::rows`]/[`Relation::iter`]) is *lazily materialized* and
-//! memoized: a kernel that builds output columnar never pays for rows, a
-//! caller that constructed from rows never pays for columns until a batch
-//! kernel asks, and both views describe the same immutable tuple set in the
-//! same order. Cloning is cheap — O(arity), not O(tuples): both views are
+//! otherwise — see [`crate::column`]), and every operator kernel reads and
+//! writes columns. The row view ([`Relation::rows`]/[`Relation::iter`]) is
+//! the edge *format* — TSV load, spill files, `merge_join`, tests — *lazily
+//! materialized* and memoized: a kernel's output never pays for rows, a
+//! caller that constructed from rows never pays for columns until a kernel
+//! asks, and both views describe the same immutable tuple set in the same
+//! order. Cloning is cheap — O(arity), not O(tuples): both views are
 //! shared (`Arc`-backed payload vectors inside `Column`, an `Arc<[Row]>`
 //! row cache), so an executor handing out per-run copies of its base
 //! relations bumps reference counts instead of copying tuple data.
@@ -190,12 +191,6 @@ impl Relation {
             }
             builders.into_iter().map(ColumnBuilder::finish).collect()
         })
-    }
-
-    /// Whether the columnar view has been materialized (for tests and
-    /// accounting; never forces a build).
-    pub fn columns_materialized(&self) -> bool {
-        self.cols.get().is_some()
     }
 
     /// Materialize row `i` from whichever view is cheapest. Only the debug

@@ -30,11 +30,10 @@ impl Value {
 
     /// A deterministic 64-bit content hash, independent of where the value
     /// is stored. This is the *one* per-cell hash the engine uses: the
-    /// row-layout kernels fold it per position, the columnar kernels
-    /// precompute it per dictionary entry, and [`crate::relation::Relation`]
-    /// fingerprints fold it across whole tuples — so hashes computed from
-    /// either storage layout agree bit-for-bit and the two layouts'
-    /// hash tables interoperate.
+    /// kernels precompute it per dictionary entry and fold it per key
+    /// position, and [`crate::relation::Relation`] fingerprints fold it
+    /// across whole tuples — so hashes computed from the row view, an
+    /// integer column or an interned column agree bit-for-bit.
     #[inline]
     pub fn stable_hash(&self) -> u64 {
         use crate::fxhash::FxHasher;

@@ -52,12 +52,9 @@ proptest! {
     fn column_born_relation_rematerializes_rows(tuples in rows(2, 40)) {
         let mut c = Catalog::new();
         let r = rel_of(&mut c, "AB", tuples);
-        // select_where(true) under the columnar engine late-materializes
-        // from column gathers — its result relation is column-born.
-        let before = mjoin_relation::ops::layout();
-        mjoin_relation::ops::set_layout(mjoin_relation::ops::Layout::Columnar);
+        // select_where(true) late-materializes from column gathers — its
+        // result relation is column-born.
         let copy = mjoin_relation::ops::select_where(&r, |_| true);
-        mjoin_relation::ops::set_layout(before);
         prop_assert_eq!(&copy, &r);
         // Forcing the copy's row view agrees with the original's, as sets.
         prop_assert_eq!(copy.sorted_rows(), r.sorted_rows());
@@ -84,12 +81,9 @@ proptest! {
     fn subset_shares_dictionary(tuples in rows(2, 40)) {
         let mut c = Catalog::new();
         let r = rel_of(&mut c, "AB", tuples);
-        let before = mjoin_relation::ops::layout();
-        mjoin_relation::ops::set_layout(mjoin_relation::ops::Layout::Columnar);
         let half = mjoin_relation::ops::select_where(&r, |row| {
             !matches!(row[0], Value::Int(i) if i % 2 == 0)
         });
-        mjoin_relation::ops::set_layout(before);
         for (src, sub) in r.columns().iter().zip(half.columns()) {
             if let (Some(a), Some(b)) = (src.dict(), sub.dict()) {
                 prop_assert!(std::sync::Arc::ptr_eq(a, b), "pool must be shared");

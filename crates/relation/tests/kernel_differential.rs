@@ -1,0 +1,326 @@
+//! Differential suite for the operator kernels: on random relations
+//! (integer, string and mixed columns), sequentially and at 1/2/4/8 threads,
+//! every join variant must equal the sort-based [`ops::merge_join`], and every
+//! other operator a naive row-set reference written here over
+//! [`Relation::rows`]. The references share no code with the kernels — a
+//! kernel that drops or duplicates a row fails the comparison.
+
+use mjoin_relation::ops::{self, JoinIndex};
+use mjoin_relation::{AttrId, Catalog, Relation, Row, Schema, Value};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+type RowSet = BTreeSet<Row>;
+
+fn row_set(rel: &Relation) -> RowSet {
+    rel.rows().iter().cloned().collect()
+}
+
+/// `got` holds exactly the rows of `want` over `schema`, each once.
+fn assert_rows(got: &Relation, schema: &Schema, want: &RowSet, what: &str) {
+    assert_eq!(got.schema(), schema, "{what}: schema");
+    assert_eq!(got.len(), want.len(), "{what}: tuple count");
+    assert_eq!(got.rows().len(), got.len(), "{what}: row view length");
+    // Not `assert_eq!`: a failure would print both row sets in full.
+    assert!(row_set(got) == *want, "{what}: rows differ");
+}
+
+fn key(row: &Row, pos: &[usize]) -> Vec<Value> {
+    pos.iter().map(|&p| row[p].clone()).collect()
+}
+
+fn ref_semijoin(l: &Relation, r: &Relation) -> RowSet {
+    let common = l.schema().intersect(r.schema());
+    let lpos = l.schema().positions_of(common.attrs()).unwrap();
+    let rpos = r.schema().positions_of(common.attrs()).unwrap();
+    let keys: BTreeSet<Vec<Value>> = r.rows().iter().map(|row| key(row, &rpos)).collect();
+    let keep = |row: &&Row| keys.contains(&key(row, &lpos));
+    l.rows().iter().filter(keep).cloned().collect()
+}
+
+fn ref_project(rel: &Relation, out: &Schema) -> RowSet {
+    let pos = rel.schema().positions_of(out.attrs()).unwrap();
+    rel.rows().iter().map(|row| key(row, &pos).into()).collect()
+}
+
+fn ref_select(rel: &Relation, pred: impl Fn(&Row) -> bool) -> RowSet {
+    rel.rows().iter().filter(|row| pred(row)).cloned().collect()
+}
+
+/// Rename by `(from, to)` pairs: each row's cells re-sorted into the new
+/// schema's canonical order.
+fn ref_rename(rel: &Relation, mapping: &[(AttrId, AttrId)]) -> (Schema, RowSet) {
+    let to = |a: AttrId| mapping.iter().find(|m| m.0 == a).map_or(a, |m| m.1);
+    let renamed: Vec<AttrId> = rel.schema().attrs().iter().map(|&a| to(a)).collect();
+    let schema = Schema::new(renamed.clone());
+    let rows = rel.rows().iter().map(|row| {
+        let mut cells: Vec<(usize, Value)> = renamed
+            .iter()
+            .zip(row.iter())
+            .map(|(&a, v)| (schema.position(a).unwrap(), v.clone()))
+            .collect();
+        cells.sort();
+        cells.into_iter().map(|(_, v)| v).collect()
+    });
+    (schema.clone(), rows.collect())
+}
+
+/// A random relation over single-letter attributes. `kinds` gives, per
+/// attribute in written order, `i` (small integers), `s` (strings from a
+/// small alphabet) or `m` (integers and strings in one column); values are
+/// drawn from `0..fanout`, so joins and dedup both fire often.
+fn random_rel(
+    c: &mut Catalog,
+    scheme: &str,
+    kinds: &str,
+    rows: usize,
+    fanout: i64,
+    rng: &mut StdRng,
+) -> Relation {
+    let ids = c.intern_chars(scheme);
+    let schema = Schema::new(ids.clone());
+    let dest: Vec<usize> = ids
+        .iter()
+        .map(|&id| schema.position(id).expect("interned"))
+        .collect();
+    let mut out: Vec<Row> = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        let mut row = vec![Value::Int(0); ids.len()];
+        for (&d, kind) in dest.iter().zip(kinds.chars()) {
+            let v = rng.gen_range(0..fanout);
+            row[d] = match kind {
+                's' => Value::str(format!("s{v}")),
+                'm' if v % 2 == 1 => Value::str(v.to_string()),
+                _ => Value::Int(v),
+            };
+        }
+        out.push(row.into());
+    }
+    Relation::from_rows(schema, out).unwrap()
+}
+
+const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// Every join variant over `(l, r)` against `merge_join`.
+fn check_joins(l: &Relation, r: &Relation, what: &str) {
+    let reference = ops::merge_join(l, r);
+    let (schema, want) = (reference.schema(), row_set(&reference));
+    let check =
+        |got: Relation, how: &str| assert_rows(&got, schema, &want, &format!("{what}: {how}"));
+    check(ops::join(l, r), "join");
+    check(ops::join(r, l), "join, swapped");
+    assert_eq!(ops::join_count(l, r), want.len() as u64, "{what}: count");
+    let (lkey, rkey) = ops::join_key_positions(l.schema(), r.schema());
+    let on_l = JoinIndex::build(Arc::new(l.clone()), lkey);
+    let on_r = JoinIndex::build(Arc::new(r.clone()), rkey);
+    for t in THREADS {
+        check(ops::par_join_cutoff(l, r, t, 0), &format!("par t={t}"));
+        // A cutoff of the larger side's size: parallel dispatch, and the
+        // shared-build strategy whenever the other side is smaller.
+        let cutoff = l.len().max(r.len());
+        check(
+            ops::par_join_cutoff(l, r, t, cutoff),
+            &format!("shared build t={t}"),
+        );
+        check(
+            ops::par_join_indexed_cutoff(&on_l, r, t, 0),
+            &format!("index on left t={t}"),
+        );
+        check(
+            ops::par_join_indexed_cutoff(&on_r, l, t, 0),
+            &format!("index on right t={t}"),
+        );
+    }
+}
+
+/// Every semijoin variant of `l ⋉ r` against the row-set reference.
+fn check_semijoins(l: &Relation, r: &Relation, what: &str) {
+    let want = ref_semijoin(l, r);
+    assert_rows(&ops::semijoin(l, r), l.schema(), &want, what);
+    let rkey = ops::join_key_positions(r.schema(), l.schema()).0;
+    let on_r = JoinIndex::build(Arc::new(r.clone()), rkey);
+    for t in THREADS {
+        let par = ops::par_semijoin_cutoff(l, r, t, 0);
+        assert_rows(&par, l.schema(), &want, &format!("{what}: par t={t}"));
+        let indexed = ops::par_semijoin_indexed_cutoff(l, &on_r, t, 0);
+        assert_rows(
+            &indexed,
+            l.schema(),
+            &want,
+            &format!("{what}: indexed t={t}"),
+        );
+    }
+}
+
+#[test]
+fn joins_match_merge_join() {
+    let mut rng = StdRng::seed_from_u64(0x10);
+    for (seed, kinds) in ["ii", "is", "si", "ss", "mi", "im", "mm"]
+        .iter()
+        .enumerate()
+    {
+        let mut c = Catalog::new();
+        // `B` is the join key: its kind is `kinds[1]` on the left and
+        // `kinds[0]` on the right, so int, string and mixed keys all meet
+        // (including an all-integer key column probing an interned one).
+        let l = random_rel(&mut c, "AB", kinds, 700, 40, &mut rng);
+        let r = random_rel(&mut c, "BC", kinds, 600, 40, &mut rng);
+        check_joins(&l, &r, &format!("seed {seed} kinds {kinds}"));
+    }
+}
+
+#[test]
+fn cartesian_multikey_empty_and_nullary_joins() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut c = Catalog::new();
+    let a = random_rel(&mut c, "A", "i", 90, 60, &mut rng);
+    let b = random_rel(&mut c, "B", "s", 80, 60, &mut rng);
+    check_joins(&a, &b, "cartesian");
+    assert_eq!(ops::join(&a, &b).len(), a.len() * b.len());
+
+    let l = random_rel(&mut c, "ABX", "ism", 800, 12, &mut rng);
+    let r = random_rel(&mut c, "ABY", "isi", 700, 12, &mut rng);
+    check_joins(&l, &r, "two-attribute key");
+    check_joins(&l, &l, "same schema (intersection)");
+
+    let empty = Relation::empty(r.schema().clone());
+    check_joins(&l, &empty, "empty right");
+    check_joins(&empty, &l, "empty left");
+    check_joins(&empty, &empty, "both empty");
+    let unit = Relation::nullary_unit();
+    check_joins(&l, &unit, "nullary unit");
+    check_joins(&unit, &unit, "unit with unit");
+    let none = Relation::empty(Schema::empty());
+    check_joins(&l, &none, "nullary empty");
+}
+
+#[test]
+fn semijoins_match_row_set_reference() {
+    let mut rng = StdRng::seed_from_u64(11);
+    for (seed, kinds) in ["ii", "si", "is", "mm"].iter().enumerate() {
+        let mut c = Catalog::new();
+        let l = random_rel(&mut c, "AB", "im", 900, 35, &mut rng);
+        let r = random_rel(&mut c, "BC", kinds, 500, 35, &mut rng);
+        check_semijoins(&l, &r, &format!("seed {seed} kinds {kinds}"));
+        check_semijoins(&r, &l, &format!("seed {seed} kinds {kinds}, swapped"));
+        check_semijoins(&l, &l, "same schema");
+        // Disjoint schemas: all of `l` or none of it.
+        let d = random_rel(&mut c, "XY", "ii", 50, 10, &mut rng);
+        check_semijoins(&l, &d, "disjoint, nonempty filter");
+        check_semijoins(
+            &l,
+            &Relation::empty(d.schema().clone()),
+            "disjoint, empty filter",
+        );
+        check_semijoins(&l, &Relation::empty(r.schema().clone()), "empty filter");
+        check_semijoins(&Relation::empty(l.schema().clone()), &r, "empty target");
+        check_semijoins(&l, &Relation::nullary_unit(), "nullary filter");
+    }
+}
+
+#[test]
+fn projections_match_row_set_reference() {
+    let mut rng = StdRng::seed_from_u64(23);
+    let mut c = Catalog::new();
+    let r = random_rel(&mut c, "ABC", "ims", 1500, 9, &mut rng);
+    let empty = Relation::empty(r.schema().clone());
+    let (a, b, cc) = (
+        c.lookup("A").unwrap(),
+        c.lookup("B").unwrap(),
+        c.lookup("C").unwrap(),
+    );
+    for attrs in [
+        vec![a],
+        vec![b],
+        vec![a, cc],
+        vec![cc, b],
+        vec![a, b, cc],
+        vec![],
+    ] {
+        let schema = Schema::new(attrs.clone());
+        for rel in [&r, &empty] {
+            let want = ref_project(rel, &schema);
+            let what = format!("project {attrs:?} of {} rows", rel.len());
+            assert_rows(&ops::project(rel, &attrs).unwrap(), &schema, &want, &what);
+            for t in THREADS {
+                let par = ops::par_project_cutoff(rel, &attrs, t, 0).unwrap();
+                assert_rows(&par, &schema, &want, &format!("{what}: par t={t}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn select_setops_rename_match_row_set_reference() {
+    let mut rng = StdRng::seed_from_u64(31);
+    let mut c = Catalog::new();
+    let r = random_rel(&mut c, "AB", "im", 600, 8, &mut rng);
+    let s = random_rel(&mut c, "AB", "is", 500, 8, &mut rng);
+    let empty = Relation::empty(r.schema().clone());
+    let (a, b) = (c.lookup("A").unwrap(), c.lookup("B").unwrap());
+    let ab = r.schema();
+
+    for (attr, pos, v) in [
+        (a, 0, Value::Int(3)),
+        (b, 1, Value::str("5")),
+        (b, 1, Value::Int(4)),
+        (a, 0, Value::str("absent")),
+    ] {
+        let want = ref_select(&r, |row| row[pos] == v);
+        let got = ops::select_eq(&r, attr, &v).unwrap();
+        assert_rows(&got, ab, &want, &format!("select_eq {v:?}"));
+    }
+    let pred = |row: &[Value]| row[0].as_int().unwrap() % 2 == 0 && row[1] != Value::Int(0);
+    let want = ref_select(&r, |row| pred(row));
+    assert_rows(&ops::select_where(&r, pred), ab, &want, "select_where");
+    assert_rows(
+        &ops::select_where(&r, |_| false),
+        ab,
+        &RowSet::new(),
+        "select none",
+    );
+
+    for (l, r, what) in [
+        (&r, &s, "r,s"),
+        (&s, &r, "s,r"),
+        (&r, &r, "r,r"),
+        (&r, &empty, "r,∅"),
+        (&empty, &r, "∅,r"),
+    ] {
+        let (ls, rs) = (row_set(l), row_set(r));
+        let want: RowSet = ls.union(&rs).cloned().collect();
+        assert_rows(
+            &ops::union(l, r).unwrap(),
+            ab,
+            &want,
+            &format!("union {what}"),
+        );
+        let want: RowSet = ls.difference(&rs).cloned().collect();
+        assert_rows(
+            &ops::difference(l, r).unwrap(),
+            ab,
+            &want,
+            &format!("difference {what}"),
+        );
+        let want: RowSet = ls.intersection(&rs).cloned().collect();
+        assert_rows(
+            &ops::intersection(l, r).unwrap(),
+            ab,
+            &want,
+            &format!("intersection {what}"),
+        );
+    }
+
+    let z = c.intern("Z");
+    // `[(a, z)]` moves column A behind B; `[(a, b), (b, z)]` shifts both.
+    for mapping in [vec![(a, z)], vec![(b, z)], vec![(a, b), (b, z)], vec![]] {
+        let (schema, want) = ref_rename(&r, &mapping);
+        let got = ops::rename(&r, &mapping).unwrap();
+        assert_rows(&got, &schema, &want, &format!("rename {mapping:?}"));
+    }
+    // A self-join through a column-reordering rename.
+    let shifted = ops::rename(&r, &[(a, b), (b, z)]).unwrap();
+    check_joins(&r, &shifted, "self-join via rename");
+}
