@@ -32,9 +32,10 @@ use mjoin_core::engine::{self, Limits, Oracle, Plan, Rejection};
 use mjoin_hypergraph::{agm_ln, bound_u64, DbScheme};
 use mjoin_program::{CancelToken, Cancelled, SharedIndexCache};
 use mjoin_relation::{
-    ops, AttrId, Catalog, CostLedger, Database, Error, Relation, Result, Row, Schema, Value,
+    ops, tsv, AttrId, Catalog, Column, CostLedger, Database, Error, Relation, Result, Schema, Value,
 };
 use mjoin_wcoj::ExecutorKind;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 pub use mjoin_core::engine::PlanStrategy;
@@ -129,11 +130,10 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    /// Result tuples with columns in *head-variable order* (the relation
-    /// itself stores canonical order), sorted for determinism.
-    pub fn rows_in_head_order(&self) -> Vec<Vec<Value>> {
-        let positions: Vec<usize> = self
-            .head_attrs
+    /// Position in the relation's canonical schema of each head variable,
+    /// in head order.
+    fn head_positions(&self) -> Vec<usize> {
+        self.head_attrs
             .iter()
             .map(|&a| {
                 self.relation
@@ -141,7 +141,14 @@ impl QueryResult {
                     .position(a)
                     .expect("head attr in result")
             })
-            .collect();
+            .collect()
+    }
+
+    /// Result tuples with columns in *head-variable order* (the relation
+    /// itself stores canonical order), sorted for determinism. This boxes
+    /// every tuple; [`QueryResult::write_tsv`] prints without doing so.
+    pub fn rows_in_head_order(&self) -> Vec<Vec<Value>> {
+        let positions = self.head_positions();
         let mut rows: Vec<Vec<Value>> = self
             .relation
             .rows()
@@ -152,19 +159,18 @@ impl QueryResult {
         rows
     }
 
-    /// Write the answer as TSV: `head_vars` as the header line, then
-    /// [`QueryResult::rows_in_head_order`], one row per line.
+    /// Write the answer as TSV: `head_vars` as the header line, then the
+    /// tuples in the order of [`QueryResult::rows_in_head_order`], one per
+    /// line, cells escaped as [`tsv`] escapes them — straight from the
+    /// result's columns through [`tsv::write_sorted`].
     pub fn write_tsv(
         &self,
         head_vars: &[String],
         out: &mut impl std::io::Write,
     ) -> std::io::Result<()> {
-        writeln!(out, "{}", head_vars.join("\t"))?;
-        for row in self.rows_in_head_order() {
-            let cells: Vec<String> = row.iter().map(ToString::to_string).collect();
-            writeln!(out, "{}", cells.join("\t"))?;
-        }
-        Ok(())
+        let cols = self.relation.columns();
+        let head: Vec<&Column> = self.head_positions().iter().map(|&p| &cols[p]).collect();
+        tsv::write_sorted(head_vars, &head, self.relation.len(), out)
     }
 
     /// Number of result tuples.
@@ -180,6 +186,12 @@ impl QueryResult {
 
 /// Bind one atom: produce a relation over its variables' attributes.
 ///
+/// Works on the stored relation's columns: each constant is a selection,
+/// each repeated variable a column-equality selection, and what is left is
+/// renamed to the variables' attributes — after a projection when a
+/// constant or repeated column drops out. An atom of distinct variables is
+/// therefore an O(arity) rename sharing the stored columns.
+///
 /// All-constant atoms bind to the nullary unit (condition true) or the empty
 /// nullary relation (condition false).
 fn bind_atom(ndb: &NamedDatabase, atom: &Atom, qcat: &mut Catalog) -> Result<Relation> {
@@ -193,57 +205,29 @@ fn bind_atom(ndb: &NamedDatabase, atom: &Atom, qcat: &mut Catalog) -> Result<Rel
         });
     }
 
-    // For each term, the canonical position of its column in the stored rows.
-    let positions: Vec<usize> = (0..atom.terms.len())
-        .map(|i| stored.canonical_position(i))
-        .collect();
-
-    // Variables in first-use order, with the positions they must agree on.
-    let mut var_attrs: Vec<AttrId> = Vec::new();
-    let mut var_first_pos: Vec<usize> = Vec::new();
-    let mut checks: Vec<(usize, usize)> = Vec::new(); // equal-position pairs
-    let mut const_checks: Vec<(usize, Value)> = Vec::new();
-    let mut seen: Vec<(&str, usize)> = Vec::new();
-    for (i, term) in atom.terms.iter().enumerate() {
+    // Borrowed until a selection applies, so the stored relation's own
+    // (memoized) column view is the one the operators read.
+    let mut rel = Cow::Borrowed(&stored.relation);
+    // Each variable's first column, renamed to the variable's attribute.
+    let mut seen: Vec<(&str, AttrId)> = Vec::new();
+    let mut renaming: Vec<(AttrId, AttrId)> = Vec::new();
+    for (term, &col) in atom.terms.iter().zip(&stored.columns) {
         match term {
-            Term::Const(v) => const_checks.push((positions[i], v.clone())),
+            Term::Const(v) => rel = Cow::Owned(ops::select_eq(&rel, col, v)?),
             Term::Var(name) => match seen.iter().find(|(n, _)| n == name) {
-                Some(&(_, first)) => checks.push((positions[first], positions[i])),
+                Some(&(_, first)) => rel = Cow::Owned(ops::select_attrs_eq(&rel, first, col)?),
                 None => {
-                    seen.push((name, i));
-                    var_attrs.push(qcat.intern(name));
-                    var_first_pos.push(positions[i]);
+                    seen.push((name, col));
+                    renaming.push((col, qcat.intern(name)));
                 }
             },
         }
     }
-
-    let out_schema = Schema::new(var_attrs.clone());
-    // Destination position of each variable's value in the canonical output.
-    let dest: Vec<usize> = var_attrs
-        .iter()
-        .map(|&a| out_schema.position(a).expect("interned"))
-        .collect();
-
-    let mut out_rows: Vec<Row> = Vec::new();
-    'rows: for row in stored.relation.rows() {
-        for (pos, v) in &const_checks {
-            if &row[*pos] != v {
-                continue 'rows;
-            }
-        }
-        for (p1, p2) in &checks {
-            if row[*p1] != row[*p2] {
-                continue 'rows;
-            }
-        }
-        let mut out = vec![Value::Int(0); var_attrs.len()];
-        for (vi, &src) in var_first_pos.iter().enumerate() {
-            out[dest[vi]] = row[src].clone();
-        }
-        out_rows.push(out.into());
+    if renaming.len() < stored.columns.len() {
+        let kept: Vec<AttrId> = renaming.iter().map(|&(col, _)| col).collect();
+        rel = Cow::Owned(ops::project(&rel, &kept)?);
     }
-    Relation::from_rows(out_schema, out_rows)
+    ops::rename(&rel, &renaming)
 }
 
 /// The attribute of each head variable, in head order; every one must have
@@ -834,6 +818,199 @@ mod tests {
         let res = run(&db, "Q(x, z) :- edge(x, y), edge(y, z).");
         assert!(res.ledger.total() > 0);
         assert!(res.ledger.input_total() >= 10); // two bindings of 5 edges
+    }
+
+    /// The row-at-a-time binder [`bind_atom`] replaced, kept as its
+    /// reference: filter and permute boxed rows, then deduplicate.
+    fn bind_atom_rows(ndb: &NamedDatabase, atom: &Atom, qcat: &mut Catalog) -> Relation {
+        let stored = ndb.get(&atom.predicate).unwrap();
+        let positions: Vec<usize> = (0..atom.terms.len())
+            .map(|i| stored.canonical_position(i))
+            .collect();
+        let mut var_attrs: Vec<AttrId> = Vec::new();
+        let mut var_first_pos: Vec<usize> = Vec::new();
+        let mut checks: Vec<(usize, usize)> = Vec::new();
+        let mut const_checks: Vec<(usize, Value)> = Vec::new();
+        let mut seen: Vec<(&str, usize)> = Vec::new();
+        for (i, term) in atom.terms.iter().enumerate() {
+            match term {
+                Term::Const(v) => const_checks.push((positions[i], v.clone())),
+                Term::Var(name) => match seen.iter().find(|(n, _)| n == name) {
+                    Some(&(_, first)) => checks.push((positions[first], positions[i])),
+                    None => {
+                        seen.push((name, i));
+                        var_attrs.push(qcat.intern(name));
+                        var_first_pos.push(positions[i]);
+                    }
+                },
+            }
+        }
+        let out_schema = Schema::new(var_attrs.clone());
+        let dest: Vec<usize> = var_attrs
+            .iter()
+            .map(|&a| out_schema.position(a).unwrap())
+            .collect();
+        let mut out_rows = Vec::new();
+        for row in stored.relation.rows() {
+            if const_checks.iter().any(|(pos, v)| &row[*pos] != v)
+                || checks.iter().any(|(p1, p2)| row[*p1] != row[*p2])
+            {
+                continue;
+            }
+            let mut out = vec![Value::Int(0); var_attrs.len()];
+            for (vi, &src) in var_first_pos.iter().enumerate() {
+                out[dest[vi]] = row[src].clone();
+            }
+            out_rows.push(out.into());
+        }
+        Relation::from_rows(out_schema, out_rows).unwrap()
+    }
+
+    /// A three-column relation of mixed integers and strings in which
+    /// columns repeat each other often and projections collapse rows.
+    fn mixed_db() -> NamedDatabase {
+        let vals = [
+            Value::Int(1),
+            Value::Int(2),
+            Value::str("s"),
+            Value::str("2"),
+        ];
+        // A fixed scramble: 38 of the 64 possible tuples, ten of them twice.
+        let mut rows = Vec::new();
+        for i in 0..48usize {
+            let (a, b, c) = (
+                (i * 7 + i / 3) % 4,
+                (i * 5 + i / 7) % 4,
+                (i * 3 + i / 5) % 4,
+            );
+            rows.push(vec![vals[a].clone(), vals[b].clone(), vals[c].clone()]);
+        }
+        let mut db = NamedDatabase::new();
+        db.add_relation_values("r", &["a", "b", "c"], rows).unwrap();
+        db
+    }
+
+    #[test]
+    fn bind_atom_matches_the_row_reference() {
+        let db = mixed_db();
+        for body in [
+            "r(x, y, z)", // pure renaming
+            "r(z, y, x)", // renaming that permutes the columns
+            "r(x, x, z)", // repeated variable
+            "r(x, y, x)",
+            "r(x, x, x)",
+            "r(1, y, z)", // constants: dropped columns
+            "r(x, \"s\", z)",
+            "r(x, \"2\", 2)", // Str(\"2\") is not Int(2)
+            "r(x, 1, x)",     // constant and repeated variable together
+            "r(y, y, 7)",     // constant that matches nothing
+            "r(1, 1, 2)",     // all constants, present: the nullary unit
+            "r(1, 1, 1)",
+            "r(1, \"s\", 7)", // all constants, absent: the empty nullary
+        ] {
+            let q = parse_query(&format!("Q() :- {body}.")).unwrap();
+            let atom = &q.body[0];
+            // Intern `z` first so canonical order is not first-use order.
+            let (mut c1, mut c2) = (Catalog::new(), Catalog::new());
+            c1.intern("z");
+            c2.intern("z");
+            let want = bind_atom_rows(&db, atom, &mut c1);
+            let got = bind_atom(&db, atom, &mut c2).unwrap();
+            assert_eq!(got, want, "atom {body}");
+            assert_eq!(got.len(), want.len(), "charged to the ledger; atom {body}");
+        }
+        let all_present = parse_query("Q() :- r(1, 1, 2).").unwrap();
+        let unit = bind_atom(&db, &all_present.body[0], &mut Catalog::new()).unwrap();
+        assert_eq!((unit.schema().arity(), unit.len()), (0, 1));
+    }
+
+    #[test]
+    fn bind_atom_of_distinct_variables_shares_the_stored_columns() {
+        let db = mixed_db();
+        let q = parse_query("Q() :- r(z, y, x).").unwrap();
+        let bound = bind_atom(&db, &q.body[0], &mut Catalog::new()).unwrap();
+        let stored = &db.get("r").unwrap().relation;
+        for col in bound.columns() {
+            assert!(stored.columns().iter().any(|c| match (c, col) {
+                (Column::Dict { codes: a, .. }, Column::Dict { codes: b, .. }) => Arc::ptr_eq(a, b),
+                _ => false,
+            }));
+        }
+    }
+
+    /// `write_tsv` prints what `rows_in_head_order` holds, each cell through
+    /// the TSV row encoder — for a head order that is not the canonical
+    /// order, over strings that need escaping, and for answers born as
+    /// columns (program) and as rows (wcoj) alike.
+    #[test]
+    fn write_tsv_is_the_escaped_rows_in_head_order() {
+        let mut db = NamedDatabase::new();
+        let s = |t: &str| Value::str(t);
+        let edges = vec![
+            vec![s("a\tb"), s("007")],
+            vec![s("007"), s(" pad ")],
+            vec![s(" pad "), s("a\tb")],
+            vec![s(""), Value::Int(5)],
+            vec![Value::Int(5), s("back\\slash")],
+            vec![s("back\\slash"), s("")],
+            vec![s("plain"), s("line\nbreak")],
+        ];
+        db.add_relation_values("e", &["src", "dst"], edges).unwrap();
+        for (text, executor) in [
+            (
+                "Q(z, x, y) :- e(x, y), e(y, z), e(z, x).",
+                ExecutorKind::Program,
+            ),
+            (
+                "Q(z, x, y) :- e(x, y), e(y, z), e(z, x).",
+                ExecutorKind::Wcoj,
+            ),
+            ("Q(y, x) :- e(x, y).", ExecutorKind::Program),
+            ("Q(y, y, x) :- e(x, y).", ExecutorKind::Program),
+            ("Q() :- e(x, y).", ExecutorKind::Program),
+            ("Q(x) :- e(x, 404).", ExecutorKind::Program),
+        ] {
+            let q = parse_query(text).unwrap();
+            let opts = ExecOptions {
+                executor,
+                ..ExecOptions::default()
+            };
+            let (res, _) = execute_query_with(&db, &q, PlanStrategy::Greedy, &opts).unwrap();
+            let mut want = (q.head_vars.join("\t") + "\n").into_bytes();
+            for row in res.rows_in_head_order() {
+                tsv::push_row(&mut want, &row);
+            }
+            let mut got = Vec::new();
+            res.write_tsv(&q.head_vars, &mut got).unwrap();
+            assert_eq!(
+                String::from_utf8(got).unwrap(),
+                String::from_utf8(want).unwrap(),
+                "{text} on {executor:?}"
+            );
+        }
+    }
+
+    /// A printed answer re-imports as the same relation.
+    #[test]
+    fn hostile_answers_round_trip_through_tsv() {
+        let mut db = NamedDatabase::new();
+        let hostile = ["tab\there", "line\nbreak", "back\\slash", "007", "", " x "];
+        let rows = hostile
+            .iter()
+            .enumerate()
+            .map(|(i, h)| vec![Value::Int(i as i64), Value::str(h)])
+            .collect();
+        db.add_relation_values("r", &["k", "v"], rows).unwrap();
+        let q = parse_query("Q(k, v) :- r(k, v).").unwrap();
+        let res = execute_query(&db, &q, PlanStrategy::Greedy).unwrap();
+        let mut text = Vec::new();
+        res.write_tsv(&q.head_vars, &mut text).unwrap();
+        let mut back = NamedDatabase::new();
+        back.add_tsv("r", std::str::from_utf8(&text).unwrap())
+            .unwrap();
+        let again = execute_query(&back, &q, PlanStrategy::Greedy).unwrap();
+        assert_eq!(again.rows_in_head_order(), res.rows_in_head_order());
+        assert_eq!(again.len(), hostile.len());
     }
 
     #[test]

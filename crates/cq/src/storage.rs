@@ -4,6 +4,12 @@
 //! the bare [`Relation`], whose columns live in canonical attribute order —
 //! remembers each relation's *declared* column order, which is what atom
 //! terms bind to positionally.
+//!
+//! Relations that arrive as data — a TSV file ([`NamedDatabase::add_tsv`]) or
+//! an already-built relation ([`NamedDatabase::add_shared`]) — are adopted
+//! column-wise: parsed once, never copied row by row, never deduplicated a
+//! second time. The `*_values` constructors take boxed tuples and are for
+//! callers that have them in hand (tests, the Datalog fixpoint).
 
 use mjoin_relation::fxhash::FxHashMap;
 use mjoin_relation::{ops, tsv, AttrId, Catalog, Error, Relation, Result, Row, Schema, Value};
@@ -200,30 +206,24 @@ impl NamedDatabase {
         Ok(())
     }
 
-    /// Add a relation from TSV text (header = declared column order).
+    /// Add a relation from TSV text (header = declared column order). The
+    /// text is parsed once, straight into columns, and adopted through
+    /// [`NamedDatabase::add_shared`].
     pub fn add_tsv(&mut self, name: &str, text: &str) -> Result<()> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines
-            .next()
-            .ok_or_else(|| Error::Parse("TSV input has no header".to_string()))?;
-        let cols: Vec<&str> = header.split('\t').map(str::trim).collect();
-        // Reuse the TSV row parser by reparsing with a scratch catalog, then
-        // pull rows back out in declared order.
+        if text.trim().is_empty() {
+            return Err(Error::Parse("TSV input has no header".to_string()));
+        }
+        // A scratch catalog interns the header left to right, so the parsed
+        // relation's canonical column order is the declared one.
         let mut scratch = Catalog::new();
         let rel = tsv::relation_from_tsv(&mut scratch, text)?;
-        let positions: Vec<usize> = cols
+        let cols: Vec<&str> = rel
+            .schema()
+            .attrs()
             .iter()
-            .map(|c| {
-                let id = scratch.lookup(c).expect("header interned");
-                rel.schema().position(id).expect("in schema")
-            })
+            .map(|&a| scratch.name(a))
             .collect();
-        let tuples: Vec<Vec<Value>> = rel
-            .rows()
-            .iter()
-            .map(|row| positions.iter().map(|&p| row[p].clone()).collect())
-            .collect();
-        self.add_relation_values(name, &cols, tuples)
+        self.add_shared(name, &cols, &rel)
     }
 
     /// Look up a stored relation by name.

@@ -295,25 +295,46 @@ pub struct ColumnBuilder {
 #[derive(Debug, Default)]
 struct DictBuilder {
     codes: Vec<u32>,
-    lookup: FxHashMap<Value, u32>,
+    /// Code of each interned integer / string. Two maps rather than one
+    /// keyed by [`Value`], so a string is looked up by `&str` and a repeated
+    /// one allocates nothing.
+    ints: FxHashMap<i64, u32>,
+    strs: FxHashMap<Arc<str>, u32>,
     values: Vec<Value>,
     hashes: Vec<u64>,
 }
 
 impl DictBuilder {
-    fn intern(&mut self, v: Value) -> u32 {
-        if let Some(&c) = self.lookup.get(&v) {
-            return c;
-        }
+    fn add(&mut self, v: Value) -> u32 {
         let c = u32::try_from(self.values.len()).expect("dictionary exceeds u32 codes");
         self.hashes.push(v.stable_hash());
-        self.values.push(v.clone());
-        self.lookup.insert(v, c);
+        self.values.push(v);
         c
     }
 
-    fn push(&mut self, v: Value) {
-        let c = self.intern(v);
+    fn push_int(&mut self, x: i64) {
+        let c = match self.ints.get(&x) {
+            Some(&c) => c,
+            None => {
+                let c = self.add(Value::Int(x));
+                self.ints.insert(x, c);
+                c
+            }
+        };
+        self.codes.push(c);
+    }
+
+    /// Intern `s`, allocating (via `make`) only on its first occurrence.
+    fn push_str(&mut self, s: &str, make: impl FnOnce() -> Arc<str>) {
+        let c = match self.strs.get(s) {
+            Some(&c) => c,
+            None => {
+                let s = make();
+                let c = self.add(Value::Str(Arc::clone(&s)));
+                self.strs.insert(s, c);
+                c
+            }
+        };
         self.codes.push(c);
     }
 }
@@ -329,29 +350,46 @@ impl ColumnBuilder {
 
     /// Append one value.
     pub fn push(&mut self, v: Value) {
-        match (&mut self.interned, v) {
-            (None, Value::Int(x)) => self.ints.push(x),
-            (None, v) => {
-                // First non-integer: re-encode the integer prefix.
-                let mut d = DictBuilder::default();
-                d.codes.reserve(self.ints.len() + 1);
-                for &x in &self.ints {
-                    d.push(Value::Int(x));
-                }
-                d.push(v);
-                self.ints = Vec::new();
-                self.interned = Some(d);
-            }
-            (Some(d), v) => d.push(v),
+        match v {
+            Value::Int(x) => self.push_int(x),
+            Value::Str(s) => self.interner().push_str(&s, || Arc::clone(&s)),
         }
+    }
+
+    /// Append an integer.
+    pub fn push_int(&mut self, x: i64) {
+        match &mut self.interned {
+            None => self.ints.push(x),
+            Some(d) => d.push_int(x),
+        }
+    }
+
+    /// Append a string, interning by `&str` lookup: only the first
+    /// occurrence of a string allocates.
+    pub fn push_str(&mut self, s: &str) {
+        self.interner().push_str(s, || Arc::from(s));
+    }
+
+    /// The dictionary builder, switching to interning on first use by
+    /// re-encoding the integer prefix.
+    fn interner(&mut self) -> &mut DictBuilder {
+        let ints = &mut self.ints;
+        self.interned.get_or_insert_with(|| {
+            let mut d = DictBuilder::default();
+            d.codes.reserve(ints.len() + 1);
+            for x in std::mem::take(ints) {
+                d.push_int(x);
+            }
+            d
+        })
     }
 
     /// Append cell `row` of `col` (avoids constructing a [`Value`] for
     /// integer-to-integer copies).
     pub fn push_cell(&mut self, col: &Column, row: usize) {
-        match (col, &mut self.interned) {
-            (Column::Int(v), None) => self.ints.push(v[row]),
-            _ => self.push(col.value(row)),
+        match col {
+            Column::Int(v) => self.push_int(v[row]),
+            Column::Dict { .. } => self.push(col.value(row)),
         }
     }
 
@@ -409,6 +447,42 @@ mod tests {
             assert_eq!(codes[0], codes[2]);
             assert_eq!(dict.len(), 2);
         }
+    }
+
+    /// `push_int`/`push_str` build what `push(Value)` builds — same codes,
+    /// same pool — including the prefix re-encode on the first string.
+    #[test]
+    fn typed_pushes_match_value_pushes() {
+        let (mut typed, mut boxed) = (ColumnBuilder::default(), ColumnBuilder::default());
+        for (i, s) in [None, None, Some("x"), None, Some("y"), Some("x"), Some("")]
+            .iter()
+            .enumerate()
+        {
+            let n = (i % 2) as i64;
+            match s {
+                None => typed.push_int(n),
+                Some(s) => typed.push_str(s),
+            }
+            boxed.push(s.map_or(Value::Int(n), Value::str));
+        }
+        let (typed, boxed) = (typed.finish(), boxed.finish());
+        let (
+            Column::Dict {
+                codes: tc,
+                dict: td,
+            },
+            Column::Dict {
+                codes: bc,
+                dict: bd,
+            },
+        ) = (&typed, &boxed)
+        else {
+            panic!("both interned");
+        };
+        assert_eq!(tc, bc);
+        assert_eq!(td.values, bd.values);
+        assert_eq!(td.hashes, bd.hashes);
+        assert_eq!(td.len(), 5, "Int(0), Int(1), x, y and the empty string");
     }
 
     #[test]

@@ -484,6 +484,16 @@ pub(crate) fn col_select_eq(rel: &Relation, pos: usize, value: &crate::Value) ->
     gather_relation(rel, &ids)
 }
 
+/// Columnar `select_attrs_eq`: compare two columns, gather all.
+pub(crate) fn col_select_cols_eq(rel: &Relation, a: usize, b: usize) -> Relation {
+    let cols = rel.columns();
+    let ids: Vec<u32> = (0..rel.len())
+        .filter(|&i| cols[a].cells_eq(i, &cols[b], i))
+        .map(|i| i as u32)
+        .collect();
+    gather_relation(rel, &ids)
+}
+
 /// Columnar `select_where`: evaluate the row predicate against a transient
 /// scratch tuple (no row-view caching), gather survivors.
 pub(crate) fn col_select_where(rel: &Relation, pred: impl Fn(&[crate::Value]) -> bool) -> Relation {

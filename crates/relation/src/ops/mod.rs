@@ -11,7 +11,7 @@
 //! statements (§2.2) and cost model (§2.3); cost accounting itself lives in
 //! [`crate::cost`] and is done by the callers that orchestrate evaluation.
 
-mod columnar;
+pub(crate) mod columnar;
 mod hashtable;
 mod index;
 mod join;
@@ -34,7 +34,7 @@ pub use merge_join::merge_join;
 pub use par_join::{par_join, par_join_cutoff};
 pub use project::{par_project, par_project_cutoff, project};
 pub use rename::rename;
-pub use select::{select_eq, select_where};
+pub use select::{select_attrs_eq, select_eq, select_where};
 pub use semijoin::{par_semijoin, par_semijoin_cutoff, semijoin};
 pub use setops::{difference, intersection, union};
 pub use spill::{grace_hash_join, SpillStats};

@@ -16,6 +16,18 @@ pub fn select_eq(rel: &Relation, attr: AttrId, value: &Value) -> Result<Relation
     Ok(super::columnar::col_select_eq(rel, pos, value))
 }
 
+/// Select the tuples whose `a` and `b` columns hold equal values (what a
+/// repeated variable in a query atom asks for): compares the two columns
+/// cell by cell and gathers the survivors.
+pub fn select_attrs_eq(rel: &Relation, a: AttrId, b: AttrId) -> Result<Relation> {
+    let positions = rel.schema().positions_of(&[a, b])?;
+    Ok(super::columnar::col_select_cols_eq(
+        rel,
+        positions[0],
+        positions[1],
+    ))
+}
+
 /// Select the tuples satisfying an arbitrary predicate over the whole row.
 ///
 /// The predicate sees values in the relation's canonical column order (it is
@@ -70,6 +82,33 @@ mod tests {
         });
         assert_eq!(s.len(), 1);
         assert!(s.contains_row(&[Value::Int(5), Value::Int(2)]));
+    }
+
+    /// Column equality agrees with the row predicate across column
+    /// representations: an all-integer column against a mixed one, and two
+    /// interned columns with separate dictionaries.
+    #[test]
+    fn select_attrs_eq_matches_select_where() {
+        let mut c = Catalog::new();
+        let schema = Schema::from_chars(&mut c, "ABC");
+        let s = |t: &str| Value::str(t);
+        let r = Relation::from_tuples(
+            schema,
+            vec![
+                vec![Value::Int(1), Value::Int(1), s("x")],
+                vec![Value::Int(2), s("2"), s("2")],
+                vec![Value::Int(3), s("x"), s("x")],
+                vec![Value::Int(4), Value::Int(4), Value::Int(4)],
+            ],
+        )
+        .unwrap();
+        let ids = c.intern_chars("ABC");
+        for (a, b) in [(0, 1), (1, 2), (2, 0), (1, 1)] {
+            let got = select_attrs_eq(&r, ids[a], ids[b]).unwrap();
+            assert_eq!(got, select_where(&r, |row| row[a] == row[b]), "{a} = {b}");
+        }
+        let z = c.intern("Z");
+        assert!(select_attrs_eq(&r, ids[0], z).is_err());
     }
 
     #[test]

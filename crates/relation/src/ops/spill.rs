@@ -3,10 +3,14 @@
 //! When the static memory certificate says a join's build side cannot fit
 //! the configured budget, the executor routes the statement here instead of
 //! the in-memory kernels: both operands are hash-partitioned by their
-//! shared-key values into `p` temp files per side via the streaming TSV
-//! writer, then each partition pair — 1/p of each input in expectation — is
-//! read back and joined in memory with the ordinary [`super::join`], and the
-//! per-pair outputs are concatenated column-wise. Rows that agree on the key
+//! shared-key values into `p` temp files per side, then each partition pair
+//! — 1/p of each input in expectation — is read back and joined in memory
+//! with the ordinary [`super::join`], and the per-pair outputs are
+//! concatenated column-wise. Partition files are header-less TSV (the
+//! [`crate::tsv`] dialect, so hostile strings survive the disk round trip
+//! bit-for-bit), formatted straight from the operand's columns and parsed
+//! straight back into columns — no tuple is boxed as a row on the way out
+//! or in. Rows that agree on the key
 //! hash to the same partition index on both sides (a row's partition is its
 //! [`key_hashes`] entry modulo `p` — the co-partitioning `par_join` uses), so
 //! no join pair is ever split across partitions and per-pair outputs are
@@ -19,10 +23,11 @@
 
 use super::columnar::concat_disjoint;
 use super::{join_key_positions, key_hashes};
+use crate::column::Column;
 use crate::relation::Relation;
 use crate::schema::Schema;
-use crate::tsv::{read_rows_tsv, write_row_tsv};
-use std::fs::File;
+use crate::tsv::{relation_from_tsv_body, RowFormatter};
+use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,13 +54,22 @@ struct TempFile {
 impl TempFile {
     fn create() -> std::io::Result<(TempFile, BufWriter<File>)> {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let path = std::env::temp_dir().join(format!(
+        TempFile::create_at(std::env::temp_dir().join(format!(
             "mjoin-spill-{}-{}.tsv",
             std::process::id(),
             COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let w = BufWriter::new(File::create(&path)?);
-        Ok((TempFile { path }, w))
+        )))
+    }
+
+    /// The name is predictable and the directory shared, so the file must
+    /// not exist yet: `create_new` refuses to follow a planted symlink or
+    /// truncate someone's file, and the caller sees the error.
+    fn create_at(path: PathBuf) -> std::io::Result<(TempFile, BufWriter<File>)> {
+        let file = OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&path)?;
+        Ok((TempFile { path }, BufWriter::new(file)))
     }
 }
 
@@ -79,9 +93,15 @@ fn partition_to_disk(
         guards.push(g);
         writers.push(w);
     }
+    let cols: Vec<&Column> = rel.columns().iter().collect();
+    let formatter = RowFormatter::new(&cols);
+    let mut line: Vec<u8> = Vec::new();
     let mut bytes = 0u64;
-    for (row, h) in rel.rows().iter().zip(key_hashes(rel, pos)) {
-        bytes += write_row_tsv(&mut writers[(h as usize) % p], row)? as u64;
+    for (i, h) in key_hashes(rel, pos).into_iter().enumerate() {
+        line.clear();
+        formatter.push_row(i, &mut line);
+        writers[(h as usize) % p].write_all(&line)?;
+        bytes += line.len() as u64;
     }
     for mut w in writers {
         w.flush()?;
@@ -93,9 +113,7 @@ fn partition_to_disk(
 /// operand's partition are distinct because the operand's are).
 fn read_partition(f: &TempFile, schema: &Schema) -> std::io::Result<Relation> {
     let reader = BufReader::new(File::open(&f.path)?);
-    let rows =
-        read_rows_tsv(reader, schema.arity()).map_err(|e| std::io::Error::other(e.to_string()))?;
-    Ok(Relation::from_distinct_rows(schema.clone(), rows))
+    relation_from_tsv_body(reader, schema).map_err(|e| std::io::Error::other(e.to_string()))
 }
 
 /// Grace-hash join `left ⋈ right` through `partitions` temp-file partition
@@ -234,8 +252,8 @@ mod tests {
                 let (files, bytes) = partition_to_disk(rel, pos, p).unwrap();
                 let mut want = vec![0u64; p];
                 for row in rel.rows() {
-                    let line = write_row_tsv(&mut std::io::sink(), row).unwrap();
-                    want[hash_at(row, pos) as usize % p] += line as u64;
+                    let line = crate::tsv::tests::row_to_tsv(row);
+                    want[hash_at(row, pos) as usize % p] += line.len() as u64;
                 }
                 let got: Vec<u64> = files
                     .iter()
@@ -292,6 +310,38 @@ mod tests {
         let (got, stats) = grace_hash_join(&r, &s, 4).unwrap();
         assert_eq!(got, join(&r, &s));
         assert_eq!(stats, SpillStats::default(), "no partitioning happened");
+    }
+
+    /// Partition files hold exactly the reference row encoding of the rows
+    /// hashed to them, in operand order.
+    #[test]
+    fn partition_files_are_the_reference_row_encoding() {
+        let mut c = Catalog::new();
+        let (l, r) = mixed_operands(&mut c, 4);
+        let (lpos, _) = join_key_positions(l.schema(), r.schema());
+        let (files, _) = partition_to_disk(&l, &lpos, 4).unwrap();
+        let mut want = vec![String::new(); 4];
+        for row in l.rows() {
+            want[hash_at(row, &lpos) as usize % 4] += &crate::tsv::tests::row_to_tsv(row);
+        }
+        for (f, want) in files.iter().zip(&want) {
+            assert_eq!(&std::fs::read_to_string(&f.path).unwrap(), want);
+        }
+    }
+
+    /// A file someone planted at a spill name is left alone — neither
+    /// truncated by the create nor deleted by a guard — and reported.
+    #[test]
+    fn temp_file_creation_refuses_an_existing_path() {
+        let (free, w) = TempFile::create().unwrap();
+        drop(w);
+        let path = free.path.clone();
+        drop(free);
+        std::fs::write(&path, b"precious").unwrap();
+        let err = TempFile::create_at(path.clone()).map(drop).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
+        assert_eq!(std::fs::read(&path).unwrap(), b"precious");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -8,16 +8,23 @@
 //!
 //! Physically a relation is **column-major**: one [`Column`] per attribute
 //! (dense `i64` for all-integer attributes, dictionary-interned `u32` codes
-//! otherwise — see [`crate::column`]), and every operator kernel reads and
-//! writes columns. The row view ([`Relation::rows`]/[`Relation::iter`]) is
-//! the edge *format* — TSV load, spill files, `merge_join`, tests — *lazily
-//! materialized* and memoized: a kernel's output never pays for rows, a
-//! caller that constructed from rows never pays for columns until a kernel
-//! asks, and both views describe the same immutable tuple set in the same
-//! order. Cloning is cheap — O(arity), not O(tuples): both views are
-//! shared (`Arc`-backed payload vectors inside `Column`, an `Arc<[Row]>`
+//! otherwise — see [`crate::column`]). Every operator kernel reads and writes
+//! columns, and so does every I/O edge: the TSV loader parses straight into
+//! column builders, the TSV writer sorts and prints from columns, and spill
+//! partitions go to disk and come back without a tuple being boxed
+//! ([`crate::tsv`]). The row view ([`Relation::rows`]/[`Relation::iter`]) is
+//! the *construction and compatibility* API — `from_rows` for callers that
+//! have tuples in hand (tests, `merge_join`, the WCOJ executor's output,
+//! Datalog), `rows()` for callers that want them back — *lazily
+//! materialized* and memoized: a kernel's output or a loaded file never pays
+//! for rows, a caller that constructed from rows never pays for columns
+//! until a kernel asks, and both views describe the same immutable tuple set
+//! in the same order. Cloning is cheap — O(arity), not O(tuples): both views
+//! are shared (`Arc`-backed payload vectors inside `Column`, an `Arc<[Row]>`
 //! row cache), so an executor handing out per-run copies of its base
-//! relations bumps reference counts instead of copying tuple data.
+//! relations bumps reference counts instead of copying tuple data. (A clone
+//! carries the views its source had *at clone time*: clone after the first
+//! kernel ran, or hold a reference, to share a row-born relation's columns.)
 
 use crate::attr::Catalog;
 use crate::column::{Column, ColumnBuilder};

@@ -13,12 +13,27 @@
 //! historical trim-and-sniff behavior, so hand-written files are unaffected;
 //! cells with one are unescaped exactly, and an unknown escape is a parse
 //! error rather than silent corruption.
+//!
+//! Both directions are byte-level and columnar — no tuple is ever boxed as a
+//! row. **In:** the body parser reads lines into one reused buffer and
+//! pushes each cell straight into its column's [`ColumnBuilder`] (integers
+//! into the `i64` vector, strings interned by `&str` lookup); the relation
+//! loader then deduplicates once on the batch row hashes. **Out:**
+//! [`write_sorted`] ranks each dictionary once, sorts the rows as packed
+//! integer keys, and formats them (in-place itoa, each distinct string
+//! escaped once) into one reused buffer written in batches. The Grace-hash
+//! spill files (`ops/spill.rs`) are the same dialect without a header: one
+//! line per tuple from the row formatter, read back by the body parser.
 
 use crate::attr::Catalog;
+use crate::column::{Column, ColumnBuilder};
 use crate::error::{Error, Result};
-use crate::relation::{Relation, Row};
+use crate::fxhash::mix;
+use crate::ops::columnar::dedup_ids_by_key;
+use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::value::Value;
+use std::io::{BufRead, Write};
 
 /// Parse a relation from TSV text, interning attribute names into `catalog`.
 ///
@@ -31,93 +46,165 @@ pub fn relation_from_tsv(catalog: &mut Catalog, text: &str) -> Result<Relation> 
 /// Parse a relation by streaming lines from any [`std::io::BufRead`] source
 /// (a `File` behind a `BufReader`, a byte slice, a pipe) — one line resident
 /// at a time instead of the whole file as a `String`. I/O failures surface
-/// as [`Error::Parse`] like any other malformed input.
-pub fn relation_from_tsv_reader<R: std::io::BufRead>(
-    catalog: &mut Catalog,
-    reader: R,
-) -> Result<Relation> {
-    let read_err = |e: std::io::Error| Error::Parse(format!("TSV read error: {e}"));
-    // `BufRead::lines` strips `\r\n` only on `\n`-terminated lines; a final
-    // record with no trailing newline keeps its `\r` (network clients send
-    // both CRLF endings and unterminated last lines). A raw trailing `\r`
-    // can only be a line-ending artifact — carriage returns *inside* string
-    // values are escaped as `\r` on export — so strip exactly one here.
-    fn chomp_cr(mut line: String) -> String {
-        if line.ends_with('\r') {
-            line.pop();
+/// as [`Error::Parse`] like any other malformed input. Duplicate tuples keep
+/// their first occurrence, in file order.
+pub fn relation_from_tsv_reader<R: BufRead>(catalog: &mut Catalog, reader: R) -> Result<Relation> {
+    let mut lines = LineReader::new(reader);
+    let col_ids = loop {
+        let Some(header) = lines.next_line()? else {
+            return Err(Error::Parse("TSV input has no header line".to_string()));
+        };
+        if header.trim().is_empty() {
+            continue;
         }
-        line
-    }
-    let mut lines = reader.lines();
-    let header = loop {
-        match lines.next() {
-            None => return Err(Error::Parse("TSV input has no header line".to_string())),
-            Some(line) => {
-                let line = chomp_cr(line.map_err(read_err)?);
-                if !line.trim().is_empty() {
-                    break line;
-                }
-            }
-        }
-    };
-    let col_names: Vec<&str> = header.split('\t').map(str::trim).collect();
-    if col_names.iter().any(|n| n.is_empty()) {
-        return Err(Error::Parse(
-            "empty attribute name in TSV header".to_string(),
-        ));
-    }
-    let col_ids: Vec<_> = col_names.iter().map(|n| catalog.intern(n)).collect();
-    {
-        let mut sorted = col_ids.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        if sorted.len() != col_ids.len() {
+        let col_names: Vec<&str> = header.split('\t').map(str::trim).collect();
+        if col_names.iter().any(|n| n.is_empty()) {
             return Err(Error::Parse(
-                "duplicate attribute in TSV header".to_string(),
+                "empty attribute name in TSV header".to_string(),
             ));
         }
-    }
+        break col_names
+            .iter()
+            .map(|n| catalog.intern(n))
+            .collect::<Vec<_>>();
+    };
     let schema = Schema::new(col_ids.clone());
+    if schema.arity() != col_ids.len() {
+        return Err(Error::Parse(
+            "duplicate attribute in TSV header".to_string(),
+        ));
+    }
     // Position of each file column in the canonical schema.
     let dest: Vec<usize> = col_ids
         .iter()
         .map(|&id| schema.position(id).expect("interned above"))
         .collect();
+    let (mut cols, nrows) = read_body(&mut lines, &dest, 2)?;
 
-    let mut rows: Vec<Row> = Vec::new();
-    // Index among non-blank data lines, matching the historical in-memory
-    // parser's numbering (blank lines are skipped, not counted).
-    let mut lineno = 0usize;
-    for line in lines {
-        let line = chomp_cr(line.map_err(read_err)?);
+    // One dedup pass over the batch row hashes; the columns are only
+    // gathered when the file really held duplicates.
+    let mut hashes = vec![0u64; nrows];
+    for c in &cols {
+        c.hash_into(&mut hashes, mix);
+    }
+    let all: Vec<usize> = (0..cols.len()).collect();
+    let ids = dedup_ids_by_key(&cols, &all, &hashes, 0..nrows as u32);
+    if ids.len() < nrows {
+        cols = cols.iter().map(|c| c.gather(&ids)).collect();
+    }
+    Ok(Relation::from_distinct_columns(schema, ids.len(), cols))
+}
+
+/// Parse header-less body lines, as a [`RowFormatter`] wrote them, into a
+/// relation over `schema`: cells land positionally in canonical order, and
+/// the caller vouches that the tuples are distinct (a spill partition's are,
+/// because its operand's are).
+pub(crate) fn relation_from_tsv_body<R: BufRead>(reader: R, schema: &Schema) -> Result<Relation> {
+    let dest: Vec<usize> = (0..schema.arity()).collect();
+    let (cols, nrows) = read_body(&mut LineReader::new(reader), &dest, 1)?;
+    Ok(Relation::from_distinct_columns(schema.clone(), nrows, cols))
+}
+
+/// Line-at-a-time access to a [`BufRead`] through one reused buffer.
+struct LineReader<R> {
+    reader: R,
+    buf: Vec<u8>,
+}
+
+impl<R: BufRead> LineReader<R> {
+    fn new(reader: R) -> Self {
+        LineReader {
+            reader,
+            buf: Vec::new(),
+        }
+    }
+
+    /// The next line without its ending, or `None` at end of input.
+    ///
+    /// A `\n` ending takes a preceding `\r` with it, and one more trailing
+    /// `\r` goes either way: network clients send both CRLF endings and
+    /// unterminated last lines, and a raw trailing `\r` can only be a
+    /// line-ending artifact — carriage returns *inside* string values are
+    /// escaped as `\r` on export.
+    fn next_line(&mut self) -> Result<Option<&str>> {
+        let read_err = |e: std::io::Error| Error::Parse(format!("TSV read error: {e}"));
+        self.buf.clear();
+        if self
+            .reader
+            .read_until(b'\n', &mut self.buf)
+            .map_err(read_err)?
+            == 0
+        {
+            return Ok(None);
+        }
+        if self.buf.last() == Some(&b'\n') {
+            self.buf.pop();
+            if self.buf.last() == Some(&b'\r') {
+                self.buf.pop();
+            }
+        }
+        if self.buf.last() == Some(&b'\r') {
+            self.buf.pop();
+        }
+        match std::str::from_utf8(&self.buf) {
+            Ok(line) => Ok(Some(line)),
+            Err(_) => Err(read_err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            ))),
+        }
+    }
+}
+
+/// Parse the remaining lines of `lines` as tuples, cell `i` of each line
+/// going to column `dest[i]`; returns the columns and the tuple count (no
+/// deduplication). Blank lines are skipped, not counted: an error names
+/// `first_lineno` plus the index of its line among the non-blank ones.
+fn read_body<R: BufRead>(
+    lines: &mut LineReader<R>,
+    dest: &[usize],
+    first_lineno: usize,
+) -> Result<(Vec<Column>, usize)> {
+    let mut builders: Vec<ColumnBuilder> = dest.iter().map(|_| ColumnBuilder::default()).collect();
+    let mut nrows = 0usize;
+    while let Some(line) = lines.next_line()? {
         if line.trim().is_empty() {
             continue;
         }
-        let cells: Vec<&str> = line.split('\t').collect();
-        if cells.len() != col_ids.len() {
+        let lineno = first_lineno + nrows;
+        let found = line.bytes().filter(|&b| b == b'\t').count() + 1;
+        if found != dest.len() {
             return Err(Error::Parse(format!(
-                "line {}: expected {} values, found {}",
-                lineno + 2,
-                col_ids.len(),
-                cells.len()
+                "line {lineno}: expected {} values, found {found}",
+                dest.len()
             )));
         }
-        let mut row: Vec<Value> = vec![Value::Int(0); cells.len()];
-        for (i, cell) in cells.iter().enumerate() {
-            row[dest[i]] = cell_from_tsv(cell, lineno + 2)?;
+        for (cell, &d) in line.split('\t').zip(dest) {
+            push_cell_from_tsv(&mut builders[d], cell, lineno)?;
         }
-        rows.push(row.into());
-        lineno += 1;
+        nrows += 1;
     }
-    Relation::from_rows(schema, rows)
+    // Row ids are `u32` throughout the kernels.
+    if u32::try_from(nrows).is_err() {
+        return Err(Error::Parse(format!(
+            "TSV input has {nrows} rows, more than a relation can index"
+        )));
+    }
+    let cols = builders.into_iter().map(ColumnBuilder::finish).collect();
+    Ok((cols, nrows))
 }
 
-/// Decode one TSV cell. A cell without a backslash takes the historical
-/// path (trim, then sniff for an integer); a cell with one is an escaped
-/// string and decodes verbatim — no trim, no integer sniffing.
-fn cell_from_tsv(cell: &str, lineno: usize) -> Result<Value> {
+/// Decode one TSV cell into `col`. A cell without a backslash takes the
+/// historical path (trim, then sniff for an integer); a cell with one is an
+/// escaped string and decodes verbatim — no trim, no integer sniffing.
+fn push_cell_from_tsv(col: &mut ColumnBuilder, cell: &str, lineno: usize) -> Result<()> {
     if !cell.contains('\\') {
-        return Ok(Value::parse(cell.trim()));
+        let cell = cell.trim();
+        match cell.parse::<i64>() {
+            Ok(v) => col.push_int(v),
+            Err(_) => col.push_str(cell),
+        }
+        return Ok(());
     }
     let body = cell.strip_prefix("\\s").unwrap_or(cell);
     let mut out = String::with_capacity(body.len());
@@ -140,95 +227,303 @@ fn cell_from_tsv(cell: &str, lineno: usize) -> Result<Value> {
             }
         }
     }
-    Ok(Value::str(out))
+    col.push_str(&out);
+    Ok(())
 }
 
-/// Encode one value as a TSV cell, escaping whatever would corrupt the file
-/// (tabs and newlines inside strings) or mis-decode on re-import (strings
-/// that look like integers, empty strings, surrounding whitespace).
-fn cell_to_tsv(v: &Value) -> String {
-    let s = match v {
-        Value::Int(i) => return i.to_string(),
-        Value::Str(s) => s,
-    };
-    let needs_marker = s.is_empty() || s.trim().len() != s.len() || s.parse::<i64>().is_ok();
-    let needs_escape = s.contains(['\\', '\t', '\n', '\r']);
-    if !needs_marker && !needs_escape {
-        return s.to_string();
-    }
-    let mut out = String::with_capacity(s.len() + 2);
-    if needs_marker {
-        out.push_str("\\s");
-    }
-    for ch in s.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Write one body row (no header) as one TSV line, cells in the row's own
-/// order, returning the bytes written. Counterpart of [`read_rows_tsv`];
-/// the Grace-hash spill path streams partition files through this pair, so
-/// it uses the same cell escaping as the relation writer and hostile
-/// strings round-trip bit-for-bit.
-pub(crate) fn write_row_tsv<W: std::io::Write>(out: &mut W, row: &Row) -> std::io::Result<usize> {
-    let mut n = 0usize;
+/// Append one boxed tuple to `buf` as a TSV line — tab-separated escaped
+/// cells, then `\n` — for callers that hold tuples rather than a relation
+/// (Datalog facts). Relations print through [`write_sorted`].
+pub fn push_row(buf: &mut Vec<u8>, row: &[Value]) {
     for (i, v) in row.iter().enumerate() {
         if i > 0 {
-            out.write_all(b"\t")?;
-            n += 1;
+            buf.push(b'\t');
         }
-        let cell = cell_to_tsv(v);
-        out.write_all(cell.as_bytes())?;
-        n += cell.len();
+        push_cell(buf, v);
     }
-    out.write_all(b"\n")?;
-    Ok(n + 1)
+    buf.push(b'\n');
 }
 
-/// Parse header-less TSV body rows of known `arity`, as written by
-/// [`write_row_tsv`]. Cells land positionally — spill files store rows in
-/// schema-canonical order already, so no catalog or column permutation is
-/// involved.
-pub(crate) fn read_rows_tsv<R: std::io::BufRead>(reader: R, arity: usize) -> Result<Vec<Row>> {
-    let read_err = |e: std::io::Error| Error::Parse(format!("TSV read error: {e}"));
-    let mut rows: Vec<Row> = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line.map_err(read_err)?;
-        let line = line.strip_suffix('\r').unwrap_or(&line);
-        if line.trim().is_empty() {
-            continue;
-        }
-        let cells: Vec<&str> = line.split('\t').collect();
-        if cells.len() != arity {
-            return Err(Error::Parse(format!(
-                "spill row {}: expected {arity} values, found {}",
-                lineno + 1,
-                cells.len()
-            )));
-        }
-        let row: Result<Vec<Value>> = cells.iter().map(|c| cell_from_tsv(c, lineno + 1)).collect();
-        rows.push(row?.into());
+/// Append one value to `buf` as a TSV cell, escaping whatever would corrupt
+/// the file (tabs and newlines inside strings) or mis-decode on re-import
+/// (strings that look like integers, empty strings, surrounding whitespace).
+fn push_cell(buf: &mut Vec<u8>, v: &Value) {
+    let s = match v {
+        Value::Int(i) => return push_int(buf, *i),
+        Value::Str(s) => s,
+    };
+    if s.is_empty() || s.trim().len() != s.len() || s.parse::<i64>().is_ok() {
+        buf.extend_from_slice(b"\\s");
     }
-    Ok(rows)
+    for b in s.bytes() {
+        match b {
+            b'\\' => buf.extend_from_slice(b"\\\\"),
+            b'\t' => buf.extend_from_slice(b"\\t"),
+            b'\n' => buf.extend_from_slice(b"\\n"),
+            b'\r' => buf.extend_from_slice(b"\\r"),
+            b => buf.push(b),
+        }
+    }
 }
 
-/// Stream a relation as TSV (canonical column order, sorted rows) into any
-/// [`std::io::Write`] sink, one row at a time.
+/// Append `v` in decimal: digits are produced backwards into a stack buffer,
+/// so nothing allocates.
+fn push_int(buf: &mut Vec<u8>, v: i64) {
+    let mut tmp = [0u8; 20];
+    let mut at = tmp.len();
+    let mut n = v.unsigned_abs();
+    loop {
+        at -= 1;
+        tmp[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        at -= 1;
+        tmp[at] = b'-';
+    }
+    buf.extend_from_slice(&tmp[at..]);
+}
+
+/// Escaped TSV cells in one arena, addressed by slot — a dictionary code
+/// for the [`RowFormatter`], a rank for [`write_sorted`] — so each distinct
+/// value is escaped once however many rows carry it.
+struct Cells {
+    /// `bytes[starts[s]..starts[s + 1]]` is slot `s`.
+    starts: Vec<usize>,
+    bytes: Vec<u8>,
+}
+
+impl Cells {
+    /// One slot per item, in order; `None` leaves its slot empty.
+    fn of<'v>(values: impl Iterator<Item = Option<&'v Value>>) -> Self {
+        let mut starts = vec![0];
+        let mut bytes = Vec::new();
+        for v in values {
+            if let Some(v) = v {
+                push_cell(&mut bytes, v);
+            }
+            starts.push(bytes.len());
+        }
+        Cells { starts, bytes }
+    }
+
+    #[inline]
+    fn get(&self, slot: usize) -> &[u8] {
+        &self.bytes[self.starts[slot]..self.starts[slot + 1]]
+    }
+}
+
+/// Which entries of a `dict_len`-entry pool `codes` uses. A gathered column
+/// shares its source's pool, so the pool can be far larger than the column;
+/// only used entries are worth escaping or ranking.
+fn used_entries(codes: &[u32], dict_len: usize) -> Vec<bool> {
+    let mut used = vec![false; dict_len];
+    for &c in codes {
+        used[c as usize] = true;
+    }
+    used
+}
+
+/// Formats rows of a set of columns as TSV lines, in any order the caller
+/// asks for them (the spill partitioner's): integers through an in-place
+/// itoa, dictionary cells copied from their escaped form.
+pub(crate) struct RowFormatter<'a> {
+    cols: Vec<(&'a Column, Cells)>,
+}
+
+impl<'a> RowFormatter<'a> {
+    /// Prepare `cols` (in output order) for formatting.
+    pub(crate) fn new(cols: &[&'a Column]) -> Self {
+        let escaped = |c: &Column| match c {
+            Column::Int(_) => Cells::of(std::iter::empty()),
+            Column::Dict { codes, dict } => {
+                let used = used_entries(codes, dict.len());
+                Cells::of((0..dict.len()).map(|c| used[c].then(|| dict.value(c as u32))))
+            }
+        };
+        RowFormatter {
+            cols: cols.iter().map(|&c| (c, escaped(c))).collect(),
+        }
+    }
+
+    /// Append row `i` to `buf` as one line: tab-separated cells, then `\n`.
+    pub(crate) fn push_row(&self, i: usize, buf: &mut Vec<u8>) {
+        for (k, (col, cells)) in self.cols.iter().enumerate() {
+            if k > 0 {
+                buf.push(b'\t');
+            }
+            match col {
+                Column::Int(v) => push_int(buf, v[i]),
+                Column::Dict { codes, .. } => buf.extend_from_slice(cells.get(codes[i] as usize)),
+            }
+        }
+        buf.push(b'\n');
+    }
+}
+
+/// A column seen through order-preserving unsigned keys: `key(i) < key(j)`
+/// exactly when cell `i` sorts before cell `j` under the [`Value`] order,
+/// and a key alone is enough to print its cell.
+enum SortColumn<'a> {
+    /// Integer cells, keyed by their distance from the column minimum.
+    Int { vals: &'a [i64], min: i64 },
+    /// Dictionary cells, keyed by the *rank* of their entry among the
+    /// entries in use: the dictionary is sorted once, so comparing two
+    /// cells never touches a [`Value`]. `cells` is addressed by rank.
+    Ranked {
+        codes: &'a [u32],
+        rank: Vec<u32>,
+        cells: Cells,
+    },
+}
+
+impl<'a> SortColumn<'a> {
+    /// The keyed view of `col`, and how many bits its largest key needs.
+    fn new(col: &'a Column) -> (Self, u32) {
+        let bits = |max_key: u64| u64::BITS - max_key.leading_zeros();
+        match col {
+            Column::Int(vals) => {
+                let min = vals.iter().copied().min().unwrap_or(0);
+                let max = vals.iter().copied().max().unwrap_or(0);
+                // Two's-complement subtraction of the minimum is the
+                // distance from it, which fits `u64` for any two `i64`s.
+                (
+                    SortColumn::Int { vals, min },
+                    bits(max.wrapping_sub(min) as u64),
+                )
+            }
+            Column::Dict { codes, dict } => {
+                let used = used_entries(codes, dict.len());
+                let mut order: Vec<u32> = (0..dict.len() as u32)
+                    .filter(|&c| used[c as usize])
+                    .collect();
+                order.sort_unstable_by(|&a, &b| dict.value(a).cmp(dict.value(b)));
+                let mut rank = vec![0u32; dict.len()];
+                for (r, &c) in order.iter().enumerate() {
+                    rank[c as usize] = r as u32;
+                }
+                let cells = Cells::of(order.iter().map(|&c| Some(dict.value(c))));
+                let max_key = order.len().saturating_sub(1) as u64;
+                (SortColumn::Ranked { codes, rank, cells }, bits(max_key))
+            }
+        }
+    }
+
+    #[inline]
+    fn key(&self, i: usize) -> u64 {
+        match self {
+            SortColumn::Int { vals, min } => vals[i].wrapping_sub(*min) as u64,
+            SortColumn::Ranked { codes, rank, .. } => u64::from(rank[codes[i] as usize]),
+        }
+    }
+
+    /// Append the cell `key` stands for.
+    #[inline]
+    fn push_cell(&self, key: u64, buf: &mut Vec<u8>) {
+        match self {
+            SortColumn::Int { min, .. } => push_int(buf, min.wrapping_add(key as i64)),
+            SortColumn::Ranked { cells, .. } => buf.extend_from_slice(cells.get(key as usize)),
+        }
+    }
+}
+
+/// Output is handed to the sink in batches of about this many bytes.
+const WRITE_BATCH: usize = 64 * 1024;
+
+/// Write `header` and then the `nrows` tuples held column-wise in `cols`,
+/// sorted by the [`Value`] order on `cols` left to right — the one TSV
+/// writer. `cols` are in *output* order (a column may repeat); `nrows` is
+/// explicit because a nullary answer has no column to carry it.
 ///
-/// The rows are emitted straight from the column vectors: the row order is a
-/// sorted *id permutation* (compared column-wise, same `Value` ordering as
-/// [`Relation::sorted_rows`]), and each dictionary entry is escaped exactly
-/// once — every later occurrence writes the cached cell bytes. No row view
-/// is materialized and no output `String` proportional to the relation is
-/// built, so dumping a large result costs O(dict + ids) transient memory.
-pub fn relation_to_tsv_writer<W: std::io::Write>(
+/// No row is materialized and no comparison walks a dictionary. Every cell
+/// becomes an order-preserving integer key (an integer's distance from its
+/// column's minimum; a dictionary entry's rank, the dictionary being sorted
+/// once); as many leading columns as fit are packed, with the row id, into
+/// one `u128` per row and sorted as integers; runs that tie on the packed
+/// prefix are refined by integer compares on the remaining columns. Packed
+/// columns are then printed from the sorted keys themselves — sequentially,
+/// without going back to the column — and only the remaining ones are
+/// gathered by row id. Transient memory is 16 bytes per row plus the rank
+/// and escaped cell of each dictionary entry in use; rows are formatted into
+/// one reused buffer handed to `out` in batches of 64 KiB.
+pub fn write_sorted<W: Write>(
+    header: &[impl AsRef<str>],
+    cols: &[&Column],
+    nrows: usize,
+    out: &mut W,
+) -> std::io::Result<()> {
+    debug_assert!(cols.iter().all(|c| c.len() == nrows));
+    assert!(u32::try_from(nrows).is_ok(), "relations index rows by u32");
+    let mut buf: Vec<u8> = Vec::with_capacity(WRITE_BATCH + 4096);
+    for (i, name) in header.iter().enumerate() {
+        if i > 0 {
+            buf.push(b'\t');
+        }
+        buf.extend_from_slice(name.as_ref().as_bytes());
+    }
+    buf.push(b'\n');
+
+    let cols: Vec<(SortColumn, u32)> = cols.iter().map(|c| SortColumn::new(c)).collect();
+    // The leading columns whose keys fit beside the 32-bit row id.
+    let mut packed = 0usize;
+    let mut width = u32::BITS;
+    while packed < cols.len() && width + cols[packed].1 <= u128::BITS {
+        width += cols[packed].1;
+        packed += 1;
+    }
+    let (prefix, rest) = cols.split_at(packed);
+    let mut order = vec![0u128; nrows];
+    for (col, bits) in prefix {
+        for (i, k) in order.iter_mut().enumerate() {
+            *k = (*k << bits) | u128::from(col.key(i));
+        }
+    }
+    for (i, k) in order.iter_mut().enumerate() {
+        *k = (*k << u32::BITS) | i as u128;
+    }
+    order.sort_unstable();
+    let row = |k: u128| k as u32 as usize;
+    if !rest.is_empty() {
+        for run in order.chunk_by_mut(|a, b| a >> u32::BITS == b >> u32::BITS) {
+            run.sort_unstable_by(|&a, &b| {
+                rest.iter()
+                    .map(|(col, _)| col.key(row(a)).cmp(&col.key(row(b))))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+        }
+    }
+
+    for k in order {
+        let mut shift = width;
+        for (j, (col, bits)) in cols.iter().enumerate() {
+            if j > 0 {
+                buf.push(b'\t');
+            }
+            let key = if j < packed {
+                shift -= bits;
+                (k >> shift) as u64 & u64::MAX.checked_shr(u64::BITS - bits).unwrap_or(0)
+            } else {
+                col.key(row(k))
+            };
+            col.push_cell(key, &mut buf);
+        }
+        buf.push(b'\n');
+        if buf.len() >= WRITE_BATCH {
+            out.write_all(&buf)?;
+            buf.clear();
+        }
+    }
+    out.write_all(&buf)
+}
+
+/// Stream a relation as TSV (canonical column order, sorted rows — the same
+/// order as [`Relation::sorted_rows`]) into any [`std::io::Write`] sink,
+/// through [`write_sorted`].
+pub fn relation_to_tsv_writer<W: Write>(
     catalog: &Catalog,
     rel: &Relation,
     out: &mut W,
@@ -239,52 +534,8 @@ pub fn relation_to_tsv_writer<W: std::io::Write>(
         .iter()
         .map(|&a| catalog.name(a))
         .collect();
-    out.write_all(names.join("\t").as_bytes())?;
-    out.write_all(b"\n")?;
-
-    let cols = rel.columns();
-    let mut ids: Vec<u32> = (0..rel.len() as u32).collect();
-    ids.sort_unstable_by(|&a, &b| {
-        cols.iter()
-            .map(|c| c.cells_cmp(a as usize, c, b as usize))
-            .find(|o| *o != std::cmp::Ordering::Equal)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-
-    // Escape each dictionary entry once, up front; integer cells format
-    // into a reused buffer.
-    let escaped: Vec<Option<Vec<String>>> = cols
-        .iter()
-        .map(|c| {
-            c.dict().map(|d| {
-                (0..d.len() as u32)
-                    .map(|i| cell_to_tsv(d.value(i)))
-                    .collect()
-            })
-        })
-        .collect();
-    let mut intbuf = String::new();
-    for &i in &ids {
-        for (k, col) in cols.iter().enumerate() {
-            if k > 0 {
-                out.write_all(b"\t")?;
-            }
-            match (col, &escaped[k]) {
-                (crate::column::Column::Int(v), _) => {
-                    intbuf.clear();
-                    use std::fmt::Write as _;
-                    let _ = write!(intbuf, "{}", v[i as usize]);
-                    out.write_all(intbuf.as_bytes())?;
-                }
-                (crate::column::Column::Dict { codes, .. }, Some(cache)) => {
-                    out.write_all(cache[codes[i as usize] as usize].as_bytes())?;
-                }
-                (crate::column::Column::Dict { .. }, None) => unreachable!("dict column cached"),
-            }
-        }
-        out.write_all(b"\n")?;
-    }
-    Ok(())
+    let cols: Vec<&Column> = rel.columns().iter().collect();
+    write_sorted(&names, &cols, rel.len(), out)
 }
 
 /// Render a relation as TSV (canonical column order, sorted rows). Thin
@@ -296,7 +547,7 @@ pub fn relation_to_tsv(catalog: &Catalog, rel: &Relation) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -402,37 +653,245 @@ mod tests {
         assert!(err.to_string().contains("TSV read error"), "{err}");
     }
 
-    /// The streaming writer emits exactly what the historical String
-    /// renderer did: header, then rows in sorted order, one escape per cell.
+    /// Reference cell encoder: the row writer this module used to have,
+    /// kept so the tests hold [`push_cell`] and the [`RowFormatter`] to an
+    /// independent implementation.
+    pub(crate) fn cell_to_tsv(v: &Value) -> String {
+        let s = match v {
+            Value::Int(i) => return i.to_string(),
+            Value::Str(s) => s,
+        };
+        let needs_marker = s.is_empty() || s.trim().len() != s.len() || s.parse::<i64>().is_ok();
+        let needs_escape = s.contains(['\\', '\t', '\n', '\r']);
+        if !needs_marker && !needs_escape {
+            return s.to_string();
+        }
+        let mut out = String::with_capacity(s.len() + 2);
+        if needs_marker {
+            out.push_str("\\s");
+        }
+        for ch in s.chars() {
+            match ch {
+                '\\' => out.push_str("\\\\"),
+                '\t' => out.push_str("\\t"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// Reference row encoder: one line, cells in the row's own order.
+    pub(crate) fn row_to_tsv(row: &[Value]) -> String {
+        let cells: Vec<String> = row.iter().map(cell_to_tsv).collect();
+        cells.join("\t") + "\n"
+    }
+
+    /// Reference writer: header, then `sorted_rows()` through the
+    /// reference row encoder.
+    fn reference_tsv(c: &Catalog, rel: &Relation) -> String {
+        let names: Vec<&str> = rel.schema().attrs().iter().map(|&a| c.name(a)).collect();
+        let mut expect = names.join("\t") + "\n";
+        for row in rel.sorted_rows() {
+            expect.push_str(&row_to_tsv(&row));
+        }
+        expect
+    }
+
+    fn rel_of(c: &mut Catalog, scheme: &str, rows: Vec<Vec<Value>>) -> Relation {
+        let schema = Schema::from_chars(c, scheme);
+        Relation::from_tuples(schema, rows).unwrap()
+    }
+
+    /// The writer emits exactly what sorting the boxed rows and encoding
+    /// them cell by cell does, on every column shape the sort and the
+    /// formatter treat differently.
     #[test]
     fn writer_matches_sorted_row_rendering() {
         let mut c = Catalog::new();
-        let schema = Schema::from_chars(&mut c, "AB");
-        let rows = (0..50)
-            .map(|i| {
-                vec![
-                    Value::Int(97 - i),
-                    if i % 3 == 0 {
-                        Value::str(format!("s{}", i % 7))
-                    } else {
-                        Value::Int(i)
-                    },
-                ]
-                .into()
-            })
-            .collect();
-        let rel = Relation::from_rows(schema, rows).unwrap();
-        let mut expect = String::new();
-        expect.push_str("A\tB\n");
-        for row in rel.sorted_rows() {
-            let cells: Vec<String> = row.iter().map(cell_to_tsv).collect();
-            expect.push_str(&cells.join("\t"));
-            expect.push('\n');
+        let nasty = [
+            "tab\there",
+            "line\nbreak",
+            "cr\rhere",
+            "back\\slash",
+            "007",
+            "-0",
+            "",
+            " pad ",
+            "a",
+            "B",
+            "é",
+            "-5",
+        ];
+        let mixed = |i: i64| match i % 3 {
+            0 => Value::str(nasty[(i as usize / 3) % nasty.len()]),
+            1 => Value::Int(i - 25),
+            _ => Value::Int(-i),
+        };
+        let cases: Vec<Relation> = vec![
+            // Int column beside a mixed Int/Str dictionary column.
+            rel_of(
+                &mut c,
+                "AB",
+                (0..50)
+                    .map(|i| vec![Value::Int(97 - i), mixed(i)])
+                    .collect(),
+            ),
+            // Extreme integers: one column alone needs all 64 key bits, so the
+            // second and third are ordered by run refinement, not packing.
+            rel_of(
+                &mut c,
+                "ABC",
+                (0..60)
+                    .map(|i| {
+                        let a = [i64::MIN, -1, 0, i64::MAX][i as usize % 4];
+                        let b = [i64::MAX, i64::MIN, 7][i as usize % 3];
+                        vec![Value::Int(a), Value::Int(b), mixed(i)]
+                    })
+                    .collect(),
+            ),
+            // Arity 1, all strings (every one needing the marker or an escape).
+            rel_of(
+                &mut c,
+                "A",
+                nasty.iter().map(|s| vec![Value::str(s)]).collect(),
+            ),
+            rel_of(&mut c, "A", vec![vec![Value::Int(i64::MIN)]]),
+            // The two nullary relations, and an empty one with columns.
+            Relation::nullary_unit(),
+            Relation::empty(Schema::empty()),
+            Relation::empty(Schema::from_chars(&mut c, "AB")),
+        ];
+        for rel in &cases {
+            let expect = reference_tsv(&c, rel);
+            let mut sink: Vec<u8> = Vec::new();
+            relation_to_tsv_writer(&c, rel, &mut sink).unwrap();
+            assert_eq!(String::from_utf8(sink).unwrap(), expect);
+            assert_eq!(relation_to_tsv(&c, rel), expect);
+            // The boxed-tuple encoder and the column formatter agree with
+            // the reference row by row.
+            let cols: Vec<&Column> = rel.columns().iter().collect();
+            let formatter = RowFormatter::new(&cols);
+            for (i, row) in rel.rows().iter().enumerate() {
+                let (mut boxed, mut formatted) = (Vec::new(), Vec::new());
+                push_row(&mut boxed, row);
+                formatter.push_row(i, &mut formatted);
+                assert_eq!(String::from_utf8(boxed).unwrap(), row_to_tsv(row));
+                assert_eq!(String::from_utf8(formatted).unwrap(), row_to_tsv(row));
+            }
         }
-        let mut sink: Vec<u8> = Vec::new();
-        relation_to_tsv_writer(&c, &rel, &mut sink).unwrap();
-        assert_eq!(String::from_utf8(sink).unwrap(), expect);
-        assert_eq!(relation_to_tsv(&c, &rel), expect);
+        assert_eq!(relation_to_tsv(&c, &Relation::nullary_unit()), "\n\n");
+    }
+
+    /// A gathered column shares its source's pool: entries the column no
+    /// longer uses are neither ranked nor escaped, and the order is still
+    /// the `Value` order of the ones it does.
+    #[test]
+    fn writer_ranks_only_the_used_dictionary_entries() {
+        let mut c = Catalog::new();
+        let words = ["pear", "apple", "zebra", "fig", "mango", "kiwi"];
+        let full = rel_of(
+            &mut c,
+            "AB",
+            words
+                .iter()
+                .enumerate()
+                .map(|(i, w)| vec![Value::str(w), Value::Int(i as i64)])
+                .collect(),
+        );
+        let part = crate::ops::columnar::gather_relation(&full, &[4, 0, 2]);
+        assert_eq!(part.columns()[0].dict().unwrap().len(), words.len());
+        assert_eq!(
+            relation_to_tsv(&c, &part),
+            "A\tB\nmango\t4\npear\t0\nzebra\t2\n"
+        );
+    }
+
+    /// 70 k rows cross the write-batch size many times over: the output is
+    /// still byte-equal to the reference, it reaches the sink in batches,
+    /// and a sink that fails on its k-th write surfaces exactly that error —
+    /// whichever batch it hits, the last (partial) one included.
+    #[test]
+    fn writer_batches_and_propagates_sink_errors() {
+        struct Sink {
+            data: Vec<u8>,
+            writes: usize,
+            fail_at: usize,
+        }
+        impl std::io::Write for Sink {
+            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                if self.writes == self.fail_at {
+                    return Err(std::io::Error::other(format!(
+                        "write {} failed",
+                        self.writes
+                    )));
+                }
+                self.data.extend_from_slice(b);
+                Ok(b.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut c = Catalog::new();
+        let rel = rel_of(
+            &mut c,
+            "ABC",
+            (0..70_000i64)
+                .map(|i| {
+                    vec![
+                        Value::Int((i * 7919) % 1000 - 500),
+                        Value::str(format!("s{}", i % 613)),
+                        Value::Int(i),
+                    ]
+                })
+                .collect(),
+        );
+        let expect = reference_tsv(&c, &rel);
+        let mut ok = Sink {
+            data: Vec::new(),
+            writes: 0,
+            fail_at: 0,
+        };
+        relation_to_tsv_writer(&c, &rel, &mut ok).unwrap();
+        assert_eq!(String::from_utf8(ok.data).unwrap(), expect);
+        let total = ok.writes;
+        assert!(
+            total >= expect.len() / (WRITE_BATCH + 4096) && total <= expect.len() / WRITE_BATCH + 1,
+            "{total} writes for {} bytes",
+            expect.len()
+        );
+        for fail_at in [1, 2, total / 2, total] {
+            let mut sink = Sink {
+                data: Vec::new(),
+                writes: 0,
+                fail_at,
+            };
+            let err = relation_to_tsv_writer(&c, &rel, &mut sink).unwrap_err();
+            assert_eq!(err.to_string(), format!("write {fail_at} failed"));
+        }
+    }
+
+    #[test]
+    fn itoa_matches_display() {
+        for v in [
+            0,
+            1,
+            -1,
+            9,
+            10,
+            -10,
+            1234567890123,
+            i64::MAX,
+            i64::MIN,
+            i64::MIN + 1,
+        ] {
+            let mut buf = Vec::new();
+            push_int(&mut buf, v);
+            assert_eq!(String::from_utf8(buf).unwrap(), v.to_string());
+        }
     }
 
     /// Network clients send CRLF line endings and files truncated before

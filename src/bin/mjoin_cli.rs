@@ -707,17 +707,35 @@ fn datalog(args: &Args) -> Result<Option<ExplainInfo>, String> {
         res.iterations,
         res.total_cost
     );
+    // One locked, buffered writer for the whole dump.
+    let stdout = std::io::stdout();
+    let mut out = std::io::BufWriter::new(stdout.lock());
+    write_facts(&res, &mut out)
+        .and_then(|()| std::io::Write::flush(&mut out))
+        .map_err(|e| format!("writing facts: {e}"))?;
+    Ok(None)
+}
+
+/// Print each derived predicate's facts under a `# pred (n facts)` line,
+/// cells escaped as the TSV writer escapes them so every fact re-imports
+/// as itself.
+fn write_facts(
+    res: &mjoin::cq::DatalogResult,
+    out: &mut impl std::io::Write,
+) -> std::io::Result<()> {
     let mut preds: Vec<&String> = res.facts.keys().collect();
     preds.sort();
+    let mut line: Vec<u8> = Vec::new();
     for p in preds {
         let facts = res.facts_of(p);
-        println!("# {p} ({} facts)", facts.len());
+        writeln!(out, "# {p} ({} facts)", facts.len())?;
         for row in facts {
-            let cells: Vec<String> = row.iter().map(std::string::ToString::to_string).collect();
-            println!("{}", cells.join("\t"));
+            line.clear();
+            tsv::push_row(&mut line, row);
+            out.write_all(&line)?;
         }
     }
-    Ok(None)
+    Ok(())
 }
 
 /// Run the resident query server until a client sends `shutdown`. The

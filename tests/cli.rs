@@ -146,6 +146,45 @@ fn query_command_answers() {
     assert!(stdout.contains("1\t6"));
 }
 
+/// Hostile strings, as `relation_to_tsv` escapes them: a tab, a newline, a
+/// backslash, an integer look-alike, the empty string, padded whitespace.
+const HOSTILE_TSV: &str = "k\tv\n0\ttab\\there\n1\tline\\nbreak\n2\tback\\\\slash\n\
+                           3\t\\s007\n4\t\\s\n5\t\\s x \n6\tplain\n";
+
+/// `query` answers are escaped like every other TSV this binary writes: the
+/// printed answer keeps one line per tuple and re-imports as the relation
+/// that was loaded. (`Display` formatting used to leak raw tabs and newlines
+/// into the framing and turned `"007"` into `7` on re-import.)
+#[test]
+fn query_answers_escape_hostile_strings_and_reimport() {
+    use mjoin::relation::tsv::relation_from_tsv;
+    use mjoin::relation::Catalog;
+    let dir = tempdir::TempDir::new("hostile");
+    let file = write_tsv(dir.path(), "r.tsv", HOSTILE_TSV);
+    let out = cli(&["query", "Q(k, v) :- r(k, v)", file.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(stdout, HOSTILE_TSV, "already canonical: sorted and escaped");
+    let mut catalog = Catalog::new();
+    let loaded = relation_from_tsv(&mut catalog, HOSTILE_TSV).unwrap();
+    let printed = relation_from_tsv(&mut catalog, &stdout).unwrap();
+    assert_eq!(printed, loaded);
+    assert_eq!(printed.len(), 7);
+
+    // `datalog` facts go through the same cell escaping.
+    let out = cli(&["datalog", "t(k, v) :- r(k, v).", file.to_str().unwrap()]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let (banner, facts) = stdout.split_once('\n').unwrap();
+    assert_eq!(banner, "# t (7 facts)");
+    let printed = relation_from_tsv(&mut catalog, &format!("k\tv\n{facts}")).unwrap();
+    assert_eq!(printed, loaded);
+}
+
 #[test]
 fn help_exits_success() {
     // `--help`, `-h` and the bare `help` command all print usage to stdout

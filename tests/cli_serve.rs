@@ -200,3 +200,44 @@ fn cq_query_and_explain_with_minimization_over_the_wire() {
     let status = server.wait().expect("server exits");
     assert!(status.success(), "server exits 0 after shutdown");
 }
+
+/// A `query` answered with `tsv:true` escapes its cells like `run` does:
+/// hostile strings come back as a TSV that re-imports as what was loaded.
+#[test]
+fn cq_query_tsv_escapes_hostile_strings() {
+    use mjoin::relation::tsv::relation_from_tsv;
+    use mjoin::relation::Catalog;
+    use mjoin::serve::{Client, Value};
+    let hostile = "k\tv\n0\ttab\\there\n1\tline\\nbreak\n2\tback\\\\slash\n\
+                   3\t\\s007\n4\t\\s\n5\t\\s x \n6\tplain\n";
+    let (mut server, addr) = spawn_server(&[]);
+    let mut c = Client::connect(addr.as_str()).unwrap();
+    let fields = [
+        ("catalog", Value::str("c")),
+        ("name", Value::str("r")),
+        ("tsv", Value::str(hostile)),
+    ];
+    let resp = c.cmd("load", &fields).unwrap();
+    assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
+    let fields = [
+        ("catalog", Value::str("c")),
+        ("cq", Value::str("Q(k, v) :- r(k, v)")),
+        ("tsv", Value::Bool(true)),
+    ];
+    let resp = c.cmd("query", &fields).unwrap();
+    assert_eq!(
+        resp.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "{}",
+        resp.render()
+    );
+    let tsv = resp.get("tsv").and_then(Value::as_str).unwrap();
+    assert_eq!(tsv, hostile, "already canonical: sorted and escaped");
+    let mut catalog = Catalog::new();
+    assert_eq!(
+        relation_from_tsv(&mut catalog, tsv).unwrap(),
+        relation_from_tsv(&mut catalog, hostile).unwrap()
+    );
+    c.cmd("shutdown", &[]).unwrap();
+    assert!(server.wait().expect("server exits").success());
+}
