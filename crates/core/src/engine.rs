@@ -567,8 +567,8 @@ impl<'p> Admitted<'p> {
     }
 
     /// Run the admitted request. `cancel` is observed at statement
-    /// boundaries by the program interpreter; the worst-case-optimal join
-    /// has none, so it checks once before starting.
+    /// boundaries by the program interpreter, and once per value of the
+    /// outermost attribute by the worst-case-optimal join.
     pub fn execute(
         &self,
         threads: usize,
@@ -577,10 +577,7 @@ impl<'p> Admitted<'p> {
     ) -> Result<Outcome, Cancelled> {
         let p = self.analysis.p;
         if self.decision.executor == ExecutorKind::Wcoj {
-            if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                return Err(Cancelled { at_stmt: 0 });
-            }
-            let result = wcoj_join(&p.scheme, &p.db, cache);
+            let result = wcoj_join(&p.scheme, &p.db, cache, cancel.as_ref())?;
             let mut ledger = CostLedger::new();
             p.db.charge_inputs(&mut ledger);
             ledger.charge_generated("wcoj join", result.len());

@@ -1,7 +1,7 @@
 //! Differential suite for the counting [`ExactOracle`]: every size it
 //! reports must be the size of the sub-join a materializing evaluation
-//! builds, the count kernel must agree with the join kernel it replaces, and
-//! every planner must return the same tree and cost it returns over a
+//! builds, the count kernels (binary and worst-case-optimal) must agree with
+//! the join kernels they stand in for, and every planner must return the same tree and cost it returns over a
 //! materializing reference oracle — while the oracle itself never holds a
 //! disconnected sub-join.
 
@@ -9,6 +9,7 @@ use mjoin_hypergraph::{DbScheme, RelSet};
 use mjoin_optimizer::{greedy, optimize, CostOracle, ExactOracle, SearchSpace};
 use mjoin_relation::fxhash::FxHashMap;
 use mjoin_relation::{ops, Catalog, Database, Relation, Schema, Value};
+use mjoin_wcoj::{wcoj_count, wcoj_join};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -170,6 +171,22 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    /// Generic Join over every sub-database — cyclic, disconnected and
+    /// repeated schemes, strings over per-relation dictionaries, empty
+    /// relations: the columns sink is the join, the count sink is its size.
+    #[test]
+    fn wcoj_count_is_the_wcoj_join_size(seed in any::<u64>()) {
+        let (_scheme, db) = random_db(seed);
+        for set in subsets(db.len()).filter(|s| !s.is_empty()) {
+            let sub = db.restrict(&set.to_vec());
+            let scheme = DbScheme::from_schemas(&sub.schemas());
+            let joined = wcoj_join(&scheme, &sub, None, None).expect("not cancelled");
+            prop_assert_eq!(&joined, &sub.join_all(), "set {}", set);
+            let count = wcoj_count(&scheme, &sub, None, None).expect("not cancelled");
+            prop_assert_eq!(count, joined.len() as u64, "set {}", set);
         }
     }
 

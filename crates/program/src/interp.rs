@@ -1578,29 +1578,22 @@ mod tests {
         assert_eq!(cache.resident_bytes(), 0);
     }
 
-    /// Regression: `TrieIndex::heap_bytes` must include the sort
-    /// permutation vector, so a cached trie's frozen byte accounting in
-    /// the [`IndexCache`] covers everything the entry actually pins. The
-    /// old figure under-counted every trie entry by `4 × tuples` bytes
-    /// against the cache's byte budget.
+    /// A cached trie is charged exactly its level payloads (plus the
+    /// relation it pins): nothing else is retained per tuple.
     #[test]
-    fn trie_cache_accounting_includes_permutation_bytes() {
+    fn trie_cache_accounting_is_the_level_payloads() {
         use mjoin_relation::ops::TrieIndex;
         let mut c = Catalog::new();
         let r = Arc::new(relation_of_ints(&mut c, "AB", &[&[1, 2], &[3, 4]]).unwrap());
         let t = Arc::new(TrieIndex::build(Arc::clone(&r), vec![0, 1]));
-        let perm_bytes = t.tuples() * std::mem::size_of::<u32>();
         let level_bytes = t.depth() * t.tuples() * 8; // two permuted i64 levels
-        assert_eq!(t.heap_bytes(), level_bytes + perm_bytes);
+        assert_eq!(t.heap_bytes(), level_bytes);
 
         let mut cache = IndexCache::with_budgets(u64::MAX, u64::MAX);
         let resident = t.resident_bytes() as u64;
+        assert_eq!(resident, (level_bytes + r.resident_col_bytes()) as u64);
         cache.insert_trie(t);
         assert_eq!(cache.resident_bytes(), resident);
-        assert!(
-            cache.resident_bytes() >= (level_bytes + perm_bytes) as u64,
-            "cache accounting must cover the permutation vector"
-        );
         cache.clear();
         assert_eq!(cache.resident_bytes(), 0);
     }

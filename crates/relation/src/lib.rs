@@ -30,6 +30,7 @@ pub mod json;
 pub mod ops;
 pub mod relation;
 pub mod schema;
+mod sortkey;
 pub mod tsv;
 pub mod value;
 

@@ -226,6 +226,17 @@ pub(crate) fn materialize_join(
 /// Sequential columnar natural join, building on the smaller side.
 pub(crate) fn col_join(left: &Relation, right: &Relation) -> Relation {
     let out_schema = left.schema().union(right.schema());
+    // A nullary operand is the join's identity (or annihilates it): share
+    // the other side's columns instead of probing and gathering every row.
+    for (unit, other) in [(left, right), (right, left)] {
+        if unit.schema().arity() == 0 {
+            return if unit.is_empty() {
+                Relation::empty(out_schema)
+            } else {
+                other.clone()
+            };
+        }
+    }
     let (build, probe) = if left.len() <= right.len() {
         (left, right)
     } else {

@@ -109,6 +109,29 @@ mod tests {
         assert_eq!(join(&u, &r), r);
     }
 
+    /// The identity is taken in the kernel: the result shares the other
+    /// side's column payloads instead of gathering a copy of every row.
+    #[test]
+    fn nullary_unit_join_shares_columns() {
+        let mut c = Catalog::new();
+        let r = rel(&mut c, "AB", &[&[1, 2], &[3, 4]]).unwrap();
+        let u = Relation::nullary_unit();
+        let payload = |rel: &Relation| match &rel.columns()[0] {
+            crate::Column::Int(v) => std::sync::Arc::clone(v),
+            crate::Column::Dict { .. } => panic!("integer column"),
+        };
+        let shared = payload(&r);
+        for j in [join(&r, &u), join(&u, &r)] {
+            assert_eq!(j, r);
+            assert!(std::sync::Arc::ptr_eq(&payload(&j), &shared));
+        }
+        let none = Relation::empty(Schema::empty());
+        for j in [join(&r, &none), join(&none, &r)] {
+            assert!(j.is_empty());
+            assert_eq!(j.schema(), r.schema());
+        }
+    }
+
     #[test]
     fn multi_attribute_key() {
         let mut c = Catalog::new();

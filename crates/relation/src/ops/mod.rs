@@ -24,6 +24,7 @@ mod semijoin;
 mod setops;
 mod spill;
 mod trie;
+mod trie_join;
 
 pub use index::{
     par_join_indexed, par_join_indexed_cutoff, par_semijoin_indexed, par_semijoin_indexed_cutoff,
@@ -39,6 +40,7 @@ pub use semijoin::{par_semijoin, par_semijoin_cutoff, semijoin};
 pub use setops::{difference, intersection, union};
 pub use spill::{grace_hash_join, SpillStats};
 pub use trie::TrieIndex;
+pub use trie_join::{trie_join, trie_join_count, Stopped, TrieJoinStats};
 
 pub use columnar::{join_count, key_hashes};
 

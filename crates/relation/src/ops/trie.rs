@@ -7,21 +7,28 @@
 //! row range `[lo, hi)` at some level; its children are the equal-value runs
 //! of the next level within that range. That is exactly the representation
 //! Leapfrog Triejoin wants: `seek`/`next` become galloping searches over a
-//! sorted slice, and descending into a child is narrowing the range.
+//! sorted slice, and descending into a child is narrowing the range. The
+//! elimination loop that walks these ranges is [`super::trie_join`].
 //!
-//! Construction works directly over the columnar storage (PR 6): the sort
-//! permutation is computed once over `u32` dictionary codes / packed `i64`s
-//! and each level column is a [`Column::gather`] — interned levels copy only
-//! codes and share the value pool; no row view is ever materialized.
+//! Construction works directly over the columnar storage and sorts packed
+//! order keys ([`crate::sortkey`], the TSV writer's sort): every level is
+//! seen as unsigned keys — an integer level's key is its distance from the
+//! column minimum, an interned level's key is the rank of its code under the
+//! global [`crate::Value`] order (ints before strings), the pool being
+//! sorted once — and `(k₀, k₁, …, row)` words are sorted as integers. Each
+//! level column is then a [`Column::gather`] through the resulting
+//! permutation (interned levels copy only codes and share the value pool).
+//! No comparison hops between columns or dereferences a dictionary, and no
+//! row view is ever materialized.
 //!
-//! Cells are compared under the global [`Value`] ordering (ints before
-//! strings), the same order [`Column::cells_cmp`] uses, so tries built from
-//! different relations — with different dictionaries — intersect correctly.
+//! Because the keys follow the [`crate::Value`] order that
+//! [`Column::cells_cmp`] uses, tries built from different relations — with
+//! different dictionaries — intersect correctly.
 
+use crate::attr::AttrId;
 use crate::column::Column;
 use crate::relation::Relation;
-use crate::value::Value;
-use std::cmp::Ordering;
+use crate::sortkey::sorted_permutation;
 use std::sync::Arc;
 
 /// A sorted trie view over an `Arc<Relation>`: the analogue of
@@ -38,47 +45,24 @@ pub struct TrieIndex {
     /// Per-level columns, permuted into trie order (row `i` of every level
     /// is the same source tuple).
     levels: Vec<Column>,
-    /// The sort permutation mapping trie row `i` back to source row
-    /// `perm[i]`. Kept so callers can recover source tuples from trie
-    /// positions; it is real resident memory and counts toward
-    /// [`TrieIndex::heap_bytes`].
-    perm: Box<[u32]>,
 }
 
 impl TrieIndex {
-    /// Build the trie: gather the key columns, sort one permutation
-    /// lexicographically under the global [`Value`] order, and gather each
-    /// level through it. `key_pos` lists schema column positions, outermost
-    /// level first; it need not cover the whole schema, but for the
-    /// worst-case-optimal executor it always does (every attribute is
-    /// eliminated somewhere).
+    /// Build the trie: sort the rows as packed `(keys…, row)` words and
+    /// gather each level through the resulting permutation. `key_pos` lists
+    /// schema column positions, outermost level first; it need not cover
+    /// the whole schema, but for the worst-case-optimal executor it always
+    /// does (every attribute is eliminated somewhere).
     pub fn build(rel: Arc<Relation>, key_pos: Vec<usize>) -> Self {
-        let n = rel.len();
         let cols = rel.columns();
         let keys: Vec<&Column> = key_pos.iter().map(|&p| &cols[p]).collect();
-        let mut perm: Vec<u32> =
-            (0..u32::try_from(n).expect("relation exceeds u32 rows")).collect();
-        perm.sort_unstable_by(|&a, &b| {
-            for c in &keys {
-                match cmp_within(c, a as usize, b as usize) {
-                    Ordering::Equal => continue,
-                    non_eq => return non_eq,
-                }
-            }
-            Ordering::Equal
-        });
+        let perm = sorted_permutation(&keys, rel.len());
         let levels = keys.iter().map(|c| c.gather(&perm)).collect();
         TrieIndex {
             rel,
             key_pos: key_pos.into(),
             levels,
-            perm: perm.into(),
         }
-    }
-
-    /// The source row index of trie row `i` (the sort permutation).
-    pub fn source_row(&self, i: usize) -> usize {
-        self.perm[i] as usize
     }
 
     /// The indexed relation.
@@ -101,15 +85,21 @@ impl TrieIndex {
         self.rel.len()
     }
 
-    /// Heap bytes of the permuted level columns themselves plus the sort
-    /// permutation vector (excluding the pinned relation and shared
-    /// dictionary pools): the allocation a cache hit avoids re-sorting.
-    /// The permutation is included because it is retained for the life of
-    /// the trie — omitting it under-counted every cached trie by
-    /// `4 × tuples` bytes against the cache's byte budget.
+    /// The attribute sorted at `level`.
+    pub(super) fn level_attr(&self, level: usize) -> AttrId {
+        self.rel.schema().attrs()[self.key_pos[level]]
+    }
+
+    /// The level columns in trie order, outermost first.
+    pub(super) fn levels(&self) -> &[Column] {
+        &self.levels
+    }
+
+    /// Heap bytes of the permuted level columns themselves (excluding the
+    /// pinned relation and shared dictionary pools): the allocation a cache
+    /// hit avoids re-sorting.
     pub fn heap_bytes(&self) -> usize {
-        self.levels.iter().map(Column::payload_bytes).sum::<usize>()
-            + self.perm.len() * std::mem::size_of::<u32>()
+        self.levels.iter().map(Column::payload_bytes).sum()
     }
 
     /// Resident bytes — the level columns plus the pinned relation's
@@ -119,99 +109,6 @@ impl TrieIndex {
     pub fn resident_bytes(&self) -> usize {
         self.heap_bytes() + self.rel.resident_col_bytes()
     }
-
-    /// The value of the cell at `level`, row `i` (an `Arc` bump for interned
-    /// strings).
-    pub fn value(&self, level: usize, i: usize) -> Value {
-        self.levels[level].value(i)
-    }
-
-    /// Compare the cell at `(level, i)` of `self` with the cell at
-    /// `(olevel, j)` of `other` under the global [`Value`] ordering, across
-    /// possibly different relations and dictionaries.
-    #[inline]
-    pub fn cell_cmp(
-        &self,
-        level: usize,
-        i: usize,
-        other: &TrieIndex,
-        olevel: usize,
-        j: usize,
-    ) -> Ordering {
-        self.levels[level].cells_cmp(i, &other.levels[olevel], j)
-    }
-
-    /// End of the run of rows equal to row `i` at `level`, within
-    /// `[i, hi)` — i.e. the first index `> i` whose cell differs, found by
-    /// galloping (the run is usually short).
-    pub fn run_end(&self, level: usize, i: usize, hi: usize) -> usize {
-        debug_assert!(i < hi, "run_end needs a non-empty range");
-        let col = &self.levels[level];
-        gallop(i + 1, hi, |k| cmp_within(col, k, i) == Ordering::Equal)
-    }
-
-    /// First row in `[lo, hi)` whose cell at `level` is `>=` the cell at
-    /// `(olevel, j)` of `other`, by galloping then binary search. Returns
-    /// `hi` when every cell is smaller.
-    pub fn seek_ge(
-        &self,
-        level: usize,
-        lo: usize,
-        hi: usize,
-        other: &TrieIndex,
-        olevel: usize,
-        j: usize,
-    ) -> usize {
-        let col = &self.levels[level];
-        let ocol = &other.levels[olevel];
-        gallop(lo, hi, |k| col.cells_cmp(k, ocol, j) == Ordering::Less)
-    }
-}
-
-/// Compare two cells of the *same* column. Integer columns compare the
-/// packed words; interned columns compare pool values (codes are not
-/// ordered).
-#[inline]
-fn cmp_within(col: &Column, i: usize, j: usize) -> Ordering {
-    match col {
-        Column::Int(v) => v[i].cmp(&v[j]),
-        Column::Dict { codes, dict } => {
-            let (a, b) = (codes[i], codes[j]);
-            if a == b {
-                Ordering::Equal
-            } else {
-                dict.value(a).cmp(dict.value(b))
-            }
-        }
-    }
-}
-
-/// The first index in `[lo, hi)` where `pred` turns false, assuming `pred`
-/// is monotone (true-prefix, false-suffix) on the range: exponential probe
-/// from `lo`, then binary search within the bracketed window.
-fn gallop(lo: usize, hi: usize, pred: impl Fn(usize) -> bool) -> usize {
-    if lo >= hi || !pred(lo) {
-        return lo;
-    }
-    // Invariant: pred holds at `base - 1`.
-    let mut step = 1usize;
-    let mut base = lo + 1;
-    while base < hi && pred(base) {
-        base += step;
-        step *= 2;
-    }
-    // Binary search in [base - step/2 .. min(base, hi)) — pred true below,
-    // false at/after the answer.
-    let (mut left, mut right) = (base - step / 2, base.min(hi));
-    while left < right {
-        let mid = left + (right - left) / 2;
-        if pred(mid) {
-            left = mid + 1;
-        } else {
-            right = mid;
-        }
-    }
-    left
 }
 
 #[cfg(test)]
@@ -221,9 +118,18 @@ mod tests {
     use crate::relation::Row;
     use crate::relation_of_ints;
     use crate::schema::Schema;
+    use crate::value::Value;
+    use std::cmp::Ordering;
 
     fn trie_of(rel: &Relation, key_pos: Vec<usize>) -> TrieIndex {
         TrieIndex::build(Arc::new(rel.clone()), key_pos)
+    }
+
+    /// The trie's tuples in trie order, one `Vec<Value>` per row.
+    fn rows_of(t: &TrieIndex) -> Vec<Vec<Value>> {
+        (0..t.tuples())
+            .map(|i| t.levels.iter().map(|c| c.value(i)).collect())
+            .collect()
     }
 
     #[test]
@@ -231,14 +137,11 @@ mod tests {
         let mut c = Catalog::new();
         let r =
             relation_of_ints(&mut c, "AB", &[&[2, 1], &[1, 9], &[1, 3], &[2, 0], &[0, 5]]).unwrap();
-        let t = trie_of(&r, vec![0, 1]);
-        let got: Vec<(Value, Value)> = (0..t.tuples())
-            .map(|i| (t.value(0, i), t.value(1, i)))
-            .collect();
+        let got = rows_of(&trie_of(&r, vec![0, 1]));
         let mut want = got.clone();
         want.sort();
         assert_eq!(got, want);
-        assert_eq!(got[0], (Value::Int(0), Value::Int(5)));
+        assert_eq!(got[0], [Value::Int(0), Value::Int(5)]);
     }
 
     #[test]
@@ -247,29 +150,9 @@ mod tests {
         let r = relation_of_ints(&mut c, "AB", &[&[2, 1], &[1, 9], &[3, 1]]).unwrap();
         let t = trie_of(&r, vec![1, 0]);
         // Outer level is column B.
-        assert_eq!(t.value(0, 0), Value::Int(1));
-        assert_eq!(t.value(0, 1), Value::Int(1));
-        assert_eq!(t.value(1, 0), Value::Int(2));
-        assert_eq!(t.value(1, 1), Value::Int(3));
-    }
-
-    #[test]
-    fn run_end_and_seek() {
-        let mut c = Catalog::new();
-        let r =
-            relation_of_ints(&mut c, "AB", &[&[1, 1], &[1, 2], &[1, 3], &[4, 1], &[6, 1]]).unwrap();
-        let t = trie_of(&r, vec![0, 1]);
-        assert_eq!(t.run_end(0, 0, 5), 3, "run of A=1");
-        assert_eq!(t.run_end(0, 3, 5), 4, "run of A=4");
-        // Seek within the trie against another trie's cells.
-        let probe = relation_of_ints(&mut c, "A", &[&[0], &[1], &[2], &[5], &[9]]).unwrap();
-        let pt = trie_of(&probe, vec![0]);
-        // probe rows sorted: 0,1,2,5,9
-        assert_eq!(t.seek_ge(0, 0, 5, &pt, 0, 0), 0, ">= 0");
-        assert_eq!(t.seek_ge(0, 0, 5, &pt, 0, 1), 0, ">= 1");
-        assert_eq!(t.seek_ge(0, 0, 5, &pt, 0, 2), 3, ">= 2");
-        assert_eq!(t.seek_ge(0, 0, 5, &pt, 0, 3), 4, ">= 5");
-        assert_eq!(t.seek_ge(0, 0, 5, &pt, 0, 4), 5, ">= 9 exhausts");
+        assert_eq!(t.level_attr(0), r.schema().attrs()[1]);
+        let ints = |a: i64, b: i64| vec![Value::Int(a), Value::Int(b)];
+        assert_eq!(rows_of(&t), [ints(1, 2), ints(1, 3), ints(9, 1)]);
     }
 
     #[test]
@@ -283,8 +166,10 @@ mod tests {
             vec![Value::Int(-2)].into(),
         ];
         let r = Relation::from_rows(s, rows).unwrap();
-        let t = trie_of(&r, vec![0]);
-        let got: Vec<Value> = (0..4).map(|i| t.value(0, i)).collect();
+        let got: Vec<Value> = rows_of(&trie_of(&r, vec![0]))
+            .into_iter()
+            .flatten()
+            .collect();
         assert_eq!(
             got,
             vec![
@@ -297,25 +182,101 @@ mod tests {
         );
     }
 
+    /// The order the comparator-based build produced: rows compared level
+    /// by level under [`Column::cells_cmp`].
+    fn assert_comparator_order(rel: &Relation, key_pos: Vec<usize>) {
+        let t = trie_of(rel, key_pos.clone());
+        for i in 1..t.tuples() {
+            let ord = t
+                .levels
+                .iter()
+                .map(|c| c.cells_cmp(i - 1, c, i))
+                .find(|o| o.is_ne());
+            assert_ne!(ord, Some(Ordering::Greater), "rows {} and {i}", i - 1);
+        }
+        let mut got = rows_of(&t);
+        let mut want: Vec<Vec<Value>> = rel
+            .rows()
+            .iter()
+            .map(|r| key_pos.iter().map(|&p| r[p].clone()).collect())
+            .collect();
+        got.sort();
+        want.sort();
+        assert_eq!(got, want, "same multiset of rows");
+    }
+
+    /// Packed order keys sort exactly as the per-comparison column walk
+    /// did, on integer, string and mixed int/string columns — with pool
+    /// codes deliberately *not* in value order — and when the keys outgrow
+    /// the packed word.
     #[test]
-    fn cross_dictionary_comparison() {
+    fn packed_key_order_equals_comparator_order() {
         let mut c = Catalog::new();
-        let s = Schema::from_chars(&mut c, "A");
-        let r1 = Relation::from_rows(
-            s.clone(),
-            vec![vec![Value::str("m")].into(), vec![Value::str("a")].into()],
-        )
-        .unwrap();
-        let r2 = Relation::from_rows(
-            s,
-            vec![vec![Value::str("z")].into(), vec![Value::str("m")].into()],
-        )
-        .unwrap();
-        let (t1, t2) = (trie_of(&r1, vec![0]), trie_of(&r2, vec![0]));
-        // t1 sorted: a, m — t2 sorted: m, z. Distinct pools.
-        assert_eq!(t1.cell_cmp(0, 1, &t2, 0, 0), Ordering::Equal);
-        assert_eq!(t1.cell_cmp(0, 0, &t2, 0, 0), Ordering::Less);
-        assert_eq!(t1.seek_ge(0, 0, 2, &t2, 0, 0), 1, "first >= \"m\"");
+        let abc = Schema::from_chars(&mut c, "ABC");
+        // Strings interned in descending order: code order is the reverse
+        // of value order. Column C mixes ints and strings.
+        let rows: Vec<Row> = (0..60i64)
+            .map(|i| {
+                let mixed = if i % 3 == 0 {
+                    Value::Int(i % 7 - 3)
+                } else {
+                    Value::str(format!("m{}", (i * 5) % 11))
+                };
+                vec![
+                    Value::Int((i * 7) % 5 - 2),
+                    Value::str(format!("s{:02}", 59 - (i % 13))),
+                    mixed,
+                ]
+                .into()
+            })
+            .collect();
+        let r = Relation::from_rows(abc, rows).unwrap();
+        for key_pos in [vec![0], vec![1], vec![2], vec![1, 0], vec![2, 1, 0]] {
+            assert_comparator_order(&r, key_pos);
+        }
+
+        // Two full-range integer levels fill the packed word; the third
+        // level is ordered by the tie-refinement pass.
+        let wide = Schema::from_chars(&mut c, "DEF");
+        let rows: Vec<Row> = (0..40i64)
+            .map(|i| {
+                vec![
+                    Value::Int([i64::MIN, 0, i64::MAX][(i % 3) as usize]),
+                    Value::Int([i64::MAX, i64::MIN][(i % 2) as usize]),
+                    Value::str(format!("w{}", 39 - i)),
+                ]
+                .into()
+            })
+            .collect();
+        let r = Relation::from_rows(wide, rows).unwrap();
+        assert_comparator_order(&r, vec![0, 1, 2]);
+    }
+
+    /// Two key columns sharing one pool, each using part of it, both sort
+    /// by value.
+    #[test]
+    fn key_columns_sharing_a_pool_sort_by_value() {
+        let mut c = Catalog::new();
+        let a = Schema::from_chars(&mut c, "A");
+        let rows: Vec<Row> = ["q", "c", "x", "a"]
+            .iter()
+            .map(|s| vec![Value::str(s)].into())
+            .collect();
+        let base = Relation::from_rows(a, rows).unwrap();
+        // Two columns gathered from one interned column share its pool.
+        let col = &base.columns()[0];
+        let ab = Schema::from_chars(&mut c, "AB");
+        let r = Relation::from_distinct_columns(
+            ab,
+            3,
+            vec![col.gather(&[0, 0, 1]), col.gather(&[2, 3, 0])],
+        );
+        assert_comparator_order(&r, vec![0, 1]);
+        let strs = |a: &str, b: &str| vec![Value::str(a), Value::str(b)];
+        assert_eq!(
+            rows_of(&trie_of(&r, vec![0, 1])),
+            [strs("c", "q"), strs("q", "a"), strs("q", "x")]
+        );
     }
 
     #[test]
@@ -329,13 +290,8 @@ mod tests {
         assert_eq!(Arc::as_ptr(t.relation()), ptr);
         assert_eq!(t.tuples(), 2);
         assert_eq!(t.depth(), 2);
-        assert_eq!(
-            t.heap_bytes(),
-            2 * 2 * 8 + 2 * 4,
-            "two permuted i64 levels plus the u32 permutation"
-        );
+        assert_eq!(t.heap_bytes(), 2 * 2 * 8, "two permuted i64 levels");
         assert!(t.resident_bytes() >= t.heap_bytes());
-        assert_eq!(t.source_row(0), 0);
     }
 
     #[test]

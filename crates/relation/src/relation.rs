@@ -14,8 +14,8 @@
 //! partitions go to disk and come back without a tuple being boxed
 //! ([`crate::tsv`]). The row view ([`Relation::rows`]/[`Relation::iter`]) is
 //! the *construction and compatibility* API — `from_rows` for callers that
-//! have tuples in hand (tests, `merge_join`, the WCOJ executor's output,
-//! Datalog), `rows()` for callers that want them back — *lazily
+//! have tuples in hand (tests, `merge_join`, Datalog), `rows()` for callers
+//! that want them back — *lazily
 //! materialized* and memoized: a kernel's output or a loaded file never pays
 //! for rows, a caller that constructed from rows never pays for columns
 //! until a kernel asks, and both views describe the same immutable tuple set

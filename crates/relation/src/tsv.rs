@@ -32,6 +32,7 @@ use crate::fxhash::mix;
 use crate::ops::columnar::dedup_ids_by_key;
 use crate::relation::Relation;
 use crate::schema::Schema;
+use crate::sortkey::{sort_rows, used_entries, SortColumn, SortedRows};
 use crate::value::Value;
 use std::io::{BufRead, Write};
 
@@ -316,17 +317,6 @@ impl Cells {
     }
 }
 
-/// Which entries of a `dict_len`-entry pool `codes` uses. A gathered column
-/// shares its source's pool, so the pool can be far larger than the column;
-/// only used entries are worth escaping or ranking.
-fn used_entries(codes: &[u32], dict_len: usize) -> Vec<bool> {
-    let mut used = vec![false; dict_len];
-    for &c in codes {
-        used[c as usize] = true;
-    }
-    used
-}
-
 /// Formats rows of a set of columns as TSV lines, in any order the caller
 /// asks for them (the spill partitioner's): integers through an in-place
 /// itoa, dictionary cells copied from their escaped form.
@@ -364,69 +354,23 @@ impl<'a> RowFormatter<'a> {
     }
 }
 
-/// A column seen through order-preserving unsigned keys: `key(i) < key(j)`
-/// exactly when cell `i` sorts before cell `j` under the [`Value`] order,
-/// and a key alone is enough to print its cell.
-enum SortColumn<'a> {
-    /// Integer cells, keyed by their distance from the column minimum.
-    Int { vals: &'a [i64], min: i64 },
-    /// Dictionary cells, keyed by the *rank* of their entry among the
-    /// entries in use: the dictionary is sorted once, so comparing two
-    /// cells never touches a [`Value`]. `cells` is addressed by rank.
-    Ranked {
-        codes: &'a [u32],
-        rank: Vec<u32>,
-        cells: Cells,
-    },
+/// The escaped cells of a sort column, addressed by key: empty for integers
+/// (printed from the key itself), one slot per rank for dictionary entries.
+fn cells_by_key(col: &SortColumn) -> Cells {
+    match col {
+        SortColumn::Int { .. } => Cells::of(std::iter::empty()),
+        SortColumn::Ranked { dict, by_rank, .. } => {
+            Cells::of(by_rank.iter().map(|&c| Some(dict.value(c))))
+        }
+    }
 }
 
-impl<'a> SortColumn<'a> {
-    /// The keyed view of `col`, and how many bits its largest key needs.
-    fn new(col: &'a Column) -> (Self, u32) {
-        let bits = |max_key: u64| u64::BITS - max_key.leading_zeros();
-        match col {
-            Column::Int(vals) => {
-                let min = vals.iter().copied().min().unwrap_or(0);
-                let max = vals.iter().copied().max().unwrap_or(0);
-                // Two's-complement subtraction of the minimum is the
-                // distance from it, which fits `u64` for any two `i64`s.
-                (
-                    SortColumn::Int { vals, min },
-                    bits(max.wrapping_sub(min) as u64),
-                )
-            }
-            Column::Dict { codes, dict } => {
-                let used = used_entries(codes, dict.len());
-                let mut order: Vec<u32> = (0..dict.len() as u32)
-                    .filter(|&c| used[c as usize])
-                    .collect();
-                order.sort_unstable_by(|&a, &b| dict.value(a).cmp(dict.value(b)));
-                let mut rank = vec![0u32; dict.len()];
-                for (r, &c) in order.iter().enumerate() {
-                    rank[c as usize] = r as u32;
-                }
-                let cells = Cells::of(order.iter().map(|&c| Some(dict.value(c))));
-                let max_key = order.len().saturating_sub(1) as u64;
-                (SortColumn::Ranked { codes, rank, cells }, bits(max_key))
-            }
-        }
-    }
-
-    #[inline]
-    fn key(&self, i: usize) -> u64 {
-        match self {
-            SortColumn::Int { vals, min } => vals[i].wrapping_sub(*min) as u64,
-            SortColumn::Ranked { codes, rank, .. } => u64::from(rank[codes[i] as usize]),
-        }
-    }
-
-    /// Append the cell `key` stands for.
-    #[inline]
-    fn push_cell(&self, key: u64, buf: &mut Vec<u8>) {
-        match self {
-            SortColumn::Int { min, .. } => push_int(buf, min.wrapping_add(key as i64)),
-            SortColumn::Ranked { cells, .. } => buf.extend_from_slice(cells.get(key as usize)),
-        }
+/// Append the cell `key` stands for in `col`.
+#[inline]
+fn push_key_cell(col: &SortColumn, cells: &Cells, key: u64, buf: &mut Vec<u8>) {
+    match col {
+        SortColumn::Int { min, .. } => push_int(buf, min.wrapping_add(key as i64)),
+        SortColumn::Ranked { .. } => buf.extend_from_slice(cells.get(key as usize)),
     }
 }
 
@@ -456,7 +400,6 @@ pub fn write_sorted<W: Write>(
     out: &mut W,
 ) -> std::io::Result<()> {
     debug_assert!(cols.iter().all(|c| c.len() == nrows));
-    assert!(u32::try_from(nrows).is_ok(), "relations index rows by u32");
     let mut buf: Vec<u8> = Vec::with_capacity(WRITE_BATCH + 4096);
     for (i, name) in header.iter().enumerate() {
         if i > 0 {
@@ -467,39 +410,16 @@ pub fn write_sorted<W: Write>(
     buf.push(b'\n');
 
     let cols: Vec<(SortColumn, u32)> = cols.iter().map(|c| SortColumn::new(c)).collect();
-    // The leading columns whose keys fit beside the 32-bit row id.
-    let mut packed = 0usize;
-    let mut width = u32::BITS;
-    while packed < cols.len() && width + cols[packed].1 <= u128::BITS {
-        width += cols[packed].1;
-        packed += 1;
-    }
-    let (prefix, rest) = cols.split_at(packed);
-    let mut order = vec![0u128; nrows];
-    for (col, bits) in prefix {
-        for (i, k) in order.iter_mut().enumerate() {
-            *k = (*k << bits) | u128::from(col.key(i));
-        }
-    }
-    for (i, k) in order.iter_mut().enumerate() {
-        *k = (*k << u32::BITS) | i as u128;
-    }
-    order.sort_unstable();
-    let row = |k: u128| k as u32 as usize;
-    if !rest.is_empty() {
-        for run in order.chunk_by_mut(|a, b| a >> u32::BITS == b >> u32::BITS) {
-            run.sort_unstable_by(|&a, &b| {
-                rest.iter()
-                    .map(|(col, _)| col.key(row(a)).cmp(&col.key(row(b))))
-                    .find(|o| o.is_ne())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-        }
-    }
+    let cells: Vec<Cells> = cols.iter().map(|(col, _)| cells_by_key(col)).collect();
+    let SortedRows {
+        keys,
+        packed,
+        width,
+    } = sort_rows(&cols, nrows);
 
-    for k in order {
+    for k in keys {
         let mut shift = width;
-        for (j, (col, bits)) in cols.iter().enumerate() {
+        for (j, ((col, bits), cells)) in cols.iter().zip(&cells).enumerate() {
             if j > 0 {
                 buf.push(b'\t');
             }
@@ -507,9 +427,9 @@ pub fn write_sorted<W: Write>(
                 shift -= bits;
                 (k >> shift) as u64 & u64::MAX.checked_shr(u64::BITS - bits).unwrap_or(0)
             } else {
-                col.key(row(k))
+                col.key(SortedRows::row(k))
             };
-            col.push_cell(key, &mut buf);
+            push_key_cell(col, cells, key, &mut buf);
         }
         buf.push(b'\n');
         if buf.len() >= WRITE_BATCH {

@@ -141,6 +141,77 @@ fn cq_query_honours_an_expired_deadline() {
     server_thread.join().unwrap().unwrap();
 }
 
+/// The complete `k × k` relation over columns `a`, `b` as TSV.
+fn dense_tsv(a: &str, b: &str, k: u32) -> String {
+    let mut t = format!("{a}\t{b}\n");
+    for i in 0..k {
+        for j in 0..k {
+            t.push_str(&format!("{i}\t{j}\n"));
+        }
+    }
+    t
+}
+
+/// A deadline that lands *inside* the worst-case-optimal join: the dense
+/// triangle has `k³` answers (hundreds of milliseconds of elimination in a
+/// release build, far more in debug), the deadline is a small fraction of
+/// that, and the loop polls the token at every value of the outermost
+/// attribute — so the request answers `deadline` promptly instead of
+/// enumerating the join, and the session carries on.
+#[test]
+fn deadline_stops_a_wcoj_query_inside_the_join() {
+    let _serial = serial();
+    let (addr, server_thread) = spawn(ServeConfig::default());
+    let mut c = Client::connect(addr).unwrap();
+    let k = 200;
+    for (name, tsv) in [
+        ("ab", dense_tsv("A", "B", k)),
+        ("bc", dense_tsv("B", "C", k)),
+        ("ca", dense_tsv("C", "A", k)),
+    ] {
+        let fields = [
+            ("catalog", Value::str("dense")),
+            ("name", Value::str(name)),
+            ("tsv", Value::str(tsv)),
+        ];
+        let resp = c.cmd("load", &fields).unwrap();
+        assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
+    }
+    load_pair(&mut c, "c");
+
+    let deadline_ms = 20;
+    let wcoj = |catalog: &'static str| {
+        vec![
+            ("catalog", Value::str(catalog)),
+            ("executor", Value::str("wcoj")),
+        ]
+    };
+    let mut fields = wcoj("dense");
+    fields.push(("deadline_ms", Value::u64(deadline_ms)));
+    let started = std::time::Instant::now();
+    let resp = c.cmd("query", &fields).unwrap();
+    let took = started.elapsed();
+    assert_eq!(error_kind(&resp), Some("deadline"), "{}", resp.render());
+    // Twice the deadline, plus slack for sorting the tries (which runs
+    // before the first poll) on a loaded debug build.
+    let limit = std::time::Duration::from_millis(2 * deadline_ms + 1000);
+    assert!(took < limit, "deadline answered after {took:?}");
+
+    // The next request on the same connection runs the same executor.
+    let resp = c.cmd("query", &wcoj("c")).unwrap();
+    assert_eq!(
+        resp.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "{}",
+        resp.render()
+    );
+    assert_eq!(resp.get("executor").and_then(Value::as_str), Some("wcoj"));
+
+    let bye = c.cmd("shutdown", &[]).unwrap();
+    assert_eq!(bye.get("ok").and_then(Value::as_bool), Some(true));
+    server_thread.join().unwrap().unwrap();
+}
+
 #[test]
 fn cq_query_waits_on_the_capacity_gate() {
     let _serial = serial();

@@ -27,10 +27,9 @@
 
 use mjoin_analyze::Certificate;
 use mjoin_hypergraph::{agm_ln, bound_u64, DbScheme};
-use mjoin_program::SharedIndexCache;
-use mjoin_relation::ops::TrieIndex;
-use mjoin_relation::{AttrId, Database, Relation, Row, Schema, Value};
-use std::cmp::Ordering;
+use mjoin_program::{CancelToken, Cancelled, SharedIndexCache};
+use mjoin_relation::ops::{self, Stopped, TrieIndex, TrieJoinStats};
+use mjoin_relation::{AttrId, Database, Relation, Schema};
 use std::sync::Arc;
 
 /// Which executor a query (or a query component) runs on.
@@ -132,43 +131,72 @@ pub fn select(scheme: &DbScheme, sizes: &[u64], cert: &Certificate) -> Selection
     }
 }
 
-/// Per-relation traversal state during the elimination loop: the trie, how
-/// many of its levels are bound, and the row range of the current node.
-struct RelCursor {
-    trie: Arc<TrieIndex>,
-    level: usize,
-    lo: usize,
-    hi: usize,
-}
-
 /// Evaluate the natural join of all relations in `db` (whose schemas form
 /// `scheme`, index-aligned) with Generic Join: a global attribute order,
 /// and at each attribute a leapfrog intersection across the sorted tries of
-/// every relation covering it.
+/// every relation covering it ([`mjoin_relation::ops::trie_join`] is the
+/// loop; this function is the policy around it).
 ///
 /// Tries are fetched from `cache` when one is supplied (the resident
 /// server's catalog path — repeated queries skip the sort) and built on the
 /// fly otherwise; every access is counted under `index_cache.trie_*`.
+/// `cancel` is polled once per value of the outermost attribute.
 ///
 /// The output is worst-case-optimal: total work is `O(AGM bound)` up to
 /// logarithmic factors, versus the best binary program's worst statement.
 /// The scheme is expected to be connected (callers run one component at a
 /// time, as `execute_query` already does for the program path), but the
 /// algorithm itself does not require it.
-pub fn wcoj_join(scheme: &DbScheme, db: &Database, cache: Option<&SharedIndexCache>) -> Relation {
+pub fn wcoj_join(
+    scheme: &DbScheme,
+    db: &Database,
+    cache: Option<&SharedIndexCache>,
+    cancel: Option<&CancelToken>,
+) -> Result<Relation, Cancelled> {
+    let joined = run(scheme, db, cache, cancel, ops::trie_join)?;
+    Ok(joined
+        .unwrap_or_else(|| Relation::empty(Schema::from_set(&scheme.attrs_of_set(scheme.all())))))
+}
+
+/// `|⋈ db|` by the same elimination as [`wcoj_join`], summing what the last
+/// attribute would have emitted instead of materializing it.
+pub fn wcoj_count(
+    scheme: &DbScheme,
+    db: &Database,
+    cache: Option<&SharedIndexCache>,
+    cancel: Option<&CancelToken>,
+) -> Result<u64, Cancelled> {
+    Ok(run(scheme, db, cache, cancel, ops::trie_join_count)?.unwrap_or(0))
+}
+
+/// The policy both entry points share: pick the elimination order, fetch a
+/// trie per relation sorted to follow it, run `eliminate` under the
+/// `exec/wcoj` span and report its work counts once. `None` when a relation
+/// is empty — the join is, and no trie gets built.
+fn run<T>(
+    scheme: &DbScheme,
+    db: &Database,
+    cache: Option<&SharedIndexCache>,
+    cancel: Option<&CancelToken>,
+    eliminate: impl FnOnce(
+        &[&TrieIndex],
+        &[AttrId],
+        &mut dyn FnMut() -> bool,
+    ) -> Result<(T, TrieJoinStats), Stopped>,
+) -> Result<Option<T>, Cancelled> {
     let all_attrs = scheme.attrs_of_set(scheme.all());
-    let out_schema = Schema::from_set(&all_attrs);
     let mut sp = mjoin_trace::span("exec", "wcoj");
     if sp.is_active() {
         sp.arg("relations", db.len().to_string());
-        sp.arg("attrs", out_schema.arity().to_string());
+        sp.arg("attrs", all_attrs.len().to_string());
+    }
+    // An expired request does not get to sort tries first.
+    let mut stop = || cancel.is_some_and(CancelToken::is_cancelled);
+    if stop() {
+        return Err(Cancelled { at_stmt: 0 });
     }
     if db.relations().iter().any(Relation::is_empty) {
-        return Relation::empty(out_schema);
-    }
-    if out_schema.arity() == 0 {
-        // All-nullary join of non-empty relations: the unit relation.
-        return Relation::nullary_unit();
+        return Ok(None);
     }
 
     // Global elimination order: most-covered attribute first (smaller
@@ -183,50 +211,30 @@ pub fn wcoj_join(scheme: &DbScheme, db: &Database, cache: Option<&SharedIndexCac
     // order position, so when the loop reaches attribute `a`, every
     // covering relation's next unbound level is exactly `a`.
     let rank = |a: AttrId| order.iter().position(|&x| x == a).expect("attr in order");
-    let mut cursors: Vec<RelCursor> = Vec::with_capacity(db.len());
-    for rel in db.relations() {
-        let mut attrs: Vec<AttrId> = rel.schema().attrs().to_vec();
-        attrs.sort_by_key(|&a| rank(a));
-        let key_pos: Vec<usize> = attrs
-            .iter()
-            .map(|&a| rel.schema().position(a).expect("own attr"))
-            .collect();
-        let trie = fetch_trie(rel, key_pos, cache);
-        let hi = trie.tuples();
-        cursors.push(RelCursor {
-            trie,
-            level: 0,
-            lo: 0,
-            hi,
-        });
-    }
-
-    // Which relations cover each attribute of the elimination order.
-    let cover: Vec<Vec<usize>> = order
+    let tries: Vec<Arc<TrieIndex>> = db
+        .relations()
         .iter()
-        .map(|&a| {
-            scheme
-                .edges()
+        .map(|rel| {
+            let mut attrs: Vec<AttrId> = rel.schema().attrs().to_vec();
+            attrs.sort_by_key(|&a| rank(a));
+            let key_pos: Vec<usize> = attrs
                 .iter()
-                .enumerate()
-                .filter(|(_, e)| e.contains(a))
-                .map(|(i, _)| i)
-                .collect()
+                .map(|&a| rel.schema().position(a).expect("own attr"))
+                .collect();
+            fetch_trie(rel, key_pos, cache)
         })
         .collect();
-    // Output column position of each attribute of the elimination order.
-    let out_pos: Vec<usize> = order
-        .iter()
-        .map(|&a| out_schema.position(a).expect("attr in union schema"))
-        .collect();
+    let tries: Vec<&TrieIndex> = tries.iter().map(Arc::as_ref).collect();
 
-    let mut bindings: Vec<Value> = Vec::with_capacity(order.len());
-    let mut out: Vec<Row> = Vec::new();
-    descend(&cover, &out_pos, &mut cursors, &mut bindings, &mut out);
+    let (out, stats) =
+        eliminate(&tries, &order, &mut stop).map_err(|Stopped| Cancelled { at_stmt: 0 })?;
+    mjoin_trace::add("wcoj.attr_loops", stats.attr_loops);
+    mjoin_trace::add("wcoj.seeks", stats.seeks);
+    mjoin_trace::add("wcoj.emit", stats.emitted);
     if sp.is_active() {
-        sp.arg("rows", out.len().to_string());
+        sp.arg("rows", stats.emitted.to_string());
     }
-    Relation::from_distinct_rows(out_schema, out)
+    Ok(Some(out))
 }
 
 /// Fetch the trie for `(rel, key_pos)` from the shared cache, or build it.
@@ -255,118 +263,10 @@ fn lock(cache: &SharedIndexCache) -> std::sync::MutexGuard<'_, mjoin_program::In
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// One level of the elimination loop: leapfrog-intersect the current trie
-/// nodes of every relation covering attribute `depth`, and for each common
-/// value bind it and descend (or emit, at the last attribute).
-fn descend(
-    cover: &[Vec<usize>],
-    out_pos: &[usize],
-    cursors: &mut [RelCursor],
-    bindings: &mut Vec<Value>,
-    out: &mut Vec<Row>,
-) {
-    let depth = bindings.len();
-    let parts = &cover[depth];
-    mjoin_trace::add("wcoj.attr_loops", 1);
-    let mut cur: Vec<usize> = Vec::with_capacity(parts.len());
-    for &p in parts {
-        let c = &cursors[p];
-        if c.lo >= c.hi {
-            return;
-        }
-        cur.push(c.lo);
-    }
-
-    // Leapfrog: keep seeking every participant to the current maximum cell
-    // until all agree (a match) or one range is exhausted.
-    let mut max_i = 0usize;
-    'leapfrog: loop {
-        for i in 0..parts.len() {
-            if i == max_i {
-                continue;
-            }
-            let (a, b) = (parts[i], parts[max_i]);
-            let target = (cursors[b].level, cur[max_i]);
-            let ca = &cursors[a];
-            let pos = ca.trie.seek_ge(
-                ca.level,
-                cur[i],
-                ca.hi,
-                &cursors[b].trie,
-                target.0,
-                target.1,
-            );
-            mjoin_trace::add("wcoj.seeks", 1);
-            if pos == ca.hi {
-                return;
-            }
-            cur[i] = pos;
-            if ca
-                .trie
-                .cell_cmp(ca.level, pos, &cursors[b].trie, target.0, target.1)
-                == Ordering::Greater
-            {
-                max_i = i;
-                continue 'leapfrog;
-            }
-        }
-
-        // All participants agree on a value: bind it and descend into the
-        // matching child node of each.
-        let first = parts[0];
-        let value = cursors[first].trie.value(cursors[first].level, cur[0]);
-        let ends: Vec<usize> = parts
-            .iter()
-            .zip(&cur)
-            .map(|(&p, &c)| {
-                let cp = &cursors[p];
-                cp.trie.run_end(cp.level, c, cp.hi)
-            })
-            .collect();
-        let saved: Vec<(usize, usize)> = parts
-            .iter()
-            .map(|&p| (cursors[p].lo, cursors[p].hi))
-            .collect();
-        for ((&p, &c), &e) in parts.iter().zip(&cur).zip(&ends) {
-            let cp = &mut cursors[p];
-            cp.level += 1;
-            cp.lo = c;
-            cp.hi = e;
-        }
-        bindings.push(value);
-        if bindings.len() == cover.len() {
-            let mut row = vec![Value::Int(0); bindings.len()];
-            for (d, v) in bindings.iter().enumerate() {
-                row[out_pos[d]] = v.clone();
-            }
-            mjoin_trace::add("wcoj.emit", 1);
-            out.push(row.into());
-        } else {
-            descend(cover, out_pos, cursors, bindings, out);
-        }
-        bindings.pop();
-        for (&p, &(lo, hi)) in parts.iter().zip(&saved) {
-            let cp = &mut cursors[p];
-            cp.level -= 1;
-            cp.lo = lo;
-            cp.hi = hi;
-        }
-
-        // Advance every participant past the consumed runs.
-        for (i, (&p, &e)) in parts.iter().zip(&ends).enumerate() {
-            if e >= cursors[p].hi {
-                return;
-            }
-            cur[i] = e;
-        }
-        max_i = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mjoin_relation::{relation_of_ints, Catalog};
+    use mjoin_relation::{relation_of_ints, Catalog, Value};
 
     fn db_of(catalog: &mut Catalog, rels: &[(&str, &[&[i64]])]) -> (DbScheme, Database) {
         let mut db = Database::new();
@@ -402,7 +302,7 @@ mod tests {
                 ("CA", &[&[7, 1], &[8, 1], &[6, 4]]),
             ],
         );
-        let got = wcoj_join(&scheme, &db, None);
+        let got = wcoj_join(&scheme, &db, None, None).unwrap();
         assert_eq!(got, db.join_all());
         assert_eq!(got.len(), 4, "(1,2,7), (1,3,7), (1,3,8), (4,5,6)");
     }
@@ -418,7 +318,7 @@ mod tests {
                 ("CD", &[&[20, 5], &[21, 5]]),
             ],
         );
-        assert_eq!(wcoj_join(&scheme, &db, None), db.join_all());
+        assert_eq!(wcoj_join(&scheme, &db, None, None).unwrap(), db.join_all());
     }
 
     #[test]
@@ -428,7 +328,7 @@ mod tests {
         db.push(Relation::empty(Schema::from_chars(&mut c, "BC")));
         let scheme2 = DbScheme::from_schemas(&db.schemas());
         drop(scheme);
-        let got = wcoj_join(&scheme2, &db, None);
+        let got = wcoj_join(&scheme2, &db, None, None).unwrap();
         assert_eq!(got.len(), 0);
         assert_eq!(got.schema().arity(), 3);
     }
@@ -437,7 +337,10 @@ mod tests {
     fn single_relation_is_identity() {
         let mut c = Catalog::new();
         let (scheme, db) = db_of(&mut c, &[("AB", &[&[1, 2], &[3, 4]])]);
-        assert_eq!(wcoj_join(&scheme, &db, None), *db.relation(0));
+        assert_eq!(
+            wcoj_join(&scheme, &db, None, None).unwrap(),
+            *db.relation(0)
+        );
     }
 
     #[test]
@@ -451,7 +354,7 @@ mod tests {
                 ("AB", &[&[3, 4], &[5, 6], &[7, 8]]),
             ],
         );
-        let got = wcoj_join(&scheme, &db, None);
+        let got = wcoj_join(&scheme, &db, None, None).unwrap();
         assert_eq!(got.len(), 2);
         assert_eq!(got, db.join_all());
     }
@@ -479,7 +382,7 @@ mod tests {
         .unwrap();
         let db = Database::from_relations(vec![r1, r2]);
         let scheme = DbScheme::from_schemas(&db.schemas());
-        let got = wcoj_join(&scheme, &db, None);
+        let got = wcoj_join(&scheme, &db, None, None).unwrap();
         assert_eq!(got, db.join_all());
         assert_eq!(got.len(), 1, "only B = \"y\" survives");
     }
@@ -557,8 +460,8 @@ mod tests {
             &[("AB", &[&[1, 2], &[2, 3]]), ("BC", &[&[2, 4], &[3, 4]])],
         );
         let shared = IndexCache::shared(1 << 20, 64 << 20);
-        let first = wcoj_join(&scheme, &db, Some(&shared));
-        let again = wcoj_join(&scheme, &db, Some(&shared));
+        let first = wcoj_join(&scheme, &db, Some(&shared), None).unwrap();
+        let again = wcoj_join(&scheme, &db, Some(&shared), None).unwrap();
         assert_eq!(first, again);
         let cache = shared.lock().unwrap();
         assert_eq!(cache.entries(), 2, "one trie per relation stays resident");
@@ -580,8 +483,75 @@ mod tests {
         let rows: Vec<&[i64]> = ab.iter().map(Vec::as_slice).collect();
         let mut c = Catalog::new();
         let (scheme, db) = db_of(&mut c, &[("AB", &rows), ("BC", &rows), ("CA", &rows)]);
-        let got = wcoj_join(&scheme, &db, None);
+        let got = wcoj_join(&scheme, &db, None, None).unwrap();
         assert_eq!(got, db.join_all());
         assert!(got.len() >= (2 * m) as usize, "hub output is linear in m");
+    }
+
+    /// The complete `k × k` triangle: `k³` answers, `k²` work under every
+    /// value of the outermost attribute.
+    fn dense_triangle(k: i64) -> (DbScheme, Database) {
+        let rows: Vec<Vec<i64>> = (0..k)
+            .flat_map(|a| (0..k).map(move |b| vec![a, b]))
+            .collect();
+        let rows: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+        let mut c = Catalog::new();
+        db_of(&mut c, &[("AB", &rows), ("BC", &rows), ("CA", &rows)])
+    }
+
+    #[test]
+    fn count_agrees_with_join_and_reports_the_same_work() {
+        let (scheme, db) = dense_triangle(6);
+        let joined = wcoj_join(&scheme, &db, None, None).unwrap();
+        assert_eq!(joined.len(), 6 * 6 * 6);
+        assert_eq!(wcoj_count(&scheme, &db, None, None), Ok(216));
+    }
+
+    /// A token cancelled from another thread stops the elimination inside
+    /// the join — at the next value of the outermost attribute — on both
+    /// sinks, long before the `k³` answers are enumerated.
+    #[test]
+    fn cancellation_stops_inside_the_elimination() {
+        use mjoin_program::IndexCache;
+        use std::time::{Duration, Instant};
+        // ~33 M answers: the uncancelled count takes a few hundred
+        // milliseconds in release, seconds in debug.
+        let k = 320i64;
+        let (scheme, db) = dense_triangle(k);
+        // A shared cache keeps the tries, so the cancelled runs below spend
+        // their time in the loop, not in the sort.
+        let shared = IndexCache::shared(u64::MAX, u64::MAX);
+        let started = Instant::now();
+        let full = wcoj_count(&scheme, &db, Some(&shared), None);
+        let full_time = started.elapsed();
+        assert_eq!(full, Ok((k * k * k) as u64));
+
+        for materialize in [false, true] {
+            let token = CancelToken::new();
+            let started = Instant::now();
+            let stopped = std::thread::scope(|s| {
+                s.spawn(|| {
+                    std::thread::sleep(Duration::from_millis(10));
+                    token.cancel();
+                });
+                if materialize {
+                    wcoj_join(&scheme, &db, Some(&shared), Some(&token)).map(|r| r.len() as u64)
+                } else {
+                    wcoj_count(&scheme, &db, Some(&shared), Some(&token))
+                }
+            });
+            let took = started.elapsed();
+            assert_eq!(stopped, Err(Cancelled { at_stmt: 0 }));
+            assert!(
+                took < full_time / 2,
+                "cancelled after {took:?} of an uncancelled {full_time:?}"
+            );
+        }
+
+        // An already-cancelled token never starts.
+        let token = CancelToken::new();
+        token.cancel();
+        let stopped = wcoj_count(&scheme, &db, None, Some(&token));
+        assert_eq!(stopped, Err(Cancelled { at_stmt: 0 }));
     }
 }

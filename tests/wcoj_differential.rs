@@ -9,7 +9,7 @@ use mjoin::cq::{
     execute_query_naive, execute_query_with, parse_query, ComponentDecision, ExecOptions,
     ExecutorKind, NamedDatabase, PlanStrategy,
 };
-use mjoin::relation::Relation;
+use mjoin::relation::{Relation, Value};
 use proptest::prelude::*;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -165,13 +165,40 @@ fn assert_decisions_justified(decisions: &[ComponentDecision], ctx: &str) {
     }
 }
 
-/// Random edge + label relations, as in the cq property suite.
+/// A string label, drawn from the domain `n.name` and `m.v` share.
+fn label(i: i64) -> Value {
+    Value::str(format!("s{i}"))
+}
+
+/// What the WCOJ kernel specializes on, beside integers: `n` is
+/// string-labelled; `m.k` holds the same integers as `e`'s columns but is
+/// dictionary-interned (one string key forces it), and `m.v` mixes integers
+/// with `n`'s labels.
+fn add_typed_relations(db: &mut NamedDatabase, names: &[(i64, i64)], mixed: &[(i64, i64)]) {
+    let rows = names.iter().map(|&(n, s)| vec![Value::Int(n), label(s)]);
+    db.add_relation_values("n", &["node", "name"], rows.collect())
+        .unwrap();
+    let mut rows: Vec<Vec<Value>> = mixed
+        .iter()
+        .map(|&(k, v)| {
+            let v = if v < 3 { Value::Int(v) } else { label(v - 3) };
+            vec![Value::Int(k), v]
+        })
+        .collect();
+    rows.push(vec![Value::str("key"), label(0)]);
+    db.add_relation_values("m", &["k", "v"], rows).unwrap();
+}
+
+/// Random edge + label relations, as in the cq property suite, plus the
+/// string and mixed relations of [`add_typed_relations`].
 fn db_strategy() -> impl Strategy<Value = NamedDatabase> {
     (
         prop::collection::vec((0i64..8, 0i64..8), 1..40),
         prop::collection::vec((0i64..8, 0i64..3), 1..12),
+        prop::collection::vec((0i64..8, 0i64..4), 1..12),
+        prop::collection::vec((0i64..8, 0i64..6), 1..16),
     )
-        .prop_map(|(edges, labels)| {
+        .prop_map(|(edges, labels, names, mixed)| {
             let mut db = NamedDatabase::new();
             let erefs: Vec<Vec<i64>> = edges.iter().map(|&(a, b)| vec![a, b]).collect();
             let eslice: Vec<&[i64]> = erefs.iter().map(std::vec::Vec::as_slice).collect();
@@ -179,9 +206,17 @@ fn db_strategy() -> impl Strategy<Value = NamedDatabase> {
             let lrefs: Vec<Vec<i64>> = labels.iter().map(|&(n, t)| vec![n, t]).collect();
             let lslice: Vec<&[i64]> = lrefs.iter().map(std::vec::Vec::as_slice).collect();
             db.add_relation("l", &["n", "t"], &lslice).unwrap();
+            add_typed_relations(&mut db, &names, &mixed);
             db
         })
 }
+
+/// Queries over the typed relations, one per thing the kernel branches on.
+const STRING_LABELLED: &str = "Q(x, name) :- e(x, y), n(y, name).";
+const MIXED_KEY: &str = "Q(x, v) :- e(x, y), m(y, v).";
+const MIXED_CYCLE: &str = "Q(x, y, v) :- e(x, y), m(y, v), m(x, v).";
+const CROSS_POOL: &str = "Q(a, b) :- n(a, b), m(a, b).";
+const REPEATED_SCHEME: &str = "Q(x, y) :- e(x, y), l(x, y).";
 
 const QUERIES: &[&str] = &[
     "Q(x, z) :- e(x, y), e(y, z).",
@@ -192,10 +227,71 @@ const QUERIES: &[&str] = &[
     "Q(x) :- e(x, y), l(y, 1).",
     "Q(x, w) :- e(x, y), e(z, w), l(y, 0), l(z, 0).",
     "Q(a, c) :- e(a, b), e(b, c), e(a, c).",
+    STRING_LABELLED,
+    MIXED_KEY,
+    MIXED_CYCLE,
+    CROSS_POOL,
+    REPEATED_SCHEME,
 ];
 
+/// A fixed instance of [`db_strategy`]'s shape with every typed query
+/// non-empty.
+fn typed_db() -> NamedDatabase {
+    let mut db = NamedDatabase::new();
+    db.add_relation(
+        "e",
+        &["s", "d"],
+        &[&[1, 2], &[2, 3], &[3, 1], &[1, 3], &[4, 1], &[2, 2]],
+    )
+    .unwrap();
+    db.add_relation("l", &["n", "t"], &[&[1, 2], &[2, 2], &[4, 1], &[3, 0]])
+        .unwrap();
+    add_typed_relations(
+        &mut db,
+        &[(1, 0), (2, 1), (3, 1), (3, 3), (5, 2)],
+        &[(1, 0), (2, 0), (2, 4), (3, 4), (3, 5), (1, 3), (5, 5)],
+    );
+    db
+}
+
+fn assert_agree_nonempty(db: &NamedDatabase, query: &str) {
+    let q = parse_query(query).unwrap();
+    assert!(!execute_query_naive(db, &q).unwrap().is_empty(), "{query}");
+    assert_all_agree(db, query);
+}
+
+#[test]
+fn executors_agree_on_a_string_labelled_relation() {
+    assert_agree_nonempty(&typed_db(), STRING_LABELLED);
+}
+
+/// `y` is a dense integer column in `e` and an interned one in `m`; `v` is
+/// an int/string mixed column, intersected with itself and — across pools —
+/// with `n`'s pure-string labels.
+#[test]
+fn executors_agree_on_mixed_and_interned_integer_columns() {
+    let db = typed_db();
+    for query in [MIXED_KEY, MIXED_CYCLE, CROSS_POOL] {
+        assert_agree_nonempty(&db, query);
+    }
+}
+
+/// `t` (and `name`) is eliminated last and only one atom mentions it: the
+/// kernel appends that atom's whole trie node per binding of the prefix.
+#[test]
+fn executors_agree_when_one_relation_covers_the_last_attribute() {
+    let db = typed_db();
+    assert_agree_nonempty(&db, "Q(x, y, t) :- e(x, y), l(y, t).");
+    assert_agree_nonempty(&db, "Q(x, y, name) :- e(x, y), n(y, name).");
+}
+
+#[test]
+fn executors_agree_on_a_repeated_scheme() {
+    assert_agree_nonempty(&typed_db(), REPEATED_SCHEME);
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn all_executors_match_the_naive_reference(
