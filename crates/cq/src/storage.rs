@@ -13,6 +13,7 @@
 
 use mjoin_relation::fxhash::FxHashMap;
 use mjoin_relation::{ops, tsv, AttrId, Catalog, Error, Relation, Result, Row, Schema, Value};
+use std::io::BufRead;
 
 /// One stored relation with its declared column order.
 #[derive(Debug, Clone)]
@@ -206,17 +207,20 @@ impl NamedDatabase {
         Ok(())
     }
 
-    /// Add a relation from TSV text (header = declared column order). The
-    /// text is parsed once, straight into columns, and adopted through
-    /// [`NamedDatabase::add_shared`].
+    /// Add a relation from TSV text (header = declared column order). Thin
+    /// wrapper over [`NamedDatabase::add_tsv_reader`].
     pub fn add_tsv(&mut self, name: &str, text: &str) -> Result<()> {
-        if text.trim().is_empty() {
-            return Err(Error::Parse("TSV input has no header".to_string()));
-        }
+        self.add_tsv_reader(name, text.as_bytes())
+    }
+
+    /// Add a relation parsed from any [`BufRead`] source of TSV (header =
+    /// declared column order). The input is parsed once, straight into
+    /// columns, and adopted through [`NamedDatabase::add_shared`].
+    pub fn add_tsv_reader<R: BufRead>(&mut self, name: &str, reader: R) -> Result<()> {
         // A scratch catalog interns the header left to right, so the parsed
         // relation's canonical column order is the declared one.
         let mut scratch = Catalog::new();
-        let rel = tsv::relation_from_tsv(&mut scratch, text)?;
+        let rel = tsv::relation_from_tsv_reader(&mut scratch, reader)?;
         let cols: Vec<&str> = rel
             .schema()
             .attrs()

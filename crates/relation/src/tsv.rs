@@ -15,15 +15,18 @@
 //! error rather than silent corruption.
 //!
 //! Both directions are byte-level and columnar — no tuple is ever boxed as a
-//! row. **In:** the body parser reads lines into one reused buffer and
-//! pushes each cell straight into its column's [`ColumnBuilder`] (integers
-//! into the `i64` vector, strings interned by `&str` lookup); the relation
-//! loader then deduplicates once on the batch row hashes. **Out:**
+//! row. **In:** one block parser works on the slices the reader's `fill_buf`
+//! hands out, copying only a line that straddles a refill. A line of plain
+//! integer cells is scanned once, straight into its columns' `i64` vectors;
+//! any other line takes the general decoder (UTF-8 check, field count, each
+//! cell trimmed and sniffed or unescaped, strings interned by `&str` lookup
+//! in the column's [`ColumnBuilder`]). The relation loader then
+//! deduplicates once on the batch row hashes. **Out:**
 //! [`write_sorted`] ranks each dictionary once, sorts the rows as packed
 //! integer keys, and formats them (in-place itoa, each distinct string
 //! escaped once) into one reused buffer written in batches. The Grace-hash
 //! spill files (`ops/spill.rs`) are the same dialect without a header: one
-//! line per tuple from the row formatter, read back by the body parser.
+//! line per tuple from the row formatter, read back by the same parser.
 
 use crate::attr::Catalog;
 use crate::column::{Column, ColumnBuilder};
@@ -44,43 +47,16 @@ pub fn relation_from_tsv(catalog: &mut Catalog, text: &str) -> Result<Relation> 
     relation_from_tsv_reader(catalog, text.as_bytes())
 }
 
-/// Parse a relation by streaming lines from any [`std::io::BufRead`] source
-/// (a `File` behind a `BufReader`, a byte slice, a pipe) — one line resident
-/// at a time instead of the whole file as a `String`. I/O failures surface
-/// as [`Error::Parse`] like any other malformed input. Duplicate tuples keep
+/// Parse a relation from any [`std::io::BufRead`] source (a `File` behind a
+/// `BufReader`, a byte slice, a pipe), block by block as the source hands
+/// them out — never the whole file as a `String`. I/O failures surface as
+/// [`Error::Parse`] like any other malformed input. Duplicate tuples keep
 /// their first occurrence, in file order.
 pub fn relation_from_tsv_reader<R: BufRead>(catalog: &mut Catalog, reader: R) -> Result<Relation> {
-    let mut lines = LineReader::new(reader);
-    let col_ids = loop {
-        let Some(header) = lines.next_line()? else {
-            return Err(Error::Parse("TSV input has no header line".to_string()));
-        };
-        if header.trim().is_empty() {
-            continue;
-        }
-        let col_names: Vec<&str> = header.split('\t').map(str::trim).collect();
-        if col_names.iter().any(|n| n.is_empty()) {
-            return Err(Error::Parse(
-                "empty attribute name in TSV header".to_string(),
-            ));
-        }
-        break col_names
-            .iter()
-            .map(|n| catalog.intern(n))
-            .collect::<Vec<_>>();
+    let (schema, mut cols, nrows) = Parser::parse(Some(catalog), Vec::new(), reader)?;
+    let Some(schema) = schema else {
+        return Err(Error::Parse("TSV input has no header line".to_string()));
     };
-    let schema = Schema::new(col_ids.clone());
-    if schema.arity() != col_ids.len() {
-        return Err(Error::Parse(
-            "duplicate attribute in TSV header".to_string(),
-        ));
-    }
-    // Position of each file column in the canonical schema.
-    let dest: Vec<usize> = col_ids
-        .iter()
-        .map(|&id| schema.position(id).expect("interned above"))
-        .collect();
-    let (mut cols, nrows) = read_body(&mut lines, &dest, 2)?;
 
     // One dedup pass over the batch row hashes; the columns are only
     // gathered when the file really held duplicates.
@@ -101,98 +77,215 @@ pub fn relation_from_tsv_reader<R: BufRead>(catalog: &mut Catalog, reader: R) ->
 /// the caller vouches that the tuples are distinct (a spill partition's are,
 /// because its operand's are).
 pub(crate) fn relation_from_tsv_body<R: BufRead>(reader: R, schema: &Schema) -> Result<Relation> {
-    let dest: Vec<usize> = (0..schema.arity()).collect();
-    let (cols, nrows) = read_body(&mut LineReader::new(reader), &dest, 1)?;
+    let (_, cols, nrows) = Parser::parse(None, (0..schema.arity()).collect(), reader)?;
     Ok(Relation::from_distinct_columns(schema.clone(), nrows, cols))
 }
 
-/// Line-at-a-time access to a [`BufRead`] through one reused buffer.
-struct LineReader<R> {
-    reader: R,
-    buf: Vec<u8>,
+/// The one TSV parser: an optional header line, then tuples, cell `i` of
+/// each line going to column `dest[i]` (no deduplication).
+#[derive(Default)]
+struct Parser<'c> {
+    /// Takes the header's names; `None` once it is read, or if there is none.
+    header: Option<&'c mut Catalog>,
+    schema: Option<Schema>,
+    dest: Vec<usize>,
+    builders: Vec<ColumnBuilder>,
+    /// Fast-path scratch, a slot per column: empty, so that the fast path
+    /// declines every line, until the header has fixed the arity.
+    row: Vec<i64>,
+    nrows: usize,
+    /// Physical lines so far, blank ones and the header included: an error
+    /// names the line an editor shows.
+    lineno: usize,
+    /// Tuple lines that left the fast path.
+    general_lines: u64,
 }
 
-impl<R: BufRead> LineReader<R> {
-    fn new(reader: R) -> Self {
-        LineReader {
-            reader,
-            buf: Vec::new(),
-        }
-    }
-
-    /// The next line without its ending, or `None` at end of input.
-    ///
-    /// A `\n` ending takes a preceding `\r` with it, and one more trailing
-    /// `\r` goes either way: network clients send both CRLF endings and
-    /// unterminated last lines, and a raw trailing `\r` can only be a
-    /// line-ending artifact — carriage returns *inside* string values are
-    /// escaped as `\r` on export.
-    fn next_line(&mut self) -> Result<Option<&str>> {
-        let read_err = |e: std::io::Error| Error::Parse(format!("TSV read error: {e}"));
-        self.buf.clear();
-        if self
-            .reader
-            .read_until(b'\n', &mut self.buf)
-            .map_err(read_err)?
-            == 0
-        {
-            return Ok(None);
-        }
-        if self.buf.last() == Some(&b'\n') {
-            self.buf.pop();
-            if self.buf.last() == Some(&b'\r') {
-                self.buf.pop();
+impl<'c> Parser<'c> {
+    /// Parse all of `reader` on the blocks `fill_buf` hands out: complete
+    /// lines in place, only a line that straddles a refill copied (into
+    /// `carry`) — so a `&[u8]` parses zero-copy, a one-byte `BufReader` still
+    /// works, and a delivered line's error comes before a later read error.
+    /// Returns the header's schema if one was read, the columns, the row count.
+    fn parse<R: BufRead>(
+        header: Option<&'c mut Catalog>,
+        dest: Vec<usize>,
+        mut reader: R,
+    ) -> Result<(Option<Schema>, Vec<Column>, usize)> {
+        let sp = mjoin_trace::span("tsv", "load");
+        let mut p = Parser {
+            header,
+            ..Parser::default()
+        };
+        p.aim(dest);
+        // Allocated before the columns start growing, not among them.
+        let (mut carry, mut bytes) = (Vec::with_capacity(256), 0u64);
+        loop {
+            let buf = match reader.fill_buf() {
+                Ok(buf) => buf,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(Error::Parse(format!("TSV read error: {e}"))),
+            };
+            if buf.is_empty() {
+                break;
             }
+            let mut done = 0;
+            if !carry.is_empty() {
+                let newline = buf.iter().position(|&b| b == b'\n');
+                done = newline.map_or(buf.len(), |at| at + 1);
+                carry.extend_from_slice(&buf[..done]);
+                if carry.ends_with(b"\n") {
+                    p.lines(&carry)?;
+                    carry.clear();
+                }
+            }
+            done += p.lines(&buf[done..])?;
+            carry.extend_from_slice(&buf[done..]);
+            let len = buf.len();
+            bytes += len as u64;
+            reader.consume(len);
         }
-        if self.buf.last() == Some(&b'\r') {
-            self.buf.pop();
+        // An unterminated last line; one trailing `\r` goes (see `lines`).
+        if !carry.is_empty() {
+            p.line(carry.strip_suffix(b"\r").unwrap_or(&carry))?;
         }
-        match std::str::from_utf8(&self.buf) {
-            Ok(line) => Ok(Some(line)),
-            Err(_) => Err(read_err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "stream did not contain valid UTF-8",
-            ))),
-        }
-    }
-}
-
-/// Parse the remaining lines of `lines` as tuples, cell `i` of each line
-/// going to column `dest[i]`; returns the columns and the tuple count (no
-/// deduplication). Blank lines are skipped, not counted: an error names
-/// `first_lineno` plus the index of its line among the non-blank ones.
-fn read_body<R: BufRead>(
-    lines: &mut LineReader<R>,
-    dest: &[usize],
-    first_lineno: usize,
-) -> Result<(Vec<Column>, usize)> {
-    let mut builders: Vec<ColumnBuilder> = dest.iter().map(|_| ColumnBuilder::default()).collect();
-    let mut nrows = 0usize;
-    while let Some(line) = lines.next_line()? {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let lineno = first_lineno + nrows;
-        let found = line.bytes().filter(|&b| b == b'\t').count() + 1;
-        if found != dest.len() {
+        // Row ids are `u32` throughout the kernels.
+        if u32::try_from(p.nrows).is_err() {
             return Err(Error::Parse(format!(
-                "line {lineno}: expected {} values, found {found}",
-                dest.len()
+                "TSV input has {} rows, more than a relation can index",
+                p.nrows
             )));
         }
-        for (cell, &d) in line.split('\t').zip(dest) {
-            push_cell_from_tsv(&mut builders[d], cell, lineno)?;
+        if sp.is_active() {
+            mjoin_trace::add("tsv.bytes", bytes);
+            mjoin_trace::add("tsv.rows", p.nrows as u64);
+            mjoin_trace::add("tsv.general_lines", p.general_lines);
         }
-        nrows += 1;
+        let cols = p.builders.into_iter().map(ColumnBuilder::finish);
+        Ok((p.schema, cols.collect(), p.nrows))
     }
-    // Row ids are `u32` throughout the kernels.
-    if u32::try_from(nrows).is_err() {
-        return Err(Error::Parse(format!(
-            "TSV input has {nrows} rows, more than a relation can index"
-        )));
+
+    /// Send cell `i` of every following line to column `dest[i]`.
+    fn aim(&mut self, dest: Vec<usize>) {
+        self.builders = dest.iter().map(|_| ColumnBuilder::default()).collect();
+        self.row = vec![0; dest.len()];
+        self.dest = dest;
     }
-    let cols = builders.into_iter().map(ColumnBuilder::finish).collect();
-    Ok((cols, nrows))
+
+    /// Parse the complete lines at the front of `bytes`, returning the bytes
+    /// they span: each is tried as an integer row, scanned once, and handed
+    /// to [`Self::line`] otherwise. A `\n` ending takes a preceding `\r` with
+    /// it, and one more trailing `\r` goes either way: clients send CRLF and
+    /// unterminated last lines, and a raw trailing `\r` can only be an
+    /// artifact of that — inside a string value it travels escaped.
+    fn lines(&mut self, bytes: &[u8]) -> Result<usize> {
+        let mut at = 0;
+        while at < bytes.len() {
+            if let Some(n) = int_row(&bytes[at..], &mut self.row) {
+                for (&v, &d) in self.row.iter().zip(&self.dest) {
+                    self.builders[d].push_int(v);
+                }
+                self.nrows += 1;
+                self.lineno += 1;
+                at += n;
+                continue;
+            }
+            let Some(end) = bytes[at..].iter().position(|&b| b == b'\n') else {
+                break;
+            };
+            let line = &bytes[at..at + end];
+            let line = line.strip_suffix(b"\r").unwrap_or(line);
+            self.line(line.strip_suffix(b"\r").unwrap_or(line))?;
+            at += end + 1;
+        }
+        Ok(at)
+    }
+
+    /// The general decoder for one line, given without its ending: UTF-8
+    /// check, blank skip, then the header or a tuple of sniffed cells.
+    fn line(&mut self, raw: &[u8]) -> Result<()> {
+        self.lineno += 1;
+        let lineno = self.lineno;
+        let Ok(line) = std::str::from_utf8(raw) else {
+            return Err(Error::Parse(
+                "TSV read error: stream did not contain valid UTF-8".to_string(),
+            ));
+        };
+        if line.trim().is_empty() {
+            return Ok(());
+        }
+        if let Some(catalog) = self.header.take() {
+            return self.read_header(catalog, line);
+        }
+        let found = line.bytes().filter(|&b| b == b'\t').count() + 1;
+        if found != self.dest.len() {
+            return Err(Error::Parse(format!(
+                "line {lineno}: expected {} values, found {found}",
+                self.dest.len()
+            )));
+        }
+        for (cell, &d) in line.split('\t').zip(&self.dest) {
+            push_cell_from_tsv(&mut self.builders[d], cell, lineno)?;
+        }
+        self.nrows += 1;
+        self.general_lines += 1;
+        Ok(())
+    }
+
+    /// Intern the header's names and aim each file column at its position
+    /// in the canonical schema.
+    fn read_header(&mut self, catalog: &mut Catalog, header: &str) -> Result<()> {
+        let col_names: Vec<&str> = header.split('\t').map(str::trim).collect();
+        if col_names.iter().any(|n| n.is_empty()) {
+            return Err(Error::Parse(
+                "empty attribute name in TSV header".to_string(),
+            ));
+        }
+        let col_ids: Vec<_> = col_names.iter().map(|n| catalog.intern(n)).collect();
+        let schema = Schema::new(col_ids.clone());
+        if schema.arity() != col_ids.len() {
+            return Err(Error::Parse(
+                "duplicate attribute in TSV header".to_string(),
+            ));
+        }
+        let position = |id| schema.position(id).expect("interned above");
+        self.aim(col_ids.into_iter().map(position).collect());
+        self.schema = Some(schema);
+        Ok(())
+    }
+}
+
+/// Try the front of `bytes` as a line of exactly `row.len()` cells of
+/// `-?[0-9]{1,18}`, tab-separated and ended by `\n` or `\r\n`: on a match the
+/// values are in `row` and the line's length, ending included, is returned.
+/// Eighteen digits cannot overflow and the match is ASCII, so it needs no
+/// UTF-8 check; anything else (`+5`, padding, a 19th digit, a line the block
+/// does not hold to its end) is left to the general decoder, which reads
+/// every matching line to the same values.
+fn int_row(bytes: &[u8], row: &mut [i64]) -> Option<usize> {
+    let last = row.len().checked_sub(1)?;
+    let mut at = 0;
+    for (k, slot) in row.iter_mut().enumerate() {
+        let neg = bytes.get(at) == Some(&b'-');
+        at += usize::from(neg);
+        let (start, mut v) = (at, 0i64);
+        while let Some(d) = bytes.get(at).map(|b| b.wrapping_sub(b'0')) {
+            if d > 9 || at - start == 18 {
+                break;
+            }
+            v = v * 10 + i64::from(d);
+            at += 1;
+        }
+        *slot = if neg { -v } else { v };
+        match bytes.get(at..)? {
+            _ if at == start => return None,
+            [b'\t', ..] if k < last => at += 1,
+            [b'\n', ..] if k == last => return Some(at + 1),
+            [b'\r', b'\n', ..] if k == last => return Some(at + 2),
+            _ => return None,
+        }
+    }
+    None
 }
 
 /// Decode one TSV cell into `col`. A cell without a backslash takes the
@@ -544,8 +637,8 @@ pub(crate) mod tests {
     }
 
     /// The streaming reader is the same parser: identical result on good
-    /// input, identical line numbering in errors (blank lines skipped, not
-    /// counted), and I/O failures surface as parse errors.
+    /// input, identical line numbering in errors (physical lines: the blank
+    /// one counts), and I/O failures surface as parse errors.
     #[test]
     fn reader_streams_like_the_string_parser() {
         let mut c = Catalog::new();
@@ -561,7 +654,10 @@ pub(crate) mod tests {
             .unwrap_err()
             .to_string();
         assert_eq!(e1, e2);
-        assert!(e1.contains("line 3"), "{e1}");
+        assert!(e1.contains("line 4"), "{e1}");
+        // Blank lines before the header shift the numbers too.
+        let e = relation_from_tsv(&mut c, "\n\nA\tB\n1\t2\n3\\q\t4\n").unwrap_err();
+        assert!(e.to_string().contains("line 5: unknown TSV escape"), "{e}");
 
         struct Failing;
         impl std::io::Read for Failing {

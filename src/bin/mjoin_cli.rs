@@ -53,6 +53,8 @@ use mjoin::prelude::*;
 use mjoin::program::display;
 use mjoin::relation::tsv;
 use mjoin::trace as mjoin_trace;
+use std::fs::File;
+use std::io::BufReader;
 use std::process::ExitCode;
 
 struct Args {
@@ -235,12 +237,17 @@ fn parse_on_off(v: &str) -> Result<bool, String> {
     }
 }
 
+/// Open a TSV file for the block parser: the buffer is what one `read`
+/// fetches and the parser then works through in place.
+fn open_tsv(path: &str) -> Result<BufReader<File>, String> {
+    let file = File::open(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    Ok(BufReader::with_capacity(256 * 1024, file))
+}
+
 /// Stream one TSV file into a relation without materializing the file as a
 /// string first.
 fn load_tsv(catalog: &mut Catalog, path: &str) -> Result<Relation, String> {
-    let file = std::fs::File::open(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    tsv::relation_from_tsv_reader(catalog, std::io::BufReader::new(file))
-        .map_err(|e| format!("`{path}`: {e}"))
+    tsv::relation_from_tsv_reader(catalog, open_tsv(path)?).map_err(|e| format!("`{path}`: {e}"))
 }
 
 fn load(files: &[String]) -> Result<(Catalog, DbScheme, Database), String> {
@@ -626,9 +633,7 @@ fn load_named(files: &[String]) -> Result<NamedDatabase, String> {
             .file_stem()
             .and_then(|s| s.to_str())
             .ok_or_else(|| format!("cannot derive a predicate name from `{path}`"))?;
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-        ndb.add_tsv(stem, &text)
+        ndb.add_tsv_reader(stem, open_tsv(path)?)
             .map_err(|e| format!("`{path}`: {e}"))?;
     }
     Ok(ndb)

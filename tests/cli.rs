@@ -351,6 +351,28 @@ fn errors_exit_nonzero() {
     assert!(!out.status.success());
 }
 
+/// `run`, `query` and `datalog` read files through one loader: a malformed
+/// file gets the same message from all three, naming the path and the
+/// physical line — the blank lines before the header and in the body count.
+#[test]
+fn malformed_tsv_reports_the_same_physical_line_everywhere() {
+    let dir = tempdir::TempDir::new("malformed");
+    let bad = write_tsv(dir.path(), "e.tsv", "\ns\td\r\n0\t1\n\n1\n2\t3\n");
+    let bad = bad.to_str().unwrap();
+    let want = format!("`{bad}`: parse error: line 5: expected 2 values, found 1");
+    for args in [
+        vec!["run", bad],
+        vec!["query", "Q(x, y) :- e(x, y)", bad],
+        vec!["datalog", "t(x, y) :- e(x, y).", bad],
+    ] {
+        let out = cli(&args);
+        assert!(!out.status.success(), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(&want), "{args:?} stderr:\n{stderr}");
+    }
+}
+
 #[test]
 fn disconnected_inputs_rejected_with_message() {
     let dir = tempdir::TempDir::new("disc");

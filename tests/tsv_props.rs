@@ -134,12 +134,15 @@ fn reference_load(catalog: &mut Catalog, bytes: &[u8]) -> Result<Relation, Error
         String::from_utf8(raw.to_vec())
             .map_err(|_| err("TSV read error: stream did not contain valid UTF-8".into()))
     });
+    // Numbered as an editor numbers them: every physical line counts.
     let mut lines = lines
         .by_ref()
-        .filter(|l| !matches!(l, Ok(l) if l.trim().is_empty()));
-    let header = lines
+        .zip(1usize..)
+        .filter(|(l, _)| !matches!(l, Ok(l) if l.trim().is_empty()));
+    let (header, _) = lines
         .next()
-        .unwrap_or_else(|| Err(err("TSV input has no header line".into())))?;
+        .unwrap_or_else(|| (Err(err("TSV input has no header line".into())), 0));
+    let header = header?;
     let names: Vec<&str> = header.split('\t').map(str::trim).collect();
     if names.iter().any(|n| n.is_empty()) {
         return Err(err("empty attribute name in TSV header".into()));
@@ -150,8 +153,8 @@ fn reference_load(catalog: &mut Catalog, bytes: &[u8]) -> Result<Relation, Error
         return Err(err("duplicate attribute in TSV header".into()));
     }
     let mut rows: Vec<Row> = Vec::new();
-    for line in lines {
-        let (line, lineno) = (line?, rows.len() + 2);
+    for (line, lineno) in lines {
+        let line = line?;
         let cells: Vec<&str> = line.split('\t').collect();
         if cells.len() != ids.len() {
             let (want, found) = (ids.len(), cells.len());
@@ -217,8 +220,12 @@ impl Tape<'_> {
 }
 
 /// Integer-looking cells, including the sniffing edge cases: `+5` and `-0`
-/// and `007` parse as integers, `i64::MAX + 1` does not.
+/// and `007` parse as integers, `i64::MAX + 1` does not; eighteen digits is
+/// the longest cell the loader's integer fast path takes.
 const INTS: &[&str] = &[
+    "999999999999999999",
+    "-999999999999999999",
+    "1000000000000000000",
     "0",
     "1",
     "2",
@@ -344,6 +351,53 @@ fn generate(tape: &mut Tape) -> Vec<u8> {
     bytes
 }
 
+/// A source that hands out a tape-chosen 1…`buf.len()` bytes per `read`, so
+/// a `BufReader` over it refills at arbitrary points: between `\r` and `\n`,
+/// between a `-` and its digits, inside a multi-byte character.
+struct Dribble<'a, 't>(&'a [u8], &'a mut Tape<'t>);
+
+impl std::io::Read for Dribble<'_, '_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = (1 + self.1.pick(buf.len())).min(self.0.len());
+        buf[..n].copy_from_slice(&self.0[..n]);
+        self.0 = &self.0[n..];
+        Ok(n)
+    }
+}
+
+/// Hold the loader to the reference on `bytes`: read whole from the slice,
+/// and dribbled through buffers of 1, 2, 3 and 64 bytes — the same relation
+/// in the same first-occurrence order, or the same error string.
+fn held_to_reference(bytes: &[u8], tape: &mut Tape) -> Result<(), String> {
+    let shown = String::from_utf8_lossy(bytes).into_owned();
+    let want = reference_load(&mut seeded_catalog(), bytes);
+    let mut got = vec![relation_from_tsv_reader(&mut seeded_catalog(), bytes)];
+    for capacity in [1, 2, 3, 64] {
+        let reader = std::io::BufReader::with_capacity(capacity, Dribble(bytes, tape));
+        got.push(relation_from_tsv_reader(&mut seeded_catalog(), reader));
+    }
+    for (way, got) in got.iter().enumerate() {
+        let ctx = format!("way {way} of reading file:\n{shown}");
+        match (&want, got) {
+            (Ok(want), Ok(got)) => {
+                // Fingerprint first: it is then computed from the columns.
+                prop_assert_eq!(got.fingerprint(), want.fingerprint(), "{}", ctx);
+                prop_assert_eq!(got.schema(), want.schema());
+                prop_assert_eq!(got.rows(), want.rows(), "first-occurrence order, {}", ctx);
+            }
+            (Err(want), Err(got)) => prop_assert_eq!(got.to_string(), want.to_string(), "{}", ctx),
+            _ => prop_assert!(
+                false,
+                "reference {:?}\nloader {:?}\n{}",
+                want.as_ref().map(Relation::len),
+                got.as_ref().map(Relation::len),
+                ctx
+            ),
+        }
+    }
+    Ok(())
+}
+
 /// A source that yields `head` and then fails.
 struct FailsAfter<'a>(&'a [u8]);
 
@@ -366,38 +420,14 @@ proptest! {
     fn loader_matches_the_reference_row_parser(
         tape in prop::collection::vec(any::<u32>(), 40..160)
     ) {
-        let bytes = generate(&mut Tape(&tape, 0));
+        let mut tape = Tape(&tape, 0);
+        let bytes = generate(&mut tape);
         let shown = String::from_utf8_lossy(&bytes).into_owned();
-        let want = reference_load(&mut seeded_catalog(), &bytes);
-        let got = relation_from_tsv_reader(&mut seeded_catalog(), &bytes[..]);
-        // A one-byte buffer splits every line across refills.
-        let trickled = relation_from_tsv_reader(
-            &mut seeded_catalog(),
-            std::io::BufReader::with_capacity(1, &bytes[..]),
-        );
-        match (&want, &got, &trickled) {
-            (Ok(want), Ok(got), Ok(trickled)) => {
-                // Fingerprint first: it is then computed from the columns.
-                prop_assert_eq!(got.fingerprint(), want.fingerprint(), "file:\n{}", shown);
-                prop_assert_eq!(got.schema(), want.schema());
-                prop_assert_eq!(got.rows(), want.rows(), "first-occurrence order; file:\n{}", shown);
-                prop_assert_eq!(trickled.rows(), want.rows());
-            }
-            (Err(want), Err(got), Err(trickled)) => {
-                prop_assert_eq!(got.to_string(), want.to_string(), "file:\n{}", shown);
-                prop_assert_eq!(trickled.to_string(), want.to_string());
-            }
-            _ => prop_assert!(
-                false,
-                "reference {:?}\nloader {:?}\ntrickled {:?}\nfile:\n{}",
-                want.as_ref().map(Relation::len), got.as_ref().map(Relation::len),
-                trickled.as_ref().map(Relation::len), shown
-            ),
-        }
+        held_to_reference(&bytes, &mut tape)?;
 
         // A source that fails part-way: an error in the lines it did deliver
         // in full comes first, the read error otherwise.
-        let cut = tape[0] as usize % (bytes.len() + 1);
+        let cut = tape.pick(bytes.len() + 1);
         let whole_lines = bytes[..cut].iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
         let want = match reference_load(&mut seeded_catalog(), &bytes[..whole_lines]) {
             Err(e) if e.to_string() != "parse error: TSV input has no header line" => e.to_string(),
@@ -408,5 +438,54 @@ proptest! {
             std::io::BufReader::new(FailsAfter(&bytes[..cut])),
         );
         prop_assert_eq!(got.unwrap_err().to_string(), want, "cut at {} of:\n{}", cut, shown);
+    }
+}
+
+/// The edge between the integer fast path and the general decoder: cells
+/// the fast path must decline (a sign alone, `+7`, nineteen digits, a bad
+/// byte) or take (`-0`, `007`, eighteen digits) land as the reference says,
+/// in the first and the last column, under every line ending (`\r\r\n` loses
+/// both carriage returns, which only an escaped cell can tell), beside a line
+/// longer than the largest dribbled buffer and before an unterminated tail.
+#[test]
+fn integer_rows_at_the_fast_path_edge_match_the_reference() {
+    let cells: [&[u8]; 15] = [
+        b"-",
+        b"--1",
+        b"+7",
+        b"-0",
+        b"007",
+        b"999999999999999999",
+        b"-999999999999999999",
+        b"1000000000000000000",
+        b"9223372036854775807",
+        b"-9223372036854775808",
+        b"9223372036854775808",
+        b"1\xff",
+        b"\xc3\xa9",
+        b"\\sx",
+        b"",
+    ];
+    let wide = ["999999999999999999"; 3].join("\t");
+    let entropy: Vec<u32> = (0..97u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
+    let mut tape = Tape(&entropy, 0);
+    for cell in cells {
+        for ending in ["\n", "\r\n", "\r\r\n"] {
+            let mut bytes: Vec<u8> = Vec::new();
+            for line in [
+                b"D\tB\tA\tC".to_vec(),
+                b"1\t2\t3\t4".to_vec(),
+                [cell, b"\t", wide.as_bytes()].concat(),
+                b"5\t6\t7\t8".to_vec(),
+                [wide.as_bytes(), b"\t", cell].concat(),
+            ] {
+                bytes.extend_from_slice(&line);
+                bytes.extend_from_slice(ending.as_bytes());
+            }
+            bytes.extend_from_slice(b"-9\t-8\t-7\t-6");
+            if let Err(msg) = held_to_reference(&bytes, &mut tape) {
+                panic!("{msg}");
+            }
+        }
     }
 }
