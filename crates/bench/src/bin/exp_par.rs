@@ -1,29 +1,21 @@
-//! `exp_par` — the parallel zero-copy executor benchmark.
+//! `exp_par` — the executor benchmark across thread counts.
 //!
-//! Runs three program workloads — Example 3, a star schema, and a cycle-gap
-//! family member — through:
+//! Runs the program workloads below — Example 3, star schemas, a cycle-gap
+//! family member and hand-built wide-level programs — through
+//! `mjoin_program::execute_with` at 1, 2, 4 and 8 threads, with the join-index
+//! cache on and off.
 //!
-//! * the **seed baseline**: deep-clone registers + sequential operators
-//!   ([`mjoin_bench::baseline::execute_deep_clone`]), i.e. the interpreter
-//!   exactly as it stood before this change; and
-//! * the **new executor**: `Arc`-shared registers, DAG-levelled statement
-//!   scheduling, and pool-partitioned operators
-//!   (`mjoin_program::execute_parallel`) at 1, 2, 4 and 8 threads.
-//!
-//! Every run is checked for result equality against the baseline before its
-//! time is accepted. Results land in `BENCH_parallel_exec.json` at the repo
-//! root (or the path given as the first CLI argument), with the host's true
-//! parallelism recorded so single-core CI numbers read honestly: on a 1-CPU
-//! host the speedup is the zero-copy/allocation win, not core scaling.
+//! Every configuration is checked for result equality against the reference
+//! run (one thread, cache off) before its time is accepted. Results land in
+//! `BENCH_parallel_exec.json` at the repo root (or the path given as the
+//! first CLI argument), with the host's true parallelism recorded so
+//! single-core CI numbers read honestly.
 
-use mjoin_bench::baseline::execute_deep_clone;
 use mjoin_bench::print_table;
 use mjoin_core::derive;
 use mjoin_expr::JoinTree;
 use mjoin_hypergraph::DbScheme;
-use mjoin_program::{
-    execute_parallel, execute_with, schedule, ExecConfig, Program, ProgramBuilder, Reg,
-};
+use mjoin_program::{execute_with, schedule, ExecConfig, Program, ProgramBuilder, Reg};
 use mjoin_relation::{json, Catalog, Database};
 use mjoin_workloads::{star_schema, CycleGap, Example3, StarSchemaConfig};
 use std::time::Instant;
@@ -69,8 +61,7 @@ fn workloads() -> Vec<Workload> {
     }
 
     // Star schema: acyclic, so Algorithm 2 emits a full-reducer semijoin
-    // program — reads of the big fact relation dominate, the worst case for
-    // deep-clone registers.
+    // program — reads of the big fact relation dominate.
     let star = {
         let mut c = Catalog::new();
         let cfg = StarSchemaConfig {
@@ -147,9 +138,8 @@ fn workloads() -> Vec<Workload> {
 
     // The register-traffic stress: a wide (12-attribute) 150k-row relation
     // swept by ten single-attribute semijoin filters that never shrink it.
-    // Each statement's operator work is one cheap probe per tuple, but the
-    // seed interpreter also deep-copies all 150k wide rows per read — the
-    // access pattern the Arc registers eliminate outright.
+    // Each statement's operator work is one cheap probe per tuple, so
+    // anything the executor does per read of the wide register shows.
     {
         use mjoin_relation::{Relation, Row, Schema, Value};
         let mut c = Catalog::new();
@@ -198,9 +188,8 @@ fn workloads() -> Vec<Workload> {
     // Selective fan-out probes: twelve independent joins of tiny key lists
     // against one wide 300k-row base — the point-lookup access pattern. The
     // outputs are ~100 rows each, so the operator work is one hash-probe
-    // miss per base tuple and the seed interpreter's deep clone of the wide
-    // base is the dominant cost by far. The twelve probes are mutually
-    // independent, giving the scheduler a width-12 level.
+    // miss per base tuple. The twelve probes are mutually independent,
+    // giving the scheduler a width-12 level.
     {
         use mjoin_relation::{Relation, Row, Schema, Value};
         let mut c = Catalog::new();
@@ -334,8 +323,7 @@ struct Measurement {
     schedule_depth: usize,
     schedule_width: usize,
     result_tuples: usize,
-    baseline_ms: f64,
-    /// Parallel executor, per thread count.
+    /// The executor, per thread count.
     parallel_ms: Vec<(usize, f64)>,
     /// Same executor with the join-index cache disabled: the pre-cache path.
     parallel_nocache_ms: Vec<(usize, f64)>,
@@ -344,17 +332,6 @@ struct Measurement {
     trace_ops: Vec<(String, u64, f64)>,
     /// Counters from the same traced run (pool and scheduler metrics).
     trace_counters: Vec<(String, u64)>,
-}
-
-impl Measurement {
-    fn speedup_at(&self, threads: usize) -> f64 {
-        let t = self
-            .parallel_ms
-            .iter()
-            .find(|(n, _)| *n == threads)
-            .map_or(f64::INFINITY, |(_, ms)| *ms);
-        self.baseline_ms / t
-    }
 }
 
 fn measure(w: &Workload) -> Measurement {
@@ -366,13 +343,13 @@ fn measure(w: &Workload) -> Measurement {
             .map(mjoin_relation::Relation::len)
             .sum();
 
-    // Correctness gate first: the baseline is the oracle, and every
-    // configuration must match it before its time is accepted.
-    let oracle = execute_deep_clone(program, &w.db);
+    // Correctness gate first: one thread with the cache off is the oracle,
+    // and every configuration must match it before its time is accepted.
+    let oracle = execute_with(program, &w.db, &ExecConfig::with_threads(1).without_cache());
     for threads in THREADS {
-        let par = execute_parallel(program, &w.db, threads);
+        let par = execute_with(program, &w.db, &ExecConfig::with_threads(threads));
         assert_eq!(
-            *par.result, oracle.result,
+            *par.result, *oracle.result,
             "{}: parallel result diverged at {threads} threads",
             w.name
         );
@@ -387,7 +364,7 @@ fn measure(w: &Workload) -> Measurement {
             &ExecConfig::with_threads(threads).without_cache(),
         );
         assert_eq!(
-            *nocache.result, oracle.result,
+            *nocache.result, *oracle.result,
             "{}: cache-off result diverged at {threads} threads",
             w.name
         );
@@ -406,18 +383,13 @@ fn measure(w: &Workload) -> Measurement {
     // Interleave configurations round-robin across reps so ambient host
     // slowness (this often runs on shared 1-CPU CI) biases every
     // configuration equally, then keep each configuration's best rep.
-    let mut run_base = || {
-        let out = execute_deep_clone(program, &w.db);
-        std::hint::black_box(out.result.len());
-    };
-    let mut baseline_ms = f64::INFINITY;
     let mut best_par = vec![f64::INFINITY; THREADS.len()];
     let mut best_nocache = vec![f64::INFINITY; THREADS.len()];
     for _ in 0..REPS {
-        baseline_ms = baseline_ms.min(time_once(&mut run_base));
         for (slot, &threads) in best_par.iter_mut().zip(THREADS.iter()) {
+            let cfg = ExecConfig::with_threads(threads);
             let mut run = || {
-                let out = execute_parallel(program, &w.db, threads);
+                let out = execute_with(program, &w.db, &cfg);
                 std::hint::black_box(out.result.len());
             };
             *slot = slot.min(time_once(&mut run));
@@ -441,7 +413,7 @@ fn measure(w: &Workload) -> Measurement {
     mjoin_trace::clear();
     mjoin_trace::set_enabled(true);
     {
-        let out = execute_parallel(program, &w.db, 4);
+        let out = execute_with(program, &w.db, &ExecConfig::with_threads(4));
         std::hint::black_box(out.result.len());
     }
     mjoin_trace::set_enabled(false);
@@ -472,7 +444,6 @@ fn measure(w: &Workload) -> Measurement {
         schedule_depth: sched.depth(),
         schedule_width: sched.width(),
         result_tuples: oracle.result.len(),
-        baseline_ms,
         parallel_ms,
         parallel_nocache_ms,
         trace_ops,
@@ -489,10 +460,7 @@ fn write_json(path: &str, pool_threads: usize, host_parallelism: usize, ms: &[Me
     j.push_str(&format!("  \"pool_threads\": {pool_threads},\n"));
     j.push_str(&format!("  \"reps_best_of\": {REPS},\n"));
     j.push_str(
-        "  \"baseline\": \"seed interpreter: deep-clone registers, sequential operators\",\n",
-    );
-    j.push_str(
-        "  \"note\": \"on a 1-CPU host the speedup measures the zero-copy Arc registers and allocation fixes, not core scaling; results are asserted equal to the baseline before timing\",\n",
+        "  \"note\": \"on a 1-CPU host thread counts measure scheduling overhead, not core scaling; results are asserted equal to the one-thread cache-off run before timing\",\n",
     );
     j.push_str("  \"workloads\": [\n");
     for (i, m) in ms.iter().enumerate() {
@@ -510,10 +478,6 @@ fn write_json(path: &str, pool_threads: usize, host_parallelism: usize, ms: &[Me
             "      \"schedule_width\": {},\n",
             m.schedule_width
         ));
-        j.push_str(&format!(
-            "      \"baseline_deep_clone_ms\": {:.3},\n",
-            m.baseline_ms
-        ));
         j.push_str("      \"parallel_ms\": {");
         let cells: Vec<String> = m
             .parallel_ms
@@ -527,14 +491,6 @@ fn write_json(path: &str, pool_threads: usize, host_parallelism: usize, ms: &[Me
             .parallel_nocache_ms
             .iter()
             .map(|(t, v)| format!("\"{t}\": {v:.3}"))
-            .collect();
-        j.push_str(&cells.join(", "));
-        j.push_str("},\n");
-        j.push_str("      \"speedup_vs_baseline\": {");
-        let cells: Vec<String> = m
-            .parallel_ms
-            .iter()
-            .map(|(t, _)| format!("\"{t}\": {:.2}", m.speedup_at(*t)))
             .collect();
         j.push_str(&cells.join(", "));
         j.push_str("},\n");
@@ -636,7 +592,7 @@ fn check_strategies(ws: &[Workload]) -> bool {
         mjoin_trace::clear();
         mjoin_trace::set_enabled(true);
         {
-            let out = execute_parallel(&w.program, &w.db, 4);
+            let out = execute_with(&w.program, &w.db, &ExecConfig::with_threads(4));
             std::hint::black_box(out.result.len());
         }
         mjoin_trace::set_enabled(false);
@@ -718,7 +674,6 @@ fn main() {
             m.input_tuples.to_string(),
             m.stmts.to_string(),
             format!("{}×{}", m.schedule_depth, m.schedule_width),
-            format!("{:.1}", m.baseline_ms),
         ];
         for (_, ms) in &m.parallel_ms {
             row.push(format!("{ms:.1}"));
@@ -729,7 +684,6 @@ fn main() {
             .find(|(t, _)| *t == 4)
             .map_or(f64::INFINITY, |(_, ms)| *ms);
         row.push(format!("{nc4:.1}"));
-        row.push(format!("{:.2}×", m.speedup_at(4)));
         rows.push(row);
     }
     println!();
@@ -739,13 +693,11 @@ fn main() {
             "input",
             "stmts",
             "depth×width",
-            "seed ms",
             "t=1",
             "t=2",
             "t=4",
             "t=8",
             "nocache t=4",
-            "speedup@4",
         ],
         &rows,
     );

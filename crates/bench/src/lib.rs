@@ -1,7 +1,5 @@
 //! Shared helpers for the experiment binaries (`exp_e1` … `exp_e9`,
-//! `exp_par`) and the Criterion benches.
-
-pub mod baseline;
+//! `exp_par`).
 
 use mjoin_expr::JoinTree;
 use mjoin_hypergraph::{DbScheme, RelSet};

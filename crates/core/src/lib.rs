@@ -35,6 +35,6 @@ pub use bounds::{check_theorem1, check_theorem2, BoundReport};
 pub use choice::{ChoicePolicy, CostAwareChoice, FirstChoice, ScriptedChoice, SeededChoice};
 pub use explain::explain;
 pub use pipeline::{
-    derive, derive_with_policy, run_pipeline, run_pipeline_parallel, run_pipeline_with, Derivation,
-    PipelineError, PipelineRun,
+    derive, derive_with_policy, run_pipeline, run_pipeline_with, Derivation, PipelineError,
+    PipelineRun,
 };

@@ -12,7 +12,7 @@ use crate::alg2::{algorithm2_with_provenance, Alg2Error, Alg2Provenance};
 use crate::choice::{ChoicePolicy, FirstChoice};
 use mjoin_expr::JoinTree;
 use mjoin_hypergraph::DbScheme;
-use mjoin_program::{execute, execute_parallel, execute_with, ExecConfig, ExecOutcome, Program};
+use mjoin_program::{execute_with, ExecConfig, ExecOutcome, Program};
 use mjoin_relation::Database;
 use std::fmt;
 
@@ -108,45 +108,15 @@ impl PipelineRun {
     }
 }
 
-/// Run the whole pipeline on a database: derive from `t1`, execute, and
-/// report both costs.
+/// Run the whole pipeline on a database: derive from `t1`, execute under
+/// the default [`ExecConfig`], and report both costs.
 pub fn run_pipeline(
     scheme: &DbScheme,
     t1: &JoinTree,
     db: &Database,
     policy: &mut dyn ChoicePolicy,
 ) -> Result<PipelineRun, PipelineError> {
-    let derivation = derive_with_policy(scheme, t1, policy)?;
-    let tree_cost = mjoin_expr::cost_of(t1, db);
-    let exec = execute(&derivation.program, db);
-    Ok(PipelineRun {
-        derivation,
-        tree_cost,
-        exec,
-        quasi_factor: scheme.quasi_factor(),
-    })
-}
-
-/// [`run_pipeline`], but executing the derived program on the parallel
-/// DAG-scheduled executor with `threads` partitions per operator. The
-/// outcome (result relation, ledger, head sizes, peak resident) is
-/// byte-identical to the sequential run's — only wall-clock time differs.
-pub fn run_pipeline_parallel(
-    scheme: &DbScheme,
-    t1: &JoinTree,
-    db: &Database,
-    policy: &mut dyn ChoicePolicy,
-    threads: usize,
-) -> Result<PipelineRun, PipelineError> {
-    let derivation = derive_with_policy(scheme, t1, policy)?;
-    let tree_cost = mjoin_expr::cost_of(t1, db);
-    let exec = execute_parallel(&derivation.program, db, threads);
-    Ok(PipelineRun {
-        derivation,
-        tree_cost,
-        exec,
-        quasi_factor: scheme.quasi_factor(),
-    })
+    run_pipeline_with(scheme, t1, db, policy, |_| ExecConfig::default())
 }
 
 /// [`run_pipeline`], but executing under a caller-built [`ExecConfig`].
@@ -157,7 +127,7 @@ pub fn run_pipeline_parallel(
 /// before a single tuple moves. This is how `mjoin_cli run --mem-budget`
 /// and the CQ compiler wire certificate-gated Grace-hash spilling in
 /// without this crate depending on the analyzer (the dependency points the
-/// other way).
+/// other way). The config never changes the outcome, only the wall clock.
 pub fn run_pipeline_with(
     scheme: &DbScheme,
     t1: &JoinTree,

@@ -1,8 +1,8 @@
 //! The program interpreter, with §2.3 cost accounting.
 //!
 //! Applying a program `P` to a database `D` (the paper's `P(D)`) assigns each
-//! input relation to its base register, executes the statements in order, and
-//! charges the head relation of every statement. The total cost is
+//! input relation to its base register, executes the statements, and charges
+//! the head relation of every statement. The total cost is
 //! `Σ_{i=1}^{n+m} |Rᵢ|`: the `n` inputs plus the `m` statement heads.
 //!
 //! Registers hold `Arc<Relation>`, so reading a register — including the
@@ -11,13 +11,28 @@
 //! tuples. Statement heads still *assign* fresh relations, matching the
 //! paper's destructive-assignment semantics.
 //!
-//! [`execute_parallel`] runs the same programs level-by-level over the
-//! dependence DAG of [`crate::schedule`], executing each level's
-//! hazard-free statements concurrently on the shared [`mjoin_pool`] and
-//! using the partitioned parallel operators inside each statement. Its
-//! observable outcome (result, ledger, `head_sizes`, `peak_resident`) is
-//! byte-identical to [`execute`]'s; the differential tests in `mjoin-core`
-//! enforce this on randomized databases.
+//! There is one executor, [`try_execute_with`] ([`execute`] and
+//! [`execute_with`] are its defaults and its panicking form). It walks a
+//! list of *levels*: each level's statements are evaluated against the
+//! register file as the previous level left it, then their heads are
+//! written back. With [`ExecConfig::threads`]` > 1` the levels are the
+//! hazard-free ones of [`mod@crate::schedule`] — same-level statements touch
+//! disjoint registers, so each reads exactly what it would read in program
+//! order — a level of width > 1 runs concurrently on the shared
+//! [`mjoin_pool`], and the partitioned operators run inside each statement.
+//! With one thread the list is the trivial schedule, every statement its own
+//! level in program order. Either way heads are charged, and
+//! [`ExecOutcome::peak_resident`] replayed, in statement order once the
+//! head sizes are known, so the outcome (result, ledger, `head_sizes`,
+//! `peak_resident`) depends on the program and database alone; the
+//! differential tests in `mjoin-core` enforce this on randomized databases.
+//!
+//! There is likewise one index-cache policy ([`IndexCache`]): every
+//! statement peeks the run's cache, a miss builds and inserts an index
+//! where the plain kernel would have run its sequential build anyway, and
+//! before a level of width > 1 the indices two or more of its statements
+//! share are built once and inserted. A cache passed in through
+//! [`ExecConfig::cache`] therefore warms at every thread count.
 
 use crate::program::Program;
 use crate::schedule::schedule;
@@ -32,13 +47,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Execution knobs for [`execute_with`]. [`execute`] and
-/// [`execute_parallel`] use the defaults (cache on) at their respective
-/// thread counts.
+/// Execution knobs for [`execute_with`]; [`execute`] uses the defaults
+/// (one thread, cache on).
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
-    /// Worker threads for the partitioned operators and level parallelism.
-    /// `1` selects the sequential interpreter.
+    /// Worker threads for the partitioned operators and for the levels of
+    /// the schedule. `1` runs the statements one by one in program order.
     pub threads: usize,
     /// Whether to memoize build-side [`JoinIndex`]es across statements.
     pub index_cache: bool,
@@ -47,8 +61,7 @@ pub struct ExecConfig {
     pub cache_budget_tuples: u64,
     /// Cache budget in resident *bytes* — table heap plus the pinned
     /// relation's payload ([`JoinIndex::resident_bytes`]: packed columns
-    /// with each dictionary pool counted once under the columnar layout, a
-    /// flat per-cell estimate under the row layout). Eviction runs while
+    /// with each dictionary pool counted once). Eviction runs while
     /// *either* budget is exceeded, so tuple-cheap but byte-heavy string
     /// relations cannot pin unbounded memory.
     pub cache_budget_bytes: u64,
@@ -63,17 +76,16 @@ pub struct ExecConfig {
     /// survives across runs and sessions; the budgets above are then
     /// ignored in favor of the shared cache's own.
     pub cache: Option<SharedIndexCache>,
-    /// Cooperative cancellation: checked at statement boundaries (and at
-    /// level boundaries in the parallel executor). `None` runs to
-    /// completion. Use [`try_execute_with`] to observe a cancellation as a
-    /// value instead of a panic.
+    /// Cooperative cancellation: polled once per level, which with one
+    /// thread is once per statement. `None` runs to completion. Use
+    /// [`try_execute_with`] to observe a cancellation as a value instead of
+    /// a panic.
     pub cancel: Option<CancelToken>,
     /// The peak-memory budget (bytes) this run was admitted under, if any.
-    /// The interpreter never compares against it at runtime — the
-    /// per-statement decision is precomputed into [`ExecConfig::spill`] by
-    /// the static memory analysis — but carrying the figure here keeps the
-    /// gate auditable (trace spans and servers can report what the run was
-    /// budgeted at).
+    /// Not read by the interpreter: the per-statement decision is
+    /// precomputed into [`ExecConfig::spill`] by the static memory
+    /// analysis. The field stays only because the frozen benchmark harness
+    /// sets it (ROADMAP item 1b removes it).
     pub mem_budget: Option<u64>,
     /// The statically derived spill schedule: statements the memory
     /// certificate proved cannot fit `mem_budget` take the Grace-hash
@@ -173,7 +185,7 @@ impl ExecConfig {
 }
 
 /// A cooperative cancellation handle: cloned into an [`ExecConfig`] and
-/// polled by the interpreter at statement boundaries. Fires either
+/// polled by the interpreter at level boundaries. Fires either
 /// explicitly ([`CancelToken::cancel`], e.g. from a server's shutdown path)
 /// or implicitly once a deadline passes (per-request budgets). Clones share
 /// one flag.
@@ -634,11 +646,6 @@ impl IndexCache {
     }
 }
 
-/// Prebuilt indices visible to one parallel level: resolved before the
-/// level runs, then probed concurrently by its statements (the cache itself
-/// is only mutated between levels).
-type ResolvedIndices = FxHashMap<IndexKey, Arc<JoinIndex>>;
-
 /// The outcome of running a program on a database.
 #[derive(Debug, Clone)]
 pub struct ExecOutcome {
@@ -651,13 +658,14 @@ pub struct ExecOutcome {
     /// `|head|` after each statement, in statement order. Used by the
     /// Theorem 2 experiments to locate the peak intermediate.
     pub head_sizes: Vec<usize>,
-    /// Peak *resident* tuples: the maximum, over statement boundaries of
-    /// the sequential execution order, of the total tuples held across all
-    /// registers at once. The paper motivates linear join expressions by
-    /// their single live temporary; this measures the analogous space
-    /// footprint for programs. `execute_parallel` reports the same number
-    /// (it is a property of the program, kept comparable across executors),
-    /// though a parallel run may transiently hold more.
+    /// Peak *resident* tuples: the maximum, over statement boundaries in
+    /// program order, of the total tuples held across all registers at
+    /// once. The paper motivates linear join expressions by their single
+    /// live temporary; this measures the analogous space footprint for
+    /// programs. It is replayed from the head sizes, so it is a property of
+    /// the program and database — the same at every thread count, though a
+    /// run that executes a wide level concurrently may transiently hold
+    /// more.
     pub peak_resident: u64,
 }
 
@@ -709,66 +717,27 @@ impl Machine {
             Reg::Temp(t) => self.temps[t].replace(rel),
         }
     }
-
-    /// Total tuples currently held across all registers.
-    fn resident(&self) -> u64 {
-        self.bases.iter().map(|r| r.len() as u64).sum::<u64>()
-            + self
-                .temps
-                .iter()
-                .flatten()
-                .map(|r| r.len() as u64)
-                .sum::<u64>()
-    }
 }
 
-/// Where the evaluator may find (or leave) prebuilt join indices.
-enum IndexMode<'a> {
-    /// Cache disabled: always the plain partitioned operators.
-    Off,
-    /// Sequential execution: consult the (possibly shared) cache, build
-    /// and insert on a miss when the build pass is work the plain kernel
-    /// would do anyway. The mutex is taken per peek/insert, never held
-    /// across a kernel.
-    Cache(&'a SharedIndexCache),
-    /// One parallel level: probe the level's prebuilt indices; never mutate
-    /// (misses fall through to the plain operators).
-    Resolved(&'a ResolvedIndices),
-}
-
-impl IndexMode<'_> {
-    /// A usable index for `(rel, key_pos)`, bumping LRU state in
-    /// [`IndexMode::Cache`] mode. No hit/miss counters — callers decide
-    /// which lookup counts (a join peeks both sides).
-    fn peek(&mut self, rel: &Arc<Relation>, key_pos: &[usize]) -> Option<Arc<JoinIndex>> {
-        match self {
-            IndexMode::Off => None,
-            IndexMode::Cache(cache) => lock_cache(cache).peek(rel, key_pos),
-            IndexMode::Resolved(resolved) => resolved.get(&index_key(rel, key_pos)).map(Arc::clone),
-        }
-    }
-
-    /// Whether missed statements should build (and cache) an index instead
-    /// of running the plain kernel.
-    fn builds_on_miss(&self) -> bool {
-        matches!(self, IndexMode::Cache(_))
-    }
-
-    fn insert(&mut self, index: Arc<JoinIndex>) {
-        if let IndexMode::Cache(cache) = self {
-            lock_cache(cache).insert(index);
-        }
-    }
-
-    /// Whether this statement evaluation participates in hit/miss counting.
-    fn counts(&self) -> bool {
-        !matches!(self, IndexMode::Off)
-    }
+/// Whether a statement that missed the cache builds a first-class
+/// [`JoinIndex`] (and keeps it for later statements and runs) instead of
+/// running the plain kernel. It does wherever the plain kernel would take
+/// its sequential path — one thread, or both inputs under the cutoff —
+/// because that path's build pass is the same work. Past the cutoff the
+/// partitioned kernels win (a shared small build probed in chunks, radix
+/// co-partitioning for big builds), so those statements keep them.
+fn indexes_on_miss(threads: usize, left_rows: usize, right_rows: usize, cutoff: usize) -> bool {
+    threads == 1 || (left_rows < cutoff && right_rows < cutoff)
 }
 
 /// Evaluate one statement's body against the current register file. With
-/// `threads == 1` the partitioned operators take their sequential paths, so
-/// this is also the sequential interpreter's evaluation step.
+/// `threads == 1` the partitioned operators take their sequential paths.
+///
+/// `cache` is the run's index cache, or `None` under
+/// [`ExecConfig::without_cache`] (always the plain operators, no counters).
+/// The mutex is taken per peek/insert, never held across a kernel; hit/miss
+/// counters are bumped here rather than in [`IndexCache::peek`] because a
+/// join peeks both of its sides before deciding which lookup counts.
 fn eval_stmt(
     program: &Program,
     m: &Machine,
@@ -776,8 +745,11 @@ fn eval_stmt(
     threads: usize,
     cutoff: usize,
     spill: Option<usize>,
-    mut idx: IndexMode<'_>,
+    cache: Option<&SharedIndexCache>,
 ) -> (Reg, Relation) {
+    let peek = |rel: &Arc<Relation>, key_pos: &[usize]| {
+        cache.and_then(|c| lock_cache(c).peek(rel, key_pos))
+    };
     match stmt {
         Stmt::Project { dst, src, attrs } => {
             let src_rel = m.read(program, *src);
@@ -810,7 +782,7 @@ fn eval_stmt(
             }
             // Peek both sides; with a choice, keep the index on the larger
             // side so the smaller side does the probing.
-            let hit = match (idx.peek(&l, &lpos), idx.peek(&r, &rpos)) {
+            let hit = match (peek(&l, &lpos), peek(&r, &rpos)) {
                 (Some(li), Some(ri)) => Some(if li.tuples() >= ri.tuples() {
                     (li, Arc::clone(&r))
                 } else {
@@ -827,24 +799,19 @@ fn eval_stmt(
                     par_join_indexed_cutoff(&index, &probe, threads, cutoff),
                 );
             }
-            if idx.counts() {
-                IndexCache::note_miss();
-            }
-            // On a sequential miss, building the smaller side as a
-            // first-class index is the same work the plain kernel's build
-            // pass does — so do that and keep the index for later
-            // statements. Parallel big-build joins keep the partitioned
-            // paths (radix co-partitioning beats one shared build there).
-            let small_is_left = l.len() <= r.len();
-            if idx.builds_on_miss() && (threads == 1 || l.len().min(r.len()) < cutoff) {
-                let (small, spos, big) = if small_is_left {
+            let Some(cache) = cache else {
+                return (*dst, ops::par_join_cutoff(&l, &r, threads, cutoff));
+            };
+            IndexCache::note_miss();
+            if indexes_on_miss(threads, l.len(), r.len(), cutoff) {
+                let (small, spos, big) = if l.len() <= r.len() {
                     (Arc::clone(&l), lpos, r)
                 } else {
                     (Arc::clone(&r), rpos, l)
                 };
                 let index = Arc::new(JoinIndex::build(small, spos));
                 let out = par_join_indexed_cutoff(&index, &big, threads, cutoff);
-                idx.insert(index);
+                lock_cache(cache).insert(index);
                 return (*dst, out);
             }
             (*dst, ops::par_join_cutoff(&l, &r, threads, cutoff))
@@ -861,23 +828,24 @@ fn eval_stmt(
                 .schema()
                 .positions_of(common.attrs())
                 .expect("common attrs in filter");
-            if let Some(index) = idx.peek(&f, &fpos) {
+            if let Some(index) = peek(&f, &fpos) {
                 IndexCache::note_hit(&index);
                 return (
                     *target,
                     par_semijoin_indexed_cutoff(&t, &index, threads, cutoff),
                 );
             }
-            if idx.counts() {
-                IndexCache::note_miss();
-            }
-            if idx.builds_on_miss() {
+            let Some(cache) = cache else {
+                return (*target, ops::par_semijoin_cutoff(&t, &f, threads, cutoff));
+            };
+            IndexCache::note_miss();
+            if indexes_on_miss(threads, t.len(), f.len(), cutoff) {
                 // The filter-side build is exactly the plain kernel's key
                 // set; building it as an index costs the same and is
                 // reusable by every later statement filtering through `f`.
                 let index = Arc::new(JoinIndex::build(Arc::clone(&f), fpos));
                 let out = par_semijoin_indexed_cutoff(&t, &index, threads, cutoff);
-                idx.insert(index);
+                lock_cache(cache).insert(index);
                 return (*target, out);
             }
             (*target, ops::par_semijoin_cutoff(&t, &f, threads, cutoff))
@@ -904,10 +872,10 @@ fn eval_stmt_traced(
     threads: usize,
     cutoff: usize,
     spill: Option<usize>,
-    idx: IndexMode<'_>,
+    cache: Option<&SharedIndexCache>,
 ) -> (Reg, Relation) {
     let mut sp = mjoin_trace::span("exec", "stmt");
-    let (head, value) = eval_stmt(program, m, stmt, threads, cutoff, spill, idx);
+    let (head, value) = eval_stmt(program, m, stmt, threads, cutoff, spill, cache);
     if sp.is_active() {
         sp.arg("index", index);
         sp.arg("kind", stmt_kind(stmt));
@@ -917,124 +885,6 @@ fn eval_stmt_traced(
         }
     }
     (head, value)
-}
-
-fn check_arity(program: &Program, db: &Database) {
-    assert_eq!(
-        program.num_bases,
-        db.len(),
-        "program and database disagree on the number of relations"
-    );
-}
-
-/// Execute `program` on `db`, one statement at a time in program order,
-/// with the default [`ExecConfig`] (index cache on, one thread).
-///
-/// The program should have passed [`crate::validate::validate`]; running an
-/// invalid program may panic (it will not produce wrong answers silently).
-pub fn execute(program: &Program, db: &Database) -> ExecOutcome {
-    execute_with(program, db, &ExecConfig::default())
-}
-
-/// Execute `program` on `db` under an explicit [`ExecConfig`]:
-/// `threads == 1` runs the sequential interpreter, more threads the
-/// level-parallel one. Either way the observable [`ExecOutcome`] depends
-/// only on the program and database — never on the thread count or on
-/// whether the index cache is enabled (the differential tests in
-/// `mjoin-core` enforce this).
-pub fn execute_with(program: &Program, db: &Database, cfg: &ExecConfig) -> ExecOutcome {
-    try_execute_with(program, db, cfg)
-        .expect("execution cancelled — use try_execute_with to observe cancellation")
-}
-
-/// [`execute_with`], but surfacing a fired [`ExecConfig::cancel`] token as
-/// a [`Cancelled`] value instead of a panic. A run with no token (or one
-/// that never fires) always returns `Ok`.
-pub fn try_execute_with(
-    program: &Program,
-    db: &Database,
-    cfg: &ExecConfig,
-) -> Result<ExecOutcome, Cancelled> {
-    if cfg.threads <= 1 {
-        execute_seq(program, db, cfg)
-    } else {
-        execute_level(program, db, cfg)
-    }
-}
-
-fn execute_seq(
-    program: &Program,
-    db: &Database,
-    cfg: &ExecConfig,
-) -> Result<ExecOutcome, Cancelled> {
-    check_arity(program, db);
-    let mut sp = mjoin_trace::span("exec", "execute");
-    if sp.is_active() {
-        sp.arg("stmts", program.stmts.len());
-        sp.arg("threads", 1usize);
-        sp.arg("index_cache", u64::from(cfg.index_cache));
-    }
-    let mut ledger = CostLedger::new();
-    db.charge_inputs(&mut ledger);
-
-    let mut m = Machine::new(program, db);
-    let cache = cfg.run_cache();
-    let mut head_sizes = Vec::with_capacity(program.stmts.len());
-    let mut peak_resident = m.resident();
-
-    for (i, stmt) in program.stmts.iter().enumerate() {
-        if cfg.cancelled() {
-            return Err(Cancelled { at_stmt: i });
-        }
-        let idx = if cfg.index_cache {
-            IndexMode::Cache(&cache)
-        } else {
-            IndexMode::Off
-        };
-        let (head, value) = eval_stmt_traced(
-            program,
-            &m,
-            stmt,
-            i,
-            1,
-            cfg.par_cutoff,
-            cfg.spill_partitions(i),
-            idx,
-        );
-        ledger.charge_generated(format!("stmt {i}"), value.len());
-        mjoin_trace::add("exec.head_tuples", value.len() as u64);
-        head_sizes.push(value.len());
-        if let Some(old) = m.write(head, Arc::new(value)) {
-            if cfg.index_cache {
-                lock_cache(&cache).invalidate(&old);
-            }
-        }
-        peak_resident = peak_resident.max(m.resident());
-    }
-
-    let result = m.read(program, program.result);
-    Ok(ExecOutcome {
-        result,
-        ledger,
-        head_sizes,
-        peak_resident,
-    })
-}
-
-/// Execute `program` on `db` with statement-level and operator-level
-/// parallelism on the shared pool.
-///
-/// Statements are grouped into the hazard-free levels of
-/// [`crate::schedule::schedule`] and each level is evaluated concurrently
-/// against the register file as left by the previous level; because
-/// same-level statements touch disjoint registers, every statement reads
-/// exactly the values it would read under sequential execution, so the
-/// computed relations are identical. The ledger, `head_sizes`, and
-/// `peak_resident` are then reconstructed in *statement* order (the sizes of
-/// all heads are known once execution finishes), which makes the whole
-/// [`ExecOutcome`] byte-identical to [`execute`]'s.
-pub fn execute_parallel(program: &Program, db: &Database, threads: usize) -> ExecOutcome {
-    execute_with(program, db, &ExecConfig::with_threads(threads))
 }
 
 /// The index opportunities of one statement: `(relation, key positions)`
@@ -1074,177 +924,163 @@ fn stmt_index_candidates(
     }
 }
 
-/// Resolve the indices one parallel level will probe, mutating the cache
-/// only here — before the level's statements run concurrently. Cached
-/// entries resolve directly; a `(relation, key)` pair wanted by two or more
-/// statements in the level is built once, shared across all of them, and
-/// cached for later levels. Pairs wanted once stay unresolved (their
-/// statements run the plain partitioned operators).
+/// Before a level of width > 1 runs, put the indices two or more of its
+/// statements want into the cache: one build, many probes, whatever the
+/// relation's size. The build counts as the one miss it represents; each
+/// statement that then probes it counts a hit. Pairs wanted once are left
+/// to their statement ([`eval_stmt`] decides whether to build). If the
+/// budget evicts (or refuses) the index before a statement peeks, that
+/// statement just misses.
 fn prefetch_level_indices(
     program: &Program,
     m: &Machine,
     cache: &SharedIndexCache,
     level: &[usize],
-) -> ResolvedIndices {
-    let mut resolved = ResolvedIndices::default();
-    let mut wanted: Vec<(Arc<Relation>, Vec<usize>)> = Vec::new();
-    for &i in level {
-        wanted.extend(stmt_index_candidates(program, m, &program.stmts[i]));
-    }
+) {
+    let wanted: Vec<(Arc<Relation>, Vec<usize>)> = level
+        .iter()
+        .flat_map(|&i| stmt_index_candidates(program, m, &program.stmts[i]))
+        .collect();
     let mut demand: FxHashMap<IndexKey, usize> = FxHashMap::default();
     for (rel, pos) in &wanted {
         *demand.entry(index_key(rel, pos)).or_insert(0) += 1;
     }
     for (rel, pos) in wanted {
-        let key = index_key(&rel, &pos);
-        if resolved.contains_key(&key) {
-            continue;
-        }
-        // Bind the peek result before branching: an `if let` scrutinee
-        // would keep the cache guard alive through the `else` branch
-        // (pre-2024-edition temporary lifetime), and the insert below
-        // re-locks the same mutex — a self-deadlock.
-        let hit = lock_cache(cache).peek(&rel, &pos);
-        if let Some(index) = hit {
-            resolved.insert(key, index);
-        } else if demand[&key] >= 2 {
-            // Shared across the level: one build, many probes. Counts as
-            // the one miss its build represents; each statement that probes
-            // it then counts a hit. Built outside the lock.
+        // `remove` so each shared key is handled once.
+        let shared = demand
+            .remove(&index_key(&rel, &pos))
+            .is_some_and(|d| d >= 2);
+        if shared && lock_cache(cache).peek(&rel, &pos).is_none() {
             IndexCache::note_miss();
+            // Built outside the lock (the guard above died with the `if`
+            // condition).
             let index = Arc::new(JoinIndex::build(rel, pos));
-            lock_cache(cache).insert(Arc::clone(&index));
-            resolved.insert(key, index);
+            lock_cache(cache).insert(index);
         }
     }
-    resolved
 }
 
-fn execute_level(
+/// Execute `program` on `db` with the default [`ExecConfig`] (index cache
+/// on, one thread).
+///
+/// The program should have passed [`crate::validate::validate`]; running an
+/// invalid program may panic (it will not produce wrong answers silently).
+pub fn execute(program: &Program, db: &Database) -> ExecOutcome {
+    execute_with(program, db, &ExecConfig::default())
+}
+
+/// Execute `program` on `db` under an explicit [`ExecConfig`]. The
+/// observable [`ExecOutcome`] depends only on the program and database —
+/// never on the thread count or on whether the index cache is enabled (the
+/// differential tests in `mjoin-core` enforce this).
+pub fn execute_with(program: &Program, db: &Database, cfg: &ExecConfig) -> ExecOutcome {
+    try_execute_with(program, db, cfg)
+        .expect("execution cancelled — use try_execute_with to observe cancellation")
+}
+
+/// [`execute_with`], but surfacing a fired [`ExecConfig::cancel`] token as
+/// a [`Cancelled`] value instead of a panic. A run with no token (or one
+/// that never fires) always returns `Ok`.
+///
+/// This is the one executor loop (see the module docs): it walks a list of
+/// levels, evaluating each level's statements against the register file as
+/// the previous level left it and writing the heads back before the next.
+pub fn try_execute_with(
     program: &Program,
     db: &Database,
     cfg: &ExecConfig,
 ) -> Result<ExecOutcome, Cancelled> {
-    check_arity(program, db);
+    assert_eq!(
+        program.num_bases,
+        db.len(),
+        "program and database disagree on the number of relations"
+    );
     let threads = cfg.threads.max(1);
-    let mut ledger = CostLedger::new();
-    db.charge_inputs(&mut ledger);
-
-    let mut m = Machine::new(program, db);
-    let cache = cfg.run_cache();
     let n = program.stmts.len();
-    let mut sizes = vec![0usize; n];
-
-    let sched = schedule(program);
-    // Double-entry race check: in debug builds, never trust a schedule the
-    // independent auditor rejects. Compiled out of release builds.
-    #[cfg(debug_assertions)]
-    if let Err(e) = crate::schedule::audit_schedule(program, &sched) {
-        panic!("schedule failed its audit: {e}");
-    }
-    let mut sp = mjoin_trace::span("exec", "execute_parallel");
+    let levels: Vec<Vec<usize>> = if threads == 1 {
+        // The trivial schedule: program order, nothing to analyze.
+        (0..n).map(|i| vec![i]).collect()
+    } else {
+        let sched = schedule(program);
+        // Double-entry race check: in debug builds, never trust a schedule
+        // the independent auditor rejects. Compiled out of release builds.
+        #[cfg(debug_assertions)]
+        if let Err(e) = crate::schedule::audit_schedule(program, &sched) {
+            panic!("schedule failed its audit: {e}");
+        }
+        sched.levels
+    };
+    let mut sp = mjoin_trace::span("exec", "execute");
     if sp.is_active() {
         sp.arg("stmts", n);
         sp.arg("threads", threads);
-        sp.arg("depth", sched.depth());
-        sp.arg("width", sched.width());
         sp.arg("index_cache", u64::from(cfg.index_cache));
     }
-    for (lv, level) in sched.levels.iter().enumerate() {
+
+    let mut m = Machine::new(program, db);
+    let cache = cfg.index_cache.then(|| cfg.run_cache());
+    let cache = cache.as_ref();
+    let mut head_sizes = vec![0usize; n];
+
+    for (lv, level) in levels.into_iter().enumerate() {
         if cfg.cancelled() {
-            // Levels run in statement order; the first unexecuted
-            // statement is this level's smallest index.
-            let at_stmt = level.iter().copied().min().unwrap_or(n);
-            return Err(Cancelled { at_stmt });
+            // A level's indices ascend, and every later level depends on
+            // this one: its first statement is the smallest unexecuted.
+            return Err(Cancelled { at_stmt: level[0] });
         }
-        let mut level_sp = mjoin_trace::span("exec", "level");
-        if level_sp.is_active() {
-            level_sp.arg("level", lv + 1);
-            level_sp.arg("stmts", level.len());
+        // Only a level of width > 1 is more than its one `exec/stmt`: it
+        // gets a span of its own and the shared-index prefetch.
+        let mut level_sp = None;
+        if level.len() > 1 {
+            let level_sp = level_sp.insert(mjoin_trace::span("exec", "level"));
+            if level_sp.is_active() {
+                level_sp.arg("level", lv + 1);
+                level_sp.arg("stmts", level.len());
+            }
+            if let Some(cache) = cache {
+                prefetch_level_indices(program, &m, cache, &level);
+            }
         }
-        let resolved = if cfg.index_cache {
-            prefetch_level_indices(program, &m, &cache, level)
-        } else {
-            ResolvedIndices::default()
-        };
-        let computed: Vec<(usize, (Reg, Relation))> = if threads == 1 || level.len() == 1 {
-            level
-                .iter()
-                .map(|&i| {
-                    let idx = if cfg.index_cache {
-                        IndexMode::Resolved(&resolved)
-                    } else {
-                        IndexMode::Off
-                    };
-                    (
-                        i,
-                        eval_stmt_traced(
-                            program,
-                            &m,
-                            &program.stmts[i],
-                            i,
-                            threads,
-                            cfg.par_cutoff,
-                            cfg.spill_partitions(i),
-                            idx,
-                        ),
-                    )
-                })
-                .collect()
-        } else {
-            mjoin_pool::par_map(level.clone(), |i| {
-                let idx = if cfg.index_cache {
-                    IndexMode::Resolved(&resolved)
-                } else {
-                    IndexMode::Off
-                };
-                (
-                    i,
-                    eval_stmt_traced(
-                        program,
-                        &m,
-                        &program.stmts[i],
-                        i,
-                        threads,
-                        cfg.par_cutoff,
-                        cfg.spill_partitions(i),
-                        idx,
-                    ),
-                )
-            })
-        };
+        // One item runs inline on this thread; more go to the shared pool.
+        let computed = mjoin_pool::par_map(level, |i| {
+            let spill = cfg.spill_partitions(i);
+            let stmt = &program.stmts[i];
+            let head =
+                eval_stmt_traced(program, &m, stmt, i, threads, cfg.par_cutoff, spill, cache);
+            (i, head)
+        });
         for (i, (head, value)) in computed {
-            sizes[i] = value.len();
+            head_sizes[i] = value.len();
+            mjoin_trace::add("exec.head_tuples", value.len() as u64);
             if let Some(old) = m.write(head, Arc::new(value)) {
-                if cfg.index_cache {
-                    lock_cache(&cache).invalidate(&old);
+                if let Some(cache) = cache {
+                    lock_cache(cache).invalidate(&old);
                 }
             }
         }
     }
-    drop(sp);
 
-    let mut head_sizes = Vec::with_capacity(n);
-    for (i, &size) in sizes.iter().enumerate() {
+    // Heads are charged in *statement* order whatever order the levels ran
+    // them in, so the ledger does not depend on the schedule.
+    let mut ledger = CostLedger::new();
+    db.charge_inputs(&mut ledger);
+    for (i, &size) in head_sizes.iter().enumerate() {
         ledger.charge_generated(format!("stmt {i}"), size);
-        mjoin_trace::add("exec.head_tuples", size as u64);
-        head_sizes.push(size);
     }
-
-    let result = m.read(program, program.result);
     Ok(ExecOutcome {
-        result,
+        result: m.read(program, program.result),
         ledger,
+        peak_resident: peak_resident(program, db, &head_sizes),
         head_sizes,
-        peak_resident: simulate_peak_resident(program, db, &sizes),
     })
 }
 
-/// Replay register sizes in statement order to recover the sequential
-/// executor's `peak_resident`. Head sizes determine the whole trajectory:
-/// each statement replaces its head register's size with `sizes[i]`, and
-/// the footprint is sampled at every statement boundary.
-fn simulate_peak_resident(program: &Program, db: &Database, sizes: &[usize]) -> u64 {
+/// Replay register sizes in statement order: each statement replaces its
+/// head register's size with `sizes[i]`, and the footprint is sampled at
+/// every statement boundary. Head sizes determine the whole trajectory, so
+/// the figure is a property of the program and database, not of the
+/// schedule that ran it.
+fn peak_resident(program: &Program, db: &Database, sizes: &[usize]) -> u64 {
     let mut base_sizes: Vec<u64> = db.relations().iter().map(|r| r.len() as u64).collect();
     let mut temp_sizes: Vec<u64> = vec![0; program.temp_names.len()];
     let mut resident: u64 = base_sizes.iter().sum();
@@ -1402,7 +1238,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_outcome_matches_sequential_exactly() {
+    fn outcome_is_the_same_at_every_thread_count() {
         let (_c, scheme, db) = chain_db();
         let mut b = ProgramBuilder::new(&scheme);
         // Mix of parallelizable reductions and a serial join chain.
@@ -1413,8 +1249,8 @@ mod tests {
         b.join(v, v, Reg::Base(2));
         let p = b.finish(v);
         let seq = execute(&p, &db);
-        for threads in [1, 2, 4] {
-            let par = execute_parallel(&p, &db, threads);
+        for threads in [2, 4] {
+            let par = execute_with(&p, &db, &ExecConfig::with_threads(threads));
             assert_eq!(*par.result, *seq.result, "threads = {threads}");
             assert_eq!(par.head_sizes, seq.head_sizes, "threads = {threads}");
             assert_eq!(par.peak_resident, seq.peak_resident, "threads = {threads}");
@@ -1636,30 +1472,35 @@ mod tests {
     }
 
     /// A shared cache passed through `ExecConfig.cache` carries warm
-    /// indices from one run into the next — the resident-server path.
+    /// indices from one run into the next — the resident-server path — at
+    /// every thread count, including programs whose levels all have width 1.
     #[test]
-    fn shared_cache_is_warm_across_runs() {
+    fn shared_cache_warms_at_every_thread_count() {
         let (_c, scheme, db) = chain_db();
         let mut b = ProgramBuilder::new(&scheme);
-        b.semijoin(Reg::Base(0), Reg::Base(1));
-        let p = b.finish(Reg::Base(0));
+        let v = b.new_temp_alias("V", Reg::Base(0));
+        b.semijoin(v, Reg::Base(1));
+        b.join(v, v, Reg::Base(1));
+        b.join(v, v, Reg::Base(2));
+        let p = b.finish(v);
 
-        let shared = IndexCache::shared(4 << 20, 256 << 20);
-        let cfg = ExecConfig {
-            cache: Some(Arc::clone(&shared)),
-            ..ExecConfig::default()
-        };
+        for threads in [1, 2, 4] {
+            let shared = IndexCache::shared(4 << 20, 256 << 20);
+            let cfg = ExecConfig {
+                cache: Some(Arc::clone(&shared)),
+                ..ExecConfig::with_threads(threads)
+            };
+            let first = execute_with(&p, &db, &cfg);
+            let (second, warm) = traced(|| execute_with(&p, &db, &cfg));
 
-        let (first, cold) = traced(|| execute_with(&p, &db, &cfg));
-        let (second, warm) = traced(|| execute_with(&p, &db, &cfg));
-
-        assert_eq!(*first.result, *second.result);
-        assert_eq!(cold.counter("index_cache.hit").unwrap_or(0), 0);
-        assert!(
-            warm.counter("index_cache.hit").unwrap_or(0) >= 1,
-            "second run must hit the index the first run left in the shared cache"
-        );
-        assert!(lock_cache(&shared).entries() >= 1);
+            assert_eq!(*first.result, *second.result, "threads = {threads}");
+            assert!(
+                warm.counter("index_cache.hit").unwrap_or(0) >= 1,
+                "threads = {threads}: the second run must hit the index the first run left \
+                 in the shared cache"
+            );
+            assert!(lock_cache(&shared).entries() >= 1, "threads = {threads}");
+        }
     }
 
     /// A pre-fired token stops execution before the first statement; a
@@ -1701,12 +1542,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_empty_program() {
+    fn empty_program_at_four_threads() {
         let (_c, scheme, db) = chain_db();
         let b = ProgramBuilder::new(&scheme);
         let p = b.finish(Reg::Base(2));
         let seq = execute(&p, &db);
-        let par = execute_parallel(&p, &db, 4);
+        let par = execute_with(&p, &db, &ExecConfig::with_threads(4));
         assert_eq!(*par.result, *seq.result);
         assert_eq!(par.peak_resident, seq.peak_resident);
     }

@@ -7,10 +7,11 @@
 //!   scheme tracking (the builder is what Algorithm 2 in `mjoin-core` talks
 //!   to while emitting statements);
 //! * [`validate`]: static well-formedness per §2.2;
-//! * [`execute`]: the interpreter, charging the §2.3 program cost
-//!   `Σ_{i=1}^{n+m} |Rᵢ|`;
-//! * [`execute_parallel`]: the same semantics and cost accounting, run
-//!   level-parallel over the statement dependence DAG of [`schedule`];
+//! * [`execute`] / [`execute_with`]: the interpreter, charging the §2.3
+//!   program cost `Σ_{i=1}^{n+m} |Rᵢ|` — one executor loop that walks the
+//!   hazard-free levels of [`schedule()`] (concurrently where a level is wide
+//!   and [`ExecConfig::threads`] allows) or, with one thread, the statements
+//!   in program order;
 //! * [`dataflow`]: bitset register sets and backward liveness, shared by
 //!   [`eliminate_dead_code`] and the `mjoin-analyze` lint passes;
 //! * [`audit_schedule`]: an independent double-entry checker that a
@@ -32,8 +33,8 @@ pub mod validate;
 
 pub use dataflow::{BitSet, Liveness};
 pub use interp::{
-    execute, execute_parallel, execute_with, try_execute_with, CancelToken, Cancelled, ExecConfig,
-    ExecOutcome, IndexCache, SharedIndexCache, SpillPlan,
+    execute, execute_with, try_execute_with, CancelToken, Cancelled, ExecConfig, ExecOutcome,
+    IndexCache, SharedIndexCache, SpillPlan,
 };
 pub use optimize::eliminate_dead_code;
 pub use parse::{parse_program, parse_scheme_list, scheme_directive};

@@ -12,7 +12,8 @@
 //! gets `1 + max(level(j))` over its dependences `j` — so every statement in
 //! a level is pairwise independent of the others, and executing levels in
 //! order with an intra-level barrier computes exactly the sequential
-//! machine states (see [`crate::interp::execute_parallel`]).
+//! machine states (see [`crate::interp::try_execute_with`], which walks these
+//! levels whenever it is given more than one thread).
 //!
 //! Read sets are conservative: a register's read set includes its whole
 //! alias chain (`temp_init`), because the interpreter reads *through* the
@@ -230,7 +231,7 @@ impl std::error::Error for ScheduleAuditError {}
 /// from the other side of the ledger — every statement placed exactly once,
 /// `levels` and `level_of` consistent, no write/write or read/write
 /// register conflict inside a level, and every hazard pair on strictly
-/// increasing levels. [`crate::interp::execute_parallel`] runs this audit
+/// increasing levels. [`crate::interp::try_execute_with`] runs this audit
 /// under `debug_assertions` before trusting a schedule; `mjoin-analyze`'s
 /// `schedule-audit` pass surfaces it as a diagnostic.
 pub fn audit_schedule(program: &Program, sched: &Schedule) -> Result<(), ScheduleAuditError> {

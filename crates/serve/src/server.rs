@@ -57,7 +57,7 @@ pub struct ServeConfig {
     /// Listen address, e.g. `127.0.0.1:7878`. Port `0` picks a free port
     /// (read it back from [`Server::local_addr`]).
     pub addr: String,
-    /// Worker threads per request (`1` = sequential interpreter).
+    /// Worker threads per request (`1` = statements one by one, in program order).
     pub threads: usize,
     /// Admission budget: reject any request whose certified per-statement
     /// bound exceeds this; keep the sum of in-flight certified peaks under

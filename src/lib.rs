@@ -98,8 +98,8 @@ pub mod prelude {
     };
     pub use mjoin_core::{
         algorithm1, algorithm1_all_outcomes, algorithm1_with_policy, algorithm2, check_theorem1,
-        check_theorem2, derive, derive_with_policy, run_pipeline, run_pipeline_parallel,
-        run_pipeline_with, ChoicePolicy, Derivation, FirstChoice, PipelineRun, SeededChoice,
+        check_theorem2, derive, derive_with_policy, run_pipeline, run_pipeline_with, ChoicePolicy,
+        Derivation, FirstChoice, PipelineRun, SeededChoice,
     };
     pub use mjoin_cq::{
         contains, equivalent, evaluate_datalog, execute_query, execute_query_with, lint_query,
@@ -115,9 +115,8 @@ pub mod prelude {
         ExactOracle, IiConfig, SaConfig, SearchSpace,
     };
     pub use mjoin_program::{
-        execute, execute_parallel, execute_with, schedule, try_execute_with, validate, CancelToken,
-        Cancelled, ExecConfig, IndexCache, Program, ProgramBuilder, Reg, SharedIndexCache,
-        SpillPlan, Stmt,
+        execute, execute_with, schedule, try_execute_with, validate, CancelToken, Cancelled,
+        ExecConfig, IndexCache, Program, ProgramBuilder, Reg, SharedIndexCache, SpillPlan, Stmt,
     };
     pub use mjoin_relation::{
         ops, relation_of_ints, AttrId, AttrSet, Catalog, CostLedger, Database, Relation, Schema,
