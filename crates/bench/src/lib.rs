@@ -1,5 +1,4 @@
-//! Shared helpers for the experiment binaries (`exp_e1` … `exp_e9`,
-//! `exp_par`).
+//! Shared helpers for the experiment binaries (`exp_e1` … `exp_e9`).
 
 use mjoin_expr::JoinTree;
 use mjoin_hypergraph::{DbScheme, RelSet};

@@ -66,8 +66,7 @@ pub struct ExecConfig {
     /// relations cannot pin unbounded memory.
     pub cache_budget_bytes: u64,
     /// Row count below which the partitioned operators run sequentially.
-    /// Defaults to the process-wide [`ops::par_cutoff`] (itself seeded from
-    /// `MJOIN_PAR_CUTOFF`, falling back to [`SMALL`]).
+    /// Defaults to [`ops::SMALL`].
     pub par_cutoff: usize,
     /// A shared cross-run index cache. `None` (the default) gives each run
     /// a private cache built from the budgets above — the historical
@@ -138,7 +137,7 @@ impl Default for ExecConfig {
             index_cache: true,
             cache_budget_tuples: 4 << 20,
             cache_budget_bytes: 256 << 20,
-            par_cutoff: ops::par_cutoff(),
+            par_cutoff: ops::SMALL,
             cache: None,
             cancel: None,
             mem_budget: None,

@@ -16,9 +16,9 @@
 //! comparing cells positionally against column data ([`columnar::ids_eq`])
 //! — no key materialization on either side.
 
+use super::columnar;
 use super::hashtable::RawTable;
 use super::join::join_key_positions;
-use super::{columnar, par_cutoff};
 use crate::relation::Relation;
 use std::sync::Arc;
 
@@ -129,15 +129,11 @@ impl JoinIndex {
 
 /// Natural join `index.relation() ⋈ probe` against a prebuilt index.
 ///
-/// Unlike [`super::par_join`], the build side is fixed by the index — even
-/// when it is the *larger* side. That is the point: with the build pass
+/// Unlike [`super::par_join_cutoff`], the build side is fixed by the index —
+/// even when it is the *larger* side. That is the point: with the build pass
 /// already paid for (or shared across statements), probing with the smaller
-/// side wins regardless of which side is bigger.
-pub fn par_join_indexed(index: &JoinIndex, probe: &Relation, threads: usize) -> Relation {
-    par_join_indexed_cutoff(index, probe, threads, par_cutoff())
-}
-
-/// [`par_join_indexed`] with an explicit parallel/sequential cutoff in rows.
+/// side wins regardless of which side is bigger. A probe side below `cutoff`
+/// rows is probed as one range.
 pub fn par_join_indexed_cutoff(
     index: &JoinIndex,
     probe: &Relation,
@@ -173,12 +169,7 @@ pub fn par_join_indexed_cutoff(
 }
 
 /// Semijoin `target ⋉ index.relation()` against a prebuilt index over the
-/// filter side.
-pub fn par_semijoin_indexed(target: &Relation, index: &JoinIndex, threads: usize) -> Relation {
-    par_semijoin_indexed_cutoff(target, index, threads, par_cutoff())
-}
-
-/// [`par_semijoin_indexed`] with an explicit parallel/sequential cutoff.
+/// filter side; a target below `cutoff` rows is filtered as one range.
 pub fn par_semijoin_indexed_cutoff(
     target: &Relation,
     index: &JoinIndex,
@@ -226,7 +217,7 @@ pub fn par_semijoin_indexed_cutoff(
 
 #[cfg(test)]
 mod tests {
-    use super::super::{join, semijoin};
+    use super::super::{join, semijoin, SMALL};
     use super::*;
     use crate::attr::Catalog;
     use crate::relation_of_ints;
@@ -244,11 +235,11 @@ mod tests {
         let s = relation_of_ints(&mut c, "BC", &[&[20, 5], &[20, 6], &[99, 7]]).unwrap();
         let idx = JoinIndex::build(Arc::new(r.clone()), key_of(&r, &s));
         for threads in [1, 4] {
-            assert_eq!(par_join_indexed(&idx, &s, threads), join(&r, &s));
+            assert_eq!(par_join_indexed_cutoff(&idx, &s, threads, 0), join(&r, &s));
         }
         // And with the index on the other (probe-heavy) side.
         let idx_s = JoinIndex::build(Arc::new(s.clone()), key_of(&s, &r));
-        assert_eq!(par_join_indexed(&idx_s, &r, 2), join(&r, &s));
+        assert_eq!(par_join_indexed_cutoff(&idx_s, &r, 2, 0), join(&r, &s));
     }
 
     #[test]
@@ -257,7 +248,7 @@ mod tests {
         let r = relation_of_ints(&mut c, "A", &[&[1], &[2]]).unwrap();
         let s = relation_of_ints(&mut c, "B", &[&[10], &[20], &[30]]).unwrap();
         let idx = JoinIndex::build(Arc::new(r.clone()), vec![]);
-        let out = par_join_indexed(&idx, &s, 2);
+        let out = par_join_indexed_cutoff(&idx, &s, 2, 0);
         assert_eq!(out.len(), 6);
         assert_eq!(out, join(&r, &s));
     }
@@ -269,7 +260,10 @@ mod tests {
         let s = relation_of_ints(&mut c, "BC", &[&[10, 0], &[10, 1], &[30, 0]]).unwrap();
         let idx = JoinIndex::build(Arc::new(s.clone()), key_of(&s, &r));
         for threads in [1, 4] {
-            assert_eq!(par_semijoin_indexed(&r, &idx, threads), semijoin(&r, &s));
+            assert_eq!(
+                par_semijoin_indexed_cutoff(&r, &idx, threads, 0),
+                semijoin(&r, &s)
+            );
         }
     }
 
@@ -296,9 +290,15 @@ mod tests {
         let expect_join = join(&l, &r);
         let expect_semi = semijoin(&l, &r);
         for threads in [1, 2, 4, 8] {
-            assert_eq!(par_join_indexed(&idx, &r, threads), expect_join);
+            assert_eq!(
+                par_join_indexed_cutoff(&idx, &r, threads, SMALL),
+                expect_join
+            );
             let idx_r = JoinIndex::build(Arc::new(r.clone()), key_of(&r, &l));
-            assert_eq!(par_semijoin_indexed(&l, &idx_r, threads), expect_semi);
+            assert_eq!(
+                par_semijoin_indexed_cutoff(&l, &idx_r, threads, SMALL),
+                expect_semi
+            );
         }
     }
 

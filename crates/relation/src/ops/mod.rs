@@ -26,17 +26,14 @@ mod spill;
 mod trie;
 mod trie_join;
 
-pub use index::{
-    par_join_indexed, par_join_indexed_cutoff, par_semijoin_indexed, par_semijoin_indexed_cutoff,
-    JoinIndex,
-};
+pub use index::{par_join_indexed_cutoff, par_semijoin_indexed_cutoff, JoinIndex};
 pub use join::{join, join_key_positions};
 pub use merge_join::merge_join;
-pub use par_join::{par_join, par_join_cutoff};
-pub use project::{par_project, par_project_cutoff, project};
+pub use par_join::par_join_cutoff;
+pub use project::{par_project_cutoff, project};
 pub use rename::rename;
 pub use select::{select_attrs_eq, select_eq, select_where};
-pub use semijoin::{par_semijoin, par_semijoin_cutoff, semijoin};
+pub use semijoin::{par_semijoin_cutoff, semijoin};
 pub use setops::{difference, intersection, union};
 pub use spill::{grace_hash_join, SpillStats};
 pub use trie::TrieIndex;
@@ -44,30 +41,14 @@ pub use trie_join::{trie_join, trie_join_count, Stopped, TrieJoinStats};
 
 pub use columnar::{join_count, key_hashes};
 
-use std::sync::OnceLock;
-
-/// Default parallel/sequential cutoff: below this row count the parallel
+/// The parallel/sequential cutoff in rows: below this row count the parallel
 /// operators fall back to their sequential counterparts — partitioning and
 /// task-queue overhead dominate until inputs reach a few thousand rows
 /// (PR 2's trace timings put the crossover between 2k and 8k rows on the
-/// benchmarked workloads, so the default stays at 4096).
+/// benchmarked workloads, so it stays at 4096). `mjoin_program::ExecConfig`
+/// defaults its `par_cutoff` to this and threads it through every operator
+/// call.
 pub const SMALL: usize = 4096;
-
-/// The process-wide parallel/sequential cutoff in rows.
-///
-/// Read exactly once per process from the `MJOIN_PAR_CUTOFF` environment
-/// variable ([`SMALL`] when unset or unparsable). `mjoin_program::ExecConfig`
-/// snapshots this as its default and threads it through every operator
-/// call, so per-run overrides don't need process-global state.
-pub fn par_cutoff() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("MJOIN_PAR_CUTOFF")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(SMALL)
-    })
-}
 
 /// Hash the values at `positions` of `row`, one row at a time: the
 /// [`crate::fxhash::mix`]-fold of the cells' [`crate::Value::stable_hash`]es.

@@ -24,22 +24,17 @@
 //! order) but differs across thread counts; `Relation` equality is
 //! order-blind.
 
+use super::columnar;
 use super::join::{join, join_key_positions};
-use super::{columnar, par_cutoff};
 use crate::relation::Relation;
 
-/// Parallel natural join over `threads` partitions (clamped to ≥ 1), with
-/// the process-wide [`par_cutoff`] deciding the sequential fallback.
+/// Parallel natural join over `threads` partitions (clamped to ≥ 1).
 ///
-/// Falls back to the sequential join when either input is small (the
-/// partitioning overhead dominates below a few thousand rows); Cartesian
-/// products (no key to partition on) always take the chunked-probe path.
-pub fn par_join(left: &Relation, right: &Relation, threads: usize) -> Relation {
-    par_join_cutoff(left, right, threads, par_cutoff())
-}
-
-/// [`par_join`] with an explicit parallel/sequential cutoff in rows (the
-/// knob `ExecConfig::par_cutoff` threads through the executor).
+/// Falls back to the sequential join when both inputs are below `cutoff`
+/// rows (the partitioning overhead dominates below a few thousand rows;
+/// `ExecConfig::par_cutoff` threads the value through the executor);
+/// Cartesian products (no key to partition on) always take the
+/// chunked-probe path.
 pub fn par_join_cutoff(
     left: &Relation,
     right: &Relation,
@@ -85,6 +80,7 @@ pub fn par_join_cutoff(
 mod tests {
     use super::*;
     use crate::attr::Catalog;
+    use crate::ops::SMALL;
     use crate::relation_of_ints;
     use crate::schema::Schema;
     use crate::value::Value;
@@ -104,7 +100,11 @@ mod tests {
         let s = big(&mut c, "AC", 6000, 500);
         let seq = join(&r, &s);
         for threads in [1, 2, 4, 7] {
-            assert_eq!(par_join(&r, &s, threads), seq, "threads = {threads}");
+            assert_eq!(
+                par_join_cutoff(&r, &s, threads, SMALL),
+                seq,
+                "threads = {threads}"
+            );
         }
     }
 
@@ -113,7 +113,7 @@ mod tests {
         let mut c = Catalog::new();
         let r = relation_of_ints(&mut c, "AB", &[&[1, 2], &[3, 4]]).unwrap();
         let s = relation_of_ints(&mut c, "BC", &[&[2, 5]]).unwrap();
-        assert_eq!(par_join(&r, &s, 8), join(&r, &s));
+        assert_eq!(par_join_cutoff(&r, &s, 8, SMALL), join(&r, &s));
     }
 
     #[test]
@@ -144,7 +144,7 @@ mod tests {
             (0..3).map(|i| vec![Value::Int(i)].into()).collect(),
         )
         .unwrap();
-        let p = par_join(&r, &s, 4);
+        let p = par_join_cutoff(&r, &s, 4, SMALL);
         assert_eq!(p.len(), 15000);
         assert_eq!(p, join(&r, &s));
     }
@@ -154,7 +154,7 @@ mod tests {
         let mut c = Catalog::new();
         let r = big(&mut c, "AB", 6000, 10);
         let empty = Relation::empty(Schema::from_chars(&mut c, "BC"));
-        assert!(par_join(&r, &empty, 4).is_empty());
+        assert!(par_join_cutoff(&r, &empty, 4, SMALL).is_empty());
     }
 
     #[test]
@@ -173,6 +173,6 @@ mod tests {
         };
         let l = mk(schema_l, 6000);
         let r = mk(schema_r, 5000);
-        assert_eq!(par_join(&l, &r, 4), join(&l, &r));
+        assert_eq!(par_join_cutoff(&l, &r, 4, SMALL), join(&l, &r));
     }
 }

@@ -1,6 +1,6 @@
 //! Projection (`π`), with set-semantics deduplication.
 
-use super::{columnar, par_cutoff};
+use super::columnar;
 use crate::attr::AttrId;
 use crate::error::Result;
 use crate::relation::Relation;
@@ -36,12 +36,8 @@ pub fn project(rel: &Relation, attrs: &[AttrId]) -> Result<Relation> {
 /// partition projects and deduplicates independently on the shared pool, and
 /// the merge step is plain concatenation (no cross-partition duplicates are
 /// possible). Row order is unspecified but deterministic for a given
-/// `threads` value; `Relation` equality is order-blind.
-pub fn par_project(rel: &Relation, attrs: &[AttrId], threads: usize) -> Result<Relation> {
-    par_project_cutoff(rel, attrs, threads, par_cutoff())
-}
-
-/// [`par_project`] with an explicit parallel/sequential cutoff in rows.
+/// `threads` value; `Relation` equality is order-blind. Below `cutoff` rows,
+/// or on a single thread, this is [`project`].
 pub fn par_project_cutoff(
     rel: &Relation,
     attrs: &[AttrId],
@@ -94,6 +90,7 @@ pub fn par_project_cutoff(
 mod tests {
     use super::*;
     use crate::attr::Catalog;
+    use crate::ops::SMALL;
     use crate::value::Value;
 
     fn rel(c: &mut Catalog, scheme: &str, tuples: &[&[i64]]) -> Relation {
@@ -176,15 +173,18 @@ mod tests {
         let seq = project(&r, &[a, b]).unwrap();
         for threads in [1, 2, 4, 7] {
             assert_eq!(
-                par_project(&r, &[a, b], threads).unwrap(),
+                par_project_cutoff(&r, &[a, b], threads, SMALL).unwrap(),
                 seq,
                 "threads = {threads}"
             );
         }
         // Identity and error paths mirror the sequential operator.
-        assert_eq!(par_project(&r, r.schema().attrs(), 4).unwrap(), r);
+        assert_eq!(
+            par_project_cutoff(&r, r.schema().attrs(), 4, SMALL).unwrap(),
+            r
+        );
         let z = c.intern("Z");
-        assert!(par_project(&r, &[z], 4).is_err());
+        assert!(par_project_cutoff(&r, &[z], 4, SMALL).is_err());
     }
 
     #[test]

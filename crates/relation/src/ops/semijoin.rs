@@ -41,13 +41,9 @@ pub fn semijoin(left: &Relation, right: &Relation) -> Relation {
 /// slices of `left`, so concatenating the per-chunk survivors reproduces
 /// the sequential output order exactly.
 ///
-/// Falls back to [`semijoin`] for small inputs, a single thread, or the
-/// disjoint-schema degenerate case (which does no per-tuple work).
-pub fn par_semijoin(left: &Relation, right: &Relation, threads: usize) -> Relation {
-    par_semijoin_cutoff(left, right, threads, super::par_cutoff())
-}
-
-/// [`par_semijoin`] with an explicit parallel/sequential cutoff in rows.
+/// Falls back to [`semijoin`] when both inputs are below `cutoff` rows, for
+/// a single thread, or in the disjoint-schema degenerate case (which does no
+/// per-tuple work).
 pub fn par_semijoin_cutoff(
     left: &Relation,
     right: &Relation,
@@ -94,7 +90,7 @@ pub fn par_semijoin_cutoff(
 mod tests {
     use super::*;
     use crate::attr::Catalog;
-    use crate::ops::{join, project};
+    use crate::ops::{join, project, SMALL};
     use crate::schema::Schema;
     use crate::value::Value;
 
@@ -180,7 +176,11 @@ mod tests {
         .unwrap();
         let seq = semijoin(&l, &r);
         for threads in [1, 2, 4, 7] {
-            assert_eq!(par_semijoin(&l, &r, threads), seq, "threads = {threads}");
+            assert_eq!(
+                par_semijoin_cutoff(&l, &r, threads, SMALL),
+                seq,
+                "threads = {threads}"
+            );
         }
     }
 
@@ -189,9 +189,9 @@ mod tests {
         let mut c = Catalog::new();
         let r = rel(&mut c, "AB", &[&[1, 10], &[2, 20]]);
         let s = rel(&mut c, "BC", &[&[10, 5]]);
-        assert_eq!(par_semijoin(&r, &s, 8), semijoin(&r, &s));
+        assert_eq!(par_semijoin_cutoff(&r, &s, 8, SMALL), semijoin(&r, &s));
         let disjoint = rel(&mut c, "DE", &[&[9, 9]]);
-        assert_eq!(par_semijoin(&r, &disjoint, 8), r);
+        assert_eq!(par_semijoin_cutoff(&r, &disjoint, 8, 0), r);
     }
 
     #[test]

@@ -31,7 +31,7 @@ proptest! {
         let hash = ops::join(&r, &s);
         prop_assert_eq!(&ops::merge_join(&r, &s), &hash);
         for threads in [2usize, 4] {
-            prop_assert_eq!(&ops::par_join(&r, &s, threads), &hash);
+            prop_assert_eq!(&ops::par_join_cutoff(&r, &s, threads, 0), &hash);
         }
     }
 
@@ -43,7 +43,7 @@ proptest! {
         let hash = ops::join(&r, &s);
         prop_assert_eq!(hash.len(), r.len() * s.len());
         prop_assert_eq!(&ops::merge_join(&r, &s), &hash);
-        prop_assert_eq!(&ops::par_join(&r, &s, 3), &hash);
+        prop_assert_eq!(&ops::par_join_cutoff(&r, &s, 3, 0), &hash);
     }
 
     #[test]
@@ -54,7 +54,7 @@ proptest! {
         let s = rel(&mut c, "BCD", &rb);
         let hash = ops::join(&r, &s);
         prop_assert_eq!(&ops::merge_join(&r, &s), &hash);
-        prop_assert_eq!(&ops::par_join(&r, &s, 4), &hash);
+        prop_assert_eq!(&ops::par_join_cutoff(&r, &s, 4, 0), &hash);
     }
 
     #[test]

@@ -35,11 +35,17 @@ use mjoin_program::{
 use mjoin_relation::{tsv, Catalog, CostLedger, Database, Relation, Schema};
 use mjoin_trace as trace;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Longest request line a session accepts, in bytes before the newline —
+/// far above the ~1 MB `load` lines real clients send. A client that
+/// streams more without a newline is answered `protocol` and disconnected
+/// instead of growing the session's line buffer without limit.
+const MAX_REQUEST_BYTES: usize = 64 << 20;
 
 /// How long a session blocks in one read attempt before re-checking the
 /// shutdown flag. Lines are read as raw bytes (`read_until`), which keeps
@@ -319,7 +325,9 @@ impl Server {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     let shared = Arc::clone(&self.shared);
-                    sessions.push(std::thread::spawn(move || session(&shared, stream)));
+                    sessions.push(std::thread::spawn(move || {
+                        session(&shared, stream, MAX_REQUEST_BYTES);
+                    }));
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     std::thread::sleep(ACCEPT_TICK);
@@ -339,8 +347,9 @@ impl Server {
     }
 }
 
-/// One connected client: line-in, line-out until EOF or shutdown.
-fn session(shared: &Shared, stream: TcpStream) {
+/// One connected client: line-in, line-out until EOF, shutdown, or a
+/// request line longer than `max_request_bytes`.
+fn session(shared: &Shared, stream: TcpStream, max_request_bytes: usize) {
     let _ = stream.set_read_timeout(Some(READ_TICK));
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
@@ -355,10 +364,22 @@ fn session(shared: &Shared, stream: TcpStream) {
         if shared.shutdown.load(Ordering::Relaxed) {
             break;
         }
-        match reader.read_until(b'\n', &mut line) {
+        // The line may still grow by its remaining allowance plus the
+        // newline that ends it.
+        let allowance = (max_request_bytes + 1 - line.len()) as u64;
+        match reader.by_ref().take(allowance).read_until(b'\n', &mut line) {
             Ok(0) => break,
             Ok(_) => {
                 let complete = line.last() == Some(&b'\n');
+                if !complete && line.len() > max_request_bytes {
+                    trace::add("serve.protocol_error", 1);
+                    let resp = err(
+                        "protocol",
+                        format!("request line exceeds {max_request_bytes} bytes"),
+                    );
+                    let _ = writeln!(writer, "{}", resp.render()).and_then(|()| writer.flush());
+                    break;
+                }
                 // Decode once, only now that the full line has arrived —
                 // partial reads above never touch UTF-8 boundaries.
                 let request = match std::str::from_utf8(&line) {
@@ -1077,4 +1098,53 @@ fn handle_stats(shared: &Shared, ledger: &SessionLedger) -> J {
                 .set("inputs", J::u64(ledger.inputs))
                 .set("generated", J::u64(ledger.generated)),
         )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    /// One byte over the cap without a newline is answered `protocol` and
+    /// hung up on; a line of exactly the cap is served, and the next
+    /// connection finds the server unharmed.
+    #[test]
+    fn an_over_long_request_line_is_refused_and_only_that_connection_closed() {
+        const CAP: usize = 64;
+        let server = Server::bind(ServeConfig::default()).unwrap();
+        let addr = server.local_addr().unwrap();
+        server.listener.set_nonblocking(false).unwrap();
+        trace::set_enabled(true);
+        let sessions = std::thread::spawn(move || {
+            for _ in 0..2 {
+                let (stream, _) = server.listener.accept().unwrap();
+                session(&server.shared, stream, CAP);
+            }
+        });
+
+        let mut flood = TcpStream::connect(addr).unwrap();
+        flood.write_all(&[b'x'; CAP + 1]).unwrap();
+        let mut answer = String::new();
+        // Returns at the server's hang-up, not at a client-side shutdown.
+        flood.read_to_string(&mut answer).unwrap();
+        assert_eq!(
+            answer,
+            "{\"ok\":false,\"error\":{\"kind\":\"protocol\",\
+             \"message\":\"request line exceeds 64 bytes\"}}\n"
+        );
+
+        let mut fresh = Client::connect(addr).unwrap();
+        let at_cap = format!("{:<CAP$}", r#"{"cmd":"ping"}"#);
+        let pong = fresh.request_line(&at_cap).unwrap();
+        assert_eq!(pong.get("ok").and_then(J::as_bool), Some(true));
+        let stats = fresh.cmd("stats", &[]).unwrap();
+        let errors = stats
+            .get("counters")
+            .and_then(|c| c.get("serve.protocol_error"))
+            .and_then(J::as_u64);
+        assert_eq!(errors, Some(1));
+        drop(fresh);
+        sessions.join().unwrap();
+        trace::set_enabled(false);
+    }
 }

@@ -26,8 +26,8 @@
 //!   is a property of the derived program, not the scheme alone.
 //!
 //! [`HubGraph::cycle`], [`HubGraph::clique`], and
-//! [`HubGraph::clique_skew`] cover the shapes the `exp_wcoj` bench
-//! exercises: `triangle_dense` (`cycle(3)`), `cycle_gap_4`/`cycle_gap_5`
+//! [`HubGraph::clique_skew`] cover the shapes the executor-selection tests
+//! (`tests/wcoj_differential.rs`) exercise: `triangle_dense` (`cycle(3)`), `cycle_gap_4`/`cycle_gap_5`
 //! (binary 4-/5-cycles — unlike [`crate::CycleGap`], which pads each edge
 //! with a private attribute and thereby forces the all-ones edge cover),
 //! `clique_4`, and `clique_4_skew` (a light perfect matching under heavy

@@ -15,7 +15,7 @@
 //!   exploits;
 //! * [`PlantedRedundancy`]: chain queries with planted foldable atoms
 //!   (known core size, closed-form output and full-join sizes) — the
-//!   corpus and bench workload for query-core minimization.
+//!   corpus for query-core minimization.
 
 #![warn(missing_docs)]
 

@@ -19,8 +19,8 @@
 //!   `n`-step walks: consecutive step-sum residues);
 //! * the *full join* the engine materializes before projecting has
 //!   `m·fⁿ` rows minimized and `m·fⁿ⁺ᵏ` unminimized — every planted atom
-//!   multiplies the intermediate by `f`, which is exactly the wall-clock
-//!   gap the `exp_minimize` bench measures.
+//!   multiplies the intermediate by `f`, which is the work minimization
+//!   saves.
 
 use mjoin_cq::{Atom, Term};
 use mjoin_cq::{ConjunctiveQuery, NamedDatabase};

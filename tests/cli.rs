@@ -530,3 +530,118 @@ fn query_minimize_flag_controls_core_compilation() {
         "stderr:\n{stderr}"
     );
 }
+
+fn data_fixture(stem: &str) -> String {
+    format!("{}/examples/data/{stem}.tsv", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// [`cli`], asserting a zero exit.
+fn cli_ok(args: &[&str]) -> Output {
+    let out = cli(args);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out
+}
+
+/// `run` over the paper's fixture relations, with `abc` standing in for
+/// `examples/data/abc.tsv`.
+fn run_example_data(flags: &[&str], abc: &str) -> Output {
+    let rest = ["cde", "efg", "gha"].map(data_fixture);
+    let mut args = vec!["run"];
+    args.extend(flags);
+    args.push(abc);
+    args.extend(rest.iter().map(String::as_str));
+    cli_ok(&args)
+}
+
+/// The body lines of a TSV answer, sorted (the header stays out of it).
+fn sorted_rows(stdout: &[u8]) -> Vec<String> {
+    let text = String::from_utf8(stdout.to_vec()).unwrap();
+    let mut rows: Vec<String> = text.lines().skip(1).map(str::to_string).collect();
+    rows.sort();
+    rows
+}
+
+#[test]
+fn query_auto_routes_the_cyclic_triangle_to_wcoj_and_matches_the_program_engine() {
+    let dir = tempdir::TempDir::new("wcoj");
+    let files = [
+        ("r.tsv", "A\tB\n1\t2\n1\t3\n4\t5\n"),
+        ("s.tsv", "B\tC\n2\t7\n3\t7\n3\t8\n5\t6\n"),
+        ("t.tsv", "C\tA\n7\t1\n8\t1\n6\t4\n"),
+    ]
+    .map(|(name, tsv)| write_tsv(dir.path(), name, tsv));
+    let run = |flags: &[&str]| {
+        let mut args = vec!["query"];
+        args.extend(flags);
+        args.push("Q(x,y,z) :- r(x,y), s(y,z), t(z,x)");
+        args.extend(files.iter().map(|p| p.to_str().unwrap()));
+        cli_ok(&args)
+    };
+    // The triangle routes to wcoj on bounds alone, and the elimination loop
+    // shows up in the EXPLAIN ANALYZE counters.
+    let auto = run(&["--executor", "auto", "--explain-analyze"]);
+    let stderr = String::from_utf8(auto.stderr).unwrap();
+    assert!(stderr.contains("executor wcoj (AGM bound"), "{stderr}");
+    assert!(stderr.contains("wcoj.attr_loops"), "{stderr}");
+    let answers = sorted_rows(&auto.stdout);
+    assert_eq!(answers.len(), 4, "{answers:?}");
+    // Forcing the program engine gives the same four answers.
+    let program = run(&["--executor", "program"]);
+    assert_eq!(answers, sorted_rows(&program.stdout));
+}
+
+#[test]
+fn check_memory_renders_the_certificate_and_gates_on_the_budget() {
+    let example6 = fixture_path("example6.mj");
+    let check = |flags: &[&str]| {
+        let mut args = vec!["check", "--memory"];
+        args.extend(flags);
+        args.push(&example6);
+        let out = cli(&args);
+        (out.status.success(), String::from_utf8(out.stderr).unwrap())
+    };
+    // The per-statement certificate renders for the paper's Example 6.
+    let (ok, stderr) = check(&[]);
+    assert!(ok && stderr.contains("memory: peak"), "{stderr}");
+    assert!(!stderr.contains("mem-blowup"), "{stderr}");
+    // A starved budget flags the blowup statements: a warning, so the exit
+    // status turns only under --deny warn.
+    let (ok, stderr) = check(&["--mem-budget", "200000"]);
+    assert!(ok && stderr.contains("warn[mem-blowup] stmt 2"), "{stderr}");
+    let (ok, _) = check(&["--mem-budget", "200000", "--deny", "warn"]);
+    assert!(!ok, "--deny warn must fail a starved budget");
+    // A roomy one stays clean even under --deny warn.
+    let (ok, stderr) = check(&["--mem-budget", "99999999999999999", "--deny", "warn"]);
+    assert!(ok && !stderr.contains("mem-blowup"), "{stderr}");
+}
+
+#[test]
+fn run_under_a_starved_budget_spills_and_prints_the_unbudgeted_rows() {
+    let starved = run_example_data(&["--mem-budget", "1"], &data_fixture("abc"));
+    let stderr = String::from_utf8(starved.stderr).unwrap();
+    assert!(stderr.contains("memory: certified peak"), "{stderr}");
+    assert!(stderr.contains("memory: spilling statements"), "{stderr}");
+    let unbudgeted = run_example_data(&[], &data_fixture("abc"));
+    let stderr = String::from_utf8(unbudgeted.stderr).unwrap();
+    assert!(!stderr.contains("memory:"), "{stderr}");
+    assert_eq!(starved.stdout, unbudgeted.stdout);
+}
+
+/// Framing is not data: `abc.tsv` re-framed with CRLF endings, a blank line
+/// after the header and no final newline gives byte-identical `run` output.
+#[test]
+fn run_output_ignores_crlf_blank_lines_and_a_missing_final_newline() {
+    let dir = tempdir::TempDir::new("crlf");
+    let abc = std::fs::read_to_string(data_fixture("abc")).unwrap();
+    let (header, body) = abc.trim_end().split_once('\n').unwrap();
+    let reframed = format!("{header}\r\n\r\n{}", body.replace('\n', "\r\n"));
+    let reframed = write_tsv(dir.path(), "abc.tsv", &reframed);
+    assert_eq!(
+        run_example_data(&[], &data_fixture("abc")).stdout,
+        run_example_data(&[], reframed.to_str().unwrap()).stdout
+    );
+}

@@ -14,15 +14,6 @@ fn cli(args: &[&str]) -> Output {
         .expect("binary runs")
 }
 
-fn cli_env(args: &[&str], env: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_mjoin_cli"));
-    cmd.args(args);
-    for (k, v) in env {
-        cmd.env(k, v);
-    }
-    cmd.output().expect("binary runs")
-}
-
 /// Minimal tempdir (std-only) so the test has no extra dependencies.
 mod tempdir {
     pub struct TempDir(std::path::PathBuf);
@@ -439,24 +430,41 @@ fn verify_run_and_error_paths() {
         .contains("matches no relation"));
 }
 
-/// `MJOIN_PAR_CUTOFF` reaches the executor: forcing the parallel paths for
-/// every row count must not change any result or measured cost.
+/// `ExecConfig::par_cutoff` moves work between the sequential and the
+/// partitioned kernels and nothing else: the audit of Example 6 with every
+/// operator forced down the partitioned paths (`0`) or kept off them
+/// (`1_000_000`) renders the report the default configuration renders.
 #[test]
-fn par_cutoff_env_does_not_change_results() {
-    let baseline = cli(&["audit", &example6(), &example6_data()]);
-    for cutoff in ["0", "1000000"] {
-        let out = cli_env(
-            &["audit", &example6(), &example6_data()],
-            &[("MJOIN_PAR_CUTOFF", cutoff)],
-        );
-        assert!(
-            out.status.success(),
-            "cutoff {cutoff} stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+fn par_cutoff_does_not_change_the_audit_report() {
+    use mjoin::prelude::*;
+    let text = std::fs::read_to_string(example6()).unwrap();
+    let mut catalog = Catalog::new();
+    let spec = mjoin::program::scheme_directive(&text).unwrap();
+    let scheme = mjoin::program::parse_scheme_list(&mut catalog, spec).unwrap();
+    let program = mjoin::program::parse_program(&catalog, &scheme, &text).unwrap();
+    // One file per relation of the scheme, in the scheme's order.
+    let relations = ["abc", "cde", "efg", "gha"].map(|stem| {
+        let tsv = std::fs::read_to_string(format!("{}/{stem}.tsv", example6_data())).unwrap();
+        mjoin::relation::tsv::relation_from_tsv(&mut catalog, &tsv).unwrap()
+    });
+    let db = Database::from_relations(relations.to_vec());
+    assert_eq!(DbScheme::from_schemas(&db.schemas()), scheme);
+
+    let render = |cfg: &ExecConfig| {
+        let report = mjoin::analyze::audit(&program, &scheme, &catalog, &db, cfg, None).unwrap();
+        assert!(report.bounds_hold());
+        report.render_json(&scheme, &catalog)
+    };
+    let baseline = render(&ExecConfig::default());
+    for par_cutoff in [0, 1_000_000] {
+        let cfg = ExecConfig {
+            par_cutoff,
+            ..ExecConfig::with_threads(4)
+        };
         assert_eq!(
-            out.stdout, baseline.stdout,
-            "cutoff {cutoff} changed the audit report"
+            render(&cfg),
+            baseline,
+            "cutoff {par_cutoff} changed the audit report"
         );
     }
 }

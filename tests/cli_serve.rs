@@ -118,7 +118,7 @@ fn serve_and_client_round_trip_with_admission_gate() {
         "offending statement named:\n{out}"
     );
     assert!(
-        out.contains("\"bound\":"),
+        out.contains("\"bound\":121"),
         "certified bound reported:\n{out}"
     );
 

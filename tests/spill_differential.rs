@@ -3,14 +3,22 @@
 //! everything but its memory traffic. Spill on/off × 1/2/4/8 threads must
 //! agree tuple-for-tuple (and head-for-head), a forced tiny-budget run
 //! must actually partition (`mem.partitions > 0` in the trace) while still
-//! matching, and the static [`MemCertificate`] must cover the measured
+//! matching, a roomy budget must plan no spill and run without touching the
+//! spill path, and the static [`MemCertificate`] must cover the measured
 //! peak residency and grow monotonically with the input sizes.
 
 use mjoin::analyze::AnalysisCx;
 use mjoin::prelude::*;
 use mjoin::trace;
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// The trace sink is process-global: the tests that read `mem.*` counters
+/// and the ones that bump them take turns.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A 3-chain `AB ⋈ BC ⋈ CD` with a skewed middle: `B` takes only four
 /// values, so `AB ⋈ BC` is quadratic in `n` — a head worth spilling.
@@ -48,6 +56,7 @@ fn derived(
 
 #[test]
 fn spill_on_off_times_threads_is_byte_identical() {
+    let _turn = serial();
     let mut catalog = Catalog::new();
     let (scheme, db) = chain_db(&mut catalog, 64);
     let (d, plan) = derived(&catalog, &scheme, &db, 2048);
@@ -79,6 +88,7 @@ fn spill_on_off_times_threads_is_byte_identical() {
 
 #[test]
 fn forced_tiny_budget_partitions_and_still_matches() {
+    let _turn = serial();
     let mut catalog = Catalog::new();
     let (scheme, db) = chain_db(&mut catalog, 48);
     let (d, plan) = derived(&catalog, &scheme, &db, 1024);
@@ -106,6 +116,46 @@ fn forced_tiny_budget_partitions_and_still_matches() {
     );
     assert!(spilled > 0, "partitioning writes bytes to disk: {spilled}");
     assert!(passes > 0, "each spilled statement counts a pass: {passes}");
+}
+
+/// The budget decides, and nothing else: at twice the certified peak the
+/// same program over the same data gets an empty spill plan, and the run
+/// under it never touches the spill path — no `mem.*` counter fires.
+#[test]
+fn roomy_budget_plans_no_spill_and_runs_in_memory() {
+    let _turn = serial();
+    for n in [48, 64] {
+        let mut catalog = Catalog::new();
+        let (scheme, db) = chain_db(&mut catalog, n);
+        let (d, starved) = derived(&catalog, &scheme, &db, 1024);
+        assert!(starved.any(), "n={n}: the control budget must spill");
+        let seeds: Vec<u64> = db.relations().iter().map(|r| r.len() as u64).collect();
+        let cx = AnalysisCx::new(&d.program, &scheme, &catalog).unwrap();
+        let mem = memory_report(&cx, &seeds);
+        let roomy = mem.peak_bytes * 2;
+        let plan = Arc::new(mem.spill_plan(roomy));
+        assert!(!plan.any(), "n={n}: {roomy} bytes cover every build side");
+        assert_eq!(plan.spilled_stmts(), 0);
+
+        trace::set_enabled(true);
+        trace::clear();
+        let cfg = ExecConfig {
+            mem_budget: Some(roomy),
+            spill: Some(plan),
+            ..ExecConfig::default()
+        };
+        let out = execute_with(&d.program, &db, &cfg);
+        let tr = trace::take();
+        trace::set_enabled(false);
+
+        assert_eq!(*out.result, db.join_all());
+        let mem: Vec<_> = tr
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("mem."))
+            .collect();
+        assert!(mem.is_empty(), "n={n}: an in-budget run spilled: {mem:?}");
+    }
 }
 
 proptest! {

@@ -5,11 +5,13 @@
 //! reference — and `auto`'s reported bounds must always justify its pick:
 //! the selected executor is never the one whose stated bound is larger.
 
+use mjoin::core::engine::{self, Limits, Oracle, Plan};
 use mjoin::cq::{
     execute_query_naive, execute_query_with, parse_query, ComponentDecision, ExecOptions,
     ExecutorKind, NamedDatabase, PlanStrategy,
 };
-use mjoin::relation::{Relation, Value};
+use mjoin::relation::{Catalog, Relation, Value};
+use mjoin::workloads::HubGraph;
 use proptest::prelude::*;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -140,6 +142,74 @@ fn auto_keeps_the_program_engine_on_a_tie() {
     let d = &decisions[0];
     assert_eq!(d.executor, ExecutorKind::Program);
     assert_eq!(d.agm_bound, d.cert_bound);
+}
+
+/// `auto` over a hub graph as the engine decides it, with no hints: the
+/// selection, and the run it leads to checked against the graph's
+/// closed-form join size.
+fn hub_auto(graph: &HubGraph, plan: Plan) -> mjoin::wcoj::Selection {
+    let mut catalog = Catalog::new();
+    let scheme = graph.scheme(&mut catalog);
+    let db = graph.database(&mut catalog);
+    let prepared = engine::prepare(scheme, db, catalog, plan, ExecutorKind::Auto).unwrap();
+    let sel = prepared.analysis().selection();
+    assert!(
+        sel.cert_bound >= sel.agm_bound,
+        "certificate {} below AGM {}",
+        sel.cert_bound,
+        sel.agm_bound
+    );
+    let admitted = prepared.admit(&Limits::default()).unwrap();
+    let out = admitted.execute(1, None, None).unwrap();
+    assert_eq!(out.decision.executor == ExecutorKind::Wcoj, sel.use_wcoj);
+    assert_eq!(out.result.len() as u64, graph.join_size());
+    sel
+}
+
+fn searched(strategy: PlanStrategy) -> Plan {
+    Plan::Search {
+        strategy,
+        oracle: Oracle::Estimate,
+    }
+}
+
+/// The selection is a property of the derived program, not of the scheme.
+/// Where every Cartesian-free program is certified strictly above the AGM
+/// bound (the triangle, the skewed `K4`) `auto` takes the worst-case-optimal
+/// executor; where the certificate ties it (the 4-cycle, whose output can
+/// itself be quadratic) the tie keeps the program engine. The 5-cycle does
+/// both: its greedy (bushy) program ties the bound, its best *linear*
+/// program passes through a 4-edge path certified strictly above it.
+#[test]
+fn auto_selection_on_hub_graphs_follows_the_derived_program() {
+    let greedy = || searched(PlanStrategy::Greedy);
+    assert!(hub_auto(&HubGraph::cycle(3, 40), greedy()).use_wcoj);
+    assert!(hub_auto(&HubGraph::clique_skew(40, 4), greedy()).use_wcoj);
+    let tie = hub_auto(&HubGraph::cycle(4, 40), greedy());
+    assert!(!tie.use_wcoj && tie.cert_bound == tie.agm_bound);
+
+    let pentagon = HubGraph::cycle(5, 40);
+    let bushy = hub_auto(&pentagon, greedy());
+    assert!(!bushy.use_wcoj && bushy.cert_bound == bushy.agm_bound);
+    let linear = hub_auto(&pentagon, searched(PlanStrategy::DpLinear));
+    assert_eq!(linear.agm_bound, bushy.agm_bound);
+    assert!(linear.use_wcoj && linear.cert_bound > linear.agm_bound);
+}
+
+/// `K4` at uniform scale: the scheme's AGM bound is the matching product
+/// `N²`. The greedy tree passes through a star (three edges at one vertex)
+/// certified at `N³`, so `auto` replaces it; the tree `dp-cpf` finds over
+/// the same scheme and data never leaves `N²`, ties, and is kept.
+#[test]
+fn auto_routes_the_uniform_clique_on_the_tree_not_the_scheme() {
+    let k4 = HubGraph::clique(4, 40);
+    let n = k4.relation_size(0);
+    let star = hub_auto(&k4, searched(PlanStrategy::Greedy));
+    assert!(star.use_wcoj);
+    assert_eq!((star.agm_bound, star.cert_bound), (n.pow(2), n.pow(3)));
+    let kept = hub_auto(&k4, searched(PlanStrategy::DpCpf));
+    assert!(!kept.use_wcoj);
+    assert_eq!((kept.agm_bound, kept.cert_bound), (n.pow(2), n.pow(2)));
 }
 
 /// `auto` may only pick an executor whose stated bound is the smaller
