@@ -586,6 +586,7 @@ impl<'p> Admitted<'p> {
                 result: Arc::new(result),
                 ledger,
                 decision: self.decision,
+                spill_failures: Vec::new(),
             });
         }
         let cfg = ExecConfig {
@@ -603,6 +604,7 @@ impl<'p> Admitted<'p> {
             ledger: out.ledger,
             decision: self.decision,
             peak_resident: out.peak_resident,
+            spill_failures: out.spill_failures,
         })
     }
 }
@@ -618,4 +620,8 @@ pub struct Outcome {
     pub decision: Decision,
     /// Peak resident tuples over the run.
     pub peak_resident: u64,
+    /// Statements whose scheduled spill failed, with the I/O error
+    /// ([`mjoin_program::ExecOutcome::spill_failures`]): each joined in
+    /// memory, over the certified budget.
+    pub spill_failures: Vec<(usize, String)>,
 }

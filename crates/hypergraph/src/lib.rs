@@ -9,7 +9,8 @@
 //! * [`DbScheme`]: the scheme itself — connectivity, connected components,
 //!   attribute unions, and the Theorem 2 factor `r(a+5)`;
 //! * [`gyo`]: the classical GYO ear-reduction acyclicity test and join
-//!   forest, which the acyclic baselines (full reducer, Yannakakis) consume;
+//!   forest, which the acyclic baselines (full reducer, Yannakakis) and the
+//!   exact cost oracle's sub-join counts consume;
 //! * [`cover`]: fractional edge covers and the AGM output bound, which the
 //!   worst-case-optimal executor (`mjoin-wcoj`) compares against Theorem-2
 //!   certificates when choosing an execution strategy.

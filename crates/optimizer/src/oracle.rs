@@ -3,12 +3,12 @@
 //! An optimal join expression minimizes the §2.3 cost, which is determined
 //! entirely by the sizes of sub-joins. The [`ExactOracle`] *counts* those
 //! sub-joins (the "true" optimum, affordable for small `r`) and never builds
-//! a Cartesian product to do so; the [`EstimateOracle`] uses the classical
+//! one to do so; the [`EstimateOracle`] uses the classical
 //! attribute-independence formula (System-R style) and is what a real
 //! optimizer would use.
 
 use mjoin_expr::JoinTree;
-use mjoin_hypergraph::{DbScheme, RelSet};
+use mjoin_hypergraph::{gyo, DbScheme, GyoResult, RelSet};
 use mjoin_relation::fxhash::{FxHashMap, FxHashSet};
 use mjoin_relation::{ops, AttrId, Column, Database, Relation};
 
@@ -28,33 +28,20 @@ pub trait CostOracle {
     }
 }
 
-/// Exact sub-join sizes, counted rather than materialized.
-///
-/// A size is needed far more often than the sub-join itself, so the oracle
-/// keeps two tables: every size it has been asked for (or learned on the
-/// way), and a lazy memo of materialized sub-joins that only ever holds
-/// **connected** subsets of two or more relations.
+/// Exact sub-join sizes, counted: no sub-join is ever built, so memory is
+/// the inputs plus one size per subset asked.
 ///
 /// * A disconnected `S` is the (saturating) product of its connected
 ///   components' sizes — the Cartesian product is never built.
-/// * A connected `S` peels one relation `x` that is not a cut vertex of `S`,
-///   so `S∖x` is connected and shares an attribute with `x`, and answers
-///   [`ops::join_count`]`(⋈D[S∖x], Rₓ)`: the last join is counted, not built.
-/// * `⋈D[S∖x]` itself is built by the same rule, and only at that moment — a
-///   sub-join is materialized only when a larger connected set counts
-///   against it. Among the candidates for `x` the oracle prefers a remainder
-///   that is already resident, then the smallest one (by known size, else by
-///   the product of its input sizes).
-///
-/// Memory is proportional to the connected sub-joins that were materialized
-/// ([`ExactOracle::materialized_tuples`]); with the DP baselines every
-/// connected subset but the largest ones can end up resident, so keep `r`
-/// small (≤ 12 or so).
+/// * A connected acyclic `S` is counted by one bottom-up pass over its GYO
+///   join forest ([`forest_count`]) — Yannakakis' pass with group weights in
+///   place of projections, linear in the inputs.
+/// * A connected cyclic `S` is counted by Generic Join
+///   ([`ops::generic_join_count`]), worst-case optimal in the inputs.
 pub struct ExactOracle<'a> {
     db: &'a Database,
     scheme: DbScheme,
     sizes: FxHashMap<RelSet, u64>,
-    memo: FxHashMap<RelSet, Relation>,
 }
 
 impl<'a> ExactOracle<'a> {
@@ -64,7 +51,6 @@ impl<'a> ExactOracle<'a> {
             db,
             scheme: DbScheme::from_schemas(&db.schemas()),
             sizes: FxHashMap::default(),
-            memo: FxHashMap::default(),
         }
     }
 
@@ -77,14 +63,9 @@ impl<'a> ExactOracle<'a> {
         }
         let n = match set.len() {
             0 => 1,
-            1 => self.subjoin(set).len() as u64,
+            1 => self.db.relation(set.first().expect("one member")).len() as u64,
             _ => match self.scheme.components(set).as_slice() {
-                [_] => {
-                    let (rest, x) = self.peel(set);
-                    self.materialize(rest);
-                    mjoin_trace::add("optimizer.oracle_counted", 1);
-                    ops::join_count(self.subjoin(rest), self.db.relation(x))
-                }
+                [_] => self.count_connected(set),
                 components => components
                     .iter()
                     .fold(1u64, |acc, &c| acc.saturating_mul(self.size(c))),
@@ -94,45 +75,21 @@ impl<'a> ExactOracle<'a> {
         n
     }
 
-    /// Split a connected `set` of two or more relations into a connected
-    /// remainder and the peeled relation `x`. `x` shares an attribute with
-    /// the remainder because `set` is connected.
-    fn peel(&self, set: RelSet) -> (RelSet, usize) {
-        set.iter()
-            .map(|x| (set.difference(RelSet::singleton(x)), x))
-            .filter(|&(rest, _)| self.scheme.is_connected(rest))
-            .min_by_key(|&(rest, _)| {
-                let resident = rest.len() == 1 || self.memo.contains_key(&rest);
-                let size = self.sizes.get(&rest).copied().unwrap_or_else(|| {
-                    rest.iter().fold(1u64, |acc, i| {
-                        acc.saturating_mul(self.db.relation(i).len() as u64)
-                    })
-                });
-                (!resident, size)
-            })
-            .expect("a connected hypergraph has a non-cut edge")
-    }
-
-    /// Make `⋈ D[set]` resident, for a connected `set`.
-    fn materialize(&mut self, set: RelSet) {
-        if set.len() < 2 || self.memo.contains_key(&set) {
-            return;
-        }
-        let (rest, x) = self.peel(set);
-        self.materialize(rest);
-        let rel = ops::join(self.subjoin(rest), self.db.relation(x));
-        mjoin_trace::add("optimizer.oracle_materialized", 1);
-        mjoin_trace::add("optimizer.oracle_materialized_tuples", rel.len() as u64);
-        self.sizes.insert(set, rel.len() as u64);
-        self.memo.insert(set, rel);
-    }
-
-    /// The resident sub-join of a connected `set`: an input relation, or a
-    /// memo entry [`ExactOracle::materialize`] has put there.
-    fn subjoin(&self, set: RelSet) -> &Relation {
-        match set.len() {
-            1 => self.db.relation(set.first().expect("one member")),
-            _ => &self.memo[&set],
+    /// `|⋈ D[set]|` for a connected `set` of two or more relations: the
+    /// forest pass when its sub-scheme is acyclic, Generic Join otherwise.
+    fn count_connected(&self, set: RelSet) -> u64 {
+        mjoin_trace::add("optimizer.oracle_counted", 1);
+        let rels: Vec<&Relation> = set.iter().map(|i| self.db.relation(i)).collect();
+        let sub = DbScheme::new(
+            set.iter()
+                .map(|i| self.scheme.attrs_of(i).clone())
+                .collect(),
+        );
+        let forest = gyo(&sub);
+        if forest.acyclic {
+            forest_count(&rels, &forest)
+        } else {
+            ops::generic_join_count(&rels)
         }
     }
 
@@ -140,20 +97,27 @@ impl<'a> ExactOracle<'a> {
     pub fn memo_len(&self) -> usize {
         self.sizes.len()
     }
+}
 
-    /// The subsets whose sub-join is resident, in ascending order. Each is
-    /// connected and has at least two members.
-    pub fn materialized_sets(&self) -> Vec<RelSet> {
-        let mut sets: Vec<RelSet> = self.memo.keys().copied().collect();
-        sets.sort_unstable();
-        sets
+/// `|⋈ rels|` for a connected acyclic scheme, from its GYO join forest: every
+/// tuple starts with weight 1; each ear, in elimination order, multiplies
+/// every tuple of its parent by the summed weights of the ear tuples it joins
+/// with ([`ops::join_weight_sums`]). A tuple's weight is then the number of
+/// ways the subtree below it extends it, and the root's summed weight is the
+/// size. Saturating, like the product of components.
+fn forest_count(rels: &[&Relation], forest: &GyoResult) -> u64 {
+    let mut weights: Vec<Vec<u64>> = rels.iter().map(|r| vec![1; r.len()]).collect();
+    for &(ear, parent) in &forest.elimination {
+        let Some(parent) = parent else {
+            // A connected scheme's last ear is its one root.
+            return weights[ear].iter().fold(0, |acc, &w| acc.saturating_add(w));
+        };
+        let sums = ops::join_weight_sums(rels[ear], &weights[ear], rels[parent]);
+        for (w, s) in weights[parent].iter_mut().zip(sums) {
+            *w = w.saturating_mul(s);
+        }
     }
-
-    /// Total tuples of the resident sub-joins — what the oracle built, as
-    /// opposed to counted (nothing is evicted, so also everything it built).
-    pub fn materialized_tuples(&self) -> u64 {
-        self.memo.values().map(|rel| rel.len() as u64).sum()
-    }
+    unreachable!("a GYO elimination ends at a root")
 }
 
 impl CostOracle for ExactOracle<'_> {
@@ -354,25 +318,42 @@ mod tests {
             );
         }
         assert_eq!(o.memo_len(), 16);
-        // Pairs are counted against input relations and every larger set is
-        // a product of components: nothing was materialized at all.
-        assert_eq!(o.materialized_sets(), Vec::<RelSet>::new());
-        assert_eq!(o.materialized_tuples(), 0);
     }
 
+    /// The triangle is cyclic (Generic Join counts it), each of its pairs
+    /// is acyclic (the forest pass counts it); both agree with the join.
     #[test]
-    fn exact_oracle_materializes_connected_remainders_only() {
+    fn exact_oracle_counts_cyclic_and_acyclic_sets() {
         let (_c, s, db) = setup();
         let mut o = ExactOracle::new(&db);
+        assert!(!mjoin_hypergraph::is_acyclic(&s));
         assert_eq!(o.subjoin_size(RelSet::full(3)), 1);
-        // The triangle was counted against one resident pair.
-        let resident = o.materialized_sets();
-        assert_eq!(resident.len(), 1);
-        assert!(resident[0].len() == 2 && s.is_connected(resident[0]));
-        assert_eq!(
-            o.materialized_tuples(),
-            db.join_of(&resident[0].to_vec()).len() as u64
-        );
+        for pair in [[0, 1], [0, 2], [1, 2]] {
+            let set = RelSet::from_indices(pair);
+            assert_eq!(o.subjoin_size(set), db.join_of(&pair).len() as u64);
+        }
+    }
+
+    /// A chain whose middle relation fans out: the forest pass multiplies
+    /// group weights up two levels.
+    #[test]
+    fn forest_count_multiplies_weights_up_the_forest() {
+        let mut c = Catalog::new();
+        let fan: Vec<Vec<i64>> = (0..6).map(|i| vec![i % 2, i]).collect();
+        let fan: Vec<&[i64]> = fan.iter().map(Vec::as_slice).collect();
+        let db = Database::from_relations(vec![
+            relation_of_ints(&mut c, "AB", &[&[7, 0], &[8, 0], &[9, 1]]).unwrap(),
+            relation_of_ints(&mut c, "BC", &fan).unwrap(),
+            relation_of_ints(&mut c, "CD", &[&[0, 1], &[0, 2], &[3, 1], &[5, 5]]).unwrap(),
+        ]);
+        let mut o = ExactOracle::new(&db);
+        for set in [RelSet::from_indices([0, 1]), RelSet::full(3)] {
+            assert_eq!(o.subjoin_size(set), db.join_of(&set.to_vec()).len() as u64);
+        }
+        let rels: Vec<&Relation> = db.relations().iter().collect();
+        let forest = gyo(&DbScheme::from_schemas(&db.schemas()));
+        // C = 0 under B = 0: two A's × two D's; C = 3 and C = 5 under B = 1.
+        assert_eq!(forest_count(&rels, &forest), 2 * 2 + 1 + 1);
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Differential suite for the counting [`ExactOracle`]: every size it
 //! reports must be the size of the sub-join a materializing evaluation
-//! builds, the count kernels (binary and worst-case-optimal) must agree with
-//! the join kernels they stand in for, and every planner must return the same tree and cost it returns over a
-//! materializing reference oracle — while the oracle itself never holds a
-//! disconnected sub-join.
+//! builds — the join-forest pass on acyclic sets, Generic Join on cyclic
+//! ones — the count kernels must agree with the join kernels they stand in
+//! for, and every planner must return the same tree and cost it returns over
+//! a materializing reference oracle.
 
-use mjoin_hypergraph::{DbScheme, RelSet};
+use mjoin_hypergraph::{is_acyclic, DbScheme, RelSet};
 use mjoin_optimizer::{greedy, optimize, CostOracle, ExactOracle, SearchSpace};
 use mjoin_relation::fxhash::FxHashMap;
 use mjoin_relation::{ops, Catalog, Database, Relation, Schema, Value};
-use mjoin_wcoj::{wcoj_count, wcoj_join};
+use mjoin_wcoj::wcoj_join;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,13 +41,13 @@ impl CostOracle for MaterializingOracle<'_> {
 }
 
 /// Relation schemes of 3–6 relations over attributes `A..H`: a chain, a
-/// cycle, two disconnected chains, or 1–3 random attributes per relation
-/// (connected or not, cyclic or not).
+/// cycle, two disconnected chains, a chain whose last link is repeated, or
+/// 1–3 random attributes per relation (connected or not, cyclic or not).
 fn random_schemes(rng: &mut StdRng) -> Vec<String> {
     let n = rng.gen_range(3usize..=6);
     let attr = |i: usize| char::from(b'A' + (i % 8) as u8);
     let link = |i: usize, j: usize| [attr(i), attr(j)].iter().collect::<String>();
-    match rng.gen_range(0u32..4) {
+    match rng.gen_range(0u32..5) {
         0 => (0..n).map(|i| link(i, i + 1)).collect(),
         1 => (0..n).map(|i| link(i, (i + 1) % n)).collect(),
         2 => {
@@ -58,6 +58,10 @@ fn random_schemes(rng: &mut StdRng) -> Vec<String> {
                 .map(|i| link(i, i + 1))
                 .collect()
         }
+        3 => (0..n)
+            .map(|i| i.min(n - 2))
+            .map(|i| link(i, i + 1))
+            .collect(),
         _ => (0..n)
             .map(|_| {
                 let mut attrs: Vec<char> = (0..rng.gen_range(1usize..=3))
@@ -117,24 +121,15 @@ fn subsets(n: usize) -> impl DoubleEndedIterator<Item = RelSet> {
     (0..1usize << n).map(move |bits| RelSet::from_indices((0..n).filter(|i| bits >> i & 1 == 1)))
 }
 
-/// What the oracle keeps resident is connected and joined on a key.
-fn assert_memo_connected(scheme: &DbScheme, oracle: &ExactOracle) {
-    for set in oracle.materialized_sets() {
-        assert!(
-            set.len() >= 2 && scheme.is_connected(set),
-            "resident sub-join {set} is not a connected set of ≥ 2 relations"
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn subjoin_size_is_the_materialized_size(seed in any::<u64>()) {
-        let (scheme, db) = random_db(seed);
+        let (_scheme, db) = random_db(seed);
         let n = db.len();
-        // Ask bottom-up and top-down: the order decides what is peeled.
+        // Ask bottom-up and top-down: a disconnected set reuses whatever
+        // component sizes the order has already learned.
         let mut up = ExactOracle::new(&db);
         let mut down = ExactOracle::new(&db);
         for set in subsets(n) {
@@ -146,8 +141,23 @@ proptest! {
             prop_assert_eq!(down.subjoin_size(set), want, "top-down, set {}", set);
         }
         prop_assert_eq!(up.memo_len(), 1 << n);
-        assert_memo_connected(&scheme, &up);
-        assert_memo_connected(&scheme, &down);
+        prop_assert_eq!(down.memo_len(), 1 << n);
+    }
+
+    /// The join-forest pass: every connected acyclic subset — chains,
+    /// stars, repeated schemes, strings over per-relation dictionaries,
+    /// empty relations — counts to the size of its join.
+    #[test]
+    fn forest_count_is_the_join_size(seed in any::<u64>()) {
+        let (scheme, db) = random_db(seed);
+        let mut oracle = ExactOracle::new(&db);
+        for set in subsets(db.len()).filter(|&s| s.len() >= 2 && scheme.is_connected(s)) {
+            let members = set.to_vec();
+            if is_acyclic(&DbScheme::from_schemas(&db.restrict(&members).schemas())) {
+                let want = db.join_of(&members).len() as u64;
+                prop_assert_eq!(oracle.subjoin_size(set), want, "set {}", set);
+            }
+        }
     }
 
     #[test]
@@ -176,17 +186,18 @@ proptest! {
 
     /// Generic Join over every sub-database — cyclic, disconnected and
     /// repeated schemes, strings over per-relation dictionaries, empty
-    /// relations: the columns sink is the join, the count sink is its size.
+    /// relations: the executor's join is the join, the planner's count is
+    /// its size.
     #[test]
-    fn wcoj_count_is_the_wcoj_join_size(seed in any::<u64>()) {
+    fn generic_join_count_is_the_wcoj_join_size(seed in any::<u64>()) {
         let (_scheme, db) = random_db(seed);
         for set in subsets(db.len()).filter(|s| !s.is_empty()) {
             let sub = db.restrict(&set.to_vec());
             let scheme = DbScheme::from_schemas(&sub.schemas());
             let joined = wcoj_join(&scheme, &sub, None, None).expect("not cancelled");
             prop_assert_eq!(&joined, &sub.join_all(), "set {}", set);
-            let count = wcoj_count(&scheme, &sub, None, None).expect("not cancelled");
-            prop_assert_eq!(count, joined.len() as u64, "set {}", set);
+            let rels: Vec<&Relation> = sub.relations().iter().collect();
+            prop_assert_eq!(ops::generic_join_count(&rels), joined.len() as u64, "set {}", set);
         }
     }
 
@@ -211,13 +222,12 @@ proptest! {
                 greedy(&scheme, &mut reference, avoid_cartesian)
             );
         }
-        assert_memo_connected(&scheme, &exact);
     }
 }
 
-/// The materialization ceiling on the skewed chain `AB ⋈ BC ⋈ CD`: the
-/// replaced oracle built `AB × CD` (n² tuples) to rank it; the counting one
-/// multiplies two lengths and keeps only a connected pair resident.
+/// The skewed chain `AB ⋈ BC ⋈ CD`: the materializing reference builds
+/// `AB × CD` (n² tuples) to rank it; the counting oracle multiplies two
+/// lengths, counts the connected sets, and ranks every tree the same.
 #[test]
 fn skewed_chain_stays_under_the_cartesian_ceiling() {
     let n = 200i64;
@@ -236,14 +246,17 @@ fn skewed_chain_stays_under_the_cartesian_ceiling() {
     let mut oracle = ExactOracle::new(&db);
     let all = optimize(&scheme, &mut oracle, SearchSpace::All).expect("nonempty space");
     assert_eq!(all.cost, mjoin_expr::cost_of(&all.tree, &db));
+    let reference = optimize(
+        &scheme,
+        &mut MaterializingOracle::new(&db),
+        SearchSpace::All,
+    );
+    assert_eq!(
+        reference.map(|o| (o.tree, o.cost)),
+        Some((all.tree, all.cost))
+    );
     assert_eq!(
         oracle.subjoin_size(RelSet::from_indices([0, 2])),
         (n * n) as u64
-    );
-    assert_memo_connected(&scheme, &oracle);
-    assert!(
-        oracle.materialized_tuples() < (n * n) as u64 / 2,
-        "materialized {} tuples",
-        oracle.materialized_tuples()
     );
 }

@@ -666,6 +666,11 @@ pub struct ExecOutcome {
     /// run that executes a wide level concurrently may transiently hold
     /// more.
     pub peak_resident: u64,
+    /// The statements the spill plan routed through Grace hash whose spill
+    /// failed, each with its I/O error, in statement order. Each joined in
+    /// memory instead — the same answer, over the budget the plan was
+    /// certified against.
+    pub spill_failures: Vec<(usize, String)>,
 }
 
 impl ExecOutcome {
@@ -737,6 +742,9 @@ fn indexes_on_miss(threads: usize, left_rows: usize, right_rows: usize, cutoff: 
 /// The mutex is taken per peek/insert, never held across a kernel; hit/miss
 /// counters are bumped here rather than in [`IndexCache::peek`] because a
 /// join peeks both of its sides before deciding which lookup counts.
+///
+/// A scheduled spill that fails leaves its I/O error in `spill_failed`.
+#[allow(clippy::too_many_arguments)]
 fn eval_stmt(
     program: &Program,
     m: &Machine,
@@ -744,6 +752,7 @@ fn eval_stmt(
     threads: usize,
     cutoff: usize,
     spill: Option<usize>,
+    spill_failed: &mut Option<String>,
     cache: Option<&SharedIndexCache>,
 ) -> (Reg, Relation) {
     let peek = |rel: &Arc<Relation>, key_pos: &[usize]| {
@@ -771,12 +780,18 @@ fn eval_stmt(
                 // The certificate proved this statement's build side cannot
                 // fit the budget: Grace-hash through temp files. On an I/O
                 // failure (temp dir full, disk gone) fall through to the
-                // in-memory path rather than lose the query.
-                if let Ok((out, stats)) = ops::grace_hash_join(&l, &r, p) {
-                    mjoin_trace::add("mem.partitions", stats.partitions);
-                    mjoin_trace::add("mem.spilled_bytes", stats.spilled_bytes);
-                    mjoin_trace::add("mem.passes", 1);
-                    return (*dst, out);
+                // in-memory path rather than lose the query, and say so.
+                match ops::grace_hash_join(&l, &r, p) {
+                    Ok((out, stats)) => {
+                        mjoin_trace::add("mem.partitions", stats.partitions);
+                        mjoin_trace::add("mem.spilled_bytes", stats.spilled_bytes);
+                        mjoin_trace::add("mem.passes", 1);
+                        return (*dst, out);
+                    }
+                    Err(e) => {
+                        mjoin_trace::add("mem.spill_failed", 1);
+                        *spill_failed = Some(e.to_string());
+                    }
                 }
             }
             // Peek both sides; with a choice, keep the index on the larger
@@ -861,7 +876,8 @@ fn stmt_kind(stmt: &Stmt) -> &'static str {
 }
 
 /// [`eval_stmt`] wrapped in an `exec/stmt` span carrying the statement
-/// index, kind, and output cardinality (the data EXPLAIN ANALYZE reports).
+/// index, kind, and output cardinality (the data EXPLAIN ANALYZE reports),
+/// plus the I/O error of a scheduled spill that failed.
 #[allow(clippy::too_many_arguments)]
 fn eval_stmt_traced(
     program: &Program,
@@ -872,9 +888,10 @@ fn eval_stmt_traced(
     cutoff: usize,
     spill: Option<usize>,
     cache: Option<&SharedIndexCache>,
-) -> (Reg, Relation) {
+) -> (Reg, Relation, Option<String>) {
     let mut sp = mjoin_trace::span("exec", "stmt");
-    let (head, value) = eval_stmt(program, m, stmt, threads, cutoff, spill, cache);
+    let mut failed = None;
+    let (head, value) = eval_stmt(program, m, stmt, threads, cutoff, spill, &mut failed, cache);
     if sp.is_active() {
         sp.arg("index", index);
         sp.arg("kind", stmt_kind(stmt));
@@ -883,7 +900,7 @@ fn eval_stmt_traced(
             sp.arg("spill_partitions", p);
         }
     }
-    (head, value)
+    (head, value, failed)
 }
 
 /// The index opportunities of one statement: `(relation, key positions)`
@@ -1020,6 +1037,7 @@ pub fn try_execute_with(
     let cache = cfg.index_cache.then(|| cfg.run_cache());
     let cache = cache.as_ref();
     let mut head_sizes = vec![0usize; n];
+    let mut spill_failures = Vec::new();
 
     for (lv, level) in levels.into_iter().enumerate() {
         if cfg.cancelled() {
@@ -1048,7 +1066,8 @@ pub fn try_execute_with(
                 eval_stmt_traced(program, &m, stmt, i, threads, cfg.par_cutoff, spill, cache);
             (i, head)
         });
-        for (i, (head, value)) in computed {
+        for (i, (head, value, failed)) in computed {
+            spill_failures.extend(failed.map(|e| (i, e)));
             head_sizes[i] = value.len();
             mjoin_trace::add("exec.head_tuples", value.len() as u64);
             if let Some(old) = m.write(head, Arc::new(value)) {
@@ -1059,6 +1078,8 @@ pub fn try_execute_with(
         }
     }
 
+    // Levels need not run statements in index order.
+    spill_failures.sort_unstable();
     // Heads are charged in *statement* order whatever order the levels ran
     // them in, so the ledger does not depend on the schedule.
     let mut ledger = CostLedger::new();
@@ -1071,6 +1092,7 @@ pub fn try_execute_with(
         ledger,
         peak_resident: peak_resident(program, db, &head_sizes),
         head_sizes,
+        spill_failures,
     })
 }
 

@@ -249,38 +249,29 @@ pub(crate) fn col_join(left: &Relation, right: &Relation) -> Relation {
     materialize_join(build, probe, &out_schema, std::slice::from_ref(&pair))
 }
 
-/// `|left ⋈ right|` without building the join.
-///
-/// A natural join of duplicate-free operands has no duplicates, so its size
-/// is the number of matching pairs: group the smaller side by key (one
-/// [`RawTable`] representative per distinct key, carrying the group's row
-/// count) and sum the group counts the other side's rows probe into.
-/// Disjoint schemas are the Cartesian product, `|left|·|right|`
-/// (saturating).
-pub fn join_count(left: &Relation, right: &Relation) -> u64 {
-    let (build, probe) = if left.len() <= right.len() {
-        (left, right)
-    } else {
-        (right, left)
-    };
+/// Per row of `probe`, the summed `weights` of the `build` rows it joins
+/// with (saturating; `weights[i]` belongs to build row `i`), without
+/// building the join: group the build side by key (one [`RawTable`]
+/// representative per distinct key, carrying the group's weight) and look
+/// each probe row's group up once. Disjoint schemas put every build row in
+/// one group.
+pub fn join_weight_sums(build: &Relation, weights: &[u64], probe: &Relation) -> Vec<u64> {
+    debug_assert_eq!(weights.len(), build.len());
     let (bpos, ppos) = super::join::join_key_positions(build.schema(), probe.schema());
-    if bpos.is_empty() {
-        return (left.len() as u64).saturating_mul(right.len() as u64);
-    }
     let bcols = build.columns();
     let bh = key_hashes(build, &bpos);
     let mut table = RawTable::with_capacity(bh.len());
-    // Group size per representative build row (0 for the other rows).
+    // Group weight per representative build row (0 for the other rows).
     let mut group = vec![0u64; bh.len()];
     for (i, &h) in bh.iter().enumerate() {
         let rep = table
             .candidates(h)
             .find(|&j| ids_eq(bcols, &bpos, j, bcols, &bpos, i));
         match rep {
-            Some(j) => group[j] += 1,
+            Some(j) => group[j] = group[j].saturating_add(weights[i]),
             None => {
                 table.insert(h, i as u32);
-                group[i] = 1;
+                group[i] = weights[i];
             }
         }
     }
@@ -288,13 +279,28 @@ pub fn join_count(left: &Relation, right: &Relation) -> u64 {
     key_hashes(probe, &ppos)
         .iter()
         .enumerate()
-        .filter_map(|(j, &h)| {
+        .map(|(j, &h)| {
             table
                 .candidates(h)
                 .find(|&bi| ids_eq(bcols, &bpos, bi, pcols, &ppos, j))
+                .map_or(0, |bi| group[bi])
         })
-        .map(|bi| group[bi])
-        .sum()
+        .collect()
+}
+
+/// `|left ⋈ right|` without building the join: a natural join of
+/// duplicate-free operands has no duplicates, so its size is the number of
+/// matching pairs — [`join_weight_sums`] with unit weights on the smaller
+/// side, summed (saturating; disjoint schemas give `|left|·|right|`).
+pub fn join_count(left: &Relation, right: &Relation) -> u64 {
+    let (build, probe) = if left.len() <= right.len() {
+        (left, right)
+    } else {
+        (right, left)
+    };
+    join_weight_sums(build, &vec![1; build.len()], probe)
+        .into_iter()
+        .fold(0, u64::saturating_add)
 }
 
 /// Columnar shared-build chunked-probe join: build once, probe contiguous
@@ -659,6 +665,21 @@ mod tests {
             assert_eq!(join_count(l, r), col_join(l, r).len() as u64);
         }
         assert_eq!(join_count(&r, &s), 5);
+    }
+
+    #[test]
+    fn join_weight_sums_add_the_weights_of_each_key_group() {
+        let mut c = Catalog::new();
+        let r = relation_of_ints(&mut c, "AB", &[&[1, 10], &[2, 10], &[3, 20]]).unwrap();
+        let s = relation_of_ints(&mut c, "BC", &[&[10, 1], &[20, 2], &[30, 3]]).unwrap();
+        assert_eq!(join_weight_sums(&r, &[5, 7, 11], &s), [12, 11, 0]);
+        assert_eq!(
+            join_weight_sums(&r, &[u64::MAX, 1, 0], &s),
+            [u64::MAX, 0, 0]
+        );
+        // Disjoint schemas: every probe row matches the whole build side.
+        let t = relation_of_ints(&mut c, "DE", &[&[1, 1], &[2, 2]]).unwrap();
+        assert_eq!(join_weight_sums(&r, &[5, 7, 11], &t), [23, 23]);
     }
 
     #[test]

@@ -37,9 +37,11 @@ pub use semijoin::{par_semijoin_cutoff, semijoin};
 pub use setops::{difference, intersection, union};
 pub use spill::{grace_hash_join, SpillStats};
 pub use trie::TrieIndex;
-pub use trie_join::{trie_join, trie_join_count, Stopped, TrieJoinStats};
+pub use trie_join::{
+    generic_join_count, trie_join, trie_join_count, trie_plan, Stopped, TrieJoinStats,
+};
 
-pub use columnar::{join_count, key_hashes};
+pub use columnar::{join_count, join_weight_sums, key_hashes};
 
 /// The parallel/sequential cutoff in rows: below this row count the parallel
 /// operators fall back to their sequential counterparts — partitioning and

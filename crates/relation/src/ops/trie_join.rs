@@ -21,6 +21,10 @@
 //!
 //! The same recursion serves two sinks: [`trie_join`] gathers columns,
 //! [`trie_join_count`] only sums what the last depth would have emitted.
+//! [`trie_plan`] is the policy every caller shares — the elimination order
+//! and the trie levels that follow it — so the executor
+//! (`mjoin_wcoj::wcoj_join`, with its cache, cancellation and trace) and the
+//! exact planner's [`generic_join_count`] eliminate the same way.
 
 use super::trie::TrieIndex;
 use crate::attr::AttrId;
@@ -28,6 +32,7 @@ use crate::column::Column;
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::value::Value;
+use std::sync::Arc;
 
 /// Work counts of one elimination, accumulated in locals and reported once.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,6 +86,51 @@ pub fn trie_join_count(
 ) -> Result<(u64, TrieJoinStats), Stopped> {
     let stats = eliminate(tries, order, false, stop)?.stats;
     Ok((stats.emitted, stats))
+}
+
+/// Generic Join's plan for the natural join of `rels`: the global
+/// elimination order — most-covered attribute first (smaller intersections
+/// early), attribute id as the tiebreak for determinism — and, per relation,
+/// the key positions of the trie whose levels follow it, so that when the
+/// loop reaches attribute `a` every covering relation's next unbound level
+/// is exactly `a`.
+pub fn trie_plan(rels: &[&Relation]) -> (Vec<AttrId>, Vec<Vec<usize>>) {
+    let mut order: Vec<AttrId> = rels
+        .iter()
+        .flat_map(|r| r.schema().attrs().iter().copied())
+        .collect();
+    order.sort_unstable();
+    order.dedup();
+    let coverage = |a| rels.iter().filter(|r| r.schema().contains(a)).count();
+    order.sort_by_key(|&a| (std::cmp::Reverse(coverage(a)), a));
+    let keys = rels
+        .iter()
+        .map(|r| {
+            order
+                .iter()
+                .filter_map(|&a| r.schema().position(a))
+                .collect()
+        })
+        .collect();
+    (order, keys)
+}
+
+/// `|⋈ rels|` by [`trie_join_count`] under [`trie_plan`], each trie built
+/// on the spot: no cache, no stop, no trace — the count a planner asks for.
+pub fn generic_join_count(rels: &[&Relation]) -> u64 {
+    if rels.iter().any(|r| r.is_empty()) {
+        return 0;
+    }
+    let (order, keys) = trie_plan(rels);
+    let tries: Vec<TrieIndex> = rels
+        .iter()
+        .zip(keys)
+        .map(|(&r, key)| TrieIndex::build(Arc::new(r.clone()), key))
+        .collect();
+    let tries: Vec<&TrieIndex> = tries.iter().collect();
+    trie_join_count(&tries, &order, &mut || false)
+        .expect("never stopped")
+        .0
 }
 
 fn eliminate<'a>(

@@ -28,8 +28,8 @@
 use mjoin_analyze::Certificate;
 use mjoin_hypergraph::{agm_ln, bound_u64, DbScheme};
 use mjoin_program::{CancelToken, Cancelled, SharedIndexCache};
-use mjoin_relation::ops::{self, Stopped, TrieIndex, TrieJoinStats};
-use mjoin_relation::{AttrId, Database, Relation, Schema};
+use mjoin_relation::ops::{self, Stopped, TrieIndex};
+use mjoin_relation::{Database, Relation, Schema};
 use std::sync::Arc;
 
 /// Which executor a query (or a query component) runs on.
@@ -134,8 +134,9 @@ pub fn select(scheme: &DbScheme, sizes: &[u64], cert: &Certificate) -> Selection
 /// Evaluate the natural join of all relations in `db` (whose schemas form
 /// `scheme`, index-aligned) with Generic Join: a global attribute order,
 /// and at each attribute a leapfrog intersection across the sorted tries of
-/// every relation covering it ([`mjoin_relation::ops::trie_join`] is the
-/// loop; this function is the policy around it).
+/// every relation covering it. [`ops::trie_plan`] picks the order and the
+/// trie levels and [`ops::trie_join`] is the loop; this function is the
+/// executor around them — the `exec/wcoj` span and the `wcoj.*` counters.
 ///
 /// Tries are fetched from `cache` when one is supplied (the resident
 /// server's catalog path — repeated queries skip the sort) and built on the
@@ -153,37 +154,6 @@ pub fn wcoj_join(
     cache: Option<&SharedIndexCache>,
     cancel: Option<&CancelToken>,
 ) -> Result<Relation, Cancelled> {
-    let joined = run(scheme, db, cache, cancel, ops::trie_join)?;
-    Ok(joined
-        .unwrap_or_else(|| Relation::empty(Schema::from_set(&scheme.attrs_of_set(scheme.all())))))
-}
-
-/// `|⋈ db|` by the same elimination as [`wcoj_join`], summing what the last
-/// attribute would have emitted instead of materializing it.
-pub fn wcoj_count(
-    scheme: &DbScheme,
-    db: &Database,
-    cache: Option<&SharedIndexCache>,
-    cancel: Option<&CancelToken>,
-) -> Result<u64, Cancelled> {
-    Ok(run(scheme, db, cache, cancel, ops::trie_join_count)?.unwrap_or(0))
-}
-
-/// The policy both entry points share: pick the elimination order, fetch a
-/// trie per relation sorted to follow it, run `eliminate` under the
-/// `exec/wcoj` span and report its work counts once. `None` when a relation
-/// is empty — the join is, and no trie gets built.
-fn run<T>(
-    scheme: &DbScheme,
-    db: &Database,
-    cache: Option<&SharedIndexCache>,
-    cancel: Option<&CancelToken>,
-    eliminate: impl FnOnce(
-        &[&TrieIndex],
-        &[AttrId],
-        &mut dyn FnMut() -> bool,
-    ) -> Result<(T, TrieJoinStats), Stopped>,
-) -> Result<Option<T>, Cancelled> {
     let all_attrs = scheme.attrs_of_set(scheme.all());
     let mut sp = mjoin_trace::span("exec", "wcoj");
     if sp.is_active() {
@@ -196,45 +166,28 @@ fn run<T>(
         return Err(Cancelled { at_stmt: 0 });
     }
     if db.relations().iter().any(Relation::is_empty) {
-        return Ok(None);
+        // The join is empty, and no trie gets built.
+        return Ok(Relation::empty(Schema::from_set(&all_attrs)));
     }
 
-    // Global elimination order: most-covered attribute first (smaller
-    // intersections early), attribute id as the tiebreak for determinism.
-    let mut order: Vec<AttrId> = all_attrs.to_vec();
-    order.sort_by_key(|&a| {
-        let coverage = scheme.edges().iter().filter(|e| e.contains(a)).count();
-        (usize::MAX - coverage, a)
-    });
-
-    // Each relation's trie levels are its own attributes sorted by global
-    // order position, so when the loop reaches attribute `a`, every
-    // covering relation's next unbound level is exactly `a`.
-    let rank = |a: AttrId| order.iter().position(|&x| x == a).expect("attr in order");
-    let tries: Vec<Arc<TrieIndex>> = db
-        .relations()
+    let rels: Vec<&Relation> = db.relations().iter().collect();
+    let (order, keys) = ops::trie_plan(&rels);
+    let tries: Vec<Arc<TrieIndex>> = rels
         .iter()
-        .map(|rel| {
-            let mut attrs: Vec<AttrId> = rel.schema().attrs().to_vec();
-            attrs.sort_by_key(|&a| rank(a));
-            let key_pos: Vec<usize> = attrs
-                .iter()
-                .map(|&a| rel.schema().position(a).expect("own attr"))
-                .collect();
-            fetch_trie(rel, key_pos, cache)
-        })
+        .zip(keys)
+        .map(|(rel, key_pos)| fetch_trie(rel, key_pos, cache))
         .collect();
     let tries: Vec<&TrieIndex> = tries.iter().map(Arc::as_ref).collect();
 
     let (out, stats) =
-        eliminate(&tries, &order, &mut stop).map_err(|Stopped| Cancelled { at_stmt: 0 })?;
+        ops::trie_join(&tries, &order, &mut stop).map_err(|Stopped| Cancelled { at_stmt: 0 })?;
     mjoin_trace::add("wcoj.attr_loops", stats.attr_loops);
     mjoin_trace::add("wcoj.seeks", stats.seeks);
     mjoin_trace::add("wcoj.emit", stats.emitted);
     if sp.is_active() {
         sp.arg("rows", stats.emitted.to_string());
     }
-    Ok(Some(out))
+    Ok(out)
 }
 
 /// Fetch the trie for `(rel, key_pos)` from the shared cache, or build it.
@@ -500,16 +453,17 @@ mod tests {
     }
 
     #[test]
-    fn count_agrees_with_join_and_reports_the_same_work() {
+    fn planner_count_agrees_with_the_executor_join() {
         let (scheme, db) = dense_triangle(6);
         let joined = wcoj_join(&scheme, &db, None, None).unwrap();
         assert_eq!(joined.len(), 6 * 6 * 6);
-        assert_eq!(wcoj_count(&scheme, &db, None, None), Ok(216));
+        let rels: Vec<&Relation> = db.relations().iter().collect();
+        assert_eq!(ops::generic_join_count(&rels), 216);
     }
 
     /// A token cancelled from another thread stops the elimination inside
-    /// the join — at the next value of the outermost attribute — on both
-    /// sinks, long before the `k³` answers are enumerated.
+    /// the join — at the next value of the outermost attribute — long before
+    /// the `k³` answers are enumerated.
     #[test]
     fn cancellation_stops_inside_the_elimination() {
         use mjoin_program::IndexCache;
@@ -518,15 +472,16 @@ mod tests {
         // milliseconds in release, seconds in debug.
         let k = 320i64;
         let (scheme, db) = dense_triangle(k);
-        // A shared cache keeps the tries, so the cancelled runs below spend
-        // their time in the loop, not in the sort.
-        let shared = IndexCache::shared(u64::MAX, u64::MAX);
+        let rels: Vec<&Relation> = db.relations().iter().collect();
         let started = Instant::now();
-        let full = wcoj_count(&scheme, &db, Some(&shared), None);
+        let full = ops::generic_join_count(&rels);
         let full_time = started.elapsed();
-        assert_eq!(full, Ok((k * k * k) as u64));
+        assert_eq!(full, (k * k * k) as u64);
 
-        for materialize in [false, true] {
+        // A shared cache keeps the tries, so the second cancelled run
+        // spends its time in the loop, not in the sort.
+        let shared = IndexCache::shared(u64::MAX, u64::MAX);
+        for _ in 0..2 {
             let token = CancelToken::new();
             let started = Instant::now();
             let stopped = std::thread::scope(|s| {
@@ -534,11 +489,7 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(10));
                     token.cancel();
                 });
-                if materialize {
-                    wcoj_join(&scheme, &db, Some(&shared), Some(&token)).map(|r| r.len() as u64)
-                } else {
-                    wcoj_count(&scheme, &db, Some(&shared), Some(&token))
-                }
+                wcoj_join(&scheme, &db, Some(&shared), Some(&token)).map(|r| r.len())
             });
             let took = started.elapsed();
             assert_eq!(stopped, Err(Cancelled { at_stmt: 0 }));
@@ -551,7 +502,7 @@ mod tests {
         // An already-cancelled token never starts.
         let token = CancelToken::new();
         token.cancel();
-        let stopped = wcoj_count(&scheme, &db, None, Some(&token));
+        let stopped = wcoj_join(&scheme, &db, None, Some(&token));
         assert_eq!(stopped, Err(Cancelled { at_stmt: 0 }));
     }
 }

@@ -342,6 +342,12 @@ fn run(args: &Args, execute_it: bool) -> Result<Option<ExplainInfo>, String> {
         let out = admitted
             .execute(args.threads, None, None)
             .map_err(|c| c.to_string())?;
+        for (stmt, e) in &out.spill_failures {
+            eprintln!(
+                "memory: statement {stmt} could not spill ({e}); \
+                 joined in memory over the certified budget"
+            );
+        }
         eprintln!("cost(T1(D)) = {t1_cost}");
         eprintln!(
             "cost(P(D))  = {} (peak resident {})",

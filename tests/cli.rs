@@ -631,6 +631,34 @@ fn run_under_a_starved_budget_spills_and_prints_the_unbudgeted_rows() {
     assert_eq!(starved.stdout, unbudgeted.stdout);
 }
 
+/// A spill that cannot write its partitions (`TMPDIR` is a regular file)
+/// still answers, joining in memory, and says so on stderr: never silently.
+#[test]
+fn run_whose_spill_fails_reports_it_and_keeps_the_answer() {
+    let dir = tempdir::TempDir::new("spill-fail");
+    let not_a_dir = write_tsv(dir.path(), "tmpdir", "");
+    let files: Vec<String> = ["abc", "cde", "efg", "gha"].map(data_fixture).into();
+    let mut args = vec!["run", "--mem-budget", "1"];
+    args.extend(files.iter().map(String::as_str));
+    let failed = cli_env(&args, &[("TMPDIR", not_a_dir.to_str().unwrap())]);
+    let stderr = String::from_utf8(failed.stderr).unwrap();
+    assert!(failed.status.success(), "{stderr}");
+    assert!(stderr.contains("memory: spilling statements"), "{stderr}");
+    let line = stderr
+        .lines()
+        .find(|l| l.contains("could not spill"))
+        .unwrap_or_else(|| panic!("no spill-failure line in:\n{stderr}"));
+    assert!(
+        line.starts_with("memory: statement ")
+            && line.ends_with("); joined in memory over the certified budget"),
+        "{line}"
+    );
+    assert_eq!(
+        failed.stdout,
+        run_example_data(&[], &data_fixture("abc")).stdout
+    );
+}
+
 /// Framing is not data: `abc.tsv` re-framed with CRLF endings, a blank line
 /// after the header and no final newline gives byte-identical `run` output.
 #[test]
