@@ -77,27 +77,15 @@ pub fn admission_report_with(
     seeds: &[u64],
     cert: &Certificate,
 ) -> AdmissionReport {
-    // |⋈D[S]| ≤ Π_{i∈S} |D_i|: the join of a set of relations is a subset
-    // of their Cartesian product.
-    let cert_bounds = cert.evaluate_with(|set| {
-        let mut acc: u128 = 1;
-        for i in set.iter() {
-            acc = acc.saturating_mul(u128::from(seeds[i]));
-        }
-        u64::try_from(acc).unwrap_or(u64::MAX)
-    });
-    let intervals = interval_analysis(cx, seeds);
-    debug_assert_eq!(cert_bounds.len(), intervals.len());
-
     let bounds: Vec<AdmissionBound> = cert
         .stmts
         .iter()
-        .zip(cert_bounds.iter().zip(&intervals))
+        .zip(admitted_bounds(cx, seeds, cert))
         .enumerate()
-        .map(|(i, (sb, (&cb, iv)))| AdmissionBound {
+        .map(|(i, (sb, bound))| AdmissionBound {
             stmt: i,
             kind: sb.kind,
-            bound: cb.min(iv.hi),
+            bound,
             symbolic: cert.bound_name(i, cx.scheme, cx.catalog),
             tight: sb.tight,
             excerpt: cx.excerpt(i),
@@ -114,6 +102,23 @@ pub fn admission_report_with(
         peak,
         peak_stmt,
     }
+}
+
+/// The admitted bound of every statement: the certificate's product with
+/// each `|⋈D[S]|` over-approximated by `Π_{i∈S} |D_i|` (a join is a subset
+/// of its inputs' Cartesian product), refined by the interval highs. Both
+/// are sound, so their minimum is.
+pub(crate) fn admitted_bounds(cx: &AnalysisCx<'_>, seeds: &[u64], cert: &Certificate) -> Vec<u64> {
+    let products = cert.evaluate_with(|set| {
+        set.iter()
+            .fold(1, |acc: u64, i| acc.saturating_mul(seeds[i]))
+    });
+    let intervals = interval_analysis(cx, seeds);
+    products
+        .iter()
+        .zip(&intervals)
+        .map(|(&b, iv)| b.min(iv.hi))
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,24 +1,22 @@
-//! The static-vs-measured audit: execute a program, then diff every
-//! statement's measured head count (the §2.3 ledger) against its sound
-//! static bounds — the symbolic Theorem-2 [`Certificate`] evaluated on
-//! the input database, and the [`CardInterval`]s of the cardinality
-//! abstract interpreter.
+//! The static-vs-measured audit: diff every statement's measured head count
+//! (the §2.3 ledger of a run) against its sound static bounds — the
+//! symbolic Theorem-2 [`Certificate`] evaluated on the input database, and
+//! the [`CardInterval`]s of the cardinality abstract interpreter.
 //!
-//! A measured head that exceeds its sound static bound is a bug in the
+//! The audit executes nothing and builds no join: the ledger comes from the
+//! engine's run (`mjoin_core::engine`: `prepare → admit → execute`) and the
+//! sizes `|⋈D[S]|` from the caller, typically the counting oracle. A
+//! measured head that exceeds its sound static bound is a bug in the
 //! kernel, the scheduler, or the certificate — so it surfaces as an
 //! `error`-severity diagnostic (`audit-bound` / `audit-interval`), the
-//! differential check that matters. The audit also re-derives the ledger
-//! from the per-statement head sizes and the input sizes and errors
-//! (`audit-ledger`) if it disagrees with `ExecOutcome::cost()` — the
-//! ledger must be exactly `Σ inputs + Σ heads`, per §2.3.
+//! differential check that matters.
 
 use crate::absint::{cost_blowup, interval_analysis, CardInterval};
 use crate::cert::{set_name, Certificate};
 use crate::cx::AnalysisCx;
 use crate::diagnostic::{Diagnostic, Report, Severity};
 use mjoin_hypergraph::{DbScheme, RelSet};
-use mjoin_program::{execute_with, validate, ExecConfig, Program, ValidateError};
-use mjoin_relation::{Catalog, CostKind, Database};
+use mjoin_relation::{Catalog, CostKind, CostLedger};
 
 /// One statement's row in the audit: measured cost vs static bounds.
 #[derive(Debug, Clone)]
@@ -64,8 +62,8 @@ impl StmtAudit {
 /// The whole-program audit result.
 #[derive(Debug, Clone)]
 pub struct AuditReport {
-    /// Diagnostics: `audit-bound` / `audit-interval` / `audit-ledger`
-    /// errors plus any `cost-blowup` warnings.
+    /// Diagnostics: `audit-bound` / `audit-interval` errors plus any
+    /// `cost-blowup` warnings.
     pub report: Report,
     /// Per-statement rows, in statement order.
     pub rows: Vec<StmtAudit>,
@@ -77,53 +75,42 @@ pub struct AuditReport {
     pub certificate: Certificate,
 }
 
-/// Run the full audit: compute the certificate, execute the program, and
-/// diff. `estimator`, when given, is consulted once per *tight* bound set
-/// (e.g. a histogram oracle) and recorded per row for gap reporting — it
-/// never affects the pass/fail verdict.
-///
-/// # Errors
-///
-/// Returns the validation error if the program is not well-formed over
-/// the scheme.
+/// Audit one run of `cx`'s program. `ledger` is that run's §2.3 account:
+/// one input entry per relation of the database, then one generated entry
+/// per statement (its head size), in statement order. `card(S)` must return
+/// `|⋈D[S]|` or a sound upper bound on it; it evaluates `certificate`, which
+/// callers may corrupt on purpose to prove the differential has teeth.
+/// `estimator`, when given, is consulted once per *tight* bound set (e.g. a
+/// histogram oracle) and recorded per row for gap reporting — it never
+/// affects the pass/fail verdict.
 pub fn audit(
-    program: &Program,
-    scheme: &DbScheme,
-    catalog: &Catalog,
-    db: &Database,
-    cfg: &ExecConfig,
-    estimator: Option<&mut dyn FnMut(RelSet) -> u64>,
-) -> Result<AuditReport, ValidateError> {
-    validate(program, scheme)?;
-    let cx = AnalysisCx::new(program, scheme, catalog)?;
-    let certificate = Certificate::compute(&cx);
-    audit_with_certificate(&cx, db, cfg, certificate, estimator)
-}
-
-/// The audit core, taking a precomputed certificate. Exposed so tests can
-/// deliberately corrupt the certificate and assert the corruption is
-/// caught (the ablation that proves the differential has teeth).
-///
-/// # Errors
-///
-/// Currently infallible for a validated context; kept as `Result` for
-/// symmetry with [`audit`].
-pub fn audit_with_certificate(
     cx: &AnalysisCx<'_>,
-    db: &Database,
-    cfg: &ExecConfig,
     certificate: Certificate,
+    ledger: &CostLedger,
+    card: impl FnMut(RelSet) -> u64,
     mut estimator: Option<&mut dyn FnMut(RelSet) -> u64>,
-) -> Result<AuditReport, ValidateError> {
-    let seeds: Vec<u64> = db.relations().iter().map(|r| r.len() as u64).collect();
+) -> AuditReport {
+    let charged = |kind: CostKind| -> Vec<u64> {
+        ledger
+            .entries()
+            .iter()
+            .filter(|e| e.kind == kind)
+            .map(|e| e.tuples)
+            .collect()
+    };
+    let seeds = charged(CostKind::Input);
+    let heads = charged(CostKind::Generated);
+    assert_eq!(
+        heads.len(),
+        certificate.stmts.len(),
+        "the ledger charges one head per statement"
+    );
     let intervals = interval_analysis(cx, &seeds);
-    let bounds = certificate.evaluate(db);
-    let exec = execute_with(cx.program, db, cfg);
+    let bounds = certificate.evaluate_with(card);
 
     let mut diagnostics: Vec<Diagnostic> = cost_blowup(cx, &seeds);
-    let mut rows = Vec::with_capacity(cx.program.stmts.len());
-    for (i, &measured) in exec.head_sizes.iter().enumerate() {
-        let measured = measured as u64;
+    let mut rows = Vec::with_capacity(heads.len());
+    for (i, &measured) in heads.iter().enumerate() {
         let b = &certificate.stmts[i];
         let estimate = match (&mut estimator, b.tight) {
             (Some(est), true) => Some(est(b.head_set)),
@@ -166,49 +153,14 @@ pub fn audit_with_certificate(
         });
     }
 
-    // Ledger differential: the §2.3 account must be exactly
-    // Σ inputs + Σ per-statement heads, and the generated entries must
-    // match `head_sizes` one-for-one.
-    let inputs = exec.ledger.input_total();
-    let heads: u64 = exec.head_sizes.iter().map(|&n| n as u64).sum();
-    if inputs.saturating_add(heads) != exec.cost() {
-        diagnostics.push(Diagnostic {
-            severity: Severity::Error,
-            lint: "audit-ledger",
-            stmt: None,
-            message: format!(
-                "ledger total {} != inputs {inputs} + statement heads {heads}",
-                exec.cost()
-            ),
-            excerpt: None,
-        });
-    }
-    let generated: Vec<u64> = exec
-        .ledger
-        .entries()
-        .iter()
-        .filter(|e| e.kind == CostKind::Generated)
-        .map(|e| e.tuples)
-        .collect();
-    let head_sizes: Vec<u64> = exec.head_sizes.iter().map(|&n| n as u64).collect();
-    if generated != head_sizes {
-        diagnostics.push(Diagnostic {
-            severity: Severity::Error,
-            lint: "audit-ledger",
-            stmt: None,
-            message: "per-statement ledger entries disagree with recorded head sizes".to_string(),
-            excerpt: None,
-        });
-    }
-
     diagnostics.sort_by(|a, b| b.severity.cmp(&a.severity).then(a.stmt.cmp(&b.stmt)));
-    Ok(AuditReport {
+    AuditReport {
         report: Report { diagnostics },
         rows,
-        inputs,
-        cost: exec.cost(),
+        inputs: ledger.input_total(),
+        cost: ledger.total(),
         certificate,
-    })
+    }
 }
 
 impl AuditReport {
@@ -330,8 +282,8 @@ impl AuditReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mjoin_program::{ProgramBuilder, Reg};
-    use mjoin_relation::relation_of_ints;
+    use mjoin_program::{execute, Program, ProgramBuilder, Reg};
+    use mjoin_relation::{relation_of_ints, Database};
 
     fn fixture() -> (Catalog, DbScheme, Program, Database) {
         let mut c = Catalog::new();
@@ -347,10 +299,24 @@ mod tests {
         (c, s, p, db)
     }
 
+    /// Run the fixture and audit it under `edit`'s certificate, sizing each
+    /// `⋈D[S]` by building it (the test's own reference).
+    fn audited(
+        edit: impl FnOnce(&mut Certificate),
+        estimator: Option<&mut dyn FnMut(RelSet) -> u64>,
+    ) -> AuditReport {
+        let (c, s, p, db) = fixture();
+        let cx = AnalysisCx::new(&p, &s, &c).unwrap();
+        let mut cert = Certificate::compute(&cx);
+        edit(&mut cert);
+        let ledger = execute(&p, &db).ledger;
+        let card = |set: RelSet| db.join_of(&set.to_vec()).len() as u64;
+        audit(&cx, cert, &ledger, card, estimator)
+    }
+
     #[test]
     fn clean_program_audits_clean() {
-        let (c, s, p, db) = fixture();
-        let rep = audit(&p, &s, &c, &db, &ExecConfig::default(), None).unwrap();
+        let rep = audited(|_| {}, None);
         assert!(rep.bounds_hold(), "{}", rep.report.render_text());
         assert_eq!(rep.rows.len(), 2);
         // Differential: rows sum to the ledger's generated total.
@@ -361,12 +327,11 @@ mod tests {
 
     #[test]
     fn corrupted_certificate_is_caught() {
-        let (c, s, p, db) = fixture();
-        let cx = AnalysisCx::new(&p, &s, &c).unwrap();
-        let mut cert = Certificate::compute(&cx);
         // Claim the join is bounded by a single base relation — it isn't.
-        cert.stmts[1].factors = vec![RelSet::singleton(1)];
-        let rep = audit_with_certificate(&cx, &db, &ExecConfig::default(), cert, None).unwrap();
+        let rep = audited(
+            |cert| cert.stmts[1].factors = vec![RelSet::singleton(1)],
+            None,
+        );
         assert!(!rep.bounds_hold());
         let bad = rep.report.by_lint("audit-bound");
         assert_eq!(bad.len(), 1);
@@ -376,13 +341,12 @@ mod tests {
 
     #[test]
     fn estimator_is_recorded_per_tight_row() {
-        let (c, s, p, db) = fixture();
         let mut calls = 0u32;
         let mut est = |set: RelSet| {
             calls += 1;
             set.len() as u64 * 100
         };
-        let rep = audit(&p, &s, &c, &db, &ExecConfig::default(), Some(&mut est)).unwrap();
+        let rep = audited(|_| {}, Some(&mut est));
         assert!(calls >= 1);
         assert_eq!(rep.rows[0].estimate, Some(100));
         assert_eq!(rep.rows[1].estimate, Some(200));
@@ -390,7 +354,6 @@ mod tests {
 
     #[test]
     fn q_error_is_symmetric_and_worst_offender_is_reported() {
-        let (c, s, p, db) = fixture();
         // Overestimate row 0 by 50× and underestimate row 1 by the same
         // factor: the q-error must treat both directions alike.
         let mut first = true;
@@ -401,11 +364,12 @@ mod tests {
                 1 // measured 4 → q = 4
             }
         };
-        let rep = audit(&p, &s, &c, &db, &ExecConfig::default(), Some(&mut est)).unwrap();
+        let rep = audited(|_| {}, Some(&mut est));
         let q0 = rep.rows[0].q_error().unwrap();
         let q1 = rep.rows[1].q_error().unwrap();
         assert!(q0 > q1, "overestimate dominates: {q0} vs {q1}");
         assert_eq!(rep.worst_q_error(), Some((0, q0)));
+        let (c, s, p, _) = fixture();
         let text = rep.render_text(&AnalysisCx::new(&p, &s, &c).unwrap());
         assert!(
             text.contains("worst q-error") && text.contains("at statement 0"),
@@ -417,10 +381,10 @@ mod tests {
 
     #[test]
     fn q_error_absent_without_an_estimator() {
-        let (c, s, p, db) = fixture();
-        let rep = audit(&p, &s, &c, &db, &ExecConfig::default(), None).unwrap();
+        let rep = audited(|_| {}, None);
         assert!(rep.rows.iter().all(|r| r.q_error().is_none()));
         assert_eq!(rep.worst_q_error(), None);
+        let (c, s, p, _) = fixture();
         assert!(!rep
             .render_text(&AnalysisCx::new(&p, &s, &c).unwrap())
             .contains("q-error"));
@@ -428,8 +392,8 @@ mod tests {
 
     #[test]
     fn json_render_shapes() {
-        let (c, s, p, db) = fixture();
-        let rep = audit(&p, &s, &c, &db, &ExecConfig::default(), None).unwrap();
+        let rep = audited(|_| {}, None);
+        let (c, s, _, _) = fixture();
         let json = rep.render_json(&s, &c);
         assert!(json.contains("\"bounds_hold\":true"), "{json}");
         assert!(json.contains("\"certificate\":{"), "{json}");

@@ -61,8 +61,7 @@ use crate::cx::AnalysisCx;
 use mjoin_hypergraph::{DbScheme, RelSet};
 use mjoin_program::dataflow::{num_regs, reg_index};
 use mjoin_program::{Reg, Stmt};
-use mjoin_relation::fxhash::FxHashMap;
-use mjoin_relation::{AttrSet, Catalog, Database};
+use mjoin_relation::{AttrSet, Catalog};
 
 /// Abstract state of one register during the certificate sweep.
 #[derive(Debug, Clone)]
@@ -232,20 +231,11 @@ impl Certificate {
         self.stmts.iter().filter(|b| b.tight).count()
     }
 
-    /// Evaluate every statement's bound on a concrete database:
-    /// `Π |⋈D[S]|` over the statement's factors, with each distinct
-    /// `⋈D[S]` computed once. Saturates at `u64::MAX`. Executes real
-    /// sub-joins — exact but expensive; pre-execution admission uses
-    /// [`Certificate::evaluate_with`] with a cheap estimator instead.
-    pub fn evaluate(&self, db: &Database) -> Vec<u64> {
-        let mut cache: FxHashMap<u64, u64> = FxHashMap::default();
-        self.evaluate_with(|f| join_card(db, f, &mut cache))
-    }
-
-    /// Evaluate every statement's bound with a caller-supplied estimator:
+    /// Evaluate every statement's bound: `Π card(S)` over its factors.
     /// `card(S)` must return `|⋈D[S]|` or a sound upper bound on it (any
-    /// overestimate keeps the certified bound sound, it only loosens it).
-    /// Products saturate at `u64::MAX`.
+    /// overestimate keeps the certified bound sound, it only loosens it):
+    /// the exact counting oracle for an audit, `Π_{i∈S} |D_i|` for
+    /// admission. Products saturate at `u64::MAX`.
     pub fn evaluate_with(&self, mut card: impl FnMut(RelSet) -> u64) -> Vec<u64> {
         self.stmts
             .iter()
@@ -331,33 +321,6 @@ impl Certificate {
     }
 }
 
-/// `|⋈D[set]|`, memoized per relation set. Relations are folded in a
-/// connectivity-first order so intermediate blowup stays no worse than the
-/// final result times the worst single fanout.
-fn join_card(db: &Database, set: RelSet, cache: &mut FxHashMap<u64, u64>) -> u64 {
-    if let Some(&n) = cache.get(&set.0) {
-        return n;
-    }
-    let schema_set =
-        |i: usize| AttrSet::from_iter_ids(db.relation(i).schema().attrs().iter().copied());
-    let members = set.to_vec();
-    let mut order: Vec<usize> = Vec::with_capacity(members.len());
-    let mut attrs = AttrSet::new();
-    let mut remaining = members;
-    while !remaining.is_empty() {
-        let pick = remaining
-            .iter()
-            .position(|&i| schema_set(i).intersects(&attrs))
-            .unwrap_or(0);
-        let i = remaining.swap_remove(pick);
-        attrs.union_with(&schema_set(i));
-        order.push(i);
-    }
-    let n = db.join_of(&order).len() as u64;
-    cache.insert(set.0, n);
-    n
-}
-
 /// Render a relation set as the attr-sets of its members: `{ABC,CDE}`.
 pub(crate) fn set_name(set: RelSet, scheme: &DbScheme, catalog: &Catalog) -> String {
     let names: Vec<String> = set
@@ -375,7 +338,7 @@ pub(crate) fn set_name(set: RelSet, scheme: &DbScheme, catalog: &Catalog) -> Str
 mod tests {
     use super::*;
     use mjoin_program::ProgramBuilder;
-    use mjoin_relation::relation_of_ints;
+    use mjoin_relation::{relation_of_ints, Database};
 
     fn cx_scheme(schemes: &[&str]) -> (Catalog, DbScheme) {
         let mut c = Catalog::new();
@@ -434,7 +397,8 @@ mod tests {
         let ab = relation_of_ints(&mut c, "AB", &[&[1, 2], &[3, 4], &[5, 2]]).unwrap();
         let bc = relation_of_ints(&mut c, "BC", &[&[2, 7], &[2, 8]]).unwrap();
         let db = Database::from_relations(vec![ab, bc]);
-        let bounds = cert.evaluate(&db);
+        // The reference size: build each `⋈D[S]`.
+        let bounds = cert.evaluate_with(|set| db.join_of(&set.to_vec()).len() as u64);
         let out = mjoin_program::execute(&p, &db);
         for (i, &measured) in out.head_sizes.iter().enumerate() {
             assert!(

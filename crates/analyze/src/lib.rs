@@ -15,6 +15,10 @@
 //! [`Diagnostic`]s to a [`Report`]. `mjoin_cli check` is a thin wrapper
 //! around [`analyze`].
 //!
+//! The crate is static: it executes no program and builds no join. The
+//! [`audit`] reads a run's ledger from the engine and sizes `⋈D[S]` with
+//! whatever the caller passes, typically the counting oracle.
+//!
 //! ```
 //! use mjoin_analyze::analyze;
 //! use mjoin_hypergraph::DbScheme;
@@ -46,7 +50,7 @@ pub mod passes;
 
 pub use absint::{cost_blowup, interval_analysis, CardInterval};
 pub use admission::{admission_report, admission_report_with, AdmissionBound, AdmissionReport};
-pub use audit::{audit, audit_with_certificate, AuditReport, StmtAudit};
+pub use audit::{audit, AuditReport, StmtAudit};
 pub use cert::{Certificate, StmtBound};
 pub use cx::{AnalysisCx, ExprKey, StmtFacts, Vn};
 pub use diagnostic::{Diagnostic, Report, Severity};

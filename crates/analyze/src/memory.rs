@@ -4,12 +4,12 @@
 //! [`memory_report`] abstract-interprets a §2.2 program *without touching a
 //! tuple*: it replays the register file over the certified per-statement
 //! cardinality bounds (the elementwise minimum of the [`Certificate`]
-//! product bounds and the [`interval_analysis`] highs — the same admitted
-//! bound the cost gate uses) and converts tuples to bytes under the
-//! columnar layout's model. The result is a [`MemCertificate`]: for every
-//! statement the bytes resident before it, the bytes its head and its hash
-//! build side can add while it runs, and the statement-local peak — plus
-//! the program-wide peak and the statement carrying it.
+//! product bounds and the [`crate::absint::interval_analysis`] highs — the
+//! same admitted bound the cost gate uses) and converts tuples to bytes
+//! under the columnar layout's model. The result is a [`MemCertificate`]:
+//! for every statement the bytes resident before it, the bytes its head and
+//! its hash build side can add while it runs, and the statement-local peak —
+//! plus the program-wide peak and the statement carrying it.
 //!
 //! ## The byte model
 //!
@@ -46,13 +46,13 @@
 //! servers admission-gate on [`MemCertificate::peak_bytes`] next to the
 //! cost bound.
 
-use crate::absint::interval_analysis;
+use crate::admission::admitted_bounds;
 use crate::cert::Certificate;
 use crate::cx::AnalysisCx;
 use crate::diagnostic::{Diagnostic, Severity};
 use mjoin_program::dataflow::{num_regs, reg_index};
 use mjoin_program::{Reg, SpillPlan, Stmt};
-use mjoin_relation::AttrSet;
+use mjoin_relation::{json, AttrSet};
 
 /// Bytes per relation cell under the columnar model (see the module docs).
 pub const CELL_BYTES: u64 = 8;
@@ -238,9 +238,9 @@ impl MemCertificate {
                 s.resident_bytes,
                 s.peak_bytes,
                 s.tight,
-                json_str(&s.symbolic),
+                json::string(&s.symbolic),
                 match &s.node {
-                    Some(n) => json_str(n),
+                    Some(n) => json::string(n),
                     None => "null".to_string(),
                 }
             ));
@@ -254,26 +254,6 @@ impl MemCertificate {
         ));
         out
     }
-}
-
-/// Minimal JSON string escape for the symbolic bounds (they contain `⋈`
-/// and braces, never control characters — but escape defensively anyway).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Compute the memory certificate for an analyzed program given the input
@@ -295,23 +275,9 @@ pub fn memory_report_with(
     cert: &Certificate,
 ) -> MemCertificate {
     let program = cx.program;
-    // The admitted cardinality bound per statement: certificate product
-    // (each |⋈D[S]| over-approximated by Π|D_i|) refined by the interval
-    // highs — identical to the cost-admission bound.
-    let cert_bounds = cert.evaluate_with(|set| {
-        let mut acc: u128 = 1;
-        for i in set.iter() {
-            acc = acc.saturating_mul(u128::from(seeds[i]));
-        }
-        u64::try_from(acc).unwrap_or(u64::MAX)
-    });
-    let intervals = interval_analysis(cx, seeds);
-    debug_assert_eq!(cert_bounds.len(), intervals.len());
-    let bounds: Vec<u64> = cert_bounds
-        .iter()
-        .zip(&intervals)
-        .map(|(&cb, iv)| cb.min(iv.hi))
-        .collect();
+    // The admitted cardinality bound per statement — identical to the
+    // cost-admission bound.
+    let bounds = admitted_bounds(cx, seeds, cert);
 
     // Per-register replay over the bounds, mirroring the executor's
     // resident accounting: bases seeded at their exact sizes, temps empty,
@@ -416,14 +382,14 @@ pub fn memory_report_with(
     }
 }
 
-/// The `mem-blowup` lint: statements whose certified memory peak exceeds
-/// `budget` bytes. Like `cost-blowup` this is a standalone, seed-driven
-/// pass (it needs input cardinalities and a budget, so it does not run in
-/// the default pass list); `mjoin_cli check --memory` wires it up.
+/// The `mem-blowup` lint: statements of `cert` whose certified memory peak
+/// exceeds `budget` bytes. Like `cost-blowup` this is a standalone,
+/// seed-driven pass (the certificate needs input cardinalities, the lint a
+/// budget, so it does not run in the default pass list); `mjoin_cli check
+/// --memory` wires it up over the certificate it prints.
 #[must_use]
-pub fn mem_blowup(cx: &AnalysisCx<'_>, seeds: &[u64], budget: u64) -> Vec<Diagnostic> {
-    memory_report(cx, seeds)
-        .stmts
+pub fn mem_blowup(cert: &MemCertificate, budget: u64) -> Vec<Diagnostic> {
+    cert.stmts
         .iter()
         .filter(|s| s.peak_bytes > budget)
         .map(|s| Diagnostic {
@@ -543,12 +509,12 @@ mod tests {
         assert_eq!(cert.stmts[0].build_bytes, None, "no key, no build table");
         assert!(!cert.spill_plan(1).any(), "nothing to partition by");
 
-        let diags = mem_blowup(&cx, &[1000, 1000], 1024);
+        let diags = mem_blowup(&cert, 1024);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].lint, "mem-blowup");
         assert_eq!(diags[0].severity, Severity::Warn);
         assert_eq!(diags[0].stmt, Some(0));
-        assert!(mem_blowup(&cx, &[1000, 1000], u64::MAX).is_empty());
+        assert!(mem_blowup(&cert, u64::MAX).is_empty());
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Every program the pipeline derives carries a per-statement symbolic cost
 //! certificate (`|head| ≤ Π |⋈D[S]|`, the Theorem-2 attribution). This
-//! experiment audits the exhaustive input-tree corpus over the five small
-//! scheme families on random data and tabulates how loose the evaluated
-//! bounds are in practice: the distribution of `bound / max(measured, 1)`
+//! experiment runs the exhaustive input-tree corpus over the five small
+//! scheme families on random data through the engine (`prepare → admit →
+//! execute`), audits each run against its certificate sized by the counting
+//! oracle, and tabulates how loose the evaluated bounds are in practice: the distribution of `bound / max(measured, 1)`
 //! per statement, plus how many statements carry a tight
 //! single-intermediate bound. Any measured head exceeding its bound would
 //! be a kernel/scheduler/certificate bug; the run asserts there are none.
@@ -15,10 +16,10 @@
 
 use mjoin_analyze::audit;
 use mjoin_bench::print_table;
-use mjoin_core::derive;
+use mjoin_core::engine::{self, ExecutorKind, Limits, Plan};
 use mjoin_expr::all_trees;
 use mjoin_hypergraph::DbScheme;
-use mjoin_program::ExecConfig;
+use mjoin_optimizer::{CostOracle, ExactOracle};
 use mjoin_relation::Catalog;
 use mjoin_workloads::{random_database, schemes, DataGenConfig};
 
@@ -60,10 +61,17 @@ fn main() {
         let mut tight = 0usize;
         let mut stmts = 0usize;
         let mut programs = 0usize;
+        let mut exact = ExactOracle::new(&db);
         for t1 in all_trees(s.all()) {
-            let d = derive(&s, &t1).expect("derivation succeeds");
-            let report = audit(&d.program, &s, &c, &db, &ExecConfig::default(), None)
-                .expect("derived programs validate");
+            let (s, db, c) = (s.clone(), db.clone(), c.clone());
+            let prepared = engine::prepare(s, db, c, Plan::Tree(t1), ExecutorKind::Program)
+                .expect("Algorithm 2 derives a program from every tree");
+            let admitted = prepared.admit(&Limits::default()).expect("no limits");
+            let out = admitted.execute(1, None, None).expect("no cancel token");
+            let analysis = admitted.analysis();
+            let certificate = analysis.certificate().clone();
+            let card = |set| exact.subjoin_size(set);
+            let report = audit(analysis.cx(), certificate, &out.ledger, card, None);
             assert!(
                 report.bounds_hold(),
                 "{name}: measured cost exceeded a static bound — pipeline bug"

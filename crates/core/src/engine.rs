@@ -13,7 +13,9 @@
 //!    against the caller's [`Limits`] and fixes the spill plan — or refuses
 //!    with a [`Rejection`] naming the statement and the bound;
 //! 3. [`Admitted::execute`] runs the §2.2 program or the worst-case-optimal
-//!    join under the caller's threads, cache and cancellation token.
+//!    join under the caller's threads, cache and cancellation token, then
+//!    checks the measured run against every bound admission certified
+//!    ([`Outcome::bound_violations`]).
 //!
 //! "Certified and admitted before a tuple moves" is a type, not a call
 //! order — only [`Prepared::admit`] makes an [`Admitted`], and only an
@@ -41,7 +43,7 @@ use mjoin_program::{
     try_execute_with, validate, CancelToken, Cancelled, ExecConfig, Program, SharedIndexCache,
     SpillPlan, ValidateError, ValidationInfo,
 };
-use mjoin_relation::{Catalog, CostLedger, Database, Relation};
+use mjoin_relation::{Catalog, CostKind, CostLedger, Database, Relation};
 pub use mjoin_wcoj::ExecutorKind;
 use mjoin_wcoj::{select, wcoj_join, Selection};
 use std::cell::OnceCell;
@@ -244,6 +246,35 @@ impl fmt::Display for Rejection {
 }
 
 impl std::error::Error for Rejection {}
+
+/// A measured run over a bound admission certified for it — a kernel,
+/// scheduler or certificate bug, never a data problem. Listed in
+/// [`Outcome::bound_violations`]; debug builds panic on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BoundViolation {
+    /// Which bound: a statement's admitted head bound ([`Exceeded::Cost`]),
+    /// the memory certificate's peak resident tuples ([`Exceeded::Memory`])
+    /// or the AGM bound on the worst-case-optimal output ([`Exceeded::Agm`]).
+    pub what: Exceeded,
+    /// The statement ([`Exceeded::Cost`] only).
+    pub stmt: Option<usize>,
+    /// Measured tuples.
+    pub measured: u64,
+    /// The certified bound in tuples.
+    pub certified: u64,
+}
+
+impl fmt::Display for BoundViolation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.what {
+            Exceeded::Cost => write!(f, "statement {}", self.stmt.unwrap_or(0))?,
+            Exceeded::Memory => write!(f, "peak resident")?,
+            Exceeded::Agm => write!(f, "AGM output")?,
+        }
+        let (measured, certified) = (self.measured, self.certified);
+        write!(f, " measured {measured} > certified {certified}")
+    }
+}
 
 /// Which executor runs, with the bounds that were computed to decide it
 /// (both under `auto`; a forced executor reports only its own).
@@ -490,7 +521,7 @@ pub struct Analysis<'p> {
 
 impl<'p> Analysis<'p> {
     /// The analysis context (validation, liveness, schedule, excerpts).
-    fn cx(&self) -> &AnalysisCx<'p> {
+    pub fn cx(&self) -> &AnalysisCx<'p> {
         self.cx.get_or_init(|| {
             let p = self.p;
             let program = p.program.as_ref().expect("request has a program");
@@ -568,7 +599,10 @@ impl<'p> Admitted<'p> {
 
     /// Run the admitted request. `cancel` is observed at statement
     /// boundaries by the program interpreter, and once per value of the
-    /// outermost attribute by the worst-case-optimal join.
+    /// outermost attribute by the worst-case-optimal join. The run then
+    /// checks itself against the bounds already certified: a violation is
+    /// listed in [`Outcome::bound_violations`], counted as
+    /// `engine.bound_violations`, and panics a debug build.
     pub fn execute(
         &self,
         threads: usize,
@@ -576,36 +610,86 @@ impl<'p> Admitted<'p> {
         cancel: Option<CancelToken>,
     ) -> Result<Outcome, Cancelled> {
         let p = self.analysis.p;
-        if self.decision.executor == ExecutorKind::Wcoj {
-            let result = wcoj_join(&p.scheme, &p.db, cache, cancel.as_ref())?;
-            let mut ledger = CostLedger::new();
-            p.db.charge_inputs(&mut ledger);
-            ledger.charge_generated("wcoj join", result.len());
-            return Ok(Outcome {
-                peak_resident: ledger.total(),
-                result: Arc::new(result),
-                ledger,
-                decision: self.decision,
-                spill_failures: Vec::new(),
-            });
-        }
-        let cfg = ExecConfig {
-            threads: threads.max(1),
-            cache: cache.cloned(),
-            cancel,
-            mem_budget: self.mem_budget,
-            spill: self.spill.clone(),
-            ..ExecConfig::default()
-        };
-        let program = p.program.as_ref().expect("program executor has a program");
-        let out = try_execute_with(program, &p.db, &cfg)?;
-        Ok(Outcome {
-            result: out.result,
-            ledger: out.ledger,
+        let (result, ledger, peak_resident, spill_failures) =
+            if self.decision.executor == ExecutorKind::Wcoj {
+                let result = wcoj_join(&p.scheme, &p.db, cache, cancel.as_ref())?;
+                let mut ledger = CostLedger::new();
+                p.db.charge_inputs(&mut ledger);
+                ledger.charge_generated("wcoj join", result.len());
+                let peak = ledger.total();
+                (Arc::new(result), ledger, peak, Vec::new())
+            } else {
+                let cfg = ExecConfig {
+                    threads: threads.max(1),
+                    cache: cache.cloned(),
+                    cancel,
+                    mem_budget: self.mem_budget,
+                    spill: self.spill.clone(),
+                    ..ExecConfig::default()
+                };
+                let program = p.program.as_ref().expect("program executor has a program");
+                let out = try_execute_with(program, &p.db, &cfg)?;
+                (
+                    out.result,
+                    out.ledger,
+                    out.peak_resident,
+                    out.spill_failures,
+                )
+            };
+        let mut out = Outcome {
+            result,
+            ledger,
             decision: self.decision,
-            peak_resident: out.peak_resident,
-            spill_failures: out.spill_failures,
-        })
+            peak_resident,
+            spill_failures,
+            bound_violations: Vec::new(),
+        };
+        out.bound_violations = self.bound_violations(&out);
+        let violated = out.bound_violations.len() as u64;
+        if violated > 0 {
+            mjoin_trace::add("engine.bound_violations", violated);
+        }
+        debug_assert!(
+            violated == 0,
+            "certified bounds violated: {:?}",
+            out.bound_violations
+        );
+        Ok(out)
+    }
+
+    /// Measured against certified, for the bounds this request already
+    /// holds: the AGM bound on the worst-case-optimal output and — only
+    /// where admission computed them, so nothing is forced here — each
+    /// statement's admitted head bound and the memory certificate's peak.
+    /// Allocates only for a violation.
+    fn bound_violations(&self, out: &Outcome) -> Vec<BoundViolation> {
+        let mut found = Vec::new();
+        let mut check = |what, stmt, measured: u64, certified: u64| {
+            if measured > certified {
+                found.push(BoundViolation {
+                    what,
+                    stmt,
+                    measured,
+                    certified,
+                });
+            }
+        };
+        if self.decision.executor == ExecutorKind::Wcoj {
+            if let Some(agm) = self.decision.agm_bound {
+                check(Exceeded::Agm, None, out.result.len() as u64, agm);
+            }
+        } else {
+            let heads = out.ledger.entries().iter();
+            let heads = heads.filter(|e| e.kind == CostKind::Generated);
+            let admitted = self.analysis.admission.get().map_or(&[][..], |a| &a.bounds);
+            for (b, head) in admitted.iter().zip(heads) {
+                check(Exceeded::Cost, Some(b.stmt), head.tuples, b.bound);
+            }
+            if let Some(m) = self.analysis.memory.get() {
+                check(Exceeded::Memory, None, out.peak_resident, m.peak_tuples);
+            }
+        }
+        found
     }
 }
 
@@ -624,4 +708,54 @@ pub struct Outcome {
     /// ([`mjoin_program::ExecOutcome::spill_failures`]): each joined in
     /// memory, over the certified budget.
     pub spill_failures: Vec<(usize, String)>,
+    /// Measured values over their certified bounds (empty on every honest
+    /// run; see [`Admitted::execute`]).
+    pub bound_violations: Vec<BoundViolation>,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mjoin_program::parse_program;
+    use mjoin_relation::relation_of_ints;
+
+    /// The check over a hand-lowered admission report flags exactly the
+    /// lowered statement, with what it measured and what was certified.
+    #[test]
+    fn a_lowered_admission_bound_is_flagged_at_its_statement() {
+        let mut c = Catalog::new();
+        let db = Database::from_relations(vec![
+            relation_of_ints(&mut c, "AB", &[&[1, 2], &[3, 2], &[5, 4]]).unwrap(),
+            relation_of_ints(&mut c, "BC", &[&[2, 7], &[2, 8], &[4, 9]]).unwrap(),
+            relation_of_ints(&mut c, "CD", &[&[7, 1], &[8, 1], &[9, 2]]).unwrap(),
+        ]);
+        let scheme = DbScheme::from_schemas(&db.schemas());
+        let text = "R(V) := R(AB) ⋈ R(BC)\nR(V) := R(V) ⋈ R(CD)";
+        let program = parse_program(&c, &scheme, text).unwrap();
+        let plan = Plan::Program(program);
+        let prepared = prepare(scheme, db, c, plan, ExecutorKind::Program).unwrap();
+        let limits = Limits {
+            max_cost: Some(u64::MAX),
+            ..Limits::default()
+        };
+        let mut admitted = prepared.admit(&limits).unwrap();
+        let out = admitted.execute(1, None, None).unwrap();
+        assert!(out.bound_violations.is_empty());
+
+        let report = admitted.analysis.admission.get_mut();
+        let report = report.expect("max_cost forces the admission report");
+        assert_eq!(report.bounds.len(), 2);
+        report.bounds[1].bound = 4; // statement 1 measured 5
+        let found = admitted.bound_violations(&out);
+        assert_eq!(
+            found,
+            vec![BoundViolation {
+                what: Exceeded::Cost,
+                stmt: Some(1),
+                measured: 5,
+                certified: 4,
+            }]
+        );
+        assert_eq!(found[0].to_string(), "statement 1 measured 5 > certified 4");
+    }
 }

@@ -240,3 +240,47 @@ fn strategy_names_round_trip_and_reject_garbage() {
         "unknown optimizer `fastest` (try greedy|dp|dp-cpf|dp-linear)"
     );
 }
+
+/// Every admitted run checks the bounds its admission already computed, and
+/// an honest run trips none: the admission report forced by `max_cost` on
+/// the program executor, the memory certificate forced by a spilling
+/// `mem_budget`, and the AGM bound of `auto` routed to the worst-case-optimal
+/// join on a triangle.
+#[test]
+fn honest_runs_record_no_bound_violations() {
+    let cost = Limits {
+        max_cost: Some(u64::MAX),
+        ..Limits::default()
+    };
+    let spill = Limits {
+        mem_budget: Some(1),
+        ..Limits::default()
+    };
+    for (fixture, executor, limits) in [
+        (chain(), ExecutorKind::Program, cost),
+        (triangle(), ExecutorKind::Program, cost),
+        (chain(), ExecutorKind::Program, spill),
+        (triangle(), ExecutorKind::Program, spill),
+        (triangle(), ExecutorKind::Auto, Limits::default()),
+    ] {
+        let prepared = searched(fixture, executor);
+        let admitted = prepared.admit(&limits).unwrap();
+        if limits.mem_budget.is_some() {
+            assert!(
+                admitted.spill().is_some(),
+                "every build side is over one byte"
+            );
+        }
+        if executor == ExecutorKind::Auto {
+            assert_eq!(admitted.decision().executor, ExecutorKind::Wcoj);
+        }
+        for threads in [1, 3] {
+            let out = admitted.execute(threads, None, None).unwrap();
+            assert!(
+                out.bound_violations.is_empty(),
+                "{:?}",
+                out.bound_violations
+            );
+        }
+    }
+}

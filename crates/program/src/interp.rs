@@ -40,7 +40,7 @@ use crate::stmt::{Reg, Stmt};
 use mjoin_relation::fxhash::FxHashMap;
 use mjoin_relation::ops::{
     self, join_key_positions, par_join_indexed_cutoff, par_semijoin_indexed_cutoff, JoinIndex,
-    TrieIndex,
+    TrieIndex, SMALL,
 };
 use mjoin_relation::{CostLedger, Database, Relation, Schema};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -65,9 +65,6 @@ pub struct ExecConfig {
     /// *either* budget is exceeded, so tuple-cheap but byte-heavy string
     /// relations cannot pin unbounded memory.
     pub cache_budget_bytes: u64,
-    /// Row count below which the partitioned operators run sequentially.
-    /// Defaults to [`ops::SMALL`].
-    pub par_cutoff: usize,
     /// A shared cross-run index cache. `None` (the default) gives each run
     /// a private cache built from the budgets above — the historical
     /// one-shot behavior. A resident server passes one
@@ -137,7 +134,6 @@ impl Default for ExecConfig {
             index_cache: true,
             cache_budget_tuples: 4 << 20,
             cache_budget_bytes: 256 << 20,
-            par_cutoff: ops::SMALL,
             cache: None,
             cancel: None,
             mem_budget: None,
@@ -726,16 +722,17 @@ impl Machine {
 /// Whether a statement that missed the cache builds a first-class
 /// [`JoinIndex`] (and keeps it for later statements and runs) instead of
 /// running the plain kernel. It does wherever the plain kernel would take
-/// its sequential path — one thread, or both inputs under the cutoff —
-/// because that path's build pass is the same work. Past the cutoff the
+/// its sequential path — one thread, or both inputs under [`SMALL`]
+/// rows — because that path's build pass is the same work. Past it the
 /// partitioned kernels win (a shared small build probed in chunks, radix
 /// co-partitioning for big builds), so those statements keep them.
-fn indexes_on_miss(threads: usize, left_rows: usize, right_rows: usize, cutoff: usize) -> bool {
-    threads == 1 || (left_rows < cutoff && right_rows < cutoff)
+fn indexes_on_miss(threads: usize, left_rows: usize, right_rows: usize) -> bool {
+    threads == 1 || (left_rows < SMALL && right_rows < SMALL)
 }
 
 /// Evaluate one statement's body against the current register file. With
-/// `threads == 1` the partitioned operators take their sequential paths.
+/// `threads == 1`, or inputs under [`SMALL`] rows, the partitioned
+/// operators take their sequential paths.
 ///
 /// `cache` is the run's index cache, or `None` under
 /// [`ExecConfig::without_cache`] (always the plain operators, no counters).
@@ -744,13 +741,11 @@ fn indexes_on_miss(threads: usize, left_rows: usize, right_rows: usize, cutoff: 
 /// join peeks both of its sides before deciding which lookup counts.
 ///
 /// A scheduled spill that fails leaves its I/O error in `spill_failed`.
-#[allow(clippy::too_many_arguments)]
 fn eval_stmt(
     program: &Program,
     m: &Machine,
     stmt: &Stmt,
     threads: usize,
-    cutoff: usize,
     spill: Option<usize>,
     spill_failed: &mut Option<String>,
     cache: Option<&SharedIndexCache>,
@@ -762,7 +757,7 @@ fn eval_stmt(
         Stmt::Project { dst, src, attrs } => {
             let src_rel = m.read(program, *src);
             let schema = Schema::from_set(attrs);
-            let projected = ops::par_project_cutoff(&src_rel, schema.attrs(), threads, cutoff)
+            let projected = ops::par_project_cutoff(&src_rel, schema.attrs(), threads, SMALL)
                 .expect("validated: projection attrs ⊆ source scheme");
             (*dst, projected)
         }
@@ -774,7 +769,7 @@ fn eval_stmt(
                 // Cartesian product: an index (one bucket chain holding
                 // everything) buys nothing, and there is no key to spill
                 // by — the memory analysis never schedules these.
-                return (*dst, ops::par_join_cutoff(&l, &r, threads, cutoff));
+                return (*dst, ops::par_join_cutoff(&l, &r, threads, SMALL));
             }
             if let Some(p) = spill {
                 // The certificate proved this statement's build side cannot
@@ -810,25 +805,25 @@ fn eval_stmt(
                 IndexCache::note_hit(&index);
                 return (
                     *dst,
-                    par_join_indexed_cutoff(&index, &probe, threads, cutoff),
+                    par_join_indexed_cutoff(&index, &probe, threads, SMALL),
                 );
             }
             let Some(cache) = cache else {
-                return (*dst, ops::par_join_cutoff(&l, &r, threads, cutoff));
+                return (*dst, ops::par_join_cutoff(&l, &r, threads, SMALL));
             };
             IndexCache::note_miss();
-            if indexes_on_miss(threads, l.len(), r.len(), cutoff) {
+            if indexes_on_miss(threads, l.len(), r.len()) {
                 let (small, spos, big) = if l.len() <= r.len() {
                     (Arc::clone(&l), lpos, r)
                 } else {
                     (Arc::clone(&r), rpos, l)
                 };
                 let index = Arc::new(JoinIndex::build(small, spos));
-                let out = par_join_indexed_cutoff(&index, &big, threads, cutoff);
+                let out = par_join_indexed_cutoff(&index, &big, threads, SMALL);
                 lock_cache(cache).insert(index);
                 return (*dst, out);
             }
-            (*dst, ops::par_join_cutoff(&l, &r, threads, cutoff))
+            (*dst, ops::par_join_cutoff(&l, &r, threads, SMALL))
         }
         Stmt::Semijoin { target, filter } => {
             let t = m.read(program, *target);
@@ -836,7 +831,7 @@ fn eval_stmt(
             let common = t.schema().intersect(f.schema());
             if common.is_empty() {
                 // Degenerate case: no per-tuple work to index.
-                return (*target, ops::par_semijoin_cutoff(&t, &f, threads, cutoff));
+                return (*target, ops::par_semijoin_cutoff(&t, &f, threads, SMALL));
             }
             let fpos = f
                 .schema()
@@ -846,23 +841,23 @@ fn eval_stmt(
                 IndexCache::note_hit(&index);
                 return (
                     *target,
-                    par_semijoin_indexed_cutoff(&t, &index, threads, cutoff),
+                    par_semijoin_indexed_cutoff(&t, &index, threads, SMALL),
                 );
             }
             let Some(cache) = cache else {
-                return (*target, ops::par_semijoin_cutoff(&t, &f, threads, cutoff));
+                return (*target, ops::par_semijoin_cutoff(&t, &f, threads, SMALL));
             };
             IndexCache::note_miss();
-            if indexes_on_miss(threads, t.len(), f.len(), cutoff) {
+            if indexes_on_miss(threads, t.len(), f.len()) {
                 // The filter-side build is exactly the plain kernel's key
                 // set; building it as an index costs the same and is
                 // reusable by every later statement filtering through `f`.
                 let index = Arc::new(JoinIndex::build(Arc::clone(&f), fpos));
-                let out = par_semijoin_indexed_cutoff(&t, &index, threads, cutoff);
+                let out = par_semijoin_indexed_cutoff(&t, &index, threads, SMALL);
                 lock_cache(cache).insert(index);
                 return (*target, out);
             }
-            (*target, ops::par_semijoin_cutoff(&t, &f, threads, cutoff))
+            (*target, ops::par_semijoin_cutoff(&t, &f, threads, SMALL))
         }
     }
 }
@@ -878,20 +873,18 @@ fn stmt_kind(stmt: &Stmt) -> &'static str {
 /// [`eval_stmt`] wrapped in an `exec/stmt` span carrying the statement
 /// index, kind, and output cardinality (the data EXPLAIN ANALYZE reports),
 /// plus the I/O error of a scheduled spill that failed.
-#[allow(clippy::too_many_arguments)]
 fn eval_stmt_traced(
     program: &Program,
     m: &Machine,
     stmt: &Stmt,
     index: usize,
     threads: usize,
-    cutoff: usize,
     spill: Option<usize>,
     cache: Option<&SharedIndexCache>,
 ) -> (Reg, Relation, Option<String>) {
     let mut sp = mjoin_trace::span("exec", "stmt");
     let mut failed = None;
-    let (head, value) = eval_stmt(program, m, stmt, threads, cutoff, spill, &mut failed, cache);
+    let (head, value) = eval_stmt(program, m, stmt, threads, spill, &mut failed, cache);
     if sp.is_active() {
         sp.arg("index", index);
         sp.arg("kind", stmt_kind(stmt));
@@ -1062,8 +1055,7 @@ pub fn try_execute_with(
         let computed = mjoin_pool::par_map(level, |i| {
             let spill = cfg.spill_partitions(i);
             let stmt = &program.stmts[i];
-            let head =
-                eval_stmt_traced(program, &m, stmt, i, threads, cfg.par_cutoff, spill, cache);
+            let head = eval_stmt_traced(program, &m, stmt, i, threads, spill, cache);
             (i, head)
         });
         for (i, (head, value, failed)) in computed {

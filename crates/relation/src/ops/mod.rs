@@ -47,9 +47,9 @@ pub use columnar::{join_count, join_weight_sums, key_hashes};
 /// operators fall back to their sequential counterparts — partitioning and
 /// task-queue overhead dominate until inputs reach a few thousand rows
 /// (PR 2's trace timings put the crossover between 2k and 8k rows on the
-/// benchmarked workloads, so it stays at 4096). `mjoin_program::ExecConfig`
-/// defaults its `par_cutoff` to this and threads it through every operator
-/// call.
+/// benchmarked workloads, so it stays at 4096). The program interpreter
+/// passes it to every `*_cutoff` operator; tests pass their own to force a
+/// path.
 pub const SMALL: usize = 4096;
 
 /// Hash the values at `positions` of `row`, one row at a time: the

@@ -32,7 +32,7 @@ use crate::relation::Relation;
 ///
 /// Falls back to the sequential join when both inputs are below `cutoff`
 /// rows (the partitioning overhead dominates below a few thousand rows;
-/// `ExecConfig::par_cutoff` threads the value through the executor);
+/// the program interpreter passes [`crate::ops::SMALL`]);
 /// Cartesian products (no key to partition on) always take the
 /// chunked-probe path.
 pub fn par_join_cutoff(

@@ -22,14 +22,16 @@
 //! for machine consumption); the exit code is nonzero when any finding
 //! reaches the `--deny` threshold (default `error`).
 //!
-//! `audit` goes further: it computes the Theorem-2 cost certificate and the
-//! abstract cardinality intervals for the program, *executes* it over TSV
-//! data (files, or a directory of `.tsv` files, matched to scheme edges by
-//! attribute set), and diffs every statement's measured head count against
-//! its sound static bounds. Any statement exceeding a bound is an `error` —
-//! that means a kernel, scheduler, or certificate bug, not a data problem.
-//! The per-statement table goes to stdout; `check --verify-run P.mj data…`
-//! runs the same audit after linting, reporting on stderr.
+//! `audit` goes further: it runs the program through the engine (`prepare →
+//! admit → execute`, as `run` does) over TSV data (files, or a directory of
+//! `.tsv` files, matched to scheme edges by attribute set), and diffs every
+//! statement's measured head count in the run's ledger against its sound
+//! static bounds: the Theorem-2 cost certificate, sized by the counting
+//! oracle, and the abstract cardinality intervals. Any statement exceeding a
+//! bound is an `error` — that means a kernel, scheduler, or certificate bug,
+//! not a data problem. The per-statement table goes to stdout; `check
+//! --verify-run P.mj data…` runs the same audit after linting, reporting on
+//! stderr.
 //!
 //! For `query` and `datalog`, each TSV file defines a predicate named by its
 //! file stem (`edges.tsv` → `edges`), with columns bound positionally in
@@ -348,6 +350,9 @@ fn run(args: &Args, execute_it: bool) -> Result<Option<ExplainInfo>, String> {
                  joined in memory over the certified budget"
             );
         }
+        for v in &out.bound_violations {
+            eprintln!("bound: {v}");
+        }
         eprintln!("cost(T1(D)) = {t1_cost}");
         eprintln!(
             "cost(P(D))  = {} (peak resident {})",
@@ -418,14 +423,16 @@ fn expand_data_paths(paths: &[String]) -> Result<Vec<String>, String> {
     Ok(out)
 }
 
-/// Load TSV files and line them up with the scheme's relations
-/// ([`DbScheme::assign_relations`]): file order doesn't matter, but every
-/// edge needs exactly one file and every file an edge.
+/// Load the TSV files of `data_args` (files or directories) and line them
+/// up with the scheme's relations ([`DbScheme::assign_relations`]): file
+/// order doesn't matter, but every edge needs exactly one file and every
+/// file an edge.
 fn load_matched(
     catalog: &mut Catalog,
     scheme: &DbScheme,
-    data_paths: &[String],
+    data_args: &[String],
 ) -> Result<Database, String> {
+    let data_paths = expand_data_paths(data_args)?;
     let loaded: Vec<Relation> = data_paths
         .iter()
         .map(|p| load_tsv(catalog, p))
@@ -449,41 +456,41 @@ fn load_matched(
     ))
 }
 
-/// Execute `program` over the data files/directories in `data_args` and
-/// diff measured per-statement costs against the static certificate and
-/// interval bounds. Returns the rendered report and whether it stayed
-/// below `deny`.
+const NO_AUDIT_DATA: &str = "audit needs TSV data files (or a directory) after the program";
+
+/// Audit `program` over `db`: run it through the engine (`prepare → admit →
+/// execute`), then diff the run's per-statement heads against the static
+/// certificate, sized by the counting oracle, and the interval bounds.
+/// Returns the rendered report and whether it stayed below `deny`.
 fn run_audit(
-    catalog: &mut Catalog,
-    scheme: &DbScheme,
-    program: &Program,
-    data_args: &[String],
+    catalog: Catalog,
+    scheme: DbScheme,
+    program: Program,
+    db: Database,
     format: &str,
     deny: Severity,
 ) -> Result<(String, bool), String> {
-    if data_args.is_empty() {
-        return Err("audit needs TSV data files (or a directory) after the program".to_string());
-    }
-    let data_paths = expand_data_paths(data_args)?;
-    let db = load_matched(catalog, scheme, &data_paths)?;
-    let mut oracle = mjoin::optimizer::HistogramOracle::new(scheme, &db);
-    let mut estimate = |set: RelSet| oracle.subjoin_size(set);
+    let plan = Plan::Program(program);
+    let prepared = engine::prepare(scheme, db, catalog, plan, ExecutorKind::Program)
+        .map_err(|e| e.to_string())?;
+    let admitted = prepared
+        .admit(&Limits::default())
+        .map_err(|r| r.to_string())?;
+    let out = admitted.execute(1, None, None).map_err(|c| c.to_string())?;
+    let (analysis, db) = (admitted.analysis(), prepared.db());
+    let mut exact = mjoin::optimizer::ExactOracle::new(db);
+    let mut histogram = mjoin::optimizer::HistogramOracle::new(prepared.scheme(), db);
+    let mut estimate = |set: RelSet| histogram.subjoin_size(set);
     let report = mjoin::analyze::audit(
-        program,
-        scheme,
-        catalog,
-        &db,
-        &ExecConfig::default(),
+        analysis.cx(),
+        analysis.certificate().clone(),
+        &out.ledger,
+        |set| exact.subjoin_size(set),
         Some(&mut estimate),
-    )
-    .map_err(|e| e.to_string())?;
+    );
     let rendered = match format {
-        "text" => {
-            let cx = mjoin::analyze::AnalysisCx::new(program, scheme, catalog)
-                .map_err(|e| e.to_string())?;
-            report.render_text(&cx)
-        }
-        "json" => report.render_json(scheme, catalog),
+        "text" => report.render_text(analysis.cx()),
+        "json" => report.render_json(prepared.scheme(), prepared.catalog()),
         other => return Err(format!("unknown --format `{other}` (text|json)")),
     };
     Ok((rendered, report.report.clean_at(deny)))
@@ -501,7 +508,11 @@ fn audit_cmd(args: &Args) -> Result<bool, String> {
     let (mut catalog, scheme, program) = parse_program_file(path, args.scheme.as_ref())?;
     let deny = Severity::parse(&args.deny)
         .ok_or_else(|| format!("unknown --deny level `{}` (note|warn|error)", args.deny))?;
-    let (rendered, clean) = run_audit(&mut catalog, &scheme, &program, &data, &args.format, deny)?;
+    if data.is_empty() {
+        return Err(NO_AUDIT_DATA.to_string());
+    }
+    let db = load_matched(&mut catalog, &scheme, &data)?;
+    let (rendered, clean) = run_audit(catalog, scheme, program, db, &args.format, deny)?;
     match args.format.as_str() {
         "json" => println!("{rendered}"),
         _ => print!("{rendered}"),
@@ -509,10 +520,6 @@ fn audit_cmd(args: &Args) -> Result<bool, String> {
     Ok(clean)
 }
 
-/// Lint a program file with `mjoin-analyze`. Returns whether the report
-/// stayed below the `--deny` threshold (the process exit status). With
-/// `--verify-run`, trailing TSV files/directories are executed against the
-/// program and the measured-vs-static audit must pass too.
 /// Lint one conjunctive-query/Datalog source file (`#` comment lines
 /// allowed) with the query lints: redundant atoms (Chandra–Merlin core),
 /// Cartesian components, duplicate and dominated atoms. Returns whether
@@ -536,6 +543,10 @@ fn check_query_file(path: &str, deny: Severity, format: &str) -> Result<bool, St
     Ok(report.clean_at(deny))
 }
 
+/// Lint a program file with `mjoin-analyze`. Returns whether the report
+/// stayed below the `--deny` threshold (the process exit status). With
+/// `--verify-run`, trailing TSV files/directories are executed against the
+/// program and the measured-vs-static audit must pass too.
 fn check(args: &Args) -> Result<bool, String> {
     let deny_parsed = Severity::parse(&args.deny)
         .ok_or_else(|| format!("unknown --deny level `{}` (note|warn|error)", args.deny))?;
@@ -590,16 +601,19 @@ fn check(args: &Args) -> Result<bool, String> {
         other => return Err(format!("unknown --format `{other}` (text|json)")),
     }
     let mut clean = report.clean_at(deny);
+    // Trailing data is loaded once, for the memory seeds and the audit alike.
+    let db = if data.is_empty() {
+        None
+    } else {
+        Some(load_matched(&mut catalog, &scheme, &data)?)
+    };
     if args.memory {
         // Seed the certificate's input cardinalities from the data files
         // when given; otherwise a flat default, which still exposes the
         // program's *shape* (which statement peaks, what spills).
-        let seeds: Vec<u64> = if data.is_empty() {
-            vec![1024; scheme.num_relations()]
-        } else {
-            let data_paths = expand_data_paths(&data)?;
-            let db = load_matched(&mut catalog, &scheme, &data_paths)?;
-            db.relations().iter().map(|r| r.len() as u64).collect()
+        let seeds: Vec<u64> = match &db {
+            Some(db) => db.relations().iter().map(|r| r.len() as u64).collect(),
+            None => vec![1024; scheme.num_relations()],
         };
         let cx = mjoin::analyze::AnalysisCx::new(&program, &scheme, &catalog)
             .map_err(|e| e.to_string())?;
@@ -610,7 +624,7 @@ fn check(args: &Args) -> Result<bool, String> {
         }
         if let Some(budget) = args.mem_budget {
             let blowups = Report {
-                diagnostics: mem_blowup(&cx, &seeds, budget),
+                diagnostics: mem_blowup(&mem, budget),
             };
             match args.format.as_str() {
                 "json" => eprintln!("{}", blowups.render_json()),
@@ -620,8 +634,8 @@ fn check(args: &Args) -> Result<bool, String> {
         }
     }
     if args.verify_run {
-        let (rendered, audit_clean) =
-            run_audit(&mut catalog, &scheme, &program, &data, &args.format, deny)?;
+        let db = db.ok_or(NO_AUDIT_DATA)?;
+        let (rendered, audit_clean) = run_audit(catalog, scheme, program, db, &args.format, deny)?;
         match args.format.as_str() {
             "json" => eprintln!("{rendered}"),
             _ => eprint!("{rendered}"),

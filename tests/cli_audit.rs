@@ -429,42 +429,3 @@ fn verify_run_and_error_paths() {
         .unwrap()
         .contains("matches no relation"));
 }
-
-/// `ExecConfig::par_cutoff` moves work between the sequential and the
-/// partitioned kernels and nothing else: the audit of Example 6 with every
-/// operator forced down the partitioned paths (`0`) or kept off them
-/// (`1_000_000`) renders the report the default configuration renders.
-#[test]
-fn par_cutoff_does_not_change_the_audit_report() {
-    use mjoin::prelude::*;
-    let text = std::fs::read_to_string(example6()).unwrap();
-    let mut catalog = Catalog::new();
-    let spec = mjoin::program::scheme_directive(&text).unwrap();
-    let scheme = mjoin::program::parse_scheme_list(&mut catalog, spec).unwrap();
-    let program = mjoin::program::parse_program(&catalog, &scheme, &text).unwrap();
-    // One file per relation of the scheme, in the scheme's order.
-    let relations = ["abc", "cde", "efg", "gha"].map(|stem| {
-        let tsv = std::fs::read_to_string(format!("{}/{stem}.tsv", example6_data())).unwrap();
-        mjoin::relation::tsv::relation_from_tsv(&mut catalog, &tsv).unwrap()
-    });
-    let db = Database::from_relations(relations.to_vec());
-    assert_eq!(DbScheme::from_schemas(&db.schemas()), scheme);
-
-    let render = |cfg: &ExecConfig| {
-        let report = mjoin::analyze::audit(&program, &scheme, &catalog, &db, cfg, None).unwrap();
-        assert!(report.bounds_hold());
-        report.render_json(&scheme, &catalog)
-    };
-    let baseline = render(&ExecConfig::default());
-    for par_cutoff in [0, 1_000_000] {
-        let cfg = ExecConfig {
-            par_cutoff,
-            ..ExecConfig::with_threads(4)
-        };
-        assert_eq!(
-            render(&cfg),
-            baseline,
-            "cutoff {par_cutoff} changed the audit report"
-        );
-    }
-}
