@@ -284,3 +284,46 @@ fn honest_runs_record_no_bound_violations() {
         }
     }
 }
+
+/// A join of two lossy projections, π_A R(AB) ⋈ π_C S(BC): the dropped B
+/// lets the head outgrow `|⋈D[{AB,BC}]|`, so its certificate falls back to
+/// the product `|R| · |S|` — and a budgeted run holds the head to it.
+#[test]
+fn lossy_projection_join_stays_within_its_product_bound() {
+    let mut c = Catalog::new();
+    let rows: Vec<Vec<i64>> = (0..4).map(|i| vec![i, i]).collect();
+    let rows: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+    let db = Database::from_relations(vec![
+        relation_of_ints(&mut c, "AB", &rows).unwrap(),
+        relation_of_ints(&mut c, "BC", &rows).unwrap(),
+    ]);
+    let scheme = DbScheme::from_schemas(&db.schemas());
+    let program = parse_program(
+        &c,
+        &scheme,
+        "R(X) := π_A R(AB)\nR(Y) := π_C R(BC)\nR(Z) := R(X) ⋈ R(Y)",
+    )
+    .unwrap();
+    let prepared =
+        engine::prepare(scheme, db, c, Plan::Program(program), ExecutorKind::Program).unwrap();
+    let analysis = prepared.analysis();
+    let join = &analysis.certificate().stmts[2];
+    assert_eq!(
+        (join.kind, join.tight, join.factors.len()),
+        ("join", false, 2)
+    );
+    let limits = Limits {
+        max_cost: Some(u64::MAX),
+        ..Limits::default()
+    };
+    let admitted = prepared.admit(&limits).unwrap();
+    assert_eq!(admitted.analysis().admission().bounds[2].bound, 16);
+    let out = admitted.execute(1, None, None).unwrap();
+    // 16 answers, against a join of only 4 tuples.
+    assert_eq!(out.result.len(), 16);
+    assert!(
+        out.bound_violations.is_empty(),
+        "{:?}",
+        out.bound_violations
+    );
+}

@@ -144,16 +144,23 @@ impl QueryResult {
             .collect()
     }
 
-    /// Result tuples with columns in *head-variable order* (the relation
-    /// itself stores canonical order), sorted for determinism. This boxes
-    /// every tuple; [`QueryResult::write_tsv`] prints without doing so.
-    pub fn rows_in_head_order(&self) -> Vec<Vec<Value>> {
-        let positions = self.head_positions();
-        let mut rows: Vec<Vec<Value>> = self
-            .relation
-            .rows()
+    /// The result's columns in *head-variable order* (the relation itself
+    /// stores canonical order); a repeated head variable repeats its column.
+    pub(crate) fn head_columns(&self) -> Vec<Column> {
+        let cols = self.relation.columns();
+        self.head_positions()
             .iter()
-            .map(|r| positions.iter().map(|&p| r[p].clone()).collect())
+            .map(|&p| cols[p].clone())
+            .collect()
+    }
+
+    /// Result tuples with columns in *head-variable order*, sorted for
+    /// determinism. This boxes every tuple; [`QueryResult::write_tsv`]
+    /// prints without doing so.
+    pub fn rows_in_head_order(&self) -> Vec<Vec<Value>> {
+        let head = self.head_columns();
+        let mut rows: Vec<Vec<Value>> = (0..self.len())
+            .map(|i| head.iter().map(|c| c.value(i)).collect())
             .collect();
         rows.sort_unstable();
         rows
@@ -168,8 +175,8 @@ impl QueryResult {
         head_vars: &[String],
         out: &mut impl std::io::Write,
     ) -> std::io::Result<()> {
-        let cols = self.relation.columns();
-        let head: Vec<&Column> = self.head_positions().iter().map(|&p| &cols[p]).collect();
+        let head = self.head_columns();
+        let head: Vec<&Column> = head.iter().collect();
         tsv::write_sorted(head_vars, &head, self.relation.len(), out)
     }
 
@@ -206,7 +213,7 @@ fn bind_atom(ndb: &NamedDatabase, atom: &Atom, qcat: &mut Catalog) -> Result<Rel
     }
 
     // Borrowed until a selection applies, so the stored relation's own
-    // (memoized) column view is the one the operators read.
+    // columns are the ones the operators read.
     let mut rel = Cow::Borrowed(&stored.relation);
     // Each variable's first column, renamed to the variable's attribute.
     let mut seen: Vec<(&str, AttrId)> = Vec::new();

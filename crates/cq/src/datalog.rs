@@ -13,9 +13,9 @@
 
 use crate::ast::ConjunctiveQuery;
 use crate::compile::{execute_query, PlanStrategy};
-use crate::storage::NamedDatabase;
-use mjoin_relation::fxhash::{FxHashMap, FxHashSet};
-use mjoin_relation::{Error, Result, Row, Value};
+use crate::storage::{positional_schema, NamedDatabase};
+use mjoin_relation::fxhash::FxHashMap;
+use mjoin_relation::{ops, Error, Relation, Result, Value};
 
 /// The result of evaluating a Datalog program: each IDB predicate's facts
 /// (tuples in head-variable order) plus iteration statistics.
@@ -122,128 +122,93 @@ pub fn evaluate_datalog(
         v
     };
 
-    // Fact sets (row-level, in head order) and current deltas.
-    let mut facts: FxHashMap<String, FxHashSet<Row>> = FxHashMap::default();
-    let mut delta: FxHashMap<String, Vec<Row>> = FxHashMap::default();
+    // Facts and current deltas per IDB predicate, in head order, and the
+    // working database (EDB + each IDB predicate and its delta) that rule
+    // bodies read them from.
+    let mut facts: FxHashMap<String, Relation> = FxHashMap::default();
+    let mut delta: FxHashMap<String, Relation> = FxHashMap::default();
+    let mut work = edb.clone();
     for p in &idb_names {
-        facts.insert(p.clone(), FxHashSet::default());
-        delta.insert(p.clone(), Vec::new());
+        let empty = Relation::empty(positional_schema(arities[p]));
+        let cols = idb_columns(arities[p]);
+        let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
+        work.add_shared(p, &col_refs, &empty)?;
+        work.add_shared(&delta_name(p), &col_refs, &empty)?;
+        facts.insert(p.clone(), empty.clone());
+        delta.insert(p.clone(), empty);
     }
     let mut total_cost = 0u64;
 
-    // Working database: EDB + IDB snapshots + deltas.
-    let mut work = edb.clone();
-    let refresh = |work: &mut NamedDatabase,
-                   facts: &FxHashMap<String, FxHashSet<Row>>,
-                   delta: &FxHashMap<String, Vec<Row>>,
-                   arities: &FxHashMap<String, usize>|
-     -> Result<()> {
-        for (p, rows) in facts {
-            let arity = arities[p];
-            let cols = idb_columns(arity);
-            let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-            let tuples: Vec<Vec<Value>> = rows.iter().map(|r| r.to_vec()).collect();
-            work.set_relation_values(p, &col_refs, tuples)?;
-            let dtuples: Vec<Vec<Value>> = delta[p].iter().map(|r| r.to_vec()).collect();
-            work.set_relation_values(&delta_name(p), &col_refs, dtuples)?;
-        }
-        Ok(())
-    };
-    refresh(&mut work, &facts, &delta, &arities)?;
-
-    // Seed round: every rule evaluated as-is (recursive rules contribute
-    // nothing yet because IDB relations are empty).
-    let mut new_delta: FxHashMap<String, Vec<Row>> = FxHashMap::default();
-    {
-        let mut sp = mjoin_trace::span("datalog", "iteration");
-        for rule in rules {
-            let res = execute_query(&work, rule, strategy)?;
-            total_cost += res.ledger.total();
-            for row in res.rows_in_head_order() {
-                let row: Row = row.into();
-                if !facts[&rule.head_name].contains(&row) {
-                    new_delta
-                        .entry(rule.head_name.clone())
-                        .or_default()
-                        .push(row);
-                }
-            }
-        }
-        if sp.is_active() {
-            sp.arg("iteration", 0usize);
-            sp.arg("rules_fired", rules.len());
-            sp.arg("delta_rows", 0usize);
-            sp.arg("new_rows", new_delta.values().map(Vec::len).sum::<usize>());
-        }
-    }
-
+    // Round 0 (the seed) evaluates every rule as-is: recursive rules
+    // contribute nothing yet because IDB relations are empty. Every later
+    // round is semi-naive: one rewrite per recursive body atom, that atom
+    // bound to the previous round's delta.
     let mut iterations = 0usize;
     loop {
-        // Fold the fresh facts in.
-        let mut grew = false;
-        for p in &idb_names {
-            let fresh = new_delta.remove(p).unwrap_or_default();
-            let mut dedup: Vec<Row> = Vec::new();
-            let set = facts.get_mut(p).expect("initialized");
-            for row in fresh {
-                if set.insert(row.clone()) {
-                    dedup.push(row);
-                }
+        let mut sp = mjoin_trace::span("datalog", "iteration");
+        let mut derived: FxHashMap<&str, Relation> = idb_names
+            .iter()
+            .map(|p| (p.as_str(), Relation::empty(positional_schema(arities[p]))))
+            .collect();
+        let mut rules_fired = 0usize;
+        for rule in rules {
+            let variants: Vec<ConjunctiveQuery> = if iterations == 0 {
+                vec![rule.clone()]
+            } else {
+                let recursive = |p: &str| delta.get(p).is_some_and(|d| !d.is_empty());
+                (0..rule.body.len())
+                    .filter(|&i| recursive(&rule.body[i].predicate))
+                    .map(|i| {
+                        let mut rewritten = rule.clone();
+                        rewritten.body[i].predicate = delta_name(&rule.body[i].predicate);
+                        rewritten
+                    })
+                    .collect()
+            };
+            for query in &variants {
+                let res = execute_query(&work, query, strategy)?;
+                rules_fired += 1;
+                total_cost += res.ledger.total();
+                let cols = res.head_columns();
+                let tuples = Relation::from_columns(positional_schema(cols.len()), res.len(), cols);
+                let acc = derived.get_mut(rule.head_name.as_str()).expect("IDB head");
+                *acc = ops::union(acc, &tuples)?;
             }
-            grew |= !dedup.is_empty();
-            delta.insert(p.clone(), dedup);
         }
-        if !grew {
+
+        // Fold the fresh facts in: Δp' = new − p, p' = p ∪ Δp'.
+        let delta_rows: usize = delta.values().map(Relation::len).sum();
+        let mut new_rows = 0usize;
+        for p in &idb_names {
+            let fresh = ops::difference(&derived[p.as_str()], &facts[p])?;
+            new_rows += fresh.len();
+            let known = facts.get_mut(p).expect("initialized");
+            *known = ops::union(known, &fresh)?;
+            delta.insert(p.clone(), fresh);
+        }
+        if sp.is_active() {
+            sp.arg("iteration", iterations);
+            sp.arg("rules_fired", rules_fired);
+            sp.arg("delta_rows", delta_rows);
+            sp.arg("new_rows", new_rows);
+        }
+        if new_rows == 0 {
             break;
         }
         iterations += 1;
         if iterations > 1_000_000 {
             return Err(Error::Parse("datalog fixpoint did not converge".into()));
         }
-        let mut sp = mjoin_trace::span("datalog", "iteration");
-        refresh(&mut work, &facts, &delta, &arities)?;
-
-        // Semi-naive round: one rewrite per recursive body atom.
-        let mut rules_fired = 0usize;
-        new_delta = FxHashMap::default();
-        for rule in rules {
-            for (i, atom) in rule.body.iter().enumerate() {
-                if !arities.contains_key(&atom.predicate) {
-                    continue; // EDB atom: not a recursion entry point
-                }
-                if delta[&atom.predicate].is_empty() {
-                    continue;
-                }
-                let mut rewritten = rule.clone();
-                rewritten.body[i].predicate = delta_name(&atom.predicate);
-                let res = execute_query(&work, &rewritten, strategy)?;
-                rules_fired += 1;
-                total_cost += res.ledger.total();
-                for row in res.rows_in_head_order() {
-                    let row: Row = row.into();
-                    if !facts[&rule.head_name].contains(&row) {
-                        new_delta
-                            .entry(rule.head_name.clone())
-                            .or_default()
-                            .push(row);
-                    }
-                }
-            }
-        }
-        if sp.is_active() {
-            sp.arg("iteration", iterations);
-            sp.arg("rules_fired", rules_fired);
-            sp.arg("delta_rows", delta.values().map(Vec::len).sum::<usize>());
-            sp.arg("new_rows", new_delta.values().map(Vec::len).sum::<usize>());
+        for p in &idb_names {
+            work.replace_shared(p, &facts[p])?;
+            work.replace_shared(&delta_name(p), &delta[p])?;
         }
     }
 
-    let mut out: FxHashMap<String, Vec<Vec<Value>>> = FxHashMap::default();
-    for (p, rows) in facts {
-        let mut v: Vec<Vec<Value>> = rows.into_iter().map(|r| r.to_vec()).collect();
-        v.sort_unstable();
-        out.insert(p, v);
-    }
+    let out: FxHashMap<String, Vec<Vec<Value>>> = facts
+        .into_iter()
+        .map(|(p, rel)| (p, sorted_tuples(&rel)))
+        .collect();
     if fix_sp.is_active() {
         fix_sp.arg("iterations", iterations);
         fix_sp.arg("total_cost", total_cost);
@@ -254,6 +219,16 @@ pub fn evaluate_datalog(
         iterations,
         total_cost,
     })
+}
+
+/// `rel`'s tuples read out of its columns, sorted.
+fn sorted_tuples(rel: &Relation) -> Vec<Vec<Value>> {
+    let cols = rel.columns();
+    let mut tuples: Vec<Vec<Value>> = (0..rel.len())
+        .map(|i| cols.iter().map(|c| c.value(i)).collect())
+        .collect();
+    tuples.sort_unstable();
+    tuples
 }
 
 /// Parse a multi-rule program: one rule per `.`-terminated statement.

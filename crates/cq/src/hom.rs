@@ -23,7 +23,8 @@
 //! The search is exact but budgeted: pathological inputs give up after
 //! [`NODE_BUDGET`] backtracking nodes and report "no homomorphism found",
 //! which downstream passes treat as "leave the query alone" — sound, merely
-//! incomplete.
+//! incomplete. Each give-up counts once in the `cq.hom_budget_exhausted`
+//! trace counter, and `lint_query` notes a minimization it cut short.
 
 use crate::ast::{Atom, ConjunctiveQuery, Term};
 use std::collections::{BTreeMap, BTreeSet};
@@ -152,9 +153,10 @@ impl<'a> Search<'a> {
 /// Find a homomorphism from `from`'s body into the atoms of `to_atoms`,
 /// pre-seeded with the bindings in `seed` (used for head preservation).
 ///
-/// Returns the completed substitution, or `None` when there is none (or the
-/// node budget ran out).
-fn search(from_atoms: &[&Atom], to_atoms: &[&Atom], seed: Hom) -> Option<Hom> {
+/// Returns the completed substitution, or `None` when there is none, and
+/// whether the search gave up at [`NODE_BUDGET`] before deciding (counted
+/// in the `cq.hom_budget_exhausted` trace counter).
+fn search(from_atoms: &[&Atom], to_atoms: &[&Atom], seed: Hom) -> (Option<Hom>, bool) {
     // Bucket targets by (predicate, arity).
     let mut candidates: Vec<Vec<&Atom>> = Vec::with_capacity(from_atoms.len());
     for atom in from_atoms {
@@ -164,7 +166,7 @@ fn search(from_atoms: &[&Atom], to_atoms: &[&Atom], seed: Hom) -> Option<Hom> {
             .copied()
             .collect();
         if bucket.is_empty() {
-            return None;
+            return (None, false);
         }
         candidates.push(bucket);
     }
@@ -207,10 +209,12 @@ fn search(from_atoms: &[&Atom], to_atoms: &[&Atom], seed: Hom) -> Option<Hom> {
     };
     let mut map = seed;
     if s.solve(0, &mut map) {
-        Some(map)
-    } else {
-        None
+        return (Some(map), false);
     }
+    if s.exhausted {
+        mjoin_trace::add("cq.hom_budget_exhausted", 1);
+    }
+    (None, s.exhausted)
 }
 
 /// Seed a head-preserving substitution: `from.head_vars[i] ↦ to.head_vars[i]`.
@@ -239,12 +243,17 @@ pub fn homomorphism(from: &ConjunctiveQuery, to: &ConjunctiveQuery) -> Option<Ho
     let seed = head_seed(from, to)?;
     let from_atoms: Vec<&Atom> = from.body.iter().collect();
     let to_atoms: Vec<&Atom> = to.body.iter().collect();
-    search(&from_atoms, &to_atoms, seed)
+    search(&from_atoms, &to_atoms, seed).0
 }
 
 /// Find an endomorphism of `q` whose image avoids every atom `i` with
 /// `!keep[i]` — i.e. a folding of `q` into the kept subset of its own body.
 pub fn fold_into(q: &ConjunctiveQuery, keep: &[bool]) -> Option<Hom> {
+    fold_search(q, keep).0
+}
+
+/// [`fold_into`], plus whether the search gave up at [`NODE_BUDGET`].
+pub(crate) fn fold_search(q: &ConjunctiveQuery, keep: &[bool]) -> (Option<Hom>, bool) {
     debug_assert_eq!(keep.len(), q.body.len());
     let mut seed = Hom::new();
     for v in &q.head_vars {

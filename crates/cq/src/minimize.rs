@@ -69,6 +69,12 @@ pub struct Minimized {
 /// assert!(m.proof.verified);
 /// ```
 pub fn minimize(query: &ConjunctiveQuery) -> Minimized {
+    minimize_counting(query).0
+}
+
+/// [`minimize`], plus how many fold searches gave up at
+/// [`hom::NODE_BUDGET`] — atoms that may still be redundant.
+pub(crate) fn minimize_counting(query: &ConjunctiveQuery) -> (Minimized, usize) {
     // One per core computation: lets a caller (and the server's `stats`)
     // see that a request minimized its query once, not once per layer.
     mjoin_trace::add("cq.minimize", 1);
@@ -90,9 +96,10 @@ pub fn minimize(query: &ConjunctiveQuery) -> Minimized {
     };
 
     if query.body.len() <= 1 || !query.is_safe() {
-        return unchanged(query.is_safe());
+        return (unchanged(query.is_safe()), 0);
     }
 
+    let mut abandoned = 0usize;
     let mut keep = vec![true; query.body.len()];
     // Composed folding: original variable → term over the current kept atoms.
     let mut folding = identity(query);
@@ -111,7 +118,9 @@ pub fn minimize(query: &ConjunctiveQuery) -> Minimized {
                 .collect();
             // `current` is the kept atoms reindexed; mask out atom `i`.
             debug_assert_eq!(target_keep.len(), current.body.len());
-            let Some(h) = hom::fold_into(&current, &target_keep) else {
+            let (found, gave_up) = hom::fold_search(&current, &target_keep);
+            abandoned += usize::from(gave_up);
+            let Some(h) = found else {
                 continue;
             };
             target_keep.clear();
@@ -128,7 +137,7 @@ pub fn minimize(query: &ConjunctiveQuery) -> Minimized {
 
     let dropped: Vec<usize> = (0..query.body.len()).filter(|&i| !keep[i]).collect();
     if dropped.is_empty() {
-        return unchanged(true);
+        return (unchanged(true), abandoned);
     }
 
     let core = subquery(query, &keep);
@@ -136,9 +145,9 @@ pub fn minimize(query: &ConjunctiveQuery) -> Minimized {
     // Proof check, both directions, before the rewrite is accepted.
     if !hom::check(query, &core, &folding) || !hom::check(&core, query, &inclusion) {
         debug_assert!(false, "minimization produced an unverifiable proof");
-        return unchanged(false);
+        return (unchanged(false), abandoned);
     }
-    Minimized {
+    let minimized = Minimized {
         core,
         proof: MinimizeProof {
             folding,
@@ -146,7 +155,8 @@ pub fn minimize(query: &ConjunctiveQuery) -> Minimized {
             dropped,
             verified: true,
         },
-    }
+    };
+    (minimized, abandoned)
 }
 
 /// The query restricted to the atoms with `keep[i]`.

@@ -16,9 +16,11 @@
 //! | `redundant-atom` | warn | atom folded away by the core (with proof) |
 //! | `cartesian-component` | warn | disconnected join graph — the result is a Cartesian product |
 //! | `dominated-atom` | note | atom's variables are a strict subset of another atom's |
+//! | `minimize-budget` | note | the core search gave up on some fold; atoms may remain redundant |
 
 use crate::ast::{Atom, ConjunctiveQuery};
-use crate::minimize::minimize;
+use crate::hom::NODE_BUDGET;
+use crate::minimize::minimize_counting;
 use mjoin_analyze::{Diagnostic, Report, Severity};
 use std::collections::BTreeSet;
 
@@ -98,7 +100,19 @@ fn duplicate_atoms(query: &ConjunctiveQuery, report: &mut Report) -> BTreeSet<us
 /// `redundant-atom`: atoms the core computation folds away (each carries a
 /// verified two-way homomorphism proof; unverifiable folds report nothing).
 fn redundant_atoms(query: &ConjunctiveQuery, duplicates: &BTreeSet<usize>, report: &mut Report) {
-    let m = minimize(query);
+    let (m, abandoned) = minimize_counting(query);
+    if abandoned > 0 {
+        report.diagnostics.push(Diagnostic {
+            severity: Severity::Note,
+            lint: "minimize-budget",
+            stmt: None,
+            message: format!(
+                "the core search gave up on {abandoned} fold(s) after {NODE_BUDGET} \
+                 backtracking nodes each; the query may not be minimal"
+            ),
+            excerpt: Some(query.to_string()),
+        });
+    }
     if !m.proof.verified {
         return;
     }
@@ -312,6 +326,44 @@ mod tests {
         assert_eq!(redundant[0].stmt, Some(1));
         assert!(redundant[0].message.contains("rule 1"));
         assert!(redundant[0].message.contains("atom 2"));
+    }
+
+    /// A directed 5-cycle beside a dense bipartite block `u ⇄ v`: no cycle
+    /// atom folds away (the block has no odd closed walk), and proving that
+    /// takes the homomorphism search past its node budget.
+    fn budget_exceeding_query() -> ConjunctiveQuery {
+        let mut atoms = Vec::new();
+        for i in 0..5 {
+            for j in 0..5 {
+                atoms.push(format!("e(u{i}, v{j})"));
+                atoms.push(format!("e(v{j}, u{i})"));
+            }
+        }
+        for i in 0..5 {
+            atoms.push(format!("e(z{i}, z{})", (i + 1) % 5));
+        }
+        let head: Vec<String> = (0..5)
+            .flat_map(|i| [format!("u{i}"), format!("v{i}")])
+            .collect();
+        q(&format!("Q({}) :- {}.", head.join(", "), atoms.join(", ")))
+    }
+
+    #[test]
+    fn abandoned_folds_are_noted_and_counted() {
+        mjoin_trace::set_enabled(true);
+        mjoin_trace::clear();
+        let report = lint_query(&budget_exceeding_query());
+        let trace = mjoin_trace::take();
+        mjoin_trace::set_enabled(false);
+        let notes = report.by_lint("minimize-budget");
+        assert_eq!(notes.len(), 1, "{}", report.render_text());
+        assert_eq!(notes[0].severity, Severity::Note);
+        assert!(notes[0].message.contains("gave up on 5 fold(s)"));
+        assert_eq!(trace.counter("cq.hom_budget_exhausted"), Some(5));
+        assert!(report.by_lint("redundant-atom").is_empty());
+        // A query whose searches all finish notes nothing.
+        let clean = lint_query(&q("Q(x, z) :- r(x, y), s(y, z), r(x, w)."));
+        assert!(clean.by_lint("minimize-budget").is_empty());
     }
 
     #[test]

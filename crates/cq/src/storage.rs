@@ -8,11 +8,12 @@
 //! Relations that arrive as data — a TSV file ([`NamedDatabase::add_tsv`]) or
 //! an already-built relation ([`NamedDatabase::add_shared`]) — are adopted
 //! column-wise: parsed once, never copied row by row, never deduplicated a
-//! second time. The `*_values` constructors take boxed tuples and are for
-//! callers that have them in hand (tests, the Datalog fixpoint).
+//! second time. The `add_relation*` constructors take tuples in declared
+//! column order, for callers that have them in hand (tests, examples), and
+//! push them straight into columns.
 
 use mjoin_relation::fxhash::FxHashMap;
-use mjoin_relation::{ops, tsv, AttrId, Catalog, Error, Relation, Result, Row, Schema, Value};
+use mjoin_relation::{ops, tsv, AttrId, Catalog, Error, Relation, Result, Schema, Value};
 use std::io::BufRead;
 
 /// One stored relation with its declared column order.
@@ -72,87 +73,17 @@ impl NamedDatabase {
         self.add_relation_values(name, column_names, rows)
     }
 
-    /// Insert-or-replace a relation's contents, keeping (or creating) its
-    /// declared column order. Used by the Datalog fixpoint to refresh
-    /// derived predicates between iterations.
-    pub fn set_relation_values(
-        &mut self,
-        name: &str,
-        column_names: &[&str],
-        tuples: Vec<Vec<Value>>,
-    ) -> Result<()> {
-        if let Some(&i) = self.index.get(name) {
-            let existing = &self.relations[i];
-            if existing.columns.len() != column_names.len() {
-                return Err(Error::ArityMismatch {
-                    expected: existing.columns.len(),
-                    got: column_names.len(),
-                });
-            }
-            let columns = existing.columns.clone();
-            let schema = Schema::new(columns.clone());
-            let dest: Vec<usize> = columns
-                .iter()
-                .map(|&a| schema.position(a).expect("interned"))
-                .collect();
-            let mut rows: Vec<Row> = Vec::with_capacity(tuples.len());
-            for t in tuples {
-                if t.len() != columns.len() {
-                    return Err(Error::ArityMismatch {
-                        expected: columns.len(),
-                        got: t.len(),
-                    });
-                }
-                let mut row = vec![Value::Int(0); t.len()];
-                for (j, v) in t.into_iter().enumerate() {
-                    row[dest[j]] = v;
-                }
-                rows.push(row.into());
-            }
-            self.relations[i].relation = Relation::from_rows(schema, rows)?;
-            Ok(())
-        } else {
-            self.add_relation_values(name, column_names, tuples)
-        }
-    }
-
     /// Add a relation with named columns and arbitrary values (in declared
-    /// column order).
+    /// column order). The tuples become declared-order columns, adopted
+    /// through [`NamedDatabase::add_shared`].
     pub fn add_relation_values(
         &mut self,
         name: &str,
         column_names: &[&str],
         tuples: Vec<Vec<Value>>,
     ) -> Result<()> {
-        let columns = self.declare(name, column_names)?;
-        let schema = Schema::new(columns.clone());
-        // Permute declared-order tuples into canonical positions.
-        let dest: Vec<usize> = columns
-            .iter()
-            .map(|&a| schema.position(a).expect("interned"))
-            .collect();
-        let mut rows: Vec<Row> = Vec::with_capacity(tuples.len());
-        for t in tuples {
-            if t.len() != columns.len() {
-                return Err(Error::ArityMismatch {
-                    expected: columns.len(),
-                    got: t.len(),
-                });
-            }
-            let mut row = vec![Value::Int(0); t.len()];
-            for (i, v) in t.into_iter().enumerate() {
-                row[dest[i]] = v;
-            }
-            rows.push(row.into());
-        }
-        let relation = Relation::from_rows(schema, rows)?;
-        self.index.insert(name.to_string(), self.relations.len());
-        self.relations.push(StoredRelation {
-            name: name.to_string(),
-            columns,
-            relation,
-        });
-        Ok(())
+        let relation = Relation::from_tuples(positional_schema(column_names.len()), tuples)?;
+        self.add_shared(name, column_names, &relation)
     }
 
     /// Intern `name`'s declared columns, qualified by the relation name so
@@ -187,23 +118,30 @@ impl NamedDatabase {
         column_names: &[&str],
         relation: &Relation,
     ) -> Result<()> {
-        let from = relation.schema().attrs();
-        if from.len() != column_names.len() {
+        if relation.schema().arity() != column_names.len() {
             return Err(Error::ArityMismatch {
-                expected: from.len(),
+                expected: relation.schema().arity(),
                 got: column_names.len(),
             });
         }
         let columns = self.declare(name, column_names)?;
-        let mapping: Vec<(AttrId, AttrId)> =
-            from.iter().copied().zip(columns.iter().copied()).collect();
-        let relation = ops::rename(relation, &mapping)?;
+        let relation = adopt(&columns, relation)?;
         self.index.insert(name.to_string(), self.relations.len());
         self.relations.push(StoredRelation {
             name: name.to_string(),
             columns,
             relation,
         });
+        Ok(())
+    }
+
+    /// Replace stored predicate `name`'s tuples with `relation`'s, whose
+    /// attributes in canonical order map onto the declared columns — the
+    /// O(arity) rename of [`NamedDatabase::add_shared`], on a name that
+    /// already exists.
+    pub(crate) fn replace_shared(&mut self, name: &str, relation: &Relation) -> Result<()> {
+        let stored = &mut self.relations[self.index[name]];
+        stored.relation = adopt(&stored.columns, relation)?;
         Ok(())
     }
 
@@ -239,6 +177,25 @@ impl NamedDatabase {
     pub fn relations(&self) -> &[StoredRelation] {
         &self.relations
     }
+}
+
+/// `relation` under the attributes `columns`, matched to its schema in
+/// canonical order: the columns are shared, not copied.
+fn adopt(columns: &[AttrId], relation: &Relation) -> Result<Relation> {
+    let mapping: Vec<(AttrId, AttrId)> = relation
+        .schema()
+        .attrs()
+        .iter()
+        .copied()
+        .zip(columns.iter().copied())
+        .collect();
+    ops::rename(relation, &mapping)
+}
+
+/// A schema of `arity` placeholder attributes whose canonical order is
+/// their position, for relations built before their columns are named.
+pub(crate) fn positional_schema(arity: usize) -> Schema {
+    Schema::new((0..arity as u32).map(AttrId).collect())
 }
 
 #[cfg(test)]

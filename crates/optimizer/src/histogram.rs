@@ -53,7 +53,8 @@ impl Histogram {
                 total: 0,
             });
         }
-        let keys: Vec<i64> = rel.rows().iter().map(|r| value_key(&r[pos])).collect();
+        let col = &rel.columns()[pos];
+        let keys: Vec<i64> = (0..rel.len()).map(|i| value_key(&col.value(i))).collect();
         let lo = *keys.iter().min().unwrap();
         let hi = *keys.iter().max().unwrap();
         let mut h = Histogram {

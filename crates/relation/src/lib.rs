@@ -67,7 +67,9 @@ pub fn relation_of_ints(
         .iter()
         .map(|&id| schema.position(id).expect("interned above"))
         .collect();
-    let mut rows: Vec<Row> = Vec::with_capacity(tuples.len());
+    let mut builders: Vec<ColumnBuilder> = (0..dest.len())
+        .map(|_| ColumnBuilder::with_capacity(tuples.len()))
+        .collect();
     for t in tuples {
         if t.len() != dest.len() {
             return Err(Error::ArityMismatch {
@@ -75,13 +77,12 @@ pub fn relation_of_ints(
                 got: t.len(),
             });
         }
-        let mut row = vec![Value::Int(0); t.len()];
-        for (i, &v) in t.iter().enumerate() {
-            row[dest[i]] = Value::Int(v);
+        for (&p, &v) in dest.iter().zip(t.iter()) {
+            builders[p].push_int(v);
         }
-        rows.push(row.into());
     }
-    Relation::from_rows(schema, rows)
+    let cols = builders.into_iter().map(ColumnBuilder::finish).collect();
+    Ok(Relation::from_columns(schema, tuples.len(), cols))
 }
 
 #[cfg(test)]

@@ -36,8 +36,8 @@ pub struct JoinIndex {
 
 impl JoinIndex {
     /// Build the index: one batch hash pass over the key columns
-    /// ([`columnar::key_hashes`]), no per-row key allocation and no row view
-    /// materialized.
+    /// ([`columnar::key_hashes`]), no per-row key allocation and no tuple
+    /// boxed as a row.
     pub fn build(rel: Arc<Relation>, key_pos: Vec<usize>) -> Self {
         let mut table = RawTable::with_capacity(rel.len());
         for (i, h) in columnar::key_hashes(&rel, &key_pos).into_iter().enumerate() {

@@ -17,13 +17,14 @@ use std::cmp::Ordering;
 pub fn merge_join(left: &Relation, right: &Relation) -> Relation {
     let (lkey, rkey) = join_key_positions(left.schema(), right.schema());
     let out_schema = left.schema().union(right.schema());
+    let (lrows, rrows) = (left.rows(), right.rows());
 
     if lkey.is_empty() {
         // Cartesian product: nothing to sort on.
         let mut rows: Vec<Row> = Vec::with_capacity(left.len() * right.len());
         let plan = splice_plan(left, right, &out_schema);
-        for l in left.rows() {
-            for r in right.rows() {
+        for l in &lrows {
+            for r in &rrows {
                 rows.push(splice(l, r, &plan));
             }
         }
@@ -34,9 +35,8 @@ pub fn merge_join(left: &Relation, right: &Relation) -> Relation {
     // re-collecting a fresh `Vec<Value>` on every comparison inside the sort
     // and again on every run-boundary probe of the merge loop (the old code
     // allocated O(n log n) transient keys; this allocates exactly n).
-    let decorate = |rel: &Relation, positions: &[usize]| -> Vec<(Box<[Value]>, usize)> {
-        let mut keyed: Vec<(Box<[Value]>, usize)> = rel
-            .rows()
+    let decorate = |rows: &[Row], positions: &[usize]| -> Vec<(Box<[Value]>, usize)> {
+        let mut keyed: Vec<(Box<[Value]>, usize)> = rows
             .iter()
             .enumerate()
             .map(|(idx, row)| (positions.iter().map(|&p| row[p].clone()).collect(), idx))
@@ -44,8 +44,8 @@ pub fn merge_join(left: &Relation, right: &Relation) -> Relation {
         keyed.sort_unstable();
         keyed
     };
-    let lkeyed = decorate(left, &lkey);
-    let rkeyed = decorate(right, &rkey);
+    let lkeyed = decorate(&lrows, &lkey);
+    let rkeyed = decorate(&rrows, &rkey);
 
     let plan = splice_plan(left, right, &out_schema);
     let mut rows: Vec<Row> = Vec::new();
@@ -66,7 +66,7 @@ pub fn merge_join(left: &Relation, right: &Relation) -> Relation {
                     .unwrap_or(rkeyed.len());
                 for (_, li) in &lkeyed[i..i_end] {
                     for (_, rj) in &rkeyed[j..j_end] {
-                        rows.push(splice(&left.rows()[*li], &right.rows()[*rj], &plan));
+                        rows.push(splice(&lrows[*li], &rrows[*rj], &plan));
                     }
                 }
                 i = i_end;

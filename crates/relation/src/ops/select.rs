@@ -31,8 +31,8 @@ pub fn select_attrs_eq(rel: &Relation, a: AttrId, b: AttrId) -> Result<Relation>
 /// Select the tuples satisfying an arbitrary predicate over the whole row.
 ///
 /// The predicate sees values in the relation's canonical column order (it is
-/// fed a transient scratch tuple per row, keeping the output column-major
-/// without caching a row view).
+/// fed a transient scratch tuple per row; the output is gathered from the
+/// columns).
 pub fn select_where(rel: &Relation, pred: impl Fn(&[Value]) -> bool) -> Relation {
     super::columnar::col_select_where(rel, pred)
 }

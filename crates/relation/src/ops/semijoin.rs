@@ -202,7 +202,7 @@ mod tests {
         let sj = semijoin(&r, &s);
         assert_eq!(sj, r); // every left tuple matches
         for row in sj.rows() {
-            assert!(r.contains_row(row));
+            assert!(r.contains_row(&row));
         }
     }
 }

@@ -251,7 +251,7 @@ mod tests {
             for (rel, pos) in [(&l, &lpos), (&r, &rpos)] {
                 let (files, bytes) = partition_to_disk(rel, pos, p).unwrap();
                 let mut want = vec![0u64; p];
-                for row in rel.rows() {
+                for row in &rel.rows() {
                     let line = crate::tsv::tests::row_to_tsv(row);
                     want[hash_at(row, pos) as usize % p] += line.len() as u64;
                 }
@@ -321,7 +321,7 @@ mod tests {
         let (lpos, _) = join_key_positions(l.schema(), r.schema());
         let (files, _) = partition_to_disk(&l, &lpos, 4).unwrap();
         let mut want = vec![String::new(); 4];
-        for row in l.rows() {
+        for row in &l.rows() {
             want[hash_at(row, &lpos) as usize % 4] += &crate::tsv::tests::row_to_tsv(row);
         }
         for (f, want) in files.iter().zip(&want) {

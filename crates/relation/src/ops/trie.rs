@@ -19,7 +19,7 @@
 //! level column is then a [`Column::gather`] through the resulting
 //! permutation (interned levels copy only codes and share the value pool).
 //! No comparison hops between columns or dereferences a dictionary, and no
-//! row view is ever materialized.
+//! tuple is ever boxed as a row.
 //!
 //! Because the keys follow the [`crate::Value`] order that
 //! [`Column::cells_cmp`] uses, tries built from different relations — with

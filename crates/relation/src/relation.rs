@@ -6,45 +6,35 @@
 //!
 //! # Storage
 //!
-//! Physically a relation is **column-major**: one [`Column`] per attribute
-//! (dense `i64` for all-integer attributes, dictionary-interned `u32` codes
-//! otherwise — see [`crate::column`]). Every operator kernel reads and writes
-//! columns, and so does every I/O edge: the TSV loader parses straight into
-//! column builders, the TSV writer sorts and prints from columns, and spill
-//! partitions go to disk and come back without a tuple being boxed
-//! ([`crate::tsv`]). The row view ([`Relation::rows`]/[`Relation::iter`]) is
-//! the *construction and compatibility* API — `from_rows` for callers that
-//! have tuples in hand (tests, `merge_join`, Datalog), `rows()` for callers
-//! that want them back — *lazily
-//! materialized* and memoized: a kernel's output or a loaded file never pays
-//! for rows, a caller that constructed from rows never pays for columns
-//! until a kernel asks, and both views describe the same immutable tuple set
-//! in the same order. Cloning is cheap — O(arity), not O(tuples): both views
-//! are shared (`Arc`-backed payload vectors inside `Column`, an `Arc<[Row]>`
-//! row cache), so an executor handing out per-run copies of its base
-//! relations bumps reference counts instead of copying tuple data. (A clone
-//! carries the views its source had *at clone time*: clone after the first
-//! kernel ran, or hold a reference, to share a row-born relation's columns.)
+//! A relation has exactly one layout: **column-major**, one [`Column`] per
+//! attribute (dense `i64` for all-integer attributes, dictionary-interned
+//! `u32` codes otherwise — see [`crate::column`]). Every operator kernel
+//! reads and writes columns, and so does every I/O edge: the TSV loader
+//! parses straight into column builders, the TSV writer sorts and prints
+//! from columns, and spill partitions go to disk and come back without a
+//! tuple being boxed ([`crate::tsv`]). [`Relation::from_columns`] is the one
+//! deduplicating constructor; the row constructors (`from_rows`,
+//! `from_tuples`) push their tuples through [`ColumnBuilder`]s into it.
+//!
+//! [`Relation::rows`] is a per-call copy of the tuples as boxed rows, for
+//! tests and for edges that want values in hand; nothing memoizes it, so no
+//! relation ever holds a second copy of its data. Cloning is cheap — O(arity),
+//! not O(tuples): the payload vectors inside a `Column` are `Arc`-backed, so
+//! an executor handing out per-run copies of its base relations bumps
+//! reference counts instead of copying tuple data.
 
 use crate::attr::Catalog;
 use crate::column::{Column, ColumnBuilder};
 use crate::error::{Error, Result};
-use crate::fxhash::{mix, FxHashSet};
+use crate::fxhash::mix;
+use crate::ops::columnar::dedup_ids_by_key;
 use crate::schema::Schema;
 use crate::value::Value;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// A tuple: values aligned positionally with the owning relation's schema.
 pub type Row = Box<[Value]>;
-
-/// Fold a row's cell hashes into one stable row hash. Computable from either
-/// storage layout (columns fold [`Column::hash_into`] with the same `mix`),
-/// which is what keeps [`Relation::fingerprint`] representation-independent.
-#[inline]
-pub(crate) fn stable_row_hash(row: &[Value]) -> u64 {
-    row.iter().fold(0u64, |acc, v| mix(acc, v.stable_hash()))
-}
 
 /// A set of tuples over a fixed [`Schema`].
 ///
@@ -54,64 +44,97 @@ pub(crate) fn stable_row_hash(row: &[Value]) -> u64 {
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: Schema,
-    /// Tuple count, known up front regardless of which view is materialized
-    /// (columns cannot carry it for nullary schemas).
+    /// Tuple count (columns cannot carry it for nullary schemas).
     nrows: usize,
-    /// Column-major view; built on demand from `rows` when a constructor
-    /// supplied rows. Immutable once set.
-    cols: OnceLock<Vec<Column>>,
-    /// Row-major view; built on demand from `cols` when a kernel produced
-    /// columns. Immutable once set, and shared across clones.
-    rows: OnceLock<Arc<[Row]>>,
+    /// One column per schema position, each `nrows` long.
+    cols: Vec<Column>,
     /// Lazily computed [`Relation::fingerprint`]; content is immutable after
     /// construction, so a computed value never goes stale.
     fingerprint: OnceLock<u128>,
 }
 
-impl Relation {
-    fn from_rows_unchecked(schema: Schema, rows: Vec<Row>) -> Self {
-        let nrows = rows.len();
-        let cell = OnceLock::new();
-        cell.set(Arc::from(rows)).expect("fresh OnceLock");
-        Relation {
-            schema,
-            nrows,
-            cols: OnceLock::new(),
-            rows: cell,
-            fingerprint: OnceLock::new(),
+/// The per-row hash of `cols`' first `nrows` tuples: the [`mix`]-fold of
+/// each cell's [`Value::stable_hash`].
+fn row_hashes(cols: &[Column], nrows: usize) -> Vec<u64> {
+    let mut acc = vec![0u64; nrows];
+    for c in cols {
+        c.hash_into(&mut acc, mix);
+    }
+    acc
+}
+
+/// The ids of the first occurrence of each distinct tuple, in row order.
+fn first_occurrences(cols: &[Column], nrows: usize) -> Vec<u32> {
+    let all: Vec<usize> = (0..cols.len()).collect();
+    dedup_ids_by_key(cols, &all, &row_hashes(cols, nrows), 0..nrows as u32)
+}
+
+/// Push `rows` through one [`ColumnBuilder`] per attribute, checking arity.
+fn columns_of(arity: usize, rows: Vec<Row>) -> Result<(usize, Vec<Column>)> {
+    let nrows = rows.len();
+    let mut builders: Vec<ColumnBuilder> = (0..arity)
+        .map(|_| ColumnBuilder::with_capacity(nrows))
+        .collect();
+    for row in rows {
+        if row.len() != arity {
+            return Err(Error::ArityMismatch {
+                expected: arity,
+                got: row.len(),
+            });
         }
+        for (b, v) in builders.iter_mut().zip(row.into_vec()) {
+            b.push(v);
+        }
+    }
+    Ok((
+        nrows,
+        builders.into_iter().map(ColumnBuilder::finish).collect(),
+    ))
+}
+
+impl Relation {
+    /// Build from per-attribute columns, one per schema position, removing
+    /// duplicate tuples (keeping each tuple's first occurrence, in order).
+    /// `nrows` is explicit because a nullary schema has no columns to carry
+    /// it: a nullary relation of `nrows > 0` is the single empty tuple.
+    ///
+    /// # Panics
+    ///
+    /// If `cols.len()` is not the schema's arity or a column does not have
+    /// `nrows` cells.
+    pub fn from_columns(schema: Schema, nrows: usize, cols: Vec<Column>) -> Self {
+        assert_eq!(cols.len(), schema.arity(), "one column per attribute");
+        assert!(
+            cols.iter().all(|c| c.len() == nrows),
+            "every column has nrows cells"
+        );
+        let ids = first_occurrences(&cols, nrows);
+        if ids.len() == nrows {
+            return Relation::from_distinct_columns(schema, nrows, cols);
+        }
+        let cols = cols.iter().map(|c| c.gather(&ids)).collect();
+        Relation::from_distinct_columns(schema, ids.len(), cols)
     }
 
     /// The empty relation over `schema`.
     pub fn empty(schema: Schema) -> Self {
-        Relation::from_rows_unchecked(schema, Vec::new())
+        let cols = (0..schema.arity())
+            .map(|_| ColumnBuilder::default().finish())
+            .collect();
+        Relation::from_columns(schema, 0, cols)
     }
 
     /// The relation over the empty schema containing the single nullary
     /// tuple. It is the identity of natural join.
     pub fn nullary_unit() -> Self {
-        Relation::from_rows_unchecked(Schema::empty(), vec![Box::from([])])
+        Relation::from_columns(Schema::empty(), 1, Vec::new())
     }
 
     /// Build from rows, checking arity and removing duplicates (keeping each
-    /// row's first occurrence, in order). Above the [`crate::ops::SMALL`]
-    /// cutoff the deduplication runs as a parallel partition-then-merge on
-    /// the shared pool; the result is byte-identical to the sequential path.
+    /// row's first occurrence, in order).
     pub fn from_rows(schema: Schema, rows: Vec<Row>) -> Result<Self> {
-        for row in &rows {
-            if row.len() != schema.arity() {
-                return Err(Error::ArityMismatch {
-                    expected: schema.arity(),
-                    got: row.len(),
-                });
-            }
-        }
-        let rows = if rows.len() < crate::ops::SMALL {
-            dedup_sequential(rows)
-        } else {
-            dedup_parallel(rows)
-        };
-        Ok(Relation::from_rows_unchecked(schema, rows))
+        let (nrows, cols) = columns_of(schema.arity(), rows)?;
+        Ok(Relation::from_columns(schema, nrows, cols))
     }
 
     /// Build from `Vec<Vec<Value>>` tuples (convenience for tests/examples).
@@ -120,49 +143,33 @@ impl Relation {
     }
 
     /// Build from rows that are already known to be distinct and of the right
-    /// arity (used by operators that dedup as they produce output, and by
-    /// harnesses that need an *owned* copy of a relation's tuples without
-    /// re-paying deduplication — e.g. the deep-clone baseline interpreter,
-    /// now that [`Clone`] shares tuple storage instead of copying it).
+    /// arity, without re-paying deduplication (`merge_join`, the kernels'
+    /// test reference, produces its output this way).
     ///
-    /// Debug builds verify the invariants; release builds trust the caller.
+    /// Debug builds verify distinctness; release builds trust the caller.
     pub fn from_distinct_rows(schema: Schema, rows: Vec<Row>) -> Self {
-        debug_assert!(rows.iter().all(|r| r.len() == schema.arity()));
-        debug_assert_eq!(
-            rows.iter().collect::<FxHashSet<_>>().len(),
-            rows.len(),
-            "rows must be distinct"
-        );
-        Relation::from_rows_unchecked(schema, rows)
+        let (nrows, cols) = columns_of(schema.arity(), rows).expect("rows match the schema");
+        Relation::from_distinct_columns(schema, nrows, cols)
     }
 
-    /// Build column-major from per-attribute columns whose tuples are
-    /// already distinct. `nrows` is explicit because a nullary schema has no
-    /// columns to carry it; for arity ≥ 1 every column must have `nrows`
-    /// entries. This is how the batch kernels construct output — the row
-    /// view stays unmaterialized until something asks for it.
+    /// Build from per-attribute columns whose tuples are already distinct.
+    /// This is how the batch kernels construct output.
     ///
     /// Debug builds verify arity, lengths, and distinctness.
     pub(crate) fn from_distinct_columns(schema: Schema, nrows: usize, cols: Vec<Column>) -> Self {
         debug_assert_eq!(cols.len(), schema.arity());
         debug_assert!(cols.iter().all(|c| c.len() == nrows));
-        let cell = OnceLock::new();
-        cell.set(cols).expect("fresh OnceLock");
-        let rel = Relation {
+        debug_assert_eq!(
+            first_occurrences(&cols, nrows).len(),
+            nrows,
+            "rows must be distinct"
+        );
+        Relation {
             schema,
             nrows,
-            cols: cell,
-            rows: OnceLock::new(),
+            cols,
             fingerprint: OnceLock::new(),
-        };
-        #[cfg(debug_assertions)]
-        {
-            let mut seen: FxHashSet<Row> = FxHashSet::default();
-            for i in 0..rel.nrows {
-                assert!(seen.insert(rel.row_at(i)), "columnar rows must be distinct");
-            }
         }
-        rel
     }
 
     /// The relation's schema.
@@ -182,80 +189,34 @@ impl Relation {
         self.nrows == 0
     }
 
-    /// The column-major view: one [`Column`] per schema position. Built on
-    /// demand (and memoized) if this relation was constructed from rows.
+    /// The columns: one [`Column`] per schema position.
     #[inline]
     pub fn columns(&self) -> &[Column] {
-        self.cols.get_or_init(|| {
-            let rows = self.rows.get().expect("one view always materialized");
-            let mut builders: Vec<ColumnBuilder> = (0..self.schema.arity())
-                .map(|_| ColumnBuilder::with_capacity(rows.len()))
-                .collect();
-            for row in rows.iter() {
-                for (b, v) in builders.iter_mut().zip(row.iter()) {
-                    b.push(v.clone());
-                }
-            }
-            builders.into_iter().map(ColumnBuilder::finish).collect()
-        })
+        &self.cols
     }
 
-    /// Materialize row `i` from whichever view is cheapest. Only the debug
-    /// distinctness check in [`Relation::from_distinct_columns`] needs this;
-    /// everything else works batch-wise.
-    #[cfg(debug_assertions)]
-    pub(crate) fn row_at(&self, i: usize) -> Row {
-        if let Some(rows) = self.rows.get() {
-            return rows[i].clone();
-        }
-        let cols = self.cols.get().expect("one view always materialized");
-        cols.iter().map(|c| c.value(i)).collect()
-    }
-
-    /// The rows, in unspecified order. Materialized on demand (and memoized)
-    /// if this relation was built column-major.
-    #[inline]
-    pub fn rows(&self) -> &[Row] {
-        self.rows.get_or_init(|| {
-            let cols = self.cols.get().expect("one view always materialized");
-            (0..self.nrows)
-                .map(|i| cols.iter().map(|c| c.value(i)).collect())
-                .collect()
-        })
-    }
-
-    /// Consume the relation, yielding owned rows (still distinct). The row
-    /// cache is `Arc`-shared across clones, so this copies the rows out.
-    pub fn into_rows(self) -> Vec<Row> {
-        self.rows().to_vec()
-    }
-
-    /// Iterate over rows.
-    pub fn iter(&self) -> std::slice::Iter<'_, Row> {
-        self.rows().iter()
+    /// A fresh copy of the tuples as boxed rows, in storage order. Built from
+    /// the columns on every call — for tests and I/O edges, not kernels.
+    pub fn rows(&self) -> Vec<Row> {
+        (0..self.nrows)
+            .map(|i| self.cols.iter().map(|c| c.value(i)).collect())
+            .collect()
     }
 
     /// Membership test (linear scan; intended for tests and small relations).
-    /// Checks against whichever view is resident — never materializes the
-    /// other.
     pub fn contains_row(&self, row: &[Value]) -> bool {
-        if let Some(rows) = self.rows.get() {
-            return rows.iter().any(|r| r.as_ref() == row);
-        }
-        if row.len() != self.schema.arity() {
-            return false;
-        }
-        let cols = self.cols.get().expect("one view always materialized");
-        (0..self.nrows).any(|i| {
-            cols.iter()
-                .zip(row.iter())
-                .all(|(c, v)| c.cell_eq_value(i, v))
-        })
+        row.len() == self.schema.arity()
+            && (0..self.nrows).any(|i| {
+                self.cols
+                    .iter()
+                    .zip(row.iter())
+                    .all(|(c, v)| c.cell_eq_value(i, v))
+            })
     }
 
     /// The rows sorted into canonical order (for deterministic output).
     pub fn sorted_rows(&self) -> Vec<Row> {
-        let mut rows = self.rows().to_vec();
+        let mut rows = self.rows();
         rows.sort_unstable();
         rows
     }
@@ -263,13 +224,10 @@ impl Relation {
     /// Resident heap bytes of the columnar payloads: per-column code/value
     /// vectors plus each distinct dictionary pool counted once (columns of
     /// one relation frequently share a pool after joins/projections).
-    /// Forces the columnar view — callers (the index-cache byte budget) are
-    /// on the columnar path already.
     pub fn resident_col_bytes(&self) -> usize {
-        let cols = self.columns();
         let mut total = 0usize;
         let mut seen: Vec<*const ()> = Vec::new();
-        for c in cols {
+        for c in &self.cols {
             total += c.payload_bytes();
             if let Some(d) = c.dict() {
                 let p = std::sync::Arc::as_ptr(d).cast::<()>();
@@ -292,10 +250,8 @@ impl Relation {
     /// Row-order independent, so two relations holding the same set of
     /// tuples — e.g. an original and its TSV round-trip reload — fingerprint
     /// identically even though they are distinct allocations. Per-row hashes
-    /// fold [`Value::stable_hash`]es, so the fingerprint is also
-    /// *layout*-independent: computed from columns when resident (a table
-    /// lookup per interned cell), from rows otherwise, with bit-identical
-    /// results.
+    /// fold [`Value::stable_hash`]es (a table lookup per interned cell), so
+    /// an integer and an interned column holding the same values hash alike.
     ///
     /// Computed lazily on first call and memoized (content is immutable).
     /// This is a hash, not a proof of equality: collisions are possible,
@@ -304,72 +260,14 @@ impl Relation {
     /// does, trading it for cross-`Arc` reuse).
     pub fn fingerprint(&self) -> u128 {
         *self.fingerprint.get_or_init(|| {
-            let mut xor: u64 = 0;
-            let mut sum: u64 = self.nrows as u64;
-            let mut fold = |h: u64| {
+            let (mut xor, mut sum) = (0u64, self.nrows as u64);
+            for h in row_hashes(&self.cols, self.nrows) {
                 xor ^= h;
                 sum = sum.wrapping_add(h);
-            };
-            match (self.cols.get(), self.rows.get()) {
-                (Some(cols), None) => {
-                    let mut acc = vec![0u64; self.nrows];
-                    for c in cols {
-                        c.hash_into(&mut acc, mix);
-                    }
-                    acc.into_iter().for_each(&mut fold);
-                }
-                _ => {
-                    for row in self.rows() {
-                        fold(stable_row_hash(row));
-                    }
-                }
             }
             (u128::from(xor) << 64) | u128::from(sum)
         })
     }
-}
-
-fn dedup_sequential(rows: Vec<Row>) -> Vec<Row> {
-    let mut seen: FxHashSet<Row> = FxHashSet::default();
-    seen.reserve(rows.len());
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        if seen.insert(row.clone()) {
-            out.push(row);
-        }
-    }
-    out
-}
-
-/// Partition-then-merge deduplication on the shared pool. Rows are
-/// partitioned by their full-tuple hash, so duplicates always collide in the
-/// same partition and per-partition dedup needs no cross-partition merge;
-/// the final sort by original index restores first-occurrence order, making
-/// the output byte-identical to [`dedup_sequential`].
-fn dedup_parallel(rows: Vec<Row>) -> Vec<Row> {
-    use crate::fxhash::FxBuildHasher;
-    use std::hash::BuildHasher;
-
-    let parts_n = mjoin_pool::current_num_threads().clamp(1, 64);
-    if parts_n == 1 {
-        return dedup_sequential(rows);
-    }
-    // One BuildHasher for the whole partition pass, not one per row.
-    let hasher = FxBuildHasher::default();
-    let mut parts: Vec<Vec<(usize, Row)>> = vec![Vec::new(); parts_n];
-    for (i, row) in rows.into_iter().enumerate() {
-        parts[(hasher.hash_one(&row) as usize) % parts_n].push((i, row));
-    }
-    let deduped = mjoin_pool::par_map(parts, |part| {
-        let mut seen: FxHashSet<Row> = FxHashSet::default();
-        seen.reserve(part.len());
-        part.into_iter()
-            .filter(|(_, row)| seen.insert(row.clone()))
-            .collect::<Vec<_>>()
-    });
-    let mut all: Vec<(usize, Row)> = deduped.into_iter().flatten().collect();
-    all.sort_unstable_by_key(|&(i, _)| i);
-    all.into_iter().map(|(_, row)| row).collect()
 }
 
 /// Set equality: same schema and the same set of rows, regardless of order.
@@ -453,16 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_dedup_matches_sequential_order() {
-        let (_c, s) = schema_ab();
-        // Enough duplicated rows to cross the SMALL cutoff.
-        let rows: Vec<Row> = (0..10_000).map(|i| row(&[i % 997, i % 31])).collect();
-        let seq = dedup_sequential(rows.clone());
-        let par = Relation::from_rows(s, rows).unwrap();
-        assert_eq!(par.rows(), &seq[..], "first-occurrence order preserved");
-    }
-
-    #[test]
     fn arity_checked() {
         let (_c, s) = schema_ab();
         let err = Relation::from_rows(s, vec![row(&[1])]).unwrap_err();
@@ -521,39 +409,45 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_layout_independent() {
+    fn fingerprint_folds_the_stable_row_hashes() {
         let (_c, s) = schema_ab();
-        let rows = vec![
+        let rows: Vec<Row> = vec![
             vec![Value::Int(1), Value::str("x")].into(),
             vec![Value::Int(2), Value::str("y")].into(),
         ];
-        let by_rows = Relation::from_rows(s.clone(), rows).unwrap();
-        // Same content constructed column-major, fingerprinted before any
-        // row view exists.
-        let cols = by_rows.columns().to_vec();
-        let by_cols = Relation::from_distinct_columns(s, by_rows.len(), cols);
-        assert!(by_cols.rows.get().is_none(), "no row view materialized");
-        assert_eq!(by_rows.fingerprint(), by_cols.fingerprint());
+        let r = Relation::from_rows(s, rows.clone()).unwrap();
+        let hashes: Vec<u64> = rows
+            .iter()
+            .map(|row| row.iter().fold(0, |acc, v| mix(acc, v.stable_hash())))
+            .collect();
+        let xor = hashes.iter().fold(0, |a, h| a ^ h);
+        let sum = hashes.iter().fold(2u64, |a, &h| a.wrapping_add(h));
+        assert_eq!(r.fingerprint(), (u128::from(xor) << 64) | u128::from(sum));
     }
 
     #[test]
-    fn views_agree_both_directions() {
+    fn rows_read_back_the_columns() {
         let (_c, s) = schema_ab();
         let rows: Vec<Row> = vec![
             vec![Value::Int(1), Value::str("a")].into(),
             vec![Value::Int(2), Value::str("b")].into(),
         ];
         let r = Relation::from_rows(s.clone(), rows.clone()).unwrap();
-        // rows → columns
         let cols = r.columns();
         assert_eq!(cols.len(), 2);
         assert_eq!(cols[1].value(1), Value::str("b"));
-        // columns → rows
-        let r2 = Relation::from_distinct_columns(s, r.len(), cols.to_vec());
-        assert_eq!(r2.rows(), &rows[..]);
+        let r2 = Relation::from_columns(s, r.len(), cols.to_vec());
+        assert_eq!(r2.rows(), rows);
         assert!(r2.contains_row(&[Value::Int(1), Value::str("a")]));
         assert!(!r2.contains_row(&[Value::Int(1), Value::str("b")]));
         assert_eq!(r, r2);
+    }
+
+    #[test]
+    #[should_panic(expected = "one column per attribute")]
+    fn from_columns_checks_arity() {
+        let (_c, s) = schema_ab();
+        Relation::from_columns(s, 0, Vec::new());
     }
 
     #[test]

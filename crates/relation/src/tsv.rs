@@ -21,7 +21,7 @@
 //! any other line takes the general decoder (UTF-8 check, field count, each
 //! cell trimmed and sniffed or unescaped, strings interned by `&str` lookup
 //! in the column's [`ColumnBuilder`]). The relation loader then
-//! deduplicates once on the batch row hashes. **Out:**
+//! deduplicates once, in [`Relation::from_columns`]. **Out:**
 //! [`write_sorted`] ranks each dictionary once, sorts the rows as packed
 //! integer keys, and formats them (in-place itoa, each distinct string
 //! escaped once) into one reused buffer written in batches. The Grace-hash
@@ -31,8 +31,6 @@
 use crate::attr::Catalog;
 use crate::column::{Column, ColumnBuilder};
 use crate::error::{Error, Result};
-use crate::fxhash::mix;
-use crate::ops::columnar::dedup_ids_by_key;
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::sortkey::{sort_rows, used_entries, SortColumn, SortedRows};
@@ -53,23 +51,11 @@ pub fn relation_from_tsv(catalog: &mut Catalog, text: &str) -> Result<Relation> 
 /// [`Error::Parse`] like any other malformed input. Duplicate tuples keep
 /// their first occurrence, in file order.
 pub fn relation_from_tsv_reader<R: BufRead>(catalog: &mut Catalog, reader: R) -> Result<Relation> {
-    let (schema, mut cols, nrows) = Parser::parse(Some(catalog), Vec::new(), reader)?;
+    let (schema, cols, nrows) = Parser::parse(Some(catalog), Vec::new(), reader)?;
     let Some(schema) = schema else {
         return Err(Error::Parse("TSV input has no header line".to_string()));
     };
-
-    // One dedup pass over the batch row hashes; the columns are only
-    // gathered when the file really held duplicates.
-    let mut hashes = vec![0u64; nrows];
-    for c in &cols {
-        c.hash_into(&mut hashes, mix);
-    }
-    let all: Vec<usize> = (0..cols.len()).collect();
-    let ids = dedup_ids_by_key(&cols, &all, &hashes, 0..nrows as u32);
-    if ids.len() < nrows {
-        cols = cols.iter().map(|c| c.gather(&ids)).collect();
-    }
-    Ok(Relation::from_distinct_columns(schema, ids.len(), cols))
+    Ok(Relation::from_columns(schema, nrows, cols))
 }
 
 /// Parse header-less body lines, as a [`RowFormatter`] wrote them, into a

@@ -32,7 +32,7 @@ impl Value {
     /// is stored. This is the *one* per-cell hash the engine uses: the
     /// kernels precompute it per dictionary entry and fold it per key
     /// position, and [`crate::relation::Relation`] fingerprints fold it
-    /// across whole tuples — so hashes computed from the row view, an
+    /// across whole tuples — so hashes computed from a boxed row, an
     /// integer column or an interned column agree bit-for-bit.
     #[inline]
     pub fn stable_hash(&self) -> u64 {

@@ -22,7 +22,7 @@ fn row_set(rel: &Relation) -> RowSet {
 fn assert_rows(got: &Relation, schema: &Schema, want: &RowSet, what: &str) {
     assert_eq!(got.schema(), schema, "{what}: schema");
     assert_eq!(got.len(), want.len(), "{what}: tuple count");
-    assert_eq!(got.rows().len(), got.len(), "{what}: row view length");
+    assert_eq!(got.rows().len(), got.len(), "{what}: row copy length");
     // Not `assert_eq!`: a failure would print both row sets in full.
     assert!(row_set(got) == *want, "{what}: rows differ");
 }
@@ -55,7 +55,7 @@ fn ref_rename(rel: &Relation, mapping: &[(AttrId, AttrId)]) -> (Schema, RowSet) 
     let to = |a: AttrId| mapping.iter().find(|m| m.0 == a).map_or(a, |m| m.1);
     let renamed: Vec<AttrId> = rel.schema().attrs().iter().map(|&a| to(a)).collect();
     let schema = Schema::new(renamed.clone());
-    let rows = rel.rows().iter().map(|row| {
+    let rows = rel.rows().into_iter().map(|row| {
         let mut cells: Vec<(usize, Value)> = renamed
             .iter()
             .zip(row.iter())

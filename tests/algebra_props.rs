@@ -63,7 +63,7 @@ proptest! {
         let once = ops::semijoin(&r, &s);
         prop_assert!(once.len() <= r.len());
         for row in once.rows() {
-            prop_assert!(r.contains_row(row));
+            prop_assert!(r.contains_row(&row));
         }
         prop_assert_eq!(ops::semijoin(&once, &s), once.clone());
         // Reduction never changes the join result (the full-reducer premise).

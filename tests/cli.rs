@@ -458,6 +458,35 @@ fn check_query_lints_cq_fixtures() {
 }
 
 #[test]
+fn check_query_notes_a_minimization_cut_short() {
+    // A directed 5-cycle beside a dense bipartite block: proving that no
+    // cycle atom folds away outgrows the homomorphism search's budget.
+    let mut atoms = Vec::new();
+    for i in 0..5 {
+        for j in 0..5 {
+            atoms.push(format!("e(u{i}, v{j})"));
+            atoms.push(format!("e(v{j}, u{i})"));
+        }
+    }
+    for i in 0..5 {
+        atoms.push(format!("e(z{i}, z{})", (i + 1) % 5));
+    }
+    let head: Vec<String> = (0..5)
+        .flat_map(|i| [format!("u{i}"), format!("v{i}")])
+        .collect();
+    let dir = tempdir::TempDir::new("budget");
+    let query = format!("Q({}) :- {}.\n", head.join(", "), atoms.join(", "));
+    let path = write_tsv(dir.path(), "budget.cq", &query);
+    let out = cli(&["check", "--query", path.to_str().unwrap()]);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(out.status.success(), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("note[minimize-budget]: the core search gave up on 5 fold(s)"),
+        "stderr:\n{stderr}"
+    );
+}
+
+#[test]
 fn check_autodetects_cq_sources_and_emits_json() {
     // A `.cq` extension routes through the query linter without --query.
     let out = cli(&[
