@@ -23,17 +23,20 @@
 //! in the column's [`ColumnBuilder`]). The relation loader then
 //! deduplicates once, in [`Relation::from_columns`]. **Out:**
 //! [`write_sorted`] ranks each dictionary once, sorts the rows as packed
-//! integer keys, and formats them (in-place itoa, each distinct string
-//! escaped once) into one reused buffer written in batches. The Grace-hash
-//! spill files (`ops/spill.rs`) are the same dialect without a header: one
-//! line per tuple from the row formatter, read back by the same parser.
+//! integer keys (no row id when every column fits in one key; a large
+//! answer's `u32` keys by radix sort), and formats each column's cells once
+//! per key — a dictionary entry escaped, an integer of a narrow span through
+//! itoa — so that printing a cell is one fixed 8- or 16-byte copy into a
+//! reused buffer written in batches. The Grace-hash spill files
+//! (`ops/spill.rs`) are the same dialect without a header: one line per
+//! tuple from the row formatter, read back by the same parser.
 
 use crate::attr::Catalog;
 use crate::column::{Column, ColumnBuilder};
 use crate::error::{Error, Result};
 use crate::relation::Relation;
 use crate::schema::Schema;
-use crate::sortkey::{sort_rows, used_entries, SortColumn, SortedRows};
+use crate::sortkey::{sort_rows, used_entries, Key, Keys, SortColumn, SortedRows};
 use crate::value::Value;
 use std::io::{BufRead, Write};
 
@@ -346,10 +349,9 @@ fn push_cell(buf: &mut Vec<u8>, v: &Value) {
     }
 }
 
-/// Append `v` in decimal: digits are produced backwards into a stack buffer,
-/// so nothing allocates.
-fn push_int(buf: &mut Vec<u8>, v: i64) {
-    let mut tmp = [0u8; 20];
+/// `v` in decimal, produced backwards at the end of `tmp` so that nothing
+/// allocates: the digits are `tmp[at..]` for the `at` returned.
+fn itoa(v: i64, tmp: &mut [u8; 20]) -> usize {
     let mut at = tmp.len();
     let mut n = v.unsigned_abs();
     loop {
@@ -364,12 +366,19 @@ fn push_int(buf: &mut Vec<u8>, v: i64) {
         at -= 1;
         tmp[at] = b'-';
     }
+    at
+}
+
+/// Append `v` in decimal.
+fn push_int(buf: &mut Vec<u8>, v: i64) {
+    let mut tmp = [0u8; 20];
+    let at = itoa(v, &mut tmp);
     buf.extend_from_slice(&tmp[at..]);
 }
 
 /// Escaped TSV cells in one arena, addressed by slot — a dictionary code
-/// for the [`RowFormatter`], a rank for [`write_sorted`] — so each distinct
-/// value is escaped once however many rows carry it.
+/// for the [`RowFormatter`], a sort key for [`write_sorted`] — so each
+/// distinct value is escaped once however many rows carry it.
 struct Cells {
     /// `bytes[starts[s]..starts[s + 1]]` is slot `s`.
     starts: Vec<usize>,
@@ -377,22 +386,39 @@ struct Cells {
 }
 
 impl Cells {
-    /// One slot per item, in order; `None` leaves its slot empty.
-    fn of<'v>(values: impl Iterator<Item = Option<&'v Value>>) -> Self {
-        let mut starts = vec![0];
+    /// Slots `0..n`, slot `s` being what `fill(s, bytes)` appends.
+    fn of(n: usize, mut fill: impl FnMut(usize, &mut Vec<u8>)) -> Self {
+        let mut starts = Vec::with_capacity(n + 1);
+        starts.push(0);
         let mut bytes = Vec::new();
-        for v in values {
-            if let Some(v) = v {
-                push_cell(&mut bytes, v);
-            }
+        for s in 0..n {
+            fill(s, &mut bytes);
             starts.push(bytes.len());
         }
         Cells { starts, bytes }
     }
 
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
     #[inline]
     fn get(&self, slot: usize) -> &[u8] {
         &self.bytes[self.starts[slot]..self.starts[slot + 1]]
+    }
+
+    /// The cells as fixed `W`-byte slots: the cell, padding, and its length
+    /// in the last byte. Every cell must be shorter than `W`.
+    fn slots<const W: usize>(&self) -> Vec<[u8; W]> {
+        let slot = |s: usize| {
+            let cell = self.get(s);
+            debug_assert!(cell.len() < W, "the last byte holds the length");
+            let mut slot = [0u8; W];
+            slot[..cell.len()].copy_from_slice(cell);
+            slot[W - 1] = cell.len() as u8;
+            slot
+        };
+        (0..self.len()).map(slot).collect()
     }
 }
 
@@ -407,10 +433,14 @@ impl<'a> RowFormatter<'a> {
     /// Prepare `cols` (in output order) for formatting.
     pub(crate) fn new(cols: &[&'a Column]) -> Self {
         let escaped = |c: &Column| match c {
-            Column::Int(_) => Cells::of(std::iter::empty()),
+            Column::Int(_) => Cells::of(0, |_, _| {}),
             Column::Dict { codes, dict } => {
                 let used = used_entries(codes, dict.len());
-                Cells::of((0..dict.len()).map(|c| used[c].then(|| dict.value(c as u32))))
+                Cells::of(dict.len(), |c, bytes| {
+                    if used[c] {
+                        push_cell(bytes, dict.value(c as u32));
+                    }
+                })
             }
         };
         RowFormatter {
@@ -433,23 +463,91 @@ impl<'a> RowFormatter<'a> {
     }
 }
 
-/// The escaped cells of a sort column, addressed by key: empty for integers
-/// (printed from the key itself), one slot per rank for dictionary entries.
-fn cells_by_key(col: &SortColumn) -> Cells {
-    match col {
-        SortColumn::Int { .. } => Cells::of(std::iter::empty()),
-        SortColumn::Ranked { dict, by_rank, .. } => {
-            Cells::of(by_rank.iter().map(|&c| Some(dict.value(c))))
-        }
-    }
+/// One output column's cells for [`write_sorted`], addressed by sort key,
+/// each followed by its separator (a tab, or the newline ending the row).
+enum KeyCells {
+    /// Cells of at most 7 bytes, separator included, as 8-byte slots: one
+    /// fixed copy prints a cell, its length read from the slot's last byte.
+    Slots8(Vec<[u8; 8]>),
+    /// Cells of at most 15 bytes, as 16-byte slots.
+    Slots16(Vec<[u8; 16]>),
+    /// Longer cells, copied at their length, the longest `longest` bytes.
+    Long { cells: Cells, longest: usize },
+    /// Integers whose span is too wide for a table of one slot per key:
+    /// formatted per row from `min + key`.
+    Int { min: i64, sep: u8 },
 }
 
-/// Append the cell `key` stands for in `col`.
-#[inline]
-fn push_key_cell(col: &SortColumn, cells: &Cells, key: u64, buf: &mut Vec<u8>) {
-    match col {
-        SortColumn::Int { min, .. } => push_int(buf, min.wrapping_add(key as i64)),
-        SortColumn::Ranked { .. } => buf.extend_from_slice(cells.get(key as usize)),
+impl KeyCells {
+    /// The cells of `col`, whose keys go up to `max_key`, among `nrows` rows.
+    /// An integer column gets a table only when its span is at most
+    /// `max(nrows, 1024)` keys: never more slots than rows, short of 1,024.
+    fn new(col: &SortColumn, max_key: u64, nrows: usize, sep: u8) -> Self {
+        let cells = match *col {
+            SortColumn::Int { min, .. } if max_key < nrows.max(1024) as u64 => {
+                Cells::of(max_key as usize + 1, |k, bytes| {
+                    push_int(bytes, min.wrapping_add(k as i64));
+                    bytes.push(sep);
+                })
+            }
+            SortColumn::Int { min, .. } => return KeyCells::Int { min, sep },
+            SortColumn::Ranked {
+                dict, ref by_rank, ..
+            } => Cells::of(by_rank.len(), |r, bytes| {
+                push_cell(bytes, dict.value(by_rank[r]));
+                bytes.push(sep);
+            }),
+        };
+        let longest = (0..cells.len())
+            .map(|s| cells.get(s).len())
+            .max()
+            .unwrap_or(0);
+        match longest {
+            0..8 => KeyCells::Slots8(cells.slots()),
+            8..16 => KeyCells::Slots16(cells.slots()),
+            _ => KeyCells::Long { cells, longest },
+        }
+    }
+
+    /// The most bytes [`Self::put`] writes (past its cell's true length).
+    fn reach(&self) -> usize {
+        match self {
+            KeyCells::Slots8(_) => 8,
+            KeyCells::Slots16(_) => 16,
+            KeyCells::Long { longest, .. } => *longest,
+            KeyCells::Int { .. } => 21,
+        }
+    }
+
+    /// Write the cell for `key` at `buf[pos..]`; returns the position after
+    /// it. `buf` must hold [`Self::reach`] bytes from `pos`.
+    #[inline]
+    fn put(&self, key: u64, buf: &mut [u8], pos: usize) -> usize {
+        match self {
+            KeyCells::Slots8(slots) => {
+                let slot = &slots[key as usize];
+                buf[pos..pos + 8].copy_from_slice(slot);
+                pos + usize::from(slot[7])
+            }
+            KeyCells::Slots16(slots) => {
+                let slot = &slots[key as usize];
+                buf[pos..pos + 16].copy_from_slice(slot);
+                pos + usize::from(slot[15])
+            }
+            KeyCells::Long { cells, .. } => {
+                let cell = cells.get(key as usize);
+                buf[pos..pos + cell.len()].copy_from_slice(cell);
+                pos + cell.len()
+            }
+            &KeyCells::Int { min, sep } => {
+                let mut tmp = [0u8; 20];
+                let at = itoa(min.wrapping_add(key as i64), &mut tmp);
+                let end = pos + tmp.len() - at;
+                buf[pos..end].copy_from_slice(&tmp[at..]);
+                buf[end] = sep;
+                end + 1
+            }
+        }
     }
 }
 
@@ -463,15 +561,25 @@ const WRITE_BATCH: usize = 64 * 1024;
 ///
 /// No row is materialized and no comparison walks a dictionary. Every cell
 /// becomes an order-preserving integer key (an integer's distance from its
-/// column's minimum; a dictionary entry's rank, the dictionary being sorted
-/// once); as many leading columns as fit are packed, with the row id, into
-/// one `u128` per row and sorted as integers; runs that tie on the packed
-/// prefix are refined by integer compares on the remaining columns. Packed
-/// columns are then printed from the sorted keys themselves — sequentially,
-/// without going back to the column — and only the remaining ones are
-/// gathered by row id. Transient memory is 16 bytes per row plus the rank
-/// and escaped cell of each dictionary entry in use; rows are formatted into
-/// one reused buffer handed to `out` in batches of 64 KiB.
+/// column's minimum, found in one pass; a dictionary entry's rank, the
+/// dictionary being sorted once). The columns are packed into one integer
+/// per row — the narrowest of `u32`, `u64` and `u128` that holds them, with
+/// a row id only when not all of them fit — and sorted as integers, by an
+/// LSD radix sort for `u32` keys of 4,096 rows or more. Runs that tie on the
+/// packed prefix are refined by integer compares on the remaining columns.
+/// Packed columns are then printed from the sorted keys themselves, and
+/// only the remaining ones are gathered by row id. Each column's cells are
+/// formatted once per key with their separator: a dictionary's used
+/// entries, and an integer column's whole span when that is at most
+/// `max(nrows, 1024)` keys (wider ones are formatted per row). A cell of up
+/// to 15 bytes is then one fixed 8- or 16-byte copy into the batch buffer.
+///
+/// Transient memory is at most 16 bytes per row while sorting (`u128`
+/// keys, `u64` keys, or `u32` keys beside the radix sort's scratch), then
+/// the keys and each column's cell table: a slot per dictionary entry in
+/// use, and for an integer column at most `max(nrows, 1024)` slots. Rows
+/// are formatted into one reused buffer handed to `out` in batches of
+/// 64 KiB.
 pub fn write_sorted<W: Write>(
     header: &[impl AsRef<str>],
     cols: &[&Column],
@@ -479,7 +587,8 @@ pub fn write_sorted<W: Write>(
     out: &mut W,
 ) -> std::io::Result<()> {
     debug_assert!(cols.iter().all(|c| c.len() == nrows));
-    let mut buf: Vec<u8> = Vec::with_capacity(WRITE_BATCH + 4096);
+    let sp = mjoin_trace::span("tsv", "write");
+    let mut buf: Vec<u8> = Vec::new();
     for (i, name) in header.iter().enumerate() {
         if i > 0 {
             buf.push(b'\t');
@@ -488,35 +597,75 @@ pub fn write_sorted<W: Write>(
     }
     buf.push(b'\n');
 
-    let cols: Vec<(SortColumn, u32)> = cols.iter().map(|c| SortColumn::new(c)).collect();
-    let cells: Vec<Cells> = cols.iter().map(|(col, _)| cells_by_key(col)).collect();
-    let SortedRows {
-        keys,
-        packed,
-        width,
-    } = sort_rows(&cols, nrows);
-
-    for k in keys {
-        let mut shift = width;
-        for (j, ((col, bits), cells)) in cols.iter().zip(&cells).enumerate() {
-            if j > 0 {
-                buf.push(b'\t');
-            }
-            let key = if j < packed {
-                shift -= bits;
-                (k >> shift) as u64 & u64::MAX.checked_shr(u64::BITS - bits).unwrap_or(0)
-            } else {
-                col.key(SortedRows::row(k))
-            };
-            push_key_cell(col, cells, key, &mut buf);
+    let rank = mjoin_trace::span("tsv", "rank");
+    let cols: Vec<(SortColumn, u64)> = cols.iter().map(|c| SortColumn::new(c)).collect();
+    drop(rank);
+    let sort = mjoin_trace::span("tsv", "sort");
+    let sorted = sort_rows(&cols, nrows, false);
+    drop(sort);
+    let format = mjoin_trace::span("tsv", "format");
+    let last = cols.len().saturating_sub(1);
+    let cells: Vec<KeyCells> = cols
+        .iter()
+        .enumerate()
+        .map(|(j, (col, max_key))| {
+            let sep = if j == last { b'\n' } else { b'\t' };
+            KeyCells::new(col, *max_key, nrows, sep)
+        })
+        .collect();
+    let bytes = if cols.is_empty() {
+        // A nullary row is its line ending alone.
+        buf.resize(buf.len() + nrows, b'\n');
+        out.write_all(&buf)?;
+        buf.len()
+    } else {
+        match &sorted.keys {
+            Keys::U32(keys) => write_rows(keys, &sorted, &cols, &cells, buf, out)?,
+            Keys::U64(keys) => write_rows(keys, &sorted, &cols, &cells, buf, out)?,
+            Keys::U128(keys) => write_rows(keys, &sorted, &cols, &cells, buf, out)?,
         }
-        buf.push(b'\n');
-        if buf.len() >= WRITE_BATCH {
-            out.write_all(&buf)?;
-            buf.clear();
+    };
+    drop(format);
+    if sp.is_active() {
+        mjoin_trace::add("tsv.write_rows", nrows as u64);
+        mjoin_trace::add("tsv.write_bytes", bytes as u64);
+    }
+    Ok(())
+}
+
+/// Format the rows `keys` stand for — `cols`' packed cells read from the
+/// keys, the rest gathered by row id, each printed from its `cells` — after
+/// what `buf` holds, handing batches to `out`; returns the bytes written.
+fn write_rows<K: Key, W: Write>(
+    keys: &[K],
+    sorted: &SortedRows,
+    cols: &[(SortColumn, u64)],
+    cells: &[KeyCells],
+    mut buf: Vec<u8>,
+    out: &mut W,
+) -> std::io::Result<usize> {
+    let (fields, row) = (&sorted.fields, sorted.row);
+    let (packed, rest) = cells.split_at(fields.len());
+    let rest: Vec<_> = cols[fields.len()..].iter().zip(rest).collect();
+    let reach: usize = cells.iter().map(KeyCells::reach).sum();
+    let mut pos = buf.len();
+    buf.resize(pos + WRITE_BATCH + reach, 0);
+    let mut written = 0;
+    for &k in keys {
+        for (field, cells) in fields.iter().zip(packed) {
+            pos = cells.put(field.get(k), &mut buf, pos);
+        }
+        for ((col, _), cells) in &rest {
+            pos = cells.put(col.key(row.get(k) as usize), &mut buf, pos);
+        }
+        if pos >= WRITE_BATCH {
+            out.write_all(&buf[..pos])?;
+            written += pos;
+            pos = 0;
         }
     }
-    out.write_all(&buf)
+    out.write_all(&buf[..pos])?;
+    Ok(written + pos)
 }
 
 /// Stream a relation as TSV (canonical column order, sorted rows — the same
@@ -784,6 +933,128 @@ pub(crate) mod tests {
             }
         }
         assert_eq!(relation_to_tsv(&c, &Relation::nullary_unit()), "\n\n");
+    }
+
+    /// Reference for [`write_sorted`] over any columns in output order
+    /// (repeats allowed, rows not necessarily distinct): the rows' `Value`
+    /// tuples sorted, through the reference row encoder.
+    fn reference_write(header: &[String], cols: &[&Column], nrows: usize) -> String {
+        let mut rows: Vec<Vec<Value>> = (0..nrows)
+            .map(|i| cols.iter().map(|c| c.value(i)).collect())
+            .collect();
+        rows.sort();
+        let body: String = rows.iter().map(|r| row_to_tsv(r)).collect();
+        header.join("\t") + "\n" + &body
+    }
+
+    /// The writer against the references on generated columns that
+    /// straddle each of its thresholds: the radix sort's 4,096 rows, the
+    /// integer table's `max(nrows, 1024)` span, the `u32`/`u64`/`u128` key
+    /// widths (`i64::MIN`/`MAX` columns, columns past 128 bits ordered by
+    /// run refinement), dictionary columns of the nasty strings (slot and
+    /// long cells), a repeated output column, nullary and empty inputs.
+    /// Each distinct-attribute case is also loaded as a relation and
+    /// printed by [`relation_to_tsv_writer`] against [`reference_tsv`].
+    #[test]
+    fn writer_matches_reference_across_thresholds() {
+        use crate::sortkey::tests::{drawn, extremes, ints, nasty};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x7e57);
+        let mut cases: Vec<(usize, Vec<Column>)> = Vec::new();
+        // The radix cut-off: three columns of 11 + 2 + 9 bits.
+        for n in [4095, 4096, 4097, 10_000, rng.gen_range(1..10_000)] {
+            let cols = vec![
+                ints(&mut rng, n, 100_000, 1400),
+                ints(&mut rng, n, 200_000, 4),
+                ints(&mut rng, n, -400_000, 300),
+            ];
+            cases.push((n, cols));
+        }
+        // The integer table's span cut-off, at both ends of `i64` too.
+        for n in [10, 1000, 1024, 1025, 3000] {
+            let cut = n.max(1024) as u64;
+            for span in [cut, cut + 1] {
+                for lo in [-7, i64::MIN, i64::MAX - (span as i64 - 1)] {
+                    let cols = vec![ints(&mut rng, n, lo, span), ints(&mut rng, n, 0, 3)];
+                    cases.push((n, cols));
+                }
+            }
+        }
+        // Key widths: 32 and 33 bits; one 64-bit column alone, then beside
+        // another; three, of which the last is refined by row id.
+        for n in [500, 5000] {
+            for span in [1 << 16, (1 << 16) + 1] {
+                cases.push((
+                    n,
+                    vec![ints(&mut rng, n, 0, 1 << 16), ints(&mut rng, n, 9, span)],
+                ));
+            }
+            for k in 1..=3 {
+                let cols = (0..k).map(|_| drawn(&mut rng, n, &extremes())).collect();
+                cases.push((n, cols));
+            }
+            let cols = vec![
+                drawn(&mut rng, n, &extremes()),
+                drawn(&mut rng, n, &nasty()),
+                drawn(&mut rng, n, &extremes()),
+                ints(&mut rng, n, 5, 1 << 40),
+            ];
+            cases.push((n, cols));
+        }
+        // Dictionary columns: nasty strings alone, and words whose longest
+        // cell with its separator is 7, 8, 15 or 16 bytes (either side of
+        // each slot width) beside six-digit integers.
+        for n in [1, 2, 50, 4096, 6000] {
+            let cols = vec![drawn(&mut rng, n, &nasty()), drawn(&mut rng, n, &nasty())];
+            cases.push((n, cols));
+            for longest in [6, 7, 14, 15] {
+                let words = ["b", "é", &"z".repeat(longest)].map(Value::str);
+                let cols = vec![
+                    ints(&mut rng, n, 100_000, 900_000),
+                    drawn(&mut rng, n, &words),
+                ];
+                cases.push((n, cols));
+            }
+        }
+        // Empty inputs with columns.
+        cases.push((
+            0,
+            vec![ints(&mut rng, 0, 0, 1), drawn(&mut rng, 0, &nasty())],
+        ));
+
+        let mut c = Catalog::new();
+        for (n, cols) in &cases {
+            let header: Vec<String> = (0..cols.len()).map(|j| format!("c{j}")).collect();
+            let refs: Vec<&Column> = cols.iter().collect();
+            let mut got = Vec::new();
+            write_sorted(&header, &refs, *n, &mut got).unwrap();
+            let expect = reference_write(&header, &refs, *n);
+            assert!(
+                String::from_utf8(got).unwrap() == expect,
+                "{n} rows, {} columns",
+                cols.len()
+            );
+            // A repeated output column, first and last.
+            let repeated: Vec<&Column> = refs.iter().chain(&refs[..1]).copied().collect();
+            let header: Vec<String> = (0..repeated.len()).map(|j| format!("c{j}")).collect();
+            let mut got = Vec::new();
+            write_sorted(&header, &repeated, *n, &mut got).unwrap();
+            assert!(String::from_utf8(got).unwrap() == reference_write(&header, &repeated, *n));
+            // The same columns as a relation, deduplicated on load.
+            let names: String = ('A'..).take(cols.len()).collect();
+            let schema = Schema::from_chars(&mut c, &names);
+            let rel = Relation::from_columns(schema, *n, cols.clone());
+            let mut got = Vec::new();
+            relation_to_tsv_writer(&c, &rel, &mut got).unwrap();
+            assert!(String::from_utf8(got).unwrap() == reference_tsv(&c, &rel));
+        }
+        // Nullary: no row, and the one empty row.
+        let none: [&str; 0] = [];
+        for n in [0, 1] {
+            let mut got = Vec::new();
+            write_sorted(&none, &[], n, &mut got).unwrap();
+            assert_eq!(got, b"\n".repeat(n + 1));
+        }
     }
 
     /// A gathered column shares its source's pool: entries the column no
