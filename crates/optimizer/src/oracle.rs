@@ -162,18 +162,54 @@ impl EstimateOracle {
     }
 }
 
-/// Distinct values of `attr` in `rel`, from the column view: integers by
-/// value, interned cells by dictionary code (a dictionary holds each value
-/// once).
+/// Distinct values of `attr` in `rel` (1 when `rel` lacks it).
 fn distinct_count(rel: &Relation, attr: AttrId) -> u64 {
-    let Some(pos) = rel.schema().position(attr) else {
-        return 1;
-    };
-    let distinct = match &rel.columns()[pos] {
-        Column::Int(v) => v.iter().copied().collect::<FxHashSet<i64>>().len(),
-        Column::Dict { codes, .. } => codes.iter().copied().collect::<FxHashSet<u32>>().len(),
-    };
-    distinct as u64
+    match rel.schema().position(attr) {
+        Some(pos) => distinct_cells(&rel.columns()[pos]) as u64,
+        None => 1,
+    }
+}
+
+/// Distinct values in `col`, counted on a bitmap where one is small:
+/// interned cells by dictionary code (a dictionary holds each value once),
+/// integers by their distance from the column minimum while the span is at
+/// most `8·n + 4096`, and a set pre-sized to the column only past that.
+fn distinct_cells(col: &Column) -> usize {
+    match col {
+        Column::Dict { codes, dict } => {
+            distinct_in_bitmap(codes.iter().map(|&c| c as usize), dict.len())
+        }
+        Column::Int(v) => {
+            let Some(&first) = v.first() else {
+                return 0;
+            };
+            let (min, max) = v
+                .iter()
+                .fold((first, first), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+            // The distance from the minimum fits `u64` for any two `i64`s.
+            let span = max.wrapping_sub(min) as u64;
+            if span <= 8 * v.len() as u64 + 4096 {
+                let keys = v.iter().map(|&x| x.wrapping_sub(min) as u64 as usize);
+                distinct_in_bitmap(keys, span as usize + 1)
+            } else {
+                let mut set = FxHashSet::with_capacity_and_hasher(v.len(), Default::default());
+                set.extend(v.iter().copied());
+                set.len()
+            }
+        }
+    }
+}
+
+/// How many distinct `keys`, each below `len`, one bitmap pass finds.
+fn distinct_in_bitmap(keys: impl Iterator<Item = usize>, len: usize) -> usize {
+    let mut words = vec![0u64; len.div_ceil(64)];
+    let mut distinct = 0;
+    for k in keys {
+        let (word, bit) = (&mut words[k / 64], 1u64 << (k % 64));
+        distinct += usize::from(*word & bit == 0);
+        *word |= bit;
+    }
+    distinct
 }
 
 impl CostOracle for EstimateOracle {
@@ -354,6 +390,68 @@ mod tests {
         let forest = gyo(&DbScheme::from_schemas(&db.schemas()));
         // C = 0 under B = 0: two A's × two D's; C = 3 and C = 5 under B = 1.
         assert_eq!(forest_count(&rels, &forest), 2 * 2 + 1 + 1);
+    }
+
+    /// The bitmap counts agree with a hash-set count on both sides of the
+    /// span threshold, at the ends of the `i64` range, and on gathered
+    /// dictionary columns whose pool holds entries they do not use.
+    #[test]
+    fn distinct_cells_matches_a_hash_set_count() {
+        let ints = |vals: &[i64]| {
+            let mut b = mjoin_relation::ColumnBuilder::default();
+            vals.iter().for_each(|&x| b.push_int(x));
+            b.finish()
+        };
+        let hashed = |col: &Column| {
+            (0..col.len())
+                .map(|i| col.value(i))
+                .collect::<std::collections::HashSet<_>>()
+                .len()
+        };
+        let n = 100i64;
+        let threshold = 8 * n + 4096;
+        let mut cases: Vec<Vec<i64>> = Vec::new();
+        for span in [
+            0,
+            1,
+            63,
+            64,
+            threshold - 1,
+            threshold,
+            threshold + 1,
+            1 << 40,
+        ] {
+            // n cells from -7 to -7 + span, with repeats in between.
+            let mut v: Vec<i64> = (0..n).map(|i| -7 + (i * i) % (span + 1)).collect();
+            v[0] = -7;
+            v[1] = -7 + span;
+            cases.push(v);
+        }
+        cases.push(vec![i64::MIN, i64::MAX, 0, i64::MIN]);
+        cases.push(vec![i64::MAX, i64::MAX - 1, i64::MAX]);
+        cases.push(vec![i64::MIN, i64::MIN + 2, i64::MIN + 2]);
+        cases.push(Vec::new());
+        for v in &cases {
+            let col = ints(v);
+            assert_eq!(distinct_cells(&col), hashed(&col), "{v:?}");
+        }
+
+        let mut b = mjoin_relation::ColumnBuilder::default();
+        for i in 0..200 {
+            b.push_str(&format!("s{}", i % 150));
+        }
+        b.push_int(5);
+        let pool = b.finish();
+        assert_eq!(distinct_cells(&pool), 151);
+        for sel in [
+            vec![],
+            vec![3u32, 3, 153, 7],
+            (0..200).step_by(3).collect(),
+            vec![200, 0],
+        ] {
+            let gathered = pool.gather(&sel);
+            assert_eq!(distinct_cells(&gathered), hashed(&gathered), "{sel:?}");
+        }
     }
 
     #[test]

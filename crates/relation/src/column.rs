@@ -13,6 +13,14 @@
 //! what makes late materialization cheap: join/semijoin/project kernels work
 //! in terms of row-index selection vectors and only [`Column::gather`] the
 //! columns the output actually keeps.
+//!
+//! A payload keeps the `Vec` it was built in (`Arc<Vec<_>>`, which derefs to
+//! a slice): [`ColumnBuilder::finish`], [`Column::gather`] and
+//! [`Column::concat_gathered`] wrap the vector they filled rather than copy
+//! it into a fresh allocation, so each cell is written once. Writing memory
+//! for the first time costs several times what rewriting it does (DESIGN.md
+//! has the measurement), and every loaded, joined and spilled column is
+//! new memory.
 
 use crate::fxhash::FxHashMap;
 use crate::value::Value;
@@ -68,13 +76,13 @@ impl Dict {
 #[derive(Debug, Clone)]
 pub enum Column {
     /// A dense integer column: every row's value is `Value::Int`.
-    Int(Arc<[i64]>),
+    Int(Arc<Vec<i64>>),
     /// A dictionary-interned column: `codes[row]` indexes into `dict`.
     /// Used whenever any value is a string (mixed columns stay correct —
     /// the pool holds [`Value`]s, not bare strings).
     Dict {
         /// Per-row dictionary codes.
-        codes: Arc<[u32]>,
+        codes: Arc<Vec<u32>>,
         /// The shared value pool the codes index into.
         dict: Arc<Dict>,
     },
@@ -208,9 +216,9 @@ impl Column {
     /// copied; interned columns copy only codes and share the pool.
     pub fn gather(&self, sel: &[u32]) -> Column {
         match self {
-            Column::Int(v) => Column::Int(sel.iter().map(|&i| v[i as usize]).collect()),
+            Column::Int(v) => Column::Int(Arc::new(sel.iter().map(|&i| v[i as usize]).collect())),
             Column::Dict { codes, dict } => Column::Dict {
-                codes: sel.iter().map(|&i| codes[i as usize]).collect(),
+                codes: Arc::new(sel.iter().map(|&i| codes[i as usize]).collect()),
                 dict: Arc::clone(dict),
             },
         }
@@ -229,7 +237,7 @@ impl Column {
                 let Column::Int(v) = c else { unreachable!() };
                 out.extend(sel.iter().map(|&i| v[i as usize]));
             }
-            return Column::Int(out.into());
+            return Column::Int(Arc::new(out));
         }
         let shared_dict = parts.iter().find_map(|(c, _)| match c {
             Column::Dict { dict, .. } => Some(Arc::clone(dict)),
@@ -250,16 +258,14 @@ impl Column {
                     }
                 }
                 return Column::Dict {
-                    codes: codes.into(),
+                    codes: Arc::new(codes),
                     dict,
                 };
             }
         }
         let mut b = ColumnBuilder::with_capacity(total);
         for (c, sel) in parts {
-            for &i in *sel {
-                b.push_cell(c, i as usize);
-            }
+            b.extend_gathered(c, sel);
         }
         b.finish()
     }
@@ -393,12 +399,27 @@ impl ColumnBuilder {
         }
     }
 
+    /// Append the cells of `col` at the rows in `sel`, in order: a
+    /// gather into this builder. Integer cells extend the dense vector in
+    /// one pass while it lasts; interned cells are re-interned by value, so
+    /// `col` may carry any pool.
+    pub(crate) fn extend_gathered(&mut self, col: &Column, sel: &[u32]) {
+        match (col, &mut self.interned) {
+            (Column::Int(v), None) => self.ints.extend(sel.iter().map(|&i| v[i as usize])),
+            _ => {
+                for &i in sel {
+                    self.push_cell(col, i as usize);
+                }
+            }
+        }
+    }
+
     /// Finish into a column.
     pub fn finish(self) -> Column {
         match self.interned {
-            None => Column::Int(self.ints.into()),
+            None => Column::Int(Arc::new(self.ints)),
             Some(d) => Column::Dict {
-                codes: d.codes.into(),
+                codes: Arc::new(d.codes),
                 dict: Arc::new(Dict {
                     values: d.values,
                     hashes: d.hashes,
@@ -534,6 +555,56 @@ mod tests {
         let h = Column::concat_gathered(&[(&d, &[0]), (&g, &[0])]);
         assert_eq!(h.value(0), Value::str("x"));
         assert_eq!(h.value(1), Value::str("y"));
+    }
+
+    /// `finish` wraps the builder's own vectors: the payload sits at the
+    /// address the cells were written to, for a dense and an interned
+    /// column alike.
+    #[test]
+    fn finish_keeps_the_filled_buffer() {
+        let mut dense = ColumnBuilder::with_capacity(3);
+        [4, -1, 4].into_iter().for_each(|x| dense.push_int(x));
+        let filled = dense.ints.as_ptr();
+        let Column::Int(v) = dense.finish() else {
+            panic!("dense");
+        };
+        assert_eq!(v.as_ptr(), filled);
+
+        let mut interned = ColumnBuilder::default();
+        interned.push_int(4);
+        interned.push_str("x");
+        interned.push_int(4);
+        let filled = interned.interned.as_ref().unwrap().codes.as_ptr();
+        let Column::Dict { codes, .. } = interned.finish() else {
+            panic!("interned");
+        };
+        assert_eq!(codes.as_ptr(), filled);
+        assert_eq!(*codes, [0, 1, 0]);
+    }
+
+    /// Concatenating over one shared pool keeps the codes vector it sized
+    /// to the total and filled: the payload is that vector, uniquely owned
+    /// and never regrown or copied out, and it shares the parts' pool.
+    #[test]
+    fn concat_over_one_pool_keeps_the_filled_buffer() {
+        let d = mixed(&[Value::str("x"), Value::str("y"), Value::Int(3)]);
+        let e = d.gather(&[2, 2, 0]);
+        let parts: [(&Column, &[u32]); 3] = [(&d, &[1, 0]), (&e, &[0, 1, 2]), (&d, &[])];
+        let Column::Dict { codes, dict } = Column::concat_gathered(&parts) else {
+            panic!("interned");
+        };
+        assert!(Arc::ptr_eq(&dict, d.dict().unwrap()));
+        let at = codes.as_ptr();
+        let codes = Arc::into_inner(codes).expect("uniquely owned");
+        assert_eq!((codes.as_ptr(), codes.capacity()), (at, 5));
+        assert_eq!(codes, [1, 0, 2, 2, 0]);
+
+        let (a, b) = (ints(&[1, 2]), ints(&[3]));
+        let Column::Int(v) = Column::concat_gathered(&[(&a, &[1, 0]), (&b, &[0])]) else {
+            panic!("dense");
+        };
+        let v = Arc::into_inner(v).expect("uniquely owned");
+        assert_eq!((v.capacity(), v), (3, vec![2, 1, 3]));
     }
 
     #[test]

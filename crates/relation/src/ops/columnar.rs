@@ -63,28 +63,6 @@ pub(crate) fn gather_relation(rel: &Relation, ids: &[u32]) -> Relation {
     Relation::from_distinct_columns(rel.schema().clone(), ids.len(), cols)
 }
 
-/// Concatenate relations over `schema` whose tuple sets are pairwise
-/// disjoint (per-partition outputs of a key-partitioned operator) into one,
-/// column by column. Parts may carry different dictionaries, or an integer
-/// column where another part interned strings — [`Column::concat_gathered`]
-/// re-interns those.
-pub(crate) fn concat_disjoint(schema: Schema, parts: &[Relation]) -> Relation {
-    let nrows: usize = parts.iter().map(Relation::len).sum();
-    let longest = parts.iter().map(Relation::len).max().unwrap_or(0);
-    let all: Vec<u32> = (0..longest as u32).collect();
-    let cols: Vec<Column> = (0..schema.arity())
-        .map(|c| {
-            Column::concat_gathered(
-                &parts
-                    .iter()
-                    .map(|r| (&r.columns()[c], &all[..r.len()]))
-                    .collect::<Vec<_>>(),
-            )
-        })
-        .collect();
-    Relation::from_distinct_columns(schema, nrows, cols)
-}
-
 // ---------------------------------------------------------------------------
 // Join.
 
@@ -183,10 +161,31 @@ impl<'a> ColJoin<'a> {
     }
 }
 
+/// The column each output attribute of `build ⋈ probe` is gathered from,
+/// and whether the probe side's ids (rather than the build side's) select
+/// its rows: the probe side's column when the attribute is there (key
+/// attributes are equal on both sides anyway), the build side's otherwise.
+pub(crate) fn output_columns<'a>(
+    build: &'a Relation,
+    probe: &'a Relation,
+    out_schema: &Schema,
+) -> Vec<(&'a Column, bool)> {
+    out_schema
+        .attrs()
+        .iter()
+        .map(|&a| match probe.schema().position(a) {
+            Some(p) => (&probe.columns()[p], true),
+            None => {
+                let p = build.schema().position(a).expect("attr from one side");
+                (&build.columns()[p], false)
+            }
+        })
+        .collect()
+}
+
 /// Late-materialize a join result from per-part `(build_ids, probe_ids)`
 /// selection vectors: every output column is gathered exactly once, from
-/// the probe side when the attribute is there (key attributes are equal on
-/// both sides anyway), the build side otherwise.
+/// the side [`output_columns`] names.
 pub(crate) fn materialize_join(
     build: &Relation,
     probe: &Relation,
@@ -194,33 +193,39 @@ pub(crate) fn materialize_join(
     parts: &[(Vec<u32>, Vec<u32>)],
 ) -> Relation {
     let nrows: usize = parts.iter().map(|(b, _)| b.len()).sum();
-    let bcols = build.columns();
-    let pcols = probe.columns();
-    let cols: Vec<Column> = out_schema
-        .attrs()
-        .iter()
-        .map(|&a| match probe.schema().position(a) {
-            Some(p) => Column::concat_gathered(
+    let cols: Vec<Column> = output_columns(build, probe, out_schema)
+        .into_iter()
+        .map(|(col, from_probe)| {
+            Column::concat_gathered(
                 &parts
                     .iter()
-                    .map(|(_, pids)| (&pcols[p], pids.as_slice()))
+                    .map(|(bids, pids)| (col, if from_probe { pids } else { bids }.as_slice()))
                     .collect::<Vec<_>>(),
-            ),
-            None => {
-                let p = build.schema().position(a).expect("attr from one side");
-                Column::concat_gathered(
-                    &parts
-                        .iter()
-                        .map(|(bids, _)| (&bcols[p], bids.as_slice()))
-                        .collect::<Vec<_>>(),
-                )
-            }
+            )
         })
         .collect();
     // Output rows are distinct without explicit dedup: restricted to the
     // build schema an output row is its build row, restricted to the probe
     // schema its probe row, and input pairs are distinct.
     Relation::from_distinct_columns(out_schema.clone(), nrows, cols)
+}
+
+/// The sequential hash join's matches: build on the smaller side, probe
+/// every row of the other. Returns the build side, the probe side and the
+/// matched `(build_ids, probe_ids)`, in probe order.
+pub(crate) fn hash_join_ids<'a>(
+    left: &'a Relation,
+    right: &'a Relation,
+) -> (&'a Relation, &'a Relation, (Vec<u32>, Vec<u32>)) {
+    let (build, probe) = if left.len() <= right.len() {
+        (left, right)
+    } else {
+        (right, left)
+    };
+    let (bpos, ppos) = super::join::join_key_positions(build.schema(), probe.schema());
+    let kernel = ColJoin::new(build, probe, &bpos, &ppos);
+    let ph = key_hashes(probe, &ppos);
+    (build, probe, kernel.probe_range(&ph, 0, probe.len()))
 }
 
 /// Sequential columnar natural join, building on the smaller side.
@@ -237,15 +242,7 @@ pub(crate) fn col_join(left: &Relation, right: &Relation) -> Relation {
             };
         }
     }
-    let (build, probe) = if left.len() <= right.len() {
-        (left, right)
-    } else {
-        (right, left)
-    };
-    let (bpos, ppos) = super::join::join_key_positions(build.schema(), probe.schema());
-    let kernel = ColJoin::new(build, probe, &bpos, &ppos);
-    let ph = key_hashes(probe, &ppos);
-    let pair = kernel.probe_range(&ph, 0, probe.len());
+    let (build, probe, pair) = hash_join_ids(left, right);
     materialize_join(build, probe, &out_schema, std::slice::from_ref(&pair))
 }
 

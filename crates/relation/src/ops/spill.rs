@@ -1,29 +1,26 @@
 //! Grace-hash spill join: certificate-gated out-of-core execution.
 //!
 //! When the static memory certificate says a join's build side cannot fit
-//! the configured budget, the executor routes the statement here instead of
-//! the in-memory kernels: both operands are hash-partitioned by their
-//! shared-key values into `p` temp files per side, then each partition pair
-//! — 1/p of each input in expectation — is read back and joined in memory
-//! with the ordinary [`super::join`], and the per-pair outputs are
-//! concatenated column-wise. Partition files are header-less TSV (the
-//! [`crate::tsv`] dialect, so hostile strings survive the disk round trip
-//! bit-for-bit), formatted straight from the operand's columns and parsed
-//! straight back into columns — no tuple is boxed as a row on the way out
-//! or in. Rows that agree on the key
-//! hash to the same partition index on both sides (a row's partition is its
-//! [`key_hashes`] entry modulo `p` — the co-partitioning `par_join` uses), so
-//! no join pair is ever split across partitions and per-pair outputs are
-//! key-disjoint (hence globally distinct).
+//! the budget, the executor routes the statement here: both operands are
+//! hash-partitioned on their shared key into `p` temp files per side (a
+//! row's partition is its [`key_hashes`] entry modulo `p`, the
+//! co-partitioning `par_join` uses), so no join pair is split and the
+//! pairs' outputs are key-disjoint. Each pair — 1/p of each input in
+//! expectation — is read back and probed in memory, and its matches are
+//! gathered straight onto the result's column builders: each output cell is
+//! written once, and the result's rows are the pairs' [`super::join`]
+//! outputs in partition order. Partition files are header-less TSV
+//! ([`crate::tsv`], so hostile strings survive bit-for-bit), written from
+//! and parsed back into columns. `MJOIN_TRACE` shows a `spill/partition`
+//! span per operand, then a `spill/read` per file and a `spill/join` per
+//! pair.
 //!
-//! The selection is *static*: the caller decides from the memory
-//! certificate's per-statement build-side bound, never from runtime sizes,
-//! so in-memory plans pay no check at all. This module only knows how to
-//! spill once asked.
+//! The selection is static: the caller decides from the certificate's
+//! per-statement build-side bound, never from runtime sizes.
 
-use super::columnar::concat_disjoint;
+use super::columnar::{hash_join_ids, output_columns};
 use super::{join_key_positions, key_hashes};
-use crate::column::Column;
+use crate::column::{Column, ColumnBuilder};
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tsv::{relation_from_tsv_body, RowFormatter};
@@ -32,11 +29,8 @@ use std::io::{BufReader, BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// What a spilled join did, for the `mem.*` trace counters.
-///
-/// Returned by value rather than traced here so this crate stays free of
-/// the trace dependency; the executor turns these into `mem.partitions`
-/// and `mem.spilled_bytes` counter bumps.
+/// What a spilled join did; the executor turns it into the
+/// `mem.partitions` and `mem.spilled_bytes` counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillStats {
     /// Partition pairs joined (0 when the join never left memory).
@@ -86,13 +80,10 @@ fn partition_to_disk(
     pos: &[usize],
     p: usize,
 ) -> std::io::Result<(Vec<TempFile>, u64)> {
-    let mut guards = Vec::with_capacity(p);
-    let mut writers = Vec::with_capacity(p);
-    for _ in 0..p {
-        let (g, w) = TempFile::create()?;
-        guards.push(g);
-        writers.push(w);
-    }
+    let _span = mjoin_trace::span("spill", "partition");
+    let files = (0..p).map(|_| TempFile::create());
+    let (guards, mut writers): (Vec<_>, Vec<_>) =
+        files.collect::<Result<Vec<_>, _>>()?.into_iter().unzip();
     let cols: Vec<&Column> = rel.columns().iter().collect();
     let formatter = RowFormatter::new(&cols);
     let mut line: Vec<u8> = Vec::new();
@@ -103,7 +94,7 @@ fn partition_to_disk(
         writers[(h as usize) % p].write_all(&line)?;
         bytes += line.len() as u64;
     }
-    for mut w in writers {
+    for w in &mut writers {
         w.flush()?;
     }
     Ok((guards, bytes))
@@ -112,24 +103,19 @@ fn partition_to_disk(
 /// Read one partition file back as a relation over `schema` (the rows of one
 /// operand's partition are distinct because the operand's are).
 fn read_partition(f: &TempFile, schema: &Schema) -> std::io::Result<Relation> {
+    let _span = mjoin_trace::span("spill", "read");
     let reader = BufReader::new(File::open(&f.path)?);
     relation_from_tsv_body(reader, schema).map_err(|e| std::io::Error::other(e.to_string()))
 }
 
 /// Grace-hash join `left ⋈ right` through `partitions` temp-file partition
-/// pairs, holding at most one pair's rows in memory at a time (beyond the
-/// operands themselves, which the caller already owns).
-///
-/// Produces exactly the relation the in-memory [`super::join`] would — the
-/// differential suite holds the two paths against each other — plus the
-/// spill statistics. An I/O failure (temp dir full, disk gone) surfaces as
-/// `Err` so the caller can fall back to the in-memory path instead of
-/// losing the query.
-///
-/// With an empty join key there is nothing to partition on (every row of a
-/// Cartesian product would land in one partition); the certificate-driven
-/// caller keeps such statements in memory, and this degenerates gracefully
-/// to the ordinary join with zeroed stats.
+/// pairs, holding one pair's rows in memory at a time (beyond the operands,
+/// which the caller owns). The result holds the tuples [`super::join`]
+/// would; an I/O failure (temp dir full, disk gone) is `Err`, so the caller
+/// can fall back to the in-memory path instead of losing the query. With an
+/// empty join key there is nothing to partition on: the certificate-driven
+/// caller keeps such statements in memory, and this degenerates to the
+/// ordinary join with zeroed stats.
 pub fn grace_hash_join(
     left: &Relation,
     right: &Relation,
@@ -143,7 +129,9 @@ pub fn grace_hash_join(
     let out_schema = left.schema().union(right.schema());
     let (lfiles, lbytes) = partition_to_disk(left, &lpos, p)?;
     let (rfiles, rbytes) = partition_to_disk(right, &rpos, p)?;
-    let mut outputs: Vec<Relation> = Vec::new();
+    let mut out = Vec::new();
+    out.resize_with(out_schema.arity(), ColumnBuilder::default);
+    let mut nrows = 0;
     for (lfile, rfile) in lfiles.iter().zip(&rfiles) {
         let lpart = read_partition(lfile, left.schema())?;
         if lpart.is_empty() {
@@ -153,10 +141,17 @@ pub fn grace_hash_join(
         if rpart.is_empty() {
             continue;
         }
-        outputs.push(super::join(&lpart, &rpart));
+        let _span = mjoin_trace::span("spill", "join");
+        let (build, probe, (bids, pids)) = hash_join_ids(&lpart, &rpart);
+        let sources = output_columns(build, probe, &out_schema);
+        for (b, (col, from_probe)) in out.iter_mut().zip(sources) {
+            b.extend_gathered(col, if from_probe { &pids } else { &bids });
+        }
+        nrows += bids.len();
     }
+    let cols = out.into_iter().map(ColumnBuilder::finish).collect();
     Ok((
-        concat_disjoint(out_schema, &outputs),
+        Relation::from_distinct_columns(out_schema, nrows, cols),
         SpillStats {
             partitions: p as u64,
             spilled_bytes: lbytes + rbytes,
@@ -173,6 +168,41 @@ mod tests {
     use crate::schema::Schema;
     use crate::value::Value;
 
+    /// The reference Grace join: each partition pair joined by [`join`] into
+    /// a relation of its own, the outputs' rows concatenated in partition
+    /// order.
+    fn pairwise_rows(l: &Relation, r: &Relation, p: usize) -> Vec<crate::relation::Row> {
+        let (lpos, rpos) = join_key_positions(l.schema(), r.schema());
+        let (lfiles, _) = partition_to_disk(l, &lpos, p).unwrap();
+        let (rfiles, _) = partition_to_disk(r, &rpos, p).unwrap();
+        lfiles
+            .iter()
+            .zip(&rfiles)
+            .flat_map(|(lf, rf)| {
+                let lpart = read_partition(lf, l.schema()).unwrap();
+                join(&lpart, &read_partition(rf, r.schema()).unwrap()).rows()
+            })
+            .collect()
+    }
+
+    /// Row for row, in order: the spilled result is the pairs' in-memory
+    /// joins appended in partition order — with one partition, the
+    /// in-memory join itself.
+    fn assert_spill_is_pairwise_join(l: &Relation, r: &Relation, p: usize) {
+        let (got, stats) = grace_hash_join(l, r, p).unwrap();
+        assert_eq!(
+            got.rows(),
+            pairwise_rows(l, r, p),
+            "diverged at {p} partitions"
+        );
+        assert_eq!(got, join(l, r), "diverged as a set at {p} partitions");
+        if p == 1 {
+            assert_eq!(got.rows(), join(l, r).rows());
+        }
+        assert_eq!(stats.partitions, p as u64);
+        assert!(stats.spilled_bytes > 0);
+    }
+
     #[test]
     fn spill_matches_in_memory_join_at_every_partition_count() {
         let mut c = Catalog::new();
@@ -182,13 +212,23 @@ mod tests {
         let sr: Vec<&[i64]> = s_rows.iter().map(Vec::as_slice).collect();
         let r = relation_of_ints(&mut c, "AB", &rr).unwrap();
         let s = relation_of_ints(&mut c, "BC", &sr).unwrap();
-        let expect = join(&r, &s);
-        assert_eq!(expect, merge_join(&r, &s));
+        assert_eq!(join(&r, &s), merge_join(&r, &s));
         for p in [1usize, 2, 4, 8, 16, 256] {
-            let (got, stats) = grace_hash_join(&r, &s, p).unwrap();
-            assert_eq!(got, expect, "diverged at {p} partitions");
-            assert_eq!(stats.partitions, p as u64);
-            assert!(stats.spilled_bytes > 0);
+            assert_spill_is_pairwise_join(&r, &s, p);
+            assert_spill_is_pairwise_join(&s, &r, p);
+        }
+    }
+
+    /// Partitions whose `A` column reads back all-integer from some files
+    /// and interned from others, each interned one over a pool of its own,
+    /// append to the same result in the same order.
+    #[test]
+    fn spill_over_int_and_dict_partitions_keeps_the_pairwise_order() {
+        for p in [1usize, 2, 4, 8, 16, 256] {
+            let mut c = Catalog::new();
+            let (l, r) = mixed_operands(&mut c, p);
+            assert_spill_is_pairwise_join(&l, &r, p);
+            assert_spill_is_pairwise_join(&r, &l, p);
         }
     }
 
@@ -219,7 +259,7 @@ mod tests {
     }
 
     #[test]
-    fn partitions_with_different_column_representations_concatenate() {
+    fn partitions_with_different_column_representations_append() {
         let mut c = Catalog::new();
         let (l, r) = mixed_operands(&mut c, 4);
         let (lpos, _) = join_key_positions(l.schema(), r.schema());

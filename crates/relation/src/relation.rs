@@ -63,10 +63,159 @@ fn row_hashes(cols: &[Column], nrows: usize) -> Vec<u64> {
     acc
 }
 
-/// The ids of the first occurrence of each distinct tuple, in row order.
-fn first_occurrences(cols: &[Column], nrows: usize) -> Vec<u32> {
+/// The ids of the first occurrence of each distinct tuple, in row order, or
+/// `None` when every tuple is distinct. Rows whose cells pack into 64 bits
+/// are compared as exact packed keys; wider rows by row hash, then cell by
+/// cell.
+fn first_occurrences(cols: &[Column], nrows: usize) -> Option<Vec<u32>> {
+    match packed_fields(cols) {
+        Some(fields) => packed_first_occurrences(&fields, nrows),
+        None => {
+            let ids = hashed_first_occurrences(cols, nrows);
+            (ids.len() < nrows).then_some(ids)
+        }
+    }
+}
+
+/// The hash path of [`first_occurrences`]: every first occurrence's id.
+fn hashed_first_occurrences(cols: &[Column], nrows: usize) -> Vec<u32> {
     let all: Vec<usize> = (0..cols.len()).collect();
     dedup_ids_by_key(cols, &all, &row_hashes(cols, nrows), 0..nrows as u32)
+}
+
+/// One column's field in a row's packed key: a cell's distance from the
+/// column's smallest cell — by integer value, or by code for an interned
+/// cell (a pool holds each value once) — shifted into place.
+struct PackedField<'a> {
+    col: &'a Column,
+    min: i64,
+    shift: u32,
+}
+
+/// The smallest and largest of `vals` (zeros when empty).
+fn min_max<T: Copy + Ord + Default>(vals: &[T]) -> (T, T) {
+    let Some(&first) = vals.first() else {
+        return Default::default();
+    };
+    vals.iter()
+        .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)))
+}
+
+/// The fields of `cols`' packed row keys, or `None` when their widths sum
+/// past 64 bits. A constant column has width 0 and no field.
+fn packed_fields(cols: &[Column]) -> Option<Vec<PackedField<'_>>> {
+    let mut fields = Vec::with_capacity(cols.len());
+    let mut shift = 0u32;
+    for col in cols {
+        let (min, max) = match col {
+            Column::Int(vals) => min_max(vals),
+            Column::Dict { codes, .. } => {
+                let (lo, hi) = min_max(codes);
+                (i64::from(lo), i64::from(hi))
+            }
+        };
+        // Two's-complement subtraction of the minimum is the distance from
+        // it, which fits `u64` for any two `i64`s.
+        let width = u64::BITS - (max.wrapping_sub(min) as u64).leading_zeros();
+        if width > 0 {
+            fields.push(PackedField { col, min, shift });
+        }
+        shift += width;
+        if shift > u64::BITS {
+            return None;
+        }
+    }
+    Some(fields)
+}
+
+impl PackedField<'_> {
+    /// OR rows `start..start + keys.len()`' fields into their keys.
+    fn pack(&self, start: usize, keys: &mut [u64]) {
+        let rows = start..start + keys.len();
+        let at = |v: i64| (v.wrapping_sub(self.min) as u64) << self.shift;
+        match self.col {
+            Column::Int(vals) => {
+                for (k, &v) in keys.iter_mut().zip(&vals[rows]) {
+                    *k |= at(v);
+                }
+            }
+            Column::Dict { codes, .. } => {
+                for (k, &c) in keys.iter_mut().zip(&codes[rows]) {
+                    *k |= at(i64::from(c));
+                }
+            }
+        }
+    }
+}
+
+/// The packed path of [`first_occurrences`]: keys are built a block of rows
+/// at a time and looked up in a [`KeySet`], with no row hash and no table
+/// entry per row; the id vector starts at the first duplicate.
+fn packed_first_occurrences(fields: &[PackedField], nrows: usize) -> Option<Vec<u32>> {
+    const BLOCK: usize = 1024;
+    let mut seen = KeySet::with_capacity(nrows);
+    let mut ids: Option<Vec<u32>> = None;
+    let mut block = [0u64; BLOCK];
+    for start in (0..nrows).step_by(BLOCK) {
+        let keys = &mut block[..BLOCK.min(nrows - start)];
+        keys.fill(0);
+        for f in fields {
+            f.pack(start, keys);
+        }
+        for (row, &k) in (start as u32..).zip(keys.iter()) {
+            match (seen.insert(k), &mut ids) {
+                (true, Some(ids)) => ids.push(row),
+                (false, None) => ids = Some((0..row).collect()),
+                _ => {}
+            }
+        }
+    }
+    ids
+}
+
+/// A set of `u64` keys: open addressing with linear probing, at most two
+/// thirds full — 12 to 24 bytes per row, against the hash path's 36 and
+/// more (row hash, bucket head, table entry, id). Slot value 0 means empty,
+/// so a fresh table is zeroed memory that is only touched where keys land;
+/// key 0 is kept beside the slots. Like every table in this crate it trusts
+/// its keys not to be crafted to collide (see [`crate::fxhash`]).
+struct KeySet {
+    slots: Vec<u64>,
+    /// `64 − log2(slots.len())`: a key's home slot is the top bits of its
+    /// Fibonacci-hash product, which depend on every bit of the key.
+    shift: u32,
+    zero: bool,
+}
+
+impl KeySet {
+    fn with_capacity(n: usize) -> Self {
+        let len = (n + n / 2).next_power_of_two().max(2);
+        KeySet {
+            slots: vec![0; len],
+            shift: u64::BITS - len.trailing_zeros(),
+            zero: false,
+        }
+    }
+
+    /// Insert `k`; whether it was absent.
+    #[inline]
+    fn insert(&mut self, k: u64) -> bool {
+        if k == 0 {
+            return !std::mem::replace(&mut self.zero, true);
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = (k.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize;
+        loop {
+            match self.slots[i] {
+                0 => {
+                    self.slots[i] = k;
+                    return true;
+                }
+                s if s == k => return false,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
 }
 
 /// Push `rows` through one [`ColumnBuilder`] per attribute, checking arity.
@@ -108,10 +257,9 @@ impl Relation {
             cols.iter().all(|c| c.len() == nrows),
             "every column has nrows cells"
         );
-        let ids = first_occurrences(&cols, nrows);
-        if ids.len() == nrows {
+        let Some(ids) = first_occurrences(&cols, nrows) else {
             return Relation::from_distinct_columns(schema, nrows, cols);
-        }
+        };
         let cols = cols.iter().map(|c| c.gather(&ids)).collect();
         Relation::from_distinct_columns(schema, ids.len(), cols)
     }
@@ -159,9 +307,8 @@ impl Relation {
     pub(crate) fn from_distinct_columns(schema: Schema, nrows: usize, cols: Vec<Column>) -> Self {
         debug_assert_eq!(cols.len(), schema.arity());
         debug_assert!(cols.iter().all(|c| c.len() == nrows));
-        debug_assert_eq!(
-            first_occurrences(&cols, nrows).len(),
-            nrows,
+        debug_assert!(
+            first_occurrences(&cols, nrows).is_none(),
             "rows must be distinct"
         );
         Relation {
@@ -441,6 +588,63 @@ mod tests {
         assert!(r2.contains_row(&[Value::Int(1), Value::str("a")]));
         assert!(!r2.contains_row(&[Value::Int(1), Value::str("b")]));
         assert_eq!(r, r2);
+    }
+
+    /// Rows of up to 64 packed bits take the packed path, wider ones the
+    /// hash path, and both keep the same first occurrences.
+    #[test]
+    fn packed_path_up_to_64_bits_agrees_with_the_hash_path() {
+        let ints = |vals: &[i64]| {
+            let mut b = ColumnBuilder::default();
+            vals.iter().for_each(|&x| b.push_int(x));
+            b.finish()
+        };
+        let ends = [i64::MIN, i64::MAX, i64::MIN, 0, i64::MAX, 0];
+        let wide = ints(&ends);
+        let narrow = ints(&[0, 1 << 61, 0, 5, (1 << 62) - 1, 5]);
+        let bit = ints(&[0, 1, 0, 1, 1, 0]);
+        let constant = ints(&[9; 6]);
+        let interned = {
+            let mut b = ColumnBuilder::default();
+            ["x", "y", "x", "y", "y", "x"]
+                .iter()
+                .for_each(|s| b.push_str(s));
+            b.finish()
+        };
+        // Codes 6 and 7 of a larger pool: a 1-bit field once offset by the
+        // smallest code, so the field above it starts at bit 1.
+        let pool = {
+            let mut b = ColumnBuilder::default();
+            (0..8).for_each(|i| b.push_str(&format!("p{i}")));
+            b.finish()
+        };
+        let high_codes = pool.gather(&[6, 7, 6, 7, 6, 6]);
+        let below = ints(&[0, 0, 1, 1, 0, 1]);
+        for (cols, packed) in [
+            (vec![wide.clone(), constant.clone()], true),
+            (vec![narrow.clone(), bit.clone()], true),
+            (vec![narrow.clone(), interned.clone(), constant], true),
+            (vec![high_codes, below], true),
+            (vec![wide.clone(), bit], false),
+            (vec![wide, interned], false),
+        ] {
+            let fields = packed_fields(&cols);
+            assert_eq!(fields.is_some(), packed, "packed path taken");
+            let want = hashed_first_occurrences(&cols, 6);
+            let got = first_occurrences(&cols, 6).unwrap_or_else(|| (0..6).collect());
+            assert_eq!(got, want);
+            if let Some(fields) = fields {
+                assert_eq!(packed_first_occurrences(&fields, 6), Some(want));
+            }
+        }
+    }
+
+    #[test]
+    fn key_set_keeps_zero_and_colliding_keys_apart() {
+        let mut set = KeySet::with_capacity(2);
+        let keys = [0, u64::MAX, 1, 0, 1 << 63, u64::MAX, 1, 1 << 63];
+        let fresh: Vec<bool> = keys.iter().map(|&k| set.insert(k)).collect();
+        assert_eq!(fresh, [true, true, true, false, true, false, false, false]);
     }
 
     #[test]

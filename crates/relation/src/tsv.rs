@@ -20,8 +20,10 @@
 //! integer cells is scanned once, straight into its columns' `i64` vectors;
 //! any other line takes the general decoder (UTF-8 check, field count, each
 //! cell trimmed and sniffed or unescaped, strings interned by `&str` lookup
-//! in the column's [`ColumnBuilder`]). The relation loader then
-//! deduplicates once, in [`Relation::from_columns`]. **Out:**
+//! in the column's [`ColumnBuilder`]), and each finished column keeps the
+//! vector it was parsed into. The relation loader then deduplicates once,
+//! in [`Relation::from_columns`]: on exact packed row keys when a row's
+//! cells fit in 64 bits, on row hashes otherwise. **Out:**
 //! [`write_sorted`] ranks each dictionary once, sorts the rows as packed
 //! integer keys (no row id when every column fits in one key; a large
 //! answer's `u32` keys by radix sort), and formats each column's cells once

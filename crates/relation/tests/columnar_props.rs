@@ -1,9 +1,11 @@
 //! Property tests for the columnar storage layer: a relation's columns are
 //! its only layout, the row constructors keep each tuple's first occurrence,
-//! and the per-call row copy reads the columns back exactly.
+//! the packed-key dedup in `from_columns` keeps the ones a row-hash dedup
+//! keeps, and the per-call row copy reads the columns back exactly.
 
-use mjoin_relation::{tsv, Catalog, Error, Relation, Schema, Value};
+use mjoin_relation::{tsv, Catalog, Column, ColumnBuilder, Error, Relation, Schema, Value};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// A strategy for rows mixing integers and short strings (strings share a
 /// small alphabet so dictionaries see repeated codes, and `"7"`-style
@@ -57,6 +59,63 @@ fn rows_with_duplicates() -> impl Strategy<Value = Vec<Vec<Value>>> {
             }
             rows
         })
+}
+
+/// The reference dedup: a hash set over whole rows of values, keeping the
+/// id of each tuple's first occurrence, in row order.
+fn hashed_first_occurrences(cols: &[Column], nrows: usize) -> Vec<usize> {
+    let mut seen: HashSet<Vec<Value>> = HashSet::new();
+    (0..nrows)
+        .filter(|&i| seen.insert(cols.iter().map(|c| c.value(i)).collect()))
+        .collect()
+}
+
+/// `from_columns` keeps exactly the reference's ids, in its order.
+fn assert_dedup_matches_reference(cols: Vec<Column>, nrows: usize) {
+    let want = hashed_first_occurrences(&cols, nrows);
+    let want: Vec<Vec<Value>> = want
+        .iter()
+        .map(|&i| cols.iter().map(|c| c.value(i)).collect())
+        .collect();
+    let mut c = Catalog::new();
+    let scheme: String = ('A'..='Z').take(cols.len()).collect();
+    let schema = Schema::from_chars(&mut c, &scheme);
+    let got = Relation::from_columns(schema, nrows, cols);
+    let got: Vec<Vec<Value>> = got.rows().into_iter().map(Vec::from).collect();
+    assert_eq!(got, want);
+}
+
+fn int_column(vals: &[i64]) -> Column {
+    let mut b = ColumnBuilder::with_capacity(vals.len());
+    vals.iter().for_each(|&x| b.push_int(x));
+    b.finish()
+}
+
+/// The largest value of `width` bits.
+fn span_of(width: u32) -> u64 {
+    u64::MAX.checked_shr(64 - width).unwrap_or(0)
+}
+
+/// Cells spanning exactly `width` bits: the first two are `lo` and
+/// `lo + 2^width − 1`, the rest picked from those and a midpoint.
+fn cells_of_width(lo: i64, width: u32, picks: &[u8]) -> Vec<i64> {
+    let span = span_of(width);
+    let hi = lo.wrapping_add(span as i64);
+    let mid = lo.wrapping_add((span / 2) as i64);
+    let mut vals = vec![lo, hi];
+    vals.extend(picks.iter().map(|&k| [lo, hi, mid][k as usize % 3]));
+    vals
+}
+
+/// The smallest cell that leaves room above for a `width`-bit span, drawn
+/// from both ends of the `i64` range and around zero.
+fn low_end(which: u8, width: u32) -> i64 {
+    let span = span_of(width);
+    match which % 3 {
+        0 => i64::MIN,
+        1 => i64::MAX.wrapping_sub(span as i64),
+        _ => -((span / 2) as i64),
+    }
 }
 
 fn rel_of(c: &mut Catalog, scheme: &str, tuples: Vec<Vec<Value>>) -> Relation {
@@ -125,6 +184,50 @@ proptest! {
         prop_assert!(!r.contains_row(&absent[..2]));
     }
 
+    /// Integer columns of 0 to 64 bits each, two or three to a row so the
+    /// packed width lands on both sides of 64 bits, with cells at both ends
+    /// of the `i64` range and rows picked from few values so duplicates
+    /// abound: `from_columns` keeps the reference's first occurrences.
+    #[test]
+    fn packed_dedup_keeps_the_hash_paths_first_occurrences(
+        cols in prop::collection::vec(
+            (0usize..9, 0u8..3),
+            2..4,
+        ),
+        picks in prop::collection::vec(prop::collection::vec(0u8..3, 3), 0..40),
+    ) {
+        let columns: Vec<Column> = cols
+            .iter()
+            .enumerate()
+            .map(|(j, &(w, end))| {
+                let width = [0u32, 1, 2, 31, 32, 33, 62, 63, 64][w];
+                let col: Vec<u8> = picks.iter().map(|p| p[j]).collect();
+                int_column(&cells_of_width(low_end(end, width), width, &col))
+            })
+            .collect();
+        assert_dedup_matches_reference(columns, picks.len() + 2);
+    }
+
+    /// Interned columns gathered out of one larger shared pool (so codes
+    /// skip unused entries, and the first column's smallest code is not 0),
+    /// beside an integer column: the same ids.
+    #[test]
+    fn packed_dedup_on_gathered_pool_columns(
+        sels in prop::collection::vec((4u32..17, 0u32..4, -2i64..3), 0..50),
+    ) {
+        let mut pool = ColumnBuilder::default();
+        for i in 0..20 {
+            pool.push_str(&format!("p{}", i % 17));
+        }
+        pool.push_int(7);
+        (0..3).for_each(|i| pool.push_int(i));
+        let pool = pool.finish();
+        let (a, b): (Vec<u32>, Vec<u32>) = sels.iter().map(|&(a, b, _)| (a, b)).unzip();
+        let ints: Vec<i64> = sels.iter().map(|&(_, _, x)| x).collect();
+        let columns = vec![pool.gather(&a), int_column(&ints), pool.gather(&b)];
+        assert_dedup_matches_reference(columns, sels.len());
+    }
+
     /// Dictionary sharing: gathering a subset of an interned column (via a
     /// columnar selection) never re-interns — resident bytes of the subset
     /// stay bounded by codes plus the shared pool.
@@ -169,4 +272,52 @@ fn row_constructors_check_arity() {
             got: 1
         }
     );
+}
+
+/// Packed widths of exactly 63, 64 and 65 bits (65 takes the hash path),
+/// with `i64::MIN` and `i64::MAX` cells, each over duplicate-free rows and
+/// over rows that repeat every tuple.
+#[test]
+fn packed_dedup_at_63_64_and_65_bits() {
+    for widths in [
+        [63, 0],
+        [62, 1],
+        [64, 0],
+        [32, 32],
+        [63, 1],
+        [64, 1],
+        [33, 32],
+    ] {
+        let picks: Vec<u8> = (0..9).collect();
+        let (a, b) = (
+            cells_of_width(i64::MIN, widths[0], &picks),
+            cells_of_width(i64::MAX.wrapping_sub(1 << 20), widths[1], &picks),
+        );
+        assert!(a.contains(&i64::MIN));
+        assert_dedup_matches_reference(vec![int_column(&a), int_column(&b)], a.len());
+        // Duplicate-free: a third column numbering the rows.
+        let ids: Vec<i64> = (0..a.len() as i64).collect();
+        let cols = vec![int_column(&a), int_column(&b), int_column(&ids)];
+        assert_dedup_matches_reference(cols, a.len());
+        // All duplicates: every row twice, in two runs.
+        let twice = |v: &[i64]| [v, v].concat();
+        let cols = vec![int_column(&twice(&a)), int_column(&twice(&b))];
+        assert_dedup_matches_reference(cols, 2 * a.len());
+    }
+    let extremes = [i64::MIN, i64::MAX, i64::MIN, 0, i64::MAX];
+    assert_dedup_matches_reference(vec![int_column(&extremes)], extremes.len());
+}
+
+/// No rows, one row, and nullary schemas of 0, 1 and 3 rows.
+#[test]
+fn packed_dedup_on_tiny_inputs() {
+    assert_dedup_matches_reference(vec![int_column(&[]), int_column(&[])], 0);
+    assert_dedup_matches_reference(vec![int_column(&[i64::MAX]), int_column(&[5])], 1);
+    for n in [0, 1, 3] {
+        assert_dedup_matches_reference(Vec::new(), n);
+        let r = Relation::from_columns(Schema::empty(), n, Vec::new());
+        assert_eq!(r.len(), n.min(1));
+    }
+    let all_same = int_column(&[4; 6]);
+    assert_dedup_matches_reference(vec![all_same.clone(), all_same], 6);
 }
