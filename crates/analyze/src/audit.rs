@@ -17,6 +17,7 @@ use crate::cx::AnalysisCx;
 use crate::diagnostic::{Diagnostic, Report, Severity};
 use mjoin_hypergraph::{DbScheme, RelSet};
 use mjoin_relation::{Catalog, CostKind, CostLedger};
+use mjoin_trace::json::Value;
 
 /// One statement's row in the audit: measured cost vs static bounds.
 #[derive(Debug, Clone)]
@@ -237,45 +238,30 @@ impl AuditReport {
         out
     }
 
-    /// JSON rendering (hand-rolled, like the other renderers).
+    /// JSON rendering: one object per statement, then the certificate's
+    /// and the report's own JSON.
     #[must_use]
-    pub fn render_json(&self, scheme: &DbScheme, catalog: &Catalog) -> String {
-        let mut out = format!(
-            "{{\"inputs\":{},\"cost\":{},\"bounds_hold\":{},\"stmts\":[",
-            self.inputs,
-            self.cost,
-            self.bounds_hold()
-        );
-        for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"stmt\":{},\"measured\":{},\"bound\":{},\"tight\":{},\"lo\":{},\"hi\":{},\
-                 \"set\":\"{}\",\"estimate\":{},\"q_error\":{}}}",
-                r.stmt,
-                r.measured,
-                r.bound,
-                r.tight,
-                r.interval.lo,
-                r.interval.hi,
-                set_name(self.certificate.stmts[r.stmt].head_set, scheme, catalog),
-                match r.estimate {
-                    Some(e) => e.to_string(),
-                    None => "null".to_string(),
-                },
-                match r.q_error() {
-                    Some(q) => format!("{q:.4}"),
-                    None => "null".to_string(),
-                }
-            ));
-        }
-        out.push_str(&format!(
-            "],\"certificate\":{},\"report\":{}}}",
-            self.certificate.render_json(scheme, catalog),
-            self.report.render_json()
-        ));
-        out
+    pub fn to_json(&self, scheme: &DbScheme, catalog: &Catalog) -> Value {
+        let stmts = self.rows.iter().map(|r| {
+            let head_set = self.certificate.stmts[r.stmt].head_set;
+            Value::obj()
+                .set("stmt", Value::u64(r.stmt as u64))
+                .set("measured", Value::u64(r.measured))
+                .set("bound", Value::u64(r.bound))
+                .set("tight", Value::Bool(r.tight))
+                .set("lo", Value::u64(r.interval.lo))
+                .set("hi", Value::u64(r.interval.hi))
+                .set("set", Value::Str(set_name(head_set, scheme, catalog)))
+                .set("estimate", r.estimate.map_or(Value::Null, Value::u64))
+                .set("q_error", r.q_error().map_or(Value::Null, Value::Float))
+        });
+        Value::obj()
+            .set("inputs", Value::u64(self.inputs))
+            .set("cost", Value::u64(self.cost))
+            .set("bounds_hold", Value::Bool(self.bounds_hold()))
+            .set("stmts", Value::Arr(stmts.collect()))
+            .set("certificate", self.certificate.to_json(scheme, catalog))
+            .set("report", self.report.to_json())
     }
 }
 
@@ -375,8 +361,8 @@ mod tests {
             text.contains("worst q-error") && text.contains("at statement 0"),
             "{text}"
         );
-        let json = rep.render_json(&s, &c);
-        assert!(json.contains("\"q_error\":"), "{json}");
+        let json = rep.to_json(&s, &c).render();
+        assert!(json.contains("\"q_error\":50.0000"), "{json}");
     }
 
     #[test]
@@ -394,9 +380,9 @@ mod tests {
     fn json_render_shapes() {
         let rep = audited(|_| {}, None);
         let (c, s, _, _) = fixture();
-        let json = rep.render_json(&s, &c);
+        let json = rep.to_json(&s, &c).render();
         assert!(json.contains("\"bounds_hold\":true"), "{json}");
         assert!(json.contains("\"certificate\":{"), "{json}");
-        assert!(json.starts_with('{') && json.ends_with('}'));
+        assert_eq!(Value::parse(&json), Ok(rep.to_json(&s, &c)));
     }
 }

@@ -62,6 +62,7 @@ use mjoin_hypergraph::{DbScheme, RelSet};
 use mjoin_program::dataflow::{num_regs, reg_index};
 use mjoin_program::{Reg, Stmt};
 use mjoin_relation::{AttrSet, Catalog};
+use mjoin_trace::json::Value;
 
 /// Abstract state of one register during the certificate sweep.
 #[derive(Debug, Clone)]
@@ -287,37 +288,24 @@ impl Certificate {
         out
     }
 
-    /// JSON rendering (hand-rolled like [`crate::Report::render_json`]; the
-    /// workspace is offline, no serde).
-    pub fn render_json(&self, scheme: &DbScheme, catalog: &Catalog) -> String {
-        let mut out = String::from("{\"stmts\":[");
-        for (i, b) in self.stmts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let factors: Vec<String> = b
-                .factors
-                .iter()
-                .map(|&f| format!("\"{}\"", set_name(f, scheme, catalog)))
-                .collect();
-            out.push_str(&format!(
-                "{{\"stmt\":{},\"kind\":\"{}\",\"tight\":{},\"factors\":[{}],\"node\":{}}}",
-                b.stmt,
-                b.kind,
-                b.tight,
-                factors.join(","),
-                match b.node {
-                    Some(n) => format!("\"{}\"", set_name(n, scheme, catalog)),
-                    None => "null".to_string(),
-                }
-            ));
-        }
-        out.push_str(&format!(
-            "],\"tight\":{},\"quasi_factor\":{}}}",
-            self.tight_count(),
-            self.quasi_factor
-        ));
-        out
+    /// JSON rendering: one object per statement plus the summary.
+    pub fn to_json(&self, scheme: &DbScheme, catalog: &Catalog) -> Value {
+        let name = |set| Value::Str(set_name(set, scheme, catalog));
+        let stmts = self.stmts.iter().map(|b| {
+            Value::obj()
+                .set("stmt", Value::u64(b.stmt as u64))
+                .set("kind", Value::str(b.kind))
+                .set("tight", Value::Bool(b.tight))
+                .set(
+                    "factors",
+                    Value::Arr(b.factors.iter().map(|&f| name(f)).collect()),
+                )
+                .set("node", b.node.map_or(Value::Null, &name))
+        });
+        Value::obj()
+            .set("stmts", Value::Arr(stmts.collect()))
+            .set("tight", Value::u64(self.tight_count() as u64))
+            .set("quasi_factor", Value::u64(self.quasi_factor))
     }
 }
 
@@ -425,8 +413,8 @@ mod tests {
         let text = cert.render_text(&cx);
         assert!(text.contains("|⋈D[{AB,BC}]|"), "{text}");
         assert!(text.contains("[node {AB,BC}]"), "{text}");
-        let json = cert.render_json(&s, &c);
+        let json = cert.to_json(&s, &c).render();
         assert!(json.contains("\"tight\":true"), "{json}");
-        assert!(json.starts_with('{') && json.ends_with('}'));
+        assert_eq!(Value::parse(&json), Ok(cert.to_json(&s, &c)));
     }
 }

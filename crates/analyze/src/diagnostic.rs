@@ -1,5 +1,6 @@
 //! Diagnostics: what a lint pass reports, and how reports render.
 
+use mjoin_trace::json::Value;
 use std::fmt;
 
 /// How serious a finding is.
@@ -132,47 +133,25 @@ impl Report {
     }
 
     /// JSON rendering: an object with a `diagnostics` array and counters.
-    /// Hand-rolled (the workspace is offline, no serde) but escapes every
-    /// string field, so it is valid JSON for any program text.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"severity\":");
-            json_string(&mut out, d.severity.as_str());
-            out.push_str(",\"lint\":");
-            json_string(&mut out, d.lint);
-            out.push_str(",\"stmt\":");
-            match d.stmt {
-                Some(s) => out.push_str(&s.to_string()),
-                None => out.push_str("null"),
-            }
-            out.push_str(",\"message\":");
-            json_string(&mut out, &d.message);
-            out.push_str(",\"excerpt\":");
-            match &d.excerpt {
-                Some(e) => json_string(&mut out, e),
-                None => out.push_str("null"),
-            }
-            out.push('}');
-        }
-        out.push_str(&format!(
-            "],\"errors\":{},\"warnings\":{},\"notes\":{}}}",
-            self.count(Severity::Error),
-            self.count(Severity::Warn),
-            self.count(Severity::Note)
-        ));
-        out
+    pub fn to_json(&self) -> Value {
+        let diagnostics = self.diagnostics.iter().map(|d| {
+            Value::obj()
+                .set("severity", Value::str(d.severity.as_str()))
+                .set("lint", Value::str(d.lint))
+                .set("stmt", d.stmt.map_or(Value::Null, |s| Value::u64(s as u64)))
+                .set("message", Value::str(d.message.as_str()))
+                .set(
+                    "excerpt",
+                    d.excerpt.as_deref().map_or(Value::Null, Value::str),
+                )
+        });
+        let count = |severity| Value::u64(self.count(severity) as u64);
+        Value::obj()
+            .set("diagnostics", Value::Arr(diagnostics.collect()))
+            .set("errors", count(Severity::Error))
+            .set("warnings", count(Severity::Warn))
+            .set("notes", count(Severity::Note))
     }
-}
-
-/// Append `s` to `out` as a JSON string literal (the workspace-shared
-/// escaper — the server's wire protocol uses the same one, so escaping
-/// rules cannot drift between the two renderers).
-fn json_string(out: &mut String, s: &str) {
-    mjoin_relation::json::string_into(s, out);
 }
 
 #[cfg(test)]
@@ -223,11 +202,12 @@ mod tests {
             message: "bad \"quote\"\nand newline".into(),
             excerpt: None,
         });
-        let json = r.render_json();
+        let json = r.to_json().render();
         assert!(json.contains("\\\"quote\\\""));
         assert!(json.contains("\\n"));
         assert!(json.contains("\"stmt\":null"));
         assert!(json.ends_with("\"errors\":1,\"warnings\":0,\"notes\":0}"));
+        assert_eq!(Value::parse(&json), Ok(r.to_json()));
     }
 
     #[test]

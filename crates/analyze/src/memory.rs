@@ -52,7 +52,8 @@ use crate::cx::AnalysisCx;
 use crate::diagnostic::{Diagnostic, Severity};
 use mjoin_program::dataflow::{num_regs, reg_index};
 use mjoin_program::{Reg, SpillPlan, Stmt};
-use mjoin_relation::{json, AttrSet};
+use mjoin_relation::AttrSet;
+use mjoin_trace::json::Value;
 
 /// Bytes per relation cell under the columnar model (see the module docs).
 pub const CELL_BYTES: u64 = 8;
@@ -215,44 +216,30 @@ impl MemCertificate {
         out
     }
 
-    /// JSON rendering (hand-rolled like the other reports; the workspace
-    /// is offline, no serde).
+    /// JSON rendering: one object per statement plus the summary.
     #[must_use]
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"stmts\":[");
-        for (i, s) in self.stmts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let opt = |v: Option<u64>| v.map_or("null".to_string(), |b| b.to_string());
-            out.push_str(&format!(
-                "{{\"stmt\":{},\"kind\":\"{}\",\"out_tuples\":{},\"out_bytes\":{},\
-                 \"build_tuples\":{},\"build_bytes\":{},\"resident_bytes\":{},\
-                 \"peak_bytes\":{},\"tight\":{},\"symbolic\":{},\"node\":{}}}",
-                s.stmt,
-                s.kind,
-                s.out_tuples,
-                s.out_bytes,
-                opt(s.build_tuples),
-                opt(s.build_bytes),
-                s.resident_bytes,
-                s.peak_bytes,
-                s.tight,
-                json::string(&s.symbolic),
-                match &s.node {
-                    Some(n) => json::string(n),
-                    None => "null".to_string(),
-                }
-            ));
-        }
-        out.push_str(&format!(
-            "],\"input_bytes\":{},\"peak_bytes\":{},\"peak_stmt\":{},\"peak_tuples\":{}}}",
-            self.input_bytes,
-            self.peak_bytes,
-            self.peak_stmt.map_or("null".to_string(), |i| i.to_string()),
-            self.peak_tuples
-        ));
-        out
+    pub fn to_json(&self) -> Value {
+        let opt = |v: Option<u64>| v.map_or(Value::Null, Value::u64);
+        let stmts = self.stmts.iter().map(|s| {
+            Value::obj()
+                .set("stmt", Value::u64(s.stmt as u64))
+                .set("kind", Value::str(s.kind))
+                .set("out_tuples", Value::u64(s.out_tuples))
+                .set("out_bytes", Value::u64(s.out_bytes))
+                .set("build_tuples", opt(s.build_tuples))
+                .set("build_bytes", opt(s.build_bytes))
+                .set("resident_bytes", Value::u64(s.resident_bytes))
+                .set("peak_bytes", Value::u64(s.peak_bytes))
+                .set("tight", Value::Bool(s.tight))
+                .set("symbolic", Value::str(s.symbolic.as_str()))
+                .set("node", s.node.as_deref().map_or(Value::Null, Value::str))
+        });
+        Value::obj()
+            .set("stmts", Value::Arr(stmts.collect()))
+            .set("input_bytes", Value::u64(self.input_bytes))
+            .set("peak_bytes", Value::u64(self.peak_bytes))
+            .set("peak_stmt", opt(self.peak_stmt.map(|i| i as u64)))
+            .set("peak_tuples", Value::u64(self.peak_tuples))
     }
 }
 
@@ -530,8 +517,8 @@ mod tests {
         let text = cert.render_text();
         assert!(text.contains("memory: peak ≤"), "{text}");
         assert!(text.contains("|⋈D[{AB,BC}]|"), "{text}");
-        let json = cert.render_json();
-        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
+        let json = cert.to_json().render();
+        assert_eq!(Value::parse(&json), Ok(cert.to_json()), "{json}");
         assert!(json.contains("\"peak_bytes\""), "{json}");
         assert!(json.contains("\"build_bytes\""), "{json}");
     }

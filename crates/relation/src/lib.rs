@@ -26,7 +26,6 @@ pub mod cost;
 pub mod database;
 pub mod error;
 pub mod fxhash;
-pub mod json;
 pub mod ops;
 pub mod relation;
 pub mod schema;

@@ -1,7 +1,7 @@
 //! A minimal blocking client for the line-oriented protocol: one JSON
 //! object out, one JSON object back, over a plain `TcpStream`.
 
-use crate::json::Value;
+use mjoin_trace::json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 

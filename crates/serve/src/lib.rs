@@ -8,8 +8,9 @@
 //! join indices across requests *and sessions*.
 //!
 //! The transport is deliberately boring — TCP, one JSON object per line
-//! each way ([`protocol`]), parsed by a dependency-free recursive-descent
-//! parser ([`json`]). See [`protocol`] for the command table.
+//! each way ([`protocol`]), parsed by the workspace's dependency-free
+//! recursive-descent parser ([`mjoin_trace::json`]). See [`protocol`] for
+//! the command table.
 //!
 //! The paper connection is admission control: because every compiled
 //! program carries a Theorem-2 cost certificate, the server can evaluate
@@ -25,11 +26,10 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod json;
 pub mod protocol;
 pub mod server;
 
 pub use client::Client;
-pub use json::Value;
+pub use mjoin_trace::json::Value;
 pub use protocol::Request;
 pub use server::{ServeConfig, Server};

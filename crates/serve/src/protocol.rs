@@ -20,7 +20,7 @@
 //! | `stats`    |                                                      | cumulative counters, cache residency, catalogs |
 //! | `shutdown` |                                                      | drain in-flight requests and stop the server |
 
-use crate::json::Value;
+use mjoin_trace::json::Value;
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq, Eq)]

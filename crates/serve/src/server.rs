@@ -18,7 +18,6 @@
 //! accept loop stops, sessions finish their in-flight request (deadlines
 //! still apply), and the worker pool is parked before `run` returns.
 
-use crate::json::Value as J;
 use crate::protocol::{err, err_with, ok, Request};
 use mjoin_core::engine::{
     self, Admitted, Exceeded, ExecutorKind, Limits, Oracle, Plan, PlanStrategy, Prepared, Rejection,
@@ -34,7 +33,8 @@ use mjoin_program::{
 };
 use mjoin_relation::{tsv, Catalog, CostLedger, Database, Relation, Schema};
 use mjoin_trace as trace;
-use std::collections::{HashMap, VecDeque};
+use mjoin_trace::json::Value as J;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -240,21 +240,25 @@ struct Shared {
     catalogs: Mutex<HashMap<String, CatalogEntry>>,
     cache: SharedIndexCache,
     gate: Gate,
-    /// Cumulative drained trace: operator counters (`index_cache.*`,
-    /// `serve.*`) summed across every request the process has served.
-    totals: Mutex<trace::Trace>,
+    /// Cumulative counters drained from the trace sink (`index_cache.*`,
+    /// `serve.*`, …), summed across every request the process has served.
+    /// Span events are dropped on the way in: nothing reads them.
+    totals: Mutex<BTreeMap<&'static str, u64>>,
     shutdown: AtomicBool,
     in_flight: AtomicU64,
     started: Instant,
 }
 
 impl Shared {
-    /// Drain the process trace sink into the cumulative totals and return
-    /// the current value of `name`.
-    fn fold_trace(&self) -> MutexGuard<'_, trace::Trace> {
+    /// Drain the process trace sink, add its counters to the cumulative
+    /// totals and return them. High-water marks (`record_max`) add up too,
+    /// to an upper bound on the process-wide mark.
+    fn fold_trace(&self) -> MutexGuard<'_, BTreeMap<&'static str, u64>> {
         let drained = trace::take();
         let mut totals = lock(&self.totals);
-        totals.merge(drained);
+        for (name, v) in drained.counters {
+            *totals.entry(name).or_insert(0) += v;
+        }
         totals
     }
 
@@ -303,7 +307,7 @@ impl Server {
             gate: Gate::new(cfg.max_cost, cfg.queue_depth),
             cfg,
             catalogs: Mutex::new(HashMap::new()),
-            totals: Mutex::new(trace::Trace::default()),
+            totals: Mutex::new(BTreeMap::new()),
             shutdown: AtomicBool::new(false),
             in_flight: AtomicU64::new(0),
             started: Instant::now(),
@@ -434,8 +438,16 @@ struct Exec<'a> {
     ledger: &'a mut SessionLedger,
 }
 
-/// Parse and route one request line.
+/// Parse and route one request line, then drain the trace sink into the
+/// totals, so span events never pile up however long the server runs.
 fn dispatch(shared: &Shared, request_line: &str, ledger: &mut SessionLedger) -> J {
+    let resp = route(shared, request_line, ledger);
+    drop(shared.fold_trace());
+    resp
+}
+
+/// Parse one request line and run its handler.
+fn route(shared: &Shared, request_line: &str, ledger: &mut SessionLedger) -> J {
     let req = match Request::parse(request_line) {
         Ok(r) => r,
         Err(e) => {
@@ -801,7 +813,7 @@ fn cache_stats(shared: &Shared) -> J {
         (c.entries(), c.resident_tuples(), c.resident_bytes())
     };
     let totals = shared.fold_trace();
-    let counter = |name| J::u64(totals.counter(name).unwrap_or(0));
+    let counter = |name| J::u64(totals.get(name).copied().unwrap_or(0));
     J::obj()
         .set("hit", counter("index_cache.hit"))
         .set("miss", counter("index_cache.miss"))
@@ -1059,7 +1071,7 @@ fn handle_stats(shared: &Shared, ledger: &SessionLedger) -> J {
     let counters = {
         let totals = shared.fold_trace();
         let mut o = J::obj();
-        for &(name, v) in &totals.counters {
+        for (&name, &v) in totals.iter() {
             o = o.set(name, J::u64(v));
         }
         o
@@ -1105,11 +1117,89 @@ mod tests {
     use super::*;
     use crate::Client;
 
+    /// The trace sink and the enabled flag are process-global, so tests
+    /// that record into them must not overlap.
+    fn serial() -> MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        lock(&SERIAL)
+    }
+
+    /// The server keeps counters, not events: every request leaves the
+    /// process sink empty — span events dropped, counters folded into the
+    /// totals — and `stats` reports the sum of what the requests recorded.
+    #[test]
+    fn requests_leave_no_events_in_the_sink_and_stats_sums_their_counters() {
+        let _serial = serial();
+        trace::set_enabled(true);
+        trace::clear();
+        let server = Server::bind(ServeConfig::default()).unwrap();
+        let shared = &server.shared;
+        let cmd = |name: &str| {
+            J::obj()
+                .set("cmd", J::str(name))
+                .set("catalog", J::str("c"))
+        };
+        let load = |name: &str, tsv: &str| {
+            cmd("load")
+                .set("name", J::str(name))
+                .set("tsv", J::str(tsv))
+        };
+        let requests = [
+            load("r", "A\tB\n1\t2\n2\t3\n"),
+            load("s", "B\tC\n2\t5\n3\t6\n"),
+            cmd("compile")
+                .set("name", J::str("p"))
+                .set("program", J::str("R(V) := R(AB) ⋈ R(BC)"))
+                .set("scheme", J::str("AB,BC")),
+            cmd("run").set("name", J::str("p")),
+            cmd("run").set("name", J::str("p")),
+            cmd("query").set("cq", J::str("Q(x, z) :- r(x, y), s(y, z)")),
+            cmd("stats"),
+        ];
+        let mut ledger = SessionLedger::default();
+        let mut recorded: BTreeMap<&'static str, u64> = BTreeMap::new();
+        for request in &requests {
+            // A span from outside any request is dropped with the rest.
+            drop(trace::span("test", "between_requests"));
+            let before = lock(&shared.totals).clone();
+            let resp = dispatch(shared, &request.render(), &mut ledger);
+            assert_eq!(resp.get("ok"), Some(&J::Bool(true)), "{}", resp.render());
+            let left = trace::take();
+            assert!(
+                left.events.is_empty() && left.counters.is_empty(),
+                "sink not drained after {}: {left:?}",
+                request.render()
+            );
+            for (&name, &total) in lock(&shared.totals).iter() {
+                let delta = total - before.get(name).copied().unwrap_or(0);
+                *recorded.entry(name).or_insert(0) += delta;
+            }
+        }
+        let stats = dispatch(shared, &cmd("stats").render(), &mut ledger);
+        trace::set_enabled(false);
+        // The last `stats` reports every request before it plus its own
+        // `serve.request`.
+        *recorded.entry("serve.request").or_insert(0) += 1;
+        let mut want = J::obj();
+        for (&name, &v) in &recorded {
+            want = want.set(name, J::u64(v));
+        }
+        assert_eq!(stats.get("counters"), Some(&want));
+        let counter = |name| recorded.get(name).copied();
+        assert_eq!(counter("serve.request"), Some(8));
+        assert_eq!(counter("serve.load"), Some(2));
+        assert_eq!(counter("serve.compile"), Some(1));
+        assert_eq!(counter("serve.run"), Some(2));
+        assert_eq!(counter("serve.cq_query"), Some(1));
+        assert!(counter("index_cache.hit") >= Some(1), "{recorded:?}");
+    }
+
     /// One byte over the cap without a newline is answered `protocol` and
     /// hung up on; a line of exactly the cap is served, and the next
     /// connection finds the server unharmed.
     #[test]
     fn an_over_long_request_line_is_refused_and_only_that_connection_closed() {
+        let _serial = serial();
         const CAP: usize = 64;
         let server = Server::bind(ServeConfig::default()).unwrap();
         let addr = server.local_addr().unwrap();

@@ -4,7 +4,10 @@
 //! Like `mjoin-pool` and the in-tree `fxhash`, this crate is `std`-only and
 //! depends on nothing else in the workspace, so every layer — relational
 //! operators, the thread pool, the program executors, the optimizers — can
-//! record into one shared sink without dependency cycles.
+//! record into one shared sink without dependency cycles. For the same
+//! reason it holds the workspace's one JSON value type ([`json::Value`]),
+//! which the trace export, the analyzer's reports and the server's wire
+//! protocol all render through.
 //!
 //! The design is a miniature of the usual production tracing split:
 //!
@@ -30,6 +33,9 @@
 
 #![warn(missing_docs)]
 
+pub mod json;
+
+use json::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -326,21 +332,6 @@ pub struct AggRow {
 }
 
 impl Trace {
-    /// Fold another drained trace into this one: events are appended,
-    /// counters are summed by name. A resident server drains the sink per
-    /// request and merges into a cumulative trace, so per-process totals
-    /// survive `take()` boundaries. Additive counters merge exactly;
-    /// high-water-mark counters (`record_max`) merge as sums, i.e. as an
-    /// upper bound on the true process-wide mark.
-    pub fn merge(&mut self, other: Trace) {
-        self.events.extend(other.events);
-        let mut totals: BTreeMap<&'static str, u64> = self.counters.drain(..).collect();
-        for (name, v) in other.counters {
-            *totals.entry(name).or_insert(0) += v;
-        }
-        self.counters = totals.into_iter().collect();
-    }
-
     /// Counter value by name, if recorded.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters
@@ -383,38 +374,33 @@ impl Trace {
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::from("{\"traceEvents\":[\n");
         let mut first = true;
-        for e in &self.events {
+        let mut push = |event: Value| {
             if !first {
                 out.push_str(",\n");
             }
             first = false;
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}",
-                json_escape(e.name),
-                json_escape(e.cat),
-                e.ts_us,
-                e.dur_us,
-                e.tid
-            );
+            event.render_into(&mut out);
+        };
+        for e in &self.events {
+            let mut event = Value::obj()
+                .set("name", Value::str(e.name))
+                .set("cat", Value::str(e.cat))
+                .set("ph", Value::str("X"))
+                .set("ts", Value::u64(e.ts_us))
+                .set("dur", Value::u64(e.dur_us))
+                .set("pid", Value::Int(1))
+                .set("tid", Value::u64(e.tid));
             if !e.args.is_empty() {
-                out.push_str(",\"args\":{");
-                for (i, (k, v)) in e.args.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    match v {
-                        ArgValue::Int(n) => {
-                            let _ = write!(out, "\"{}\":{}", json_escape(k), n);
-                        }
-                        ArgValue::Str(s) => {
-                            let _ = write!(out, "\"{}\":\"{}\"", json_escape(k), json_escape(s));
-                        }
-                    }
-                }
-                out.push('}');
+                let args = e.args.iter().map(|(k, v)| {
+                    let v = match v {
+                        ArgValue::Int(n) => Value::Int(i128::from(*n)),
+                        ArgValue::Str(s) => Value::str(s.as_str()),
+                    };
+                    ((*k).to_string(), v)
+                });
+                event = event.set("args", Value::Obj(args.collect()));
             }
-            out.push('}');
+            push(event);
         }
         let end_ts = self
             .events
@@ -422,15 +408,15 @@ impl Trace {
             .map(|e| e.ts_us + e.dur_us)
             .max()
             .unwrap_or(0);
-        for (name, value) in &self.counters {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"counter\",\"ph\":\"C\",\"ts\":{end_ts},\"pid\":1,\"args\":{{\"value\":{value}}}}}",
-                json_escape(name),
+        for &(name, value) in &self.counters {
+            push(
+                Value::obj()
+                    .set("name", Value::str(name))
+                    .set("cat", Value::str("counter"))
+                    .set("ph", Value::str("C"))
+                    .set("ts", Value::u64(end_ts))
+                    .set("pid", Value::Int(1))
+                    .set("args", Value::obj().set("value", Value::u64(value))),
             );
         }
         out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
@@ -457,24 +443,6 @@ impl Trace {
         }
         out
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -573,48 +541,49 @@ mod tests {
         assert!(json.contains("\"strategy\":\"chunked_probe\""));
         assert!(json.contains("\"ph\":\"C\""));
         assert!(json.contains("\"pool.tasks\""));
-        // Balanced braces/brackets (cheap structural sanity without a JSON
-        // parser in the dependency set).
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(
-                json.matches(open).count(),
-                json.matches(close).count(),
-                "unbalanced {open}{close}"
-            );
-        }
+        let doc = Value::parse(&json).expect("chrome trace parses");
+        let events = match doc.get("traceEvents") {
+            Some(Value::Arr(events)) => events,
+            other => panic!("traceEvents: {other:?}"),
+        };
+        assert_eq!(events.len(), 2);
+        assert_eq!(
+            events[0].get("args").and_then(|a| a.get("left_rows")),
+            Some(&Value::Int(10))
+        );
     }
 
     #[test]
-    fn json_escape_controls() {
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn merge_sums_counters_and_appends_events() {
-        let _g = guard();
-        set_enabled(true);
-        clear();
-        add("x", 2);
-        {
-            let _sp = span("exec", "stmt");
-        }
-        let mut total = take();
-        add("x", 3);
-        add("y", 1);
-        {
-            let _sp = span("exec", "stmt");
-        }
-        total.merge(take());
-        set_enabled(false);
-        assert_eq!(total.counter("x"), Some(5));
-        assert_eq!(total.counter("y"), Some(1));
-        assert_eq!(total.events.len(), 2);
-        // Counters stay sorted by name after a merge.
-        let names: Vec<_> = total.counters.iter().map(|(n, _)| *n).collect();
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        assert_eq!(names, sorted);
+    fn chrome_json_escapes_hostile_names_and_args() {
+        let hostile = "q\"b\\s\n\t\u{1}\u{1f}😀";
+        let t = Trace {
+            events: vec![Event {
+                cat: "c\"at",
+                name: hostile,
+                ts_us: 5,
+                dur_us: 7,
+                tid: 2,
+                args: vec![
+                    (hostile, ArgValue::Str(hostile.to_string())),
+                    ("n\\", ArgValue::Int(-3)),
+                ],
+            }],
+            counters: vec![(hostile, 9)],
+        };
+        let json = t.to_chrome_json();
+        let doc = Value::parse(&json).unwrap_or_else(|e| panic!("{e}:\n{json}"));
+        let Some(Value::Arr(events)) = doc.get("traceEvents") else {
+            panic!("no traceEvents:\n{json}");
+        };
+        assert_eq!(events[0].get("name").and_then(Value::as_str), Some(hostile));
+        assert_eq!(events[0].get("cat").and_then(Value::as_str), Some("c\"at"));
+        let args = events[0].get("args").expect("args");
+        assert_eq!(args.get(hostile).and_then(Value::as_str), Some(hostile));
+        assert_eq!(args.get("n\\"), Some(&Value::Int(-3)));
+        assert_eq!(events[1].get("name").and_then(Value::as_str), Some(hostile));
+        assert_eq!(events[1].get("ts"), Some(&Value::Int(12)));
+        // One event per line, as before the export rendered through `Value`.
+        assert_eq!(json.lines().count(), 4, "{json}");
     }
 
     #[test]

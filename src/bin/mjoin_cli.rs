@@ -490,7 +490,9 @@ fn run_audit(
     );
     let rendered = match format {
         "text" => report.render_text(analysis.cx()),
-        "json" => report.render_json(prepared.scheme(), prepared.catalog()),
+        "json" => report
+            .to_json(prepared.scheme(), prepared.catalog())
+            .render(),
         other => return Err(format!("unknown --format `{other}` (text|json)")),
     };
     Ok((rendered, report.report.clean_at(deny)))
@@ -537,7 +539,7 @@ fn check_query_file(path: &str, deny: Severity, format: &str) -> Result<bool, St
     };
     match format {
         "text" => eprint!("{path}:\n{}", report.render_text()),
-        "json" => eprintln!("{}", report.render_json()),
+        "json" => eprintln!("{}", report.to_json().render()),
         other => return Err(format!("unknown --format `{other}` (text|json)")),
     }
     Ok(report.clean_at(deny))
@@ -597,7 +599,7 @@ fn check(args: &Args) -> Result<bool, String> {
     let report = mjoin::analyze::analyze(&program, &scheme, &catalog);
     match args.format.as_str() {
         "text" => eprint!("{}", report.render_text()),
-        "json" => eprintln!("{}", report.render_json()),
+        "json" => eprintln!("{}", report.to_json().render()),
         other => return Err(format!("unknown --format `{other}` (text|json)")),
     }
     let mut clean = report.clean_at(deny);
@@ -619,7 +621,7 @@ fn check(args: &Args) -> Result<bool, String> {
             .map_err(|e| e.to_string())?;
         let mem = memory_report(&cx, &seeds);
         match args.format.as_str() {
-            "json" => eprintln!("{}", mem.render_json()),
+            "json" => eprintln!("{}", mem.to_json().render()),
             _ => eprint!("{}", mem.render_text()),
         }
         if let Some(budget) = args.mem_budget {
@@ -627,7 +629,7 @@ fn check(args: &Args) -> Result<bool, String> {
                 diagnostics: mem_blowup(&mem, budget),
             };
             match args.format.as_str() {
-                "json" => eprintln!("{}", blowups.render_json()),
+                "json" => eprintln!("{}", blowups.to_json().render()),
                 _ => eprint!("{}", blowups.render_text()),
             }
             clean = clean && blowups.clean_at(deny);

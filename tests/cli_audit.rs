@@ -429,3 +429,66 @@ fn verify_run_and_error_paths() {
         .unwrap()
         .contains("matches no relation"));
 }
+
+/// Attribute names that need escaping (`"` and `\`) reach the JSON audit
+/// — its `set` and the certificate's `factors` — intact, through both
+/// `audit --format json` and `check --verify-run --format json`.
+#[test]
+fn audit_json_escapes_attribute_names() {
+    let dir = tempdir::TempDir::new("escape");
+    let program = write_file(
+        dir.path(),
+        "p.mj",
+        "# scheme: AB,B\",\"\\\nR(V) := R(AB) ⋈ R(B\")\nR(V) := R(V) ⋈ R(\"\\)\n",
+    );
+    let ab = write_file(dir.path(), "ab.tsv", "A\tB\n1\t2\n3\t4\n");
+    let bq = write_file(dir.path(), "bq.tsv", "B\t\"\n2\t5\n4\t6\n");
+    let qs = write_file(dir.path(), "qs.tsv", "\"\t\\\n5\t7\n6\t8\n");
+    let expected = ["{AB,B\"}", "{AB,B\",\"\\}"];
+    let check_audit = |doc: &json::Json| {
+        let stmts = doc.get("stmts").and_then(json::Json::as_arr).unwrap();
+        let sets: Vec<_> = stmts
+            .iter()
+            .map(|s| s.get("set").and_then(json::Json::as_str).unwrap())
+            .collect();
+        assert_eq!(sets, expected);
+        let cert = doc.get("certificate").unwrap();
+        let factors: Vec<_> = cert
+            .get("stmts")
+            .and_then(json::Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|s| {
+                let f = s.get("factors").and_then(json::Json::as_arr).unwrap();
+                assert_eq!(f.len(), 1, "{f:?}");
+                f[0].as_str().unwrap()
+            })
+            .collect();
+        assert_eq!(factors, expected);
+    };
+
+    let out = cli(&["audit", "--format", "json", &program, &ab, &bq, &qs]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(out.status.success(), "{stdout}");
+    let doc = json::parse(stdout.trim()).unwrap_or_else(|e| panic!("{e}:\n{stdout}"));
+    check_audit(&doc);
+
+    let out = cli(&[
+        "check",
+        "--verify-run",
+        "--format",
+        "json",
+        &program,
+        &ab,
+        &bq,
+        &qs,
+    ]);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(out.status.success(), "{stderr}");
+    let docs: Vec<json::Json> = stderr
+        .lines()
+        .map(|l| json::parse(l).unwrap_or_else(|e| panic!("{e}:\n{l}")))
+        .collect();
+    assert_eq!(docs.len(), 2, "lint report, then audit:\n{stderr}");
+    check_audit(&docs[1]);
+}
