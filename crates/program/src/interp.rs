@@ -18,8 +18,11 @@
 //! written back. With [`ExecConfig::threads`]` > 1` the levels are the
 //! hazard-free ones of [`mod@crate::schedule`] — same-level statements touch
 //! disjoint registers, so each reads exactly what it would read in program
-//! order — a level of width > 1 runs concurrently on the shared
-//! [`mjoin_pool`], and the partitioned operators run inside each statement.
+//! order — a level of width > 1 runs concurrently through
+//! [`mjoin_relation::par_map`], and the partitioned operators run inside
+//! each statement. Each nesting level runs on at most `threads` threads: a
+//! level wider than `threads` is cut into `threads` contiguous chunks, so a
+//! level whose statements run partitioned kernels uses at most `threads²`.
 //! With one thread the list is the trivial schedule, every statement its own
 //! level in program order. Either way heads are charged, and
 //! [`ExecOutcome::peak_resident`] replayed, in statement order once the
@@ -42,7 +45,7 @@ use mjoin_relation::ops::{
     self, join_key_positions, par_join_indexed_cutoff, par_semijoin_indexed_cutoff, JoinIndex,
     TrieIndex, SMALL,
 };
-use mjoin_relation::{CostLedger, Database, Relation, Schema};
+use mjoin_relation::{par_map, CostLedger, Database, Relation, Schema};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -1051,8 +1054,8 @@ pub fn try_execute_with(
                 prefetch_level_indices(program, &m, cache, &level);
             }
         }
-        // One item runs inline on this thread; more go to the shared pool.
-        let computed = mjoin_pool::par_map(level, |i| {
+        // At most `threads` threads, this one among them, run the level.
+        let computed = par_map(level, threads, |i| {
             let spill = cfg.spill_partitions(i);
             let stmt = &program.stmts[i];
             let head = eval_stmt_traced(program, &m, stmt, i, threads, spill, cache);
@@ -1269,6 +1272,55 @@ mod tests {
             assert_eq!(par.peak_resident, seq.peak_resident, "threads = {threads}");
             assert_eq!(par.ledger, seq.ledger, "threads = {threads}");
         }
+    }
+
+    /// A level wider than `threads` runs on at most `threads` threads and
+    /// gives the one-thread outcome.
+    #[test]
+    fn a_wide_level_runs_on_at_most_threads_threads() {
+        use std::collections::BTreeSet;
+        let mut c = Catalog::new();
+        let hub: Vec<Vec<i64>> = (0..200).map(|k| vec![k; 5]).collect();
+        let hub: Vec<&[i64]> = hub.iter().map(Vec::as_slice).collect();
+        let mut rels = vec![relation_of_ints(&mut c, "ABCDE", &hub).unwrap()];
+        // Spoke i keeps all of its 100 + i rows, so `out_rows` tells this
+        // run's statements from any other test's.
+        let spokes = ["AF", "BG", "CH", "DI", "EJ"];
+        for (i, scheme) in spokes.iter().enumerate() {
+            let rows: Vec<Vec<i64>> = (0..100 + i as i64).map(|k| vec![k, -k]).collect();
+            let rows: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+            rels.push(relation_of_ints(&mut c, scheme, &rows).unwrap());
+        }
+        let scheme = DbScheme::parse(&mut c, &["ABCDE", "AF", "BG", "CH", "DI", "EJ"]);
+        let db = Database::from_relations(rels);
+        let mut b = ProgramBuilder::new(&scheme);
+        for spoke in 1..=spokes.len() {
+            b.semijoin(Reg::Base(spoke), Reg::Base(0));
+        }
+        let p = b.finish(Reg::Base(1));
+        assert_eq!(schedule(&p).levels, vec![vec![0, 1, 2, 3, 4]]);
+
+        let seq = execute(&p, &db);
+        let (par, t) = traced(|| execute_with(&p, &db, &ExecConfig::with_threads(2)));
+        let int = |e: &mjoin_trace::Event, key| e.arg(key).and_then(mjoin_trace::ArgValue::as_int);
+        let (mut stmts, mut tids) = (BTreeSet::new(), BTreeSet::new());
+        for e in &t.events {
+            if let (("exec", "stmt"), Some(i), Some(out)) =
+                ((e.cat, e.name), int(e, "index"), int(e, "out_rows"))
+            {
+                if out == 100 + i {
+                    stmts.insert(i);
+                    tids.insert(e.tid);
+                }
+            }
+        }
+        assert_eq!(stmts, (0..5).collect());
+        assert!(tids.len() <= 2, "the level ran on threads {tids:?}");
+        assert_eq!(*par.result, *seq.result);
+        assert_eq!(par.ledger, seq.ledger);
+        assert_eq!(par.head_sizes, seq.head_sizes);
+        assert_eq!(par.head_sizes, vec![100, 101, 102, 103, 104]);
+        assert_eq!(par.peak_resident, seq.peak_resident);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //!   [`semijoin`](ops::semijoin), [`project`](ops::project), selection and
 //!   the set operations;
 //! * the paper's tuple-count cost model as a [`CostLedger`];
+//! * [`par_map`], the one way the workspace runs work in parallel;
 //! * a tiny TSV loader for examples.
 //!
 //! Higher layers (join-expression trees, programs, the paper's Algorithms 1
@@ -27,6 +28,7 @@ pub mod database;
 pub mod error;
 pub mod fxhash;
 pub mod ops;
+mod par;
 pub mod relation;
 pub mod schema;
 mod sortkey;
@@ -39,6 +41,7 @@ pub use column::{Column, ColumnBuilder, Dict};
 pub use cost::{CostEntry, CostKind, CostLedger};
 pub use database::Database;
 pub use error::{Error, Result};
+pub use par::par_map;
 pub use relation::{Relation, Row};
 pub use schema::Schema;
 pub use value::Value;

@@ -308,7 +308,7 @@ pub(crate) fn col_join_chunked(build: &Relation, probe: &Relation, threads: usiz
     let kernel = ColJoin::new(build, probe, &bpos, &ppos);
     let ph = key_hashes(probe, &ppos);
     let ranges = split_ranges(probe.len(), threads);
-    let parts = mjoin_pool::par_map(ranges, |(s, e)| kernel.probe_range(&ph, s, e));
+    let parts = crate::par_map(ranges, threads, |(s, e)| kernel.probe_range(&ph, s, e));
     materialize_join(build, probe, &out_schema, &parts)
 }
 
@@ -329,7 +329,7 @@ pub(crate) fn col_join_radix(left: &Relation, right: &Relation, threads: usize) 
     let bparts = partition_ids(&bh, parts_n);
     let pparts = partition_ids(&ph, parts_n);
     let pairs: Vec<(Vec<u32>, Vec<u32>)> = bparts.into_iter().zip(pparts).collect();
-    let parts = mjoin_pool::par_map(pairs, |(bids, pids)| {
+    let parts = crate::par_map(pairs, threads, |(bids, pids)| {
         ColJoin::over_ids(build, probe, &bpos, &ppos, &bids, &bh).probe_ids(&pids, &ph)
     });
     materialize_join(build, probe, &out_schema, &parts)
@@ -410,7 +410,7 @@ impl<'a> ColFilter<'a> {
     }
 }
 
-/// Columnar semijoin body, sequential or chunked over the pool; the caller
+/// Columnar semijoin body, sequential or chunked over threads; the caller
 /// has already handled the disjoint-schema degenerate case.
 pub(crate) fn col_semijoin(
     left: &Relation,
@@ -425,7 +425,7 @@ pub(crate) fn col_semijoin(
     let ids: Vec<u32> = if threads <= 1 {
         filter.matching_range(lcols, lpos, &lh, 0, left.len())
     } else {
-        mjoin_pool::par_map(split_ranges(left.len(), threads), |(s, e)| {
+        crate::par_map(split_ranges(left.len(), threads), threads, |(s, e)| {
             filter.matching_range(lcols, lpos, &lh, s, e)
         })
         .into_iter()

@@ -159,9 +159,11 @@ pub fn par_join_indexed_cutoff(
     let parts: Vec<(Vec<u32>, Vec<u32>)> = if threads == 1 || probe.len() < cutoff {
         vec![index.probe_cols_range(probe, &ppos, &ph, 0, probe.len())]
     } else {
-        mjoin_pool::par_map(columnar::split_ranges(probe.len(), threads), |(s, e)| {
-            index.probe_cols_range(probe, &ppos, &ph, s, e)
-        })
+        crate::par_map(
+            columnar::split_ranges(probe.len(), threads),
+            threads,
+            |(s, e)| index.probe_cols_range(probe, &ppos, &ph, s, e),
+        )
     };
     let out = columnar::materialize_join(index.relation(), probe, &out_schema, &parts);
     sp.arg("out_rows", out.len());
@@ -203,9 +205,11 @@ pub fn par_semijoin_indexed_cutoff(
     let ids: Vec<u32> = if threads == 1 || target.len() < cutoff {
         index.filter_cols_range(target, &tpos, &th, 0, target.len())
     } else {
-        mjoin_pool::par_map(columnar::split_ranges(target.len(), threads), |(s, e)| {
-            index.filter_cols_range(target, &tpos, &th, s, e)
-        })
+        crate::par_map(
+            columnar::split_ranges(target.len(), threads),
+            threads,
+            |(s, e)| index.filter_cols_range(target, &tpos, &th, s, e),
+        )
         .into_iter()
         .flatten()
         .collect()

@@ -45,7 +45,7 @@ pub use columnar::{join_count, join_weight_sums, key_hashes};
 
 /// The parallel/sequential cutoff in rows: below this row count the parallel
 /// operators fall back to their sequential counterparts — partitioning and
-/// task-queue overhead dominate until inputs reach a few thousand rows
+/// thread start-up overhead dominate until inputs reach a few thousand rows
 /// (PR 2's trace timings put the crossover between 2k and 8k rows on the
 /// benchmarked workloads, so it stays at 4096). The program interpreter
 /// passes it to every `*_cutoff` operator; tests pass their own to force a

@@ -1,4 +1,4 @@
-//! Partitioned parallel hash join on the shared operator pool.
+//! Partitioned parallel hash join over [`crate::par_map`].
 //!
 //! Two strategies, chosen by build-side size:
 //!

@@ -74,7 +74,7 @@ pub fn par_project_cutoff(
     let cols = rel.columns();
     let parts = columnar::partition_ids(&hashes, threads);
     let partitions = parts.len();
-    let kept = mjoin_pool::par_map(parts, |ids| {
+    let kept = crate::par_map(parts, threads, |ids| {
         columnar::dedup_ids_by_key(cols, &positions, &hashes, ids.into_iter())
     });
     let ids: Vec<u32> = kept.into_iter().flatten().collect();

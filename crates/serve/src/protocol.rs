@@ -103,7 +103,7 @@ pub enum Request {
     },
     /// Cumulative server counters and cache stats.
     Stats,
-    /// Graceful shutdown: drain in-flight requests, park the pool, exit.
+    /// Graceful shutdown: drain in-flight requests, exit.
     Shutdown,
 }
 

@@ -16,7 +16,11 @@
 //!
 //! Shutdown is cooperative: the `shutdown` command raises a flag, the
 //! accept loop stops, sessions finish their in-flight request (deadlines
-//! still apply), and the worker pool is parked before `run` returns.
+//! still apply), and `run` returns once every session thread has joined.
+//! Requests start no long-lived threads: a request at `--threads N` runs on
+//! its session thread plus scoped threads that end with it, at most `N`
+//! per nesting level (`N²` when a parallel level's statements run
+//! partitioned kernels).
 
 use crate::protocol::{err, err_with, ok, Request};
 use mjoin_core::engine::{
@@ -321,7 +325,7 @@ impl Server {
     }
 
     /// Serve until a client sends `shutdown`: accept sessions, drain
-    /// in-flight requests on shutdown, park the worker pool, return.
+    /// in-flight requests on shutdown, return.
     pub fn run(self) -> std::io::Result<()> {
         trace::set_enabled(true);
         let mut sessions = Vec::new();
@@ -346,7 +350,6 @@ impl Server {
         for h in sessions {
             let _ = h.join();
         }
-        mjoin_pool::quiesce(Duration::from_secs(5));
         Ok(())
     }
 }

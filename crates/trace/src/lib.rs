@@ -1,13 +1,12 @@
 //! `mjoin-trace` — cheap, thread-safe execution tracing for the whole
 //! workspace.
 //!
-//! Like `mjoin-pool` and the in-tree `fxhash`, this crate is `std`-only and
-//! depends on nothing else in the workspace, so every layer — relational
-//! operators, the thread pool, the program executors, the optimizers — can
-//! record into one shared sink without dependency cycles. For the same
-//! reason it holds the workspace's one JSON value type ([`json::Value`]),
-//! which the trace export, the analyzer's reports and the server's wire
-//! protocol all render through.
+//! Like the in-tree `fxhash`, this crate is `std`-only and depends on
+//! nothing else in the workspace, so every layer — relational operators,
+//! the program executor, the optimizers — can record into one shared sink
+//! without dependency cycles. For the same reason it holds the workspace's
+//! one JSON value type ([`json::Value`]), which the trace export, the
+//! analyzer's reports and the server's wire protocol all render through.
 //!
 //! The design is a miniature of the usual production tracing split:
 //!
@@ -155,7 +154,7 @@ impl From<String> for ArgValue {
 /// One completed span.
 #[derive(Debug, Clone)]
 pub struct Event {
-    /// Category (`"op"`, `"exec"`, `"plan"`, `"pool"`).
+    /// Category (`"op"`, `"exec"`, `"plan"`, …).
     pub cat: &'static str,
     /// Name within the category (`"join"`, `"stmt"`, …).
     pub name: &'static str,

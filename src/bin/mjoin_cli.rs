@@ -85,7 +85,8 @@ struct Args {
     minimize: bool,
     /// `serve`/`client`: TCP address to listen on / connect to.
     addr: String,
-    /// `serve`/`query`: worker threads per request / per component.
+    /// `run`/`query`/`serve`: threads per run / per component / per
+    /// request.
     threads: usize,
     /// `serve`: admission budget — reject requests whose certified
     /// per-statement bound exceeds this.
@@ -212,7 +213,8 @@ fn usage() -> String {
      \u{20}                  minimization) before planning (default on)\n\
      --addr HOST:PORT   (serve/client) listen/connect address, default\n\
      \u{20}                  127.0.0.1:7878; port 0 picks a free port\n\
-     --threads N        (serve/query) worker threads per request (default 1)\n\
+     --threads N        (run/query/serve) threads per run, query component\n\
+     \u{20}                  or request (default 1)\n\
      --max-cost N       (serve) reject requests whose certified Theorem-2\n\
      \u{20}                  bound exceeds N tuples (default: no limit)\n\
      --queue-depth N    (serve) admission queue length (default 16)\n\

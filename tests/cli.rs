@@ -660,6 +660,22 @@ fn run_under_a_starved_budget_spills_and_prints_the_unbudgeted_rows() {
     assert_eq!(starved.stdout, unbudgeted.stdout);
 }
 
+/// `--threads` changes how `run` schedules the program, never what it
+/// prints: four threads give the one-thread stdout byte for byte, in memory
+/// and under a starved budget.
+#[test]
+fn run_with_four_threads_prints_the_one_thread_answer() {
+    for budget in [&[][..], &["--mem-budget", "1"]] {
+        let run = |threads| {
+            let flags = [budget, &["--threads", threads]].concat();
+            run_example_data(&flags, &data_fixture("abc")).stdout
+        };
+        let one = run("1");
+        assert!(one.starts_with(b"A\t"), "{}", String::from_utf8_lossy(&one));
+        assert_eq!(run("4"), one, "--threads 4 {budget:?}");
+    }
+}
+
 /// A spill that cannot write its partitions (`TMPDIR` is a regular file)
 /// still answers, joining in memory, and says so on stderr: never silently.
 #[test]
