@@ -625,7 +625,6 @@ impl<'p> Admitted<'p> {
                     cancel,
                     mem_budget: self.mem_budget,
                     spill: self.spill.clone(),
-                    ..ExecConfig::default()
                 };
                 let program = p.program.as_ref().expect("program executor has a program");
                 let out = try_execute_with(program, &p.db, &cfg)?;

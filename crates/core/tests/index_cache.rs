@@ -1,14 +1,17 @@
 //! Differential oracle for the join-index cache: cached execution must be
-//! observably identical to uncached execution — same result relation, cost
-//! ledger, head sizes, and peak-resident footprint — sequentially and in
-//! parallel across thread counts. Includes programs that rewrite a register
+//! observably identical to execution through a `(0, 0)`-budget cache that
+//! refuses every index, so each statement builds its own — same result
+//! relation, cost ledger, head sizes, and peak-resident footprint —
+//! sequentially and in parallel across thread counts. Includes programs that rewrite a register
 //! between reads (exercising invalidation), fan-out levels that share one
 //! prebuilt index, and budgets small enough to force eviction.
 
 use mjoin_core::derive;
 use mjoin_expr::JoinTree;
 use mjoin_hypergraph::DbScheme;
-use mjoin_program::{execute_with, ExecConfig, Program, ProgramBuilder, Reg};
+use mjoin_program::{
+    execute_with, ExecConfig, IndexCache, Program, ProgramBuilder, Reg, DEFAULT_CACHE_BYTES,
+};
 use mjoin_relation::{Catalog, Database};
 use mjoin_workloads::{random_database, DataGenConfig};
 
@@ -22,17 +25,30 @@ fn left_deep(n: usize) -> JoinTree {
     t
 }
 
-/// Run `p` uncached sequentially (the oracle), then assert that every
-/// cached and uncached execution at every thread count observes the same
-/// outcome.
+/// One thread, through a cache that refuses every index: no statement
+/// reuses another's build.
+fn no_memo() -> ExecConfig {
+    ExecConfig {
+        cache: Some(IndexCache::shared(0, 0)),
+        ..ExecConfig::default()
+    }
+}
+
+/// Run `p` without memoization sequentially (the oracle), then assert that
+/// every cached and non-memoizing execution at every thread count observes
+/// the same outcome.
 fn assert_cache_transparent(p: &Program, db: &Database, label: &str) {
-    let oracle = execute_with(p, db, &ExecConfig::default().without_cache());
+    let oracle = execute_with(p, db, &no_memo());
     for threads in THREADS {
         for cached in [false, true] {
-            let mut cfg = ExecConfig::with_threads(threads);
-            if !cached {
-                cfg = cfg.without_cache();
-            }
+            let cfg = if cached {
+                ExecConfig::with_threads(threads)
+            } else {
+                ExecConfig {
+                    threads,
+                    ..no_memo()
+                }
+            };
             let out = execute_with(p, db, &cfg);
             assert_eq!(
                 *out.result, *oracle.result,
@@ -220,13 +236,12 @@ fn tiny_budget_evicts_but_stays_correct() {
             plant_witness: true,
         },
     );
-    let oracle = execute_with(&p, &db, &ExecConfig::default().without_cache());
+    let oracle = execute_with(&p, &db, &no_memo());
     for budget in [0, 1, 40, 10_000] {
         for threads in [1, 4] {
             let cfg = ExecConfig {
                 threads,
-                index_cache: true,
-                cache_budget_tuples: budget,
+                cache: Some(IndexCache::shared(budget, DEFAULT_CACHE_BYTES)),
                 ..ExecConfig::default()
             };
             let out = execute_with(&p, &db, &cfg);

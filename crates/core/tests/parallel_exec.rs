@@ -11,7 +11,7 @@ use mjoin_expr::JoinTree;
 use mjoin_hypergraph::DbScheme;
 use mjoin_program::{
     execute, execute_with, try_execute_with, CancelToken, ExecConfig, IndexCache, Program,
-    ProgramBuilder, Reg, SpillPlan,
+    ProgramBuilder, Reg, SpillPlan, DEFAULT_CACHE_BYTES,
 };
 use mjoin_relation::{relation_of_ints, Catalog, Database, Relation, Schema};
 use mjoin_workloads::{random_database, DataGenConfig};
@@ -269,7 +269,7 @@ fn tiny_cache_budgets_agree() {
                 &db,
                 &format!("cache budget {budget} seed {seed}"),
                 |threads| ExecConfig {
-                    cache_budget_tuples: budget,
+                    cache: Some(IndexCache::shared(budget, DEFAULT_CACHE_BYTES)),
                     ..ExecConfig::with_threads(threads)
                 },
             );

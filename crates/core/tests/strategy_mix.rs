@@ -1,9 +1,10 @@
 //! Which physical kernel fires where: one traced 4-thread run per workload,
-//! asserting the operator strategies the executor is supposed to pick and
-//! the `index_cache.*` traffic on the workloads built to exercise the cache.
-//! Correctness tests cannot see either failure mode — a wide workload
-//! falling off the partitioned paths, or the join-index cache going cold —
-//! because every strategy computes the same relation.
+//! asserting the operator strategies the executor is supposed to pick, that
+//! some index probe ran in more than one chunk, and the `index_cache.*`
+//! traffic on the workloads built to exercise the cache. Correctness tests
+//! cannot see either failure mode — a wide workload falling off the chunked
+//! paths, or the join-index cache going cold — because every path computes
+//! the same relation.
 //!
 //! The workload sizes are the point (the expectations are about which side
 //! of `ops::SMALL` each operand lands on), so they are never shrunk; the
@@ -17,6 +18,7 @@ use mjoin_expr::JoinTree;
 use mjoin_hypergraph::DbScheme;
 use mjoin_program::{execute_with, ExecConfig, Program, ProgramBuilder, Reg};
 use mjoin_relation::{AttrId, Catalog, Database, Relation, Schema, Value};
+use mjoin_trace::ArgValue;
 use mjoin_workloads::{star_schema, CycleGap, Example3, StarSchemaConfig};
 
 type Workload = (Database, Program);
@@ -205,61 +207,75 @@ fn hub_fanout_reducer() -> Workload {
 }
 
 /// (workload, its builder, `name[strategy]` spans that must appear,
-/// counters with their required minimum).
+/// whether some probe must run in more than one chunk — `false`: every
+/// probe runs as one, counters with their required minimum).
 type Expectation = (
     &'static str,
     fn() -> Workload,
     &'static [&'static str],
+    bool,
     &'static [(&'static str, u64)],
 );
+
+const CHUNKED: bool = true;
 
 const EXPECT: &[Expectation] = &[
     (
         "example3_m30",
         example3_m30,
-        &["join[shared_build_probe]", "semijoin[chunked_probe]"],
+        &["join[indexed_probe]", "semijoin[indexed_probe]"],
+        CHUNKED,
         &[],
     ),
     (
         "star_d6_f60k",
         star_d6_f60k,
-        &["join[shared_build_probe]", "semijoin[chunked_probe]"],
+        &["join[indexed_probe]", "semijoin[indexed_probe]"],
+        CHUNKED,
         &[],
     ),
     (
         "star_wide",
         star_wide,
-        &["join[shared_build_probe]", "semijoin[chunked_probe]"],
+        &["join[indexed_probe]", "semijoin[indexed_probe]"],
+        CHUNKED,
         &[],
     ),
     (
         "cycle_gap_n6_m40",
         cycle_gap_n6_m40,
-        &["join[shared_build_probe]"],
+        &["join[indexed_probe]"],
+        CHUNKED,
         &[],
     ),
     (
         "star_wide_reducer",
         star_wide_reducer,
-        &["semijoin[chunked_probe]"],
+        &["semijoin[indexed_probe]"],
+        CHUNKED,
         &[],
     ),
     (
         "wide_filter_sweep",
         wide_filter_sweep,
-        &["semijoin[chunked_probe]"],
+        &["semijoin[indexed_probe]"],
+        CHUNKED,
         &[],
     ),
     (
         "selective_probe_fanout",
         selective_probe_fanout,
         &["join[indexed_probe]"],
+        // Point lookups: twelve 100-row probes of one shared index, none
+        // of them wide enough to cut into chunks.
+        !CHUNKED,
         &[("index_cache.hit", 1)],
     ),
     (
         "hub_fanout_reducer",
         hub_fanout_reducer,
-        &["semijoin[indexed_probe]", "semijoin[chunked_probe]"],
+        &["semijoin[indexed_probe]"],
+        CHUNKED,
         &[("index_cache.hit", 9), ("index_cache.insert", 1)],
     ),
 ];
@@ -271,7 +287,7 @@ const EXPECT: &[Expectation] = &[
 )]
 fn each_workload_fires_its_operator_strategies_and_cache_traffic() {
     let mut failures = Vec::new();
-    for &(name, build, ops, counters) in EXPECT {
+    for &(name, build, ops, chunked, counters) in EXPECT {
         let (db, program) = build();
         mjoin_trace::clear();
         mjoin_trace::set_enabled(true);
@@ -289,6 +305,17 @@ fn each_workload_fires_its_operator_strategies_and_cache_traffic() {
             if !seen.iter().any(|k| k == want) {
                 failures.push(format!("{name}: expected strategy {want}, saw {seen:?}"));
             }
+        }
+        let chunks = trace
+            .events
+            .iter()
+            .filter(|e| e.cat == "op" && matches!(e.name, "join" | "semijoin"))
+            .filter_map(|e| e.arg("chunks").and_then(ArgValue::as_int));
+        let widest = chunks.max().unwrap_or(0);
+        if chunked != (widest > 1) {
+            failures.push(format!(
+                "{name}: the widest join/semijoin probe ran in {widest} chunks"
+            ));
         }
         for &(counter, min) in counters {
             let got = trace.counter(counter).unwrap_or(0);

@@ -19,10 +19,11 @@
 //! hazard-free ones of [`mod@crate::schedule`] — same-level statements touch
 //! disjoint registers, so each reads exactly what it would read in program
 //! order — a level of width > 1 runs concurrently through
-//! [`mjoin_relation::par_map`], and the partitioned operators run inside
-//! each statement. Each nesting level runs on at most `threads` threads: a
-//! level wider than `threads` is cut into `threads` contiguous chunks, so a
-//! level whose statements run partitioned kernels uses at most `threads²`.
+//! [`mjoin_relation::par_map`], and inside each statement an index probe or
+//! a projection of at least [`SMALL`] rows runs in chunks. Each nesting
+//! level runs on at most `threads` threads: a level wider than `threads` is
+//! cut into `threads` contiguous chunks, so a level whose statements run
+//! chunked kernels uses at most `threads²`.
 //! With one thread the list is the trivial schedule, every statement its own
 //! level in program order. Either way heads are charged, and
 //! [`ExecOutcome::peak_resident`] replayed, in statement order once the
@@ -30,12 +31,14 @@
 //! `peak_resident`) depends on the program and database alone; the
 //! differential tests in `mjoin-core` enforce this on randomized databases.
 //!
-//! There is likewise one index-cache policy ([`IndexCache`]): every
-//! statement peeks the run's cache, a miss builds and inserts an index
-//! where the plain kernel would have run its sequential build anyway, and
-//! before a level of width > 1 the indices two or more of its statements
-//! share are built once and inserted. A cache passed in through
-//! [`ExecConfig::cache`] therefore warms at every thread count.
+//! There is likewise one join kernel and one index-cache policy: every
+//! keyed join and semijoin statement probes a [`JoinIndex`]. It peeks the
+//! run's [`IndexCache`]; a hit probes the cached index, a miss builds one
+//! (for a join on the smaller side), probes it and inserts it. Before a
+//! level of width > 1 the indices two or more of its statements share are
+//! built once and inserted. A cache passed in through [`ExecConfig::cache`]
+//! therefore warms at every thread count. A Cartesian join builds an
+//! empty-key index it never caches, and probes it the same way.
 
 use crate::program::Program;
 use crate::schedule::schedule;
@@ -50,30 +53,33 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
+/// The tuple budget of a cache built at the defaults: the private cache of
+/// a run with no [`ExecConfig::cache`], and a resident server's shared one.
+/// The cache evicts least-recently-used indices once the total tuples
+/// resident in cached indices exceed it.
+pub const DEFAULT_CACHE_TUPLES: u64 = 4 << 20;
+
+/// The byte budget beside [`DEFAULT_CACHE_TUPLES`]: resident bytes are the
+/// table heap plus the pinned relation's payload
+/// ([`JoinIndex::resident_bytes`]: packed columns with each dictionary pool
+/// counted once). Eviction runs while *either* budget is exceeded, so
+/// tuple-cheap but byte-heavy string relations cannot pin unbounded memory.
+pub const DEFAULT_CACHE_BYTES: u64 = 256 << 20;
+
 /// Execution knobs for [`execute_with`]; [`execute`] uses the defaults
-/// (one thread, cache on).
+/// (one thread, a private cache).
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
-    /// Worker threads for the partitioned operators and for the levels of
-    /// the schedule. `1` runs the statements one by one in program order.
+    /// Worker threads for the levels of the schedule and for the chunked
+    /// index probes and projections inside each statement. `1` runs the
+    /// statements one by one in program order, each probe as one chunk.
     pub threads: usize,
-    /// Whether to memoize build-side [`JoinIndex`]es across statements.
-    pub index_cache: bool,
-    /// Cache budget: the cache evicts least-recently-used indices once the
-    /// total tuples resident in cached indices exceed this.
-    pub cache_budget_tuples: u64,
-    /// Cache budget in resident *bytes* — table heap plus the pinned
-    /// relation's payload ([`JoinIndex::resident_bytes`]: packed columns
-    /// with each dictionary pool counted once). Eviction runs while
-    /// *either* budget is exceeded, so tuple-cheap but byte-heavy string
-    /// relations cannot pin unbounded memory.
-    pub cache_budget_bytes: u64,
-    /// A shared cross-run index cache. `None` (the default) gives each run
-    /// a private cache built from the budgets above — the historical
-    /// one-shot behavior. A resident server passes one
-    /// [`SharedIndexCache`] into every request's config so warm state
-    /// survives across runs and sessions; the budgets above are then
-    /// ignored in favor of the shared cache's own.
+    /// The index cache this run memoizes build-side [`JoinIndex`]es in.
+    /// `None` (the default) gives each run a private cache at
+    /// [`DEFAULT_CACHE_TUPLES`] / [`DEFAULT_CACHE_BYTES`]. A resident
+    /// server passes one [`SharedIndexCache`] into every request's config
+    /// so warm state survives across runs and sessions. A cache with
+    /// budgets `(0, 0)` refuses every index: each statement builds its own.
     pub cache: Option<SharedIndexCache>,
     /// Cooperative cancellation: polled once per level, which with one
     /// thread is once per statement. `None` runs to completion. Use
@@ -134,9 +140,6 @@ impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             threads: 1,
-            index_cache: true,
-            cache_budget_tuples: 4 << 20,
-            cache_budget_bytes: 256 << 20,
             cache: None,
             cancel: None,
             mem_budget: None,
@@ -154,20 +157,12 @@ impl ExecConfig {
         }
     }
 
-    /// The same configuration with the index cache disabled — the
-    /// pre-cache execution path, kept callable for differential tests and
-    /// benchmarks.
-    pub fn without_cache(mut self) -> Self {
-        self.index_cache = false;
-        self
-    }
-
     /// The cache this run works against: the shared one if provided, else
-    /// a fresh private cache sized by this config's budgets.
+    /// a fresh private cache at the default budgets.
     fn run_cache(&self) -> SharedIndexCache {
-        self.cache.clone().unwrap_or_else(|| {
-            IndexCache::shared(self.cache_budget_tuples, self.cache_budget_bytes)
-        })
+        self.cache
+            .clone()
+            .unwrap_or_else(|| IndexCache::shared(DEFAULT_CACHE_TUPLES, DEFAULT_CACHE_BYTES))
     }
 
     /// Whether this run was cancelled (explicitly or by deadline).
@@ -722,26 +717,15 @@ impl Machine {
     }
 }
 
-/// Whether a statement that missed the cache builds a first-class
-/// [`JoinIndex`] (and keeps it for later statements and runs) instead of
-/// running the plain kernel. It does wherever the plain kernel would take
-/// its sequential path — one thread, or both inputs under [`SMALL`]
-/// rows — because that path's build pass is the same work. Past it the
-/// partitioned kernels win (a shared small build probed in chunks, radix
-/// co-partitioning for big builds), so those statements keep them.
-fn indexes_on_miss(threads: usize, left_rows: usize, right_rows: usize) -> bool {
-    threads == 1 || (left_rows < SMALL && right_rows < SMALL)
-}
-
-/// Evaluate one statement's body against the current register file. With
-/// `threads == 1`, or inputs under [`SMALL`] rows, the partitioned
-/// operators take their sequential paths.
+/// Evaluate one statement's body against the current register file. Every
+/// keyed join and semijoin probes a [`JoinIndex`]: the cached one on a hit,
+/// else a fresh one it builds and inserts. Probes and projections run in
+/// chunks on `threads` threads from [`SMALL`] rows.
 ///
-/// `cache` is the run's index cache, or `None` under
-/// [`ExecConfig::without_cache`] (always the plain operators, no counters).
-/// The mutex is taken per peek/insert, never held across a kernel; hit/miss
-/// counters are bumped here rather than in [`IndexCache::peek`] because a
-/// join peeks both of its sides before deciding which lookup counts.
+/// The cache mutex is taken per peek/insert, never held across a kernel;
+/// hit/miss counters are bumped here rather than in [`IndexCache::peek`]
+/// because a join peeks both of its sides before deciding which lookup
+/// counts.
 ///
 /// A scheduled spill that fails leaves its I/O error in `spill_failed`.
 fn eval_stmt(
@@ -751,11 +735,9 @@ fn eval_stmt(
     threads: usize,
     spill: Option<usize>,
     spill_failed: &mut Option<String>,
-    cache: Option<&SharedIndexCache>,
+    cache: &SharedIndexCache,
 ) -> (Reg, Relation) {
-    let peek = |rel: &Arc<Relation>, key_pos: &[usize]| {
-        cache.and_then(|c| lock_cache(c).peek(rel, key_pos))
-    };
+    let peek = |rel: &Arc<Relation>, key_pos: &[usize]| lock_cache(cache).peek(rel, key_pos);
     match stmt {
         Stmt::Project { dst, src, attrs } => {
             let src_rel = m.read(program, *src);
@@ -769,10 +751,15 @@ fn eval_stmt(
             let r = m.read(program, *right);
             let (lpos, rpos) = join_key_positions(l.schema(), r.schema());
             if lpos.is_empty() {
-                // Cartesian product: an index (one bucket chain holding
-                // everything) buys nothing, and there is no key to spill
-                // by — the memory analysis never schedules these.
-                return (*dst, ops::par_join_cutoff(&l, &r, threads, SMALL));
+                // Cartesian product: the empty-key index (one bucket chain
+                // holding the smaller side) is worth nothing to another
+                // statement, so it is not cached; and there is no key to
+                // spill by — the memory analysis never schedules these.
+                let (index, probe) = JoinIndex::on_smaller(l, r);
+                return (
+                    *dst,
+                    par_join_indexed_cutoff(&index, &probe, threads, SMALL),
+                );
             }
             if let Some(p) = spill {
                 // The certificate proved this statement's build side cannot
@@ -811,35 +798,22 @@ fn eval_stmt(
                     par_join_indexed_cutoff(&index, &probe, threads, SMALL),
                 );
             }
-            let Some(cache) = cache else {
-                return (*dst, ops::par_join_cutoff(&l, &r, threads, SMALL));
-            };
             IndexCache::note_miss();
-            if indexes_on_miss(threads, l.len(), r.len()) {
-                let (small, spos, big) = if l.len() <= r.len() {
-                    (Arc::clone(&l), lpos, r)
-                } else {
-                    (Arc::clone(&r), rpos, l)
-                };
-                let index = Arc::new(JoinIndex::build(small, spos));
-                let out = par_join_indexed_cutoff(&index, &big, threads, SMALL);
-                lock_cache(cache).insert(index);
-                return (*dst, out);
-            }
-            (*dst, ops::par_join_cutoff(&l, &r, threads, SMALL))
+            let (index, probe) = JoinIndex::on_smaller(l, r);
+            let index = Arc::new(index);
+            let out = par_join_indexed_cutoff(&index, &probe, threads, SMALL);
+            lock_cache(cache).insert(index);
+            (*dst, out)
         }
         Stmt::Semijoin { target, filter } => {
             let t = m.read(program, *target);
             let f = m.read(program, *filter);
-            let common = t.schema().intersect(f.schema());
-            if common.is_empty() {
-                // Degenerate case: no per-tuple work to index.
-                return (*target, ops::par_semijoin_cutoff(&t, &f, threads, SMALL));
+            let (fpos, _) = join_key_positions(f.schema(), t.schema());
+            if fpos.is_empty() {
+                // Degenerate case: all of the target or none of it, no
+                // per-tuple work to index.
+                return (*target, ops::semijoin(&t, &f));
             }
-            let fpos = f
-                .schema()
-                .positions_of(common.attrs())
-                .expect("common attrs in filter");
             if let Some(index) = peek(&f, &fpos) {
                 IndexCache::note_hit(&index);
                 return (
@@ -847,20 +821,11 @@ fn eval_stmt(
                     par_semijoin_indexed_cutoff(&t, &index, threads, SMALL),
                 );
             }
-            let Some(cache) = cache else {
-                return (*target, ops::par_semijoin_cutoff(&t, &f, threads, SMALL));
-            };
             IndexCache::note_miss();
-            if indexes_on_miss(threads, t.len(), f.len()) {
-                // The filter-side build is exactly the plain kernel's key
-                // set; building it as an index costs the same and is
-                // reusable by every later statement filtering through `f`.
-                let index = Arc::new(JoinIndex::build(Arc::clone(&f), fpos));
-                let out = par_semijoin_indexed_cutoff(&t, &index, threads, SMALL);
-                lock_cache(cache).insert(index);
-                return (*target, out);
-            }
-            (*target, ops::par_semijoin_cutoff(&t, &f, threads, SMALL))
+            let index = Arc::new(JoinIndex::build(f, fpos));
+            let out = par_semijoin_indexed_cutoff(&t, &index, threads, SMALL);
+            lock_cache(cache).insert(index);
+            (*target, out)
         }
     }
 }
@@ -883,7 +848,7 @@ fn eval_stmt_traced(
     index: usize,
     threads: usize,
     spill: Option<usize>,
-    cache: Option<&SharedIndexCache>,
+    cache: &SharedIndexCache,
 ) -> (Reg, Relation, Option<String>) {
     let mut sp = mjoin_trace::span("exec", "stmt");
     let mut failed = None;
@@ -923,14 +888,10 @@ fn stmt_index_candidates(
         Stmt::Semijoin { target, filter } => {
             let t = m.read(program, *target);
             let f = m.read(program, *filter);
-            let common = t.schema().intersect(f.schema());
-            if common.is_empty() {
+            let (fpos, _) = join_key_positions(f.schema(), t.schema());
+            if fpos.is_empty() {
                 return Vec::new();
             }
-            let fpos = f
-                .schema()
-                .positions_of(common.attrs())
-                .expect("common attrs in filter");
             vec![(f, fpos)]
         }
     }
@@ -940,7 +901,7 @@ fn stmt_index_candidates(
 /// statements want into the cache: one build, many probes, whatever the
 /// relation's size. The build counts as the one miss it represents; each
 /// statement that then probes it counts a hit. Pairs wanted once are left
-/// to their statement ([`eval_stmt`] decides whether to build). If the
+/// to their statement ([`eval_stmt`] builds them on a miss). If the
 /// budget evicts (or refuses) the index before a statement peeks, that
 /// statement just misses.
 fn prefetch_level_indices(
@@ -972,8 +933,8 @@ fn prefetch_level_indices(
     }
 }
 
-/// Execute `program` on `db` with the default [`ExecConfig`] (index cache
-/// on, one thread).
+/// Execute `program` on `db` with the default [`ExecConfig`] (a private
+/// index cache, one thread).
 ///
 /// The program should have passed [`crate::validate::validate`]; running an
 /// invalid program may panic (it will not produce wrong answers silently).
@@ -983,8 +944,8 @@ pub fn execute(program: &Program, db: &Database) -> ExecOutcome {
 
 /// Execute `program` on `db` under an explicit [`ExecConfig`]. The
 /// observable [`ExecOutcome`] depends only on the program and database —
-/// never on the thread count or on whether the index cache is enabled (the
-/// differential tests in `mjoin-core` enforce this).
+/// never on the thread count or on what the index cache holds or refuses
+/// (the differential tests in `mjoin-core` enforce this).
 pub fn execute_with(program: &Program, db: &Database, cfg: &ExecConfig) -> ExecOutcome {
     try_execute_with(program, db, cfg)
         .expect("execution cancelled — use try_execute_with to observe cancellation")
@@ -1026,12 +987,11 @@ pub fn try_execute_with(
     if sp.is_active() {
         sp.arg("stmts", n);
         sp.arg("threads", threads);
-        sp.arg("index_cache", u64::from(cfg.index_cache));
     }
 
     let mut m = Machine::new(program, db);
-    let cache = cfg.index_cache.then(|| cfg.run_cache());
-    let cache = cache.as_ref();
+    let cache = cfg.run_cache();
+    let cache = &cache;
     let mut head_sizes = vec![0usize; n];
     let mut spill_failures = Vec::new();
 
@@ -1050,9 +1010,7 @@ pub fn try_execute_with(
                 level_sp.arg("level", lv + 1);
                 level_sp.arg("stmts", level.len());
             }
-            if let Some(cache) = cache {
-                prefetch_level_indices(program, &m, cache, &level);
-            }
+            prefetch_level_indices(program, &m, cache, &level);
         }
         // At most `threads` threads, this one among them, run the level.
         let computed = par_map(level, threads, |i| {
@@ -1066,9 +1024,7 @@ pub fn try_execute_with(
             head_sizes[i] = value.len();
             mjoin_trace::add("exec.head_tuples", value.len() as u64);
             if let Some(old) = m.write(head, Arc::new(value)) {
-                if let Some(cache) = cache {
-                    lock_cache(cache).invalidate(&old);
-                }
+                lock_cache(cache).invalidate(&old);
             }
         }
     }
@@ -1565,6 +1521,34 @@ mod tests {
                  in the shared cache"
             );
             assert!(lock_cache(&shared).entries() >= 1, "threads = {threads}");
+        }
+    }
+
+    /// A keyed join that misses leaves its index — over the smaller side, a
+    /// tie going left — in the cache for later statements and runs; a
+    /// Cartesian join's empty-key index is not kept.
+    #[test]
+    fn a_join_miss_caches_its_index_and_a_cartesian_join_does_not() {
+        let (_c, scheme, db) = chain_db();
+        let mut b = ProgramBuilder::new(&scheme);
+        let x = b.new_temp("X");
+        let y = b.new_temp("Y");
+        b.join(x, Reg::Base(0), Reg::Base(1)); // AB ⋈ BC on B
+        b.join(y, Reg::Base(0), Reg::Base(2)); // AB × CD
+        let p = b.finish(x);
+        for threads in [1, 4] {
+            let shared = IndexCache::shared(DEFAULT_CACHE_TUPLES, DEFAULT_CACHE_BYTES);
+            let cfg = ExecConfig {
+                cache: Some(Arc::clone(&shared)),
+                ..ExecConfig::with_threads(threads)
+            };
+            let out = execute_with(&p, &db, &cfg);
+            assert_eq!(out.head_sizes, vec![1, 2], "threads = {threads}");
+            let mut cache = lock_cache(&shared);
+            assert_eq!(cache.entries(), 1, "threads = {threads}");
+            assert!(cache
+                .peek(&Arc::new(db.relation(0).clone()), &[1])
+                .is_some());
         }
     }
 

@@ -7,7 +7,8 @@
 //!    computed by zipping column slices — a tight loop over one `i64`/`u32`
 //!    vector per key attribute, with interned cells resolved by dictionary
 //!    hash lookup. No per-row key materialization, no `Value` enum walks.
-//! 2. **Selection-vector probing**: the [`RawTable`] is probed with the
+//! 2. **Selection-vector probing**: a [`RawTable`] — for joins and
+//!    semijoins the one inside a [`super::JoinIndex`] — is probed with the
 //!    precomputed hashes; candidates verify positionally against column
 //!    data ([`ids_eq`]) and survivors are collected as `u32` row-id vectors,
 //!    never as rows.
@@ -66,101 +67,6 @@ pub(crate) fn gather_relation(rel: &Relation, ids: &[u32]) -> Relation {
 // ---------------------------------------------------------------------------
 // Join.
 
-/// A columnar hash-join, built once and probed in id batches: the build
-/// side's [`RawTable`] over precomputed key hashes, plus the borrowed column
-/// data both probe phases verify against. Read-only after construction, so
-/// the parallel paths share one kernel across pool tasks.
-pub(crate) struct ColJoin<'a> {
-    bcols: &'a [Column],
-    pcols: &'a [Column],
-    bpos: &'a [usize],
-    ppos: &'a [usize],
-    table: RawTable,
-}
-
-impl<'a> ColJoin<'a> {
-    /// Build over all rows of the build side.
-    pub(crate) fn new(
-        build: &'a Relation,
-        probe: &'a Relation,
-        bpos: &'a [usize],
-        ppos: &'a [usize],
-    ) -> Self {
-        let bh = key_hashes(build, bpos);
-        let mut table = RawTable::with_capacity(bh.len());
-        for (i, &h) in bh.iter().enumerate() {
-            table.insert(h, i as u32);
-        }
-        ColJoin {
-            bcols: build.columns(),
-            pcols: probe.columns(),
-            bpos,
-            ppos,
-            table,
-        }
-    }
-
-    /// Build over a subset of build rows (the radix co-partition path);
-    /// `build_hashes` are global (indexed by row id).
-    pub(crate) fn over_ids(
-        build: &'a Relation,
-        probe: &'a Relation,
-        bpos: &'a [usize],
-        ppos: &'a [usize],
-        build_ids: &[u32],
-        build_hashes: &[u64],
-    ) -> Self {
-        let mut table = RawTable::with_capacity(build_ids.len());
-        for &i in build_ids {
-            table.insert(build_hashes[i as usize], i);
-        }
-        ColJoin {
-            bcols: build.columns(),
-            pcols: probe.columns(),
-            bpos,
-            ppos,
-            table,
-        }
-    }
-
-    /// Probe rows `start..end` (with `probe_hashes` indexed globally),
-    /// returning matched `(build_ids, probe_ids)` selection vectors.
-    pub(crate) fn probe_range(
-        &self,
-        probe_hashes: &[u64],
-        start: usize,
-        end: usize,
-    ) -> (Vec<u32>, Vec<u32>) {
-        let mut bids: Vec<u32> = Vec::new();
-        let mut pids: Vec<u32> = Vec::new();
-        for (j, &hash) in probe_hashes.iter().enumerate().take(end).skip(start) {
-            for bi in self.table.candidates(hash) {
-                if ids_eq(self.bcols, self.bpos, bi, self.pcols, self.ppos, j) {
-                    bids.push(bi as u32);
-                    pids.push(j as u32);
-                }
-            }
-        }
-        (bids, pids)
-    }
-
-    /// Probe an explicit id list (the radix path).
-    pub(crate) fn probe_ids(&self, ids: &[u32], probe_hashes: &[u64]) -> (Vec<u32>, Vec<u32>) {
-        let mut bids: Vec<u32> = Vec::new();
-        let mut pids: Vec<u32> = Vec::new();
-        for &j in ids {
-            let j = j as usize;
-            for bi in self.table.candidates(probe_hashes[j]) {
-                if ids_eq(self.bcols, self.bpos, bi, self.pcols, self.ppos, j) {
-                    bids.push(bi as u32);
-                    pids.push(j as u32);
-                }
-            }
-        }
-        (bids, pids)
-    }
-}
-
 /// The column each output attribute of `build ⋈ probe` is gathered from,
 /// and whether the probe side's ids (rather than the build side's) select
 /// its rows: the probe side's column when the attribute is there (key
@@ -208,42 +114,6 @@ pub(crate) fn materialize_join(
     // build schema an output row is its build row, restricted to the probe
     // schema its probe row, and input pairs are distinct.
     Relation::from_distinct_columns(out_schema.clone(), nrows, cols)
-}
-
-/// The sequential hash join's matches: build on the smaller side, probe
-/// every row of the other. Returns the build side, the probe side and the
-/// matched `(build_ids, probe_ids)`, in probe order.
-pub(crate) fn hash_join_ids<'a>(
-    left: &'a Relation,
-    right: &'a Relation,
-) -> (&'a Relation, &'a Relation, (Vec<u32>, Vec<u32>)) {
-    let (build, probe) = if left.len() <= right.len() {
-        (left, right)
-    } else {
-        (right, left)
-    };
-    let (bpos, ppos) = super::join::join_key_positions(build.schema(), probe.schema());
-    let kernel = ColJoin::new(build, probe, &bpos, &ppos);
-    let ph = key_hashes(probe, &ppos);
-    (build, probe, kernel.probe_range(&ph, 0, probe.len()))
-}
-
-/// Sequential columnar natural join, building on the smaller side.
-pub(crate) fn col_join(left: &Relation, right: &Relation) -> Relation {
-    let out_schema = left.schema().union(right.schema());
-    // A nullary operand is the join's identity (or annihilates it): share
-    // the other side's columns instead of probing and gathering every row.
-    for (unit, other) in [(left, right), (right, left)] {
-        if unit.schema().arity() == 0 {
-            return if unit.is_empty() {
-                Relation::empty(out_schema)
-            } else {
-                other.clone()
-            };
-        }
-    }
-    let (build, probe, pair) = hash_join_ids(left, right);
-    materialize_join(build, probe, &out_schema, std::slice::from_ref(&pair))
 }
 
 /// Per row of `probe`, the summed `weights` of the `build` rows it joins
@@ -300,41 +170,6 @@ pub fn join_count(left: &Relation, right: &Relation) -> u64 {
         .fold(0, u64::saturating_add)
 }
 
-/// Columnar shared-build chunked-probe join: build once, probe contiguous
-/// id ranges concurrently, gather all parts' selection vectors once.
-pub(crate) fn col_join_chunked(build: &Relation, probe: &Relation, threads: usize) -> Relation {
-    let out_schema = build.schema().union(probe.schema());
-    let (bpos, ppos) = super::join::join_key_positions(build.schema(), probe.schema());
-    let kernel = ColJoin::new(build, probe, &bpos, &ppos);
-    let ph = key_hashes(probe, &ppos);
-    let ranges = split_ranges(probe.len(), threads);
-    let parts = crate::par_map(ranges, threads, |(s, e)| kernel.probe_range(&ph, s, e));
-    materialize_join(build, probe, &out_schema, &parts)
-}
-
-/// Columnar radix co-partition join: both sides' row ids are partitioned by
-/// key hash, partition pairs build+probe independently (parallelizing the
-/// build as well), and the key-disjoint outputs concatenate into one gather.
-pub(crate) fn col_join_radix(left: &Relation, right: &Relation, threads: usize) -> Relation {
-    let out_schema = left.schema().union(right.schema());
-    let (build, probe) = if left.len() <= right.len() {
-        (left, right)
-    } else {
-        (right, left)
-    };
-    let (bpos, ppos) = super::join::join_key_positions(build.schema(), probe.schema());
-    let bh = key_hashes(build, &bpos);
-    let ph = key_hashes(probe, &ppos);
-    let parts_n = threads.max(1);
-    let bparts = partition_ids(&bh, parts_n);
-    let pparts = partition_ids(&ph, parts_n);
-    let pairs: Vec<(Vec<u32>, Vec<u32>)> = bparts.into_iter().zip(pparts).collect();
-    let parts = crate::par_map(pairs, threads, |(bids, pids)| {
-        ColJoin::over_ids(build, probe, &bpos, &ppos, &bids, &bh).probe_ids(&pids, &ph)
-    });
-    materialize_join(build, probe, &out_schema, &parts)
-}
-
 /// Contiguous `(start, end)` ranges covering `0..n` in `pieces` chunks.
 pub(crate) fn split_ranges(n: usize, pieces: usize) -> Vec<(usize, usize)> {
     let pieces = pieces.clamp(1, n.max(1));
@@ -355,85 +190,6 @@ pub(crate) fn partition_ids(hashes: &[u64], parts: usize) -> Vec<Vec<u32>> {
         out[(h as usize) % parts].push(i as u32);
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// Semijoin.
-
-/// A columnar semijoin filter: key-deduplicated [`RawTable`] over the filter
-/// side's key hashes.
-pub(crate) struct ColFilter<'a> {
-    fcols: &'a [Column],
-    fpos: &'a [usize],
-    table: RawTable,
-}
-
-impl<'a> ColFilter<'a> {
-    pub(crate) fn new(filter: &'a Relation, fpos: &'a [usize]) -> Self {
-        let fh = key_hashes(filter, fpos);
-        let fcols = filter.columns();
-        let mut table = RawTable::with_capacity(fh.len());
-        for (i, &h) in fh.iter().enumerate() {
-            if table
-                .candidates(h)
-                .any(|j| ids_eq(fcols, fpos, j, fcols, fpos, i))
-            {
-                continue;
-            }
-            table.insert(h, i as u32);
-        }
-        ColFilter { fcols, fpos, table }
-    }
-
-    /// Distinct keys in the filter.
-    pub(crate) fn keys(&self) -> usize {
-        self.table.len()
-    }
-
-    /// The ids in `start..end` of the probed side whose key is present.
-    pub(crate) fn matching_range(
-        &self,
-        pcols: &[Column],
-        ppos: &[usize],
-        probe_hashes: &[u64],
-        start: usize,
-        end: usize,
-    ) -> Vec<u32> {
-        (start..end)
-            .filter(|&j| {
-                self.table
-                    .candidates(probe_hashes[j])
-                    .any(|fi| ids_eq(self.fcols, self.fpos, fi, pcols, ppos, j))
-            })
-            .map(|j| j as u32)
-            .collect()
-    }
-}
-
-/// Columnar semijoin body, sequential or chunked over threads; the caller
-/// has already handled the disjoint-schema degenerate case.
-pub(crate) fn col_semijoin(
-    left: &Relation,
-    right: &Relation,
-    lpos: &[usize],
-    rpos: &[usize],
-    threads: usize,
-) -> (Relation, usize) {
-    let filter = ColFilter::new(right, rpos);
-    let lh = key_hashes(left, lpos);
-    let lcols = left.columns();
-    let ids: Vec<u32> = if threads <= 1 {
-        filter.matching_range(lcols, lpos, &lh, 0, left.len())
-    } else {
-        crate::par_map(split_ranges(left.len(), threads), threads, |(s, e)| {
-            filter.matching_range(lcols, lpos, &lh, s, e)
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    };
-    let keys = filter.keys();
-    (gather_relation(left, &ids), keys)
 }
 
 // ---------------------------------------------------------------------------
@@ -659,7 +415,7 @@ mod tests {
             (&empty, &t),
             (&r, &unit),
         ] {
-            assert_eq!(join_count(l, r), col_join(l, r).len() as u64);
+            assert_eq!(join_count(l, r), crate::ops::join(l, r).len() as u64);
         }
         assert_eq!(join_count(&r, &s), 5);
     }
@@ -693,7 +449,7 @@ mod tests {
         let r = strs(&mut c, "AB", &[["a", "x"], ["b", "x"], ["c", "y"]]);
         let s = strs(&mut c, "BC", &[["y", "p"], ["x", "q"], ["z", "r"]]);
         assert_eq!(join_count(&r, &s), 3);
-        assert_eq!(join_count(&r, &s), col_join(&r, &s).len() as u64);
+        assert_eq!(join_count(&r, &s), crate::ops::join(&r, &s).len() as u64);
     }
 
     #[test]

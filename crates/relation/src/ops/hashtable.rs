@@ -1,5 +1,6 @@
-//! `RawTable` — the allocation-lean hash table behind every join and
-//! semijoin kernel.
+//! `RawTable` — the allocation-lean hash table inside every
+//! [`super::JoinIndex`], and behind the projection dedup, the set
+//! operations and the grouped join count.
 //!
 //! The original kernels keyed `FxHashMap`/`FxHashSet` by materialized
 //! `Box<[Value]>` keys: one heap allocation per build row *and one per probe
@@ -9,8 +10,9 @@
 //! build rows, so neither building nor probing allocates at all.
 //!
 //! The table is deliberately a *multimap*: duplicate keys simply share a
-//! bucket chain (they share a hash), which is what a join needs. Callers
-//! that want set semantics (semijoin filters) look up before inserting.
+//! bucket chain (they share a hash), which is what a join needs; a semijoin
+//! probe stops at the first match. Callers that want set semantics (the
+//! projection dedup, the grouped join count) look up before inserting.
 //!
 //! Entries carry `u32` row indices — relations here are bounded far below
 //! 4 billion rows ([`RawTable::insert`] checks in debug builds).
@@ -76,11 +78,6 @@ impl RawTable {
         }
     }
 
-    /// Number of entries.
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Heap footprint in bytes (buckets + entries) — what a cache hit saves
     /// rebuilding.
     pub(crate) fn heap_bytes(&self) -> usize {
@@ -120,7 +117,7 @@ mod tests {
     #[test]
     fn empty_table_has_no_candidates() {
         let t = RawTable::with_capacity(0);
-        assert_eq!(t.len(), 0);
+        assert!(t.entries.is_empty());
         assert_eq!(t.candidates(42).count(), 0);
     }
 

@@ -1,20 +1,23 @@
-//! `JoinIndex` — an owned, shareable build-side hash index over an
+//! `JoinIndex` — the build-side hash table of every keyed join and
+//! semijoin in the workspace, an owned, shareable index over an
 //! `Arc<Relation>`, plus the operator variants that probe one.
 //!
 //! Programs derived by the paper's Algorithm 2 read the same head relations
 //! over and over: a full-reducer-style semijoin sweep down the CPF tree,
-//! then a join sweep back up. Every such statement used to rebuild its
-//! build-side hash table from scratch. A `JoinIndex` is that build table
-//! made first-class: it pins the relation (`Arc<Relation>`) and the key
-//! positions it was built for, so the program interpreter can memoize it
-//! across statements — cache hits skip the whole build pass — and a level
-//! of concurrent statements can probe one shared index instead of building
-//! one table per statement.
+//! then a join sweep back up. A `JoinIndex` pins the relation
+//! (`Arc<Relation>`) and the key positions it was built for, so the program
+//! interpreter can memoize it across statements — cache hits skip the whole
+//! build pass — and a level of concurrent statements can probe one shared
+//! index instead of building one table per statement. [`super::join`],
+//! [`super::semijoin`] and each Grace-hash partition pair build a fresh one
+//! and probe it the same way.
 //!
-//! Probing is allocation-lean like the rest of the kernels: hashes come
-//! batch-wise from [`columnar::key_hashes`], and collisions resolve by
-//! comparing cells positionally against column data ([`columnar::ids_eq`])
-//! — no key materialization on either side.
+//! There is one probe loop ([`JoinIndex::probe`]): hashes come batch-wise
+//! from [`columnar::key_hashes`], collisions resolve by comparing cells
+//! positionally against column data ([`columnar::ids_eq`]) — no key
+//! materialization on either side — and with `threads > 1` a probe side of
+//! at least `cutoff` rows is cut into contiguous chunks run through
+//! [`crate::par_map`], whose parts concatenate in probe order.
 
 use super::columnar;
 use super::hashtable::RawTable;
@@ -37,7 +40,7 @@ pub struct JoinIndex {
 impl JoinIndex {
     /// Build the index: one batch hash pass over the key columns
     /// ([`columnar::key_hashes`]), no per-row key allocation and no tuple
-    /// boxed as a row.
+    /// boxed as a row. Every row gets an entry, duplicate keys included.
     pub fn build(rel: Arc<Relation>, key_pos: Vec<usize>) -> Self {
         let mut table = RawTable::with_capacity(rel.len());
         for (i, h) in columnar::key_hashes(&rel, &key_pos).into_iter().enumerate() {
@@ -47,6 +50,19 @@ impl JoinIndex {
             rel,
             key_pos: key_pos.into(),
             table,
+        }
+    }
+
+    /// An index over the smaller of two join operands (the left one on a
+    /// tie) at their natural-join key, and the other operand, which probes
+    /// it. With disjoint schemas the key is empty: one bucket chain holds
+    /// every row, and probing yields the Cartesian product.
+    pub fn on_smaller(left: Arc<Relation>, right: Arc<Relation>) -> (JoinIndex, Arc<Relation>) {
+        let (lpos, rpos) = join_key_positions(left.schema(), right.schema());
+        if left.len() <= right.len() {
+            (JoinIndex::build(left, lpos), right)
+        } else {
+            (JoinIndex::build(right, rpos), left)
         }
     }
 
@@ -78,62 +94,91 @@ impl JoinIndex {
         self.table.heap_bytes() + self.rel.resident_col_bytes()
     }
 
-    /// Probe rows `start..end` of `probe` (hashes indexed globally): matched
-    /// `(build_ids, probe_ids)` selection vectors, candidates verified
-    /// positionally against column data.
-    fn probe_cols_range(
+    /// Probe the index with every row of `probe`, on the attributes the two
+    /// relations share (which must be the index's key): the indexed rows
+    /// each probe row matches, or with `first_only` just the first of them
+    /// (a semijoin needs no more), as matched `(build_ids, probe_ids)`
+    /// selection vectors — one pair per chunk, in probe order. One chunk
+    /// unless `threads > 1` and `probe` has at least `cutoff` rows.
+    pub(crate) fn probe(
         &self,
         probe: &Relation,
-        probe_pos: &[usize],
-        probe_hashes: &[u64],
-        start: usize,
-        end: usize,
-    ) -> (Vec<u32>, Vec<u32>) {
-        let bcols = self.rel.columns();
-        let pcols = probe.columns();
-        let mut bids: Vec<u32> = Vec::new();
-        let mut pids: Vec<u32> = Vec::new();
-        for (j, &hash) in probe_hashes.iter().enumerate().take(end).skip(start) {
-            for bi in self.table.candidates(hash) {
-                if columnar::ids_eq(bcols, &self.key_pos, bi, pcols, probe_pos, j) {
-                    bids.push(bi as u32);
-                    pids.push(j as u32);
+        threads: usize,
+        cutoff: usize,
+        first_only: bool,
+    ) -> Vec<(Vec<u32>, Vec<u32>)> {
+        let (bpos, ppos) = join_key_positions(self.rel.schema(), probe.schema());
+        debug_assert_eq!(
+            &bpos[..],
+            self.key_positions(),
+            "index key positions must be the key its relation shares with the probe side"
+        );
+        let ph = columnar::key_hashes(probe, &ppos);
+        let (bcols, pcols) = (self.rel.columns(), probe.columns());
+        let probe_range = |(start, end): (usize, usize)| {
+            let mut bids: Vec<u32> = Vec::new();
+            let mut pids: Vec<u32> = Vec::new();
+            for (j, &hash) in ph.iter().enumerate().take(end).skip(start) {
+                for bi in self.table.candidates(hash) {
+                    if columnar::ids_eq(bcols, &self.key_pos, bi, pcols, &ppos, j) {
+                        bids.push(bi as u32);
+                        pids.push(j as u32);
+                        if first_only {
+                            break;
+                        }
+                    }
                 }
             }
+            (bids, pids)
+        };
+        if threads <= 1 || probe.len() < cutoff {
+            vec![probe_range((0, probe.len()))]
+        } else {
+            let ranges = columnar::split_ranges(probe.len(), threads);
+            crate::par_map(ranges, threads, probe_range)
         }
-        (bids, pids)
     }
 
-    /// Membership filter over rows `start..end` of `target`: the ids whose
-    /// key matches at least one indexed row.
-    fn filter_cols_range(
+    /// `self.relation() ⋈ probe`, and the number of chunks it was probed
+    /// in; see [`JoinIndex::probe`].
+    pub(crate) fn join(
+        &self,
+        probe: &Relation,
+        threads: usize,
+        cutoff: usize,
+    ) -> (Relation, usize) {
+        let parts = self.probe(probe, threads, cutoff, false);
+        let out_schema = self.rel.schema().union(probe.schema());
+        let out = columnar::materialize_join(&self.rel, probe, &out_schema, &parts);
+        (out, parts.len())
+    }
+
+    /// `target ⋉ self.relation()`, and the number of chunks it was probed
+    /// in; see [`JoinIndex::probe`].
+    pub(crate) fn semijoin(
         &self,
         target: &Relation,
-        target_pos: &[usize],
-        target_hashes: &[u64],
-        start: usize,
-        end: usize,
-    ) -> Vec<u32> {
-        let bcols = self.rel.columns();
-        let tcols = target.columns();
-        (start..end)
-            .filter(|&j| {
-                self.table
-                    .candidates(target_hashes[j])
-                    .any(|bi| columnar::ids_eq(bcols, &self.key_pos, bi, tcols, target_pos, j))
-            })
-            .map(|j| j as u32)
-            .collect()
+        threads: usize,
+        cutoff: usize,
+    ) -> (Relation, usize) {
+        let mut parts = self.probe(target, threads, cutoff, true);
+        let chunks = parts.len();
+        let ids: Vec<u32> = if chunks == 1 {
+            parts.swap_remove(0).1
+        } else {
+            parts.into_iter().flat_map(|(_, pids)| pids).collect()
+        };
+        (columnar::gather_relation(target, &ids), chunks)
     }
 }
 
 /// Natural join `index.relation() ⋈ probe` against a prebuilt index.
 ///
-/// Unlike [`super::par_join_cutoff`], the build side is fixed by the index —
-/// even when it is the *larger* side. That is the point: with the build pass
-/// already paid for (or shared across statements), probing with the smaller
-/// side wins regardless of which side is bigger. A probe side below `cutoff`
-/// rows is probed as one range.
+/// The build side is fixed by the index — even when it is the *larger*
+/// side. That is the point: with the build pass already paid for (or
+/// shared across statements), probing with the smaller side wins
+/// regardless of which side is bigger. A probe side below `cutoff` rows is
+/// probed as one chunk.
 pub fn par_join_indexed_cutoff(
     index: &JoinIndex,
     probe: &Relation,
@@ -148,30 +193,14 @@ pub fn par_join_indexed_cutoff(
         sp.arg("threads", threads);
         sp.arg("strategy", "indexed_probe");
     }
-    let (bpos, ppos) = join_key_positions(index.relation().schema(), probe.schema());
-    debug_assert_eq!(
-        &bpos,
-        index.key_positions(),
-        "index key positions must be the natural-join key of its relation"
-    );
-    let out_schema = index.relation().schema().union(probe.schema());
-    let ph = columnar::key_hashes(probe, &ppos);
-    let parts: Vec<(Vec<u32>, Vec<u32>)> = if threads == 1 || probe.len() < cutoff {
-        vec![index.probe_cols_range(probe, &ppos, &ph, 0, probe.len())]
-    } else {
-        crate::par_map(
-            columnar::split_ranges(probe.len(), threads),
-            threads,
-            |(s, e)| index.probe_cols_range(probe, &ppos, &ph, s, e),
-        )
-    };
-    let out = columnar::materialize_join(index.relation(), probe, &out_schema, &parts);
+    let (out, chunks) = index.join(probe, threads, cutoff);
+    sp.arg("chunks", chunks);
     sp.arg("out_rows", out.len());
     out
 }
 
 /// Semijoin `target ⋉ index.relation()` against a prebuilt index over the
-/// filter side; a target below `cutoff` rows is filtered as one range.
+/// filter side; a target below `cutoff` rows is filtered as one chunk.
 pub fn par_semijoin_indexed_cutoff(
     target: &Relation,
     index: &JoinIndex,
@@ -186,35 +215,8 @@ pub fn par_semijoin_indexed_cutoff(
         sp.arg("threads", threads);
         sp.arg("strategy", "indexed_probe");
     }
-    let common = target.schema().intersect(index.relation().schema());
-    let tpos = target
-        .schema()
-        .positions_of(common.attrs())
-        .expect("common attrs in target");
-    debug_assert_eq!(
-        index
-            .relation()
-            .schema()
-            .positions_of(common.attrs())
-            .expect("common attrs in filter"),
-        index.key_positions(),
-        "index key positions must be the semijoin key of its relation"
-    );
-
-    let th = columnar::key_hashes(target, &tpos);
-    let ids: Vec<u32> = if threads == 1 || target.len() < cutoff {
-        index.filter_cols_range(target, &tpos, &th, 0, target.len())
-    } else {
-        crate::par_map(
-            columnar::split_ranges(target.len(), threads),
-            threads,
-            |(s, e)| index.filter_cols_range(target, &tpos, &th, s, e),
-        )
-        .into_iter()
-        .flatten()
-        .collect()
-    };
-    let out = columnar::gather_relation(target, &ids);
+    let (out, chunks) = index.semijoin(target, threads, cutoff);
+    sp.arg("chunks", chunks);
     sp.arg("out_rows", out.len());
     out
 }

@@ -1,7 +1,9 @@
 //! Natural join (`⋈`), the paper's central operator.
 
+use super::JoinIndex;
 use crate::relation::Relation;
 use crate::schema::Schema;
+use std::sync::Arc;
 
 /// The positions, in `left` and `right`, of their shared attributes (the
 /// natural-join key), in the shared attributes' canonical order.
@@ -27,10 +29,22 @@ pub fn join_key_positions(left: &Schema, right: &Schema) -> (Vec<usize>, Vec<usi
 /// restricted to `left`'s attributes is the contributing left row and
 /// likewise for `right`, so distinct input pairs produce distinct outputs.
 ///
-/// Hashes the key columns batch-wise, building on the smaller side, and
-/// late-materializes the output columns from selection vectors.
+/// Builds a [`JoinIndex`] on the smaller side, probes it with the other,
+/// and late-materializes the output columns from selection vectors.
 pub fn join(left: &Relation, right: &Relation) -> Relation {
-    super::columnar::col_join(left, right)
+    // A nullary operand is the join's identity (or annihilates it): share
+    // the other side's columns instead of probing and gathering every row.
+    for (unit, other) in [(left, right), (right, left)] {
+        if unit.schema().arity() == 0 {
+            return if unit.is_empty() {
+                Relation::empty(left.schema().union(right.schema()))
+            } else {
+                other.clone()
+            };
+        }
+    }
+    let (index, probe) = JoinIndex::on_smaller(Arc::new(left.clone()), Arc::new(right.clone()));
+    index.join(&probe, 1, 0).0
 }
 
 #[cfg(test)]

@@ -5,10 +5,13 @@
 //! resolution happens once per operator call, never per tuple. There is one
 //! physical engine: every operator validates its arguments, handles its
 //! degenerate cases, and runs its batch-at-a-time kernel from
-//! `ops/columnar.rs` over the relation's column vectors. ([`merge_join`] is
-//! the exception — the independent sort-based reference the tests hold the
-//! kernels against.) Each operator documents its relationship to the paper's
-//! statements (§2.2) and cost model (§2.3); cost accounting itself lives in
+//! `ops/columnar.rs` over the relation's column vectors. Every keyed join
+//! and semijoin — [`join`], [`semijoin`], the interpreter's statements and
+//! each Grace-hash partition pair — builds (or reuses) a [`JoinIndex`] and
+//! runs its one probe loop. ([`merge_join`] is the exception — the
+//! independent sort-based reference the tests hold the kernels against.)
+//! Each operator documents its relationship to the paper's statements
+//! (§2.2) and cost model (§2.3); cost accounting itself lives in
 //! [`crate::cost`] and is done by the callers that orchestrate evaluation.
 
 pub(crate) mod columnar;
@@ -16,7 +19,6 @@ mod hashtable;
 mod index;
 mod join;
 mod merge_join;
-mod par_join;
 mod project;
 mod rename;
 mod select;
@@ -29,11 +31,10 @@ mod trie_join;
 pub use index::{par_join_indexed_cutoff, par_semijoin_indexed_cutoff, JoinIndex};
 pub use join::{join, join_key_positions};
 pub use merge_join::merge_join;
-pub use par_join::par_join_cutoff;
 pub use project::{par_project_cutoff, project};
 pub use rename::rename;
 pub use select::{select_attrs_eq, select_eq, select_where};
-pub use semijoin::{par_semijoin_cutoff, semijoin};
+pub use semijoin::semijoin;
 pub use setops::{difference, intersection, union};
 pub use spill::{grace_hash_join, SpillStats};
 pub use trie::TrieIndex;
@@ -43,13 +44,12 @@ pub use trie_join::{
 
 pub use columnar::{join_count, join_weight_sums, key_hashes};
 
-/// The parallel/sequential cutoff in rows: below this row count the parallel
-/// operators fall back to their sequential counterparts — partitioning and
-/// thread start-up overhead dominate until inputs reach a few thousand rows
-/// (PR 2's trace timings put the crossover between 2k and 8k rows on the
-/// benchmarked workloads, so it stays at 4096). The program interpreter
-/// passes it to every `*_cutoff` operator; tests pass their own to force a
-/// path.
+/// The parallel/sequential cutoff in rows: below this row count the
+/// `*_cutoff` operators run as one chunk — partitioning and thread start-up
+/// overhead dominate until inputs reach a few thousand rows (trace timings
+/// put the crossover between 2k and 8k rows on the benchmarked workloads,
+/// so it stays at 4096). The program interpreter passes it to every
+/// `*_cutoff` operator; tests pass their own to force a path.
 pub const SMALL: usize = 4096;
 
 /// Hash the values at `positions` of `row`, one row at a time: the

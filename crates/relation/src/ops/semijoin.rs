@@ -1,7 +1,8 @@
 //! Semijoin (`⋉`), the reducer used by Algorithm 2 and by full reducers.
 
-use super::columnar;
+use super::JoinIndex;
 use crate::relation::Relation;
+use std::sync::Arc;
 
 /// Semijoin `left ⋉ right`: the tuples of `left` that join with at least one
 /// tuple of `right`. Equivalently `π_{scheme(left)}(left ⋈ right)`.
@@ -9,88 +10,27 @@ use crate::relation::Relation;
 /// The result schema is `left`'s schema — a semijoin statement in a program
 /// never widens the head's scheme (§2.2). When the schemas are disjoint the
 /// definition degenerates to `left` if `right` is nonempty and the empty
-/// relation otherwise.
+/// relation otherwise. Otherwise `right` is indexed on the shared attributes
+/// and `left` probes it, keeping its rows in order.
 pub fn semijoin(left: &Relation, right: &Relation) -> Relation {
-    let common = left.schema().intersect(right.schema());
-    if common.is_empty() {
+    let (rpos, _) = super::join_key_positions(right.schema(), left.schema());
+    if rpos.is_empty() {
         return if right.is_empty() {
             Relation::empty(left.schema().clone())
         } else {
             left.clone()
         };
     }
-    let lpos = left
-        .schema()
-        .positions_of(common.attrs())
-        .expect("common attrs in left");
-    let rpos = right
-        .schema()
-        .positions_of(common.attrs())
-        .expect("common attrs in right");
-
-    columnar::col_semijoin(left, right, &lpos, &rpos, 1).0
-}
-
-/// Parallel semijoin on the shared pool: build the filter's key set once,
-/// then probe chunks of `left` concurrently against it.
-///
-/// Unlike a join, a semijoin never combines tuples, so there is no need to
-/// co-partition the two sides by key hash — a single read-only key set
-/// shared by every probe task does the same work with no partitioning pass
-/// over the (typically much larger) probed side. Chunks are contiguous
-/// slices of `left`, so concatenating the per-chunk survivors reproduces
-/// the sequential output order exactly.
-///
-/// Falls back to [`semijoin`] when both inputs are below `cutoff` rows, for
-/// a single thread, or in the disjoint-schema degenerate case (which does no
-/// per-tuple work).
-pub fn par_semijoin_cutoff(
-    left: &Relation,
-    right: &Relation,
-    threads: usize,
-    cutoff: usize,
-) -> Relation {
-    let threads = threads.max(1);
-    let mut sp = mjoin_trace::span("op", "semijoin");
-    if sp.is_active() {
-        sp.arg("left_rows", left.len());
-        sp.arg("right_rows", right.len());
-        sp.arg("threads", threads);
-    }
-    if threads == 1 || (left.len() < cutoff && right.len() < cutoff) {
-        let out = semijoin(left, right);
-        sp.arg("strategy", "sequential");
-        sp.arg("out_rows", out.len());
-        return out;
-    }
-    let common = left.schema().intersect(right.schema());
-    if common.is_empty() {
-        let out = semijoin(left, right);
-        sp.arg("strategy", "disjoint");
-        sp.arg("out_rows", out.len());
-        return out;
-    }
-    let lpos = left
-        .schema()
-        .positions_of(common.attrs())
-        .expect("common attrs in left");
-    let rpos = right
-        .schema()
-        .positions_of(common.attrs())
-        .expect("common attrs in right");
-
-    let (out, keys) = columnar::col_semijoin(left, right, &lpos, &rpos, threads);
-    sp.arg("strategy", "chunked_probe");
-    sp.arg("build_keys", keys);
-    sp.arg("out_rows", out.len());
-    out
+    JoinIndex::build(Arc::new(right.clone()), rpos)
+        .semijoin(left, 1, 0)
+        .0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attr::Catalog;
-    use crate::ops::{join, project, SMALL};
+    use crate::ops::{join, project};
     use crate::schema::Schema;
     use crate::value::Value;
 
@@ -153,45 +93,6 @@ mod tests {
         let once = semijoin(&r, &s);
         let twice = semijoin(&once, &s);
         assert_eq!(once, twice);
-    }
-
-    #[test]
-    fn par_semijoin_agrees_with_sequential() {
-        let mut c = Catalog::new();
-        let schema_l = Schema::from_chars(&mut c, "AB");
-        let schema_r = Schema::from_chars(&mut c, "BC");
-        let l = Relation::from_rows(
-            schema_l,
-            (0..6000)
-                .map(|i| vec![Value::Int(i), Value::Int(i % 700)].into())
-                .collect(),
-        )
-        .unwrap();
-        let r = Relation::from_rows(
-            schema_r,
-            (0..5000)
-                .map(|i| vec![Value::Int(i % 350), Value::Int(i)].into())
-                .collect(),
-        )
-        .unwrap();
-        let seq = semijoin(&l, &r);
-        for threads in [1, 2, 4, 7] {
-            assert_eq!(
-                par_semijoin_cutoff(&l, &r, threads, SMALL),
-                seq,
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn par_semijoin_small_and_degenerate_fallbacks() {
-        let mut c = Catalog::new();
-        let r = rel(&mut c, "AB", &[&[1, 10], &[2, 20]]);
-        let s = rel(&mut c, "BC", &[&[10, 5]]);
-        assert_eq!(par_semijoin_cutoff(&r, &s, 8, SMALL), semijoin(&r, &s));
-        let disjoint = rel(&mut c, "DE", &[&[9, 9]]);
-        assert_eq!(par_semijoin_cutoff(&r, &disjoint, 8, 0), r);
     }
 
     #[test]

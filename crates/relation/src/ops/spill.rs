@@ -3,13 +3,13 @@
 //! When the static memory certificate says a join's build side cannot fit
 //! the budget, the executor routes the statement here: both operands are
 //! hash-partitioned on their shared key into `p` temp files per side (a
-//! row's partition is its [`key_hashes`] entry modulo `p`, the
-//! co-partitioning `par_join` uses), so no join pair is split and the
-//! pairs' outputs are key-disjoint. Each pair — 1/p of each input in
-//! expectation — is read back and probed in memory, and its matches are
-//! gathered straight onto the result's column builders: each output cell is
-//! written once, and the result's rows are the pairs' [`super::join`]
-//! outputs in partition order. Partition files are header-less TSV
+//! row's partition is its [`key_hashes`] entry modulo `p`), so no join pair
+//! is split and the pairs' outputs are key-disjoint. Each pair — 1/p of
+//! each input in expectation — is read back, its smaller side indexed as a
+//! [`JoinIndex`] and probed by the other, and the matches are gathered
+//! straight onto the result's column builders: each output cell is written
+//! once, and the result's rows are the pairs' [`super::join`] outputs in
+//! partition order. Partition files are header-less TSV
 //! ([`crate::tsv`], so hostile strings survive bit-for-bit), written from
 //! and parsed back into columns. `MJOIN_TRACE` shows a `spill/partition`
 //! span per operand, then a `spill/read` per file and a `spill/join` per
@@ -18,8 +18,8 @@
 //! The selection is static: the caller decides from the certificate's
 //! per-statement build-side bound, never from runtime sizes.
 
-use super::columnar::{hash_join_ids, output_columns};
-use super::{join_key_positions, key_hashes};
+use super::columnar::output_columns;
+use super::{join_key_positions, key_hashes, JoinIndex};
 use crate::column::{Column, ColumnBuilder};
 use crate::relation::Relation;
 use crate::schema::Schema;
@@ -28,6 +28,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// What a spilled join did; the executor turns it into the
 /// `mem.partitions` and `mem.spilled_bytes` counters.
@@ -142,12 +143,14 @@ pub fn grace_hash_join(
             continue;
         }
         let _span = mjoin_trace::span("spill", "join");
-        let (build, probe, (bids, pids)) = hash_join_ids(&lpart, &rpart);
-        let sources = output_columns(build, probe, &out_schema);
-        for (b, (col, from_probe)) in out.iter_mut().zip(sources) {
-            b.extend_gathered(col, if from_probe { &pids } else { &bids });
+        let (index, probe) = JoinIndex::on_smaller(Arc::new(lpart), Arc::new(rpart));
+        let sources = output_columns(index.relation(), &probe, &out_schema);
+        for (bids, pids) in index.probe(&probe, 1, 0, false) {
+            for (b, &(col, from_probe)) in out.iter_mut().zip(&sources) {
+                b.extend_gathered(col, if from_probe { &pids } else { &bids });
+            }
+            nrows += bids.len();
         }
-        nrows += bids.len();
     }
     let cols = out.into_iter().map(ColumnBuilder::finish).collect();
     Ok((

@@ -1,9 +1,12 @@
-//! Differential property tests: the three join implementations (hash,
-//! sort-merge, partitioned parallel) must agree on arbitrary inputs, and all
-//! must satisfy the algebraic size bounds.
+//! Differential property tests: the hash join, the sort-merge join and the
+//! index probe at every thread count (in chunks, with a cutoff of 0) must
+//! agree on arbitrary inputs, and all must satisfy the algebraic size
+//! bounds.
 
-use mjoin_relation::{ops, Catalog, Relation, Schema, Value};
+use mjoin_relation::ops::{self, JoinIndex};
+use mjoin_relation::{Catalog, Relation, Schema, Value};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn rel(c: &mut Catalog, scheme: &str, rows: &[Vec<i64>]) -> Relation {
     let schema = Schema::from_chars(c, scheme);
@@ -20,6 +23,22 @@ fn rows(arity: usize, max: usize) -> impl Strategy<Value = Vec<Vec<i64>>> {
     prop::collection::vec(prop::collection::vec(0..6i64, arity), 0..max)
 }
 
+/// `r ⋈ s` probed through an index on each side, at 1/2/4/8 threads.
+fn indexed_joins(r: &Relation, s: &Relation) -> Vec<Relation> {
+    let (rkey, skey) = ops::join_key_positions(r.schema(), s.schema());
+    let on_r = JoinIndex::build(Arc::new(r.clone()), rkey);
+    let on_s = JoinIndex::build(Arc::new(s.clone()), skey);
+    [1, 2, 4, 8]
+        .into_iter()
+        .flat_map(|t| {
+            [
+                ops::par_join_indexed_cutoff(&on_r, s, t, 0),
+                ops::par_join_indexed_cutoff(&on_s, r, t, 0),
+            ]
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -30,8 +49,8 @@ proptest! {
         let s = rel(&mut c, "BC", &rb);
         let hash = ops::join(&r, &s);
         prop_assert_eq!(&ops::merge_join(&r, &s), &hash);
-        for threads in [2usize, 4] {
-            prop_assert_eq!(&ops::par_join_cutoff(&r, &s, threads, 0), &hash);
+        for indexed in indexed_joins(&r, &s) {
+            prop_assert_eq!(&indexed, &hash);
         }
     }
 
@@ -43,7 +62,9 @@ proptest! {
         let hash = ops::join(&r, &s);
         prop_assert_eq!(hash.len(), r.len() * s.len());
         prop_assert_eq!(&ops::merge_join(&r, &s), &hash);
-        prop_assert_eq!(&ops::par_join_cutoff(&r, &s, 3, 0), &hash);
+        for indexed in indexed_joins(&r, &s) {
+            prop_assert_eq!(&indexed, &hash);
+        }
     }
 
     #[test]
@@ -54,7 +75,9 @@ proptest! {
         let s = rel(&mut c, "BCD", &rb);
         let hash = ops::join(&r, &s);
         prop_assert_eq!(&ops::merge_join(&r, &s), &hash);
-        prop_assert_eq!(&ops::par_join_cutoff(&r, &s, 4, 0), &hash);
+        for indexed in indexed_joins(&r, &s) {
+            prop_assert_eq!(&indexed, &hash);
+        }
     }
 
     #[test]

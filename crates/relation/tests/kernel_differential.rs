@@ -116,14 +116,6 @@ fn check_joins(l: &Relation, r: &Relation, what: &str) {
     let on_l = JoinIndex::build(Arc::new(l.clone()), lkey);
     let on_r = JoinIndex::build(Arc::new(r.clone()), rkey);
     for t in THREADS {
-        check(ops::par_join_cutoff(l, r, t, 0), &format!("par t={t}"));
-        // A cutoff of the larger side's size: parallel dispatch, and the
-        // shared-build strategy whenever the other side is smaller.
-        let cutoff = l.len().max(r.len());
-        check(
-            ops::par_join_cutoff(l, r, t, cutoff),
-            &format!("shared build t={t}"),
-        );
         check(
             ops::par_join_indexed_cutoff(&on_l, r, t, 0),
             &format!("index on left t={t}"),
@@ -142,8 +134,6 @@ fn check_semijoins(l: &Relation, r: &Relation, what: &str) {
     let rkey = ops::join_key_positions(r.schema(), l.schema()).0;
     let on_r = JoinIndex::build(Arc::new(r.clone()), rkey);
     for t in THREADS {
-        let par = ops::par_semijoin_cutoff(l, r, t, 0);
-        assert_rows(&par, l.schema(), &want, &format!("{what}: par t={t}"));
         let indexed = ops::par_semijoin_indexed_cutoff(l, &on_r, t, 0);
         assert_rows(
             &indexed,
@@ -179,6 +169,12 @@ fn cartesian_multikey_empty_and_nullary_joins() {
     let b = random_rel(&mut c, "B", "s", 80, 60, &mut rng);
     check_joins(&a, &b, "cartesian");
     assert_eq!(ops::join(&a, &b).len(), a.len() * b.len());
+    // Wide enough that a probe of the 3-row empty-key index (one bucket
+    // chain) is cut into chunks at every thread count.
+    let wide = random_rel(&mut c, "CX", "is", 5_000, 1 << 20, &mut rng);
+    let narrow = random_rel(&mut c, "D", "i", 3, 1 << 20, &mut rng);
+    assert!(wide.len() > 4_900 && narrow.len() == 3);
+    check_joins(&wide, &narrow, "wide cartesian");
 
     let l = random_rel(&mut c, "ABX", "ism", 800, 12, &mut rng);
     let r = random_rel(&mut c, "ABY", "isi", 700, 12, &mut rng);
@@ -218,6 +214,21 @@ fn semijoins_match_row_set_reference() {
         check_semijoins(&Relation::empty(l.schema().clone()), &r, "empty target");
         check_semijoins(&l, &Relation::nullary_unit(), "nullary filter");
     }
+    // A filter that repeats one key 1,200 times: the index keeps every row
+    // (its build does not dedup keys), and a semijoin probe stops at its
+    // first match, so each target row survives once.
+    let mut c = Catalog::new();
+    let target = random_rel(&mut c, "AB", "ii", 900, 35, &mut rng);
+    let rows: Vec<Row> = (0..1_200)
+        .map(|i| vec![Value::Int(8), Value::Int(i)].into())
+        .chain((0..5).map(|i| vec![Value::Int(20 + i), Value::str("x")].into()))
+        .collect();
+    let filter = Relation::from_rows(Schema::new(c.intern_chars("BC")), rows).unwrap();
+    let want = ref_semijoin(&target, &filter);
+    assert!(!want.is_empty() && want.len() < target.len());
+    check_semijoins(&target, &filter, "filter key repeated 1200 times");
+    check_semijoins(&filter, &target, "target key repeated 1200 times");
+    check_joins(&target, &filter, "join on a key repeated 1200 times");
 }
 
 #[test]

@@ -33,7 +33,7 @@ use mjoin_cq::{
 use mjoin_hypergraph::DbScheme;
 use mjoin_program::{
     display, parse_program, parse_scheme_list, scheme_directive, CancelToken, Cancelled,
-    IndexCache, Program, SharedIndexCache,
+    IndexCache, Program, SharedIndexCache, DEFAULT_CACHE_BYTES, DEFAULT_CACHE_TUPLES,
 };
 use mjoin_relation::{tsv, Catalog, CostLedger, Database, Relation, Schema};
 use mjoin_trace as trace;
@@ -95,8 +95,8 @@ impl Default for ServeConfig {
             threads: 1,
             max_cost: None,
             queue_depth: 16,
-            cache_budget_tuples: 4 << 20,
-            cache_budget_bytes: 256 << 20,
+            cache_budget_tuples: DEFAULT_CACHE_TUPLES,
+            cache_budget_bytes: DEFAULT_CACHE_BYTES,
             mem_budget: None,
         }
     }

@@ -1,7 +1,8 @@
 //! Property test: random Algorithm-2 programs execute identically with the
-//! join-index cache force-enabled and force-disabled, at any thread count.
-//! The cache is a pure memoization of build-side hash tables — it must
-//! never change a single observable of the execution.
+//! default join-index cache and with a `(0, 0)`-budget cache that refuses
+//! every index, at any thread count. The cache is a pure memoization of
+//! build-side hash tables — it must never change a single observable of the
+//! execution.
 
 use mjoin::optimizer::random_tree;
 use mjoin::prelude::*;
@@ -47,7 +48,10 @@ proptest! {
         let off = execute_with(
             &d.program,
             &db,
-            &ExecConfig::with_threads(threads).without_cache(),
+            &ExecConfig {
+                cache: Some(IndexCache::shared(0, 0)),
+                ..ExecConfig::with_threads(threads)
+            },
         );
         prop_assert_eq!(&*on.result, &*off.result);
         prop_assert_eq!(on.head_sizes, off.head_sizes);
