@@ -94,8 +94,9 @@ impl PlanStrategy {
 /// Which sub-join sizes the tree search ranks candidates by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Oracle {
-    /// Materialize every candidate sub-join (the one-shot `run`: its tree
-    /// cost *is* `cost(T₁(D))`).
+    /// Count every candidate sub-join exactly — a join-forest pass, or a
+    /// Generic Join count on a cyclic set — without building any (the
+    /// one-shot `run`: its tree cost *is* `cost(T₁(D))`).
     Exact,
     /// Attribute-independence estimates: arithmetic only, so planning
     /// never executes the joins admission is about to gate.

@@ -1,6 +1,8 @@
 //! Which physical kernel fires where: one traced 4-thread run per workload,
-//! asserting the operator strategies the executor is supposed to pick, that
-//! some index probe ran in more than one chunk, and the `index_cache.*`
+//! asserting the operator strategies the executor is supposed to pick, the
+//! `JoinIndex` layouts they probe (dense on the single-integer keys of the
+//! star and hub shapes, hash on a two-column key), that some index probe of
+//! the expected layout ran in more than one chunk, and the `index_cache.*`
 //! traffic on the workloads built to exercise the cache. Correctness tests
 //! cannot see either failure mode — a wide workload falling off the chunked
 //! paths, or the join-index cache going cold — because every path computes
@@ -206,12 +208,35 @@ fn hub_fanout_reducer() -> Workload {
     (db, b.finish(Reg::Base(0)))
 }
 
-/// (workload, its builder, `name[strategy]` spans that must appear,
-/// whether some probe must run in more than one chunk — `false`: every
-/// probe runs as one, counters with their required minimum).
+/// Two relations sharing a two-attribute key: the join index over it keeps
+/// the hash layout however narrow the key values are.
+fn two_column_key() -> Workload {
+    let mut c = Catalog::new();
+    let [a, b_attr, x, y] = ["A", "B", "X", "Y"].map(|n| c.intern(n));
+    let left = ints(
+        vec![a, b_attr, x],
+        (0..20_000).map(|i| vec![i % 100, i / 100, i]),
+    );
+    let right = ints(
+        vec![a, b_attr, y],
+        (0..30_000).map(|i| vec![i % 97, i % 200, i]),
+    );
+    let (scheme, db) = over(vec![left, right]);
+    let mut b = ProgramBuilder::new(&scheme);
+    let w = b.new_temp("W");
+    b.join(w, Reg::Base(0), Reg::Base(1));
+    (db, b.finish(w))
+}
+
+/// (workload, its builder, `name[strategy]` spans that must appear, the
+/// `JoinIndex` layouts their probes read — exactly these, the first of them
+/// on some probe of more than one chunk when probes are chunked —, whether
+/// some probe must run in more than one chunk — `false`: every probe runs
+/// as one, counters with their required minimum).
 type Expectation = (
     &'static str,
     fn() -> Workload,
+    &'static [&'static str],
     &'static [&'static str],
     bool,
     &'static [(&'static str, u64)],
@@ -224,6 +249,7 @@ const EXPECT: &[Expectation] = &[
         "example3_m30",
         example3_m30,
         &["join[indexed_probe]", "semijoin[indexed_probe]"],
+        &["dense", "hash"],
         CHUNKED,
         &[],
     ),
@@ -231,6 +257,7 @@ const EXPECT: &[Expectation] = &[
         "star_d6_f60k",
         star_d6_f60k,
         &["join[indexed_probe]", "semijoin[indexed_probe]"],
+        &["dense"],
         CHUNKED,
         &[],
     ),
@@ -238,6 +265,7 @@ const EXPECT: &[Expectation] = &[
         "star_wide",
         star_wide,
         &["join[indexed_probe]", "semijoin[indexed_probe]"],
+        &["dense"],
         CHUNKED,
         &[],
     ),
@@ -245,6 +273,7 @@ const EXPECT: &[Expectation] = &[
         "cycle_gap_n6_m40",
         cycle_gap_n6_m40,
         &["join[indexed_probe]"],
+        &["dense", "hash"],
         CHUNKED,
         &[],
     ),
@@ -252,6 +281,7 @@ const EXPECT: &[Expectation] = &[
         "star_wide_reducer",
         star_wide_reducer,
         &["semijoin[indexed_probe]"],
+        &["dense"],
         CHUNKED,
         &[],
     ),
@@ -259,6 +289,7 @@ const EXPECT: &[Expectation] = &[
         "wide_filter_sweep",
         wide_filter_sweep,
         &["semijoin[indexed_probe]"],
+        &["dense"],
         CHUNKED,
         &[],
     ),
@@ -266,6 +297,7 @@ const EXPECT: &[Expectation] = &[
         "selective_probe_fanout",
         selective_probe_fanout,
         &["join[indexed_probe]"],
+        &["dense", "hash"],
         // Point lookups: twelve 100-row probes of one shared index, none
         // of them wide enough to cut into chunks.
         !CHUNKED,
@@ -275,8 +307,17 @@ const EXPECT: &[Expectation] = &[
         "hub_fanout_reducer",
         hub_fanout_reducer,
         &["semijoin[indexed_probe]"],
+        &["dense"],
         CHUNKED,
         &[("index_cache.hit", 9), ("index_cache.insert", 1)],
+    ),
+    (
+        "two_column_key",
+        two_column_key,
+        &["join[indexed_probe]"],
+        &["hash"],
+        CHUNKED,
+        &[],
     ),
 ];
 
@@ -287,7 +328,7 @@ const EXPECT: &[Expectation] = &[
 )]
 fn each_workload_fires_its_operator_strategies_and_cache_traffic() {
     let mut failures = Vec::new();
-    for &(name, build, ops, chunked, counters) in EXPECT {
+    for &(name, build, ops, layouts, chunked, counters) in EXPECT {
         let (db, program) = build();
         mjoin_trace::clear();
         mjoin_trace::set_enabled(true);
@@ -306,15 +347,37 @@ fn each_workload_fires_its_operator_strategies_and_cache_traffic() {
                 failures.push(format!("{name}: expected strategy {want}, saw {seen:?}"));
             }
         }
-        let chunks = trace
+        let probes: Vec<(&str, i64)> = trace
             .events
             .iter()
             .filter(|e| e.cat == "op" && matches!(e.name, "join" | "semijoin"))
-            .filter_map(|e| e.arg("chunks").and_then(ArgValue::as_int));
-        let widest = chunks.max().unwrap_or(0);
+            .map(|e| {
+                let layout = e.arg("layout").and_then(ArgValue::as_str).unwrap_or("none");
+                (
+                    layout,
+                    e.arg("chunks").and_then(ArgValue::as_int).unwrap_or(0),
+                )
+            })
+            .collect();
+        let widest = probes.iter().map(|&(_, chunks)| chunks).max().unwrap_or(0);
         if chunked != (widest > 1) {
             failures.push(format!(
                 "{name}: the widest join/semijoin probe ran in {widest} chunks"
+            ));
+        }
+        let mut seen_layouts: Vec<&str> = probes.iter().map(|&(layout, _)| layout).collect();
+        seen_layouts.sort_unstable();
+        seen_layouts.dedup();
+        if seen_layouts != layouts {
+            failures.push(format!(
+                "{name}: expected layouts {layouts:?}, saw {seen_layouts:?}"
+            ));
+        }
+        let chunked_in = |want: &str| probes.iter().any(|&(l, chunks)| l == want && chunks > 1);
+        if chunked && !chunked_in(layouts[0]) {
+            failures.push(format!(
+                "{name}: no {} probe ran in more than one chunk",
+                layouts[0]
             ));
         }
         for &(counter, min) in counters {

@@ -425,10 +425,11 @@ impl AdmittedQuery<'_> {
                             engine::prepare_wcoj(comp_scheme, comp_db, qcat.clone())
                         }
                         // Estimation-based tree search: the exact oracle would
-                        // *materialize* every candidate subjoin it ranks —
-                        // including the Cartesian pairs the greedy scan probes —
-                        // which on queries with repeated predicates costs more
-                        // than the join being planned.
+                        // *count* every candidate subjoin it ranks — a
+                        // join-forest pass or a Generic Join count each, the
+                        // Cartesian pairs the greedy scan probes included —
+                        // which on queries with repeated predicates can cost
+                        // more than the join being planned.
                         executor => engine::prepare(
                             comp_scheme,
                             comp_db,

@@ -10,7 +10,7 @@
 use mjoin_expr::JoinTree;
 use mjoin_hypergraph::{gyo, DbScheme, GyoResult, RelSet};
 use mjoin_relation::fxhash::{FxHashMap, FxHashSet};
-use mjoin_relation::{ops, AttrId, Column, Database, Relation};
+use mjoin_relation::{ops, AttrId, Column, Database, IntSpan, Relation};
 
 /// A source of sub-join sizes.
 pub trait CostOracle {
@@ -172,25 +172,22 @@ fn distinct_count(rel: &Relation, attr: AttrId) -> u64 {
 
 /// Distinct values in `col`, counted on a bitmap where one is small:
 /// interned cells by dictionary code (a dictionary holds each value once),
-/// integers by their distance from the column minimum while the span is at
-/// most `8·n + 4096`, and a set pre-sized to the column only past that.
+/// integers by their distance from the column minimum while that bitmap
+/// takes at most `n + 512` bytes, and a set pre-sized to the column only
+/// past that.
 fn distinct_cells(col: &Column) -> usize {
     match col {
         Column::Dict { codes, dict } => {
-            distinct_in_bitmap(codes.iter().map(|&c| c as usize), dict.len())
+            let pool = IntSpan {
+                min: 0,
+                width: dict.len().saturating_sub(1) as u64,
+            };
+            pool.distinct(codes.iter().map(|&c| i64::from(c)))
         }
         Column::Int(v) => {
-            let Some(&first) = v.first() else {
-                return 0;
-            };
-            let (min, max) = v
-                .iter()
-                .fold((first, first), |(lo, hi), &x| (lo.min(x), hi.max(x)));
-            // The distance from the minimum fits `u64` for any two `i64`s.
-            let span = max.wrapping_sub(min) as u64;
-            if span <= 8 * v.len() as u64 + 4096 {
-                let keys = v.iter().map(|&x| x.wrapping_sub(min) as u64 as usize);
-                distinct_in_bitmap(keys, span as usize + 1)
+            let span = IntSpan::of(v);
+            if span.bitmap_bytes() <= v.len() as u64 + 512 {
+                span.distinct(v.iter().copied())
             } else {
                 let mut set = FxHashSet::with_capacity_and_hasher(v.len(), Default::default());
                 set.extend(v.iter().copied());
@@ -198,18 +195,6 @@ fn distinct_cells(col: &Column) -> usize {
             }
         }
     }
-}
-
-/// How many distinct `keys`, each below `len`, one bitmap pass finds.
-fn distinct_in_bitmap(keys: impl Iterator<Item = usize>, len: usize) -> usize {
-    let mut words = vec![0u64; len.div_ceil(64)];
-    let mut distinct = 0;
-    for k in keys {
-        let (word, bit) = (&mut words[k / 64], 1u64 << (k % 64));
-        distinct += usize::from(*word & bit == 0);
-        *word |= bit;
-    }
-    distinct
 }
 
 impl CostOracle for EstimateOracle {

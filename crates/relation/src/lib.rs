@@ -32,6 +32,7 @@ mod par;
 pub mod relation;
 pub mod schema;
 mod sortkey;
+pub mod span;
 pub mod tsv;
 pub mod value;
 
@@ -44,6 +45,7 @@ pub use error::{Error, Result};
 pub use par::par_map;
 pub use relation::{Relation, Row};
 pub use schema::Schema;
+pub use span::IntSpan;
 pub use value::Value;
 
 /// Convenience: build a relation over single-letter attributes from integer

@@ -16,6 +16,11 @@
 //!
 //! Entries carry `u32` row indices — relations here are bounded far below
 //! 4 billion rows ([`RawTable::insert`] checks in debug builds).
+//!
+//! A `JoinIndex` over one integer key column whose values fill a narrow
+//! range skips this table: its dense layout addresses rows by `key − min`
+//! directly (see `ops/index.rs`), and is chosen only when it takes no more
+//! bytes than [`RawTable::heap_bytes_for`] the same rows.
 
 /// Sentinel for "no entry" in bucket heads and chain links.
 const EMPTY: u32 = u32::MAX;
@@ -41,9 +46,14 @@ pub(crate) struct RawTable {
 }
 
 impl RawTable {
+    /// Buckets for about `n` entries (load factor ≤ 0.5).
+    fn buckets_for(n: usize) -> usize {
+        (n.max(1) * 2).next_power_of_two()
+    }
+
     /// A table sized for about `n` entries (load factor ≤ 0.5).
     pub(crate) fn with_capacity(n: usize) -> Self {
-        let buckets = (n.max(1) * 2).next_power_of_two();
+        let buckets = Self::buckets_for(n);
         RawTable {
             mask: buckets as u64 - 1,
             buckets: vec![EMPTY; buckets].into_boxed_slice(),
@@ -83,6 +93,13 @@ impl RawTable {
     pub(crate) fn heap_bytes(&self) -> usize {
         self.buckets.len() * std::mem::size_of::<u32>()
             + self.entries.capacity() * std::mem::size_of::<Entry>()
+    }
+
+    /// The heap bytes of a table built by `with_capacity(n)` holding `n`
+    /// entries, without building it — the budget the dense
+    /// [`super::JoinIndex`] layout must fit.
+    pub(crate) fn heap_bytes_for(n: usize) -> usize {
+        Self::buckets_for(n) * std::mem::size_of::<u32>() + n * std::mem::size_of::<Entry>()
     }
 }
 
@@ -147,5 +164,10 @@ mod tests {
     fn heap_bytes_counts_both_arrays() {
         let t = RawTable::with_capacity(100);
         assert!(t.heap_bytes() >= 256 * 4);
+        for n in [0, 1, 100, 4096, 100_000] {
+            let mut t = RawTable::with_capacity(n);
+            (0..n as u32).for_each(|i| t.insert(u64::from(i), i));
+            assert_eq!(t.heap_bytes(), RawTable::heap_bytes_for(n), "{n} entries");
+        }
     }
 }

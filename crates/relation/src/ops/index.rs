@@ -1,6 +1,6 @@
-//! `JoinIndex` — the build-side hash table of every keyed join and
-//! semijoin in the workspace, an owned, shareable index over an
-//! `Arc<Relation>`, plus the operator variants that probe one.
+//! `JoinIndex` — the build-side table of every keyed join and semijoin in
+//! the workspace, an owned, shareable index over an `Arc<Relation>`, plus
+//! the operator variants that probe one.
 //!
 //! Programs derived by the paper's Algorithm 2 read the same head relations
 //! over and over: a full-reducer-style semijoin sweep down the CPF tree,
@@ -12,20 +12,37 @@
 //! [`super::semijoin`] and each Grace-hash partition pair build a fresh one
 //! and probe it the same way.
 //!
-//! There is one probe loop ([`JoinIndex::probe`]): hashes come batch-wise
-//! from [`columnar::key_hashes`], collisions resolve by comparing cells
-//! positionally against column data ([`columnar::ids_eq`]) — no key
-//! materialization on either side — and with `threads > 1` a probe side of
-//! at least `cutoff` rows is cut into contiguous chunks run through
+//! The index has two memory layouts, chosen at build time:
+//!
+//! - **dense**: a key of one integer column whose values fill a range
+//!   narrow enough that `4·(span + 2) + 4·rows` bytes — a CSR of row ids
+//!   grouped by `key − min` — is no more than the hash layout would take.
+//!   A probe cell maps to its rows by one subtraction and one range check:
+//!   no hash, no chain, no cell comparison (an interned probe column maps
+//!   each pool entry once per probe, a string to no row). The keys of
+//!   Algorithm 2's statements are usually of this kind: one shared integer
+//!   attribute.
+//! - **hash**: a [`RawTable`] of key hashes for every other key —
+//!   multi-column, interned, sparse, or empty (Cartesian). Hashes come
+//!   batch-wise from [`columnar::key_hashes`], and collisions resolve by
+//!   comparing cells positionally against column data
+//!   ([`columnar::ids_eq`]) — no key materialization on either side.
+//!
+//! Both yield a key's rows most recently inserted first, so a probe returns
+//! the same `(build_ids, probe_ids)` whichever layout it hits. There is one
+//! probe loop ([`JoinIndex::probe`]): with `threads > 1` a probe side of at
+//! least `cutoff` rows is cut into contiguous chunks run through
 //! [`crate::par_map`], whose parts concatenate in probe order.
 
 use super::columnar;
 use super::hashtable::RawTable;
 use super::join::join_key_positions;
+use crate::column::Column;
 use crate::relation::Relation;
+use crate::span::IntSpan;
 use std::sync::Arc;
 
-/// A build-side hash table for a `(Arc<Relation>, key positions)` pair.
+/// A build-side table for a `(Arc<Relation>, key positions)` pair.
 ///
 /// The index holds the relation alive, so a raw-pointer cache key derived
 /// from `Arc::as_ptr(relation)` cannot be reused by a different relation
@@ -34,23 +51,110 @@ use std::sync::Arc;
 pub struct JoinIndex {
     rel: Arc<Relation>,
     key_pos: Box<[usize]>,
-    table: RawTable,
+    layout: Layout,
+}
+
+/// Where an index finds a key's rows; see the module docs.
+#[derive(Debug)]
+enum Layout {
+    Dense(Dense),
+    Hash(RawTable),
+}
+
+/// The dense layout: the rows whose key is `span.min + k` are
+/// `rows[starts[k]..starts[k + 1]]`, most recently inserted first.
+#[derive(Debug)]
+struct Dense {
+    span: IntSpan,
+    /// `span.width + 2` offsets into `rows`.
+    starts: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl Dense {
+    /// The dense layout over the key cells `keys`, or `None` when it would
+    /// take more bytes than the hash layout over as many rows (a span too
+    /// wide to count in a `usize` included).
+    fn build(keys: &[i64]) -> Option<Dense> {
+        let span = IntSpan::of(keys);
+        let slots = usize::try_from(span.width).ok()?.checked_add(2)?;
+        let bytes = slots.checked_add(keys.len())?.checked_mul(4)?;
+        if bytes > RawTable::heap_bytes_for(keys.len()) {
+            return None;
+        }
+        let slot = |v: i64| v.wrapping_sub(span.min) as u64 as usize;
+        // Count key `k`'s rows into `starts[k]` and sum up to where key
+        // `k`'s rows end; placing each row one below that end, in row
+        // order, leaves the latest row first and `starts[k]` where key
+        // `k`'s rows begin, so they are `starts[k]..starts[k + 1]`.
+        let mut starts = vec![0u32; slots];
+        for &v in keys {
+            starts[slot(v)] += 1;
+        }
+        for k in 1..slots {
+            starts[k] += starts[k - 1];
+        }
+        let mut rows = vec![0u32; keys.len()];
+        for (i, &v) in keys.iter().enumerate() {
+            let end = &mut starts[slot(v)];
+            *end -= 1;
+            rows[*end as usize] = i as u32;
+        }
+        Some(Dense { span, starts, rows })
+    }
+
+    /// The rows whose key is `span.min + k`; none when `k` is past the span.
+    #[inline]
+    fn rows_at(&self, k: u64) -> &[u32] {
+        if k > self.span.width {
+            return &[];
+        }
+        let k = k as usize;
+        &self.rows[self.starts[k] as usize..self.starts[k + 1] as usize]
+    }
+
+    /// The `k` [`Dense::rows_at`] takes for `v`.
+    #[inline]
+    fn offset(&self, v: i64) -> u64 {
+        v.wrapping_sub(self.span.min) as u64
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (self.starts.capacity() + self.rows.capacity()) * std::mem::size_of::<u32>()
+    }
 }
 
 impl JoinIndex {
-    /// Build the index: one batch hash pass over the key columns
-    /// ([`columnar::key_hashes`]), no per-row key allocation and no tuple
-    /// boxed as a row. Every row gets an entry, duplicate keys included.
+    /// Build the index: the dense layout when the key is one integer column
+    /// that fits it, otherwise one batch hash pass over the key columns
+    /// ([`columnar::key_hashes`]) into a `RawTable`. No per-row key
+    /// allocation and no tuple boxed as a row; every row gets an entry,
+    /// duplicate keys included.
     pub fn build(rel: Arc<Relation>, key_pos: Vec<usize>) -> Self {
-        let mut table = RawTable::with_capacity(rel.len());
-        for (i, h) in columnar::key_hashes(&rel, &key_pos).into_iter().enumerate() {
-            table.insert(h, i as u32);
-        }
+        let dense = match key_pos[..] {
+            [p] => match &rel.columns()[p] {
+                Column::Int(keys) => Dense::build(keys),
+                Column::Dict { .. } => None,
+            },
+            _ => None,
+        };
+        let layout = dense.map_or_else(
+            || Layout::Hash(Self::hash_table(&rel, &key_pos)),
+            Layout::Dense,
+        );
         JoinIndex {
             rel,
             key_pos: key_pos.into(),
-            table,
+            layout,
         }
+    }
+
+    fn hash_table(rel: &Relation, key_pos: &[usize]) -> RawTable {
+        let mut table = RawTable::with_capacity(rel.len());
+        for (i, h) in columnar::key_hashes(rel, key_pos).into_iter().enumerate() {
+            table.insert(h, i as u32);
+        }
+        table
     }
 
     /// An index over the smaller of two join operands (the left one on a
@@ -77,21 +181,32 @@ impl JoinIndex {
         &self.key_pos
     }
 
+    /// The memory layout built: `"dense"` or `"hash"` (see the module docs).
+    pub(crate) fn layout(&self) -> &'static str {
+        match self.layout {
+            Layout::Dense(_) => "dense",
+            Layout::Hash(_) => "hash",
+        }
+    }
+
     /// Resident tuples — what the interpreter's cache budget counts.
     pub fn tuples(&self) -> usize {
         self.rel.len()
     }
 
-    /// Heap bytes of the table itself (excluding the shared relation): the
+    /// Heap bytes of the layout itself (excluding the shared relation): the
     /// allocation a cache hit avoids rebuilding.
     pub fn heap_bytes(&self) -> usize {
-        self.table.heap_bytes()
+        match &self.layout {
+            Layout::Dense(dense) => dense.heap_bytes(),
+            Layout::Hash(table) => table.heap_bytes(),
+        }
     }
 
-    /// Resident bytes — the table's heap plus the pinned relation's payload
+    /// Resident bytes — the layout's heap plus the pinned relation's payload
     /// (packed columns plus each dictionary pool once).
     pub fn resident_bytes(&self) -> usize {
-        self.table.heap_bytes() + self.rel.resident_col_bytes()
+        self.heap_bytes() + self.rel.resident_col_bytes()
     }
 
     /// Probe the index with every row of `probe`, on the attributes the two
@@ -113,29 +228,34 @@ impl JoinIndex {
             self.key_positions(),
             "index key positions must be the key its relation shares with the probe side"
         );
-        let ph = columnar::key_hashes(probe, &ppos);
-        let (bcols, pcols) = (self.rel.columns(), probe.columns());
-        let probe_range = |(start, end): (usize, usize)| {
-            let mut bids: Vec<u32> = Vec::new();
-            let mut pids: Vec<u32> = Vec::new();
-            for (j, &hash) in ph.iter().enumerate().take(end).skip(start) {
-                for bi in self.table.candidates(hash) {
-                    if columnar::ids_eq(bcols, &self.key_pos, bi, pcols, &ppos, j) {
-                        bids.push(bi as u32);
-                        pids.push(j as u32);
-                        if first_only {
-                            break;
-                        }
+        let cols = probe.columns();
+        match &self.layout {
+            Layout::Dense(dense) => {
+                let at = |k: u64| dense.rows_at(k).iter().map(|&bi| bi as usize);
+                let any = |_, _| true;
+                match &cols[ppos[0]] {
+                    Column::Int(vals) => {
+                        let candidates = |&v: &i64| at(dense.offset(v));
+                        probe_chunks(vals, threads, cutoff, first_only, candidates, any)
+                    }
+                    Column::Dict { codes, dict } => {
+                        // Each pool entry's offset, once per probe: an
+                        // integer maps into the span, a string past it.
+                        let offsets: Vec<u64> = (0..dict.len() as u32)
+                            .map(|c| dict.value(c).as_int().map_or(u64::MAX, |v| dense.offset(v)))
+                            .collect();
+                        let candidates = |&c: &u32| at(offsets[c as usize]);
+                        probe_chunks(codes, threads, cutoff, first_only, candidates, any)
                     }
                 }
             }
-            (bids, pids)
-        };
-        if threads <= 1 || probe.len() < cutoff {
-            vec![probe_range((0, probe.len()))]
-        } else {
-            let ranges = columnar::split_ranges(probe.len(), threads);
-            crate::par_map(ranges, threads, probe_range)
+            Layout::Hash(table) => {
+                let ph = columnar::key_hashes(probe, &ppos);
+                let (bcols, bpos, ppos) = (self.rel.columns(), &self.key_pos[..], &ppos[..]);
+                let candidates = |&h: &u64| table.candidates(h);
+                let eq = |bi: usize, j: usize| columnar::ids_eq(bcols, bpos, bi, cols, ppos, j);
+                probe_chunks(&ph, threads, cutoff, first_only, candidates, eq)
+            }
         }
     }
 
@@ -172,6 +292,43 @@ impl JoinIndex {
     }
 }
 
+/// The one probe loop behind [`JoinIndex::probe`], over one key per probe
+/// row: `candidates(key)` yields the build rows that may match, in the
+/// order the pairs are emitted, and `verify(build_row, probe_row)` confirms
+/// each (only the first confirmed with `first_only`).
+fn probe_chunks<K: Sync, I: Iterator<Item = usize>>(
+    keys: &[K],
+    threads: usize,
+    cutoff: usize,
+    first_only: bool,
+    candidates: impl Fn(&K) -> I + Sync,
+    verify: impl Fn(usize, usize) -> bool + Sync,
+) -> Vec<(Vec<u32>, Vec<u32>)> {
+    let probe_range = |(start, end): (usize, usize)| {
+        let mut bids: Vec<u32> = Vec::new();
+        let mut pids: Vec<u32> = Vec::new();
+        for (j, key) in (start..).zip(&keys[start..end]) {
+            for bi in candidates(key) {
+                if verify(bi, j) {
+                    bids.push(bi as u32);
+                    pids.push(j as u32);
+                    if first_only {
+                        break;
+                    }
+                }
+            }
+        }
+        (bids, pids)
+    };
+    let n = keys.len();
+    if threads <= 1 || n < cutoff {
+        vec![probe_range((0, n))]
+    } else {
+        let ranges = columnar::split_ranges(n, threads);
+        crate::par_map(ranges, threads, probe_range)
+    }
+}
+
 /// Natural join `index.relation() ⋈ probe` against a prebuilt index.
 ///
 /// The build side is fixed by the index — even when it is the *larger*
@@ -192,6 +349,7 @@ pub fn par_join_indexed_cutoff(
         sp.arg("right_rows", probe.len());
         sp.arg("threads", threads);
         sp.arg("strategy", "indexed_probe");
+        sp.arg("layout", index.layout());
     }
     let (out, chunks) = index.join(probe, threads, cutoff);
     sp.arg("chunks", chunks);
@@ -214,12 +372,16 @@ pub fn par_semijoin_indexed_cutoff(
         sp.arg("right_rows", index.tuples());
         sp.arg("threads", threads);
         sp.arg("strategy", "indexed_probe");
+        sp.arg("layout", index.layout());
     }
     let (out, chunks) = index.semijoin(target, threads, cutoff);
     sp.arg("chunks", chunks);
     sp.arg("out_rows", out.len());
     out
 }
+
+#[cfg(test)]
+mod layout_differential;
 
 #[cfg(test)]
 mod tests {

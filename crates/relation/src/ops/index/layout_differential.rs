@@ -1,0 +1,232 @@
+//! The dense and hash layouts of a [`JoinIndex`] against each other and
+//! against a nested-loop reference: the same `(build_ids, probe_ids)`,
+//! chunk for chunk, at 1, 2, 4 and 8 threads with every probe chunked
+//! (cutoff 0), for joins and for semijoins — over negative keys, keys whose
+//! span overflows, one key repeated thousands of times, interned probe
+//! columns mixing strings and integers, empty sides, and spans on both
+//! sides of the byte rule that picks the layout.
+
+use super::*;
+use crate::attr::Catalog;
+use crate::column::ColumnBuilder;
+use crate::schema::Schema;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+type Ids = Vec<(Vec<u32>, Vec<u32>)>;
+
+/// A relation over `AB` (build) or `BC` (probe): `B` holds `keys` and the
+/// other attribute numbers the rows, so every row is distinct.
+fn keyed(c: &mut Catalog, scheme: &str, keys: Column) -> Relation {
+    let n = keys.len();
+    let ids = Column::Int(Arc::new((0..n as i64).collect()));
+    let cols = if scheme == "AB" {
+        vec![ids, keys]
+    } else {
+        vec![keys, ids]
+    };
+    Relation::from_columns(Schema::from_chars(c, scheme), n, cols)
+}
+
+fn ints(keys: &[i64]) -> Column {
+    Column::Int(Arc::new(keys.to_vec()))
+}
+
+/// An interned column: `Some(v)` cells are integers, `None` cells strings.
+fn mixed(keys: &[Option<i64>]) -> Column {
+    let mut b = ColumnBuilder::with_capacity(keys.len());
+    for (i, k) in keys.iter().enumerate() {
+        match k {
+            Some(v) => b.push_int(*v),
+            None => b.push_str(&format!("s{}", i % 7)),
+        }
+    }
+    let col = b.finish();
+    assert!(col.is_interned() || keys.iter().all(Option::is_some));
+    col
+}
+
+/// The same index with its table forced to the hash layout.
+fn hashed(index: &JoinIndex) -> JoinIndex {
+    let rel = Arc::clone(&index.rel);
+    let table = JoinIndex::hash_table(&rel, &index.key_pos);
+    JoinIndex {
+        rel,
+        key_pos: index.key_pos.clone(),
+        layout: Layout::Hash(table),
+    }
+}
+
+/// Nested loops: for each probe row, every build row with an equal key,
+/// the latest first (the first one only with `first_only`).
+fn reference(build: &Relation, probe: &Relation, first_only: bool) -> (Vec<u32>, Vec<u32>) {
+    let (bcol, pcol) = (&build.columns()[1], &probe.columns()[0]);
+    let (mut bids, mut pids) = (Vec::new(), Vec::new());
+    for j in 0..probe.len() {
+        let hits = (0..build.len())
+            .rev()
+            .filter(|&i| bcol.cells_eq(i, pcol, j));
+        for i in hits.take(if first_only { 1 } else { usize::MAX }) {
+            bids.push(i as u32);
+            pids.push(j as u32);
+        }
+    }
+    (bids, pids)
+}
+
+fn concat(ids: &Ids) -> (Vec<u32>, Vec<u32>) {
+    let bids = ids.iter().flat_map(|(b, _)| b.iter().copied()).collect();
+    let pids = ids.iter().flat_map(|(_, p)| p.iter().copied()).collect();
+    (bids, pids)
+}
+
+/// `build`'s index takes `layout`, and both layouts probe `probe` to the
+/// reference's ids at every thread count, joins and semijoins alike.
+fn check(build: &Relation, probe: &Relation, layout: &str, what: &str) {
+    let index = JoinIndex::build(Arc::new(build.clone()), vec![1]);
+    assert_eq!(index.layout(), layout, "{what}: layout");
+    let hash = hashed(&index);
+    for first_only in [false, true] {
+        let want = reference(build, probe, first_only);
+        for threads in [1, 2, 4, 8] {
+            let got = index.probe(probe, threads, 0, first_only);
+            assert!(
+                got == hash.probe(probe, threads, 0, first_only),
+                "{what}: layouts differ at {threads} threads, first_only {first_only}"
+            );
+            assert!(
+                concat(&got) == want,
+                "{what}: reference differs at {threads} threads, first_only {first_only}"
+            );
+            if threads > 1 && probe.len() > 1 {
+                assert!(got.len() > 1, "{what}: {threads} threads ran one chunk");
+            }
+        }
+    }
+}
+
+#[test]
+fn negative_and_repeated_keys() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut c = Catalog::new();
+    let build: Vec<i64> = (0..600).map(|_| rng.gen_range(-900..-100)).collect();
+    let probe: Vec<i64> = (0..500).map(|_| rng.gen_range(-1000..0)).collect();
+    let (b, p) = (
+        keyed(&mut c, "AB", ints(&build)),
+        keyed(&mut c, "BC", ints(&probe)),
+    );
+    check(&b, &p, "dense", "negative keys");
+
+    // One key 1,500 times among a few others, probed by that key and misses.
+    let mut build = vec![42; 1500];
+    build.extend([40, 41, 43, 42, 44]);
+    let probe = [42, 39, 42, 45, 44, 42, 0];
+    let (b, p) = (
+        keyed(&mut c, "AB", ints(&build)),
+        keyed(&mut c, "BC", ints(&probe)),
+    );
+    check(&b, &p, "dense", "a repeated key");
+}
+
+#[test]
+fn spans_that_overflow_take_the_hash_layout() {
+    let mut c = Catalog::new();
+    let build = [i64::MIN, i64::MAX, 0, i64::MIN + 1, i64::MAX, -1];
+    let probe = [i64::MAX, i64::MIN, 7, 0, i64::MAX - 1, -1, i64::MIN];
+    let (b, p) = (
+        keyed(&mut c, "AB", ints(&build)),
+        keyed(&mut c, "BC", ints(&probe)),
+    );
+    check(&b, &p, "hash", "i64::MIN..=i64::MAX");
+    // Half the range: the span fits a `u64` but not the byte rule.
+    let build = [0, i64::MAX, 1, i64::MAX];
+    let probe = [i64::MAX, 1, 2, 0];
+    let (b, p) = (
+        keyed(&mut c, "AB", ints(&build)),
+        keyed(&mut c, "BC", ints(&probe)),
+    );
+    check(&b, &p, "hash", "0..=i64::MAX");
+}
+
+#[test]
+fn interned_probe_columns_mixing_strings_and_integers() {
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut c = Catalog::new();
+    let build: Vec<i64> = (0..400).map(|_| rng.gen_range(-20..80)).collect();
+    let probe: Vec<Option<i64>> = (0..700)
+        .map(|_| rng.gen_bool(0.7).then(|| rng.gen_range(-40..120)))
+        .collect();
+    let b = keyed(&mut c, "AB", ints(&build));
+    let p = keyed(&mut c, "BC", mixed(&probe));
+    assert!(p.columns()[0].is_interned());
+    check(&b, &p, "dense", "mixed probe column");
+    // A probe column of strings only, and one gathered from a larger pool.
+    let strings = keyed(&mut c, "BC", mixed(&[None; 9]));
+    check(&b, &strings, "dense", "string probe column");
+    let sel: Vec<u32> = (0..700).step_by(3).collect();
+    let gathered = keyed(&mut c, "BC", mixed(&probe).gather(&sel));
+    check(&b, &gathered, "dense", "gathered probe column");
+    // An interned build column keeps the hash layout.
+    let interned = keyed(&mut c, "AB", mixed(&probe));
+    check(
+        &interned,
+        &keyed(&mut c, "BC", ints(&build)),
+        "hash",
+        "interned build",
+    );
+}
+
+#[test]
+fn empty_sides() {
+    let mut c = Catalog::new();
+    let some = [3, 1, 4, 1, 5];
+    let (b, p) = (
+        keyed(&mut c, "AB", ints(&some)),
+        keyed(&mut c, "BC", ints(&[])),
+    );
+    check(&b, &p, "dense", "empty probe");
+    let (b, p) = (
+        keyed(&mut c, "AB", ints(&[])),
+        keyed(&mut c, "BC", ints(&some)),
+    );
+    check(&b, &p, "dense", "empty build");
+}
+
+/// The dense layout takes `4·(span + 2) + 4·rows` bytes and is built when
+/// that is at most the hash layout's heap for as many rows: one below, at
+/// and one above that span.
+#[test]
+fn spans_around_the_byte_rule() {
+    let mut c = Catalog::new();
+    for rows in [2usize, 5, 64, 1000, 5000] {
+        let hash_bytes = RawTable::heap_bytes_for(rows);
+        let limit = (hash_bytes / 4 - 2 - rows) as i64;
+        for (width, layout) in [(limit - 1, "dense"), (limit, "dense"), (limit + 1, "hash")] {
+            // Keys from -7 to -7 + width, the rest spread between.
+            let keys: Vec<i64> = (0..rows as i64)
+                .map(|i| match i {
+                    0 => -7,
+                    1 => width - 7,
+                    _ => (i * 7919) % (width + 1) - 7,
+                })
+                .collect();
+            let probe: Vec<i64> = (-9..width - 4).step_by(width as usize / 50 + 1).collect();
+            let probe: Vec<i64> = probe.into_iter().chain([width - 7, width - 6]).collect();
+            let (b, p) = (
+                keyed(&mut c, "AB", ints(&keys)),
+                keyed(&mut c, "BC", ints(&probe)),
+            );
+            let what = format!("{rows} rows, span {width}");
+            check(&b, &p, layout, &what);
+            let index = JoinIndex::build(Arc::new(b), vec![1]);
+            assert!(index.heap_bytes() <= hash_bytes, "{what}: heap bytes");
+            if layout == "dense" {
+                assert_eq!(
+                    index.heap_bytes(),
+                    4 * (width as usize + 2 + rows),
+                    "{what}"
+                );
+            }
+        }
+    }
+}

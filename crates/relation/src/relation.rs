@@ -29,6 +29,7 @@ use crate::error::{Error, Result};
 use crate::fxhash::mix;
 use crate::ops::columnar::dedup_ids_by_key;
 use crate::schema::Schema;
+use crate::span::IntSpan;
 use crate::value::Value;
 use std::fmt;
 use std::sync::OnceLock;
@@ -64,16 +65,44 @@ fn row_hashes(cols: &[Column], nrows: usize) -> Vec<u64> {
 }
 
 /// The ids of the first occurrence of each distinct tuple, in row order, or
-/// `None` when every tuple is distinct. Rows whose cells pack into 64 bits
-/// are compared as exact packed keys; wider rows by row hash, then cell by
-/// cell.
-fn first_occurrences(cols: &[Column], nrows: usize) -> Option<Vec<u32>> {
-    match packed_fields(cols) {
-        Some(fields) => packed_first_occurrences(&fields, nrows),
+/// `None` when every tuple is distinct; and which path found them (the
+/// `path` of a load's `tsv/dedup` span).
+///
+/// 1. `key_column`: a column whose cells are pairwise distinct makes every
+///    row distinct. A column qualifies for the proof when a bitmap over its
+///    span — integer values, or dictionary codes (a pool holds each value
+///    once) — takes at most `nrows` bytes; one pass over it stops at the
+///    first repeat. No key is packed and no table built.
+/// 2. `packed`: rows whose cells pack into 64 bits compare as exact keys.
+/// 3. `hashed`: wider rows compare by row hash, then cell by cell.
+fn first_occurrences(cols: &[Column], nrows: usize) -> (Option<Vec<u32>>, &'static str) {
+    let mut spans = Vec::with_capacity(cols.len());
+    for col in cols {
+        let span = column_span(col);
+        let key = span.bitmap_bytes() <= nrows as u64
+            && match col {
+                Column::Int(vals) => span.all_distinct(vals.iter().copied()),
+                Column::Dict { codes, .. } => span.all_distinct(codes.iter().map(|&c| c.into())),
+            };
+        if key {
+            return (None, "key_column");
+        }
+        spans.push(span);
+    }
+    match packed_fields(cols, &spans) {
+        Some(fields) => (packed_first_occurrences(&fields, nrows), "packed"),
         None => {
             let ids = hashed_first_occurrences(cols, nrows);
-            (ids.len() < nrows).then_some(ids)
+            ((ids.len() < nrows).then_some(ids), "hashed")
         }
+    }
+}
+
+/// The span of `col`'s integer values, or of its dictionary codes.
+fn column_span(col: &Column) -> IntSpan {
+    match col {
+        Column::Int(vals) => IntSpan::of(vals),
+        Column::Dict { codes, .. } => IntSpan::of(codes),
     }
 }
 
@@ -92,33 +121,20 @@ struct PackedField<'a> {
     shift: u32,
 }
 
-/// The smallest and largest of `vals` (zeros when empty).
-fn min_max<T: Copy + Ord + Default>(vals: &[T]) -> (T, T) {
-    let Some(&first) = vals.first() else {
-        return Default::default();
-    };
-    vals.iter()
-        .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)))
-}
-
-/// The fields of `cols`' packed row keys, or `None` when their widths sum
-/// past 64 bits. A constant column has width 0 and no field.
-fn packed_fields(cols: &[Column]) -> Option<Vec<PackedField<'_>>> {
+/// The fields of `cols`' packed row keys, given each column's span, or
+/// `None` when their widths sum past 64 bits. A constant column has width 0
+/// and no field.
+fn packed_fields<'a>(cols: &'a [Column], spans: &[IntSpan]) -> Option<Vec<PackedField<'a>>> {
     let mut fields = Vec::with_capacity(cols.len());
     let mut shift = 0u32;
-    for col in cols {
-        let (min, max) = match col {
-            Column::Int(vals) => min_max(vals),
-            Column::Dict { codes, .. } => {
-                let (lo, hi) = min_max(codes);
-                (i64::from(lo), i64::from(hi))
-            }
-        };
-        // Two's-complement subtraction of the minimum is the distance from
-        // it, which fits `u64` for any two `i64`s.
-        let width = u64::BITS - (max.wrapping_sub(min) as u64).leading_zeros();
+    for (col, span) in cols.iter().zip(spans) {
+        let width = u64::BITS - span.width.leading_zeros();
         if width > 0 {
-            fields.push(PackedField { col, min, shift });
+            fields.push(PackedField {
+                col,
+                min: span.min,
+                shift,
+            });
         }
         shift += width;
         if shift > u64::BITS {
@@ -252,16 +268,30 @@ impl Relation {
     /// If `cols.len()` is not the schema's arity or a column does not have
     /// `nrows` cells.
     pub fn from_columns(schema: Schema, nrows: usize, cols: Vec<Column>) -> Self {
+        Relation::from_columns_via(schema, nrows, cols).0
+    }
+
+    /// [`Relation::from_columns`], and which path its dedup took:
+    /// `key_column`, `packed` or `hashed` (see [`first_occurrences`]).
+    pub(crate) fn from_columns_via(
+        schema: Schema,
+        nrows: usize,
+        cols: Vec<Column>,
+    ) -> (Self, &'static str) {
         assert_eq!(cols.len(), schema.arity(), "one column per attribute");
         assert!(
             cols.iter().all(|c| c.len() == nrows),
             "every column has nrows cells"
         );
-        let Some(ids) = first_occurrences(&cols, nrows) else {
-            return Relation::from_distinct_columns(schema, nrows, cols);
+        let (ids, path) = first_occurrences(&cols, nrows);
+        let Some(ids) = ids else {
+            return (Relation::from_distinct_columns(schema, nrows, cols), path);
         };
         let cols = cols.iter().map(|c| c.gather(&ids)).collect();
-        Relation::from_distinct_columns(schema, ids.len(), cols)
+        (
+            Relation::from_distinct_columns(schema, ids.len(), cols),
+            path,
+        )
     }
 
     /// The empty relation over `schema`.
@@ -308,7 +338,7 @@ impl Relation {
         debug_assert_eq!(cols.len(), schema.arity());
         debug_assert!(cols.iter().all(|c| c.len() == nrows));
         debug_assert!(
-            first_occurrences(&cols, nrows).is_none(),
+            first_occurrences(&cols, nrows).0.is_none(),
             "rows must be distinct"
         );
         Relation {
@@ -628,14 +658,77 @@ mod tests {
             (vec![wide.clone(), bit], false),
             (vec![wide, interned], false),
         ] {
-            let fields = packed_fields(&cols);
+            let spans: Vec<IntSpan> = cols.iter().map(column_span).collect();
+            let fields = packed_fields(&cols, &spans);
             assert_eq!(fields.is_some(), packed, "packed path taken");
             let want = hashed_first_occurrences(&cols, 6);
-            let got = first_occurrences(&cols, 6).unwrap_or_else(|| (0..6).collect());
+            let got = first_occurrences(&cols, 6)
+                .0
+                .unwrap_or_else(|| (0..6).collect());
             assert_eq!(got, want);
             if let Some(fields) = fields {
                 assert_eq!(packed_first_occurrences(&fields, 6), Some(want));
             }
+        }
+    }
+
+    #[test]
+    fn a_proven_key_column_skips_the_dedup() {
+        let ints = |v: &[i64]| Column::Int(std::sync::Arc::new(v.to_vec()));
+        let strs = |v: &[&str]| {
+            let mut b = ColumnBuilder::default();
+            v.iter().for_each(|s| b.push_str(s));
+            b.finish()
+        };
+        let wide = ints(&[i64::MIN, i64::MAX, 0, 1, 5, 6, 7, i64::MIN]);
+        let repeats = ints(&[1, 1, 2, 2, 3, 3, 4, 4]);
+        for (cols, path, distinct) in [
+            // Spans of 7 and 63 over 8 rows: bitmaps of 1 and 8 bytes.
+            (
+                vec![ints(&[7, 6, 5, 4, 3, 2, 1, 0]), repeats.clone()],
+                "key_column",
+                8,
+            ),
+            (
+                vec![repeats.clone(), ints(&[0, 9, 18, 27, 36, 45, 54, 63])],
+                "key_column",
+                8,
+            ),
+            (
+                vec![
+                    strs(&["a", "b", "c", "d", "e", "f", "g", "h"]),
+                    wide.clone(),
+                ],
+                "key_column",
+                8,
+            ),
+            // A span of 64 needs a 9-byte bitmap: no proof is tried.
+            (
+                vec![ints(&[0, 9, 18, 27, 36, 45, 54, 64]), repeats.clone()],
+                "packed",
+                8,
+            ),
+            // A near-key whose one repeat is the last row.
+            (
+                vec![ints(&[0, 1, 2, 3, 4, 5, 6, 0]), ints(&[0; 8])],
+                "packed",
+                7,
+            ),
+            (
+                vec![
+                    strs(&["a", "b", "c", "d", "e", "f", "g", "a"]),
+                    wide.clone(),
+                ],
+                "hashed",
+                7,
+            ),
+            (vec![wide, repeats], "hashed", 8),
+        ] {
+            let (ids, got_path) = first_occurrences(&cols, 8);
+            assert_eq!(got_path, path);
+            let want = hashed_first_occurrences(&cols, 8);
+            assert_eq!(want.len(), distinct);
+            assert_eq!(ids.unwrap_or_else(|| (0..8).collect()), want, "{path}");
         }
     }
 

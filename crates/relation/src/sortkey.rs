@@ -16,6 +16,7 @@
 //! then by row id, so the order is total and ties keep row order.
 
 use crate::column::{Column, Dict};
+use crate::span::IntSpan;
 use std::ops::{BitOrAssign, Shl, Shr};
 
 /// Which entries of a `dict_len`-entry pool `codes` uses. A gathered column
@@ -56,13 +57,8 @@ impl<'a> SortColumn<'a> {
     pub(crate) fn new(col: &'a Column) -> (Self, u64) {
         match col {
             Column::Int(vals) => {
-                let (min, max) = vals
-                    .iter()
-                    .fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-                let (min, max) = if vals.is_empty() { (0, 0) } else { (min, max) };
-                // Two's-complement subtraction of the minimum is the
-                // distance from it, which fits `u64` for any two `i64`s.
-                (SortColumn::Int { vals, min }, max.wrapping_sub(min) as u64)
+                let IntSpan { min, width } = IntSpan::of(vals);
+                (SortColumn::Int { vals, min }, width)
             }
             Column::Dict { codes, dict } => {
                 let used = used_entries(codes, dict.len());

@@ -22,8 +22,11 @@
 //! cell trimmed and sniffed or unescaped, strings interned by `&str` lookup
 //! in the column's [`ColumnBuilder`]), and each finished column keeps the
 //! vector it was parsed into. The relation loader then deduplicates once,
-//! in [`Relation::from_columns`]: on exact packed row keys when a row's
-//! cells fit in 64 bits, on row hashes otherwise. **Out:**
+//! in [`Relation::from_columns`], under a `tsv/dedup` span whose `path`
+//! names the way taken: `key_column` when one bitmap pass over a column's
+//! span proves its cells pairwise distinct (no key packed, no table
+//! built), `packed` on exact row keys when a row's cells fit in 64 bits,
+//! `hashed` on row hashes otherwise. **Out:**
 //! [`write_sorted`] ranks each dictionary once, sorts the rows as packed
 //! integer keys (no row id when every column fits in one key; a large
 //! answer's `u32` keys by radix sort), and formats each column's cells once
@@ -60,7 +63,10 @@ pub fn relation_from_tsv_reader<R: BufRead>(catalog: &mut Catalog, reader: R) ->
     let Some(schema) = schema else {
         return Err(Error::Parse("TSV input has no header line".to_string()));
     };
-    Ok(Relation::from_columns(schema, nrows, cols))
+    let mut sp = mjoin_trace::span("tsv", "dedup");
+    let (rel, path) = Relation::from_columns_via(schema, nrows, cols);
+    sp.arg("path", path);
+    Ok(rel)
 }
 
 /// Parse header-less body lines, as a [`RowFormatter`] wrote them, into a

@@ -1,7 +1,8 @@
 //! Property tests for the columnar storage layer: a relation's columns are
 //! its only layout, the row constructors keep each tuple's first occurrence,
-//! the packed-key dedup in `from_columns` keeps the ones a row-hash dedup
-//! keeps, and the per-call row copy reads the columns back exactly.
+//! the key-column proof and the packed-key dedup in `from_columns` keep the
+//! ones a row-set dedup keeps, and the per-call row copy reads the columns
+//! back exactly.
 
 use mjoin_relation::{tsv, Catalog, Column, ColumnBuilder, Error, Relation, Schema, Value};
 use proptest::prelude::*;
@@ -226,6 +227,50 @@ proptest! {
         let ints: Vec<i64> = sels.iter().map(|&(_, _, x)| x).collect();
         let columns = vec![pool.gather(&a), int_column(&ints), pool.gather(&b)];
         assert_dedup_matches_reference(columns, sels.len());
+    }
+
+    /// The key-column proof: an integer column of pairwise distinct cells
+    /// in a span under eight per row, or an interned one of distinct
+    /// strings, beside a column of few values. As a key (every row
+    /// distinct), as a near key whose last cell repeats an earlier one —
+    /// with the whole row repeated, or only that cell — and as no key at
+    /// all: `from_columns` keeps the reference's first occurrences.
+    #[test]
+    fn key_column_proof_keeps_first_occurrences(
+        interned in any::<bool>(),
+        stride in 1i64..8,
+        base in -50i64..50,
+        mut others in prop::collection::vec(0i64..3, 2..60),
+        shape in 0u8..4,
+        repeat_of in 0usize..64,
+    ) {
+        let n = others.len();
+        // A permutation of `0..n`, zigzagging from both ends.
+        let mut cells: Vec<i64> = (0..n)
+            .map(|i| if i % 2 == 0 { i / 2 } else { n - 1 - i / 2 })
+            .map(|k| base + stride * k as i64)
+            .collect();
+        let (last, earlier) = (n - 1, repeat_of % (n - 1));
+        match shape {
+            0 => {}
+            1 => {
+                cells[last] = cells[earlier];
+                others[last] = others[earlier];
+            }
+            2 => {
+                cells[last] = cells[earlier];
+                others[last] = others[earlier] + 3;
+            }
+            _ => cells.iter_mut().for_each(|v| *v %= 3),
+        }
+        let key = if interned {
+            let mut b = ColumnBuilder::with_capacity(n);
+            cells.iter().for_each(|v| b.push_str(&format!("k{v}")));
+            b.finish()
+        } else {
+            int_column(&cells)
+        };
+        assert_dedup_matches_reference(vec![key, int_column(&others)], n);
     }
 
     /// Dictionary sharing: gathering a subset of an interned column (via a
