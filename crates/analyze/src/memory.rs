@@ -21,8 +21,13 @@
 //!   `(max(n,1)·2).next_power_of_two()` 4-byte buckets plus 16 bytes per
 //!   entry, and the build rows themselves are counted at the operands'
 //!   larger arity (which side is smaller is not known statically).
-//! * Cartesian joins and semijoins build no table in this model; their
-//!   footprint is operands + head, both already counted.
+//! * The model leaves out what the executor holds beyond registers, heads
+//!   and keyed-join build tables: the index a keyed semijoin builds over
+//!   every row of its filter (on a cache miss), the empty-key index a
+//!   Cartesian join builds over its smaller operand, and the indices the
+//!   run's index cache keeps across statements — and, over input
+//!   relations, across runs. A semijoin or Cartesian statement is charged
+//!   its operands and head only. Covering these is ROADMAP item 4.
 //!
 //! ## What the certificate guarantees
 //!

@@ -38,7 +38,10 @@
 //! level of width > 1 the indices two or more of its statements share are
 //! built once and inserted. A cache passed in through [`ExecConfig::cache`]
 //! therefore warms at every thread count. A Cartesian join builds an
-//! empty-key index it never caches, and probes it the same way.
+//! empty-key index it never caches, and probes it the same way. Rewriting
+//! a register drops the indices over its old value unless that value is one
+//! of the run's inputs, so a later run over the same inputs rebuilds
+//! nothing.
 
 use crate::program::Program;
 use crate::schedule::schedule;
@@ -327,9 +330,11 @@ struct CacheEntry {
 /// The cross-statement join-index cache. Algorithm-2 programs read the same
 /// head relations many times (a semijoin sweep down the CPF tree, a join
 /// sweep back up); memoizing the build-side table turns every re-read into
-/// a probe-only statement. Bounded by resident tuples with LRU eviction;
-/// entries for a register's old value are dropped when the register is
-/// rewritten.
+/// a probe-only statement. Bounded by resident tuples and bytes with LRU
+/// eviction. When a register is rewritten the entries over its old value
+/// are dropped, unless that value is one of the run's input relations: the
+/// caller's database still holds an input, so a later run over the same
+/// relation finds its index by fingerprint instead of rebuilding it.
 ///
 /// One-shot runs build a private cache per execution; a resident server
 /// shares one behind a mutex across every session (see
@@ -621,10 +626,11 @@ impl IndexCache {
         }
     }
 
-    /// Drop every index over `rel` — called when a register holding it is
-    /// rewritten. (Another register may still alias the same value; the
-    /// cost of over-invalidating is a rebuild, never a wrong answer — all
-    /// relations are immutable.)
+    /// Drop every index over `rel` — called when a register holding a
+    /// temporary (not one of the run's inputs) is rewritten. Relations are
+    /// immutable and an index pins its relation, so this only frees memory:
+    /// over-invalidating costs a rebuild, keeping an entry never a wrong
+    /// answer.
     fn invalidate(&mut self, rel: &Arc<Relation>) {
         let ptr = Arc::as_ptr(rel) as usize;
         let stale: Vec<IndexKey> = self
@@ -679,14 +685,23 @@ impl ExecOutcome {
 struct Machine {
     bases: Vec<Arc<Relation>>,
     temps: Vec<Option<Arc<Relation>>>,
+    /// The run's input relations, the base registers' initial values.
+    inputs: Vec<Arc<Relation>>,
 }
 
 impl Machine {
     fn new(program: &Program, db: &Database) -> Self {
+        let inputs: Vec<Arc<Relation>> = db.relations().iter().cloned().map(Arc::new).collect();
         Machine {
-            bases: db.relations().iter().cloned().map(Arc::new).collect(),
+            bases: inputs.clone(),
             temps: vec![None; program.temp_names.len()],
+            inputs,
         }
+    }
+
+    /// Whether `rel` is one of the run's input relations.
+    fn is_input(&self, rel: &Arc<Relation>) -> bool {
+        self.inputs.iter().any(|input| Arc::ptr_eq(input, rel))
     }
 
     /// Read a register; unwritten variables read through their alias chain.
@@ -1023,7 +1038,11 @@ pub fn try_execute_with(
             spill_failures.extend(failed.map(|e| (i, e)));
             head_sizes[i] = value.len();
             mjoin_trace::add("exec.head_tuples", value.len() as u64);
-            if let Some(old) = m.write(head, Arc::new(value)) {
+            // Indices over an input stay cached (see `IndexCache`).
+            if let Some(old) = m
+                .write(head, Arc::new(value))
+                .filter(|old| !m.is_input(old))
+            {
                 lock_cache(cache).invalidate(&old);
             }
         }

@@ -30,9 +30,13 @@
 //!
 //! Both yield a key's rows most recently inserted first, so a probe returns
 //! the same `(build_ids, probe_ids)` whichever layout it hits. There is one
-//! probe loop ([`JoinIndex::probe`]): with `threads > 1` a probe side of at
-//! least `cutoff` rows is cut into contiguous chunks run through
-//! [`crate::par_map`], whose parts concatenate in probe order.
+//! probe loop ([`JoinIndex::probe`]), which a join runs collecting every
+//! match and a semijoin collecting only the ids of the probe rows that
+//! match, at most one each (see [`Matches`]). With `threads > 1` a probe
+//! side of at least `cutoff` rows is cut into contiguous chunks run through
+//! [`crate::par_map`], whose parts concatenate in probe order. A semijoin
+//! that keeps every target row returns the target itself, sharing its
+//! columns.
 
 use super::columnar;
 use super::hashtable::RawTable;
@@ -210,18 +214,17 @@ impl JoinIndex {
     }
 
     /// Probe the index with every row of `probe`, on the attributes the two
-    /// relations share (which must be the index's key): the indexed rows
-    /// each probe row matches, or with `first_only` just the first of them
-    /// (a semijoin needs no more), as matched `(build_ids, probe_ids)`
-    /// selection vectors — one pair per chunk, in probe order. One chunk
-    /// unless `threads > 1` and `probe` has at least `cutoff` rows.
-    pub(crate) fn probe(
+    /// relations share (which must be the index's key), collecting into one
+    /// [`Matches`] per chunk, in probe order: for a join the `(build_ids,
+    /// probe_ids)` of every indexed row each probe row matches, for a
+    /// semijoin the ids of the probe rows that match any. One chunk unless
+    /// `threads > 1` and `probe` has at least `cutoff` rows.
+    pub(crate) fn probe<M: Matches>(
         &self,
         probe: &Relation,
         threads: usize,
         cutoff: usize,
-        first_only: bool,
-    ) -> Vec<(Vec<u32>, Vec<u32>)> {
+    ) -> Vec<M> {
         let (bpos, ppos) = join_key_positions(self.rel.schema(), probe.schema());
         debug_assert_eq!(
             &bpos[..],
@@ -236,7 +239,7 @@ impl JoinIndex {
                 match &cols[ppos[0]] {
                     Column::Int(vals) => {
                         let candidates = |&v: &i64| at(dense.offset(v));
-                        probe_chunks(vals, threads, cutoff, first_only, candidates, any)
+                        probe_chunks(vals, threads, cutoff, candidates, any)
                     }
                     Column::Dict { codes, dict } => {
                         // Each pool entry's offset, once per probe: an
@@ -245,7 +248,7 @@ impl JoinIndex {
                             .map(|c| dict.value(c).as_int().map_or(u64::MAX, |v| dense.offset(v)))
                             .collect();
                         let candidates = |&c: &u32| at(offsets[c as usize]);
-                        probe_chunks(codes, threads, cutoff, first_only, candidates, any)
+                        probe_chunks(codes, threads, cutoff, candidates, any)
                     }
                 }
             }
@@ -254,7 +257,7 @@ impl JoinIndex {
                 let (bcols, bpos, ppos) = (self.rel.columns(), &self.key_pos[..], &ppos[..]);
                 let candidates = |&h: &u64| table.candidates(h);
                 let eq = |bi: usize, j: usize| columnar::ids_eq(bcols, bpos, bi, cols, ppos, j);
-                probe_chunks(&ph, threads, cutoff, first_only, candidates, eq)
+                probe_chunks(&ph, threads, cutoff, candidates, eq)
             }
         }
     }
@@ -267,58 +270,101 @@ impl JoinIndex {
         threads: usize,
         cutoff: usize,
     ) -> (Relation, usize) {
-        let parts = self.probe(probe, threads, cutoff, false);
+        let parts: Vec<Pairs> = self.probe(probe, threads, cutoff);
         let out_schema = self.rel.schema().union(probe.schema());
         let out = columnar::materialize_join(&self.rel, probe, &out_schema, &parts);
         (out, parts.len())
     }
 
     /// `target ⋉ self.relation()`, and the number of chunks it was probed
-    /// in; see [`JoinIndex::probe`].
+    /// in; see [`JoinIndex::probe`]. When every target row survives the
+    /// result is `target` itself, sharing its column payloads and memoized
+    /// fingerprint, not a gathered copy.
     pub(crate) fn semijoin(
         &self,
         target: &Relation,
         threads: usize,
         cutoff: usize,
     ) -> (Relation, usize) {
-        let mut parts = self.probe(target, threads, cutoff, true);
+        let mut parts: Vec<Vec<u32>> = self.probe(target, threads, cutoff);
         let chunks = parts.len();
+        let kept: usize = parts.iter().map(Vec::len).sum();
+        if kept == target.len() {
+            return (target.clone(), chunks);
+        }
         let ids: Vec<u32> = if chunks == 1 {
-            parts.swap_remove(0).1
+            parts.swap_remove(0)
         } else {
-            parts.into_iter().flat_map(|(_, pids)| pids).collect()
+            parts.concat()
         };
         (columnar::gather_relation(target, &ids), chunks)
+    }
+}
+
+/// A join's matches in one probe chunk: `(build_ids, probe_ids)`.
+pub(crate) type Pairs = (Vec<u32>, Vec<u32>);
+
+/// What one chunk of [`JoinIndex::probe`] collects from the matches
+/// `(build row, probe row)` it finds.
+pub(crate) trait Matches: Send {
+    /// Whether a probe row stops at its first match.
+    const FIRST_ONLY: bool;
+    /// An empty collection for a chunk of `rows` probe rows.
+    fn for_chunk(rows: usize) -> Self;
+    /// Record that probe row `probe_row` matches build row `build_row`.
+    fn push(&mut self, build_row: u32, probe_row: u32);
+}
+
+/// A join keeps every match, growing as they come.
+impl Matches for Pairs {
+    const FIRST_ONLY: bool = false;
+    fn for_chunk(_: usize) -> Self {
+        (Vec::new(), Vec::new())
+    }
+    #[inline]
+    fn push(&mut self, build_row: u32, probe_row: u32) {
+        self.0.push(build_row);
+        self.1.push(probe_row);
+    }
+}
+
+/// A semijoin keeps the probe row of its first match, at most one per probe
+/// row, so the chunk's length bounds the collection.
+impl Matches for Vec<u32> {
+    const FIRST_ONLY: bool = true;
+    fn for_chunk(rows: usize) -> Self {
+        Vec::with_capacity(rows)
+    }
+    #[inline]
+    fn push(&mut self, _: u32, probe_row: u32) {
+        Vec::push(self, probe_row);
     }
 }
 
 /// The one probe loop behind [`JoinIndex::probe`], over one key per probe
 /// row: `candidates(key)` yields the build rows that may match, in the
 /// order the pairs are emitted, and `verify(build_row, probe_row)` confirms
-/// each (only the first confirmed with `first_only`).
-fn probe_chunks<K: Sync, I: Iterator<Item = usize>>(
+/// each (only the first confirmed with [`Matches::FIRST_ONLY`]).
+fn probe_chunks<M: Matches, K: Sync, I: Iterator<Item = usize>>(
     keys: &[K],
     threads: usize,
     cutoff: usize,
-    first_only: bool,
     candidates: impl Fn(&K) -> I + Sync,
     verify: impl Fn(usize, usize) -> bool + Sync,
-) -> Vec<(Vec<u32>, Vec<u32>)> {
+) -> Vec<M> {
     let probe_range = |(start, end): (usize, usize)| {
-        let mut bids: Vec<u32> = Vec::new();
-        let mut pids: Vec<u32> = Vec::new();
+        let mut out = M::for_chunk(end - start);
         for (j, key) in (start..).zip(&keys[start..end]) {
             for bi in candidates(key) {
                 if verify(bi, j) {
-                    bids.push(bi as u32);
-                    pids.push(j as u32);
-                    if first_only {
+                    out.push(bi as u32, j as u32);
+                    if M::FIRST_ONLY {
                         break;
                     }
                 }
             }
         }
-        (bids, pids)
+        out
     };
     let n = keys.len();
     if threads <= 1 || n < cutoff {

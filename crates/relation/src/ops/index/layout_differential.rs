@@ -1,10 +1,11 @@
 //! The dense and hash layouts of a [`JoinIndex`] against each other and
 //! against a nested-loop reference: the same `(build_ids, probe_ids)`,
 //! chunk for chunk, at 1, 2, 4 and 8 threads with every probe chunked
-//! (cutoff 0), for joins and for semijoins — over negative keys, keys whose
-//! span overflows, one key repeated thousands of times, interned probe
-//! columns mixing strings and integers, empty sides, and spans on both
-//! sides of the byte rule that picks the layout.
+//! (cutoff 0), for joins and for semijoins (probe ids only) — over negative
+//! keys, keys whose span overflows, one key repeated thousands of times,
+//! interned probe columns mixing strings and integers, empty sides, and
+//! spans on both sides of the byte rule that picks the layout. A semijoin
+//! shares its target's columns exactly when it keeps every row.
 
 use super::*;
 use crate::attr::Catalog;
@@ -12,8 +13,6 @@ use crate::column::ColumnBuilder;
 use crate::schema::Schema;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-type Ids = Vec<(Vec<u32>, Vec<u32>)>;
 
 /// A relation over `AB` (build) or `BC` (probe): `B` holds `keys` and the
 /// other attribute numbers the rows, so every row is distinct.
@@ -58,7 +57,8 @@ fn hashed(index: &JoinIndex) -> JoinIndex {
 }
 
 /// Nested loops: for each probe row, every build row with an equal key,
-/// the latest first (the first one only with `first_only`).
+/// the latest first (the first one only with `first_only`, as a semijoin
+/// keeps it).
 fn reference(build: &Relation, probe: &Relation, first_only: bool) -> (Vec<u32>, Vec<u32>) {
     let (bcol, pcol) = (&build.columns()[1], &probe.columns()[0]);
     let (mut bids, mut pids) = (Vec::new(), Vec::new());
@@ -74,32 +74,98 @@ fn reference(build: &Relation, probe: &Relation, first_only: bool) -> (Vec<u32>,
     (bids, pids)
 }
 
-fn concat(ids: &Ids) -> (Vec<u32>, Vec<u32>) {
+fn concat(ids: &[Pairs]) -> (Vec<u32>, Vec<u32>) {
     let bids = ids.iter().flat_map(|(b, _)| b.iter().copied()).collect();
     let pids = ids.iter().flat_map(|(_, p)| p.iter().copied()).collect();
     (bids, pids)
 }
 
 /// `build`'s index takes `layout`, and both layouts probe `probe` to the
-/// reference's ids at every thread count, joins and semijoins alike.
+/// reference's ids at every thread count: every match for a join, the
+/// probe rows that match any for a semijoin.
 fn check(build: &Relation, probe: &Relation, layout: &str, what: &str) {
     let index = JoinIndex::build(Arc::new(build.clone()), vec![1]);
     assert_eq!(index.layout(), layout, "{what}: layout");
     let hash = hashed(&index);
-    for first_only in [false, true] {
-        let want = reference(build, probe, first_only);
-        for threads in [1, 2, 4, 8] {
-            let got = index.probe(probe, threads, 0, first_only);
-            assert!(
-                got == hash.probe(probe, threads, 0, first_only),
-                "{what}: layouts differ at {threads} threads, first_only {first_only}"
-            );
-            assert!(
-                concat(&got) == want,
-                "{what}: reference differs at {threads} threads, first_only {first_only}"
-            );
-            if threads > 1 && probe.len() > 1 {
-                assert!(got.len() > 1, "{what}: {threads} threads ran one chunk");
+    let want_pairs = reference(build, probe, false);
+    let want_ids = reference(build, probe, true).1;
+    for threads in [1, 2, 4, 8] {
+        let pairs: Vec<Pairs> = index.probe(probe, threads, 0);
+        assert!(
+            pairs == hash.probe::<Pairs>(probe, threads, 0),
+            "{what}: join layouts differ at {threads} threads"
+        );
+        assert!(
+            concat(&pairs) == want_pairs,
+            "{what}: join reference differs at {threads} threads"
+        );
+        let ids: Vec<Vec<u32>> = index.probe(probe, threads, 0);
+        assert!(
+            ids == hash.probe::<Vec<u32>>(probe, threads, 0),
+            "{what}: semijoin layouts differ at {threads} threads"
+        );
+        assert!(
+            ids.concat() == want_ids,
+            "{what}: semijoin reference differs at {threads} threads"
+        );
+        if threads > 1 && probe.len() > 1 {
+            assert!(pairs.len() > 1, "{what}: {threads} threads ran one chunk");
+            assert!(ids.len() > 1, "{what}: {threads} threads ran one chunk");
+        }
+    }
+}
+
+/// Whether `a` and `b` hold the same column payload allocations.
+fn shares_columns(a: &Relation, b: &Relation) -> bool {
+    a.columns().iter().zip(b.columns()).all(|pair| match pair {
+        (Column::Int(x), Column::Int(y)) => Arc::ptr_eq(x, y),
+        (Column::Dict { codes: x, .. }, Column::Dict { codes: y, .. }) => Arc::ptr_eq(x, y),
+        _ => false,
+    })
+}
+
+/// A semijoin equals the target gathered at the reference's surviving ids,
+/// at every thread count and on both layouts, and shares the target's
+/// column payloads exactly when every row survives: for targets that keep
+/// every row, all but one (first, middle or last), and none.
+#[test]
+fn a_semijoin_shares_its_target_exactly_when_every_row_survives() {
+    let mut c = Catalog::new();
+    let build: Vec<i64> = (0..300).map(|i| (i * 37) % 250).collect();
+    let b = keyed(&mut c, "AB", ints(&build));
+    let index = JoinIndex::build(Arc::new(b.clone()), vec![1]);
+    assert_eq!(index.layout(), "dense");
+    let hash = hashed(&index);
+    let kept: Vec<i64> = (0..700).map(|i| (i * 13) % 250).collect();
+    let mut targets = vec![("every row", kept.clone())];
+    for at in [0, 350, 699] {
+        let mut keys = kept.clone();
+        keys[at] = 250 + at as i64;
+        targets.push(("all but one", keys));
+    }
+    targets.push(("none", (0..700).map(|i| -1 - i).collect()));
+    for (what, keys) in targets {
+        // Numbered rows, and rows labelled by an interned string column.
+        let mut labels = ColumnBuilder::with_capacity(keys.len());
+        for i in 0..keys.len() {
+            labels.push_str(&format!("s{i}"));
+        }
+        let schema = Schema::from_chars(&mut c, "BC");
+        let labelled =
+            Relation::from_columns(schema, keys.len(), vec![ints(&keys), labels.finish()]);
+        assert!(labelled.columns()[1].is_interned());
+        for target in [keyed(&mut c, "BC", ints(&keys)), labelled] {
+            let want = columnar::gather_relation(&target, &reference(&b, &target, true).1);
+            let every = want.len() == target.len();
+            assert_eq!(every, what == "every row", "{what}");
+            for threads in [1, 2, 4, 8] {
+                for idx in [&index, &hash] {
+                    let (got, chunks) = idx.semijoin(&target, threads, 0);
+                    let at = format!("{what}, {} layout, {threads} threads", idx.layout());
+                    assert_eq!(got, want, "{at}");
+                    assert_eq!(chunks > 1, threads > 1, "{at}: chunks");
+                    assert_eq!(shares_columns(&got, &target), every, "{at}: sharing");
+                }
             }
         }
     }

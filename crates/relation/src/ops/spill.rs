@@ -19,6 +19,7 @@
 //! per-statement build-side bound, never from runtime sizes.
 
 use super::columnar::output_columns;
+use super::index::Pairs;
 use super::{join_key_positions, key_hashes, JoinIndex};
 use crate::column::{Column, ColumnBuilder};
 use crate::relation::Relation;
@@ -145,7 +146,7 @@ pub fn grace_hash_join(
         let _span = mjoin_trace::span("spill", "join");
         let (index, probe) = JoinIndex::on_smaller(Arc::new(lpart), Arc::new(rpart));
         let sources = output_columns(index.relation(), &probe, &out_schema);
-        for (bids, pids) in index.probe(&probe, 1, 0, false) {
+        for (bids, pids) in index.probe::<Pairs>(&probe, 1, 0) {
             for (b, &(col, from_probe)) in out.iter_mut().zip(&sources) {
                 b.extend_gathered(col, if from_probe { &pids } else { &bids });
             }

@@ -1,6 +1,7 @@
 //! End-to-end tests of `mjoin_cli serve` / `mjoin_cli client`: a real
 //! server process on an OS-assigned port, driven over the wire.
 
+use mjoin::serve::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
 
@@ -240,4 +241,66 @@ fn cq_query_tsv_escapes_hostile_strings() {
     );
     c.cmd("shutdown", &[]).unwrap();
     assert!(server.wait().expect("server exits").success());
+}
+
+/// A warm `run` of a compiled reducer that rewrites its hub finds every
+/// index it wants in the server's cache: the hub's index outlives the
+/// rewrite, so the second run's response carries the first's cumulative
+/// `cache.miss`.
+#[test]
+fn a_warm_run_of_a_hub_rewriting_reducer_misses_nothing() {
+    let (mut server, addr) = spawn_server(&[]);
+    // Rows `(k, tag + k)` for every key `k`.
+    let load = |name: &str, head: &str, keys: std::ops::Range<i64>, tag: i64| {
+        let rows: String = keys.map(|k| format!("{k}\\t{}\\n", tag + k)).collect();
+        format!(
+            "{{\"cmd\":\"load\",\"catalog\":\"h\",\"name\":\"{name}\",\"tsv\":\"{head}\\n{rows}\"}}\n"
+        )
+    };
+    let run = "{\"cmd\":\"run\",\"catalog\":\"h\",\"name\":\"r\"}\n";
+    let requests = [
+        load("ab", "A\\tB", 0..30, 0),
+        load("bc", "B\\tC", 0..40, 100),
+        load("bd", "B\\tD", 5..40, 200),
+        "{\"cmd\":\"compile\",\"catalog\":\"h\",\"name\":\"r\",\"scheme\":\"AB,BC,BD\",\
+         \"program\":\"R(BC) := R(BC) ⋉ R(AB)\\nR(BD) := R(BD) ⋉ R(AB)\\n\
+         R(AB) := R(AB) ⋉ R(BC)\\nR(AB) := R(AB) ⋉ R(BD)\"}\n"
+            .to_string(),
+        run.to_string(),
+        run.to_string(),
+        "{\"cmd\":\"shutdown\"}\n".to_string(),
+    ];
+    let (ok, out) = run_client(&addr, &requests.concat());
+    assert!(ok, "every request succeeds:\n{out}");
+    let runs: Vec<Value> = out
+        .lines()
+        .filter_map(|line| Value::parse(line).ok())
+        .filter(|v| v.get("cmd").and_then(Value::as_str) == Some("run"))
+        .collect();
+    assert_eq!(runs.len(), 2, "two run responses:\n{out}");
+    let counter = |run: &Value, name: &str| {
+        run.get("cache")
+            .and_then(|c| c.get(name))
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("cache.{name} in {out}"))
+    };
+    for run in &runs {
+        let rows = run.get("rows").and_then(Value::as_u64);
+        assert_eq!(rows, Some(25), "the hub keeps B in 5..30:\n{out}");
+    }
+    assert!(
+        counter(&runs[0], "miss") > 0,
+        "the first run builds:\n{out}"
+    );
+    assert_eq!(
+        counter(&runs[1], "miss"),
+        counter(&runs[0], "miss"),
+        "the warm run missed:\n{out}"
+    );
+    assert!(
+        counter(&runs[1], "hit") > counter(&runs[0], "hit"),
+        "the warm run hits:\n{out}"
+    );
+    let status = server.wait().expect("server exits");
+    assert!(status.success(), "server exits 0 after shutdown");
 }
