@@ -171,12 +171,6 @@ impl AuditReport {
         self.report.clean_at(Severity::Error)
     }
 
-    /// The loosest per-statement gap `bound / measured` in the program.
-    #[must_use]
-    pub fn worst_gap(&self) -> f64 {
-        self.rows.iter().map(StmtAudit::gap).fold(1.0, f64::max)
-    }
-
     /// The statement where the estimator was most wrong: `(stmt index,
     /// q-error)` of the largest [`StmtAudit::q_error`], or `None` when no
     /// row carries an estimate.
@@ -308,7 +302,6 @@ mod tests {
         // Differential: rows sum to the ledger's generated total.
         let heads: u64 = rep.rows.iter().map(|r| r.measured).sum();
         assert_eq!(rep.inputs + heads, rep.cost);
-        assert!(rep.worst_gap() >= 1.0);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Shared helpers for the experiment binaries (`exp_e1` … `exp_e9`).
 
-use mjoin_expr::JoinTree;
 use mjoin_hypergraph::{DbScheme, RelSet};
 use mjoin_optimizer::CostOracle;
 use mjoin_workloads::Example3;
@@ -18,14 +17,6 @@ pub struct Example3Oracle<'a> {
 impl CostOracle for Example3Oracle<'_> {
     fn subjoin_size(&mut self, set: RelSet) -> u64 {
         u64::try_from(self.ex.subjoin_size(self.scheme, set)).unwrap_or(u64::MAX)
-    }
-}
-
-impl Example3Oracle<'_> {
-    /// Closed-form tree cost in `u128` (the `u64` trait method saturates at
-    /// very large `m`).
-    pub fn tree_cost_u128(&self, tree: &JoinTree) -> u128 {
-        self.ex.tree_cost(self.scheme, tree)
     }
 }
 

@@ -32,6 +32,8 @@
 //! one-shot run with no budget pays for none of them.
 
 use crate::pipeline::{derive, PipelineError};
+use crate::wcoj::{select, wcoj_join};
+pub use crate::wcoj::{ExecutorKind, Selection};
 use mjoin_analyze::{
     admission_report_with, memory_report_with, AdmissionReport, AnalysisCx, Certificate,
     MemCertificate,
@@ -44,8 +46,6 @@ use mjoin_program::{
     SpillPlan, ValidateError, ValidationInfo,
 };
 use mjoin_relation::{Catalog, CostKind, CostLedger, Database, Relation};
-pub use mjoin_wcoj::ExecutorKind;
-use mjoin_wcoj::{select, wcoj_join, Selection};
 use std::cell::OnceCell;
 use std::fmt;
 use std::sync::Arc;
@@ -447,8 +447,9 @@ impl Prepared {
     /// and derive the spill plan — before a tuple moves.
     ///
     /// `auto` takes the worst-case-optimal join exactly when the AGM bound
-    /// is strictly below the program's certificate ([`mjoin_wcoj::select`]).
-    /// On that executor only `max_cost` applies, against the AGM bound.
+    /// is strictly below the program's certificate (`select`, in the
+    /// private `wcoj` module). On that executor only `max_cost` applies,
+    /// against the AGM bound.
     pub fn admit(&self, limits: &Limits) -> Result<Admitted<'_>, Rejection> {
         let analysis = self.analysis();
         let decision = match self.requested {

@@ -15,7 +15,9 @@
 //! * [`engine`]: the one `prepare → admit → execute` path every front end
 //!   (CLI, server, conjunctive-query compiler, bench bins) runs requests
 //!   through — tree search, certificates, executor choice, admission and
-//!   the spill plan live there and nowhere else.
+//!   the spill plan live there and nowhere else. The worst-case-optimal
+//!   join it can choose instead of a program, and the `auto` policy that
+//!   chooses it, sit beside it in a private module.
 
 #![warn(missing_docs)]
 
@@ -25,15 +27,14 @@ pub mod alg2;
 pub mod bounds;
 pub mod choice;
 pub mod engine;
-pub mod explain;
 pub mod pipeline;
+mod wcoj;
 
 pub use ablate::{ablate_program, Ablation};
 pub use alg1::{algorithm1, algorithm1_all_outcomes, algorithm1_with_policy, Alg1Error};
 pub use alg2::{algorithm2, algorithm2_with_provenance, Alg2Error, Alg2Provenance, StmtOrigin};
 pub use bounds::{check_theorem1, check_theorem2, BoundReport};
 pub use choice::{ChoicePolicy, CostAwareChoice, FirstChoice, ScriptedChoice, SeededChoice};
-pub use explain::explain;
 pub use pipeline::{
     derive, derive_with_policy, run_pipeline, run_pipeline_with, Derivation, PipelineError,
     PipelineRun,

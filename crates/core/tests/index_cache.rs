@@ -5,7 +5,8 @@
 //! sequentially and in parallel across thread counts. Includes programs that rewrite a register
 //! between reads (exercising invalidation), fan-out levels that share one
 //! prebuilt index, budgets small enough to force eviction, and warm runs
-//! of a reducer that rewrites its base registers on one shared cache.
+//! of a reducer that rewrites its base registers on one shared cache —
+//! among them one over two equal-valued relations on different attributes.
 //!
 //! The trace sink is process-global, so the tests take turns ([`serial`]):
 //! one that reads exact counters must not absorb another's.
@@ -20,6 +21,7 @@ use mjoin_program::{
 use mjoin_relation::ops::{join_key_positions, JoinIndex};
 use mjoin_relation::{relation_of_ints, Catalog, Database};
 use mjoin_workloads::{random_database, DataGenConfig};
+use std::cell::RefCell;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -308,16 +310,17 @@ fn rewriting_reducer(c: &mut Catalog) -> (Program, Database) {
     (b.finish(Reg::Base(0)), db)
 }
 
-/// Three runs of `p` on one cache built at the given budgets: each run's
-/// outcome must equal a fresh-cache run's, and the cache's entry count
-/// after each run is returned with the run's `(miss, insert)` counts.
+/// Three runs of `p` on one cache built at the given budgets, each over the
+/// database `db` returns for it: each run's outcome must equal a
+/// fresh-cache run's, and the cache's entry count after each run is
+/// returned with the run's `(miss, insert)` counts.
 fn warm_runs(
     p: &Program,
-    db: &Database,
+    db: &dyn Fn() -> Database,
     threads: usize,
     budget_bytes: u64,
 ) -> Vec<(usize, u64, u64)> {
-    let fresh = execute_with(p, db, &ExecConfig::with_threads(threads));
+    let fresh = execute_with(p, &db(), &ExecConfig::with_threads(threads));
     let shared = IndexCache::shared(DEFAULT_CACHE_TUPLES, budget_bytes);
     let cfg = ExecConfig {
         cache: Some(Arc::clone(&shared)),
@@ -327,7 +330,7 @@ fn warm_runs(
         .map(|run| {
             mjoin_trace::set_enabled(true);
             mjoin_trace::clear();
-            let out = execute_with(p, db, &cfg);
+            let out = execute_with(p, &db(), &cfg);
             let t = mjoin_trace::take();
             mjoin_trace::set_enabled(false);
             let at = format!("run {run}, {threads} threads, {budget_bytes} bytes");
@@ -359,7 +362,7 @@ fn warm_runs_of_a_rewriting_reducer_build_nothing() {
     let key = join_key_positions(hub.schema(), db.relations()[1].schema()).0;
     let hub_bytes = JoinIndex::build(Arc::new(hub.clone()), key).resident_bytes() as u64;
     for threads in [1, 4] {
-        let runs = warm_runs(&p, &db, threads, DEFAULT_CACHE_BYTES);
+        let runs = warm_runs(&p, &|| db.clone(), threads, DEFAULT_CACHE_BYTES);
         let (entries, miss, insert) = runs[0];
         assert!(miss > 0 && insert > 0, "run 1 builds at {threads} threads");
         for &(e, m, i) in &runs[1..] {
@@ -368,11 +371,58 @@ fn warm_runs_of_a_rewriting_reducer_build_nothing() {
         }
         // Under the budget every run is a cold run: it caches nothing and
         // misses as often as the first.
-        let cold = warm_runs(&p, &db, threads, hub_bytes - 1);
+        let cold = warm_runs(&p, &|| db.clone(), threads, hub_bytes - 1);
         for &(e, m, i) in &cold {
             assert_eq!(e, 0, "an index was cached under the budget");
             assert_eq!(m, cold[0].1, "runs under the budget differ");
             assert!(m >= miss && i == m, "every miss builds and offers an index");
+        }
+    }
+}
+
+/// Two spokes with the same values on different attributes: their
+/// fingerprints are equal, their schemas are not. Every run reads its
+/// relations from a fresh `Database`, as a server resolves a catalog per
+/// request, so a warm run finds each index through the fingerprint
+/// directory. Keyed on the schema too, the spokes keep one alias each
+/// instead of overwriting each other's, and runs 2 and 3 build nothing.
+#[test]
+fn warm_runs_over_equal_valued_spokes_build_nothing() {
+    let _serial = serial();
+    let mut c = Catalog::new();
+    let scheme = DbScheme::parse(&mut c, &["AB", "BC", "BD"]);
+    let c = RefCell::new(c);
+    let hub: Vec<Vec<i64>> = (0..40).map(|i| vec![i, i]).collect();
+    let spoke: Vec<Vec<i64>> = (0..60)
+        .flat_map(|b| (0..4).map(move |x| vec![b, 100 + x]))
+        .collect();
+    let rel = |scheme: &str, rows: &[Vec<i64>]| {
+        let rows: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+        relation_of_ints(&mut c.borrow_mut(), scheme, &rows).unwrap()
+    };
+    let db =
+        || Database::from_relations(vec![rel("AB", &hub), rel("BC", &spoke), rel("BD", &spoke)]);
+    let spokes = db();
+    assert_eq!(
+        spokes.relation(1).fingerprint(),
+        spokes.relation(2).fingerprint(),
+        "the spokes share a fingerprint"
+    );
+    assert_ne!(spokes.relation(1).schema(), spokes.relation(2).schema());
+    let mut b = ProgramBuilder::new(&scheme);
+    for spoke in 1..=2 {
+        b.semijoin(Reg::Base(spoke), Reg::Base(0));
+    }
+    for spoke in 1..=2 {
+        b.semijoin(Reg::Base(0), Reg::Base(spoke));
+    }
+    let p = b.finish(Reg::Base(0));
+    for threads in [1, 4] {
+        let runs = warm_runs(&p, &db, threads, DEFAULT_CACHE_BYTES);
+        let (_, miss, insert) = runs[0];
+        assert!(miss > 0 && insert > 0, "run 1 builds at {threads} threads");
+        for &(_, m, i) in &runs[1..] {
+            assert_eq!((m, i), (0, 0), "a warm run missed at {threads} threads");
         }
     }
 }

@@ -101,14 +101,6 @@ impl ConjunctiveQuery {
         let body = self.body_variables();
         self.head_vars.iter().all(|v| body.contains(&v.as_str()))
     }
-
-    /// Whether the query is a *full* conjunctive query (head keeps every
-    /// body variable — a pure multi-join, no final projection).
-    pub fn is_full(&self) -> bool {
-        let body = self.body_variables();
-        body.len() == self.head_vars.len()
-            && body.iter().all(|v| self.head_vars.iter().any(|h| h == v))
-    }
 }
 
 impl fmt::Display for ConjunctiveQuery {
@@ -169,14 +161,6 @@ mod tests {
         assert!(q.is_safe());
         q.head_vars.push("w".into());
         assert!(!q.is_safe());
-    }
-
-    #[test]
-    fn fullness() {
-        let mut q = q();
-        assert!(!q.is_full());
-        q.head_vars = vec!["x".into(), "y".into(), "z".into()];
-        assert!(q.is_full());
     }
 
     #[test]

@@ -28,13 +28,12 @@
 use crate::ast::{Atom, ConjunctiveQuery, Term};
 use crate::minimize::{differential_validate, minimize};
 use crate::storage::NamedDatabase;
-use mjoin_core::engine::{self, Limits, Oracle, Plan, Rejection};
+use mjoin_core::engine::{self, ExecutorKind, Limits, Oracle, Plan, Rejection};
 use mjoin_hypergraph::{agm_ln, bound_u64, DbScheme};
 use mjoin_program::{CancelToken, Cancelled, SharedIndexCache};
 use mjoin_relation::{
     ops, tsv, AttrId, Catalog, Column, CostLedger, Database, Error, Relation, Result, Schema, Value,
 };
-use mjoin_wcoj::ExecutorKind;
 use std::borrow::Cow;
 use std::sync::Arc;
 

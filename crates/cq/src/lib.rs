@@ -29,7 +29,7 @@ pub use compile::{
 pub use datalog::{evaluate_datalog, parse_rules, DatalogResult};
 pub use hom::{contains, equivalent, homomorphism, Hom};
 pub use minimize::{differential_validate, minimize, MinimizeProof, Minimized};
-pub use mjoin_wcoj::ExecutorKind;
+pub use mjoin_core::engine::ExecutorKind;
 pub use parse::parse_query;
 pub use query_lints::{lint_query, lint_rules};
 pub use storage::{NamedDatabase, StoredRelation};

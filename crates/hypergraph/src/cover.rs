@@ -4,8 +4,9 @@
 //! at most `∏_e |R_e|^{w_e}` for any *fractional edge cover* `w`: weights
 //! `w_e ≥ 0` on the hyperedges with `Σ_{e ∋ a} w_e ≥ 1` for every attribute
 //! `a`. Worst-case-optimal joins (Generic Join) run in time proportional to
-//! the best such bound, which is why the executor selection in `mjoin-wcoj`
-//! compares it against a program's Theorem-2 certificate.
+//! the best such bound, which is why the executor selection in
+//! `mjoin_core::engine` compares it against a program's Theorem-2
+//! certificate.
 //!
 //! Minimizing `Σ w_e · ln|R_e|` over the covering polytope is a tiny LP. We
 //! do not need an LP solver: every *vertex* of the covering polytope of a

@@ -12,8 +12,8 @@
 //!   forest, which the acyclic baselines (full reducer, Yannakakis) and the
 //!   exact cost oracle's sub-join counts consume;
 //! * [`cover`]: fractional edge covers and the AGM output bound, which the
-//!   worst-case-optimal executor (`mjoin-wcoj`) compares against Theorem-2
-//!   certificates when choosing an execution strategy.
+//!   engine (`mjoin_core::engine`) compares against Theorem-2 certificates
+//!   when choosing between the program and the worst-case-optimal join.
 
 #![warn(missing_docs)]
 

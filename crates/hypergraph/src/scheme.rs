@@ -143,12 +143,6 @@ impl DbScheme {
         self.is_connected(self.all())
     }
 
-    /// Whether adding the occurrences of `addition` keeps `base ∪ addition`
-    /// connected — the test in Algorithm 1's step 3.
-    pub fn union_connected(&self, base: RelSet, addition: RelSet) -> bool {
-        self.is_connected(base.union(addition))
-    }
-
     /// Line stored relations up with this scheme's edges by attribute set:
     /// edge `i` takes the first not-yet-taken schema equal to it, so order
     /// doesn't matter and duplicate edges consume distinct relations.
@@ -257,16 +251,6 @@ mod tests {
         assert_eq!(comps[0].to_vec(), vec![0, 1, 2]);
         assert_eq!(comps[1].to_vec(), vec![3]);
         assert!(!s.fully_connected());
-    }
-
-    #[test]
-    fn union_connected_check() {
-        let (_c, s) = paper_scheme();
-        let abc = RelSet::singleton(0);
-        let efg = RelSet::singleton(2);
-        let cde = RelSet::singleton(1);
-        assert!(!s.union_connected(abc, efg));
-        assert!(s.union_connected(abc, cde));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   spaces ([`SearchSpace`]);
 //! * [`greedy`]: the smallest-result heuristic, with or without the
 //!   avoid-Cartesian-products rule;
-//! * [`iterative_improvement`] / [`simulated_annealing`]: Swami–Gupta-style
-//!   randomized search over (optionally CPF) bushy trees;
+//! * [`random_tree`]: a random-merge (optionally CPF) bushy tree, the input
+//!   tree the experiments and property tests feed the pipeline;
 //! * [`space_sizes`]: search-space statistics for the E5 experiment.
 
 #![warn(missing_docs)]
@@ -18,7 +18,6 @@
 pub mod dp;
 pub mod greedy;
 pub mod histogram;
-pub mod local;
 pub mod oracle;
 pub mod randomized;
 pub mod search_space;
@@ -26,7 +25,6 @@ pub mod search_space;
 pub use dp::{optimize, Optimized, SearchSpace};
 pub use greedy::greedy;
 pub use histogram::{q_error, Histogram, HistogramOracle};
-pub use local::{iterative_improvement, simulated_annealing, IiConfig, SaConfig};
 pub use oracle::{CostOracle, EstimateOracle, ExactOracle};
-pub use randomized::{random_neighbor, random_tree};
+pub use randomized::random_tree;
 pub use search_space::{space_sizes, SpaceSizes};

@@ -1,11 +1,6 @@
-//! Random tree generation and neighborhood moves for the randomized
-//! optimizers (iterative improvement, simulated annealing).
-//!
-//! Swami & Gupta's SIGMOD '88/'89 studies — cited by the paper as the state
-//! of practice for large join queries — search a restricted space with random
-//! transformations. We implement the same ingredients over (optionally CPF)
-//! bushy trees: a random-merge generator and two local moves, *leaf swap*
-//! and *rotation*.
+//! Random join trees: the random-merge generator over (optionally CPF)
+//! bushy trees that the experiments and property tests draw their input
+//! trees `T₁` from.
 
 use mjoin_expr::JoinTree;
 use mjoin_hypergraph::DbScheme;
@@ -46,143 +41,6 @@ pub fn random_tree<R: Rng>(scheme: &DbScheme, rng: &mut R, cpf_only: bool) -> Jo
     forest.pop().unwrap()
 }
 
-/// The local moves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Move {
-    /// Exchange the subtrees at two random leaf positions.
-    LeafSwap,
-    /// Rotate a random internal node: `(A ⋈ B) ⋈ C → A ⋈ (B ⋈ C)` or its
-    /// mirror.
-    Rotate,
-}
-
-/// Produce a random neighbor of `tree` under one of the moves. With
-/// `cpf_only`, up to `tries` attempts are made to find a CPF neighbor;
-/// returns `None` if none was found (caller keeps the current tree).
-pub fn random_neighbor<R: Rng>(
-    scheme: &DbScheme,
-    tree: &JoinTree,
-    rng: &mut R,
-    cpf_only: bool,
-    tries: usize,
-) -> Option<JoinTree> {
-    for _ in 0..tries {
-        let mv = if rng.gen_bool(0.5) {
-            Move::LeafSwap
-        } else {
-            Move::Rotate
-        };
-        let cand = apply_move(tree, rng, mv);
-        if let Some(t) = cand {
-            if !cpf_only || t.is_cpf(scheme) {
-                return Some(t);
-            }
-        }
-    }
-    None
-}
-
-fn apply_move<R: Rng>(tree: &JoinTree, rng: &mut R, mv: Move) -> Option<JoinTree> {
-    match mv {
-        Move::LeafSwap => {
-            let n = tree.num_leaves();
-            if n < 2 {
-                return None;
-            }
-            let a = rng.gen_range(0..n);
-            let mut b = rng.gen_range(0..n - 1);
-            if b >= a {
-                b += 1;
-            }
-            Some(swap_leaves(tree, a, b))
-        }
-        Move::Rotate => {
-            let sites = rotation_sites(tree);
-            if sites.is_empty() {
-                return None;
-            }
-            let site = sites[rng.gen_range(0..sites.len())];
-            Some(rotate_at(tree, site, &mut 0).expect("site index valid"))
-        }
-    }
-}
-
-/// Swap the leaves at (left-to-right) positions `a` and `b`.
-fn swap_leaves(tree: &JoinTree, a: usize, b: usize) -> JoinTree {
-    let leaves = tree.leaves();
-    let mut order = leaves.clone();
-    order.swap(a, b);
-    rebuild_with_leaves(tree, &order, &mut 0)
-}
-
-fn rebuild_with_leaves(tree: &JoinTree, order: &[usize], cursor: &mut usize) -> JoinTree {
-    match tree {
-        JoinTree::Leaf(_) => {
-            let leaf = JoinTree::leaf(order[*cursor]);
-            *cursor += 1;
-            leaf
-        }
-        JoinTree::Join(l, r) => {
-            let nl = rebuild_with_leaves(l, order, cursor);
-            let nr = rebuild_with_leaves(r, order, cursor);
-            JoinTree::join(nl, nr)
-        }
-    }
-}
-
-/// Preorder indices of internal nodes where a rotation applies (a join whose
-/// left or right child is itself a join).
-fn rotation_sites(tree: &JoinTree) -> Vec<usize> {
-    let mut sites = Vec::new();
-    let mut idx = 0;
-    collect_sites(tree, &mut idx, &mut sites);
-    sites
-}
-
-fn collect_sites(tree: &JoinTree, idx: &mut usize, sites: &mut Vec<usize>) {
-    if let JoinTree::Join(l, r) = tree {
-        let here = *idx;
-        if matches!(l.as_ref(), JoinTree::Join(_, _)) || matches!(r.as_ref(), JoinTree::Join(_, _))
-        {
-            sites.push(here);
-        }
-        *idx += 1;
-        collect_sites(l, idx, sites);
-        collect_sites(r, idx, sites);
-    }
-}
-
-/// Rotate the join at preorder internal-node index `site`.
-fn rotate_at(tree: &JoinTree, site: usize, idx: &mut usize) -> Option<JoinTree> {
-    match tree {
-        JoinTree::Leaf(_) => None,
-        JoinTree::Join(l, r) => {
-            let here = *idx;
-            *idx += 1;
-            if here == site {
-                // Prefer left rotation; fall back to right.
-                if let JoinTree::Join(a, b) = l.as_ref() {
-                    return Some(JoinTree::join(
-                        a.as_ref().clone(),
-                        JoinTree::join(b.as_ref().clone(), r.as_ref().clone()),
-                    ));
-                }
-                if let JoinTree::Join(b, c) = r.as_ref() {
-                    return Some(JoinTree::join(
-                        JoinTree::join(l.as_ref().clone(), b.as_ref().clone()),
-                        c.as_ref().clone(),
-                    ));
-                }
-                return None;
-            }
-            if let Some(nl) = rotate_at(l, site, idx) {
-                return Some(JoinTree::join(nl, r.as_ref().clone()));
-            }
-            rotate_at(r, site, idx).map(|nr| JoinTree::join(l.as_ref().clone(), nr))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,73 +71,6 @@ mod tests {
             let t = random_tree(&s, &mut rng, true);
             assert!(t.is_cpf(&s));
             assert!(t.is_exactly_over(&s));
-        }
-    }
-
-    #[test]
-    fn neighbors_preserve_leaf_multiset() {
-        let s = paper();
-        let mut rng = StdRng::seed_from_u64(3);
-        let t = random_tree(&s, &mut rng, false);
-        for _ in 0..50 {
-            if let Some(n) = random_neighbor(&s, &t, &mut rng, false, 5) {
-                let mut a = t.leaves();
-                let mut b = n.leaves();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b);
-                assert!(n.is_exactly_over(&s));
-            }
-        }
-    }
-
-    #[test]
-    fn cpf_neighbors_stay_cpf() {
-        let s = paper();
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut t = random_tree(&s, &mut rng, true);
-        for _ in 0..50 {
-            if let Some(n) = random_neighbor(&s, &t, &mut rng, true, 20) {
-                assert!(n.is_cpf(&s));
-                t = n;
-            }
-        }
-    }
-
-    #[test]
-    fn rotation_changes_shape() {
-        // ((0 ⋈ 1) ⋈ 2) has exactly one rotation site (the root) and rotating
-        // gives 0 ⋈ (1 ⋈ 2).
-        let t = JoinTree::left_deep(&[0, 1, 2]);
-        let sites = rotation_sites(&t);
-        assert_eq!(sites.len(), 1);
-        let rotated = rotate_at(&t, sites[0], &mut 0).unwrap();
-        assert_eq!(
-            rotated,
-            JoinTree::join(
-                JoinTree::leaf(0),
-                JoinTree::join(JoinTree::leaf(1), JoinTree::leaf(2))
-            )
-        );
-    }
-
-    #[test]
-    fn leaf_swap_swaps() {
-        let t = JoinTree::left_deep(&[0, 1, 2]);
-        let swapped = swap_leaves(&t, 0, 2);
-        assert_eq!(swapped.leaves(), vec![2, 1, 0]);
-    }
-
-    #[test]
-    fn no_neighbor_for_two_leaf_cpf_failure() {
-        // A 2-leaf tree has no rotation sites; leaf swap just mirrors it.
-        let mut c = Catalog::new();
-        let s = DbScheme::parse(&mut c, &["AB", "BC"]);
-        let t = JoinTree::join(JoinTree::leaf(0), JoinTree::leaf(1));
-        let mut rng = StdRng::seed_from_u64(5);
-        let n = random_neighbor(&s, &t, &mut rng, true, 10);
-        if let Some(n) = n {
-            assert!(n.is_cpf(&s));
         }
     }
 }

@@ -8,11 +8,12 @@
 use mjoin_hypergraph::{is_acyclic, DbScheme, RelSet};
 use mjoin_optimizer::{greedy, optimize, CostOracle, ExactOracle, SearchSpace};
 use mjoin_relation::fxhash::FxHashMap;
-use mjoin_relation::{ops, Catalog, Database, Relation, Schema, Value};
-use mjoin_wcoj::wcoj_join;
+use mjoin_relation::ops::{self, TrieIndex};
+use mjoin_relation::{Catalog, Database, Relation, Schema, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// The oracle this PR replaced, kept here as the reference: `|⋈ D[S]|` by
 /// building `⋈ D[S]` (Cartesian products included) and taking its length.
@@ -186,17 +187,24 @@ proptest! {
 
     /// Generic Join over every sub-database — cyclic, disconnected and
     /// repeated schemes, strings over per-relation dictionaries, empty
-    /// relations: the executor's join is the join, the planner's count is
+    /// relations: the executor's loop (`trie_join` under `trie_plan`, over
+    /// freshly built tries) computes the join, and the planner's count is
     /// its size.
     #[test]
     fn generic_join_count_is_the_wcoj_join_size(seed in any::<u64>()) {
         let (_scheme, db) = random_db(seed);
         for set in subsets(db.len()).filter(|s| !s.is_empty()) {
             let sub = db.restrict(&set.to_vec());
-            let scheme = DbScheme::from_schemas(&sub.schemas());
-            let joined = wcoj_join(&scheme, &sub, None, None).expect("not cancelled");
-            prop_assert_eq!(&joined, &sub.join_all(), "set {}", set);
             let rels: Vec<&Relation> = sub.relations().iter().collect();
+            let (order, keys) = ops::trie_plan(&rels);
+            let tries: Vec<TrieIndex> = rels
+                .iter()
+                .zip(keys)
+                .map(|(&r, key)| TrieIndex::build(Arc::new(r.clone()), key))
+                .collect();
+            let tries: Vec<&TrieIndex> = tries.iter().collect();
+            let (joined, _) = ops::trie_join(&tries, &order, &mut || false).expect("never stopped");
+            prop_assert_eq!(&joined, &sub.join_all(), "set {}", set);
             prop_assert_eq!(ops::generic_join_count(&rels), joined.len() as u64, "set {}", set);
         }
     }

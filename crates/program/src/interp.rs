@@ -259,14 +259,22 @@ fn index_key(rel: &Arc<Relation>, key_pos: &[usize]) -> IndexKey {
     (Arc::as_ptr(rel) as usize, KIND_HASH, key_pos.into())
 }
 
-/// Fallback cache key: the relation's structural [`Relation::fingerprint`]
-/// plus kind and key positions. Two `Arc`s holding the same set of tuples —
-/// an original and its TSV round-trip reload, say — share this key even
-/// though their pointer-identity [`IndexKey`]s differ.
-type FingerprintKey = (u128, u8, Box<[usize]>);
+/// Fallback cache key: the relation's structural [`Relation::fingerprint`],
+/// its schema, and kind and key positions. Two `Arc`s holding the same set
+/// of tuples over the same schema — an original and its TSV round-trip
+/// reload, say — share this key even though their pointer-identity
+/// [`IndexKey`]s differ. The fingerprint hashes values only, so the schema
+/// keeps two equal-valued relations over different attributes (two spokes
+/// of one hub, say) from overwriting each other's alias.
+type FingerprintKey = (u128, Schema, u8, Box<[usize]>);
 
 fn fingerprint_key_of(rel: &Relation, kind: u8, key_pos: &[usize]) -> FingerprintKey {
-    (rel.fingerprint(), kind, key_pos.into())
+    (
+        rel.fingerprint(),
+        rel.schema().clone(),
+        kind,
+        key_pos.into(),
+    )
 }
 
 /// A cached index of either kind. The cache stores both the program

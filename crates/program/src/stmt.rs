@@ -84,11 +84,6 @@ impl Stmt {
         matches!(self, Stmt::Semijoin { .. })
     }
 
-    /// Whether this is a projection.
-    pub fn is_project(&self) -> bool {
-        matches!(self, Stmt::Project { .. })
-    }
-
     /// Whether this is a join.
     pub fn is_join(&self) -> bool {
         matches!(self, Stmt::Join { .. })
@@ -109,7 +104,7 @@ mod tests {
         };
         assert_eq!(p.head(), Reg::Temp(0));
         assert_eq!(p.reads(), vec![Reg::Base(1)]);
-        assert!(p.is_project() && !p.is_join() && !p.is_semijoin());
+        assert!(!p.is_join() && !p.is_semijoin());
 
         let j = Stmt::Join {
             dst: Reg::Temp(1),

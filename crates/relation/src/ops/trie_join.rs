@@ -22,8 +22,8 @@
 //! The same recursion serves two sinks: [`trie_join`] gathers columns,
 //! [`trie_join_count`] only sums what the last depth would have emitted.
 //! [`trie_plan`] is the policy every caller shares — the elimination order
-//! and the trie levels that follow it — so the executor
-//! (`mjoin_wcoj::wcoj_join`, with its cache, cancellation and trace) and the
+//! and the trie levels that follow it — so the executor (`wcoj_join` beside
+//! `mjoin_core::engine`, with its cache, cancellation and trace) and the
 //! exact planner's [`generic_join_count`] eliminate the same way.
 
 use super::trie::TrieIndex;

@@ -45,11 +45,6 @@ impl Schema {
         Self::new(catalog.intern_chars(s))
     }
 
-    /// Build a schema from attribute names, interning them.
-    pub fn from_names(catalog: &mut Catalog, names: &[&str]) -> Self {
-        Self::new(names.iter().map(|n| catalog.intern(n)).collect())
-    }
-
     /// Build a schema from an [`AttrSet`].
     pub fn from_set(set: &AttrSet) -> Self {
         // AttrSet already iterates in sorted order.
@@ -212,7 +207,7 @@ mod tests {
         let (c, s) = abc();
         assert_eq!(s.display(&c).to_string(), "ABC");
         let mut c2 = c.clone();
-        let multi = Schema::from_names(&mut c2, &["id", "name"]);
+        let multi = Schema::new(vec![c2.intern("id"), c2.intern("name")]);
         assert_eq!(multi.display(&c2).to_string(), "{id,name}");
         assert_eq!(Schema::empty().display(&c).to_string(), "{}");
     }

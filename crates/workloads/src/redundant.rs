@@ -134,17 +134,6 @@ impl PlantedRedundancy {
         let reachable = n * (self.fanout - 1) + 1;
         self.domain * reachable.min(self.domain)
     }
-
-    /// Closed-form size of the full join over all atoms before the head
-    /// projection: `m·fⁿ` for the core, times `f` per planted atom kept.
-    pub fn expected_full_join_rows(&self, minimized: bool) -> u64 {
-        let steps = if minimized {
-            self.chain_len as u32
-        } else {
-            self.total_atoms() as u32
-        };
-        self.domain * self.fanout.pow(steps)
-    }
 }
 
 #[cfg(test)]
@@ -208,12 +197,5 @@ mod tests {
                 w.relation_size()
             );
         }
-    }
-
-    #[test]
-    fn full_join_blowup_is_f_per_planted_atom() {
-        let w = PlantedRedundancy::new(2, 3, 10, 2);
-        assert_eq!(w.expected_full_join_rows(true), 10 * 4);
-        assert_eq!(w.expected_full_join_rows(false), 10 * 32);
     }
 }

@@ -6,9 +6,8 @@
 //!
 //! Generates a random connected scheme + database, then compares every tree
 //! source this workspace implements — DP optima over all / CPF / linear
-//! spaces, greedy, iterative improvement, simulated annealing, and the
-//! cardinality-estimate-driven DP — and finally feeds the best tree through
-//! the paper's pipeline.
+//! spaces, greedy, and the cardinality-estimate-driven DP — and finally
+//! feeds the best tree through the paper's pipeline.
 
 use mjoin::prelude::*;
 use mjoin::workloads::schemes;
@@ -67,34 +66,6 @@ fn main() {
         "greedy (free)".into(),
         gc2,
         gt2.display(&scheme, &catalog).to_string(),
-    ));
-
-    let (iit, iic) = iterative_improvement(
-        &scheme,
-        &mut oracle,
-        &IiConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    rows.push((
-        "iterative improvement".into(),
-        iic,
-        iit.display(&scheme, &catalog).to_string(),
-    ));
-
-    let (sat, sac) = simulated_annealing(
-        &scheme,
-        &mut oracle,
-        &SaConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    rows.push((
-        "simulated annealing".into(),
-        sac,
-        sat.display(&scheme, &catalog).to_string(),
     ));
 
     // Estimate-driven DP: plan with statistics, then cost the chosen tree

@@ -83,7 +83,6 @@ pub use mjoin_program as program;
 pub use mjoin_relation as relation;
 pub use mjoin_serve as serve;
 pub use mjoin_trace as trace;
-pub use mjoin_wcoj as wcoj;
 pub use mjoin_workloads as workloads;
 
 /// One-stop imports for examples and downstream users.
@@ -111,8 +110,7 @@ pub mod prelude {
     };
     pub use mjoin_hypergraph::{gyo, is_acyclic, DbScheme, RelSet};
     pub use mjoin_optimizer::{
-        greedy, iterative_improvement, optimize, simulated_annealing, CostOracle, EstimateOracle,
-        ExactOracle, IiConfig, SaConfig, SearchSpace,
+        greedy, optimize, CostOracle, EstimateOracle, ExactOracle, SearchSpace,
     };
     pub use mjoin_program::{
         execute, execute_with, schedule, try_execute_with, validate, CancelToken, Cancelled,

@@ -5,7 +5,7 @@
 //! reference — and `auto`'s reported bounds must always justify its pick:
 //! the selected executor is never the one whose stated bound is larger.
 
-use mjoin::core::engine::{self, Limits, Oracle, Plan};
+use mjoin::core::engine::{self, Limits, Oracle, Plan, Selection};
 use mjoin::cq::{
     execute_query_naive, execute_query_with, parse_query, ComponentDecision, ExecOptions,
     ExecutorKind, NamedDatabase, PlanStrategy,
@@ -147,7 +147,7 @@ fn auto_keeps_the_program_engine_on_a_tie() {
 /// `auto` over a hub graph as the engine decides it, with no hints: the
 /// selection, and the run it leads to checked against the graph's
 /// closed-form join size.
-fn hub_auto(graph: &HubGraph, plan: Plan) -> mjoin::wcoj::Selection {
+fn hub_auto(graph: &HubGraph, plan: Plan) -> Selection {
     let mut catalog = Catalog::new();
     let scheme = graph.scheme(&mut catalog);
     let db = graph.database(&mut catalog);
