@@ -13,9 +13,13 @@
 //!
 //! ## The byte model
 //!
-//! * A register holding `n` tuples of arity `a` costs `n · a · 8` bytes:
-//!   packed ints are 8 bytes per cell, dict-interned strings are 4-byte
-//!   codes plus a shared value pool whose amortized share the flat 8 covers.
+//! * A register holding `n` tuples of arity `a` costs `n · a · 8` bytes.
+//!   [`CELL_BYTES`] = 8 is an upper bound, not the layout: an integer cell
+//!   takes 1, 2, 4 or 8 bytes by its column's span, and a dict-interned
+//!   string a 4-byte code plus a shared value pool whose amortized share the
+//!   flat 8 covers. The bound is kept on purpose, so that admission, spill
+//!   plans and every certified figure do not move with the data's spans;
+//!   pricing the bytes the executor really holds is ROADMAP item 4.
 //! * A keyed join additionally builds a hash table over its smaller
 //!   operand: `RawTable::with_capacity(n)` allocates
 //!   `(max(n,1)·2).next_power_of_two()` 4-byte buckets plus 16 bytes per

@@ -862,8 +862,10 @@ fn stmt_kind(stmt: &Stmt) -> &'static str {
 }
 
 /// [`eval_stmt`] wrapped in an `exec/stmt` span carrying the statement
-/// index, kind, and output cardinality (the data EXPLAIN ANALYZE reports),
-/// plus the I/O error of a scheduled spill that failed.
+/// index, kind, output cardinality (the data EXPLAIN ANALYZE reports) and
+/// output bytes (the head's resident column bytes, which show the width
+/// its integer cells were written at), plus the I/O error of a scheduled
+/// spill that failed.
 fn eval_stmt_traced(
     program: &Program,
     m: &Machine,
@@ -880,6 +882,7 @@ fn eval_stmt_traced(
         sp.arg("index", index);
         sp.arg("kind", stmt_kind(stmt));
         sp.arg("out_rows", value.len());
+        sp.arg("out_bytes", value.resident_col_bytes());
         if let Some(p) = spill {
             sp.arg("spill_partitions", p);
         }
@@ -1470,7 +1473,8 @@ mod tests {
         let mut c = Catalog::new();
         let r = Arc::new(relation_of_ints(&mut c, "AB", &[&[1, 2], &[3, 4]]).unwrap());
         let t = Arc::new(TrieIndex::build(Arc::clone(&r), vec![0, 1]));
-        let level_bytes = t.depth() * t.tuples() * 8; // two permuted i64 levels
+        // Two permuted levels of one-byte cells (each column spans 2).
+        let level_bytes = t.depth() * t.tuples();
         assert_eq!(t.heap_bytes(), level_bytes);
 
         let mut cache = IndexCache::with_budgets(u64::MAX, u64::MAX);

@@ -14,14 +14,15 @@
 //!
 //! The index has two memory layouts, chosen at build time:
 //!
-//! - **dense**: a key of one integer column whose values fill a range
-//!   narrow enough that `4·(span + 2) + 4·rows` bytes — a CSR of row ids
-//!   grouped by `key − min` — is no more than the hash layout would take.
-//!   A probe cell maps to its rows by one subtraction and one range check:
-//!   no hash, no chain, no cell comparison (an interned probe column maps
-//!   each pool entry once per probe, a string to no row). The keys of
-//!   Algorithm 2's statements are usually of this kind: one shared integer
-//!   attribute.
+//! - **dense**: a key of one integer column whose stored span is narrow
+//!   enough that `4·(span + 2) + 4·rows` bytes — a CSR of row ids grouped
+//!   by their cell, the key's offset from the span's minimum — is no more
+//!   than the hash layout would take. A probe cell maps to its rows by one
+//!   addition (the distance between the two columns' minimums) and one
+//!   range check: no hash, no chain, no cell comparison (an interned probe
+//!   column maps each pool entry once per probe, a string to no row). The
+//!   keys of Algorithm 2's statements are usually of this kind: one shared
+//!   integer attribute.
 //! - **hash**: a [`RawTable`] of key hashes for every other key —
 //!   multi-column, interned, sparse, or empty (Cartesian). Hashes come
 //!   batch-wise from [`columnar::key_hashes`], and collisions resolve by
@@ -41,7 +42,7 @@
 use super::columnar;
 use super::hashtable::RawTable;
 use super::join::join_key_positions;
-use crate::column::Column;
+use crate::column::{with_cells, Column, IntCells, IntColumn};
 use crate::relation::Relation;
 use crate::span::IntSpan;
 use std::sync::Arc;
@@ -76,34 +77,18 @@ struct Dense {
 }
 
 impl Dense {
-    /// The dense layout over the key cells `keys`, or `None` when it would
-    /// take more bytes than the hash layout over as many rows (a span too
-    /// wide to count in a `usize` included).
-    fn build(keys: &[i64]) -> Option<Dense> {
-        let span = IntSpan::of(keys);
+    /// The dense layout over the key column `keys`, on its stored span, or
+    /// `None` when it would take more bytes than the hash layout over as
+    /// many rows (a span too wide to count in a `usize` included). A key's
+    /// slot is its cell: the stored offset from the span's minimum.
+    fn build(keys: &IntColumn) -> Option<Dense> {
+        let (span, n) = (keys.span(), keys.len());
         let slots = usize::try_from(span.width).ok()?.checked_add(2)?;
-        let bytes = slots.checked_add(keys.len())?.checked_mul(4)?;
-        if bytes > RawTable::heap_bytes_for(keys.len()) {
+        let bytes = slots.checked_add(n)?.checked_mul(4)?;
+        if bytes > RawTable::heap_bytes_for(n) {
             return None;
         }
-        let slot = |v: i64| v.wrapping_sub(span.min) as u64 as usize;
-        // Count key `k`'s rows into `starts[k]` and sum up to where key
-        // `k`'s rows end; placing each row one below that end, in row
-        // order, leaves the latest row first and `starts[k]` where key
-        // `k`'s rows begin, so they are `starts[k]..starts[k + 1]`.
-        let mut starts = vec![0u32; slots];
-        for &v in keys {
-            starts[slot(v)] += 1;
-        }
-        for k in 1..slots {
-            starts[k] += starts[k - 1];
-        }
-        let mut rows = vec![0u32; keys.len()];
-        for (i, &v) in keys.iter().enumerate() {
-            let end = &mut starts[slot(v)];
-            *end -= 1;
-            rows[*end as usize] = i as u32;
-        }
+        let (starts, rows) = with_cells!(IntCells, keys.cells(), v => csr(v, slots));
         Some(Dense { span, starts, rows })
     }
 
@@ -126,6 +111,30 @@ impl Dense {
     fn heap_bytes(&self) -> usize {
         (self.starts.capacity() + self.rows.capacity()) * std::mem::size_of::<u32>()
     }
+}
+
+/// The CSR of [`Dense`] over `slots` slots: row ids grouped by their
+/// cell, and where each group starts.
+fn csr<T: Copy + Into<u64>>(cells: &[T], slots: usize) -> (Vec<u32>, Vec<u32>) {
+    let slot = |c: T| c.into() as usize;
+    // Count key `k`'s rows into `starts[k]` and sum up to where key `k`'s
+    // rows end; placing each row one below that end, in row order, leaves
+    // the latest row first and `starts[k]` where key `k`'s rows begin, so
+    // they are `starts[k]..starts[k + 1]`.
+    let mut starts = vec![0u32; slots];
+    for &c in cells {
+        starts[slot(c)] += 1;
+    }
+    for k in 1..slots {
+        starts[k] += starts[k - 1];
+    }
+    let mut rows = vec![0u32; cells.len()];
+    for (i, &c) in cells.iter().enumerate() {
+        let end = &mut starts[slot(c)];
+        *end -= 1;
+        rows[*end as usize] = i as u32;
+    }
+    (starts, rows)
 }
 
 impl JoinIndex {
@@ -237,9 +246,15 @@ impl JoinIndex {
                 let at = |k: u64| dense.rows_at(k).iter().map(|&bi| bi as usize);
                 let any = |_, _| true;
                 match &cols[ppos[0]] {
-                    Column::Int(vals) => {
-                        let candidates = |&v: &i64| at(dense.offset(v));
-                        probe_chunks(vals, threads, cutoff, candidates, any)
+                    Column::Int(c) => {
+                        // A probe cell `x` is the value `c.min + x`: its
+                        // offset in the build span is `x` moved by the
+                        // distance between the two minimums.
+                        let delta = dense.offset(c.span().min);
+                        with_cells!(IntCells, c.cells(), v => {
+                            let candidates = |&x: &_| at(delta.wrapping_add(u64::from(x)));
+                            probe_chunks(v, threads, cutoff, candidates, any)
+                        })
                     }
                     Column::Dict { codes, dict } => {
                         // Each pool entry's offset, once per probe: an

@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 /// other attribute numbers the rows, so every row is distinct.
 fn keyed(c: &mut Catalog, scheme: &str, keys: Column) -> Relation {
     let n = keys.len();
-    let ids = Column::Int(Arc::new((0..n as i64).collect()));
+    let ids = crate::column::tests::ints(&(0..n as i64).collect::<Vec<_>>());
     let cols = if scheme == "AB" {
         vec![ids, keys]
     } else {
@@ -28,7 +28,7 @@ fn keyed(c: &mut Catalog, scheme: &str, keys: Column) -> Relation {
 }
 
 fn ints(keys: &[i64]) -> Column {
-    Column::Int(Arc::new(keys.to_vec()))
+    crate::column::tests::ints(keys)
 }
 
 /// An interned column: `Some(v)` cells are integers, `None` cells strings.
@@ -118,7 +118,7 @@ fn check(build: &Relation, probe: &Relation, layout: &str, what: &str) {
 /// Whether `a` and `b` hold the same column payload allocations.
 fn shares_columns(a: &Relation, b: &Relation) -> bool {
     a.columns().iter().zip(b.columns()).all(|pair| match pair {
-        (Column::Int(x), Column::Int(y)) => Arc::ptr_eq(x, y),
+        (Column::Int(x), Column::Int(y)) => crate::column::tests::same_cells(x.cells(), y.cells()),
         (Column::Dict { codes: x, .. }, Column::Dict { codes: y, .. }) => Arc::ptr_eq(x, y),
         _ => false,
     })

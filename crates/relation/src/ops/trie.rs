@@ -290,7 +290,7 @@ mod tests {
         assert_eq!(Arc::as_ptr(t.relation()), ptr);
         assert_eq!(t.tuples(), 2);
         assert_eq!(t.depth(), 2);
-        assert_eq!(t.heap_bytes(), 2 * 2 * 8, "two permuted i64 levels");
+        assert_eq!(t.heap_bytes(), 2 * 2, "two permuted levels of u8 cells");
         assert!(t.resident_bytes() >= t.heap_bytes());
     }
 

@@ -5,8 +5,10 @@
 //! The loop is a columnar kernel like the ones in `ops/columnar.rs`:
 //!
 //! * **Typed seeks.** The value every participant must reach is hoisted out
-//!   of its column once ([`Cell`]), and each seek gallops over one `&[i64]`
-//!   (or codes + pool) slice against it.
+//!   of its column once ([`Cell`]), and each seek translates it into the
+//!   sought column's cell domain (its distance from that column's minimum)
+//!   and gallops over one slice of `u8`…`u64` cells (or codes + pool)
+//!   against it.
 //! * **No allocation in the recursion.** Cursors, run ends and node ranges
 //!   live in scratch sized once from the participants of every depth; a
 //!   trie level's node range is indexed by `(trie, level)`, so descending
@@ -28,7 +30,7 @@
 
 use super::trie::TrieIndex;
 use crate::attr::AttrId;
-use crate::column::Column;
+use crate::column::{with_cells, Column, IntCells};
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::value::Value;
@@ -325,7 +327,7 @@ impl<'a> Cell<'a> {
     #[inline]
     fn of(col: &'a Column, i: usize) -> Self {
         match col {
-            Column::Int(v) => Cell::Int(v[i]),
+            Column::Int(c) => Cell::Int(c.get(i)),
             Column::Dict { codes, dict } => match dict.value(codes[i]) {
                 Value::Int(x) => Cell::Int(*x),
                 s => Cell::Str(s),
@@ -340,7 +342,16 @@ impl<'a> Cell<'a> {
 #[inline]
 fn seek_ge(col: &Column, lo: usize, hi: usize, target: Cell<'_>) -> usize {
     match (col, target) {
-        (Column::Int(v), Cell::Int(x)) => gallop(lo, hi, |k| v[k] < x),
+        (Column::Int(c), Cell::Int(x)) => {
+            // In the cell domain: every cell is at least the minimum, so a
+            // target at or below it is met at `lo`.
+            let min = c.span().min;
+            if x <= min {
+                return lo;
+            }
+            let t = x.wrapping_sub(min) as u64;
+            with_cells!(IntCells, c.cells(), v => gallop(lo, hi, |k| u64::from(v[k]) < t))
+        }
         // Every integer sorts before every string.
         (Column::Int(_), Cell::Str(_)) => hi,
         (Column::Dict { codes, dict }, _) => {
@@ -363,10 +374,10 @@ fn seek_ge(col: &Column, lo: usize, hi: usize, target: Cell<'_>) -> usize {
 #[inline]
 fn run_end(col: &Column, i: usize, hi: usize) -> usize {
     match col {
-        Column::Int(v) => {
+        Column::Int(c) => with_cells!(IntCells, c.cells(), v => {
             let x = v[i];
             gallop(i + 1, hi, |k| v[k] == x)
-        }
+        }),
         Column::Dict { codes, dict } => {
             let c = codes[i];
             gallop(i + 1, hi, |k| {

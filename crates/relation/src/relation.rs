@@ -7,14 +7,16 @@
 //! # Storage
 //!
 //! A relation has exactly one layout: **column-major**, one [`Column`] per
-//! attribute (dense `i64` for all-integer attributes, dictionary-interned
-//! `u32` codes otherwise — see [`crate::column`]). Every operator kernel
-//! reads and writes columns, and so does every I/O edge: the TSV loader
-//! parses straight into column builders, the TSV writer sorts and prints
-//! from columns, and spill partitions go to disk and come back without a
-//! tuple being boxed ([`crate::tsv`]). [`Relation::from_columns`] is the one
-//! deduplicating constructor; the row constructors (`from_rows`,
-//! `from_tuples`) push their tuples through [`ColumnBuilder`]s into it.
+//! attribute (for an all-integer attribute, each cell's offset from the
+//! column's minimum in the narrowest of 1, 2, 4 or 8 bytes that holds the
+//! column's span; dictionary-interned `u32` codes otherwise — see
+//! [`crate::column`]). Every operator kernel reads and writes columns, and
+//! so does every I/O edge: the TSV loader parses straight into column
+//! builders, the TSV writer sorts and prints from columns, and spill
+//! partitions go to disk and come back without a tuple being boxed
+//! ([`crate::tsv`]). [`Relation::from_columns`] is the one deduplicating
+//! constructor; the row constructors (`from_rows`, `from_tuples`) push
+//! their tuples through [`ColumnBuilder`]s into it.
 //!
 //! [`Relation::rows`] is a per-call copy of the tuples as boxed rows, for
 //! tests and for edges that want values in hand; nothing memoizes it, so no
@@ -24,7 +26,7 @@
 //! reference counts instead of copying tuple data.
 
 use crate::attr::Catalog;
-use crate::column::{Column, ColumnBuilder};
+use crate::column::{with_cells, Column, ColumnBuilder, IntCells};
 use crate::error::{Error, Result};
 use crate::fxhash::mix;
 use crate::ops::columnar::dedup_ids_by_key;
@@ -70,10 +72,13 @@ fn row_hashes(cols: &[Column], nrows: usize) -> Vec<u64> {
 ///
 /// 1. `key_column`: a column whose cells are pairwise distinct makes every
 ///    row distinct. A column qualifies for the proof when a bitmap over its
-///    span — integer values, or dictionary codes (a pool holds each value
-///    once) — takes at most `nrows` bytes; one pass over it stops at the
-///    first repeat. No key is packed and no table built.
-/// 2. `packed`: rows whose cells pack into 64 bits compare as exact keys.
+///    span — an integer column's stored span, or the span of its dictionary
+///    codes (a pool holds each value once) — takes at most `nrows` bytes;
+///    one pass over it stops at the first repeat. No key is packed and no
+///    table built. A loose stored span (a gathered column's) can only make
+///    the proof decline.
+/// 2. `packed`: rows whose cells pack into 64 bits, each field as wide as
+///    its column's span, compare as exact keys.
 /// 3. `hashed`: wider rows compare by row hash, then cell by cell.
 fn first_occurrences(cols: &[Column], nrows: usize) -> (Option<Vec<u32>>, &'static str) {
     let mut spans = Vec::with_capacity(cols.len());
@@ -81,7 +86,9 @@ fn first_occurrences(cols: &[Column], nrows: usize) -> (Option<Vec<u32>>, &'stat
         let span = column_span(col);
         let key = span.bitmap_bytes() <= nrows as u64
             && match col {
-                Column::Int(vals) => span.all_distinct(vals.iter().copied()),
+                Column::Int(c) => with_cells!(IntCells, c.cells(), v => {
+                    span.all_distinct(v.iter().map(|&x| span.min.wrapping_add(u64::from(x) as i64)))
+                }),
                 Column::Dict { codes, .. } => span.all_distinct(codes.iter().map(|&c| c.into())),
             };
         if key {
@@ -98,10 +105,11 @@ fn first_occurrences(cols: &[Column], nrows: usize) -> (Option<Vec<u32>>, &'stat
     }
 }
 
-/// The span of `col`'s integer values, or of its dictionary codes.
+/// The stored span of `col`'s integer values (a bound, see
+/// [`crate::column`]), or the span of its dictionary codes.
 fn column_span(col: &Column) -> IntSpan {
     match col {
-        Column::Int(vals) => IntSpan::of(vals),
+        Column::Int(c) => c.span(),
         Column::Dict { codes, .. } => IntSpan::of(codes),
     }
 }
@@ -113,8 +121,9 @@ fn hashed_first_occurrences(cols: &[Column], nrows: usize) -> Vec<u32> {
 }
 
 /// One column's field in a row's packed key: a cell's distance from the
-/// column's smallest cell — by integer value, or by code for an interned
-/// cell (a pool holds each value once) — shifted into place.
+/// column's minimum — its stored offset for an integer cell, its code's
+/// distance from the smallest code for an interned one (a pool holds each
+/// value once) — shifted into place.
 struct PackedField<'a> {
     col: &'a Column,
     min: i64,
@@ -148,16 +157,17 @@ impl PackedField<'_> {
     /// OR rows `start..start + keys.len()`' fields into their keys.
     fn pack(&self, start: usize, keys: &mut [u64]) {
         let rows = start..start + keys.len();
-        let at = |v: i64| (v.wrapping_sub(self.min) as u64) << self.shift;
+        let shift = self.shift;
         match self.col {
-            Column::Int(vals) => {
-                for (k, &v) in keys.iter_mut().zip(&vals[rows]) {
-                    *k |= at(v);
+            // The field's minimum is the column's: a cell is its offset.
+            Column::Int(c) => with_cells!(IntCells, c.cells(), v => {
+                for (k, &x) in keys.iter_mut().zip(&v[rows]) {
+                    *k |= u64::from(x) << shift;
                 }
-            }
+            }),
             Column::Dict { codes, .. } => {
                 for (k, &c) in keys.iter_mut().zip(&codes[rows]) {
-                    *k |= at(i64::from(c));
+                    *k |= (i64::from(c).wrapping_sub(self.min) as u64) << shift;
                 }
             }
         }
@@ -674,7 +684,7 @@ mod tests {
 
     #[test]
     fn a_proven_key_column_skips_the_dedup() {
-        let ints = |v: &[i64]| Column::Int(std::sync::Arc::new(v.to_vec()));
+        let ints = crate::column::tests::ints;
         let strs = |v: &[&str]| {
             let mut b = ColumnBuilder::default();
             v.iter().for_each(|s| b.push_str(s));

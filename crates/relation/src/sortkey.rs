@@ -2,9 +2,10 @@
 //! writer ([`crate::tsv::write_sorted`]) and the trie index
 //! ([`crate::ops::TrieIndex`]).
 //!
-//! Every cell becomes an order-preserving unsigned key (an integer's
-//! distance from its column's minimum, found in one pass; a dictionary
-//! entry's rank among the entries in use, the dictionary being sorted once),
+//! Every cell becomes an order-preserving unsigned key (an integer cell's
+//! stored offset from its column's minimum, the largest key being the
+//! column's stored span, so nothing is folded; a dictionary entry's rank
+//! among the entries in use, the dictionary being sorted once),
 //! so no comparison hops between columns or dereferences a
 //! [`Value`](crate::Value). As many leading columns as fit are packed into
 //! one integer per row above a row id of `bits(nrows − 1)` bits; a caller
@@ -15,8 +16,7 @@
 //! packed prefix are refined by integer compares on the remaining columns,
 //! then by row id, so the order is total and ties keep row order.
 
-use crate::column::{Column, Dict};
-use crate::span::IntSpan;
+use crate::column::{with_cells, Column, Dict, IntCells, IntColumn};
 use std::ops::{BitOrAssign, Shl, Shr};
 
 /// Which entries of a `dict_len`-entry pool `codes` uses. A gathered column
@@ -39,8 +39,8 @@ fn bits(max: u64) -> u32 {
 /// exactly when cell `i` sorts before cell `j` under the
 /// [`Value`](crate::Value) order, and a key alone identifies its cell.
 pub(crate) enum SortColumn<'a> {
-    /// Integer cells, keyed by their distance from the column minimum.
-    Int { vals: &'a [i64], min: i64 },
+    /// Integer cells, keyed by their stored offset from the column minimum.
+    Int(&'a IntColumn),
     /// Dictionary cells, keyed by the *rank* of their entry among the
     /// entries in use: the dictionary is sorted once, so comparing two
     /// cells never touches a value. `by_rank[r]` is the code ranked `r`.
@@ -56,10 +56,7 @@ impl<'a> SortColumn<'a> {
     /// The keyed view of `col`, and its largest key.
     pub(crate) fn new(col: &'a Column) -> (Self, u64) {
         match col {
-            Column::Int(vals) => {
-                let IntSpan { min, width } = IntSpan::of(vals);
-                (SortColumn::Int { vals, min }, width)
-            }
+            Column::Int(c) => (SortColumn::Int(c), c.span().width),
             Column::Dict { codes, dict } => {
                 let used = used_entries(codes, dict.len());
                 let mut by_rank: Vec<u32> = (0..dict.len() as u32)
@@ -85,7 +82,7 @@ impl<'a> SortColumn<'a> {
     #[inline]
     pub(crate) fn key(&self, i: usize) -> u64 {
         match self {
-            SortColumn::Int { vals, min } => vals[i].wrapping_sub(*min) as u64,
+            SortColumn::Int(c) => c.offset(i),
             SortColumn::Ranked { codes, rank, .. } => u64::from(rank[codes[i] as usize]),
         }
     }
@@ -94,11 +91,11 @@ impl<'a> SortColumn<'a> {
     fn pack<K: Key>(&self, keys: &mut [K], field: Field) {
         let at = |k: &mut K, v: u64| *k |= K::of(v) << field.shift;
         match self {
-            SortColumn::Int { vals, min } => {
-                for (k, &v) in keys.iter_mut().zip(vals.iter()) {
-                    at(k, v.wrapping_sub(*min) as u64);
+            SortColumn::Int(c) => with_cells!(IntCells, c.cells(), v => {
+                for (k, &x) in keys.iter_mut().zip(v.iter()) {
+                    at(k, u64::from(x));
                 }
-            }
+            }),
             SortColumn::Ranked { codes, rank, .. } => {
                 for (k, &c) in keys.iter_mut().zip(codes.iter()) {
                     at(k, u64::from(rank[c as usize]));

@@ -5,8 +5,10 @@
 //! packed keys and key-column proof ([`crate::Relation::from_columns`]), the
 //! sort keys shared by the TSV writer and the trie index, the dense
 //! [`crate::ops::JoinIndex`] layout, and the estimate oracle's distinct
-//! counts. Each keeps its own threshold, in bytes; they share this fold and
-//! this bitmap.
+//! counts. Each keeps its own threshold, in bytes; they share this bitmap.
+//! An integer column stores its span ([`crate::column::IntColumn::span`],
+//! a bound that a gather inherits), so they read it there: the fold runs
+//! once, when a column is built from values, and over dictionary codes.
 
 /// The cells of a column lie in `min ..= min + width`: its smallest cell and
 /// the distance from there to its largest. Two's-complement subtraction of
@@ -30,6 +32,21 @@ impl IntSpan {
             let v = v.into();
             (lo.min(v), hi.max(v))
         });
+        IntSpan {
+            min,
+            width: max.wrapping_sub(min) as u64,
+        }
+    }
+
+    /// The largest value in the span.
+    pub(crate) fn max(self) -> i64 {
+        self.min.wrapping_add(self.width as i64)
+    }
+
+    /// The smallest span holding both `self` and `other`.
+    pub fn hull(self, other: IntSpan) -> IntSpan {
+        let min = self.min.min(other.min);
+        let max = self.max().max(other.max());
         IntSpan {
             min,
             width: max.wrapping_sub(min) as u64,
@@ -90,6 +107,16 @@ mod tests {
         assert_eq!(extremes.width, u64::MAX);
         assert_eq!(extremes.bitmap_bytes(), u64::MAX / 8 + 1);
         assert_eq!(IntSpan::of(&[-2i64, 3, 0]), IntSpan { min: -2, width: 5 });
+    }
+
+    #[test]
+    fn max_and_hull() {
+        let (a, b) = (IntSpan { min: -2, width: 5 }, IntSpan { min: 1, width: 9 });
+        assert_eq!((a.max(), b.max()), (3, 10));
+        assert_eq!(a.hull(b), IntSpan { min: -2, width: 12 });
+        let all = IntSpan::of(&[i64::MIN, i64::MAX]);
+        assert_eq!(a.hull(all), all);
+        assert_eq!(all.max(), i64::MAX);
     }
 
     #[test]

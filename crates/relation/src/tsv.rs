@@ -17,10 +17,11 @@
 //! Both directions are byte-level and columnar — no tuple is ever boxed as a
 //! row. **In:** one block parser works on the slices the reader's `fill_buf`
 //! hands out, copying only a line that straddles a refill. A line of plain
-//! integer cells is scanned once, straight into its columns' `i64` vectors;
-//! any other line takes the general decoder (UTF-8 check, field count, each
-//! cell trimmed and sniffed or unescaped, strings interned by `&str` lookup
-//! in the column's [`ColumnBuilder`]), and each finished column keeps the
+//! integer cells is scanned once, straight into its columns' cells, at the
+//! narrowest width the values so far need (see [`ColumnBuilder`]); any
+//! other line takes the general decoder (UTF-8 check, field count, each
+//! cell trimmed and sniffed or unescaped, strings interned by `&str`
+//! lookup in the column's builder), and each finished column keeps the
 //! vector it was parsed into. The relation loader then deduplicates once,
 //! in [`Relation::from_columns`], under a `tsv/dedup` span whose `path`
 //! names the way taken: `key_column` when one bitmap pass over a column's
@@ -463,7 +464,7 @@ impl<'a> RowFormatter<'a> {
                 buf.push(b'\t');
             }
             match col {
-                Column::Int(v) => push_int(buf, v[i]),
+                Column::Int(c) => push_int(buf, c.get(i)),
                 Column::Dict { codes, .. } => buf.extend_from_slice(cells.get(codes[i] as usize)),
             }
         }
@@ -492,13 +493,19 @@ impl KeyCells {
     /// `max(nrows, 1024)` keys: never more slots than rows, short of 1,024.
     fn new(col: &SortColumn, max_key: u64, nrows: usize, sep: u8) -> Self {
         let cells = match *col {
-            SortColumn::Int { min, .. } if max_key < nrows.max(1024) as u64 => {
+            SortColumn::Int(c) if max_key < nrows.max(1024) as u64 => {
+                let min = c.span().min;
                 Cells::of(max_key as usize + 1, |k, bytes| {
                     push_int(bytes, min.wrapping_add(k as i64));
                     bytes.push(sep);
                 })
             }
-            SortColumn::Int { min, .. } => return KeyCells::Int { min, sep },
+            SortColumn::Int(c) => {
+                return KeyCells::Int {
+                    min: c.span().min,
+                    sep,
+                }
+            }
             SortColumn::Ranked {
                 dict, ref by_rank, ..
             } => Cells::of(by_rank.len(), |r, bytes| {
@@ -569,7 +576,8 @@ const WRITE_BATCH: usize = 64 * 1024;
 ///
 /// No row is materialized and no comparison walks a dictionary. Every cell
 /// becomes an order-preserving integer key (an integer's distance from its
-/// column's minimum, found in one pass; a dictionary entry's rank, the
+/// column's minimum, which the column stores, so its largest key is the
+/// stored span and no pass finds it; a dictionary entry's rank, the
 /// dictionary being sorted once). The columns are packed into one integer
 /// per row — the narrowest of `u32`, `u64` and `u128` that holds them, with
 /// a row id only when not all of them fit — and sorted as integers, by an

@@ -5,7 +5,7 @@
 //! [`Relation::rows`]. The references share no code with the kernels — a
 //! kernel that drops or duplicates a row fails the comparison.
 
-use mjoin_relation::ops::{self, JoinIndex};
+use mjoin_relation::ops::{self, JoinIndex, TrieIndex};
 use mjoin_relation::{AttrId, Catalog, Relation, Row, Schema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -334,4 +334,120 @@ fn select_setops_rename_match_row_set_reference() {
     // A self-join through a column-reordering rename.
     let shifted = ops::rename(&r, &[(a, b), (b, z)]).unwrap();
     check_joins(&r, &shifted, "self-join via rename");
+}
+
+/// Integer spans at every cell-width edge: a single value, both sides of
+/// the `u8`, `u16` and `u32` limits, and all of `i64`.
+const EDGE_WIDTHS: [u64; 8] = [
+    0,
+    255,
+    256,
+    65_535,
+    65_536,
+    (1 << 32) - 1,
+    1 << 32,
+    u64::MAX,
+];
+
+/// A value inside every edge span, so columns of any two widths share keys.
+const ANCHOR: i64 = 5;
+
+/// `rows` distinct-by-id rows over `scheme` (an id attribute and a key
+/// attribute, in written order): the key spans exactly `width`, starting
+/// up to `below` under [`ANCHOR`], and repeats a few values around it.
+fn edge_rel(
+    c: &mut Catalog,
+    scheme: &str,
+    width: u64,
+    below: u64,
+    rows: usize,
+    rng: &mut StdRng,
+) -> Relation {
+    let min = match width {
+        u64::MAX => i64::MIN,
+        _ => ANCHOR.saturating_sub_unsigned(below.min(width)),
+    };
+    let max = min.wrapping_add(width as i64);
+    let near = [ANCHOR - 1, ANCHOR, ANCHOR + 1, ANCHOR + 2, min, max];
+    let keys = (0..rows).map(|i| match i {
+        0 => min,
+        1 => max,
+        _ if i % 3 == 0 => rng.gen_range(min..=max),
+        _ => near[rng.gen_range(0..near.len())].clamp(min, max),
+    });
+    let ids = c.intern_chars(scheme);
+    let schema = Schema::new(ids.clone());
+    let rows: Vec<Row> = keys
+        .enumerate()
+        .map(|(i, key)| {
+            let written = [Value::Int(i as i64 % 97), Value::Int(key)];
+            let mut row = vec![Value::Int(0); 2];
+            for (id, v) in ids.iter().zip(written) {
+                row[schema.position(*id).unwrap()] = v;
+            }
+            row.into()
+        })
+        .collect();
+    let rel = Relation::from_rows(schema, rows.clone()).unwrap();
+    // The columns hold what went in: a cell written at too narrow a width
+    // would read back as another value here, and nowhere else, since every
+    // reference below reads the same columns.
+    assert!(
+        row_set(&rel) == rows.into_iter().collect(),
+        "{scheme}: rows read back"
+    );
+    rel
+}
+
+/// `l ⋈ r` by [`ops::trie_join`] under [`ops::trie_plan`] against
+/// `merge_join`.
+fn check_trie_join(l: &Relation, r: &Relation, what: &str) {
+    let reference = ops::merge_join(l, r);
+    let (order, keys) = ops::trie_plan(&[l, r]);
+    let tries: Vec<TrieIndex> = [l, r]
+        .into_iter()
+        .zip(keys)
+        .map(|(rel, key)| TrieIndex::build(Arc::new(rel.clone()), key))
+        .collect();
+    let refs: Vec<&TrieIndex> = tries.iter().collect();
+    let (got, stats) = ops::trie_join(&refs, &order, &mut || false).unwrap();
+    let what = format!("{what}: trie_join");
+    assert_rows(&got, reference.schema(), &row_set(&reference), &what);
+    assert_eq!(stats.emitted, reference.len() as u64, "{what}: emitted");
+}
+
+/// Joins, semijoins, set operations and the trie join between integer
+/// columns of every edge width, at different minimums, against the
+/// references — each pair of widths meeting on a shared key, so the
+/// kernels compare, seek and gather across cell types.
+#[test]
+fn integer_columns_at_every_width_edge() {
+    let mut rng = StdRng::seed_from_u64(0xed6e);
+    for (i, &lw) in EDGE_WIDTHS.iter().enumerate() {
+        for &rw in &EDGE_WIDTHS[i..] {
+            let mut c = Catalog::new();
+            let what = format!("widths {lw} and {rw}");
+            // Different minimums: the left key starts a third of its span
+            // under the anchor, the right one at most 3 under it.
+            let l = edge_rel(&mut c, "AB", lw, lw / 3, 300, &mut rng);
+            let r = edge_rel(&mut c, "CB", rw, 3, 250, &mut rng);
+            check_joins(&l, &r, &what);
+            check_semijoins(&l, &r, &what);
+            check_semijoins(&r, &l, &format!("{what}, swapped"));
+            check_trie_join(&l, &r, &what);
+
+            // Set operations over one schema, the key at the two widths.
+            let s = edge_rel(&mut c, "AB", rw, 3, 250, &mut rng);
+            let (ls, ss) = (row_set(&l), row_set(&s));
+            let ab = l.schema();
+            let union: RowSet = ls.union(&ss).cloned().collect();
+            assert_rows(&ops::union(&l, &s).unwrap(), ab, &union, &what);
+            let diff: RowSet = ls.difference(&ss).cloned().collect();
+            assert_rows(&ops::difference(&l, &s).unwrap(), ab, &diff, &what);
+            let both: RowSet = ls.intersection(&ss).cloned().collect();
+            assert!(!both.is_empty(), "{what}: the anchor rows meet");
+            let got = ops::intersection(&l, &s).unwrap();
+            assert_rows(&got, ab, &both, &what);
+        }
+    }
 }
