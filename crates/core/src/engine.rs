@@ -45,7 +45,7 @@ use mjoin_program::{
     try_execute_with, validate, CancelToken, Cancelled, ExecConfig, Program, SharedIndexCache,
     SpillPlan, ValidateError, ValidationInfo,
 };
-use mjoin_relation::{Catalog, CostKind, CostLedger, Database, Relation};
+use mjoin_relation::{Answer, Catalog, CostKind, CostLedger, Database};
 use std::cell::OnceCell;
 use std::fmt;
 use std::sync::Arc;
@@ -619,7 +619,7 @@ impl<'p> Admitted<'p> {
                 p.db.charge_inputs(&mut ledger);
                 ledger.charge_generated("wcoj join", result.len());
                 let peak = ledger.total();
-                (Arc::new(result), ledger, peak, Vec::new())
+                (Answer::from(result), ledger, peak, Vec::new())
             } else {
                 let cfg = ExecConfig {
                     threads: threads.max(1),
@@ -697,8 +697,9 @@ impl<'p> Admitted<'p> {
 /// What an executed request produced.
 #[derive(Debug, Clone)]
 pub struct Outcome {
-    /// The join result.
-    pub result: Arc<Relation>,
+    /// The join result: its rows, or the program's last join left a
+    /// product ([`mjoin_program::ExecOutcome::result`]).
+    pub result: Answer,
     /// The §2.3 cost account: inputs plus every generated relation.
     pub ledger: CostLedger,
     /// The executor that ran, with the bounds behind the choice.

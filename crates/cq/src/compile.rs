@@ -28,14 +28,14 @@
 use crate::ast::{Atom, ConjunctiveQuery, Term};
 use crate::minimize::{differential_validate, minimize};
 use crate::storage::NamedDatabase;
-use mjoin_core::engine::{self, ExecutorKind, Limits, Oracle, Plan, Rejection};
+use mjoin_core::engine::{self, BoundViolation, ExecutorKind, Limits, Oracle, Plan, Rejection};
 use mjoin_hypergraph::{agm_ln, bound_u64, DbScheme};
 use mjoin_program::{CancelToken, Cancelled, SharedIndexCache};
 use mjoin_relation::{
-    ops, tsv, AttrId, Catalog, Column, CostLedger, Database, Error, Relation, Result, Schema, Value,
+    ops, tsv, Answer, AttrId, Catalog, Column, CostLedger, Database, Error, Relation, Result,
+    Schema, Value,
 };
 use std::borrow::Cow;
-use std::sync::Arc;
 
 pub use mjoin_core::engine::PlanStrategy;
 
@@ -110,6 +110,13 @@ pub struct ComponentDecision {
     /// Theorem-2 certificate bound of the chosen program (evaluated with
     /// AGM sub-bounds), when a program was derived.
     pub cert_bound: Option<u64>,
+    /// Statements of the component's program whose scheduled spill failed,
+    /// with the I/O error ([`engine::Outcome::spill_failures`]): each
+    /// joined in memory, over the certified budget.
+    pub spill_failures: Vec<(usize, String)>,
+    /// Measured values over their certified bounds
+    /// ([`engine::Outcome::bound_violations`]; empty on an honest run).
+    pub bound_violations: Vec<BoundViolation>,
 }
 
 /// The answer to a query.
@@ -487,7 +494,7 @@ impl PreparedQuery {
                 let mut full = Relation::nullary_unit();
                 for (name, component) in components {
                     let result = match component {
-                        Component::Single(rel) => Arc::new(rel),
+                        Component::Single(rel) => Answer::from(rel),
                         Component::Join(prepared) => {
                             let out = prepared
                                 .admit(&limits)
@@ -505,6 +512,8 @@ impl PreparedQuery {
                                 executor: out.decision.executor,
                                 agm_bound: out.decision.agm_bound,
                                 cert_bound: out.decision.cert_bound,
+                                spill_failures: out.spill_failures,
+                                bound_violations: out.bound_violations,
                             });
                             out.result
                         }
@@ -644,6 +653,7 @@ pub fn execute_query_naive(ndb: &NamedDatabase, query: &ConjunctiveQuery) -> Res
 mod tests {
     use super::*;
     use crate::parse::parse_query;
+    use std::sync::Arc;
 
     fn graph_db() -> NamedDatabase {
         let mut db = NamedDatabase::new();

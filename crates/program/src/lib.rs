@@ -35,6 +35,7 @@ pub use dataflow::{BitSet, Liveness};
 pub use interp::{
     execute, execute_with, try_execute_with, CancelToken, Cancelled, ExecConfig, ExecOutcome,
     IndexCache, SharedIndexCache, SpillPlan, DEFAULT_CACHE_BYTES, DEFAULT_CACHE_TUPLES,
+    FACTORIZE_MIN_FANOUT,
 };
 pub use optimize::eliminate_dead_code;
 pub use parse::{parse_program, parse_scheme_list, scheme_directive};

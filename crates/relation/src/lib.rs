@@ -42,6 +42,7 @@ pub use column::{Column, ColumnBuilder, Dict};
 pub use cost::{CostEntry, CostKind, CostLedger};
 pub use database::Database;
 pub use error::{Error, Result};
+pub use ops::Answer;
 pub use par::par_map;
 pub use relation::{Relation, Row};
 pub use schema::Schema;

@@ -116,41 +116,64 @@ pub(crate) fn materialize_join(
     Relation::from_distinct_columns(out_schema.clone(), nrows, cols)
 }
 
-/// Per row of `probe`, the summed `weights` of the `build` rows it joins
-/// with (saturating; `weights[i]` belongs to build row `i`), without
-/// building the join: group the build side by key (one [`RawTable`]
-/// representative per distinct key, carrying the group's weight) and look
-/// each probe row's group up once. Disjoint schemas put every build row in
-/// one group.
-pub fn join_weight_sums(build: &Relation, weights: &[u64], probe: &Relation) -> Vec<u64> {
-    debug_assert_eq!(weights.len(), build.len());
+/// The probe-side group of a row whose key no build row has.
+pub(crate) const NO_GROUP: u32 = u32::MAX;
+
+/// `build`'s rows grouped by their natural-join key with `probe`: each
+/// build row's group, numbered in order of first occurrence, and each probe
+/// row's — the group of the build rows it joins with, or [`NO_GROUP`] —
+/// plus the number of groups. One [`RawTable`] representative per distinct
+/// key; disjoint schemas put every build row in one group.
+pub(crate) fn key_groups(build: &Relation, probe: &Relation) -> (Vec<u32>, Vec<u32>, usize) {
     let (bpos, ppos) = super::join::join_key_positions(build.schema(), probe.schema());
     let bcols = build.columns();
     let bh = key_hashes(build, &bpos);
     let mut table = RawTable::with_capacity(bh.len());
-    // Group weight per representative build row (0 for the other rows).
-    let mut group = vec![0u64; bh.len()];
+    let mut bgroup = vec![0u32; bh.len()];
+    let mut groups = 0u32;
     for (i, &h) in bh.iter().enumerate() {
         let rep = table
             .candidates(h)
             .find(|&j| ids_eq(bcols, &bpos, j, bcols, &bpos, i));
-        match rep {
-            Some(j) => group[j] = group[j].saturating_add(weights[i]),
+        bgroup[i] = match rep {
+            Some(j) => bgroup[j],
             None => {
                 table.insert(h, i as u32);
-                group[i] = weights[i];
+                groups += 1;
+                groups - 1
             }
-        }
+        };
     }
     let pcols = probe.columns();
-    key_hashes(probe, &ppos)
+    let pgroup = key_hashes(probe, &ppos)
         .iter()
         .enumerate()
         .map(|(j, &h)| {
             table
                 .candidates(h)
                 .find(|&bi| ids_eq(bcols, &bpos, bi, pcols, &ppos, j))
-                .map_or(0, |bi| group[bi])
+                .map_or(NO_GROUP, |bi| bgroup[bi])
+        })
+        .collect();
+    (bgroup, pgroup, groups as usize)
+}
+
+/// Per row of `probe`, the summed `weights` of the `build` rows it joins
+/// with (saturating; `weights[i]` belongs to build row `i`), without
+/// building the join: the weight of each of `build`'s `key_groups`,
+/// looked up once per probe row.
+pub fn join_weight_sums(build: &Relation, weights: &[u64], probe: &Relation) -> Vec<u64> {
+    debug_assert_eq!(weights.len(), build.len());
+    let (bgroup, pgroup, groups) = key_groups(build, probe);
+    let mut sums = vec![0u64; groups];
+    for (&g, &w) in bgroup.iter().zip(weights) {
+        sums[g as usize] = sums[g as usize].saturating_add(w);
+    }
+    pgroup
+        .iter()
+        .map(|&g| match g {
+            NO_GROUP => 0,
+            g => sums[g as usize],
         })
         .collect()
 }

@@ -312,7 +312,12 @@ fn sort_keys<K: Key>(
 /// under the [`Value`](crate::Value) order, ties kept in row order.
 pub(crate) fn sorted_permutation(cols: &[&Column], nrows: usize) -> Vec<u32> {
     let cols: Vec<(SortColumn, u64)> = cols.iter().map(|c| SortColumn::new(c)).collect();
-    let sorted = sort_rows(&cols, nrows, true);
+    permutation(&cols, nrows)
+}
+
+/// [`sorted_permutation`] over columns already seen through their keys.
+pub(crate) fn permutation(cols: &[(SortColumn, u64)], nrows: usize) -> Vec<u32> {
+    let sorted = sort_rows(cols, nrows, true);
     let row = sorted.row;
     match sorted.keys {
         Keys::U32(keys) => keys.into_iter().map(|k| row.get(k) as u32).collect(),

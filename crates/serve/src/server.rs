@@ -800,7 +800,7 @@ fn execute_prepared(
         .set("cache", cache_stats(shared));
     if exec.want_tsv {
         let mut buf = Vec::new();
-        tsv::relation_to_tsv_writer(prepared.catalog(), &out.result, &mut buf)
+        tsv::answer_to_tsv_writer(prepared.catalog(), &out.result, &mut buf)
             .map_err(|e| err("data", format!("rendering result: {e}")))?;
         let text = String::from_utf8(buf).expect("TSV output is UTF-8");
         resp = resp.set("tsv", J::Str(text));

@@ -158,6 +158,65 @@ fn session(addr: std::net::SocketAddr, catalog: &str, tsvs: &[String]) -> (Strin
     (tsv, u64_at(&resp, &["cache", "hit"]))
 }
 
+/// A `run` of a many-to-many join — 128 rows a side on a 4-valued key,
+/// 4,096 answers — leaves its answer factorized, reports as many `rows` as
+/// its `tsv:true` reply prints lines, and prints what the one-shot path
+/// prints.
+#[test]
+fn a_factorized_run_reports_the_rows_it_prints() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let (mut ab, mut bc) = (String::from("A\tB\n"), String::from("B\tC\n"));
+    for i in 0..128 {
+        ab.push_str(&format!("{i}\tb{}\n", i % 4));
+        bc.push_str(&format!("b{}\t{}\n", i % 4, 1000 - i));
+    }
+    let program = "R(V) := R(AB) ⋈ R(BC)";
+
+    let mut catalog = Catalog::new();
+    let rels: Vec<Relation> = [&ab, &bc]
+        .iter()
+        .map(|t| tsv::relation_from_tsv_reader(&mut catalog, t.as_bytes()).unwrap())
+        .collect();
+    let scheme = mjoin_program::parse_scheme_list(&mut catalog, "AB,BC").unwrap();
+    let parsed = mjoin_program::parse_program(&catalog, &scheme, program).unwrap();
+    let db = Database::from_relations(rels);
+    let prepared = engine::prepare(
+        scheme,
+        db,
+        catalog,
+        Plan::Program(parsed),
+        ExecutorKind::Program,
+    )
+    .unwrap();
+    let admitted = prepared.admit(&Limits::default()).unwrap();
+    let out = admitted.execute(1, None, None).unwrap();
+    assert!(out.result.is_factorized(), "fan-out 16 stays a product");
+    assert_eq!(out.result.len(), 4096);
+    let mut one_shot = Vec::new();
+    tsv::answer_to_tsv_writer(prepared.catalog(), &out.result, &mut one_shot).unwrap();
+
+    let (addr, server) = spawn(ServeConfig::default());
+    let mut c = Client::connect(addr).unwrap();
+    load_all(&mut c, "m2m", &[ab, bc]);
+    let resp = c
+        .cmd(
+            "run",
+            &[
+                ("catalog", Value::str("m2m")),
+                ("program", Value::str(program)),
+                ("scheme", Value::str("AB,BC")),
+                ("tsv", Value::Bool(true)),
+            ],
+        )
+        .unwrap();
+    assert_ok(&resp, "run");
+    let tsv = resp.get("tsv").and_then(Value::as_str).unwrap();
+    assert_eq!(u64_at(&resp, &["rows"]), tsv.lines().count() as u64 - 1);
+    assert_eq!(u64_at(&resp, &["rows"]), 4096);
+    assert_eq!(tsv.as_bytes(), &one_shot[..]);
+    shutdown(addr, server);
+}
+
 #[test]
 fn concurrent_sessions_match_one_shot_and_warm_the_cache() {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);

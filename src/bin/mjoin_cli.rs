@@ -50,7 +50,7 @@
 //! depth/width) on stderr, and setting `MJOIN_TRACE=<path>` writes the raw
 //! span data as Chrome trace format JSON for `chrome://tracing`/Perfetto.
 
-use mjoin::core::engine::{self, Limits, Oracle, Plan};
+use mjoin::core::engine::{self, BoundViolation, Limits, Oracle, Plan};
 use mjoin::prelude::*;
 use mjoin::program::display;
 use mjoin::relation::tsv;
@@ -346,15 +346,7 @@ fn run(args: &Args, execute_it: bool) -> Result<Option<ExplainInfo>, String> {
         let out = admitted
             .execute(args.threads, None, None)
             .map_err(|c| c.to_string())?;
-        for (stmt, e) in &out.spill_failures {
-            eprintln!(
-                "memory: statement {stmt} could not spill ({e}); \
-                 joined in memory over the certified budget"
-            );
-        }
-        for v in &out.bound_violations {
-            eprintln!("bound: {v}");
-        }
+        report_shortfalls(&out.spill_failures, &out.bound_violations);
         eprintln!("cost(T1(D)) = {t1_cost}");
         eprintln!(
             "cost(P(D))  = {} (peak resident {})",
@@ -368,14 +360,30 @@ fn run(args: &Args, execute_it: bool) -> Result<Option<ExplainInfo>, String> {
             out.ledger.total()
         );
         eprintln!("result: {} tuples", out.result.len());
-        // Stream straight from the result's columns — no whole-file String.
+        // Stream straight from the result's columns (a factorized answer's
+        // operand rows) — no whole-file String.
         let stdout = std::io::stdout();
         let mut sink = std::io::BufWriter::new(stdout.lock());
-        tsv::relation_to_tsv_writer(catalog, &out.result, &mut sink)
+        tsv::answer_to_tsv_writer(catalog, &out.result, &mut sink)
             .and_then(|()| std::io::Write::flush(&mut sink))
             .map_err(|e| format!("writing result: {e}"))?;
     }
     Ok(Some(info))
+}
+
+/// Say on stderr which scheduled spills failed (each statement joined in
+/// memory, over the certified budget) and which certified bounds the run
+/// measured over — for `run` and for each component of a `query`.
+fn report_shortfalls(spill_failures: &[(usize, String)], bound_violations: &[BoundViolation]) {
+    for (stmt, e) in spill_failures {
+        eprintln!(
+            "memory: statement {stmt} could not spill ({e}); \
+             joined in memory over the certified budget"
+        );
+    }
+    for v in bound_violations {
+        eprintln!("bound: {v}");
+    }
 }
 
 /// Parse a `.mj` program file plus its database scheme (from `--scheme` or
@@ -707,6 +715,7 @@ fn query(args: &Args) -> Result<Option<ExplainInfo>, String> {
             ),
             _ => eprintln!("component {}: executor {}", d.component, d.executor.name()),
         }
+        report_shortfalls(&d.spill_failures, &d.bound_violations);
     }
     eprintln!("{} answers, cost {} tuples", res.len(), res.ledger.total());
     // One locked, buffered writer for the whole dump instead of a flushing

@@ -704,6 +704,46 @@ fn run_whose_spill_fails_reports_it_and_keeps_the_answer() {
     );
 }
 
+/// A `query` whose component spill cannot write its partitions answers
+/// like the unbudgeted query and says which statements joined in memory,
+/// in the lines `run` prints.
+#[test]
+fn query_whose_spill_fails_reports_it_and_keeps_the_answer() {
+    let dir = tempdir::TempDir::new("query-spill-fail");
+    let not_a_dir = write_tsv(dir.path(), "tmpdir", "");
+    let cq = "Q(a, c, e, g) :- abc(a, b, c), cde(c, d, e), efg(e, f, g), gha(g, h, a)";
+    let files: Vec<String> = ["abc", "cde", "efg", "gha"].map(data_fixture).into();
+    let query = |budget: &[&'static str], env: &[(&str, &str)]| {
+        let mut args = vec!["query"];
+        args.extend(budget);
+        args.push(cq);
+        args.extend(files.iter().map(String::as_str));
+        cli_env(&args, env)
+    };
+    let failed = query(
+        &["--mem-budget", "1"],
+        &[("TMPDIR", not_a_dir.to_str().unwrap())],
+    );
+    let stderr = String::from_utf8(failed.stderr).unwrap();
+    assert!(failed.status.success(), "{stderr}");
+    let lines: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.contains("could not spill"))
+        .collect();
+    assert!(!lines.is_empty(), "no spill-failure line in:\n{stderr}");
+    for line in lines {
+        assert!(
+            line.starts_with("memory: statement ")
+                && line.ends_with("); joined in memory over the certified budget"),
+            "{line}"
+        );
+    }
+    let unbudgeted = query(&[], &[]);
+    assert!(unbudgeted.status.success());
+    assert!(!unbudgeted.stdout.is_empty());
+    assert_eq!(failed.stdout, unbudgeted.stdout);
+}
+
 /// Framing is not data: `abc.tsv` re-framed with CRLF endings, a blank line
 /// after the header and no final newline gives byte-identical `run` output.
 #[test]
