@@ -8,7 +8,7 @@
 //!   reducers over the GYO join forest;
 //! * [`monotone_join_tree`]: monotone join expressions (no intermediate
 //!   larger than the final join, once globally consistent);
-//! * [`yannakakis`]: Yannakakis' project-join algorithm.
+//! * [`mod@yannakakis`]: Yannakakis' project-join algorithm.
 
 #![warn(missing_docs)]
 

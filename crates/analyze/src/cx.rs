@@ -3,7 +3,7 @@
 //!
 //! Building an [`AnalysisCx`] performs
 //!
-//! * static validation ([`mjoin_program::validate`] — a context only exists
+//! * static validation ([`fn@mjoin_program::validate`] — a context only exists
 //!   for valid programs);
 //! * a forward *scheme* sweep recording every operand's scheme at its point
 //!   of use (the final schemes in [`ValidationInfo`] are not enough: a

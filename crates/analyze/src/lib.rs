@@ -16,7 +16,7 @@
 //! around [`analyze`].
 //!
 //! The crate is static: it executes no program and builds no join. The
-//! [`audit`] reads a run's ledger from the engine and sizes `⋈D[S]` with
+//! [`fn@audit`] reads a run's ledger from the engine and sizes `⋈D[S]` with
 //! whatever the caller passes, typically the counting oracle.
 //!
 //! ```

@@ -3,7 +3,7 @@
 //! Steps 1 and 3 of Algorithm 1 "may have many choices to select a database
 //! scheme from Γ" (Example 5 derives 16 different CPF trees from one input).
 //! A [`ChoicePolicy`] resolves those choices; the theorems hold for *every*
-//! policy, which the property tests exercise via [`enumerate`]-style
+//! policy, which the property tests exercise via `enumerate`-style
 //! exhaustion in `alg1`.
 
 use mjoin_hypergraph::RelSet;

@@ -175,7 +175,7 @@ fn selective_probe_fanout() -> Workload {
 /// The join-index-cache showcase: ten 6k-row spokes each reduced by the same
 /// 150k-row hub at the same key (one shared hub index serves the whole
 /// width-10 level), the spokes' keys intersected down a chain and folded
-/// back into the hub.
+/// back into the hub by its key groups (the hub index again).
 fn hub_fanout_reducer() -> Workload {
     const B_DOMAIN: i64 = 3_000;
     let mut c = Catalog::new();
@@ -280,7 +280,7 @@ const EXPECT: &[Expectation] = &[
     (
         "star_wide_reducer",
         star_wide_reducer,
-        &["semijoin[indexed_probe]"],
+        &["project[groups]", "semijoin[indexed_probe]"],
         &["dense"],
         CHUNKED,
         &[],
@@ -306,7 +306,11 @@ const EXPECT: &[Expectation] = &[
     (
         "hub_fanout_reducer",
         hub_fanout_reducer,
-        &["semijoin[indexed_probe]"],
+        &[
+            "project[groups]",
+            "semijoin[indexed_probe]",
+            "semijoin[groups]",
+        ],
         &["dense"],
         CHUNKED,
         &[("index_cache.hit", 9), ("index_cache.insert", 1)],

@@ -7,7 +7,7 @@
 //!   under attribute independence ([`EstimateOracle`]);
 //! * [`optimize`]: subset-DP optima over the all/CPF/linear/linear-CPF
 //!   spaces ([`SearchSpace`]);
-//! * [`greedy`]: the smallest-result heuristic, with or without the
+//! * [`mod@greedy`]: the smallest-result heuristic, with or without the
 //!   avoid-Cartesian-products rule;
 //! * [`random_tree`]: a random-merge (optionally CPF) bushy tree, the input
 //!   tree the experiments and property tests feed the pipeline;

@@ -34,7 +34,7 @@ pub trait CostOracle {
 /// * A disconnected `S` is the (saturating) product of its connected
 ///   components' sizes — the Cartesian product is never built.
 /// * A connected acyclic `S` is counted by one bottom-up pass over its GYO
-///   join forest ([`forest_count`]) — Yannakakis' pass with group weights in
+///   join forest (`forest_count`) — Yannakakis' pass with group weights in
 ///   place of projections, linear in the inputs.
 /// * A connected cyclic `S` is counted by Generic Join
 ///   ([`ops::generic_join_count`]), worst-case optimal in the inputs.

@@ -19,8 +19,8 @@
 //! hazard-free ones of [`mod@crate::schedule`] — same-level statements touch
 //! disjoint registers, so each reads exactly what it would read in program
 //! order — a level of width > 1 runs concurrently through
-//! [`mjoin_relation::par_map`], and inside each statement an index probe or
-//! a projection of at least [`SMALL`] rows runs in chunks. Each nesting
+//! [`mjoin_relation::par_map`], and inside each statement an index probe of
+//! at least [`SMALL`] rows runs in chunks. Each nesting
 //! level runs on at most `threads` threads: a level wider than `threads` is
 //! cut into `threads` contiguous chunks, so a level whose statements run
 //! chunked kernels uses at most `threads²`.
@@ -42,6 +42,17 @@
 //! a register drops the indices over its old value unless that value is one
 //! of the run's inputs, so a later run over the same inputs rebuilds
 //! nothing.
+//!
+//! The index is the one grouping structure as well. A projection `π_Y R`
+//! reads the key groups of `R`'s index on `Y` ([`ops::project_indexed`]),
+//! peeked and, on a miss, built and inserted as a join's build side is. A
+//! semijoin `R ⋉ S` whose target the cache already holds a dense index for
+//! on the shared key — by `Arc` identity, or through the fingerprint
+//! directory when `R`'s fingerprint is memoized, so a miss computes none —
+//! with at least [`GROUP_SEMIJOIN_MIN_ROWS`] rows per key, tests each key
+//! once against `S`'s index ([`ops::semijoin_grouped`]) instead of probing
+//! every row. Either way the head is the same set of rows, at the same
+//! size.
 //!
 //! Registers hold [`Answer`]s: rows, or — only ever the head of the
 //! program's last statement, when it is a keyed join writing the result —
@@ -65,9 +76,9 @@ use crate::stmt::{Reg, Stmt};
 use mjoin_relation::fxhash::FxHashMap;
 use mjoin_relation::ops::{
     self, join_key_positions, par_join_indexed_cutoff, par_semijoin_indexed_cutoff, JoinIndex,
-    Product, TrieIndex, SMALL,
+    Product, TrieIndex, GROUP_SEMIJOIN_MIN_ROWS, SMALL,
 };
-use mjoin_relation::{par_map, Answer, CostLedger, Database, Relation, Schema};
+use mjoin_relation::{par_map, Answer, AttrSet, CostLedger, Database, Relation, Schema};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -97,7 +108,7 @@ pub const DEFAULT_CACHE_BYTES: u64 = 256 << 20;
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Worker threads for the levels of the schedule and for the chunked
-    /// index probes and projections inside each statement. `1` runs the
+    /// index probes inside each statement. `1` runs the
     /// statements one by one in program order, each probe as one chunk.
     pub threads: usize,
     /// The index cache this run memoizes build-side [`JoinIndex`]es in.
@@ -501,7 +512,18 @@ impl IndexCache {
     /// index. The remaining exposure is a full 128-bit hash collision,
     /// which we accept for the reuse it buys.
     fn peek(&mut self, rel: &Arc<Relation>, key_pos: &[usize]) -> Option<Arc<JoinIndex>> {
-        match self.peek_cached(rel, KIND_HASH, key_pos)? {
+        match self.peek_cached(rel, KIND_HASH, key_pos, || Some(rel.fingerprint()))? {
+            CachedIndex::Hash(i) => Some(i),
+            CachedIndex::Trie(_) => unreachable!("kind-tagged key returned wrong index kind"),
+        }
+    }
+
+    /// `peek` for an index the caller can do without: by `Arc` identity, or
+    /// through the fingerprint directory only when `rel`'s fingerprint is
+    /// already memoized (an input's, or a copy of one), so a miss costs no
+    /// pass over the rows.
+    fn peek_resident(&mut self, rel: &Arc<Relation>, key_pos: &[usize]) -> Option<Arc<JoinIndex>> {
+        match self.peek_cached(rel, KIND_HASH, key_pos, || rel.memoized_fingerprint())? {
             CachedIndex::Hash(i) => Some(i),
             CachedIndex::Trie(_) => unreachable!("kind-tagged key returned wrong index kind"),
         }
@@ -512,7 +534,7 @@ impl IndexCache {
     /// counts), every trie lookup counts, so the `index_cache.trie_hit` /
     /// `trie_miss` counters are maintained here.
     pub fn peek_trie(&mut self, rel: &Arc<Relation>, key_pos: &[usize]) -> Option<Arc<TrieIndex>> {
-        match self.peek_cached(rel, KIND_TRIE, key_pos) {
+        match self.peek_cached(rel, KIND_TRIE, key_pos, || Some(rel.fingerprint())) {
             Some(CachedIndex::Trie(i)) => {
                 mjoin_trace::add("index_cache.trie_hit", 1);
                 mjoin_trace::add("index_cache.bytes_not_allocated", i.heap_bytes() as u64);
@@ -528,11 +550,15 @@ impl IndexCache {
         }
     }
 
+    /// The entry for `rel` by `Arc` identity, else the one the fingerprint
+    /// directory names for `fingerprint` (`rel`'s, evaluated only once the
+    /// identity lookup has missed; `None` skips the directory).
     fn peek_cached(
         &mut self,
         rel: &Arc<Relation>,
         kind: u8,
         key_pos: &[usize],
+        fingerprint: impl FnOnce() -> Option<u128>,
     ) -> Option<CachedIndex> {
         self.tick += 1;
         let tick = self.tick;
@@ -541,7 +567,7 @@ impl IndexCache {
             e.last_used = tick;
             return Some(e.index.clone());
         }
-        let fkey = fingerprint_key_of(rel, kind, key_pos);
+        let fkey = (fingerprint()?, rel.schema().clone(), kind, key_pos.into());
         if let Some(primary) = self.by_fingerprint.get(&fkey).cloned() {
             match self.map.get_mut(&primary) {
                 Some(e)
@@ -773,9 +799,13 @@ impl Machine {
 }
 
 /// Evaluate one statement's body against the current register file. Every
-/// keyed join and semijoin probes a [`JoinIndex`]: the cached one on a hit,
-/// else a fresh one it builds and inserts. Probes and projections run in
-/// chunks on `threads` threads from [`SMALL`] rows.
+/// keyed join and semijoin probes a [`JoinIndex`], and every projection
+/// onto a proper, non-empty key reads one's key groups: the cached index on
+/// a hit, else a fresh one it builds and inserts. A semijoin reads its
+/// target's key groups instead of probing every row when the cache already
+/// holds a dense index over the target with enough rows per key (see the
+/// module docs); a group path counts that index as one more hit. Probes
+/// run in chunks on `threads` threads from [`SMALL`] rows.
 ///
 /// The cache mutex is taken per peek/insert, never held across a kernel;
 /// hit/miss counters are bumped here rather than in [`IndexCache::peek`]
@@ -801,10 +831,22 @@ fn eval_stmt(
     match stmt {
         Stmt::Project { dst, src, attrs } => {
             let src_rel = m.read(program, *src);
-            let schema = Schema::from_set(attrs);
-            let projected = ops::par_project_cutoff(&src_rel, schema.attrs(), threads, SMALL)
-                .expect("validated: projection attrs ⊆ source scheme");
-            (*dst, projected.into())
+            let Some(key_pos) = projection_key(&src_rel, attrs) else {
+                // The identity, or the nullary projection: no key groups
+                // worth an index.
+                let projected = ops::project(&src_rel, Schema::from_set(attrs).attrs())
+                    .expect("validated: projection attrs ⊆ source scheme");
+                return (*dst, projected.into());
+            };
+            if let Some(index) = peek(&src_rel, &key_pos) {
+                IndexCache::note_hit(&index);
+                return (*dst, ops::project_indexed(&index).into());
+            }
+            IndexCache::note_miss();
+            let index = Arc::new(JoinIndex::build(src_rel, key_pos));
+            let out = ops::project_indexed(&index);
+            lock_cache(cache).insert(index);
+            (*dst, out.into())
         }
         Stmt::Join { dst, left, right } => {
             let l = m.read(program, *left);
@@ -890,23 +932,39 @@ fn eval_stmt(
         Stmt::Semijoin { target, filter } => {
             let t = m.read(program, *target);
             let f = m.read(program, *filter);
-            let (fpos, _) = join_key_positions(f.schema(), t.schema());
+            let (fpos, tpos) = join_key_positions(f.schema(), t.schema());
             if fpos.is_empty() {
                 // Degenerate case: all of the target or none of it, no
                 // per-tuple work to index.
                 return (*target, ops::semijoin(&t, &f).into());
             }
-            if let Some(index) = peek(&f, &fpos) {
-                IndexCache::note_hit(&index);
-                return (
-                    *target,
-                    par_semijoin_indexed_cutoff(&t, &index, threads, SMALL).into(),
-                );
+            // A dense index the cache already holds over the target, with
+            // enough rows per key, lets each key be tested once.
+            let groups = lock_cache(cache).peek_resident(&t, &tpos).filter(|index| {
+                index
+                    .dense_groups()
+                    .is_some_and(|g| g * GROUP_SEMIJOIN_MIN_ROWS <= t.len())
+            });
+            let (index, built) = match peek(&f, &fpos) {
+                Some(index) => {
+                    IndexCache::note_hit(&index);
+                    (index, false)
+                }
+                None => {
+                    IndexCache::note_miss();
+                    (Arc::new(JoinIndex::build(f, fpos)), true)
+                }
+            };
+            let out = match groups {
+                Some(groups) => {
+                    IndexCache::note_hit(&groups);
+                    ops::semijoin_grouped(&t, &groups, &index).expect("a dense index")
+                }
+                None => par_semijoin_indexed_cutoff(&t, &index, threads, SMALL),
+            };
+            if built {
+                lock_cache(cache).insert(index);
             }
-            IndexCache::note_miss();
-            let index = Arc::new(JoinIndex::build(f, fpos));
-            let out = par_semijoin_indexed_cutoff(&t, &index, threads, SMALL);
-            lock_cache(cache).insert(index);
             (*target, out.into())
         }
     }
@@ -964,17 +1022,33 @@ fn eval_stmt_traced(
     (head, value, failed)
 }
 
+/// The positions of `attrs` in `src`, the key whose index groups `π_attrs
+/// src`, unless that projection is the identity or the nullary one.
+fn projection_key(src: &Relation, attrs: &AttrSet) -> Option<Vec<usize>> {
+    let key_pos = (src.schema().positions_of(Schema::from_set(attrs).attrs()))
+        .expect("validated: projection attrs ⊆ source scheme");
+    (!key_pos.is_empty() && key_pos.len() < src.schema().arity()).then_some(key_pos)
+}
+
 /// The index opportunities of one statement: `(relation, key positions)`
 /// pairs an index could serve. Joins contribute both sides at the
-/// natural-join key; semijoins their filter side. Degenerate statements
-/// (projections, Cartesian joins, disjoint semijoins) contribute nothing.
+/// natural-join key; semijoins their filter side; projections their source
+/// at the projected attributes. Degenerate statements (identity and
+/// nullary projections, Cartesian joins, disjoint semijoins) contribute
+/// nothing.
 fn stmt_index_candidates(
     program: &Program,
     m: &Machine,
     stmt: &Stmt,
 ) -> Vec<(Arc<Relation>, Vec<usize>)> {
     match stmt {
-        Stmt::Project { .. } => Vec::new(),
+        Stmt::Project { src, attrs, .. } => {
+            let src = m.read(program, *src);
+            match projection_key(&src, attrs) {
+                Some(key_pos) => vec![(src, key_pos)],
+                None => Vec::new(),
+            }
+        }
         Stmt::Join { left, right, .. } => {
             let l = m.read(program, *left);
             let r = m.read(program, *right);
@@ -1779,6 +1853,92 @@ mod tests {
             ..ExecConfig::default()
         };
         assert!(try_execute_with(&p, &db, &expired).is_err());
+    }
+
+    /// `serve_warm`'s reducer in small: a 2,003-row hub `AB` over 53 keys,
+    /// three 131-row spokes over 50 of them reduced by the hub, projected
+    /// onto `B`, intersected and folded back into the hub.
+    fn hub_reducer() -> (Database, Program) {
+        let mut c = Catalog::new();
+        let hub: Vec<[i64; 2]> = (0..2_003).map(|i| [i, i % 53]).collect();
+        let spoke: Vec<[i64; 2]> = (0..131).map(|j| [j % 50, j]).collect();
+        let hub: Vec<&[i64]> = hub.iter().map(|r| &r[..]).collect();
+        let spoke: Vec<&[i64]> = spoke.iter().map(|r| &r[..]).collect();
+        let mut rels = vec![relation_of_ints(&mut c, "AB", &hub).unwrap()];
+        for scheme in ["BC", "BD", "BE"] {
+            rels.push(relation_of_ints(&mut c, scheme, &spoke).unwrap());
+        }
+        let scheme = DbScheme::parse(&mut c, &["AB", "BC", "BD", "BE"]);
+        let mut b = ProgramBuilder::new(&scheme);
+        for s in 1..=3 {
+            b.semijoin(Reg::Base(s), Reg::Base(0));
+        }
+        let keys: Vec<Reg> = (1..=3)
+            .map(|s| {
+                let x = b.new_temp(format!("K{s}"));
+                b.project(
+                    x,
+                    Reg::Base(s),
+                    scheme.attrs_of(0).intersect(scheme.attrs_of(s)),
+                );
+                x
+            })
+            .collect();
+        for &k in &keys[1..] {
+            b.join(keys[0], keys[0], k);
+        }
+        b.semijoin(Reg::Base(0), keys[0]);
+        (Database::from_relations(rels), b.finish(Reg::Base(0)))
+    }
+
+    /// A second run of the hub reducer on one shared cache projects each
+    /// spoke through the index the first run left for it and reduces the
+    /// hub by its key groups, at one thread and at four, with the heads,
+    /// ledger and answer of a run whose cache keeps nothing.
+    #[test]
+    fn a_warm_hub_reducer_takes_both_group_paths() {
+        let (db, p) = hub_reducer();
+        let no_memo = ExecConfig {
+            cache: Some(IndexCache::shared(0, 0)),
+            ..ExecConfig::default()
+        };
+        let cold = execute_with(&p, &db, &no_memo);
+        let kept = (0..2_003).filter(|i| i % 53 < 50).count();
+        assert_eq!(cold.result.len(), kept);
+        for threads in [1, 4] {
+            let shared = IndexCache::shared(DEFAULT_CACHE_TUPLES, DEFAULT_CACHE_BYTES);
+            let cfg = ExecConfig {
+                cache: Some(shared),
+                ..ExecConfig::with_threads(threads)
+            };
+            execute_with(&p, &db, &cfg);
+            let (warm, t) = traced(|| execute_with(&p, &db, &cfg));
+            // Other tests' spans are told apart by this one's sizes.
+            let grouped = |name: &str, rows_arg: &str, rows: i64| {
+                (t.events.iter())
+                    .filter(|e| (e.cat, e.name) == ("op", name))
+                    .filter(|e| {
+                        e.arg("strategy").and_then(mjoin_trace::ArgValue::as_str) == Some("groups")
+                    })
+                    .filter(|e| e.int_arg(rows_arg) == Some(rows))
+                    .map(|e| (e.int_arg("groups"), e.int_arg("kept_groups")))
+                    .collect::<Vec<_>>()
+            };
+            let at = format!("threads = {threads}");
+            assert_eq!(
+                grouped("project", "in_rows", 131),
+                [(Some(50), Some(50)); 3],
+                "{at}"
+            );
+            assert_eq!(
+                grouped("semijoin", "left_rows", 2_003),
+                [(Some(53), Some(50))],
+                "{at}"
+            );
+            assert_eq!(warm.head_sizes, cold.head_sizes, "{at}");
+            assert_eq!(warm.ledger, cold.ledger, "{at}");
+            assert_eq!(*warm.result, *cold.result, "{at}");
+        }
     }
 
     #[test]

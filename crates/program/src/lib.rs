@@ -6,7 +6,7 @@
 //! * [`Program`] / [`ProgramBuilder`]: straight-line programs with static
 //!   scheme tracking (the builder is what Algorithm 2 in `mjoin-core` talks
 //!   to while emitting statements);
-//! * [`validate`]: static well-formedness per §2.2;
+//! * [`mod@validate`]: static well-formedness per §2.2;
 //! * [`execute`] / [`execute_with`]: the interpreter, charging the §2.3
 //!   program cost `Σ_{i=1}^{n+m} |Rᵢ|` — one executor loop that walks the
 //!   hazard-free levels of [`schedule()`] (concurrently where a level is wide

@@ -195,7 +195,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use mjoin_xrand::Rng;
 
-    /// Length specification for [`vec`]: a fixed `usize` or a `Range<usize>`.
+    /// Length specification for [`fn@vec`]: a fixed `usize` or a `Range<usize>`.
     pub trait IntoSizeRange {
         /// Lower and upper bound (half-open).
         fn bounds(&self) -> (usize, usize);
@@ -219,7 +219,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`fn@vec`].
     pub struct VecStrategy<S> {
         element: S,
         min: usize,

@@ -4,7 +4,7 @@
 //! A [`crate::Relation`] physically stores one [`Column`] per attribute.
 //! An all-integer attribute is an [`IntColumn`]: each cell is its distance
 //! from the column's minimum, stored in the narrowest of `u8`, `u16`, `u32`
-//! and `u64` that holds the column's span ([`IntCells`]), so a cell costs 1,
+//! and `u64` that holds the column's span (`IntCells`), so a cell costs 1,
 //! 2, 4 or 8 bytes by its column's range (`u64` covers
 //! `i64::MIN..=i64::MAX`). Anything else is dictionary-encoded as `u32`
 //! codes over an [`Arc<Dict>`] value pool, with the pool carrying a
@@ -369,6 +369,23 @@ impl Column {
     /// Whether this column is dictionary-interned.
     pub fn is_interned(&self) -> bool {
         matches!(self, Column::Dict { .. })
+    }
+
+    /// Whether `self` and `other` hold one shared payload allocation: an
+    /// operator that returns its input instead of a copy leaves every column
+    /// sharing its source's.
+    pub fn shares_payload(&self, other: &Column) -> bool {
+        match (self, other) {
+            (Column::Int(a), Column::Int(b)) => match (&a.cells, &b.cells) {
+                (IntCells::U8(a), IntCells::U8(b)) => Arc::ptr_eq(a, b),
+                (IntCells::U16(a), IntCells::U16(b)) => Arc::ptr_eq(a, b),
+                (IntCells::U32(a), IntCells::U32(b)) => Arc::ptr_eq(a, b),
+                (IntCells::U64(a), IntCells::U64(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            },
+            (Column::Dict { codes: a, .. }, Column::Dict { codes: b, .. }) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// The value at `row` (an `Arc` bump for interned strings, never a
@@ -840,17 +857,6 @@ impl ColumnBuilder {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-
-    /// Whether `a` and `b` are one shared payload vector.
-    pub(crate) fn same_cells(a: &IntCells, b: &IntCells) -> bool {
-        match (a, b) {
-            (IntCells::U8(a), IntCells::U8(b)) => Arc::ptr_eq(a, b),
-            (IntCells::U16(a), IntCells::U16(b)) => Arc::ptr_eq(a, b),
-            (IntCells::U32(a), IntCells::U32(b)) => Arc::ptr_eq(a, b),
-            (IntCells::U64(a), IntCells::U64(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
 
     /// The integer column holding `vals`, in order.
     pub(crate) fn ints(vals: &[i64]) -> Column {

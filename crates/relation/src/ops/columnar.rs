@@ -203,32 +203,11 @@ pub(crate) fn split_ranges(n: usize, pieces: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Partition row ids `0..hashes.len()` by hash into `parts` id lists. Rows
-/// that agree on the key always land in the same list, so per-list operator
-/// results can be concatenated without cross-list deduplication.
-pub(crate) fn partition_ids(hashes: &[u64], parts: usize) -> Vec<Vec<u32>> {
-    let parts = parts.max(1);
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); parts];
-    for (i, &h) in hashes.iter().enumerate() {
-        out[(h as usize) % parts].push(i as u32);
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
-// Projection.
+// Row dedup.
 
-/// Columnar projection: dedup by hashing the projected columns batch-wise
-/// (first-occurrence ids survive), then gather only the kept columns.
-/// `positions` map output schema order to input column positions.
-pub(crate) fn col_project_sequential(rel: &Relation, positions: &[usize]) -> Vec<u32> {
-    let h = key_hashes(rel, positions);
-    let cols = rel.columns();
-    dedup_ids_by_key(cols, positions, &h, (0..rel.len()).map(|i| i as u32))
-}
-
-/// Dedup an id stream by projected key: keeps the first occurrence of each
-/// distinct key, in stream order. `hashes` are global (indexed by id).
+/// Dedup an id stream by key: keeps the first occurrence of each distinct
+/// key, in stream order. `hashes` are global (indexed by id).
 pub(crate) fn dedup_ids_by_key(
     cols: &[Column],
     positions: &[usize],
@@ -250,18 +229,6 @@ pub(crate) fn dedup_ids_by_key(
         out.push(i);
     }
     out
-}
-
-/// Gather the projection's output columns for the surviving `ids`.
-pub(crate) fn materialize_project(
-    rel: &Relation,
-    out_schema: &Schema,
-    positions: &[usize],
-    ids: &[u32],
-) -> Relation {
-    let cols = rel.columns();
-    let out: Vec<Column> = positions.iter().map(|&p| cols[p].gather(ids)).collect();
-    Relation::from_distinct_columns(out_schema.clone(), ids.len(), out)
 }
 
 // ---------------------------------------------------------------------------
@@ -485,14 +452,5 @@ mod tests {
                 assert_eq!(w[0].1, w[1].0, "contiguous");
             }
         }
-    }
-
-    #[test]
-    fn partition_ids_is_exhaustive_and_disjoint() {
-        let hashes: Vec<u64> = (0..100).map(|i| i * 2654435761).collect();
-        let parts = partition_ids(&hashes, 4);
-        let mut all: Vec<u32> = parts.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..100).collect::<Vec<u32>>());
     }
 }

@@ -1,6 +1,7 @@
 //! `RawTable` — the allocation-lean hash table inside every
-//! [`super::JoinIndex`], and behind the projection dedup, the set
-//! operations and the grouped join count.
+//! [`super::JoinIndex`], and behind the row dedup of
+//! [`crate::Relation::from_columns`], the set operations and the grouped
+//! join count.
 //!
 //! The original kernels keyed `FxHashMap`/`FxHashSet` by materialized
 //! `Box<[Value]>` keys: one heap allocation per build row *and one per probe
@@ -12,7 +13,9 @@
 //! The table is deliberately a *multimap*: duplicate keys simply share a
 //! bucket chain (they share a hash), which is what a join needs; a semijoin
 //! probe stops at the first match. Callers that want set semantics (the
-//! projection dedup, the grouped join count) look up before inserting.
+//! row dedup, the grouped join count) look up before inserting; a
+//! `JoinIndex` projected onto its key walks its chains for each key's first
+//! row ([`RawTable::first_rows`]).
 //!
 //! Entries carry `u32` row indices — relations here are bounded far below
 //! 4 billion rows ([`RawTable::insert`] checks in debug builds).
@@ -88,6 +91,27 @@ impl RawTable {
         }
     }
 
+    /// The first row of each key, in insertion order, for a table whose
+    /// `i`-th entry is row `i` (as [`super::JoinIndex`] builds it): the rows
+    /// no older entry of their chain matches, `same(older, row)` confirming
+    /// an equal hash as an equal key.
+    pub(crate) fn first_rows(&self, same: impl Fn(usize, usize) -> bool) -> Vec<u32> {
+        let mut out = Vec::new();
+        for e in &self.entries {
+            let mut cur = e.next;
+            let mut seen = false;
+            while cur != EMPTY && !seen {
+                let older = &self.entries[cur as usize];
+                seen = older.hash == e.hash && same(older.row as usize, e.row as usize);
+                cur = older.next;
+            }
+            if !seen {
+                out.push(e.row);
+            }
+        }
+        out
+    }
+
     /// Heap footprint in bytes (buckets + entries) — what a cache hit saves
     /// rebuilding.
     pub(crate) fn heap_bytes(&self) -> usize {
@@ -158,6 +182,22 @@ mod tests {
         t.insert(5, 1); // 5 & 3 == 1 & 3
         assert_eq!(t.candidates(1).collect::<Vec<_>>(), vec![0]);
         assert_eq!(t.candidates(5).collect::<Vec<_>>(), vec![1]);
+    }
+
+    #[test]
+    fn first_rows_keeps_each_keys_oldest_entry() {
+        // Rows 0..6 with keys 7, 9, 7, 5, 9, 7; key 5 shares key 9's bucket.
+        let keys = [7u64, 9, 7, 5, 9, 7];
+        let mut t = RawTable::with_capacity(2); // 4 buckets, mask 3
+        for (i, &k) in keys.iter().enumerate() {
+            t.insert(k, i as u32);
+        }
+        assert_eq!(t.first_rows(|a, b| keys[a] == keys[b]), vec![0, 1, 3]);
+        // Equal hashes that `same` tells apart are separate keys.
+        assert_eq!(t.first_rows(|a, b| a % 2 == b % 2), vec![0, 1, 3, 4, 5]);
+        assert!(RawTable::with_capacity(0)
+            .first_rows(|_, _| true)
+            .is_empty());
     }
 
     #[test]

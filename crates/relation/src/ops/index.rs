@@ -1,6 +1,7 @@
 //! `JoinIndex` — the build-side table of every keyed join and semijoin in
-//! the workspace, an owned, shareable index over an `Arc<Relation>`, plus
-//! the operator variants that probe one.
+//! the workspace and the grouping structure of every projection, an owned,
+//! shareable index over an `Arc<Relation>`, plus the operator variants that
+//! probe one or read its key groups.
 //!
 //! Programs derived by the paper's Algorithm 2 read the same head relations
 //! over and over: a full-reducer-style semijoin sweep down the CPF tree,
@@ -38,12 +39,37 @@
 //! [`crate::par_map`], whose parts concatenate in probe order. A semijoin
 //! that keeps every target row returns the target itself, sharing its
 //! columns.
+//!
+//! An index is also its relation grouped by key: each distinct key is one
+//! group of rows, the dense layout's non-empty slots in key order, the hash
+//! layout's first rows of their keys in row order (a walk of its chains).
+//! Two operators read the groups instead of every row:
+//!
+//! - [`project_indexed`] — `π_key R` is the key cells of each group's first
+//!   row. [`super::project`] runs it over a fresh index; the interpreter
+//!   over the index its cache holds for `R` on the projected attributes,
+//!   built and cached on a miss as a join's build side is.
+//! - [`semijoin_grouped`] — `R ⋉ S` probes each of `R`'s keys into `S`'s
+//!   index once, then keeps `R` itself when every group survives, or the
+//!   rows of the surviving keys (one pass over the key column, a gather).
+//!   The interpreter takes it only when its cache already holds a dense
+//!   index over `R` on the shared key — found by `Arc` identity or by a
+//!   fingerprint already memoized, so looking costs no pass over `R` — with
+//!   at least [`GROUP_SEMIJOIN_MIN_ROWS`] rows per group; otherwise it
+//!   probes every row of `R` as above. On a shared two-vCPU Xeon host, a
+//!   100,000-row target keeping 97 % of its keys (medians of 31 runs, three
+//!   passes) took the group path at 1.28–1.30× the row probe's time at 4
+//!   rows per key, 1.04–1.06× at 8, 1.02–1.03× at 12 and 0.89–0.90× at 16;
+//!   a 4,000-row target 0.91–0.93× at 8 and 0.98–1.00× at 16. The constant
+//!   is the smallest power of two at which the group path was no slower in
+//!   every pass at both sizes.
 
 use super::columnar;
 use super::hashtable::RawTable;
 use super::join::join_key_positions;
 use crate::column::{with_cells, Column, IntCells, IntColumn};
 use crate::relation::Relation;
+use crate::schema::Schema;
 use crate::span::IntSpan;
 use std::sync::Arc;
 
@@ -74,6 +100,8 @@ struct Dense {
     /// `span.width + 2` offsets into `rows`.
     starts: Vec<u32>,
     rows: Vec<u32>,
+    /// How many keys have rows: the non-empty groups.
+    groups: usize,
 }
 
 impl Dense {
@@ -89,7 +117,20 @@ impl Dense {
             return None;
         }
         let (starts, rows) = with_cells!(IntCells, keys.cells(), v => csr(v, slots));
-        Some(Dense { span, starts, rows })
+        let groups = starts.windows(2).filter(|w| w[0] < w[1]).count();
+        Some(Dense {
+            span,
+            starts,
+            rows,
+            groups,
+        })
+    }
+
+    /// Each key's rows, most recently inserted first, in key order; keys
+    /// without rows are skipped.
+    fn groups(&self) -> impl Iterator<Item = &[u32]> {
+        let rows = |w: &[u32]| &self.rows[w[0] as usize..w[1] as usize];
+        self.starts.windows(2).map(rows).filter(|g| !g.is_empty())
     }
 
     /// The rows whose key is `span.min + k`; none when `k` is past the span.
@@ -195,11 +236,45 @@ impl JoinIndex {
     }
 
     /// The memory layout built: `"dense"` or `"hash"` (see the module docs).
-    pub(crate) fn layout(&self) -> &'static str {
+    pub fn layout(&self) -> &'static str {
         match self.layout {
             Layout::Dense(_) => "dense",
             Layout::Hash(_) => "hash",
         }
+    }
+
+    /// How many key groups — distinct keys — the dense layout holds; `None`
+    /// for the hash layout, which finds its groups only by a walk.
+    pub fn dense_groups(&self) -> Option<usize> {
+        match &self.layout {
+            Layout::Dense(dense) => Some(dense.groups),
+            Layout::Hash(_) => None,
+        }
+    }
+
+    /// The first row of each key group, one per distinct key: in key order
+    /// on the dense layout, in row order on the hash layout.
+    fn group_heads(&self) -> Vec<u32> {
+        match &self.layout {
+            Layout::Dense(dense) => dense.groups().map(|g| g[g.len() - 1]).collect(),
+            Layout::Hash(table) => {
+                let (cols, pos) = (self.rel.columns(), &self.key_pos[..]);
+                table.first_rows(|j, i| columnar::ids_eq(cols, pos, j, cols, pos, i))
+            }
+        }
+    }
+
+    /// The key cells of the rows `heads`, over the key's attributes: with
+    /// one head per group, the indexed relation projected onto its key.
+    fn keys_at(&self, heads: &[u32]) -> Relation {
+        let attrs = self.rel.schema().attrs();
+        // Key positions ascend, as the attributes of a schema do.
+        let schema = Schema::new(self.key_pos.iter().map(|&p| attrs[p]).collect());
+        let cols = self
+            .key_pos
+            .iter()
+            .map(|&p| self.rel.columns()[p].gather(heads));
+        Relation::from_distinct_columns(schema, heads.len(), cols.collect())
     }
 
     /// Resident tuples — what the interpreter's cache budget counts.
@@ -462,6 +537,99 @@ pub fn par_semijoin_indexed_cutoff(
     sp.arg("chunks", chunks);
     sp.arg("out_rows", out.len());
     out
+}
+
+/// The projection of `index.relation()` onto the index's key: the key
+/// cells of each key group's first row, one row per distinct key, found
+/// without hashing or comparing a row on the dense layout. Rows come in
+/// key order on the dense layout, in first-occurrence order on the hash
+/// layout.
+pub fn project_indexed(index: &JoinIndex) -> Relation {
+    let mut sp = mjoin_trace::span("op", "project");
+    if sp.is_active() {
+        sp.arg("in_rows", index.tuples());
+        sp.arg("strategy", "groups");
+        sp.arg("layout", index.layout());
+    }
+    let heads = index.group_heads();
+    let out = index.keys_at(&heads);
+    if sp.is_active() {
+        sp.arg("groups", heads.len());
+        sp.arg("kept_groups", heads.len());
+        sp.arg("out_rows", out.len());
+    }
+    out
+}
+
+/// The least mean group size — rows per distinct key of the target — at
+/// which a semijoin whose target has a dense index takes
+/// [`semijoin_grouped`] rather than probing every target row; the module
+/// docs give the measured crossover.
+pub const GROUP_SEMIJOIN_MIN_ROWS: usize = 16;
+
+/// Semijoin `target ⋉ filter.relation()` by key groups: `groups` is a
+/// dense index over `target`'s rows (or a relation of the same content) on
+/// the key `target` shares with the filter, and each of its keys is probed
+/// into `filter` once, not once per row. The result is `target` itself,
+/// sharing its columns, when every group survives; otherwise one pass over
+/// the indexed key column keeps the rows of the surviving keys, in row
+/// order. `None` when `groups` has the hash layout.
+pub fn semijoin_grouped(
+    target: &Relation,
+    groups: &JoinIndex,
+    filter: &JoinIndex,
+) -> Option<Relation> {
+    let Layout::Dense(dense) = &groups.layout else {
+        return None;
+    };
+    debug_assert_eq!(groups.rel.schema(), target.schema());
+    debug_assert_eq!(groups.tuples(), target.len());
+    let mut sp = mjoin_trace::span("op", "semijoin");
+    if sp.is_active() {
+        sp.arg("left_rows", target.len());
+        sp.arg("right_rows", filter.tuples());
+        sp.arg("strategy", "groups");
+        sp.arg("layout", filter.layout());
+        sp.arg("chunks", 1usize);
+    }
+    let heads = groups.group_heads();
+    let kept = filter
+        .probe::<Vec<u32>>(&groups.keys_at(&heads), 1, 0)
+        .concat();
+    let out = if kept.len() == heads.len() {
+        target.clone()
+    } else {
+        let Column::Int(keys) = &groups.rel.columns()[groups.key_pos[0]] else {
+            unreachable!("a dense index keys one integer column");
+        };
+        // A row's slot in the dense layout is its key cell.
+        let (mut keep, mut rows) = (vec![false; dense.starts.len()], 0);
+        for &g in &kept {
+            let k = keys.offset(heads[g as usize] as usize) as usize;
+            keep[k] = true;
+            rows += (dense.starts[k + 1] - dense.starts[k]) as usize;
+        }
+        let ids = with_cells!(IntCells, keys.cells(), v => rows_kept(v, &keep, rows));
+        columnar::gather_relation(&groups.rel, &ids)
+    };
+    if sp.is_active() {
+        sp.arg("groups", heads.len());
+        sp.arg("kept_groups", kept.len());
+        sp.arg("out_rows", out.len());
+    }
+    Some(out)
+}
+
+/// The `rows` rows whose cell — a dense index's slot — is marked in `keep`.
+fn rows_kept<T: Copy + Into<u64>>(cells: &[T], keep: &[bool], rows: usize) -> Vec<u32> {
+    let mut ids = Vec::with_capacity(rows);
+    for (i, &c) in cells.iter().enumerate() {
+        if keep[c.into() as usize] {
+            ids.push(i as u32);
+        }
+    }
+    debug_assert_eq!(ids.len(), rows);
+    ids
 }
 
 #[cfg(test)]

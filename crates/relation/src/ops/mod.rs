@@ -8,7 +8,8 @@
 //! `ops/columnar.rs` over the relation's column vectors. Every keyed join
 //! and semijoin — [`join`], [`semijoin`], the interpreter's statements and
 //! each Grace-hash partition pair — builds (or reuses) a [`JoinIndex`] and
-//! runs its one probe loop. ([`merge_join`] is the exception — the
+//! runs its one probe loop, and every projection reads the key groups of
+//! one ([`project`], [`project_indexed`]). ([`merge_join`] is the exception — the
 //! independent sort-based reference the tests hold the kernels against.)
 //! Each operator documents its relationship to the paper's statements
 //! (§2.2) and cost model (§2.3); cost accounting itself lives in
@@ -29,11 +30,14 @@ mod spill;
 mod trie;
 mod trie_join;
 
-pub use index::{par_join_indexed_cutoff, par_semijoin_indexed_cutoff, JoinIndex};
+pub use index::{
+    par_join_indexed_cutoff, par_semijoin_indexed_cutoff, project_indexed, semijoin_grouped,
+    JoinIndex, GROUP_SEMIJOIN_MIN_ROWS,
+};
 pub use join::{join, join_key_positions};
 pub use merge_join::merge_join;
 pub use product::{Answer, Product};
-pub use project::{par_project_cutoff, project};
+pub use project::project;
 pub use rename::rename;
 pub use select::{select_attrs_eq, select_eq, select_where};
 pub use semijoin::semijoin;

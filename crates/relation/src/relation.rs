@@ -455,6 +455,12 @@ impl Relation {
             (u128::from(xor) << 64) | u128::from(sum)
         })
     }
+
+    /// [`Relation::fingerprint`] if it has been computed already (on this
+    /// relation or on the one it was cloned from), without computing it.
+    pub fn memoized_fingerprint(&self) -> Option<u128> {
+        self.fingerprint.get().copied()
+    }
 }
 
 /// Set equality: same schema and the same set of rows, regardless of order.

@@ -142,6 +142,13 @@ fn check_semijoins(l: &Relation, r: &Relation, what: &str) {
             &format!("{what}: indexed t={t}"),
         );
     }
+    let lkey = ops::join_key_positions(l.schema(), r.schema()).0;
+    if !lkey.is_empty() {
+        let on_l = JoinIndex::build(Arc::new(l.clone()), lkey);
+        if let Some(grouped) = ops::semijoin_grouped(l, &on_l, &on_r) {
+            assert_rows(&grouped, l.schema(), &want, &format!("{what}: grouped"));
+        }
+    }
 }
 
 #[test]
@@ -255,10 +262,6 @@ fn projections_match_row_set_reference() {
             let want = ref_project(rel, &schema);
             let what = format!("project {attrs:?} of {} rows", rel.len());
             assert_rows(&ops::project(rel, &attrs).unwrap(), &schema, &want, &what);
-            for t in THREADS {
-                let par = ops::par_project_cutoff(rel, &attrs, t, 0).unwrap();
-                assert_rows(&par, &schema, &want, &format!("{what}: par t={t}"));
-            }
         }
     }
 }
@@ -450,4 +453,122 @@ fn integer_columns_at_every_width_edge() {
             assert_rows(&got, ab, &both, &what);
         }
     }
+}
+
+/// `rel` projected onto `pos` through a [`JoinIndex`] on `pos` (whose
+/// layout it returns) and through [`ops::project`], against the reference.
+fn check_projection(rel: &Relation, pos: &[usize], what: &str) -> &'static str {
+    let attrs: Vec<AttrId> = pos.iter().map(|&p| rel.schema().attrs()[p]).collect();
+    let schema = Schema::new(attrs.clone());
+    let want = ref_project(rel, &schema);
+    let index = JoinIndex::build(Arc::new(rel.clone()), pos.to_vec());
+    let what = format!("{what}: {} layout", index.layout());
+    assert_rows(&ops::project_indexed(&index), &schema, &want, &what);
+    assert_rows(&ops::project(rel, &attrs).unwrap(), &schema, &want, &what);
+    index.layout()
+}
+
+/// Projections read the key groups of a dense index and of a hash index
+/// alike: onto keys of every cell width, from negative minimums, and onto
+/// multi-column, interned and empty keys.
+#[test]
+fn projections_through_dense_and_hash_indexes() {
+    let mut rng = StdRng::seed_from_u64(0x9e0);
+    for width in EDGE_WIDTHS {
+        let mut c = Catalog::new();
+        // Rows enough (about a third distinct) that the dense layout fits
+        // every span up to `u16`'s.
+        let rows = if width <= 256 { 300 } else { 48_000 };
+        let rel = edge_rel(&mut c, "AB", width, width / 3, rows, &mut rng);
+        let what = format!("width {width}");
+        let dense = width <= 65_536;
+        let layout = check_projection(&rel, &[1], &what);
+        assert_eq!(layout == "dense", dense, "{what}: layout");
+        check_projection(&rel, &[0], &format!("{what}, onto the id"));
+    }
+    let mut c = Catalog::new();
+    let r = random_rel(&mut c, "ABC", "ims", 1_500, 9, &mut rng);
+    assert_eq!(check_projection(&r, &[0, 2], "two columns"), "hash");
+    assert_eq!(check_projection(&r, &[1], "interned"), "hash");
+    assert_eq!(check_projection(&r, &[], "nullary"), "hash");
+    let empty = Relation::empty(r.schema().clone());
+    check_projection(&empty, &[0], "empty");
+}
+
+/// `target ⋉ filter` through a dense index over `target` against the
+/// reference, with the filter indexed as it comes (dense or hash): the
+/// result shares the target's columns exactly when every row survives.
+fn check_group_semijoin(target: &Relation, filter: &Relation, what: &str) -> Relation {
+    let (tkey, fkey) = ops::join_key_positions(target.schema(), filter.schema());
+    let groups = JoinIndex::build(Arc::new(target.clone()), tkey);
+    assert_eq!(groups.layout(), "dense", "{what}: target layout");
+    let on_filter = JoinIndex::build(Arc::new(filter.clone()), fkey);
+    let what = format!("{what}, {} filter", on_filter.layout());
+    let got = ops::semijoin_grouped(target, &groups, &on_filter).expect("a dense index");
+    let want = ref_semijoin(target, filter);
+    assert_rows(&got, target.schema(), &want, &what);
+    let shared = (target.columns().iter().zip(got.columns())).all(|(t, g)| t.shares_payload(g));
+    assert_eq!(shared, want.len() == target.len(), "{what}: sharing");
+    got
+}
+
+/// A `BC` filter holding `keys` under `B` (numbered in `C`), plus a string
+/// key when `interned`, which puts the filter's index on the hash layout.
+fn filter_of(c: &mut Catalog, keys: impl Iterator<Item = i64>, interned: bool) -> Relation {
+    let mut rows: Vec<Row> = keys
+        .enumerate()
+        .map(|(i, k)| vec![Value::Int(k), Value::Int(i as i64)].into())
+        .collect();
+    if interned {
+        rows.push(vec![Value::str("x"), Value::Int(-1)].into());
+    }
+    Relation::from_rows(Schema::new(c.intern_chars("BC")), rows).unwrap()
+}
+
+/// The group semijoin against the reference over target keys of every
+/// dense cell width from negative minimums: filters keeping every other
+/// key, every key, and none (their span beside the target's), and a
+/// gathered target whose stored span is looser than its keys.
+#[test]
+fn group_semijoins_match_row_set_reference() {
+    let mut rng = StdRng::seed_from_u64(0x6e0);
+    for width in EDGE_WIDTHS.into_iter().filter(|&w| w <= 65_536) {
+        let mut c = Catalog::new();
+        let rows = if width <= 256 { 300 } else { 48_000 };
+        let target = edge_rel(&mut c, "AB", width, width / 3, rows, &mut rng);
+        let keys: BTreeSet<i64> = (target.rows().iter())
+            .map(|row| row[1].as_int().unwrap())
+            .collect();
+        let (min, max) = (*keys.first().unwrap(), *keys.last().unwrap());
+        for interned in [false, true] {
+            let what = format!("width {width}, min {min}");
+            let every_other = keys.iter().copied().step_by(2).chain([max + 1, min - 1]);
+            let filter = filter_of(&mut c, every_other, interned);
+            let half = check_group_semijoin(&target, &filter, &format!("{what}: half"));
+            assert!(keys.len() == 1 || half.len() < target.len(), "{what}: half");
+            let filter = filter_of(&mut c, keys.iter().copied(), interned);
+            check_group_semijoin(&target, &filter, &format!("{what}: every key"));
+            let beside = filter_of(&mut c, max + 1..max + 50, interned);
+            let none = check_group_semijoin(&target, &beside, &format!("{what}: none"));
+            assert!(none.is_empty(), "{what}: none kept");
+
+            // Keys strictly inside the span, gathered: the stored span
+            // still runs from `min` to `max`.
+            let inner = ops::select_where(&target, |row| {
+                row[1] != Value::Int(min) && row[1] != Value::Int(max)
+            });
+            if !inner.is_empty() {
+                let filter = filter_of(&mut c, keys.iter().copied().skip(1).step_by(3), interned);
+                check_group_semijoin(&inner, &filter, &format!("{what}: loose span"));
+            }
+        }
+    }
+    // The hash layout has no group semijoin.
+    let mut c = Catalog::new();
+    let r = random_rel(&mut c, "AB", "is", 200, 9, &mut rng);
+    let s = random_rel(&mut c, "BC", "si", 200, 9, &mut rng);
+    let on_r = JoinIndex::build(Arc::new(r.clone()), vec![1]);
+    let on_s = JoinIndex::build(Arc::new(s.clone()), vec![0]);
+    assert_eq!(on_r.layout(), "hash");
+    assert!(ops::semijoin_grouped(&r, &on_r, &on_s).is_none());
 }
