@@ -698,7 +698,8 @@ impl<'p> Admitted<'p> {
 #[derive(Debug, Clone)]
 pub struct Outcome {
     /// The join result: its rows, or the program's last join left a
-    /// product ([`mjoin_program::ExecOutcome::result`]).
+    /// product or its last group semijoin a selection
+    /// ([`mjoin_program::ExecOutcome::result`]).
     pub result: Answer,
     /// The §2.3 cost account: inputs plus every generated relation.
     pub ledger: CostLedger,

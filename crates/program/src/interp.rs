@@ -55,8 +55,14 @@
 //! size.
 //!
 //! Registers hold [`Answer`]s: rows, or — only ever the head of the
-//! program's last statement, when it is a keyed join writing the result —
-//! a [`Product`] of the join's operands. That statement is counted before
+//! program's last statement, when it writes the result — a [`Product`] of
+//! a keyed join's operands or a [`Selection`](ops::Selection) of a group
+//! semijoin's surviving key groups. A group semijoin that drops keys is
+//! counted from its target's dense index and, as that last statement,
+//! left a selection: a caller that reads only the answer's size (a
+//! server's `run` reply) never gathers its rows. Any other group semijoin
+//! is gathered at once, so no statement reads a selection. A last join is
+//! counted before
 //! it is gathered ([`JoinIndex::count`] over the index it would probe, or
 //! over each Grace pair's under a spill plan), and stays a product when its
 //! fan-out `|head| / (|left| + |right|)` reaches [`FACTORIZE_MIN_FANOUT`].
@@ -708,8 +714,10 @@ pub struct ExecOutcome {
     /// The answer in the program's declared result register: its rows,
     /// shared, not copied, out of the interpreter's register file, or — for
     /// a last join of fan-out at least [`FACTORIZE_MIN_FANOUT`] — a
-    /// [`Product`] of its operands. Either derefs to the rows; `len()`
-    /// counts them without materializing a product.
+    /// [`Product`] of its operands, or — for a last group semijoin that
+    /// drops keys — a [`Selection`](ops::Selection) of its target's key
+    /// groups. Each derefs to the rows; `len()` counts them without
+    /// materializing.
     pub result: Answer,
     /// The cost account (inputs + every statement head).
     pub ledger: CostLedger,
@@ -741,8 +749,8 @@ impl ExecOutcome {
 
 /// The register file: shared-ownership answers, so reads are cheap and
 /// concurrent statement evaluation can hold operands without copying. Only
-/// the last statement's head can be a [`Product`], so no statement reads
-/// one.
+/// the last statement's head can be a [`Product`] or a
+/// [`Selection`](ops::Selection), so no statement reads one.
 struct Machine {
     bases: Vec<Answer>,
     temps: Vec<Option<Answer>>,
@@ -812,10 +820,12 @@ impl Machine {
 /// because a join peeks both of its sides before deciding which lookup
 /// counts.
 ///
-/// A keyed join with `factorize` set — the program's last statement,
-/// writing its result — is counted before it is gathered, and left a
-/// [`Product`] when its fan-out reaches [`FACTORIZE_MIN_FANOUT`]. A
-/// scheduled spill that fails leaves its I/O error in `spill_failed`.
+/// With `last` set — the program's last statement, writing its result —
+/// a keyed join is counted before it is gathered, and left a [`Product`]
+/// when its fan-out reaches [`FACTORIZE_MIN_FANOUT`], and a group semijoin
+/// that drops keys is left a [`Selection`](ops::Selection); otherwise both
+/// are gathered at once. A scheduled spill that fails leaves its I/O error
+/// in `spill_failed`.
 #[allow(clippy::too_many_arguments)]
 fn eval_stmt(
     program: &Program,
@@ -823,7 +833,7 @@ fn eval_stmt(
     stmt: &Stmt,
     threads: usize,
     spill: Option<usize>,
-    factorize: bool,
+    last: bool,
     spill_failed: &mut Option<String>,
     cache: &SharedIndexCache,
 ) -> (Reg, Answer) {
@@ -874,7 +884,7 @@ fn eval_stmt(
                 // not their indices). On an I/O failure (temp dir full, disk
                 // gone) fall through to the in-memory path rather than lose
                 // the query, and say so.
-                let spilled = match factorize {
+                let spilled = match last {
                     true => ops::grace_hash_product(&l, &r, p).map(|(product, stats)| {
                         let answer = match fanned_out(product.len()) {
                             true => Answer::Product(Arc::new(product)),
@@ -910,7 +920,7 @@ fn eval_stmt(
                 (None, None) => None,
             };
             let join = |index: &Arc<JoinIndex>, probe: Arc<Relation>| -> Answer {
-                if factorize {
+                if last {
                     let product = Product::new(Arc::clone(index), Arc::clone(&probe));
                     if fanned_out(product.len()) {
                         return Answer::Product(Arc::new(product));
@@ -958,14 +968,18 @@ fn eval_stmt(
             let out = match groups {
                 Some(groups) => {
                     IndexCache::note_hit(&groups);
-                    ops::semijoin_grouped(&t, &groups, &index).expect("a dense index")
+                    let out = ops::semijoin_grouped(&t, &groups, &index).expect("a dense index");
+                    match last {
+                        true => out,
+                        false => Answer::Rows(out.relation()),
+                    }
                 }
-                None => par_semijoin_indexed_cutoff(&t, &index, threads, SMALL),
+                None => par_semijoin_indexed_cutoff(&t, &index, threads, SMALL).into(),
             };
             if built {
                 lock_cache(cache).insert(index);
             }
-            (*target, out.into())
+            (*target, out)
         }
     }
 }
@@ -982,9 +996,10 @@ fn stmt_kind(stmt: &Stmt) -> &'static str {
 /// index, kind, output cardinality (the data EXPLAIN ANALYZE reports) and
 /// output bytes (the column bytes the head holds, which show the width its
 /// integer cells were written at — a factorized head's are its operand
-/// parts', and it carries `factorized`), plus the I/O error of a scheduled
-/// spill that failed. Only the last statement, when it writes the result,
-/// may be factorized: nothing but the caller reads its head.
+/// parts', and it carries `factorized`; a selection's are its slot marks,
+/// and it carries `selection`), plus the I/O error of a scheduled spill
+/// that failed. Only the last statement, when it writes the result, may be
+/// left a product or a selection: nothing but the caller reads its head.
 fn eval_stmt_traced(
     program: &Program,
     m: &Machine,
@@ -995,18 +1010,9 @@ fn eval_stmt_traced(
     cache: &SharedIndexCache,
 ) -> (Reg, Answer, Option<String>) {
     let mut sp = mjoin_trace::span("exec", "stmt");
-    let factorize = index + 1 == program.stmts.len() && stmt.head() == program.result;
+    let last = index + 1 == program.stmts.len() && stmt.head() == program.result;
     let mut failed = None;
-    let (head, value) = eval_stmt(
-        program,
-        m,
-        stmt,
-        threads,
-        spill,
-        factorize,
-        &mut failed,
-        cache,
-    );
+    let (head, value) = eval_stmt(program, m, stmt, threads, spill, last, &mut failed, cache);
     if sp.is_active() {
         sp.arg("index", index);
         sp.arg("kind", stmt_kind(stmt));
@@ -1014,6 +1020,9 @@ fn eval_stmt_traced(
         sp.arg("out_bytes", value.resident_col_bytes());
         if value.is_factorized() {
             sp.arg("factorized", 1u64);
+        }
+        if value.is_selection() {
+            sp.arg("selection", 1u64);
         }
         if let Some(p) = spill {
             sp.arg("spill_partitions", p);
@@ -1857,8 +1866,14 @@ mod tests {
 
     /// `serve_warm`'s reducer in small: a 2,003-row hub `AB` over 53 keys,
     /// three 131-row spokes over 50 of them reduced by the hub, projected
-    /// onto `B`, intersected and folded back into the hub.
-    fn hub_reducer() -> (Database, Program) {
+    /// onto `B`, intersected and folded back into the hub. The guard keeps
+    /// a second test that runs it from running at once: each tells its
+    /// spans from other tests' by the hub's sizes, which only they share.
+    fn hub_reducer() -> (MutexGuard<'static, ()>, Database, Program) {
+        static HUB: Mutex<()> = Mutex::new(());
+        let guard = HUB
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let mut c = Catalog::new();
         let hub: Vec<[i64; 2]> = (0..2_003).map(|i| [i, i % 53]).collect();
         let spoke: Vec<[i64; 2]> = (0..131).map(|j| [j % 50, j]).collect();
@@ -1888,7 +1903,11 @@ mod tests {
             b.join(keys[0], keys[0], k);
         }
         b.semijoin(Reg::Base(0), keys[0]);
-        (Database::from_relations(rels), b.finish(Reg::Base(0)))
+        (
+            guard,
+            Database::from_relations(rels),
+            b.finish(Reg::Base(0)),
+        )
     }
 
     /// A second run of the hub reducer on one shared cache projects each
@@ -1897,7 +1916,7 @@ mod tests {
     /// ledger and answer of a run whose cache keeps nothing.
     #[test]
     fn a_warm_hub_reducer_takes_both_group_paths() {
-        let (db, p) = hub_reducer();
+        let (_hub, db, p) = hub_reducer();
         let no_memo = ExecConfig {
             cache: Some(IndexCache::shared(0, 0)),
             ..ExecConfig::default()
@@ -1938,6 +1957,67 @@ mod tests {
             assert_eq!(warm.head_sizes, cold.head_sizes, "{at}");
             assert_eq!(warm.ledger, cold.ledger, "{at}");
             assert_eq!(*warm.result, *cold.result, "{at}");
+        }
+    }
+
+    /// The hub reducer's last statement drops three of the hub's 53 keys.
+    /// On a warm cache, at one thread and at four, it is left a selection
+    /// of the hub's key groups, traced with `selection` at the bytes of its
+    /// 54 slot marks and gathered by no one; followed by another statement,
+    /// the same group semijoin is gathered into rows at once. Heads, ledger
+    /// and answer equal a run whose cache keeps nothing, which probes every
+    /// hub row.
+    #[test]
+    fn a_last_partial_group_semijoin_is_left_a_selection() {
+        let (_hub, db, p) = hub_reducer();
+        let hub_stmt = p.stmts.len() - 1;
+        let mut not_last = p.clone();
+        not_last.stmts.push(Stmt::Semijoin {
+            target: Reg::Base(1),
+            filter: Reg::Base(0),
+        });
+        let no_memo = ExecConfig {
+            cache: Some(IndexCache::shared(0, 0)),
+            ..ExecConfig::default()
+        };
+        let kept = (0..2_003).filter(|i| i % 53 < 50).count() as i64;
+        for threads in [1, 4] {
+            for (program, last) in [(&p, true), (&not_last, false)] {
+                let at = format!("threads = {threads}, last = {last}");
+                let cold = execute_with(program, &db, &no_memo);
+                assert!(!cold.result.is_selection(), "{at}");
+                let shared = IndexCache::shared(DEFAULT_CACHE_TUPLES, DEFAULT_CACHE_BYTES);
+                let cfg = ExecConfig {
+                    cache: Some(shared),
+                    ..ExecConfig::with_threads(threads)
+                };
+                execute_with(program, &db, &cfg);
+                let (warm, t) = traced(|| execute_with(program, &db, &cfg));
+                assert_eq!(warm.result.is_selection(), last, "{at}");
+                // Other tests' spans are told apart by this one's sizes.
+                let hub = |cat: &str, name: &str, rows_arg: &str, rows: i64| {
+                    (t.events.iter())
+                        .filter(|e| (e.cat, e.name) == (cat, name))
+                        .filter(|e| e.int_arg(rows_arg) == Some(rows))
+                        .filter(|e| e.int_arg("out_rows") == Some(kept))
+                        .collect::<Vec<_>>()
+                };
+                let stmt = hub("exec", "stmt", "index", hub_stmt as i64);
+                assert_eq!(stmt.len(), 1, "{at}");
+                assert_eq!(stmt[0].int_arg("selection"), last.then_some(1), "{at}");
+                if last {
+                    assert_eq!(stmt[0].int_arg("out_bytes"), Some(54), "{at}");
+                }
+                let strategies: Vec<_> = (hub("op", "semijoin", "left_rows", 2_003).iter())
+                    .map(|e| e.arg("strategy").and_then(mjoin_trace::ArgValue::as_str))
+                    .collect();
+                let gathered = if last { &[][..] } else { &[Some("gather")] };
+                assert_eq!(strategies[0], Some("groups"), "{at}");
+                assert_eq!(&strategies[1..], gathered, "{at}");
+                assert_eq!(warm.head_sizes, cold.head_sizes, "{at}");
+                assert_eq!(warm.ledger, cold.ledger, "{at}");
+                assert_eq!(*warm.result, *cold.result, "{at}");
+            }
         }
     }
 

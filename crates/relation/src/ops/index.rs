@@ -50,23 +50,26 @@
 //!   over the index its cache holds for `R` on the projected attributes,
 //!   built and cached on a miss as a join's build side is.
 //! - [`semijoin_grouped`] — `R ⋉ S` probes each of `R`'s keys into `S`'s
-//!   index once, then keeps `R` itself when every group survives, or the
-//!   rows of the surviving keys (one pass over the key column, a gather).
-//!   The interpreter takes it only when its cache already holds a dense
-//!   index over `R` on the shared key — found by `Arc` identity or by a
-//!   fingerprint already memoized, so looking costs no pass over `R` — with
-//!   at least [`GROUP_SEMIJOIN_MIN_ROWS`] rows per group; otherwise it
-//!   probes every row of `R` as above. On a shared two-vCPU Xeon host, a
-//!   100,000-row target keeping 97 % of its keys (medians of 31 runs, three
-//!   passes) took the group path at 1.28–1.30× the row probe's time at 4
-//!   rows per key, 1.04–1.06× at 8, 1.02–1.03× at 12 and 0.89–0.90× at 16;
-//!   a 4,000-row target 0.91–0.93× at 8 and 0.98–1.00× at 16. The constant
-//!   is the smallest power of two at which the group path was no slower in
-//!   every pass at both sizes.
+//!   index once, then keeps `R` itself when every group survives, or a
+//!   [`Selection`] of the surviving keys: their rows counted from the
+//!   dense slots, and gathered (one pass over the key column, a gather)
+//!   only when read. The interpreter takes it only when its cache already
+//!   holds a dense index over `R` on the shared key — found by `Arc`
+//!   identity or by a fingerprint already memoized, so looking costs no
+//!   pass over `R` — with at least [`GROUP_SEMIJOIN_MIN_ROWS`] rows per
+//!   group; otherwise it probes every row of `R` as above. On a shared
+//!   two-vCPU Xeon host, a 100,000-row target keeping 97 % of its keys
+//!   (medians of 31 runs, three passes, gathering the kept rows) took the
+//!   group path at 1.28–1.30× the row probe's time at 4 rows per key,
+//!   1.04–1.06× at 8, 1.02–1.03× at 12 and 0.89–0.90× at 16; a 4,000-row
+//!   target 0.91–0.93× at 8 and 0.98–1.00× at 16. The constant is the
+//!   smallest power of two at which the group path was no slower in every
+//!   pass at both sizes.
 
 use super::columnar;
 use super::hashtable::RawTable;
 use super::join::join_key_positions;
+use super::{Answer, Selection};
 use crate::column::{with_cells, Column, IntCells, IntColumn};
 use crate::relation::Relation;
 use crate::schema::Schema;
@@ -249,6 +252,14 @@ impl JoinIndex {
         match &self.layout {
             Layout::Dense(dense) => Some(dense.groups),
             Layout::Hash(_) => None,
+        }
+    }
+
+    /// The key column of a dense index, whose cells are the rows' slots.
+    pub(super) fn dense_keys(&self) -> &IntColumn {
+        match (&self.layout, &self.rel.columns()[self.key_pos[0]]) {
+            (Layout::Dense(_), Column::Int(keys)) => keys,
+            _ => unreachable!("a dense index keys one integer column"),
         }
     }
 
@@ -570,15 +581,16 @@ pub const GROUP_SEMIJOIN_MIN_ROWS: usize = 16;
 /// Semijoin `target ⋉ filter.relation()` by key groups: `groups` is a
 /// dense index over `target`'s rows (or a relation of the same content) on
 /// the key `target` shares with the filter, and each of its keys is probed
-/// into `filter` once, not once per row. The result is `target` itself,
-/// sharing its columns, when every group survives; otherwise one pass over
-/// the indexed key column keeps the rows of the surviving keys, in row
-/// order. `None` when `groups` has the hash layout.
+/// into `filter` once, not once per row. The answer is `target` itself,
+/// sharing its columns, when every group survives; otherwise a
+/// [`Selection`] of the surviving groups, counted from the index's slots,
+/// whose rows are gathered only when they are read. `None` when `groups`
+/// has the hash layout.
 pub fn semijoin_grouped(
     target: &Relation,
-    groups: &JoinIndex,
+    groups: &Arc<JoinIndex>,
     filter: &JoinIndex,
-) -> Option<Relation> {
+) -> Option<Answer> {
     let Layout::Dense(dense) = &groups.layout else {
         return None;
     };
@@ -597,11 +609,9 @@ pub fn semijoin_grouped(
         .probe::<Vec<u32>>(&groups.keys_at(&heads), 1, 0)
         .concat();
     let out = if kept.len() == heads.len() {
-        target.clone()
+        Answer::from(target.clone())
     } else {
-        let Column::Int(keys) = &groups.rel.columns()[groups.key_pos[0]] else {
-            unreachable!("a dense index keys one integer column");
-        };
+        let keys = groups.dense_keys();
         // A row's slot in the dense layout is its key cell.
         let (mut keep, mut rows) = (vec![false; dense.starts.len()], 0);
         for &g in &kept {
@@ -609,8 +619,8 @@ pub fn semijoin_grouped(
             keep[k] = true;
             rows += (dense.starts[k + 1] - dense.starts[k]) as usize;
         }
-        let ids = with_cells!(IntCells, keys.cells(), v => rows_kept(v, &keep, rows));
-        columnar::gather_relation(&groups.rel, &ids)
+        let selection = Selection::new(Arc::clone(groups), keep, rows);
+        Answer::Selection(Arc::new(selection))
     };
     if sp.is_active() {
         sp.arg("groups", heads.len());
@@ -618,18 +628,6 @@ pub fn semijoin_grouped(
         sp.arg("out_rows", out.len());
     }
     Some(out)
-}
-
-/// The `rows` rows whose cell — a dense index's slot — is marked in `keep`.
-fn rows_kept<T: Copy + Into<u64>>(cells: &[T], keep: &[bool], rows: usize) -> Vec<u32> {
-    let mut ids = Vec::with_capacity(rows);
-    for (i, &c) in cells.iter().enumerate() {
-        if keep[c.into() as usize] {
-            ids.push(i as u32);
-        }
-    }
-    debug_assert_eq!(ids.len(), rows);
-    ids
 }
 
 #[cfg(test)]

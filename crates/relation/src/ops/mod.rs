@@ -24,6 +24,7 @@ mod product;
 mod project;
 mod rename;
 mod select;
+mod selection;
 mod semijoin;
 mod setops;
 mod spill;
@@ -40,6 +41,7 @@ pub use product::{Answer, Product};
 pub use project::project;
 pub use rename::rename;
 pub use select::{select_attrs_eq, select_eq, select_where};
+pub use selection::Selection;
 pub use semijoin::semijoin;
 pub use setops::{difference, intersection, union};
 pub use spill::{grace_hash_join, grace_hash_product, SpillStats};

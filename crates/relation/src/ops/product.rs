@@ -14,12 +14,15 @@
 //! demand, through the same indices and at the same widths as the join the
 //! product stands in for.
 //!
-//! [`Answer`] is what an executor hands back: rows, or a product. It
-//! dereferences to a [`Relation`] (materializing a product the first time),
-//! so a caller that wants rows reads it as one.
+//! [`Answer`] is what an executor hands back, in one of three forms: its
+//! rows; a product; or a [`Selection`], a group semijoin's surviving key
+//! groups of its target, counted from the target's dense index and
+//! gathered on demand. It dereferences to a [`Relation`] (materializing a
+//! product or a selection the first time), so a caller that wants rows
+//! reads it as one, and its `len()` counts without materializing.
 
 use super::spill::{operand_spans, Gather};
-use super::{join_key_positions, par_join_indexed_cutoff, JoinIndex, SMALL};
+use super::{join_key_positions, par_join_indexed_cutoff, JoinIndex, Selection, SMALL};
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::span::IntSpan;
@@ -152,21 +155,26 @@ impl fmt::Debug for Product {
     }
 }
 
-/// An executor's answer: its rows, or a [`Product`] standing for them.
+/// An executor's answer: its rows, or a [`Product`] or a [`Selection`]
+/// standing for them.
 #[derive(Debug, Clone)]
 pub enum Answer {
     /// The rows.
     Rows(Arc<Relation>),
     /// A join left factorized.
     Product(Arc<Product>),
+    /// A group semijoin left as its target's surviving key groups.
+    Selection(Arc<Selection>),
 }
 
 impl Answer {
-    /// The number of answer rows (a product's without materializing it).
+    /// The number of answer rows (a product's or a selection's without
+    /// materializing it).
     pub fn len(&self) -> usize {
         match self {
             Answer::Rows(rel) => rel.len(),
             Answer::Product(p) => p.len(),
+            Answer::Selection(s) => s.len(),
         }
     }
 
@@ -180,6 +188,7 @@ impl Answer {
         match self {
             Answer::Rows(rel) => rel.schema(),
             Answer::Product(p) => p.schema(),
+            Answer::Selection(s) => s.schema(),
         }
     }
 
@@ -188,22 +197,30 @@ impl Answer {
         matches!(self, Answer::Product(_))
     }
 
+    /// Whether the answer is a selection.
+    pub fn is_selection(&self) -> bool {
+        matches!(self, Answer::Selection(_))
+    }
+
     /// The column bytes the answer holds: a product's are its pairs'
-    /// relations', not the rows they stand for.
+    /// relations', a selection's its slot marks beyond the target it pins,
+    /// not the rows they stand for.
     pub fn resident_col_bytes(&self) -> usize {
         match self {
             Answer::Rows(rel) => rel.resident_col_bytes(),
             Answer::Product(p) => p.resident_col_bytes(),
+            Answer::Selection(s) => s.resident_col_bytes(),
         }
     }
 
     /// The rows as a shared relation: the rows' own `Arc`, or a product's
-    /// materialized rows in a new one. (Not `rows`, which would shadow
-    /// [`Relation::rows`] on an answer.)
+    /// or a selection's materialized rows in a new one. (Not `rows`, which
+    /// would shadow [`Relation::rows`] on an answer.)
     pub fn relation(&self) -> Arc<Relation> {
         match self {
             Answer::Rows(rel) => Arc::clone(rel),
             Answer::Product(p) => Arc::new(p.materialize().clone()),
+            Answer::Selection(s) => Arc::new(s.materialize().clone()),
         }
     }
 }
@@ -211,11 +228,12 @@ impl Answer {
 impl Deref for Answer {
     type Target = Relation;
 
-    /// The rows, a product's materialized on first use.
+    /// The rows, a product's or a selection's materialized on first use.
     fn deref(&self) -> &Relation {
         match self {
             Answer::Rows(rel) => rel,
             Answer::Product(p) => p.materialize(),
+            Answer::Selection(s) => s.materialize(),
         }
     }
 }

@@ -440,13 +440,15 @@ impl Relation {
     /// fold [`Value::stable_hash`]es (a table lookup per interned cell), so
     /// an integer and an interned column holding the same values hash alike.
     ///
-    /// Computed lazily on first call and memoized (content is immutable).
+    /// Computed lazily on first call and memoized (content is immutable);
+    /// the rows a computation hashes count as `relation.fingerprint_rows`.
     /// This is a hash, not a proof of equality: collisions are possible,
     /// so callers deciding anything semantic should also compare schemas
     /// and accept the residual hash-collision risk (the join-index cache
     /// does, trading it for cross-`Arc` reuse).
     pub fn fingerprint(&self) -> u128 {
         *self.fingerprint.get_or_init(|| {
+            mjoin_trace::add("relation.fingerprint_rows", self.nrows as u64);
             let (mut xor, mut sum) = (0u64, self.nrows as u64);
             for h in row_hashes(&self.cols, self.nrows) {
                 xor ^= h;

@@ -875,15 +875,16 @@ fn write_lines<W: Write>(
 }
 
 /// Stream an executor's [`Answer`] as TSV, canonical column order, sorted
-/// rows: its rows through [`relation_to_tsv_writer`], a product through
-/// [`write_product`] — the same bytes either way.
+/// rows: its rows (a selection's gathered first) through
+/// [`relation_to_tsv_writer`], a product through [`write_product`] — the
+/// same bytes either way.
 pub fn answer_to_tsv_writer<W: Write>(
     catalog: &Catalog,
     answer: &Answer,
     out: &mut W,
 ) -> std::io::Result<()> {
     match answer {
-        Answer::Rows(rel) => relation_to_tsv_writer(catalog, rel, out),
+        Answer::Rows(_) | Answer::Selection(_) => relation_to_tsv_writer(catalog, answer, out),
         Answer::Product(product) => write_product(&names(catalog, product.schema()), product, out),
     }
 }

@@ -6,7 +6,7 @@
 //! kernel that drops or duplicates a row fails the comparison.
 
 use mjoin_relation::ops::{self, JoinIndex, TrieIndex};
-use mjoin_relation::{AttrId, Catalog, Relation, Row, Schema, Value};
+use mjoin_relation::{tsv, AttrId, Catalog, Column, Relation, Row, Schema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -144,8 +144,9 @@ fn check_semijoins(l: &Relation, r: &Relation, what: &str) {
     }
     let lkey = ops::join_key_positions(l.schema(), r.schema()).0;
     if !lkey.is_empty() {
-        let on_l = JoinIndex::build(Arc::new(l.clone()), lkey);
+        let on_l = Arc::new(JoinIndex::build(Arc::new(l.clone()), lkey));
         if let Some(grouped) = ops::semijoin_grouped(l, &on_l, &on_r) {
+            assert_eq!(grouped.len(), want.len(), "{what}: grouped len");
             assert_rows(&grouped, l.schema(), &want, &format!("{what}: grouped"));
         }
     }
@@ -500,11 +501,12 @@ fn projections_through_dense_and_hash_indexes() {
 /// result shares the target's columns exactly when every row survives.
 fn check_group_semijoin(target: &Relation, filter: &Relation, what: &str) -> Relation {
     let (tkey, fkey) = ops::join_key_positions(target.schema(), filter.schema());
-    let groups = JoinIndex::build(Arc::new(target.clone()), tkey);
+    let groups = Arc::new(JoinIndex::build(Arc::new(target.clone()), tkey));
     assert_eq!(groups.layout(), "dense", "{what}: target layout");
     let on_filter = JoinIndex::build(Arc::new(filter.clone()), fkey);
     let what = format!("{what}, {} filter", on_filter.layout());
     let got = ops::semijoin_grouped(target, &groups, &on_filter).expect("a dense index");
+    let got = Relation::clone(&got);
     let want = ref_semijoin(target, filter);
     assert_rows(&got, target.schema(), &want, &what);
     let shared = (target.columns().iter().zip(got.columns())).all(|(t, g)| t.shares_payload(g));
@@ -567,8 +569,86 @@ fn group_semijoins_match_row_set_reference() {
     let mut c = Catalog::new();
     let r = random_rel(&mut c, "AB", "is", 200, 9, &mut rng);
     let s = random_rel(&mut c, "BC", "si", 200, 9, &mut rng);
-    let on_r = JoinIndex::build(Arc::new(r.clone()), vec![1]);
+    let on_r = Arc::new(JoinIndex::build(Arc::new(r.clone()), vec![1]));
     let on_s = JoinIndex::build(Arc::new(s.clone()), vec![0]);
     assert_eq!(on_r.layout(), "hash");
     assert!(ops::semijoin_grouped(&r, &on_r, &on_s).is_none());
+}
+
+/// `got` is `want` row for row, in order, each integer column at `want`'s
+/// stored span.
+fn assert_same_gather(got: &Relation, want: &Relation, what: &str) {
+    assert_eq!(got.schema(), want.schema(), "{what}: schema");
+    assert!(got.rows() == want.rows(), "{what}: rows or their order");
+    let span = |c: &Column| match c {
+        Column::Int(c) => Some(c.span()),
+        Column::Dict { .. } => None,
+    };
+    for (g, w) in got.columns().iter().zip(want.columns()) {
+        assert_eq!(span(g), span(w), "{what}: column span");
+    }
+}
+
+/// A group semijoin that drops keys is a selection: counted before it is
+/// gathered, then gathered to the rows the row probe keeps — in order, at
+/// the target's spans — and printed as those rows print. Target keys of
+/// every edge width from negative minimums, under filters keeping every
+/// other key, one key, none and all (the target itself, sharing its
+/// columns); past `u16`'s span the target has no dense index, so no group
+/// semijoin.
+#[test]
+fn selections_match_group_semijoins() {
+    let mut rng = StdRng::seed_from_u64(0x5e1);
+    for width in EDGE_WIDTHS {
+        let mut c = Catalog::new();
+        let rows = if width <= 256 { 300 } else { 48_000 };
+        let target = edge_rel(&mut c, "AB", width, width / 3, rows, &mut rng);
+        let groups = Arc::new(JoinIndex::build(Arc::new(target.clone()), vec![1]));
+        let keys: Vec<i64> = (target.rows().iter())
+            .map(|row| row[1].as_int().unwrap())
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let (min, max) = (keys[0], keys[keys.len() - 1]);
+        let what = format!("width {width}, min {min}");
+        let kept_sets = [
+            ("every other key", keys.iter().copied().step_by(2).collect()),
+            ("one key", vec![keys[keys.len() / 2]]),
+            ("none", vec![max.wrapping_add(1)]),
+            ("every key", keys.clone()),
+        ];
+        for (kept, filter_keys) in kept_sets {
+            let what = format!("{what}: {kept}");
+            let filter = filter_of(&mut c, filter_keys.into_iter(), false);
+            let on_filter = JoinIndex::build(Arc::new(filter), vec![0]);
+            let Some(answer) = ops::semijoin_grouped(&target, &groups, &on_filter) else {
+                assert!(width > 65_536, "{what}: no group semijoin");
+                assert_eq!(groups.layout(), "hash", "{what}: target layout");
+                continue;
+            };
+            let eager = ops::par_semijoin_indexed_cutoff(&target, &on_filter, 1, 0);
+            let selected = eager.len() < target.len();
+            let drops = kept == "none" || (keys.len() > 1 && kept != "every key");
+            assert_eq!(selected, drops, "{what}: keys dropped");
+            assert_eq!(answer.is_selection(), selected, "{what}: a selection");
+            assert_eq!(answer.len(), eager.len(), "{what}: len before gathering");
+
+            let mut printed = Vec::new();
+            tsv::answer_to_tsv_writer(&c, &answer, &mut printed).unwrap();
+            let names: Vec<&str> = (eager.schema().attrs().iter())
+                .map(|&a| c.name(a))
+                .collect();
+            let cols: Vec<&Column> = eager.columns().iter().collect();
+            let mut want = Vec::new();
+            tsv::write_sorted(&names, &cols, eager.len(), &mut want).unwrap();
+            assert!(printed == want, "{what}: printed TSV");
+
+            let rel: &Relation = &answer;
+            assert_eq!(rel.len(), answer.len(), "{what}: gathered len");
+            assert_same_gather(rel, &eager, &what);
+            let shared =
+                (target.columns().iter().zip(rel.columns())).all(|(t, g)| t.shares_payload(g));
+            assert_eq!(shared, !selected, "{what}: sharing");
+        }
+    }
 }

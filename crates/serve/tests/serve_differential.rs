@@ -7,6 +7,7 @@
 use mjoin_core::engine::{self, ExecutorKind, Limits, Oracle, Outcome, Plan, PlanStrategy};
 use mjoin_cq::{execute_query_with, parse_query, ExecOptions, NamedDatabase};
 use mjoin_hypergraph::DbScheme;
+use mjoin_program::IndexCache;
 use mjoin_relation::{tsv, Catalog, Database, Relation};
 use mjoin_serve::{Client, ServeConfig, Server, Value};
 use std::sync::{Mutex, PoisonError};
@@ -158,6 +159,56 @@ fn session(addr: std::net::SocketAddr, catalog: &str, tsvs: &[String]) -> (Strin
     (tsv, u64_at(&resp, &["cache", "hit"]))
 }
 
+/// `program` over `tsvs`, loaded as `r0, r1, …` under `scheme`: its
+/// outcome and printed TSV on the one-shot engine path (checked against
+/// the gathered rows of a run whose cache keeps nothing), and the reply to
+/// a server's second, warm `run` of it with `tsv:true`.
+fn one_shot_and_served(tsvs: &[String], scheme: &str, program: &str) -> (Outcome, Vec<u8>, Value) {
+    let mut catalog = Catalog::new();
+    let rels: Vec<Relation> = tsvs
+        .iter()
+        .map(|t| tsv::relation_from_tsv_reader(&mut catalog, t.as_bytes()).unwrap())
+        .collect();
+    let scheme_list = mjoin_program::parse_scheme_list(&mut catalog, scheme).unwrap();
+    let parsed = mjoin_program::parse_program(&catalog, &scheme_list, program).unwrap();
+    let db = Database::from_relations(rels);
+    let prepared = engine::prepare(
+        scheme_list,
+        db,
+        catalog,
+        Plan::Program(parsed),
+        ExecutorKind::Program,
+    )
+    .unwrap();
+    let admitted = prepared.admit(&Limits::default()).unwrap();
+    let out = admitted.execute(1, None, None).unwrap();
+    let mut one_shot = Vec::new();
+    tsv::answer_to_tsv_writer(prepared.catalog(), &out.result, &mut one_shot).unwrap();
+    let no_memo = IndexCache::shared(0, 0);
+    let rows = admitted.execute(1, Some(&no_memo), None).unwrap().result;
+    let mut gathered = Vec::new();
+    tsv::relation_to_tsv_writer(prepared.catalog(), &rows, &mut gathered).unwrap();
+    assert!(
+        one_shot == gathered,
+        "the answer prints as its gathered rows"
+    );
+
+    let (addr, server) = spawn(ServeConfig::default());
+    let mut c = Client::connect(addr).unwrap();
+    load_all(&mut c, "served", tsvs);
+    let run = [
+        ("catalog", Value::str("served")),
+        ("program", Value::str(program)),
+        ("scheme", Value::str(scheme)),
+        ("tsv", Value::Bool(true)),
+    ];
+    assert_ok(&c.cmd("run", &run).unwrap(), "cold run");
+    let resp = c.cmd("run", &run).unwrap();
+    assert_ok(&resp, "warm run");
+    shutdown(addr, server);
+    (out, one_shot, resp)
+}
+
 /// A `run` of a many-to-many join — 128 rows a side on a 4-valued key,
 /// 4,096 answers — leaves its answer factorized, reports as many `rows` as
 /// its `tsv:true` reply prints lines, and prints what the one-shot path
@@ -171,50 +222,48 @@ fn a_factorized_run_reports_the_rows_it_prints() {
         bc.push_str(&format!("b{}\t{}\n", i % 4, 1000 - i));
     }
     let program = "R(V) := R(AB) ⋈ R(BC)";
-
-    let mut catalog = Catalog::new();
-    let rels: Vec<Relation> = [&ab, &bc]
-        .iter()
-        .map(|t| tsv::relation_from_tsv_reader(&mut catalog, t.as_bytes()).unwrap())
-        .collect();
-    let scheme = mjoin_program::parse_scheme_list(&mut catalog, "AB,BC").unwrap();
-    let parsed = mjoin_program::parse_program(&catalog, &scheme, program).unwrap();
-    let db = Database::from_relations(rels);
-    let prepared = engine::prepare(
-        scheme,
-        db,
-        catalog,
-        Plan::Program(parsed),
-        ExecutorKind::Program,
-    )
-    .unwrap();
-    let admitted = prepared.admit(&Limits::default()).unwrap();
-    let out = admitted.execute(1, None, None).unwrap();
+    let (out, one_shot, resp) = one_shot_and_served(&[ab, bc], "AB,BC", program);
     assert!(out.result.is_factorized(), "fan-out 16 stays a product");
     assert_eq!(out.result.len(), 4096);
-    let mut one_shot = Vec::new();
-    tsv::answer_to_tsv_writer(prepared.catalog(), &out.result, &mut one_shot).unwrap();
-
-    let (addr, server) = spawn(ServeConfig::default());
-    let mut c = Client::connect(addr).unwrap();
-    load_all(&mut c, "m2m", &[ab, bc]);
-    let resp = c
-        .cmd(
-            "run",
-            &[
-                ("catalog", Value::str("m2m")),
-                ("program", Value::str(program)),
-                ("scheme", Value::str("AB,BC")),
-                ("tsv", Value::Bool(true)),
-            ],
-        )
-        .unwrap();
-    assert_ok(&resp, "run");
     let tsv = resp.get("tsv").and_then(Value::as_str).unwrap();
     assert_eq!(u64_at(&resp, &["rows"]), tsv.lines().count() as u64 - 1);
     assert_eq!(u64_at(&resp, &["rows"]), 4096);
     assert_eq!(tsv.as_bytes(), &one_shot[..]);
-    shutdown(addr, server);
+}
+
+/// A hub-and-spoke reducer whose last semijoin drops three of the hub's 53
+/// keys — 2,003 hub rows, 37 or 38 a key, read by their key groups — leaves
+/// its answer a selection; a warm `run` reports as many `rows` as its
+/// `tsv:true` reply prints lines, and prints what the one-shot path prints.
+#[test]
+fn a_selected_run_reports_the_rows_it_prints() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut ab = String::from("A\tB\n");
+    for i in 0..2_003 {
+        ab.push_str(&format!("{i}\t{}\n", i % 53));
+    }
+    let spoke = |attr: &str| {
+        let mut t = format!("B\t{attr}\n");
+        for j in 0..131 {
+            t.push_str(&format!("{}\t{j}\n", j % 50));
+        }
+        t
+    };
+    let program = "R(BC) := R(BC) ⋉ R(AB)
+R(BD) := R(BD) ⋉ R(AB)
+R(K0) := π_B R(BC)
+R(K1) := π_B R(BD)
+R(K0) := R(K0) ⋈ R(K1)
+R(AB) := R(AB) ⋉ R(K0)";
+    let tsvs = [ab, spoke("C"), spoke("D")];
+    let (out, one_shot, resp) = one_shot_and_served(&tsvs, "AB,BC,BD", program);
+    let kept = (0..2_003).filter(|i| i % 53 < 50).count() as u64;
+    assert!(out.result.is_selection(), "the hub's key groups");
+    assert_eq!(out.result.len() as u64, kept);
+    let tsv = resp.get("tsv").and_then(Value::as_str).unwrap();
+    assert_eq!(u64_at(&resp, &["rows"]), tsv.lines().count() as u64 - 1);
+    assert_eq!(u64_at(&resp, &["rows"]), kept);
+    assert_eq!(tsv.as_bytes(), &one_shot[..]);
 }
 
 #[test]
