@@ -16,7 +16,10 @@
 //! most the configured budget; a rejection names the first offending
 //! statement, its numeric bound, and the certificate's symbolic bound so
 //! the client sees *why* (e.g. `|⋈D[{AB}]|·|⋈D[{CD}]|` — a Cartesian
-//! product the optimizer would never emit, cf. the paper's title).
+//! product the optimizer would never emit, cf. the paper's title). The
+//! report itself is numbers only: whoever prints a statement renders its
+//! symbolic bound ([`Certificate::bound_name`]) and its excerpt
+//! ([`AnalysisCx::excerpt`]) for that statement alone.
 
 use crate::absint::interval_analysis;
 use crate::cert::Certificate;
@@ -32,13 +35,9 @@ pub struct AdmissionBound {
     /// `min(certificate product, interval hi)` — a sound upper bound on
     /// the statement head's cardinality. `u64::MAX` reads as "unbounded".
     pub bound: u64,
-    /// The certificate's symbolic bound, e.g. `|⋈D[{ABC,CDE}]|`.
-    pub symbolic: String,
     /// Whether the certificate bound is a single intermediate (the
     /// Theorem-2 shape) rather than a product.
     pub tight: bool,
-    /// The statement rendered in paper notation.
-    pub excerpt: Option<String>,
 }
 
 /// The whole-program admission report: per-statement bounds plus the peak.
@@ -86,9 +85,7 @@ pub fn admission_report_with(
             stmt: i,
             kind: sb.kind,
             bound,
-            symbolic: cert.bound_name(i, cx.scheme, cx.catalog),
             tight: sb.tight,
-            excerpt: cx.excerpt(i),
         })
         .collect();
     let peak_stmt = bounds
@@ -165,14 +162,15 @@ mod tests {
         b.join(v, v, Reg::Base(2));
         let p = b.finish(v);
         let cx = AnalysisCx::new(&p, &scheme, &c).unwrap();
-        let report = admission_report(&cx, &[100, 100, 100]);
+        let cert = Certificate::compute(&cx);
+        let report = admission_report_with(&cx, &[100, 100, 100], &cert);
         assert_eq!(report.bounds[0].bound, 10_000, "Cartesian product bound");
         let v = report.violation(1_000).expect("must trip");
         assert_eq!(v.stmt, 0);
+        let symbolic = cert.bound_name(v.stmt, &scheme, &c);
         assert!(
-            v.symbolic.contains('·') || v.symbolic.contains("AB"),
-            "symbolic bound names the intermediates: {}",
-            v.symbolic
+            symbolic.contains('·') || symbolic.contains("AB"),
+            "symbolic bound names the intermediates: {symbolic}"
         );
         // The follow-on join compounds the product, so the *peak* lands on
         // statement 1 — but a rejection still names statement 0, the first

@@ -17,7 +17,9 @@
 //! * def-use chains (which later statements read each statement's head);
 //! * the level [`Schedule`], for the `schedule-audit` pass;
 //! * the program rendered in the paper's notation, one line per statement,
-//!   for diagnostic excerpts.
+//!   for diagnostic excerpts — on the first [`AnalysisCx::excerpt`] call,
+//!   since only a diagnostic, a rejection or a report prints one (a warm
+//!   server request that is admitted renders none).
 
 use mjoin_hypergraph::DbScheme;
 use mjoin_program::dataflow::{num_regs, reg_index};
@@ -26,6 +28,7 @@ use mjoin_program::{display, schedule, validate, Liveness, Program, Reg, Schedul
 use mjoin_program::{ValidateError, ValidationInfo};
 use mjoin_relation::fxhash::FxHashMap;
 use mjoin_relation::{AttrSet, Catalog};
+use std::sync::OnceLock;
 
 /// A value number: two occurrences with the same number provably hold the
 /// same relation (the converse does not hold — value numbering is
@@ -84,8 +87,9 @@ pub struct AnalysisCx<'a> {
     pub def_of: FxHashMap<Vn, ExprKey>,
     /// The level schedule of the program.
     pub schedule: Schedule,
-    /// The program rendered in paper notation, one line per statement.
-    pub lines: Vec<String>,
+    /// The program rendered in paper notation, one line per statement;
+    /// rendered by the first [`AnalysisCx::excerpt`].
+    lines: OnceLock<Vec<String>>,
 }
 
 impl<'a> AnalysisCx<'a> {
@@ -109,11 +113,6 @@ impl<'a> AnalysisCx<'a> {
     ) -> Self {
         let liveness = Liveness::compute(program);
         let sched = schedule(program);
-        let lines: Vec<String> = display::render(program, scheme, catalog)
-            .lines()
-            .map(str::to_owned)
-            .collect();
-        debug_assert_eq!(lines.len(), program.stmts.len());
 
         // Forward sweeps: schemes, value numbers, def-use.
         let mut base_schemes: Vec<AttrSet> = scheme.edges().to_vec();
@@ -246,7 +245,7 @@ impl<'a> AnalysisCx<'a> {
             uses,
             def_of,
             schedule: sched,
-            lines,
+            lines: OnceLock::new(),
         }
     }
 
@@ -257,9 +256,16 @@ impl<'a> AnalysisCx<'a> {
             .to_string()
     }
 
-    /// The rendered excerpt of statement `i`.
+    /// The rendered excerpt of statement `i`. The first call renders the
+    /// whole program.
     pub fn excerpt(&self, i: usize) -> Option<String> {
-        self.lines.get(i).cloned()
+        let lines = self.lines.get_or_init(|| {
+            let text = display::render(self.program, self.scheme, self.catalog);
+            let lines: Vec<String> = text.lines().map(str::to_owned).collect();
+            debug_assert_eq!(lines.len(), self.program.stmts.len());
+            lines
+        });
+        lines.get(i).cloned()
     }
 }
 

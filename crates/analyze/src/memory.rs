@@ -54,9 +54,13 @@
 //! check. [`mem_blowup`] is the lint face of the same comparison, and
 //! servers admission-gate on [`MemCertificate::peak_bytes`] next to the
 //! cost bound.
+//!
+//! The certificate is numbers only. Its renderings and the lint take the
+//! [`AnalysisCx`] and the [`Certificate`] it was computed from, and render
+//! each statement's symbolic bound, tree node and excerpt as they print it.
 
 use crate::admission::admitted_bounds;
-use crate::cert::Certificate;
+use crate::cert::{set_name, Certificate};
 use crate::cx::AnalysisCx;
 use crate::diagnostic::{Diagnostic, Severity};
 use mjoin_program::dataflow::{num_regs, reg_index};
@@ -120,16 +124,9 @@ pub struct MemStmt {
     /// being materialized + the build side (old head value still live —
     /// destructive assignment happens after evaluation).
     pub peak_bytes: u64,
-    /// The certificate's symbolic cardinality bound for the head, e.g.
-    /// `|⋈D[{AB,BC}]|`.
-    pub symbolic: String,
-    /// Whether that bound is a single intermediate (Theorem-2 shape).
+    /// Whether the certificate's bound on the head is a single
+    /// intermediate (Theorem-2 shape).
     pub tight: bool,
-    /// Tree-node provenance, when the certificate carries attribution
-    /// (Algorithm 2's S-node), rendered like `{AB,BC}`.
-    pub node: Option<String>,
-    /// The statement in paper notation.
-    pub excerpt: Option<String>,
 }
 
 /// The whole-program memory certificate. See the module docs.
@@ -185,9 +182,10 @@ impl MemCertificate {
         SpillPlan::new(parts)
     }
 
-    /// Plain-text rendering: one line per statement plus the summary.
+    /// Plain-text rendering: one line per statement plus the summary. `cx`
+    /// and `cert` are what the certificate was computed from.
     #[must_use]
-    pub fn render_text(&self) -> String {
+    pub fn render_text(&self, cx: &AnalysisCx<'_>, cert: &Certificate) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "memory: peak ≤ {} bytes{} (≤ {} resident tuples); inputs {} bytes\n",
@@ -204,8 +202,8 @@ impl MemCertificate {
                 Some(b) => format!("build {b}"),
                 None => "no build".to_string(),
             };
-            let node = match &s.node {
-                Some(n) => format!("  [node {n}]"),
+            let node = match cert.stmts[s.stmt].node {
+                Some(n) => format!("  [node {}]", set_name(n, cx.scheme, cx.catalog)),
                 None => String::new(),
             };
             out.push_str(&format!(
@@ -216,20 +214,23 @@ impl MemCertificate {
                 s.resident_bytes,
                 s.out_bytes,
                 build,
-                s.symbolic,
+                cert.bound_name(s.stmt, cx.scheme, cx.catalog),
                 if s.tight { "" } else { "  (product)" },
                 node,
-                s.excerpt.clone().unwrap_or_default()
+                cx.excerpt(s.stmt).unwrap_or_default()
             ));
         }
         out
     }
 
-    /// JSON rendering: one object per statement plus the summary.
+    /// JSON rendering: one object per statement plus the summary, over
+    /// the `cx` and `cert` the certificate was computed from.
     #[must_use]
-    pub fn to_json(&self) -> Value {
+    pub fn to_json(&self, cx: &AnalysisCx<'_>, cert: &Certificate) -> Value {
         let opt = |v: Option<u64>| v.map_or(Value::Null, Value::u64);
         let stmts = self.stmts.iter().map(|s| {
+            let node = cert.stmts[s.stmt].node;
+            let node = node.map(|n| set_name(n, cx.scheme, cx.catalog));
             Value::obj()
                 .set("stmt", Value::u64(s.stmt as u64))
                 .set("kind", Value::str(s.kind))
@@ -240,8 +241,11 @@ impl MemCertificate {
                 .set("resident_bytes", Value::u64(s.resident_bytes))
                 .set("peak_bytes", Value::u64(s.peak_bytes))
                 .set("tight", Value::Bool(s.tight))
-                .set("symbolic", Value::str(s.symbolic.as_str()))
-                .set("node", s.node.as_deref().map_or(Value::Null, Value::str))
+                .set(
+                    "symbolic",
+                    Value::Str(cert.bound_name(s.stmt, cx.scheme, cx.catalog)),
+                )
+                .set("node", node.map_or(Value::Null, Value::Str))
         });
         Value::obj()
             .set("stmts", Value::Arr(stmts.collect()))
@@ -261,9 +265,10 @@ pub fn memory_report(cx: &AnalysisCx<'_>, seeds: &[u64]) -> MemCertificate {
     memory_report_with(cx, seeds, &Certificate::compute(cx))
 }
 
-/// [`memory_report`] over a caller-supplied [`Certificate`] (typically one
-/// attributed with Algorithm 2's tree-node provenance, so every
-/// [`MemStmt::node`] names the CPF-tree node the statement came from).
+/// [`memory_report`] over a caller-supplied [`Certificate`] — the one its
+/// renderings then take, typically attributed with Algorithm 2's tree-node
+/// provenance so every printed statement names the CPF-tree node it came
+/// from.
 #[must_use]
 pub fn memory_report_with(
     cx: &AnalysisCx<'_>,
@@ -351,12 +356,7 @@ pub fn memory_report_with(
             build_bytes: build.map(|(_, b)| b),
             resident_bytes,
             peak_bytes,
-            symbolic: cert.bound_name(i, cx.scheme, cx.catalog),
             tight: cert.stmts[i].tight,
-            node: cert.stmts[i]
-                .node
-                .map(|n| crate::cert::set_name(n, cx.scheme, cx.catalog)),
-            excerpt: cx.excerpt(i),
         });
 
         slots[reg_index(program, head)] = Some((out_tuples, head_arity));
@@ -378,14 +378,20 @@ pub fn memory_report_with(
     }
 }
 
-/// The `mem-blowup` lint: statements of `cert` whose certified memory peak
-/// exceeds `budget` bytes. Like `cost-blowup` this is a standalone,
-/// seed-driven pass (the certificate needs input cardinalities, the lint a
-/// budget, so it does not run in the default pass list); `mjoin_cli check
-/// --memory` wires it up over the certificate it prints.
+/// The `mem-blowup` lint: statements of `mem` whose certified memory peak
+/// exceeds `budget` bytes, worded over the `cx` and `cert` `mem` was
+/// computed from. Like `cost-blowup` this is a standalone, seed-driven pass
+/// (the certificate needs input cardinalities, the lint a budget, so it
+/// does not run in the default pass list); `mjoin_cli check --memory` wires
+/// it up over the certificate it prints.
 #[must_use]
-pub fn mem_blowup(cert: &MemCertificate, budget: u64) -> Vec<Diagnostic> {
-    cert.stmts
+pub fn mem_blowup(
+    mem: &MemCertificate,
+    budget: u64,
+    cx: &AnalysisCx<'_>,
+    cert: &Certificate,
+) -> Vec<Diagnostic> {
+    mem.stmts
         .iter()
         .filter(|s| s.peak_bytes > budget)
         .map(|s| Diagnostic {
@@ -399,9 +405,9 @@ pub fn mem_blowup(cert: &MemCertificate, budget: u64) -> Vec<Diagnostic> {
                 s.resident_bytes,
                 s.out_bytes,
                 s.build_bytes.unwrap_or(0),
-                s.symbolic
+                cert.bound_name(s.stmt, cx.scheme, cx.catalog)
             ),
-            excerpt: s.excerpt.clone(),
+            excerpt: cx.excerpt(s.stmt),
         })
         .collect()
 }
@@ -501,16 +507,17 @@ mod tests {
         b.join(v, mjoin_program::Reg::Base(0), mjoin_program::Reg::Base(1));
         let p = b.finish(v);
         let cx = AnalysisCx::new(&p, &scheme, &c).unwrap();
-        let cert = memory_report(&cx, &[1000, 1000]);
+        let theorem2 = Certificate::compute(&cx);
+        let cert = memory_report_with(&cx, &[1000, 1000], &theorem2);
         assert_eq!(cert.stmts[0].build_bytes, None, "no key, no build table");
         assert!(!cert.spill_plan(1).any(), "nothing to partition by");
 
-        let diags = mem_blowup(&cert, 1024);
+        let diags = mem_blowup(&cert, 1024, &cx, &theorem2);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].lint, "mem-blowup");
         assert_eq!(diags[0].severity, Severity::Warn);
         assert_eq!(diags[0].stmt, Some(0));
-        assert!(mem_blowup(&cert, u64::MAX).is_empty());
+        assert!(mem_blowup(&cert, u64::MAX, &cx, &theorem2).is_empty());
     }
 
     #[test]
@@ -518,16 +525,21 @@ mod tests {
         let (c, scheme) = cx_parts(&["AB", "BC", "CD"]);
         let p = chain_program(&scheme);
         let cx = AnalysisCx::new(&p, &scheme, &c).unwrap();
-        let cert = memory_report(&cx, &[100, 100, 100]);
+        let theorem2 = Certificate::compute(&cx);
+        let cert = memory_report_with(&cx, &[100, 100, 100], &theorem2);
         assert!(cert.violation(u64::MAX).is_none());
         let v = cert.violation(0).expect("everything exceeds 0");
         assert_eq!(v.stmt, 0);
 
-        let text = cert.render_text();
+        let text = cert.render_text(&cx, &theorem2);
         assert!(text.contains("memory: peak ≤"), "{text}");
         assert!(text.contains("|⋈D[{AB,BC}]|"), "{text}");
-        let json = cert.to_json().render();
-        assert_eq!(Value::parse(&json), Ok(cert.to_json()), "{json}");
+        let json = cert.to_json(&cx, &theorem2).render();
+        assert_eq!(
+            Value::parse(&json),
+            Ok(cert.to_json(&cx, &theorem2)),
+            "{json}"
+        );
         assert!(json.contains("\"peak_bytes\""), "{json}");
         assert!(json.contains("\"build_bytes\""), "{json}");
     }
@@ -544,8 +556,13 @@ mod tests {
         let mut cert = Certificate::compute(&cx);
         cert.attribute(&[RelSet::from_indices([0, 1])]);
         let mem = memory_report_with(&cx, &[10, 10], &cert);
-        assert_eq!(mem.stmts[0].node.as_deref(), Some("{AB,BC}"));
-        assert!(mem.render_text().contains("[node {AB,BC}]"));
+        assert!(mem.render_text(&cx, &cert).contains("[node {AB,BC}]"));
+        let json = mem.to_json(&cx, &cert);
+        let stmt = |v: &Value| match v.get("stmts") {
+            Some(Value::Arr(stmts)) => stmts[0].get("node").cloned(),
+            _ => None,
+        };
+        assert_eq!(stmt(&json), Some(Value::str("{AB,BC}")));
     }
 
     #[test]

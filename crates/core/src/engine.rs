@@ -216,16 +216,6 @@ impl Rejection {
             excerpt: None,
         }
     }
-
-    /// Statement `stmt`'s certified `bound` over `budget`.
-    fn stmt(what: Exceeded, (stmt, kind): (usize, &'static str), bound: u64, budget: u64) -> Self {
-        Rejection {
-            what,
-            stmt: Some(stmt),
-            kind: Some(kind),
-            ..Rejection::agm(bound, budget)
-        }
-    }
 }
 
 impl fmt::Display for Rejection {
@@ -479,22 +469,15 @@ impl Prepared {
         } else {
             if let Some(budget) = limits.max_cost {
                 if let Some(v) = analysis.admission().violation(budget) {
-                    return Err(Rejection {
-                        symbolic: Some(v.symbolic.clone()),
-                        excerpt: v.excerpt.clone(),
-                        ..Rejection::stmt(Exceeded::Cost, (v.stmt, v.kind), v.bound, budget)
-                    });
+                    let at = (v.stmt, v.kind);
+                    return Err(analysis.rejection(Exceeded::Cost, at, v.bound, budget));
                 }
             }
             if let Some(budget) = limits.mem_budget {
                 let cert = analysis.memory();
                 if let Some(v) = cert.violation(budget).filter(|_| limits.mem_rejects) {
                     let at = (v.stmt, v.kind);
-                    return Err(Rejection {
-                        symbolic: Some(v.symbolic.clone()),
-                        excerpt: v.excerpt.clone(),
-                        ..Rejection::stmt(Exceeded::Memory, at, v.peak_bytes, budget)
-                    });
+                    return Err(analysis.rejection(Exceeded::Memory, at, v.peak_bytes, budget));
                 }
                 let plan = cert.spill_plan(budget);
                 spill = plan.any().then(|| Arc::new(plan));
@@ -557,6 +540,33 @@ impl<'p> Analysis<'p> {
     pub fn memory(&self) -> &MemCertificate {
         self.memory
             .get_or_init(|| memory_report_with(self.cx(), &self.p.sizes, self.certificate()))
+    }
+
+    /// The certificate's symbolic bound on statement `stmt`'s head, e.g.
+    /// `|⋈D[{AB}]|·|⋈D[{CD}]|` — rendered on demand, for a statement that
+    /// is about to be printed.
+    pub fn symbolic(&self, stmt: usize) -> String {
+        let p = self.p;
+        self.certificate().bound_name(stmt, &p.scheme, &p.catalog)
+    }
+
+    /// Statement `stmt`'s certified `bound` over `budget`, with its
+    /// symbolic bound and excerpt rendered for the message.
+    fn rejection(
+        &self,
+        what: Exceeded,
+        (stmt, kind): (usize, &'static str),
+        bound: u64,
+        budget: u64,
+    ) -> Rejection {
+        Rejection {
+            what,
+            stmt: Some(stmt),
+            kind: Some(kind),
+            symbolic: Some(self.symbolic(stmt)),
+            excerpt: self.cx().excerpt(stmt),
+            ..Rejection::agm(bound, budget)
+        }
     }
 }
 

@@ -7,7 +7,10 @@
 /// item, or `threads <= 1`) everything runs inline. A task's panic reaches
 /// the caller with its payload unchanged once every chunk has stopped.
 ///
-/// A traced run counts the spawned threads in `pool.tasks`.
+/// A traced run counts the spawned threads in `pool.tasks`. When the
+/// caller runs under a [`mjoin_trace::Collector`], each spawned thread runs
+/// under a fork of it, merged back as the thread joins, so a request's
+/// spans and counters stay its own whichever thread recorded them.
 pub fn par_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -26,13 +29,28 @@ where
         let mut spawned = Vec::with_capacity(chunks - 1);
         while rest.len() > 0 {
             let chunk: Vec<T> = rest.by_ref().take(size).collect();
-            spawned.push(s.spawn(move || chunk.into_iter().map(f).collect::<Vec<R>>()));
+            let fork = mjoin_trace::Collector::fork();
+            spawned.push(s.spawn(move || {
+                let work = || chunk.into_iter().map(f).collect::<Vec<R>>();
+                match fork {
+                    Some(fork) => {
+                        let (part, fork) = fork.run(work);
+                        (part, Some(fork))
+                    }
+                    None => (work(), None),
+                }
+            }));
         }
         mjoin_trace::add("pool.tasks", spawned.len() as u64);
         let mut out: Vec<R> = first.into_iter().map(f).collect();
         for handle in spawned {
             match handle.join() {
-                Ok(part) => out.extend(part),
+                Ok((part, fork)) => {
+                    out.extend(part);
+                    if let Some(fork) = fork {
+                        mjoin_trace::merge(fork);
+                    }
+                }
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
@@ -114,5 +132,21 @@ mod tests {
         let seen = seen.into_inner().unwrap();
         assert!(seen.len() <= 3, "{} threads ran 16 items", seen.len());
         assert!(seen.contains(&thread::current().id()));
+    }
+
+    #[test]
+    fn a_collector_follows_the_items_onto_spawned_threads() {
+        let (out, c) = mjoin_trace::Collector::new(true).run(|| {
+            par_map((0..8).collect::<Vec<u32>>(), 4, |x| {
+                drop(mjoin_trace::span("test", "item"));
+                mjoin_trace::add("test.items", 1);
+                x
+            })
+        });
+        assert_eq!(out, (0..8).collect::<Vec<_>>());
+        let t = c.into_trace();
+        assert_eq!(t.events.len(), 8);
+        assert_eq!(t.counter("test.items"), Some(8));
+        assert_eq!(t.counter("pool.tasks"), Some(3));
     }
 }

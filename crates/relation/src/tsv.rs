@@ -119,7 +119,7 @@ impl<'c> Parser<'c> {
         dest: Vec<usize>,
         mut reader: R,
     ) -> Result<(Option<Schema>, Vec<Column>, usize)> {
-        let sp = mjoin_trace::span("tsv", "load");
+        let _sp = mjoin_trace::span("tsv", "load");
         let mut p = Parser {
             header,
             ..Parser::default()
@@ -163,11 +163,9 @@ impl<'c> Parser<'c> {
                 p.nrows
             )));
         }
-        if sp.is_active() {
-            mjoin_trace::add("tsv.bytes", bytes);
-            mjoin_trace::add("tsv.rows", p.nrows as u64);
-            mjoin_trace::add("tsv.general_lines", p.general_lines);
-        }
+        mjoin_trace::add("tsv.bytes", bytes);
+        mjoin_trace::add("tsv.rows", p.nrows as u64);
+        mjoin_trace::add("tsv.general_lines", p.general_lines);
         let cols = p.builders.into_iter().map(ColumnBuilder::finish);
         Ok((p.schema, cols.collect(), p.nrows))
     }
@@ -617,7 +615,7 @@ pub fn write_sorted<W: Write>(
     out: &mut W,
 ) -> std::io::Result<()> {
     debug_assert!(cols.iter().all(|c| c.len() == nrows));
-    let sp = mjoin_trace::span("tsv", "write");
+    let _sp = mjoin_trace::span("tsv", "write");
     let mut buf = header_line(header);
 
     let rank = mjoin_trace::span("tsv", "rank");
@@ -649,10 +647,8 @@ pub fn write_sorted<W: Write>(
         }
     };
     drop(format);
-    if sp.is_active() {
-        mjoin_trace::add("tsv.write_rows", nrows as u64);
-        mjoin_trace::add("tsv.write_bytes", bytes as u64);
-    }
+    mjoin_trace::add("tsv.write_rows", nrows as u64);
+    mjoin_trace::add("tsv.write_bytes", bytes as u64);
     Ok(())
 }
 
@@ -734,7 +730,7 @@ pub fn write_product<W: Write>(
         let cols: Vec<&Column> = rel.columns().iter().collect();
         return write_sorted(header, &cols, rel.len(), out);
     };
-    let sp = mjoin_trace::span("tsv", "write");
+    let _sp = mjoin_trace::span("tsv", "write");
     let buf = header_line(header);
 
     let rank = mjoin_trace::span("tsv", "rank");
@@ -809,10 +805,8 @@ pub fn write_product<W: Write>(
     });
     let bytes = write_lines(lines, &prefixes, &suffixes, buf, out)?;
     drop(format);
-    if sp.is_active() {
-        mjoin_trace::add("tsv.write_rows", product.len() as u64);
-        mjoin_trace::add("tsv.write_bytes", bytes as u64);
-    }
+    mjoin_trace::add("tsv.write_rows", product.len() as u64);
+    mjoin_trace::add("tsv.write_bytes", bytes as u64);
     Ok(())
 }
 

@@ -14,11 +14,18 @@
 //! | `ping`     |                                                      | liveness check |
 //! | `load`     | `catalog`, `tsv`, opt. `name`                        | add a TSV relation to a named server-side catalog |
 //! | `compile`  | `catalog`, `name`, `program`, opt. `scheme`          | parse + validate a §2.2 program against the catalog |
-//! | `run`      | `catalog`, `name` or `program` (+opt. `scheme`), opt. `deadline_ms`, opt. `tsv` | admission-gate, execute, return result |
-//! | `query`    | `catalog`, opt. `cq`, opt. `optimizer`, opt. `executor`, opt. `minimize`, opt. `deadline_ms`, opt. `tsv` | derive a program for all loaded relations (Alg. 1+2) and run it — `executor` picks `program` (default), `wcoj`, or `auto` (AGM vs certificate). With `cq`, run that conjunctive query over the loaded relations instead; its core is compiled (`minimize: false` opts out) and the response reports atoms dropped plus pre/post AGM bounds |
+//! | `run`      | `catalog`, `name` or `program` (+opt. `scheme`), opt. `deadline_ms`, opt. `tsv`, opt. `trace` | admission-gate, execute, return result |
+//! | `query`    | `catalog`, opt. `cq`, opt. `optimizer`, opt. `executor`, opt. `minimize`, opt. `deadline_ms`, opt. `tsv`, opt. `trace` | derive a program for all loaded relations (Alg. 1+2) and run it — `executor` picks `program` (default), `wcoj`, or `auto` (AGM vs certificate). With `cq`, run that conjunctive query over the loaded relations instead; its core is compiled (`minimize: false` opts out) and the response reports atoms dropped plus pre/post AGM bounds |
 //! | `explain`  | `catalog`, `name` or `program` or `cq` (+opt. `scheme`) | admission report without executing; with `cq`, the minimization report (core, dropped atoms, pre/post AGM bounds) plus query lints |
 //! | `stats`    |                                                      | cumulative counters, cache residency, catalogs |
 //! | `shutdown` |                                                      | drain in-flight requests and stop the server |
+//!
+//! `"trace": true` on a `run` or `query` records that request's spans (and
+//! only that request's, whatever else the server is running) and returns
+//! them in the reply's `trace` field, aggregated as `mjoin_cli
+//! --explain-analyze` prints them: `{"spans": [{"key", "count",
+//! "total_us", "max_us"}, …], "counters": {…}}`. Without it a request
+//! records no span at all.
 
 use mjoin_trace::json::Value;
 
@@ -62,6 +69,9 @@ pub enum Request {
         deadline_ms: Option<u64>,
         /// Whether to include the result TSV (default true).
         tsv: bool,
+        /// Whether to record the request's spans and return them (default
+        /// false).
+        trace: bool,
     },
     /// Derive (Algorithm 1 + 2) and run a program joining every relation
     /// loaded in the catalog.
@@ -84,6 +94,9 @@ pub enum Request {
         deadline_ms: Option<u64>,
         /// Whether to include the result TSV (default true).
         tsv: bool,
+        /// Whether to record the request's spans and return them (default
+        /// false).
+        trace: bool,
     },
     /// Admission report for a program — or, with `cq`, the minimization
     /// and lint report for a conjunctive query — without executing.
@@ -118,7 +131,20 @@ fn opt_str(v: &Value, key: &str) -> Option<String> {
     v.get(key).and_then(Value::as_str).map(str::to_string)
 }
 
+/// An optional boolean field, false when absent.
+fn flag(v: &Value, key: &str) -> bool {
+    v.get(key).and_then(Value::as_bool).unwrap_or(false)
+}
+
 impl Request {
+    /// Whether the request asked for its own spans (`"trace": true`).
+    pub fn traced(&self) -> bool {
+        match self {
+            Request::Run { trace, .. } | Request::Query { trace, .. } => *trace,
+            _ => false,
+        }
+    }
+
     /// Parse one request line.
     pub fn parse(line: &str) -> Result<Request, String> {
         let v = Value::parse(line)?;
@@ -149,6 +175,7 @@ impl Request {
                     scheme: opt_str(&v, "scheme"),
                     deadline_ms: v.get("deadline_ms").and_then(Value::as_u64),
                     tsv: v.get("tsv").and_then(Value::as_bool).unwrap_or(true),
+                    trace: flag(&v, "trace"),
                 })
             }
             "query" => Ok(Request::Query {
@@ -159,6 +186,7 @@ impl Request {
                 minimize: v.get("minimize").and_then(Value::as_bool).unwrap_or(true),
                 deadline_ms: v.get("deadline_ms").and_then(Value::as_u64),
                 tsv: v.get("tsv").and_then(Value::as_bool).unwrap_or(true),
+                trace: flag(&v, "trace"),
             }),
             "explain" => {
                 let name = opt_str(&v, "name");
@@ -237,8 +265,18 @@ mod tests {
                 scheme: None,
                 deadline_ms: Some(100),
                 tsv: true,
+                trace: false,
             }
         );
+        assert!(!r.traced());
+        let traced = |line: &str| Request::parse(line).unwrap().traced();
+        assert!(traced(
+            "{\"cmd\":\"run\",\"catalog\":\"c\",\"name\":\"q\",\"trace\":true}"
+        ));
+        assert!(traced(
+            "{\"cmd\":\"query\",\"catalog\":\"c\",\"cq\":\"Q(x) :- r(x)\",\"trace\":true}"
+        ));
+        assert!(!traced("{\"cmd\":\"stats\",\"trace\":true}"));
         assert!(Request::parse("{\"cmd\":\"run\",\"catalog\":\"c\"}").is_err());
         assert!(Request::parse(
             "{\"cmd\":\"run\",\"catalog\":\"c\",\"name\":\"q\",\"program\":\"x\"}"

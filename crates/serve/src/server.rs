@@ -244,9 +244,9 @@ struct Shared {
     catalogs: Mutex<HashMap<String, CatalogEntry>>,
     cache: SharedIndexCache,
     gate: Gate,
-    /// Cumulative counters drained from the trace sink (`index_cache.*`,
-    /// `serve.*`, …), summed across every request the process has served.
-    /// Span events are dropped on the way in: nothing reads them.
+    /// Cumulative counters (`index_cache.*`, `serve.*`, …): each request's
+    /// collector folded in as the request ends, plus the few counted
+    /// outside any request.
     totals: Mutex<BTreeMap<&'static str, u64>>,
     shutdown: AtomicBool,
     in_flight: AtomicU64,
@@ -254,16 +254,27 @@ struct Shared {
 }
 
 impl Shared {
-    /// Drain the process trace sink, add its counters to the cumulative
-    /// totals and return them. High-water marks (`record_max`) add up too,
-    /// to an upper bound on the process-wide mark.
-    fn fold_trace(&self) -> MutexGuard<'_, BTreeMap<&'static str, u64>> {
-        let drained = trace::take();
+    /// Add counters to the cumulative totals: a finished request's, or one
+    /// counted outside any request (a session opening or closing, a line
+    /// refused before it parsed).
+    fn fold(&self, counters: &[(&'static str, u64)]) {
+        if counters.is_empty() {
+            return;
+        }
         let mut totals = lock(&self.totals);
-        for (name, v) in drained.counters {
+        for &(name, v) in counters {
             *totals.entry(name).or_insert(0) += v;
         }
-        totals
+    }
+
+    /// The cumulative totals plus what the current request has counted so
+    /// far, so a reply reports its own request as already folded in.
+    fn counters(&self) -> BTreeMap<&'static str, u64> {
+        let mut all = lock(&self.totals).clone();
+        for (name, v) in trace::collected_counters() {
+            *all.entry(name).or_insert(0) += v;
+        }
+        all
     }
 
     fn lock_cache(&self) -> MutexGuard<'_, IndexCache> {
@@ -327,7 +338,6 @@ impl Server {
     /// Serve until a client sends `shutdown`: accept sessions, drain
     /// in-flight requests on shutdown, return.
     pub fn run(self) -> std::io::Result<()> {
-        trace::set_enabled(true);
         let mut sessions = Vec::new();
         while !self.shared.shutdown.load(Ordering::Relaxed) {
             match self.listener.accept() {
@@ -362,7 +372,7 @@ fn session(shared: &Shared, stream: TcpStream, max_request_bytes: usize) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    trace::add("serve.session_open", 1);
+    shared.fold(&[("serve.session_open", 1)]);
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     let mut ledger = SessionLedger::default();
@@ -379,7 +389,7 @@ fn session(shared: &Shared, stream: TcpStream, max_request_bytes: usize) {
             Ok(_) => {
                 let complete = line.last() == Some(&b'\n');
                 if !complete && line.len() > max_request_bytes {
-                    trace::add("serve.protocol_error", 1);
+                    shared.fold(&[("serve.protocol_error", 1)]);
                     let resp = err(
                         "protocol",
                         format!("request line exceeds {max_request_bytes} bytes"),
@@ -393,7 +403,7 @@ fn session(shared: &Shared, stream: TcpStream, max_request_bytes: usize) {
                     Ok(s) => s.trim_end().to_string(),
                     Err(_) => {
                         line.clear();
-                        trace::add("serve.protocol_error", 1);
+                        shared.fold(&[("serve.protocol_error", 1)]);
                         let resp = err("protocol", "request line is not valid UTF-8");
                         if writeln!(writer, "{}", resp.render())
                             .and_then(|()| writer.flush())
@@ -427,7 +437,7 @@ fn session(shared: &Shared, stream: TcpStream, max_request_bytes: usize) {
             Err(_) => break,
         }
     }
-    trace::add("serve.session_close", 1);
+    shared.fold(&[("serve.session_close", 1)]);
 }
 
 /// A handler's outcome: the success response, or the error response.
@@ -441,23 +451,40 @@ struct Exec<'a> {
     ledger: &'a mut SessionLedger,
 }
 
-/// Parse and route one request line, then drain the trace sink into the
-/// totals, so span events never pile up however long the server runs.
+/// Parse one request line and run it under its own collector — spans only
+/// when it asked for them with `"trace": true`, which returns them in the
+/// reply — then fold the collector's counters into the totals.
 fn dispatch(shared: &Shared, request_line: &str, ledger: &mut SessionLedger) -> J {
-    let resp = route(shared, request_line, ledger);
-    drop(shared.fold_trace());
+    let (resp, collected) = serve_line(shared, request_line, ledger);
+    shared.fold(&collected.counters);
     resp
 }
 
-/// Parse one request line and run its handler.
-fn route(shared: &Shared, request_line: &str, ledger: &mut SessionLedger) -> J {
+/// [`dispatch`] before the fold: the reply and what its request recorded.
+fn serve_line(
+    shared: &Shared,
+    request_line: &str,
+    ledger: &mut SessionLedger,
+) -> (J, trace::Trace) {
     let req = match Request::parse(request_line) {
         Ok(r) => r,
         Err(e) => {
-            trace::add("serve.protocol_error", 1);
-            return err("protocol", e);
+            shared.fold(&[("serve.protocol_error", 1)]);
+            return (err("protocol", e), trace::Trace::default());
         }
     };
+    let traced = req.traced();
+    let (resp, collector) = trace::Collector::new(traced).run(|| route(shared, req, ledger));
+    let collected = collector.into_trace();
+    let resp = match traced {
+        true => resp.set("trace", collected.summary_json()),
+        false => resp,
+    };
+    (resp, collected)
+}
+
+/// Run one parsed request's handler.
+fn route(shared: &Shared, req: Request, ledger: &mut SessionLedger) -> J {
     if shared.shutdown.load(Ordering::Relaxed) {
         return err("shutting_down", "server is draining; no new requests");
     }
@@ -479,6 +506,7 @@ fn route(shared: &Shared, request_line: &str, ledger: &mut SessionLedger) -> J {
             scheme,
             deadline_ms,
             tsv,
+            ..
         } => {
             let source = (name.as_deref(), program.as_deref(), scheme.as_deref());
             let exec = Exec {
@@ -496,6 +524,7 @@ fn route(shared: &Shared, request_line: &str, ledger: &mut SessionLedger) -> J {
             minimize,
             deadline_ms,
             tsv,
+            ..
         } => {
             let exec = Exec {
                 deadline_ms,
@@ -815,8 +844,8 @@ fn cache_stats(shared: &Shared) -> J {
         let c = shared.lock_cache();
         (c.entries(), c.resident_tuples(), c.resident_bytes())
     };
-    let totals = shared.fold_trace();
-    let counter = |name| J::u64(totals.get(name).copied().unwrap_or(0));
+    let counters = shared.counters();
+    let counter = |name| J::u64(counters.get(name).copied().unwrap_or(0));
     J::obj()
         .set("hit", counter("index_cache.hit"))
         .set("miss", counter("index_cache.miss"))
@@ -1035,9 +1064,9 @@ fn handle_explain(shared: &Shared, catalog: &str, source: Source<'_>) -> Reply {
                 .set("stmt", J::u64(b.stmt as u64))
                 .set("kind", J::str(b.kind))
                 .set("bound", J::u64(b.bound))
-                .set("symbolic", J::Str(b.symbolic.clone()))
+                .set("symbolic", J::Str(analysis.symbolic(b.stmt)))
                 .set("tight", J::Bool(b.tight))
-                .set_opt("excerpt", b.excerpt.clone().map(J::Str))
+                .set_opt("excerpt", analysis.cx().excerpt(b.stmt).map(J::Str))
         })
         .collect();
     // The executor hint is which backend `query --executor auto` would
@@ -1071,14 +1100,10 @@ fn handle_explain(shared: &Shared, catalog: &str, source: Source<'_>) -> Reply {
 
 fn handle_stats(shared: &Shared, ledger: &SessionLedger) -> J {
     let cache = cache_stats(shared);
-    let counters = {
-        let totals = shared.fold_trace();
-        let mut o = J::obj();
-        for (&name, &v) in totals.iter() {
-            o = o.set(name, J::u64(v));
-        }
-        o
-    };
+    let counters = shared
+        .counters()
+        .into_iter()
+        .fold(J::obj(), |o, (name, v)| o.set(name, J::u64(v)));
     let catalogs: Vec<J> = {
         let map = lock(&shared.catalogs);
         let mut names: Vec<&String> = map.keys().collect();
@@ -1120,57 +1145,58 @@ mod tests {
     use super::*;
     use crate::Client;
 
-    /// The trace sink and the enabled flag are process-global, so tests
-    /// that record into them must not overlap.
-    fn serial() -> MutexGuard<'static, ()> {
-        static SERIAL: Mutex<()> = Mutex::new(());
-        lock(&SERIAL)
+    fn cmd(name: &str) -> J {
+        J::obj()
+            .set("cmd", J::str(name))
+            .set("catalog", J::str("c"))
     }
 
-    /// The server keeps counters, not events: every request leaves the
-    /// process sink empty — span events dropped, counters folded into the
-    /// totals — and `stats` reports the sum of what the requests recorded.
-    #[test]
-    fn requests_leave_no_events_in_the_sink_and_stats_sums_their_counters() {
-        let _serial = serial();
-        trace::set_enabled(true);
-        trace::clear();
-        let server = Server::bind(ServeConfig::default()).unwrap();
-        let shared = &server.shared;
-        let cmd = |name: &str| {
-            J::obj()
-                .set("cmd", J::str(name))
-                .set("catalog", J::str("c"))
-        };
-        let load = |name: &str, tsv: &str| {
-            cmd("load")
-                .set("name", J::str(name))
-                .set("tsv", J::str(tsv))
-        };
-        let requests = [
+    fn load(name: &str, tsv: &str) -> J {
+        cmd("load")
+            .set("name", J::str(name))
+            .set("tsv", J::str(tsv))
+    }
+
+    /// Two relations and a compiled two-statement program over them.
+    fn setup_requests() -> [J; 3] {
+        [
             load("r", "A\tB\n1\t2\n2\t3\n"),
             load("s", "B\tC\n2\t5\n3\t6\n"),
             cmd("compile")
                 .set("name", J::str("p"))
-                .set("program", J::str("R(V) := R(AB) ⋈ R(BC)"))
+                .set(
+                    "program",
+                    J::str("R(V) := R(AB) ⋈ R(BC)\nR(V) := R(V) ⋉ R(AB)"),
+                )
                 .set("scheme", J::str("AB,BC")),
+        ]
+    }
+
+    /// The server keeps counters, not events: each request's counters are
+    /// folded into the totals, nothing reaches the process-wide sink even
+    /// while another part of the process has it switched on, and `stats`
+    /// reports the sum of what the requests recorded.
+    #[test]
+    fn requests_leave_no_events_in_the_sink_and_stats_sums_their_counters() {
+        trace::set_enabled(true);
+        let server = Server::bind(ServeConfig::default()).unwrap();
+        let shared = &server.shared;
+        let requests = setup_requests().into_iter().chain([
             cmd("run").set("name", J::str("p")),
             cmd("run").set("name", J::str("p")),
             cmd("query").set("cq", J::str("Q(x, z) :- r(x, y), s(y, z)")),
             cmd("stats"),
-        ];
+        ]);
         let mut ledger = SessionLedger::default();
         let mut recorded: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for request in &requests {
-            // A span from outside any request is dropped with the rest.
-            drop(trace::span("test", "between_requests"));
+        for request in requests {
             let before = lock(&shared.totals).clone();
             let resp = dispatch(shared, &request.render(), &mut ledger);
             assert_eq!(resp.get("ok"), Some(&J::Bool(true)), "{}", resp.render());
-            let left = trace::take();
+            let sink = trace::take();
             assert!(
-                left.events.is_empty() && left.counters.is_empty(),
-                "sink not drained after {}: {left:?}",
+                sink.events.is_empty() && sink.counters.is_empty(),
+                "the request reached the process-wide sink: {}: {sink:?}",
                 request.render()
             );
             for (&name, &total) in lock(&shared.totals).iter() {
@@ -1197,17 +1223,65 @@ mod tests {
         assert!(counter("index_cache.hit") >= Some(1), "{recorded:?}");
     }
 
+    /// A request without `"trace": true` records no span: not in its
+    /// collector, not in the process-wide sink (switched on here, as the
+    /// server used to), whatever the verb. The same run with the field
+    /// returns its spans and still leaves the sink alone.
+    #[test]
+    fn a_request_without_the_trace_field_records_zero_span_events_anywhere() {
+        trace::set_enabled(true);
+        let server = Server::bind(ServeConfig::default()).unwrap();
+        let shared = &server.shared;
+        let requests = setup_requests().into_iter().chain([
+            cmd("run").set("name", J::str("p")),
+            cmd("run")
+                .set("name", J::str("p"))
+                .set("tsv", J::Bool(false)),
+            cmd("run")
+                .set("name", J::str("p"))
+                .set("trace", J::Bool(false)),
+            cmd("query"),
+            cmd("query").set("cq", J::str("Q(x, z) :- r(x, y), s(y, z)")),
+            cmd("explain").set("name", J::str("p")),
+            cmd("stats"),
+        ]);
+        let mut ledger = SessionLedger::default();
+        for request in requests {
+            let (resp, collected) = serve_line(shared, &request.render(), &mut ledger);
+            assert_eq!(resp.get("ok"), Some(&J::Bool(true)), "{}", resp.render());
+            assert!(resp.get("trace").is_none(), "{}", resp.render());
+            assert!(
+                collected.events.is_empty(),
+                "{}: {:?}",
+                request.render(),
+                collected.events
+            );
+        }
+        let traced = cmd("run")
+            .set("name", J::str("p"))
+            .set("trace", J::Bool(true));
+        let (resp, collected) = serve_line(shared, &traced.render(), &mut ledger);
+        let sink = trace::take();
+        trace::set_enabled(false);
+        assert!(sink.events.is_empty(), "{:?}", sink.events);
+        let stmts = collected
+            .events
+            .iter()
+            .filter(|e| e.cat == "exec" && e.name == "stmt");
+        assert_eq!(stmts.count(), 2);
+        let summary = resp.get("trace").expect("a traced run returns its spans");
+        assert_eq!(summary, &collected.summary_json());
+    }
+
     /// One byte over the cap without a newline is answered `protocol` and
     /// hung up on; a line of exactly the cap is served, and the next
     /// connection finds the server unharmed.
     #[test]
     fn an_over_long_request_line_is_refused_and_only_that_connection_closed() {
-        let _serial = serial();
         const CAP: usize = 64;
         let server = Server::bind(ServeConfig::default()).unwrap();
         let addr = server.local_addr().unwrap();
         server.listener.set_nonblocking(false).unwrap();
-        trace::set_enabled(true);
         let sessions = std::thread::spawn(move || {
             for _ in 0..2 {
                 let (stream, _) = server.listener.accept().unwrap();
@@ -1238,6 +1312,5 @@ mod tests {
         assert_eq!(errors, Some(1));
         drop(fresh);
         sessions.join().unwrap();
-        trace::set_enabled(false);
     }
 }

@@ -4,15 +4,6 @@
 //! scheme `query`, so the same bounds are enforced and reported.
 
 use mjoin_serve::{Client, ServeConfig, Server, Value};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Every server drains the one process-global trace sink into its own
-/// totals whenever it reports cache stats, so tests that read counters
-/// through `stats` cannot overlap another test's server.
-fn serial() -> MutexGuard<'static, ()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn chain_tsv(a: &str, b: &str, rows: u32) -> String {
     let mut t = format!("{a}\t{b}\n");
@@ -54,7 +45,6 @@ fn spawn(
 
 #[test]
 fn expired_deadline_cancels_at_a_statement_boundary() {
-    let _serial = serial();
     let (addr, server_thread) = spawn(ServeConfig::default());
     let mut c = Client::connect(addr).unwrap();
     load_pair(&mut c, "c");
@@ -88,7 +78,6 @@ fn expired_deadline_cancels_at_a_statement_boundary() {
 
 #[test]
 fn zero_depth_queue_reports_queue_full() {
-    let _serial = serial();
     // A zero-depth queue admits nothing once the gate is active: the
     // degenerate configuration makes the overload path deterministic.
     let (addr, server_thread) = spawn(ServeConfig {
@@ -125,7 +114,6 @@ fn error_kind(resp: &Value) -> Option<&str> {
 
 #[test]
 fn cq_query_honours_an_expired_deadline() {
-    let _serial = serial();
     let (addr, server_thread) = spawn(ServeConfig::default());
     let mut c = Client::connect(addr).unwrap();
     load_pair(&mut c, "c");
@@ -160,7 +148,6 @@ fn dense_tsv(a: &str, b: &str, k: u32) -> String {
 /// enumerating the join, and the session carries on.
 #[test]
 fn deadline_stops_a_wcoj_query_inside_the_join() {
-    let _serial = serial();
     let (addr, server_thread) = spawn(ServeConfig::default());
     let mut c = Client::connect(addr).unwrap();
     let k = 200;
@@ -214,7 +201,6 @@ fn deadline_stops_a_wcoj_query_inside_the_join() {
 
 #[test]
 fn cq_query_waits_on_the_capacity_gate() {
-    let _serial = serial();
     // Zero queue depth: nothing gets through an active gate.
     let (addr, server_thread) = spawn(ServeConfig {
         max_cost: Some(1_000_000),
@@ -233,7 +219,6 @@ fn cq_query_waits_on_the_capacity_gate() {
 
 #[test]
 fn cq_query_lands_in_the_session_ledger() {
-    let _serial = serial();
     let (addr, server_thread) = spawn(ServeConfig::default());
     let mut c = Client::connect(addr).unwrap();
     load_pair(&mut c, "c");
@@ -262,7 +247,6 @@ fn cq_query_lands_in_the_session_ledger() {
 
 #[test]
 fn cq_query_under_a_budget_minimizes_once() {
-    let _serial = serial();
     // A budget, so admission has to look at the minimized body's bound —
     // the same core computation compilation uses, not a second one.
     let (addr, server_thread) = spawn(ServeConfig {
@@ -288,7 +272,6 @@ fn cq_query_under_a_budget_minimizes_once() {
 
 #[test]
 fn shutdown_drains_and_stops_the_listener() {
-    let _serial = serial();
     let (addr, server_thread) = spawn(ServeConfig::default());
     let mut a = Client::connect(addr).unwrap();
     load_pair(&mut a, "c");
@@ -307,4 +290,76 @@ fn shutdown_drains_and_stops_the_listener() {
         Ok(mut c) => c.cmd("ping", &[]).is_err(),
     };
     assert!(refused, "server must stop accepting after shutdown");
+}
+
+/// A traced `run`'s `exec/stmt` spans, as its reply aggregates them.
+fn traced_stmt_spans(resp: &Value) -> Option<u64> {
+    let Some(Value::Arr(rows)) = resp.get("trace").and_then(|t| t.get("spans")) else {
+        return None;
+    };
+    let stmt = rows
+        .iter()
+        .find(|r| r.get("key").and_then(Value::as_str) == Some("exec/stmt"));
+    stmt.and_then(|r| r.get("count")).and_then(Value::as_u64)
+}
+
+/// Two sessions run traced programs of 2 and 5 statements at the same time:
+/// each reply carries its own request's spans and no other's.
+#[test]
+fn two_sessions_tracing_at_once_each_get_only_their_own_spans() {
+    let (addr, server_thread) = spawn(ServeConfig::default());
+    let programs = [
+        ("short", "R(V) := R(AB) ⋈ R(BC)\nR(AB) := R(AB) ⋉ R(BC)", 2),
+        (
+            "long",
+            "R(AB) := R(AB) ⋉ R(BC)\nR(BC) := R(BC) ⋉ R(AB)\nR(V) := R(AB) ⋈ R(BC)\n\
+             R(AB) := R(AB) ⋉ R(V)\nR(BC) := R(BC) ⋉ R(V)",
+            5,
+        ),
+    ];
+    let barrier = std::sync::Barrier::new(programs.len());
+    std::thread::scope(|s| {
+        for (catalog, program, stmts) in programs {
+            let barrier = &barrier;
+            s.spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                load_pair(&mut c, catalog);
+                let compile = [
+                    ("catalog", Value::str(catalog)),
+                    ("name", Value::str("p")),
+                    ("program", Value::str(program)),
+                    ("scheme", Value::str("AB,BC")),
+                ];
+                let resp = c.cmd("compile", &compile).unwrap();
+                assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
+                barrier.wait();
+                for _ in 0..20 {
+                    let run = [
+                        ("catalog", Value::str(catalog)),
+                        ("name", Value::str("p")),
+                        ("tsv", Value::Bool(false)),
+                        ("trace", Value::Bool(true)),
+                    ];
+                    let resp = c.cmd("run", &run).unwrap();
+                    assert_eq!(
+                        traced_stmt_spans(&resp),
+                        Some(stmts),
+                        "{catalog}: {}",
+                        resp.render()
+                    );
+                }
+                // An untraced run in between carries no spans.
+                let resp = c
+                    .cmd(
+                        "run",
+                        &[("catalog", Value::str(catalog)), ("name", Value::str("p"))],
+                    )
+                    .unwrap();
+                assert!(resp.get("trace").is_none(), "{}", resp.render());
+            });
+        }
+    });
+    let mut c = Client::connect(addr).unwrap();
+    c.cmd("shutdown", &[]).unwrap();
+    server_thread.join().unwrap().unwrap();
 }

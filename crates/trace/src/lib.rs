@@ -3,78 +3,125 @@
 //!
 //! Like the in-tree `fxhash`, this crate is `std`-only and depends on
 //! nothing else in the workspace, so every layer — relational operators,
-//! the program executor, the optimizers — can record into one shared sink
-//! without dependency cycles. For the same reason it holds the workspace's
-//! one JSON value type ([`json::Value`]), which the trace export, the
+//! the program executor, the optimizers — can record into it without
+//! dependency cycles. For the same reason it holds the workspace's one
+//! JSON value type ([`json::Value`]), which the trace export, the
 //! analyzer's reports and the server's wire protocol all render through.
 //!
-//! The design is a miniature of the usual production tracing split:
+//! What is recorded:
 //!
 //! * **Spans** ([`span`]) are timed regions with a static category/name and
-//!   a handful of key→value args (operator strategy, cardinalities, …).
-//!   They are recorded on drop into a process-wide sink.
-//! * **Counters** ([`add`], [`record_max`]) are named monotonic totals and
-//!   high-water marks for things too frequent or too small to span
-//!   (oracle calls, DP subproblems, pool queue depth).
+//!   a handful of key→value args (operator strategy, cardinalities, …),
+//!   recorded when they drop.
+//! * **Counters** ([`add`]) are named monotonic totals for things too
+//!   frequent or too small to span (oracle calls, index-cache hits, …).
 //!
-//! Everything is gated on one relaxed atomic load ([`enabled`]): when
-//! tracing is off — the default — a span is a `None` and costs a branch, no
-//! clock read, no allocation, no lock. Tracing turns on either explicitly
-//! ([`set_enabled`], used by `mjoin_cli --explain-analyze`) or implicitly
-//! when the `MJOIN_TRACE` environment variable is set to a non-empty value
-//! (the conventional value is the path the Chrome-trace JSON should be
-//! written to; this crate only reads the variable's presence — writing the
-//! file is the caller's job via [`Trace::to_chrome_json`]).
+//! Where it goes — the thread's **collector** if one is installed, the
+//! process-wide sink otherwise:
 //!
-//! Collected data is drained with [`take`], which returns a [`Trace`]:
-//! the raw [`Event`]s plus the counter totals, with helpers to aggregate
-//! ([`Trace::aggregate`]) and export ([`Trace::to_chrome_json`]).
+//! * A [`Collector`] is one request's sink. [`Collector::run`] installs it
+//!   on the current thread for the length of a closure; it always keeps
+//!   counters and keeps spans only when it was made with `spans: true`.
+//!   Nothing is locked: it is the thread's own, and `relation::par_map`
+//!   hands a [`Collector::fork`] to every scoped thread it spawns and
+//!   [`merge`]s it back when the thread joins. The server runs every
+//!   request under one, so concurrent requests never see each other's
+//!   spans and a request that asks for none records none.
+//! * The process-wide sink serves a thread with no collector — the CLI,
+//!   the tests, the benchmark's replay. It records only while tracing is
+//!   on: explicitly ([`set_enabled`], used by `mjoin_cli
+//!   --explain-analyze`) or when the `MJOIN_TRACE` environment variable is
+//!   set to a non-empty value (the conventional value is the path the
+//!   Chrome-trace JSON should be written to; this crate only reads the
+//!   variable's presence — writing the file is the caller's job via
+//!   [`Trace::to_chrome_json`]). [`take`] drains it into a [`Trace`].
+//!
+//! Everything is gated on one relaxed atomic load: while tracing is off and
+//! no collector is installed anywhere — the default — a span is a `None`
+//! and costs a branch, no clock read, no allocation, no lock. A [`Trace`]
+//! holds the raw [`Event`]s plus the counter totals, with helpers to
+//! aggregate ([`Trace::aggregate`]) and export ([`Trace::to_chrome_json`],
+//! [`Trace::summary_json`]).
 
 #![warn(missing_docs)]
 
 pub mod json;
 
 use json::Value;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
-// The enabled flag.
+// The state word.
 
-/// 0 = uninitialized, 1 = disabled, 2 = enabled.
-static STATE: AtomicU8 = AtomicU8::new(0);
+/// The process-wide switch in the low two bits (`UNREAD`, `OFF`, `ON`) and
+/// the number of installed collectors, in units of `ONE_COLLECTOR`, above
+/// them — so "off, and no collector anywhere" is the one value `OFF`.
+static STATE: AtomicUsize = AtomicUsize::new(UNREAD);
 
-/// Whether tracing is currently on. One relaxed atomic load on the fast
-/// path; the first call consults the `MJOIN_TRACE` environment variable.
+const MODE: usize = 0b11;
+/// The switch before `MJOIN_TRACE` has been read.
+const UNREAD: usize = 0;
+const OFF: usize = 1;
+const ON: usize = 2;
+const ONE_COLLECTOR: usize = 4;
+
+/// Whether a span opened on this thread now would record. One relaxed
+/// atomic load on the fast path: with a collector installed on this thread
+/// it is whether that collector keeps spans, otherwise whether the
+/// process-wide switch is on (the first call consults `MJOIN_TRACE`).
 #[inline]
 pub fn enabled() -> bool {
     match STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_from_env(),
+        OFF => false,
+        ON => true,
+        state => enabled_slow(state),
+    }
+}
+
+/// [`enabled`] past its fast path, out of line so every span site stays
+/// small.
+#[inline(never)]
+fn enabled_slow(state: usize) -> bool {
+    if state >= ONE_COLLECTOR {
+        if let Some(spans) = with_collector(|c| c.spans) {
+            return spans;
+        }
+    }
+    switch_on(state)
+}
+
+/// Whether the process-wide switch is on, given a load of [`STATE`].
+#[inline]
+fn switch_on(state: usize) -> bool {
+    match state & MODE {
+        UNREAD => init_from_env(),
+        mode => mode == ON,
     }
 }
 
 #[cold]
 fn init_from_env() -> bool {
     let on = std::env::var_os("MJOIN_TRACE").is_some_and(|v| !v.is_empty());
-    // Keep an explicit set_enabled() that raced us; only claim the
-    // uninitialized slot.
-    let _ = STATE.compare_exchange(
-        0,
-        if on { 2 } else { 1 },
-        Ordering::Relaxed,
-        Ordering::Relaxed,
-    );
-    STATE.load(Ordering::Relaxed) == 2
+    // Keep an explicit set_enabled() that raced us; only claim the unread
+    // switch.
+    let _ = STATE.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+        (s & MODE == UNREAD).then_some(s | if on { ON } else { OFF })
+    });
+    STATE.load(Ordering::Relaxed) & MODE == ON
 }
 
-/// Turn tracing on or off explicitly (overrides the environment).
+/// Turn the process-wide sink on or off explicitly (overrides the
+/// environment). Threads running under a [`Collector`] are not affected.
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    let mode = if on { ON } else { OFF };
+    let _ = STATE.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+        Some(s & !MODE | mode)
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -186,42 +233,142 @@ impl Event {
 }
 
 // ---------------------------------------------------------------------------
-// The sink.
+// The process-wide sink.
 
 static EVENTS: Mutex<Vec<Event>> = Mutex::new(Vec::new());
 static COUNTERS: Mutex<BTreeMap<&'static str, u64>> = Mutex::new(BTreeMap::new());
 
-fn push_event(e: Event) {
-    EVENTS.lock().expect("trace sink poisoned").push(e);
-}
-
-/// Add `delta` to the named counter. No-op when tracing is disabled.
+/// Add `delta` to the named counter: in this thread's collector, or in the
+/// process-wide sink while it is on. No-op otherwise.
 #[inline]
 pub fn add(name: &'static str, delta: u64) {
-    if !enabled() {
-        return;
+    let state = STATE.load(Ordering::Relaxed);
+    if state != OFF {
+        add_slow(state, name, delta);
     }
-    let mut c = COUNTERS.lock().expect("trace counters poisoned");
-    *c.entry(name).or_insert(0) += delta;
 }
 
-/// Raise the named high-water mark to at least `value`. No-op when tracing
-/// is disabled.
-#[inline]
-pub fn record_max(name: &'static str, value: u64) {
-    if !enabled() {
+/// [`add`] past its fast path, out of line so every counter site stays
+/// small.
+#[inline(never)]
+fn add_slow(state: usize, name: &'static str, delta: u64) {
+    if state >= ONE_COLLECTOR
+        && with_collector(|c| *c.counters.entry(name).or_insert(0) += delta).is_some()
+    {
         return;
     }
-    let mut c = COUNTERS.lock().expect("trace counters poisoned");
-    let e = c.entry(name).or_insert(0);
-    *e = (*e).max(value);
+    if switch_on(state) {
+        let mut c = COUNTERS.lock().expect("trace counters poisoned");
+        *c.entry(name).or_insert(0) += delta;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Collectors.
+
+/// One request's trace sink: its counters always, its spans only when made
+/// with `spans: true`. See the crate docs for how it is installed and how
+/// it follows `par_map` onto scoped threads.
+#[derive(Debug, Default)]
+pub struct Collector {
+    spans: bool,
+    events: Vec<Event>,
+    counters: BTreeMap<&'static str, u64>,
+}
+
+thread_local! {
+    static CURRENT: RefCell<Option<Collector>> = const { RefCell::new(None) };
+}
+
+/// Apply `f` to the collector installed on this thread, if any.
+fn with_collector<T>(f: impl FnOnce(&mut Collector) -> T) -> Option<T> {
+    CURRENT
+        .try_with(|cur| cur.borrow_mut().as_mut().map(f))
+        .ok()
+        .flatten()
+}
+
+/// Swap `next` in as this thread's collector; returns the one it displaces.
+fn swap_current(next: Option<Collector>) -> Option<Collector> {
+    CURRENT.with(|cur| cur.replace(next))
+}
+
+/// The collector [`Collector::run`] displaced, put back on drop — so also
+/// when the closure panics.
+struct Displaced(Option<Collector>);
+
+impl Drop for Displaced {
+    fn drop(&mut self) {
+        swap_current(self.0.take());
+        STATE.fetch_sub(ONE_COLLECTOR, Ordering::Relaxed);
+    }
+}
+
+impl Collector {
+    /// An empty collector that keeps counters, and spans iff `spans`.
+    pub fn new(spans: bool) -> Collector {
+        Collector {
+            spans,
+            ..Collector::default()
+        }
+    }
+
+    /// Run `f` with this collector installed on the current thread — every
+    /// span and counter `f` records on it lands here, none in the
+    /// process-wide sink — and return `f`'s result with the collector.
+    /// Whatever was installed before is restored afterwards, also when `f`
+    /// panics.
+    pub fn run<R>(self, f: impl FnOnce() -> R) -> (R, Collector) {
+        STATE.fetch_add(ONE_COLLECTOR, Ordering::Relaxed);
+        let displaced = Displaced(swap_current(Some(self)));
+        let out = f();
+        let mine = swap_current(None).expect("the collector stays installed");
+        drop(displaced);
+        (out, mine)
+    }
+
+    /// An empty collector with the settings of the one installed on this
+    /// thread, for a thread it spawns to [`run`](Collector::run) under and
+    /// [`merge`] back; `None` when this thread has no collector.
+    pub fn fork() -> Option<Collector> {
+        if STATE.load(Ordering::Relaxed) < ONE_COLLECTOR {
+            return None;
+        }
+        with_collector(|c| Collector::new(c.spans))
+    }
+
+    /// Everything collected, as a [`Trace`].
+    pub fn into_trace(self) -> Trace {
+        Trace {
+            events: self.events,
+            counters: self.counters.into_iter().collect(),
+        }
+    }
+}
+
+/// Merge `part` — a [`Collector::fork`] of this thread's collector that
+/// ran on a thread it spawned — back into this thread's collector.
+pub fn merge(part: Collector) {
+    with_collector(|c| {
+        c.events.extend(part.events);
+        for (name, delta) in part.counters {
+            *c.counters.entry(name).or_insert(0) += delta;
+        }
+    });
+}
+
+/// The counters this thread's collector has recorded so far, sorted by
+/// name (empty with no collector). Nothing is drained.
+pub fn collected_counters() -> Vec<(&'static str, u64)> {
+    with_collector(|c| c.counters.iter().map(|(&n, &v)| (n, v)).collect()).unwrap_or_default()
 }
 
 // ---------------------------------------------------------------------------
 // Spans.
 
-/// An in-flight timed region; records an [`Event`] when dropped. Inactive
-/// (and free) when tracing is disabled.
+/// An in-flight timed region; records an [`Event`] when dropped, into the
+/// thread's collector or the process-wide sink. Inactive (and free) when
+/// [`enabled`] is false.
 #[must_use = "a span measures the region it is alive for"]
 pub struct Span(Option<SpanInner>);
 
@@ -232,7 +379,7 @@ struct SpanInner {
     args: Vec<(&'static str, ArgValue)>,
 }
 
-/// Open a span. When tracing is disabled this returns an inactive span:
+/// Open a span. When [`enabled`] is false this returns an inactive span:
 /// no clock read, no allocation.
 #[inline]
 pub fn span(cat: &'static str, name: &'static str) -> Span {
@@ -276,7 +423,7 @@ impl Drop for Span {
                 .as_micros()
                 .min(u64::MAX as u128) as u64;
             let dur_us = inner.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            push_event(Event {
+            let mut event = Some(Event {
                 cat: inner.cat,
                 name: inner.name,
                 ts_us,
@@ -284,6 +431,17 @@ impl Drop for Span {
                 tid: thread_id(),
                 args: inner.args,
             });
+            // Into this thread's collector (if it keeps spans), or else
+            // into the process-wide sink.
+            with_collector(|c| {
+                let event = event.take().expect("recorded once");
+                if c.spans {
+                    c.events.push(event);
+                }
+            });
+            if let Some(event) = event {
+                EVENTS.lock().expect("trace sink poisoned").push(event);
+            }
         }
     }
 }
@@ -291,18 +449,17 @@ impl Drop for Span {
 // ---------------------------------------------------------------------------
 // Draining and export.
 
-/// Everything collected since the last [`take`]: raw events plus counter
-/// totals.
+/// A drained sink: raw events plus counter totals.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Completed spans, in completion order.
     pub events: Vec<Event>,
-    /// Counter totals / high-water marks, sorted by name.
+    /// Counter totals, sorted by name.
     pub counters: Vec<(&'static str, u64)>,
 }
 
-/// Drain the sink: returns all events and counters recorded so far and
-/// resets both.
+/// Drain the process-wide sink: returns all events and counters recorded
+/// into it so far and resets both. Collectors are not touched.
 pub fn take() -> Trace {
     let events = std::mem::take(&mut *EVENTS.lock().expect("trace sink poisoned"));
     let counters = std::mem::take(&mut *COUNTERS.lock().expect("trace counters poisoned"))
@@ -311,7 +468,7 @@ pub fn take() -> Trace {
     Trace { events, counters }
 }
 
-/// Discard everything recorded so far.
+/// Discard everything recorded into the process-wide sink so far.
 pub fn clear() {
     let _ = take();
 }
@@ -422,6 +579,26 @@ impl Trace {
         out
     }
 
+    /// [`Trace::aggregate`]'s rows and the counters as one JSON object —
+    /// what [`Trace::render_summary`] prints, as data:
+    /// `{"spans":[{"key","count","total_us","max_us"},…],"counters":{…}}`.
+    pub fn summary_json(&self) -> Value {
+        let spans = self.aggregate().into_iter().map(|row| {
+            Value::obj()
+                .set("key", Value::Str(row.key))
+                .set("count", Value::u64(row.count))
+                .set("total_us", Value::u64(row.total_us))
+                .set("max_us", Value::u64(row.max_us))
+        });
+        let counters = self
+            .counters
+            .iter()
+            .map(|&(name, v)| (name.to_string(), Value::u64(v)));
+        Value::obj()
+            .set("spans", Value::Arr(spans.collect()))
+            .set("counters", Value::Obj(counters.collect()))
+    }
+
     /// A compact human-readable summary: aggregated spans, then counters.
     /// Generic (no knowledge of programs or schedules); `mjoin_cli` builds
     /// its richer `EXPLAIN ANALYZE` report on top of the raw events.
@@ -467,7 +644,6 @@ mod tests {
             sp.arg("rows", 5usize);
         }
         add("x", 3);
-        record_max("y", 9);
         let t = take();
         assert!(t.events.is_empty());
         assert!(t.counters.is_empty());
@@ -486,8 +662,6 @@ mod tests {
         }
         add("optimizer.oracle_calls", 2);
         add("optimizer.oracle_calls", 3);
-        record_max("pool.max_queue_depth", 4);
-        record_max("pool.max_queue_depth", 2);
         let t = take();
         set_enabled(false);
         assert_eq!(t.events.len(), 1);
@@ -496,7 +670,6 @@ mod tests {
         assert_eq!(e.str_arg("strategy"), Some("radix"));
         assert_eq!(e.int_arg("out_rows"), Some(42));
         assert_eq!(t.counter("optimizer.oracle_calls"), Some(5));
-        assert_eq!(t.counter("pool.max_queue_depth"), Some(4));
         // Drained: a second take is empty.
         assert!(take().events.is_empty());
     }
@@ -603,5 +776,92 @@ mod tests {
         let t = take();
         set_enabled(false);
         assert_eq!(t.events.len(), 4);
+    }
+
+    #[test]
+    fn a_collector_keeps_its_own_and_leaves_the_global_sink_alone() {
+        let _g = guard();
+        set_enabled(true);
+        clear();
+        let ((), traced) = Collector::new(true).run(|| {
+            assert!(enabled());
+            let mut sp = span("exec", "stmt");
+            sp.arg("index", 0usize);
+            drop(sp);
+            add("index_cache.hit", 2);
+            add("index_cache.hit", 1);
+        });
+        let ((), quiet) = Collector::new(false).run(|| {
+            assert!(!enabled());
+            assert!(!span("exec", "stmt").is_active());
+            add("serve.run", 1);
+            assert_eq!(collected_counters(), vec![("serve.run", 1)]);
+        });
+        let global = take();
+        set_enabled(false);
+        assert!(global.events.is_empty() && global.counters.is_empty());
+        let traced = traced.into_trace();
+        assert_eq!(traced.events.len(), 1);
+        assert_eq!(traced.events[0].int_arg("index"), Some(0));
+        assert_eq!(traced.counters, vec![("index_cache.hit", 3)]);
+        let quiet = quiet.into_trace();
+        assert!(quiet.events.is_empty());
+        assert_eq!(quiet.counters, vec![("serve.run", 1)]);
+        assert!(collected_counters().is_empty());
+    }
+
+    #[test]
+    fn nested_collectors_restore_the_outer_one_even_after_a_panic() {
+        let ((), outer) = Collector::new(true).run(|| {
+            add("outer", 1);
+            let ((), inner) = Collector::new(false).run(|| add("inner", 1));
+            assert_eq!(inner.into_trace().counters, vec![("inner", 1)]);
+            let unwound = std::panic::catch_unwind(|| {
+                Collector::new(false).run(|| {
+                    add("lost", 1);
+                    panic!("request failed");
+                })
+            });
+            assert!(unwound.is_err());
+            assert!(enabled(), "the outer collector is back");
+            add("outer", 1);
+        });
+        assert_eq!(outer.into_trace().counters, vec![("outer", 2)]);
+        assert!(Collector::fork().is_none());
+    }
+
+    #[test]
+    fn forks_merge_back_across_threads() {
+        let ((), c) = Collector::new(true).run(|| {
+            let forks: Vec<Collector> = (0..3).map(|_| Collector::fork().unwrap()).collect();
+            let handles: Vec<_> = forks
+                .into_iter()
+                .map(|fork| {
+                    std::thread::spawn(move || {
+                        fork.run(|| {
+                            drop(span("op", "join"));
+                            add("pool.tasks", 1);
+                        })
+                        .1
+                    })
+                })
+                .collect();
+            for h in handles {
+                merge(h.join().unwrap());
+            }
+        });
+        let t = c.into_trace();
+        assert_eq!(t.events.len(), 3);
+        assert_eq!(t.counter("pool.tasks"), Some(3));
+        let summary = t.summary_json();
+        let Some(Value::Arr(rows)) = summary.get("spans") else {
+            panic!("no spans: {}", summary.render());
+        };
+        assert_eq!(rows[0].get("key").and_then(Value::as_str), Some("op/join"));
+        assert_eq!(rows[0].get("count").and_then(Value::as_u64), Some(3));
+        assert_eq!(
+            summary.get("counters").and_then(|c| c.get("pool.tasks")),
+            Some(&Value::u64(3))
+        );
     }
 }

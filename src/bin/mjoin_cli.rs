@@ -629,14 +629,15 @@ fn check(args: &Args) -> Result<bool, String> {
         };
         let cx = mjoin::analyze::AnalysisCx::new(&program, &scheme, &catalog)
             .map_err(|e| e.to_string())?;
-        let mem = memory_report(&cx, &seeds);
+        let cert = mjoin::analyze::Certificate::compute(&cx);
+        let mem = mjoin::analyze::memory_report_with(&cx, &seeds, &cert);
         match args.format.as_str() {
-            "json" => eprintln!("{}", mem.to_json().render()),
-            _ => eprint!("{}", mem.render_text()),
+            "json" => eprintln!("{}", mem.to_json(&cx, &cert).render()),
+            _ => eprint!("{}", mem.render_text(&cx, &cert)),
         }
         if let Some(budget) = args.mem_budget {
             let blowups = Report {
-                diagnostics: mem_blowup(&mem, budget),
+                diagnostics: mem_blowup(&mem, budget, &cx, &cert),
             };
             match args.format.as_str() {
                 "json" => eprintln!("{}", blowups.to_json().render()),
