@@ -28,6 +28,8 @@ use mjoin_program::{display, schedule, validate, Liveness, Program, Reg, Schedul
 use mjoin_program::{ValidateError, ValidationInfo};
 use mjoin_relation::fxhash::FxHashMap;
 use mjoin_relation::{AttrSet, Catalog};
+use std::borrow::Cow;
+use std::ops::Deref;
 use std::sync::OnceLock;
 
 /// A value number: two occurrences with the same number provably hold the
@@ -66,7 +68,10 @@ pub struct StmtFacts {
     pub redundant_with: Option<usize>,
 }
 
-/// Everything the passes share. See the module docs.
+/// Everything the passes share. See the module docs. The facts that do not
+/// borrow the program ([`CxFacts`]) are reached through `Deref`, owned or
+/// borrowed from a holder that keeps them across analyses
+/// ([`AnalysisCx::with_facts`]).
 pub struct AnalysisCx<'a> {
     /// The program under analysis.
     pub program: &'a Program,
@@ -74,6 +79,13 @@ pub struct AnalysisCx<'a> {
     pub scheme: &'a DbScheme,
     /// The attribute catalog, for rendering.
     pub catalog: &'a Catalog,
+    facts: Cow<'a, CxFacts>,
+}
+
+/// The dataflow facts of an [`AnalysisCx`]: everything it computes about
+/// its program, owned, so a caller can keep them beside the program.
+#[derive(Debug, Clone)]
+pub struct CxFacts {
     /// Final register schemes from validation.
     pub info: ValidationInfo,
     /// Backward liveness (shared with `eliminate_dead_code`).
@@ -90,6 +102,14 @@ pub struct AnalysisCx<'a> {
     /// The program rendered in paper notation, one line per statement;
     /// rendered by the first [`AnalysisCx::excerpt`].
     lines: OnceLock<Vec<String>>,
+}
+
+impl Deref for AnalysisCx<'_> {
+    type Target = CxFacts;
+
+    fn deref(&self) -> &CxFacts {
+        &self.facts
+    }
 }
 
 impl<'a> AnalysisCx<'a> {
@@ -111,6 +131,37 @@ impl<'a> AnalysisCx<'a> {
         catalog: &'a Catalog,
         info: ValidationInfo,
     ) -> Self {
+        let facts = Cow::Owned(CxFacts::new(program, scheme, info));
+        AnalysisCx {
+            program,
+            scheme,
+            catalog,
+            facts,
+        }
+    }
+
+    /// The context over facts computed earlier for this same program and
+    /// scheme ([`CxFacts::new`]); nothing is recomputed.
+    pub fn with_facts(
+        program: &'a Program,
+        scheme: &'a DbScheme,
+        catalog: &'a Catalog,
+        facts: &'a CxFacts,
+    ) -> Self {
+        let facts = Cow::Borrowed(facts);
+        AnalysisCx {
+            program,
+            scheme,
+            catalog,
+            facts,
+        }
+    }
+}
+
+impl CxFacts {
+    /// Compute the facts of a program already known to validate against
+    /// `scheme`, from the [`ValidationInfo`] [`validate()`] returned.
+    pub fn new(program: &Program, scheme: &DbScheme, info: ValidationInfo) -> Self {
         let liveness = Liveness::compute(program);
         let sched = schedule(program);
 
@@ -235,10 +286,7 @@ impl<'a> AnalysisCx<'a> {
             });
         }
 
-        AnalysisCx {
-            program,
-            scheme,
-            catalog,
+        CxFacts {
             info,
             liveness,
             stmts,
@@ -248,7 +296,9 @@ impl<'a> AnalysisCx<'a> {
             lines: OnceLock::new(),
         }
     }
+}
 
+impl<'a> AnalysisCx<'a> {
     /// Render an attribute set in paper style (`ACE`), for messages.
     pub fn attrs_name(&self, attrs: &AttrSet) -> String {
         mjoin_relation::Schema::from_set(attrs)

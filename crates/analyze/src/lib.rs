@@ -52,7 +52,7 @@ pub use absint::{cost_blowup, interval_analysis, CardInterval};
 pub use admission::{admission_report, admission_report_with, AdmissionBound, AdmissionReport};
 pub use audit::{audit, AuditReport, StmtAudit};
 pub use cert::{Certificate, StmtBound};
-pub use cx::{AnalysisCx, ExprKey, StmtFacts, Vn};
+pub use cx::{AnalysisCx, CxFacts, ExprKey, StmtFacts, Vn};
 pub use diagnostic::{Diagnostic, Report, Severity};
 pub use memory::{mem_blowup, memory_report, memory_report_with, MemCertificate, MemStmt};
 pub use passes::{default_passes, Pass};

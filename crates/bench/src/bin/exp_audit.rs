@@ -71,7 +71,7 @@ fn main() {
             let analysis = admitted.analysis();
             let certificate = analysis.certificate().clone();
             let card = |set| exact.subjoin_size(set);
-            let report = audit(analysis.cx(), certificate, &out.ledger, card, None);
+            let report = audit(&analysis.cx(), certificate, &out.ledger, card, None);
             assert!(
                 report.bounds_hold(),
                 "{name}: measured cost exceeded a static bound — pipeline bug"

@@ -27,31 +27,35 @@
 //! # }
 //! ```
 //!
-//! The static analyses ([`Analysis`]) are lazy and memoized: a warm `run`
-//! of a compiled program pays for the admission report and nothing else; a
-//! one-shot run with no budget pays for none of them.
+//! The static analyses ([`Analysis`]) are lazy and memoized in the
+//! [`Prepared`] request itself: a one-shot run with no budget pays for none
+//! of them, and a request prepared once and admitted many times — a
+//! resident server's memoized plan — computes each at most once, so every
+//! later [`Prepared::admit`] and [`Admitted::certified_peak`] is a lookup.
+//! Its runs also keep their heads' fingerprints ([`HeadFingerprints`]), so
+//! from the second run on no temporary hashes a row. A `Prepared` is
+//! `Sync`: sessions share one behind an `Arc`.
 
 use crate::pipeline::{derive, PipelineError};
 use crate::wcoj::{select, wcoj_join};
 pub use crate::wcoj::{ExecutorKind, Selection};
 use mjoin_analyze::{
-    admission_report_with, memory_report_with, AdmissionReport, AnalysisCx, Certificate,
+    admission_report_with, memory_report_with, AdmissionReport, AnalysisCx, Certificate, CxFacts,
     MemCertificate,
 };
 use mjoin_expr::JoinTree;
 use mjoin_hypergraph::{agm_ln, bound_u64, DbScheme};
 use mjoin_optimizer::{greedy, optimize, CostOracle, EstimateOracle, ExactOracle, SearchSpace};
 use mjoin_program::{
-    try_execute_with, validate, CancelToken, Cancelled, ExecConfig, Program, SharedIndexCache,
-    SpillPlan, ValidateError, ValidationInfo,
+    try_execute_seeded, validate, CancelToken, Cancelled, ExecConfig, HeadFingerprints, Program,
+    SharedIndexCache, SpillPlan, ValidateError, ValidationInfo,
 };
 use mjoin_relation::{Answer, Catalog, CostKind, CostLedger, Database};
-use std::cell::OnceCell;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// How to search for the join tree `T₁`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PlanStrategy {
     /// Greedy smallest-result with the avoid-Cartesian rule (default).
     #[default]
@@ -293,7 +297,8 @@ pub struct Derived {
 }
 
 /// A planned request: inputs plus the trees and program resolved from its
-/// [`Plan`]. Nothing is analyzed yet.
+/// [`Plan`], and the analyses of that program, each computed on first use
+/// ([`Prepared::analysis`]) and kept.
 #[derive(Debug)]
 pub struct Prepared {
     scheme: DbScheme,
@@ -306,6 +311,14 @@ pub struct Prepared {
     /// Validation result of a caller-supplied program; derived programs
     /// validate by construction and are only checked if analyzed.
     validated: Option<ValidationInfo>,
+    facts: OnceLock<CxFacts>,
+    cert: OnceLock<Certificate>,
+    selection: OnceLock<Selection>,
+    admission: OnceLock<AdmissionReport>,
+    memory: OnceLock<MemCertificate>,
+    agm: OnceLock<u64>,
+    /// The program's heads' fingerprints over `db`, kept across runs.
+    heads: HeadFingerprints,
 }
 
 /// Resolve `plan` over `db` into a [`Prepared`] request for `executor`.
@@ -385,6 +398,13 @@ impl Prepared {
             derived: None,
             program: None,
             validated: None,
+            facts: OnceLock::new(),
+            cert: OnceLock::new(),
+            selection: OnceLock::new(),
+            admission: OnceLock::new(),
+            memory: OnceLock::new(),
+            agm: OnceLock::new(),
+            heads: HeadFingerprints::default(),
         }
     }
 
@@ -414,23 +434,19 @@ impl Prepared {
         self.program.as_ref()
     }
 
-    /// A fresh lazy view of the static analyses of this request's program.
+    /// The static analyses of this request's program, computed on first
+    /// use and kept in the request.
     ///
     /// Its accessors panic on a [`prepare_wcoj`] preparation, which has no
     /// program to analyze.
     pub fn analysis(&self) -> Analysis<'_> {
-        Analysis {
-            p: self,
-            cx: OnceCell::new(),
-            cert: OnceCell::new(),
-            selection: OnceCell::new(),
-            admission: OnceCell::new(),
-            memory: OnceCell::new(),
-        }
+        Analysis { p: self }
     }
 
     fn agm_bound(&self) -> u64 {
-        bound_u64(agm_ln(&self.scheme, self.scheme.all(), &self.sizes))
+        *self
+            .agm
+            .get_or_init(|| bound_u64(agm_ln(&self.scheme, self.scheme.all(), &self.sizes)))
     }
 
     /// Decide the executor, check every certified bound `limits` names,
@@ -492,54 +508,55 @@ impl Prepared {
     }
 }
 
-/// Lazy, memoized static analyses of a [`Prepared`] request's program. The
-/// [`AnalysisCx`] and the Theorem-2 [`Certificate`] are built at most once
-/// and shared by everything derived from them.
+/// The static analyses of a [`Prepared`] request's program, each built at
+/// most once per request and shared by everything derived from it: the
+/// [`AnalysisCx`]'s facts, the Theorem-2 [`Certificate`], the executor
+/// [`Selection`], the admission report and the memory certificate.
+#[derive(Clone, Copy)]
 pub struct Analysis<'p> {
     p: &'p Prepared,
-    cx: OnceCell<AnalysisCx<'p>>,
-    cert: OnceCell<Certificate>,
-    selection: OnceCell<Selection>,
-    admission: OnceCell<AdmissionReport>,
-    memory: OnceCell<MemCertificate>,
 }
 
 impl<'p> Analysis<'p> {
-    /// The analysis context (validation, liveness, schedule, excerpts).
-    pub fn cx(&self) -> &AnalysisCx<'p> {
-        self.cx.get_or_init(|| {
-            let p = self.p;
-            let program = p.program.as_ref().expect("request has a program");
+    /// The analysis context (validation, liveness, schedule, excerpts),
+    /// over the request's kept facts.
+    pub fn cx(&self) -> AnalysisCx<'p> {
+        let p = self.p;
+        let program = p.program.as_ref().expect("request has a program");
+        let facts = p.facts.get_or_init(|| {
             let info = p.validated.clone().unwrap_or_else(|| {
                 validate(program, &p.scheme).expect("derived programs validate")
             });
-            AnalysisCx::from_validated(program, &p.scheme, &p.catalog, info)
-        })
+            CxFacts::new(program, &p.scheme, info)
+        });
+        AnalysisCx::with_facts(program, &p.scheme, &p.catalog, facts)
     }
 
     /// The program's Theorem-2 certificate.
-    pub fn certificate(&self) -> &Certificate {
-        self.cert.get_or_init(|| Certificate::compute(self.cx()))
+    pub fn certificate(&self) -> &'p Certificate {
+        self.p.cert.get_or_init(|| Certificate::compute(&self.cx()))
     }
 
     /// The `auto` comparison: AGM bound of the scheme against the
     /// certificate bound of the program.
     pub fn selection(&self) -> Selection {
-        *self
-            .selection
-            .get_or_init(|| select(&self.p.scheme, &self.p.sizes, self.certificate()))
+        let p = self.p;
+        *p.selection
+            .get_or_init(|| select(&p.scheme, &p.sizes, self.certificate()))
     }
 
     /// Per-statement admitted cost bounds against the input cardinalities.
-    pub fn admission(&self) -> &AdmissionReport {
-        self.admission
-            .get_or_init(|| admission_report_with(self.cx(), &self.p.sizes, self.certificate()))
+    pub fn admission(&self) -> &'p AdmissionReport {
+        let p = self.p;
+        p.admission
+            .get_or_init(|| admission_report_with(&self.cx(), &p.sizes, self.certificate()))
     }
 
     /// The static peak-memory certificate.
-    pub fn memory(&self) -> &MemCertificate {
-        self.memory
-            .get_or_init(|| memory_report_with(self.cx(), &self.p.sizes, self.certificate()))
+    pub fn memory(&self) -> &'p MemCertificate {
+        let p = self.p;
+        p.memory
+            .get_or_init(|| memory_report_with(&self.cx(), &p.sizes, self.certificate()))
     }
 
     /// The certificate's symbolic bound on statement `stmt`'s head, e.g.
@@ -639,7 +656,7 @@ impl<'p> Admitted<'p> {
                     spill: self.spill.clone(),
                 };
                 let program = p.program.as_ref().expect("program executor has a program");
-                let out = try_execute_with(program, &p.db, &cfg)?;
+                let out = try_execute_seeded(program, &p.db, &cfg, &p.heads)?;
                 (
                     out.result,
                     out.ledger,
@@ -692,11 +709,12 @@ impl<'p> Admitted<'p> {
         } else {
             let heads = out.ledger.entries().iter();
             let heads = heads.filter(|e| e.kind == CostKind::Generated);
-            let admitted = self.analysis.admission.get().map_or(&[][..], |a| &a.bounds);
+            let p = self.analysis.p;
+            let admitted = p.admission.get().map_or(&[][..], |a| &a.bounds);
             for (b, head) in admitted.iter().zip(heads) {
                 check(Exceeded::Cost, Some(b.stmt), head.tuples, b.bound);
             }
-            if let Some(m) = self.analysis.memory.get() {
+            if let Some(m) = p.memory.get() {
                 check(Exceeded::Memory, None, out.peak_resident, m.peak_tuples);
             }
         }
@@ -746,19 +764,20 @@ mod tests {
         let text = "R(V) := R(AB) ⋈ R(BC)\nR(V) := R(V) ⋈ R(CD)";
         let program = parse_program(&c, &scheme, text).unwrap();
         let plan = Plan::Program(program);
-        let prepared = prepare(scheme, db, c, plan, ExecutorKind::Program).unwrap();
+        let mut prepared = prepare(scheme, db, c, plan, ExecutorKind::Program).unwrap();
         let limits = Limits {
             max_cost: Some(u64::MAX),
             ..Limits::default()
         };
-        let mut admitted = prepared.admit(&limits).unwrap();
-        let out = admitted.execute(1, None, None).unwrap();
+        let out = prepared.admit(&limits).unwrap().execute(1, None, None);
+        let out = out.unwrap();
         assert!(out.bound_violations.is_empty());
 
-        let report = admitted.analysis.admission.get_mut();
+        let report = prepared.admission.get_mut();
         let report = report.expect("max_cost forces the admission report");
         assert_eq!(report.bounds.len(), 2);
         report.bounds[1].bound = 4; // statement 1 measured 5
+        let admitted = prepared.admit(&limits).unwrap();
         let found = admitted.bound_violations(&out);
         assert_eq!(
             found,

@@ -27,13 +27,13 @@
 
 use mjoin_analyze::Certificate;
 use mjoin_hypergraph::{agm_ln, bound_u64, DbScheme};
-use mjoin_program::{CancelToken, Cancelled, SharedIndexCache};
+use mjoin_program::{CancelToken, Cancelled, IndexCache, SharedIndexCache};
 use mjoin_relation::ops::{self, Stopped, TrieIndex};
 use mjoin_relation::{Database, Relation, Schema};
 use std::sync::Arc;
 
 /// Which executor a query (or a query component) runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecutorKind {
     /// The §2.2 program path: derive a binary join/semijoin/projection
     /// program from a CPF join expression and interpret it (the default).
@@ -201,19 +201,16 @@ fn fetch_trie(
     let Some(shared) = cache else {
         return Arc::new(TrieIndex::build(Arc::new(rel.clone()), key_pos));
     };
+    // Memoized on the caller's relation, so the next run over the same
+    // database does not hash it again.
+    rel.fingerprint();
     let arc = Arc::new(rel.clone());
-    if let Some(hit) = lock(shared).peek_trie(&arc, &key_pos) {
+    if let Some(hit) = IndexCache::peek_trie(shared, &arc, &key_pos) {
         return hit;
     }
     let built = Arc::new(TrieIndex::build(arc, key_pos));
-    lock(shared).insert_trie(Arc::clone(&built));
+    IndexCache::insert_trie(shared, Arc::clone(&built));
     built
-}
-
-fn lock(cache: &SharedIndexCache) -> std::sync::MutexGuard<'_, mjoin_program::IndexCache> {
-    cache
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@ fn with_run<T>(
     let analysis = admitted.analysis();
     let mut exact = ExactOracle::new(prepared.db());
     f(
-        analysis.cx(),
+        &analysis.cx(),
         analysis.certificate(),
         &out.ledger,
         &mut |set| exact.subjoin_size(set),

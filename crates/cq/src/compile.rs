@@ -467,25 +467,28 @@ impl AdmittedQuery<'_> {
 impl PreparedQuery {
     /// Stages 3–4: run every component through the engine, combine, and
     /// project onto the head. `cancel` is checked before starting and
-    /// passed to every component's executor.
+    /// passed to every component's executor. A prepared query runs any
+    /// number of times: minimization, binding, planning and each
+    /// component's analyses are not repeated.
     pub fn execute(
-        self,
+        &self,
         cancel: Option<CancelToken>,
     ) -> std::result::Result<(QueryResult, Vec<ComponentDecision>), Cancelled> {
         let PreparedQuery {
             minimize,
             qcat,
             head_attrs,
-            mut ledger,
+            ledger,
             body,
             opts,
         } = self;
+        let mut ledger = ledger.clone();
         if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             return Err(Cancelled { at_stmt: 0 });
         }
         let mut decisions = Vec::new();
         let relation = match body {
-            Body::Decided(relation) => relation,
+            Body::Decided(relation) => relation.clone(),
             Body::Components(components) => {
                 let limits = Limits {
                     mem_budget: opts.mem_budget,
@@ -494,7 +497,7 @@ impl PreparedQuery {
                 let mut full = Relation::nullary_unit();
                 for (name, component) in components {
                     let result = match component {
-                        Component::Single(rel) => Answer::from(rel),
+                        Component::Single(rel) => Answer::from(rel.clone()),
                         Component::Join(prepared) => {
                             let out = prepared
                                 .admit(&limits)
@@ -532,10 +535,10 @@ impl PreparedQuery {
         Ok((
             QueryResult {
                 relation,
-                head_attrs,
-                catalog: qcat,
+                head_attrs: head_attrs.clone(),
+                catalog: qcat.clone(),
                 ledger,
-                minimize,
+                minimize: minimize.clone(),
             },
             decisions,
         ))

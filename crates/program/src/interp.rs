@@ -76,6 +76,7 @@
 //! fan-out 8 and 3 % at 64. The constant is the smallest power of two at
 //! which printing won every pair.
 
+use crate::dataflow::{num_regs, reg_index};
 use crate::program::Program;
 use crate::schedule::schedule;
 use crate::stmt::{Reg, Stmt};
@@ -86,7 +87,7 @@ use mjoin_relation::ops::{
 };
 use mjoin_relation::{par_map, Answer, AttrSet, CostLedger, Database, Relation, Schema};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// The tuple budget of a cache built at the defaults: the private cache of
@@ -517,8 +518,17 @@ impl IndexCache {
     /// the content check a stale alias would serve that other relation's
     /// index. The remaining exposure is a full 128-bit hash collision,
     /// which we accept for the reuse it buys.
-    fn peek(&mut self, rel: &Arc<Relation>, key_pos: &[usize]) -> Option<Arc<JoinIndex>> {
-        match self.peek_cached(rel, KIND_HASH, key_pos, || Some(rel.fingerprint()))? {
+    ///
+    /// `rel`'s fingerprint is computed before the lock is taken: every
+    /// cached relation's is memoized at insert, so an identity hit never
+    /// needed the hash, and a miss would have computed it anyway.
+    fn peek(
+        cache: &SharedIndexCache,
+        rel: &Arc<Relation>,
+        key_pos: &[usize],
+    ) -> Option<Arc<JoinIndex>> {
+        let fingerprint = Some(rel.fingerprint());
+        match lock_cache(cache).peek_cached(rel, KIND_HASH, key_pos, fingerprint)? {
             CachedIndex::Hash(i) => Some(i),
             CachedIndex::Trie(_) => unreachable!("kind-tagged key returned wrong index kind"),
         }
@@ -528,8 +538,13 @@ impl IndexCache {
     /// through the fingerprint directory only when `rel`'s fingerprint is
     /// already memoized (an input's, or a copy of one), so a miss costs no
     /// pass over the rows.
-    fn peek_resident(&mut self, rel: &Arc<Relation>, key_pos: &[usize]) -> Option<Arc<JoinIndex>> {
-        match self.peek_cached(rel, KIND_HASH, key_pos, || rel.memoized_fingerprint())? {
+    fn peek_resident(
+        cache: &SharedIndexCache,
+        rel: &Arc<Relation>,
+        key_pos: &[usize],
+    ) -> Option<Arc<JoinIndex>> {
+        let fingerprint = rel.memoized_fingerprint();
+        match lock_cache(cache).peek_cached(rel, KIND_HASH, key_pos, fingerprint)? {
             CachedIndex::Hash(i) => Some(i),
             CachedIndex::Trie(_) => unreachable!("kind-tagged key returned wrong index kind"),
         }
@@ -538,9 +553,15 @@ impl IndexCache {
     /// Trie-view twin of `peek`, for the WCOJ executor. Unlike the hash
     /// path (where a join peeks both sides before deciding which lookup
     /// counts), every trie lookup counts, so the `index_cache.trie_hit` /
-    /// `trie_miss` counters are maintained here.
-    pub fn peek_trie(&mut self, rel: &Arc<Relation>, key_pos: &[usize]) -> Option<Arc<TrieIndex>> {
-        match self.peek_cached(rel, KIND_TRIE, key_pos, || Some(rel.fingerprint())) {
+    /// `trie_miss` counters are maintained here. Like `peek`, it hashes
+    /// `rel` before it takes the lock.
+    pub fn peek_trie(
+        cache: &SharedIndexCache,
+        rel: &Arc<Relation>,
+        key_pos: &[usize],
+    ) -> Option<Arc<TrieIndex>> {
+        let fingerprint = Some(rel.fingerprint());
+        match lock_cache(cache).peek_cached(rel, KIND_TRIE, key_pos, fingerprint) {
             Some(CachedIndex::Trie(i)) => {
                 mjoin_trace::add("index_cache.trie_hit", 1);
                 mjoin_trace::add("index_cache.bytes_not_allocated", i.heap_bytes() as u64);
@@ -557,14 +578,14 @@ impl IndexCache {
     }
 
     /// The entry for `rel` by `Arc` identity, else the one the fingerprint
-    /// directory names for `fingerprint` (`rel`'s, evaluated only once the
-    /// identity lookup has missed; `None` skips the directory).
+    /// directory names for `fingerprint` (`rel`'s; `None` skips the
+    /// directory).
     fn peek_cached(
         &mut self,
         rel: &Arc<Relation>,
         kind: u8,
         key_pos: &[usize],
-        fingerprint: impl FnOnce() -> Option<u128>,
+        fingerprint: Option<u128>,
     ) -> Option<CachedIndex> {
         self.tick += 1;
         let tick = self.tick;
@@ -573,7 +594,7 @@ impl IndexCache {
             e.last_used = tick;
             return Some(e.index.clone());
         }
-        let fkey = (fingerprint()?, rel.schema().clone(), kind, key_pos.into());
+        let fkey = (fingerprint?, rel.schema().clone(), kind, key_pos.into());
         if let Some(primary) = self.by_fingerprint.get(&fkey).cloned() {
             match self.map.get_mut(&primary) {
                 Some(e)
@@ -628,17 +649,20 @@ impl IndexCache {
     /// Cache a freshly built index, evicting least-recently-used entries
     /// until both resident budgets (tuples and bytes) hold. Indices larger
     /// than a whole budget on either axis are not cached (they would only
-    /// flush everything else).
-    fn insert(&mut self, index: Arc<JoinIndex>) {
+    /// flush everything else). The relation's fingerprint, the directory's
+    /// key, is computed before the lock is taken.
+    fn insert(cache: &SharedIndexCache, index: Arc<JoinIndex>) {
         mjoin_trace::add("index_cache.insert", 1);
-        self.insert_cached(CachedIndex::Hash(index));
+        index.relation().fingerprint();
+        lock_cache(cache).insert_cached(CachedIndex::Hash(index));
     }
 
     /// Trie-view twin of `insert`: cache a freshly sorted trie under the
     /// same budgets (and the same LRU) as the hash entries.
-    pub fn insert_trie(&mut self, index: Arc<TrieIndex>) {
+    pub fn insert_trie(cache: &SharedIndexCache, index: Arc<TrieIndex>) {
         mjoin_trace::add("index_cache.trie_insert", 1);
-        self.insert_cached(CachedIndex::Trie(index));
+        index.relation().fingerprint();
+        lock_cache(cache).insert_cached(CachedIndex::Trie(index));
     }
 
     fn insert_cached(&mut self, index: CachedIndex) {
@@ -796,6 +820,14 @@ impl Machine {
         }
     }
 
+    /// The register at `reg_index` `idx` (see [`num_regs`]), after a write.
+    fn register(&self, program: &Program, idx: usize) -> &Answer {
+        match idx.checked_sub(program.num_bases) {
+            None => &self.bases[idx],
+            Some(t) => self.temps[t].as_ref().expect("a written register"),
+        }
+    }
+
     /// Write a register, returning the value it previously held (if any) so
     /// the caller can invalidate indices built over it.
     fn write(&mut self, reg: Reg, value: Answer) -> Option<Answer> {
@@ -837,7 +869,7 @@ fn eval_stmt(
     spill_failed: &mut Option<String>,
     cache: &SharedIndexCache,
 ) -> (Reg, Answer) {
-    let peek = |rel: &Arc<Relation>, key_pos: &[usize]| lock_cache(cache).peek(rel, key_pos);
+    let peek = |rel: &Arc<Relation>, key_pos: &[usize]| IndexCache::peek(cache, rel, key_pos);
     match stmt {
         Stmt::Project { dst, src, attrs } => {
             let src_rel = m.read(program, *src);
@@ -855,7 +887,7 @@ fn eval_stmt(
             IndexCache::note_miss();
             let index = Arc::new(JoinIndex::build(src_rel, key_pos));
             let out = ops::project_indexed(&index);
-            lock_cache(cache).insert(index);
+            IndexCache::insert(cache, index);
             (*dst, out.into())
         }
         Stmt::Join { dst, left, right } => {
@@ -936,7 +968,7 @@ fn eval_stmt(
             let (index, probe) = JoinIndex::on_smaller(l, r);
             let index = Arc::new(index);
             let out = join(&index, probe);
-            lock_cache(cache).insert(index);
+            IndexCache::insert(cache, index);
             (*dst, out)
         }
         Stmt::Semijoin { target, filter } => {
@@ -950,7 +982,7 @@ fn eval_stmt(
             }
             // A dense index the cache already holds over the target, with
             // enough rows per key, lets each key be tested once.
-            let groups = lock_cache(cache).peek_resident(&t, &tpos).filter(|index| {
+            let groups = IndexCache::peek_resident(cache, &t, &tpos).filter(|index| {
                 index
                     .dense_groups()
                     .is_some_and(|g| g * GROUP_SEMIJOIN_MIN_ROWS <= t.len())
@@ -977,7 +1009,7 @@ fn eval_stmt(
                 None => par_semijoin_indexed_cutoff(&t, &index, threads, SMALL).into(),
             };
             if built {
-                lock_cache(cache).insert(index);
+                IndexCache::insert(cache, index);
             }
             (*target, out)
         }
@@ -1106,12 +1138,12 @@ fn prefetch_level_indices(
         let shared = demand
             .remove(&index_key(&rel, &pos))
             .is_some_and(|d| d >= 2);
-        if shared && lock_cache(cache).peek(&rel, &pos).is_none() {
+        if shared && IndexCache::peek(cache, &rel, &pos).is_none() {
             IndexCache::note_miss();
             // Built outside the lock (the guard above died with the `if`
             // condition).
             let index = Arc::new(JoinIndex::build(rel, pos));
-            lock_cache(cache).insert(index);
+            IndexCache::insert(cache, index);
         }
     }
 }
@@ -1146,6 +1178,68 @@ pub fn try_execute_with(
     db: &Database,
     cfg: &ExecConfig,
 ) -> Result<ExecOutcome, Cancelled> {
+    run(program, db, cfg, None)
+}
+
+/// The fingerprints of one program's statement heads over one database,
+/// kept across its runs by [`try_execute_seeded`]. A run records the
+/// fingerprint of every head it computed one for (an index lookup or
+/// insert on a fresh head computes it), and a later run seeds it into the
+/// same statement's fresh head ([`Relation::seed_fingerprint`]), so from
+/// the second run on no temporary hashes a row. That is sound because a
+/// head is a deterministic set of rows over the same input rows.
+#[derive(Debug, Default)]
+pub struct HeadFingerprints {
+    heads: OnceLock<Box<[OnceLock<u128>]>>,
+}
+
+impl HeadFingerprints {
+    /// One slot per statement of a program of `stmts` statements.
+    fn slots(&self, stmts: usize) -> &[OnceLock<u128>] {
+        let slots = self
+            .heads
+            .get_or_init(|| (0..stmts).map(|_| OnceLock::new()).collect());
+        debug_assert_eq!(slots.len(), stmts, "head fingerprints of another program");
+        slots
+    }
+}
+
+/// Record a head's fingerprint if its run computed one.
+fn record_head(slot: &OnceLock<u128>, head: &Answer) {
+    if let Some(fp) = rows_of(head).and_then(Relation::memoized_fingerprint) {
+        let _ = slot.set(fp);
+    }
+}
+
+/// The relation of an answer that is rows (neither a product nor a
+/// selection).
+fn rows_of(answer: &Answer) -> Option<&Relation> {
+    match answer {
+        Answer::Rows(rel) => Some(rel),
+        Answer::Product(_) | Answer::Selection(_) => None,
+    }
+}
+
+/// [`try_execute_with`] for a program that runs again over the same
+/// database: heads' fingerprints are recorded into and seeded from `heads`
+/// (see [`HeadFingerprints`]). The outcome is the same.
+pub fn try_execute_seeded(
+    program: &Program,
+    db: &Database,
+    cfg: &ExecConfig,
+    heads: &HeadFingerprints,
+) -> Result<ExecOutcome, Cancelled> {
+    run(program, db, cfg, Some(heads))
+}
+
+/// The executor loop behind [`try_execute_with`] and
+/// [`try_execute_seeded`].
+fn run(
+    program: &Program,
+    db: &Database,
+    cfg: &ExecConfig,
+    heads: Option<&HeadFingerprints>,
+) -> Result<ExecOutcome, Cancelled> {
     assert_eq!(
         program.num_bases,
         db.len(),
@@ -1177,6 +1271,9 @@ pub fn try_execute_with(
     let cache = &cache;
     let mut head_sizes = vec![0usize; n];
     let mut spill_failures = Vec::new();
+    let heads = heads.map(|h| h.slots(n));
+    // The statement whose head each register holds, by `reg_index`.
+    let mut producer: Vec<Option<usize>> = vec![None; num_regs(program)];
 
     for (lv, level) in levels.into_iter().enumerate() {
         if cfg.cancelled() {
@@ -1206,12 +1303,35 @@ pub fn try_execute_with(
             spill_failures.extend(failed.map(|e| (i, e)));
             head_sizes[i] = value.len();
             mjoin_trace::add("exec.head_tuples", value.len() as u64);
+            let seeded = heads.and_then(|h| h[i].get());
+            if let (Some(&fp), Some(rel)) = (seeded, rows_of(&value)) {
+                rel.seed_fingerprint(fp);
+            }
+            let old = m.write(head, value);
+            let overwritten = producer[reg_index(program, head)].replace(i);
+            if let (Some(heads), Some(p), Some(old)) = (heads, overwritten, &old) {
+                record_head(&heads[p], old);
+            }
             // Indices over an input stay cached (see `IndexCache`).
-            if let Some(Answer::Rows(old)) = m.write(head, value) {
+            if let Some(Answer::Rows(old)) = old {
                 if !m.is_input(&old) {
                     lock_cache(cache).invalidate(&old);
                 }
             }
+        }
+    }
+    if let Some(heads) = heads {
+        for (reg, p) in producer.iter().enumerate() {
+            if let Some(p) = *p {
+                record_head(&heads[p], m.register(program, reg));
+            }
+        }
+    }
+    // An input's fingerprint computed during the run goes back to the
+    // caller's relation, so a later run over it does not hash it again.
+    for (input, rel) in m.inputs.iter().zip(db.relations()) {
+        if let (Some(fp), None) = (input.memoized_fingerprint(), rel.memoized_fingerprint()) {
+            rel.seed_fingerprint(fp);
         }
     }
 
@@ -1524,28 +1644,67 @@ mod tests {
 
         // Budgets small enough that inserting all 12 indices forces many
         // evictions (each index pins 64 tuples).
-        let mut cache = IndexCache::with_budgets(200, u64::MAX);
+        let shared = IndexCache::shared(200, u64::MAX);
         for round in 0..4 {
             for rel in &rels {
                 let idx = Arc::new(JoinIndex::build(Arc::clone(rel), vec![0]));
-                cache.insert(idx);
+                IndexCache::insert(&shared, idx);
                 assert!(
-                    cache.resident_tuples() <= 200 + 64,
+                    lock_cache(&shared).resident_tuples() <= 200 + 64,
                     "round {round}: eviction failed to bound residency"
                 );
             }
             // Re-inserting an already-cached key replaces in place.
             let idx = Arc::new(JoinIndex::build(Arc::clone(&rels[0]), vec![0]));
-            cache.insert(idx);
+            IndexCache::insert(&shared, idx);
             // Invalidate a few by pointer.
-            cache.invalidate(&rels[1]);
-            cache.invalidate(&rels[2]);
+            lock_cache(&shared).invalidate(&rels[1]);
+            lock_cache(&shared).invalidate(&rels[2]);
         }
+        let mut cache = lock_cache(&shared);
         assert!(cache.entries() > 0);
         cache.clear();
         assert_eq!(cache.entries(), 0);
         assert_eq!(cache.resident_tuples(), 0, "tuple accounting drifted");
         assert_eq!(cache.resident_bytes(), 0, "byte accounting drifted");
+    }
+
+    /// A peek hashes a fresh relation before it takes the cache's lock, so
+    /// a session holding the lock never waits on another's hash: while
+    /// another thread holds the lock, a peek of a fresh 100,000-row
+    /// relation gets as far as memoizing its fingerprint, for the hash
+    /// index and the trie alike.
+    #[test]
+    fn a_peek_hashes_a_fresh_relation_outside_the_cache_lock() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        type Peek = fn(&SharedIndexCache, &Arc<Relation>) -> bool;
+        let peeks: [Peek; 2] = [
+            |cache, rel| IndexCache::peek(cache, rel, &[0]).is_some(),
+            |cache, rel| IndexCache::peek_trie(cache, rel, &[0, 1]).is_some(),
+        ];
+        let rows: Vec<[i64; 2]> = (0..100_000).map(|i| [i, i % 97]).collect();
+        let rows: Vec<&[i64]> = rows.iter().map(|r| &r[..]).collect();
+        for peek in peeks {
+            let rel = Arc::new(relation_of_ints(&mut Catalog::new(), "AB", &rows).unwrap());
+            let cache = IndexCache::shared(u64::MAX, u64::MAX);
+            let (locked, is_locked) = mpsc::channel();
+            let holder = {
+                let (cache, rel) = (Arc::clone(&cache), Arc::clone(&rel));
+                std::thread::spawn(move || {
+                    let _guard = lock_cache(&cache);
+                    locked.send(()).unwrap();
+                    let give_up = Instant::now() + Duration::from_secs(30);
+                    while rel.memoized_fingerprint().is_none() && Instant::now() < give_up {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    rel.memoized_fingerprint().is_some()
+                })
+            };
+            is_locked.recv().unwrap();
+            assert!(!peek(&cache, &rel), "an empty cache holds no index");
+            assert!(holder.join().unwrap(), "the peek hashed under the lock");
+        }
     }
 
     /// Regression: a `by_fingerprint` alias must never serve another
@@ -1559,31 +1718,31 @@ mod tests {
         let mut c = Catalog::new();
         let r1 = Arc::new(relation_of_ints(&mut c, "AB", &[&[1, 2], &[3, 4]]).unwrap());
         let r2 = Arc::new(relation_of_ints(&mut c, "AB", &[&[5, 6], &[7, 8]]).unwrap());
-        let mut cache = IndexCache::with_budgets(u64::MAX, u64::MAX);
+        let cache = IndexCache::shared(u64::MAX, u64::MAX);
 
-        cache.insert(Arc::new(JoinIndex::build(Arc::clone(&r1), vec![0])));
-        cache.invalidate(&r1);
+        IndexCache::insert(&cache, Arc::new(JoinIndex::build(Arc::clone(&r1), vec![0])));
+        lock_cache(&cache).invalidate(&r1);
         assert!(
-            cache.by_fingerprint.is_empty(),
+            lock_cache(&cache).by_fingerprint.is_empty(),
             "the alias must die with its primary entry"
         );
 
-        cache.insert(Arc::new(JoinIndex::build(Arc::clone(&r2), vec![0])));
-        cache.by_fingerprint.insert(
+        IndexCache::insert(&cache, Arc::new(JoinIndex::build(Arc::clone(&r2), vec![0])));
+        lock_cache(&cache).by_fingerprint.insert(
             fingerprint_key_of(&r1, KIND_HASH, &[0]),
             index_key(&r2, &[0]),
         );
         // A fresh allocation with r1's content takes the fallback path.
         let r1_again = Arc::new(relation_of_ints(&mut c, "AB", &[&[1, 2], &[3, 4]]).unwrap());
         assert!(
-            cache.peek(&r1_again, &[0]).is_none(),
+            IndexCache::peek(&cache, &r1_again, &[0]).is_none(),
             "stale alias served a different relation's index"
         );
         // The poisoned alias is dropped; r2's own entry is untouched.
-        assert!(!cache
+        assert!(!lock_cache(&cache)
             .by_fingerprint
             .contains_key(&fingerprint_key_of(&r1, KIND_HASH, &[0])));
-        assert!(cache.peek(&r2, &[0]).is_some());
+        assert!(IndexCache::peek(&cache, &r2, &[0]).is_some());
     }
 
     /// Trie views live in the same cache as hash indices: kind-tagged keys
@@ -1596,23 +1755,39 @@ mod tests {
         use mjoin_relation::ops::TrieIndex;
         let mut c = Catalog::new();
         let r = Arc::new(relation_of_ints(&mut c, "AB", &[&[1, 2], &[3, 4]]).unwrap());
-        let mut cache = IndexCache::with_budgets(u64::MAX, u64::MAX);
+        let shared = IndexCache::shared(u64::MAX, u64::MAX);
 
-        assert!(cache.peek_trie(&r, &[0, 1]).is_none(), "cold cache");
-        cache.insert(Arc::new(JoinIndex::build(Arc::clone(&r), vec![0, 1])));
         assert!(
-            cache.peek_trie(&r, &[0, 1]).is_none(),
+            IndexCache::peek_trie(&shared, &r, &[0, 1]).is_none(),
+            "cold cache"
+        );
+        IndexCache::insert(
+            &shared,
+            Arc::new(JoinIndex::build(Arc::clone(&r), vec![0, 1])),
+        );
+        assert!(
+            IndexCache::peek_trie(&shared, &r, &[0, 1]).is_none(),
             "a hash entry must not satisfy a trie lookup"
         );
-        cache.insert_trie(Arc::new(TrieIndex::build(Arc::clone(&r), vec![0, 1])));
-        assert_eq!(cache.entries(), 2, "same (rel, positions), two kinds");
-        assert!(cache.peek(&r, &[0, 1]).is_some());
-        assert!(cache.peek_trie(&r, &[0, 1]).is_some());
+        IndexCache::insert_trie(
+            &shared,
+            Arc::new(TrieIndex::build(Arc::clone(&r), vec![0, 1])),
+        );
+        assert_eq!(
+            lock_cache(&shared).entries(),
+            2,
+            "same (rel, positions), two kinds"
+        );
+        assert!(IndexCache::peek(&shared, &r, &[0, 1]).is_some());
+        assert!(IndexCache::peek_trie(&shared, &r, &[0, 1]).is_some());
+        let mut cache = lock_cache(&shared);
         assert_eq!(cache.resident_tuples(), 4, "both entries pin their tuples");
+        drop(cache);
 
         // Fingerprint fallback works for tries too: same content, new Arc.
         let r_again = Arc::new(relation_of_ints(&mut c, "AB", &[&[1, 2], &[3, 4]]).unwrap());
-        assert!(cache.peek_trie(&r_again, &[0, 1]).is_some());
+        assert!(IndexCache::peek_trie(&shared, &r_again, &[0, 1]).is_some());
+        cache = lock_cache(&shared);
         assert_eq!(cache.entries(), 2, "lookups insert nothing");
 
         cache.clear();
@@ -1633,10 +1808,11 @@ mod tests {
         let level_bytes = t.depth() * t.tuples();
         assert_eq!(t.heap_bytes(), level_bytes);
 
-        let mut cache = IndexCache::with_budgets(u64::MAX, u64::MAX);
+        let shared = IndexCache::shared(u64::MAX, u64::MAX);
         let resident = t.resident_bytes() as u64;
         assert_eq!(resident, (level_bytes + r.resident_col_bytes()) as u64);
-        cache.insert_trie(t);
+        IndexCache::insert_trie(&shared, t);
+        let mut cache = lock_cache(&shared);
         assert_eq!(cache.resident_bytes(), resident);
         cache.clear();
         assert_eq!(cache.resident_bytes(), 0);
@@ -1818,11 +1994,9 @@ mod tests {
             };
             let out = execute_with(&p, &db, &cfg);
             assert_eq!(out.head_sizes, vec![1, 2], "threads = {threads}");
-            let mut cache = lock_cache(&shared);
-            assert_eq!(cache.entries(), 1, "threads = {threads}");
-            assert!(cache
-                .peek(&Arc::new(db.relation(0).clone()), &[1])
-                .is_some());
+            assert_eq!(lock_cache(&shared).entries(), 1, "threads = {threads}");
+            let input = Arc::new(db.relation(0).clone());
+            assert!(IndexCache::peek(&shared, &input, &[1]).is_some());
         }
     }
 

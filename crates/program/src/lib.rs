@@ -33,9 +33,9 @@ pub mod validate;
 
 pub use dataflow::{BitSet, Liveness};
 pub use interp::{
-    execute, execute_with, try_execute_with, CancelToken, Cancelled, ExecConfig, ExecOutcome,
-    IndexCache, SharedIndexCache, SpillPlan, DEFAULT_CACHE_BYTES, DEFAULT_CACHE_TUPLES,
-    FACTORIZE_MIN_FANOUT,
+    execute, execute_with, try_execute_seeded, try_execute_with, CancelToken, Cancelled,
+    ExecConfig, ExecOutcome, HeadFingerprints, IndexCache, SharedIndexCache, SpillPlan,
+    DEFAULT_CACHE_BYTES, DEFAULT_CACHE_TUPLES, FACTORIZE_MIN_FANOUT,
 };
 pub use optimize::eliminate_dead_code;
 pub use parse::{parse_program, parse_scheme_list, scheme_directive};

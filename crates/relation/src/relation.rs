@@ -449,19 +449,38 @@ impl Relation {
     pub fn fingerprint(&self) -> u128 {
         *self.fingerprint.get_or_init(|| {
             mjoin_trace::add("relation.fingerprint_rows", self.nrows as u64);
-            let (mut xor, mut sum) = (0u64, self.nrows as u64);
-            for h in row_hashes(&self.cols, self.nrows) {
-                xor ^= h;
-                sum = sum.wrapping_add(h);
-            }
-            (u128::from(xor) << 64) | u128::from(sum)
+            self.content_hash()
         })
+    }
+
+    /// The value [`Relation::fingerprint`] memoizes, computed afresh.
+    fn content_hash(&self) -> u128 {
+        let (mut xor, mut sum) = (0u64, self.nrows as u64);
+        for h in row_hashes(&self.cols, self.nrows) {
+            xor ^= h;
+            sum = sum.wrapping_add(h);
+        }
+        (u128::from(xor) << 64) | u128::from(sum)
     }
 
     /// [`Relation::fingerprint`] if it has been computed already (on this
     /// relation or on the one it was cloned from), without computing it.
     pub fn memoized_fingerprint(&self) -> Option<u128> {
         self.fingerprint.get().copied()
+    }
+
+    /// Memoize `fingerprint` as this relation's [`Relation::fingerprint`]
+    /// without hashing a row: the value an earlier computation over the
+    /// same tuples returned (the head of one statement of one program over
+    /// one database, say). A value already memoized stays. Debug builds
+    /// re-hash the rows and assert the seed, without counting them.
+    pub fn seed_fingerprint(&self, fingerprint: u128) {
+        debug_assert_eq!(
+            self.content_hash(),
+            fingerprint,
+            "seeded fingerprint differs from the relation's content"
+        );
+        let _ = self.fingerprint.set(fingerprint);
     }
 }
 

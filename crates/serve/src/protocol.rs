@@ -26,6 +26,15 @@
 //! --explain-analyze` prints them: `{"spans": [{"key", "count",
 //! "total_us", "max_us"}, …], "counters": {…}}`. Without it a request
 //! records no span at all.
+//!
+//! `run`, `query` and `explain` reuse the plan of an earlier request with
+//! the same source (`name` or `program` + `scheme`; `cq` + `minimize`;
+//! `optimizer`, `executor`) while its catalog is unchanged: every `load`
+//! and `compile` into the catalog starts a new epoch. A reused plan replies
+//! with the same bytes; its trace lacks the planning spans
+//! (`plan/optimize_*`, `plan/executor_select`) and counters (`cq.minimize`,
+//! `optimizer.*`) it skipped. `serve.plan_hit` / `serve.plan_miss` in
+//! `stats` count the lookups.
 
 use mjoin_trace::json::Value;
 

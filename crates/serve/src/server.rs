@@ -14,6 +14,16 @@
 //! gate that keeps the *sum* of in-flight certified peaks under the same
 //! budget, so concurrent sessions cannot multiply past it.
 //!
+//! A catalog only grows, so a request's plan depends on nothing but the
+//! request and the catalog's *epoch*, which every `load` and `compile`
+//! bumps. Each catalog memoizes up to [`PLAN_MEMO_ENTRIES`] plans by
+//! request source, stamped with the epoch they were planned at: a `run`
+//! or `query` whose plan is memoized at the current epoch skips parsing,
+//! relation assignment, validation, tree search, Algorithms 1–2, query
+//! minimization and binding, and the analyses, which the shared
+//! [`Prepared`] keeps; it pays for the capacity gate, the kernels and the
+//! reply.
+//!
 //! Shutdown is cooperative: the `shutdown` command raises a flag, the
 //! accept loop stops, sessions finish their in-flight request (deadlines
 //! still apply), and `run` returns once every session thread has joined.
@@ -27,8 +37,8 @@ use mjoin_core::engine::{
     self, Admitted, Exceeded, ExecutorKind, Limits, Oracle, Plan, PlanStrategy, Prepared, Rejection,
 };
 use mjoin_cq::{
-    compile_query, parse_query, query_agm_bound, ExecOptions as CqExecOptions, MinimizeSummary,
-    NamedDatabase,
+    compile_query, parse_query, ConjunctiveQuery, ExecOptions as CqExecOptions, MinimizeSummary,
+    NamedDatabase, PreparedQuery,
 };
 use mjoin_hypergraph::DbScheme;
 use mjoin_program::{
@@ -116,6 +126,127 @@ struct CatalogEntry {
     catalog: Catalog,
     relations: Vec<(String, Relation)>,
     programs: HashMap<String, CompiledProgram>,
+    /// Bumped by every `load` and `compile`: a plan is reused only at the
+    /// epoch it was planned at.
+    epoch: u64,
+    plans: PlanMemo,
+}
+
+/// How many plans one catalog memoizes; past it the least recently used
+/// goes.
+const PLAN_MEMO_ENTRIES: usize = 32;
+
+/// A request source a plan is memoized under.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum PlanKey {
+    /// A `run` (program executor) or `explain` (`auto`) of the program
+    /// compiled under `name`.
+    Compiled {
+        name: String,
+        executor: ExecutorKind,
+    },
+    /// The same of inline program text, with its `scheme` field.
+    Inline {
+        program: String,
+        scheme: Option<String>,
+        executor: ExecutorKind,
+    },
+    /// A scheme-form `query` over every loaded relation.
+    Query {
+        strategy: PlanStrategy,
+        executor: ExecutorKind,
+    },
+    /// A `cq` `query`; its `explain` shares the default knobs' entry.
+    Cq {
+        text: String,
+        minimize: bool,
+        strategy: PlanStrategy,
+        executor: ExecutorKind,
+    },
+}
+
+/// What a memo miss planned, shared by every request with its key while
+/// the catalog's epoch holds.
+#[derive(Clone)]
+enum Planned {
+    /// A `run`, scheme-form `query` or `explain`: the engine request, which
+    /// keeps its analyses.
+    Engine(Arc<Prepared>),
+    /// A `cq` query.
+    Cq(Arc<CqPlan>),
+}
+
+impl Planned {
+    fn engine(&self) -> &Prepared {
+        match self {
+            Planned::Engine(p) => p,
+            Planned::Cq(_) => unreachable!("a program key plans an engine request"),
+        }
+    }
+
+    fn cq(&self) -> &CqPlan {
+        match self {
+            Planned::Cq(p) => p,
+            Planned::Engine(_) => unreachable!("a cq key plans a cq query"),
+        }
+    }
+}
+
+/// A compiled `cq` query: the parsed text, the body that runs, what
+/// minimization did, and — admitted on the body's AGM bound, bound and
+/// planned — the prepared query, or why there is none.
+struct CqPlan {
+    query: ConjunctiveQuery,
+    /// The compiled body: the core, or the query as written.
+    body: ConjunctiveQuery,
+    minimize: Option<MinimizeSummary>,
+    /// AGM bound of the compiled body, what admission and the gate charge.
+    agm_bound: u64,
+    prepared: Result<PreparedQuery, CqRefusal>,
+}
+
+/// Why a compiled `cq` query has no prepared form.
+enum CqRefusal {
+    /// Its AGM bound exceeds `--max-cost`.
+    Admission(Rejection),
+    /// Binding or planning failed.
+    Data(String),
+}
+
+/// One catalog's memoized plans, each stamped with the epoch it was
+/// planned at.
+#[derive(Default)]
+struct PlanMemo {
+    entries: HashMap<PlanKey, (u64, Planned, u64)>,
+    tick: u64,
+}
+
+impl PlanMemo {
+    /// The plan memoized for `key` at `epoch`.
+    fn get(&mut self, key: &PlanKey, epoch: u64) -> Option<Planned> {
+        self.tick += 1;
+        let (at, plan, last_used) = self.entries.get_mut(key)?;
+        if *at != epoch {
+            return None;
+        }
+        *last_used = self.tick;
+        Some(plan.clone())
+    }
+
+    /// Memoize `plan` for `key` at `epoch`, the catalog's current one:
+    /// entries of earlier epochs go, then the least recently used while
+    /// the memo is full.
+    fn insert(&mut self, key: PlanKey, epoch: u64, plan: Planned) {
+        self.tick += 1;
+        self.entries.retain(|_, (at, ..)| *at == epoch);
+        self.entries.remove(&key);
+        while self.entries.len() >= PLAN_MEMO_ENTRIES {
+            let lru = self.entries.iter().min_by_key(|(_, e)| e.2);
+            let lru = lru.map(|(k, _)| k.clone()).expect("a full memo");
+            self.entries.remove(&lru);
+        }
+        self.entries.insert(key, (epoch, plan, self.tick));
+    }
 }
 
 /// Why the capacity gate refused a request.
@@ -508,13 +639,13 @@ fn route(shared: &Shared, req: Request, ledger: &mut SessionLedger) -> J {
             tsv,
             ..
         } => {
-            let source = (name.as_deref(), program.as_deref(), scheme.as_deref());
+            let key = source_key(name, program, scheme, ExecutorKind::Program);
             let exec = Exec {
                 deadline_ms,
                 want_tsv: tsv,
                 ledger,
             };
-            handle_run(shared, &catalog, source, exec)
+            handle_run(shared, &catalog, key, exec)
         }
         Request::Query {
             catalog,
@@ -531,9 +662,21 @@ fn route(shared: &Shared, req: Request, ledger: &mut SessionLedger) -> J {
                 want_tsv: tsv,
                 ledger,
             };
-            query_knobs(optimizer.as_deref(), executor.as_deref()).and_then(|knobs| match cq {
-                Some(cq) => handle_cq_query(shared, &catalog, &cq, knobs, minimize, exec),
-                None => handle_query(shared, &catalog, knobs, exec),
+            let knobs = query_knobs(optimizer.as_deref(), executor.as_deref());
+            knobs.and_then(|(strategy, executor)| match cq {
+                Some(text) => {
+                    let key = PlanKey::Cq {
+                        text,
+                        minimize,
+                        strategy,
+                        executor,
+                    };
+                    handle_cq_query(shared, &catalog, key, exec)
+                }
+                None => {
+                    let key = PlanKey::Query { strategy, executor };
+                    handle_query(shared, &catalog, key, exec)
+                }
             })
         }
         Request::Explain {
@@ -544,10 +687,19 @@ fn route(shared: &Shared, req: Request, ledger: &mut SessionLedger) -> J {
             scheme,
             minimize,
         } => match cq {
-            Some(cq) => handle_cq_explain(shared, &catalog, &cq, minimize),
+            Some(text) => {
+                // The entry a `query` with the default knobs plans.
+                let key = PlanKey::Cq {
+                    text,
+                    minimize,
+                    strategy: PlanStrategy::Greedy,
+                    executor: ExecutorKind::Program,
+                };
+                handle_cq_explain(shared, &catalog, key)
+            }
             None => {
-                let source = (name.as_deref(), program.as_deref(), scheme.as_deref());
-                handle_explain(shared, &catalog, source)
+                let key = source_key(name, program, scheme, ExecutorKind::Auto);
+                handle_explain(shared, &catalog, key)
             }
         },
         Request::Stats => Ok(handle_stats(shared, ledger)),
@@ -612,6 +764,7 @@ fn handle_load(shared: &Shared, catalog: &str, name: Option<String>, text: &str)
     let rows = rel.len();
     let attrs = format!("{}", rel.schema().display(&entry.catalog));
     entry.relations.push((name.clone(), rel));
+    entry.epoch += 1;
     trace::add("serve.load", 1);
     Ok(ok("load")
         .set("catalog", J::str(catalog))
@@ -665,59 +818,137 @@ fn handle_compile(
     entry
         .programs
         .insert(name.to_string(), CompiledProgram { program, scheme });
+    entry.epoch += 1;
     trace::add("serve.compile", 1);
     Ok(resp)
 }
 
-/// Where a `run`/`explain` takes its program from: a compiled `name`, or
-/// inline `program` text with an optional `scheme`.
-type Source<'a> = (Option<&'a str>, Option<&'a str>, Option<&'a str>);
+/// The memo key of a `run`/`explain` source: a compiled `name`, or inline
+/// `program` text with an optional `scheme`.
+fn source_key(
+    name: Option<String>,
+    program: Option<String>,
+    scheme: Option<String>,
+    executor: ExecutorKind,
+) -> PlanKey {
+    match name {
+        Some(name) => PlanKey::Compiled { name, executor },
+        None => PlanKey::Inline {
+            program: program.expect("protocol guarantees name xor program"),
+            scheme,
+            executor,
+        },
+    }
+}
 
-/// Look up (or inline-parse) a program, line the entry's loaded relations
-/// up with its scheme edges by attribute set, and — with the catalog lock
-/// dropped — hand the lot to the engine, which validates the program.
+/// The plan for `key` in `catalog`: the one memoized at the catalog's
+/// current epoch (`serve.plan_hit`), or one planned now by [`plan`] and
+/// memoized (`serve.plan_miss`). A request that fails to plan memoizes
+/// nothing.
+fn planned(shared: &Shared, catalog: &str, key: PlanKey) -> Result<Planned, J> {
+    if let Some(entry) = lock(&shared.catalogs).get_mut(catalog) {
+        if let Some(hit) = entry.plans.get(&key, entry.epoch) {
+            trace::add("serve.plan_hit", 1);
+            return Ok(hit);
+        }
+    }
+    trace::add("serve.plan_miss", 1);
+    let (planned, epoch) = plan(shared, catalog, &key)?;
+    if let Some(entry) = lock(&shared.catalogs).get_mut(catalog) {
+        // A load or compile since the snapshot left this plan stale.
+        if entry.epoch == epoch {
+            entry.plans.insert(key, epoch, planned.clone());
+        }
+    }
+    Ok(planned)
+}
+
+/// The memo-miss path, the one place a request is compiled and planned:
+/// snapshot what `key` names in the catalog under its lock, then — with the
+/// lock dropped — hand it to the engine (or, for a `cq`, to [`plan_cq`]).
+/// Returns the plan and the epoch of the snapshot.
+fn plan(shared: &Shared, catalog: &str, key: &PlanKey) -> Result<(Planned, u64), J> {
+    let (scheme, db, cat, plan, executor, epoch) = match key {
+        PlanKey::Compiled { executor, .. } | PlanKey::Inline { executor, .. } => {
+            let (program, scheme, db, cat, epoch) = resolve(shared, catalog, key)?;
+            (scheme, db, cat, Plan::Program(program), *executor, epoch)
+        }
+        PlanKey::Query { strategy, executor } => {
+            // The tree search can be exponential (`dp` over every tree) and
+            // must not stall every other session's resolve/load/compile.
+            let Snapshot {
+                relations,
+                catalog: cat,
+                epoch,
+            } = snapshot(shared, catalog)?;
+            let db = Database::from_relations(relations.into_iter().map(|(_, rel)| rel).collect());
+            let scheme = DbScheme::from_schemas(&db.schemas());
+            // Estimation-based tree search: the exact oracle would execute
+            // the very subjoins admission is about to gate.
+            let plan = Plan::Search {
+                strategy: *strategy,
+                oracle: Oracle::Estimate,
+            };
+            (scheme, db, cat, plan, *executor, epoch)
+        }
+        PlanKey::Cq {
+            text,
+            minimize,
+            strategy,
+            executor,
+        } => {
+            let (plan, epoch) = plan_cq(shared, catalog, text, *minimize, (*strategy, *executor))?;
+            return Ok((Planned::Cq(Arc::new(plan)), epoch));
+        }
+    };
+    let prepared =
+        engine::prepare(scheme, db, cat, plan, executor).map_err(|e| err("data", e.to_string()))?;
+    Ok((Planned::Engine(Arc::new(prepared)), epoch))
+}
+
+/// Look up (or inline-parse) the program a `run`/`explain` key names and
+/// line the entry's loaded relations up with its scheme edges by attribute
+/// set; the engine validates the program.
 fn resolve(
     shared: &Shared,
     catalog_name: &str,
-    (name, program_text, scheme_text): Source<'_>,
-    executor: ExecutorKind,
-) -> Result<Prepared, J> {
-    let (program, scheme, db, catalog) = {
-        let mut catalogs = lock(&shared.catalogs);
-        let entry = catalogs
-            .get_mut(catalog_name)
-            .ok_or_else(|| err("not_found", format!("no catalog `{catalog_name}`")))?;
-        let (program, scheme) = if let Some(n) = name {
+    key: &PlanKey,
+) -> Result<(Program, DbScheme, Database, Catalog, u64), J> {
+    let mut catalogs = lock(&shared.catalogs);
+    let entry = catalogs
+        .get_mut(catalog_name)
+        .ok_or_else(|| err("not_found", format!("no catalog `{catalog_name}`")))?;
+    let (program, scheme) = match key {
+        PlanKey::Compiled { name, .. } => {
             let c = entry
                 .programs
-                .get(n)
-                .ok_or_else(|| err("not_found", format!("no compiled program `{n}`")))?;
+                .get(name)
+                .ok_or_else(|| err("not_found", format!("no compiled program `{name}`")))?;
             (c.program.clone(), c.scheme.clone())
-        } else {
-            let text = program_text.expect("protocol guarantees name xor program");
-            parse_program_in(&mut entry.catalog, scheme_text, text)?
-        };
-        // Order-independent; the catalog may hold more relations than
-        // this program's scheme names.
-        let schemas: Vec<Schema> = entry
-            .relations
-            .iter()
-            .map(|(_, rel)| rel.schema().clone())
-            .collect();
-        let picked = scheme.assign_relations(&schemas).map_err(|i| {
-            let edge = Schema::from_set(scheme.attrs_of(i));
-            let edge = edge.display(&entry.catalog);
-            err(
-                "data",
-                format!("no loaded relation matches scheme edge {i} ({edge})"),
-            )
-        })?;
-        let rels = picked.into_iter().map(|j| entry.relations[j].1.clone());
-        let db = Database::from_relations(rels.collect());
-        (program, scheme, db, entry.catalog.clone())
+        }
+        PlanKey::Inline {
+            program, scheme, ..
+        } => parse_program_in(&mut entry.catalog, scheme.as_deref(), program)?,
+        PlanKey::Query { .. } | PlanKey::Cq { .. } => unreachable!("not a program source"),
     };
-    engine::prepare(scheme, db, catalog, Plan::Program(program), executor)
-        .map_err(|e| err("data", e.to_string()))
+    // Order-independent; the catalog may hold more relations than this
+    // program's scheme names.
+    let schemas: Vec<Schema> = entry
+        .relations
+        .iter()
+        .map(|(_, rel)| rel.schema().clone())
+        .collect();
+    let picked = scheme.assign_relations(&schemas).map_err(|i| {
+        let edge = Schema::from_set(scheme.attrs_of(i));
+        let edge = edge.display(&entry.catalog);
+        err(
+            "data",
+            format!("no loaded relation matches scheme edge {i} ({edge})"),
+        )
+    })?;
+    let rels = picked.into_iter().map(|j| entry.relations[j].1.clone());
+    let db = Database::from_relations(rels.collect());
+    Ok((program, scheme, db, entry.catalog.clone(), entry.epoch))
 }
 
 /// The budgets every `run`/`query` is admitted under.
@@ -854,9 +1085,9 @@ fn cache_stats(shared: &Shared) -> J {
         .set("resident_bytes", J::u64(bytes))
 }
 
-fn handle_run(shared: &Shared, catalog: &str, source: Source<'_>, exec: Exec<'_>) -> Reply {
-    let prepared = resolve(shared, catalog, source, ExecutorKind::Program)?;
-    execute_prepared(shared, &prepared, exec, |_| {
+fn handle_run(shared: &Shared, catalog: &str, key: PlanKey, exec: Exec<'_>) -> Reply {
+    let planned = planned(shared, catalog, key)?;
+    execute_prepared(shared, planned.engine(), exec, |_| {
         ok("run").set("catalog", J::str(catalog))
     })
 }
@@ -873,9 +1104,15 @@ fn query_knobs(
     Ok((strategy, executor))
 }
 
-/// Snapshot a catalog entry's loaded relations (cheap shared clones) and
-/// its interner, releasing the lock before anything is planned.
-fn snapshot(shared: &Shared, catalog: &str) -> Result<(Vec<(String, Relation)>, Catalog), J> {
+/// A catalog entry's loaded relations (cheap shared clones), its interner
+/// and its epoch, copied under the lock so nothing is planned under it.
+struct Snapshot {
+    relations: Vec<(String, Relation)>,
+    catalog: Catalog,
+    epoch: u64,
+}
+
+fn snapshot(shared: &Shared, catalog: &str) -> Result<Snapshot, J> {
     let catalogs = lock(&shared.catalogs);
     let entry = catalogs
         .get(catalog)
@@ -883,29 +1120,17 @@ fn snapshot(shared: &Shared, catalog: &str) -> Result<(Vec<(String, Relation)>, 
     if entry.relations.is_empty() {
         return Err(err("data", "catalog has no loaded relations"));
     }
-    Ok((entry.relations.clone(), entry.catalog.clone()))
+    Ok(Snapshot {
+        relations: entry.relations.clone(),
+        catalog: entry.catalog.clone(),
+        epoch: entry.epoch,
+    })
 }
 
-fn handle_query(
-    shared: &Shared,
-    catalog: &str,
-    (strategy, requested): (PlanStrategy, ExecutorKind),
-    exec: Exec<'_>,
-) -> Reply {
-    // The tree search below can be exponential (`dp` over every tree) and
-    // must not stall every other session's resolve/load/compile.
-    let (relations, cat) = snapshot(shared, catalog)?;
-    let db = Database::from_relations(relations.into_iter().map(|(_, rel)| rel).collect());
-    let scheme = DbScheme::from_schemas(&db.schemas());
-    // Estimation-based tree search: the exact oracle would execute the
-    // very subjoins admission is about to gate.
-    let plan = Plan::Search {
-        strategy,
-        oracle: Oracle::Estimate,
-    };
-    let prepared = engine::prepare(scheme, db, cat, plan, requested)
-        .map_err(|e| err("data", e.to_string()))?;
-    execute_prepared(shared, &prepared, exec, |admitted| {
+fn handle_query(shared: &Shared, catalog: &str, key: PlanKey, exec: Exec<'_>) -> Reply {
+    let planned = planned(shared, catalog, key)?;
+    let prepared = planned.engine();
+    execute_prepared(shared, prepared, exec, |admitted| {
         // Both sides of the executor decision are reported for every
         // query, whichever executor was asked for.
         let sel = admitted.analysis().selection();
@@ -926,16 +1151,18 @@ fn handle_query(
 /// conjunctive-query front end: each loaded relation becomes a predicate
 /// under its load name, columns bound positionally in the relation's
 /// canonical attribute order. Tuples are shared with the resident
-/// relations, not copied.
-fn named_db_snapshot(shared: &Shared, catalog: &str) -> Result<NamedDatabase, J> {
-    let (relations, cat) = snapshot(shared, catalog)?;
+/// relations, not copied. Returns the epoch of the snapshot too.
+fn named_db_snapshot(shared: &Shared, catalog: &str) -> Result<(NamedDatabase, u64), J> {
+    let snap = snapshot(shared, catalog)?;
     let mut ndb = NamedDatabase::new();
-    for (name, rel) in &relations {
-        let cols: Vec<&str> = rel.schema().attrs().iter().map(|&a| cat.name(a)).collect();
+    for (name, rel) in &snap.relations {
+        let cols: Vec<&str> = (rel.schema().attrs().iter())
+            .map(|&a| snap.catalog.name(a))
+            .collect();
         ndb.add_shared(name, &cols, rel)
             .map_err(|e| err("data", format!("relation `{name}`: {e}")))?;
     }
-    Ok(ndb)
+    Ok((ndb, snap.epoch))
 }
 
 /// Render the compile-time minimization summary (or `null` when
@@ -951,22 +1178,20 @@ fn minimize_summary_json(m: Option<&MinimizeSummary>) -> J {
         .set("agm_after", J::u64(m.agm_after))
 }
 
-/// `query` with a `cq` payload: run one conjunctive query over the loaded
-/// relations. The query's core is compiled unless `minimize` is false, and
-/// admission gates on the AGM bound of the body that will actually run —
-/// so a query rejected verbatim can be admitted once its redundant atoms
-/// fold away. Like every execution verb it waits on the capacity gate,
-/// honours `deadline_ms`, and lands in the session ledger.
-fn handle_cq_query(
+/// Compile a `cq` query against the catalog's relations: its core unless
+/// `minimize` is false, admitted on the AGM bound of the body that will
+/// actually run — so a query rejected verbatim can be admitted once its
+/// redundant atoms fold away — and, admitted, bound and planned. Returns
+/// the epoch of the snapshot too.
+fn plan_cq(
     shared: &Shared,
     catalog: &str,
-    cq: &str,
-    (strategy, executor): (PlanStrategy, ExecutorKind),
+    text: &str,
     minimize: bool,
-    exec: Exec<'_>,
-) -> Reply {
-    let q = parse_query(cq).map_err(|e| err("protocol", format!("bad cq: {e}")))?;
-    let ndb = named_db_snapshot(shared, catalog)?;
+    (strategy, executor): (PlanStrategy, ExecutorKind),
+) -> Result<(CqPlan, u64), J> {
+    let query = parse_query(text).map_err(|e| err("protocol", format!("bad cq: {e}")))?;
+    let (ndb, epoch) = named_db_snapshot(shared, catalog)?;
     let opts = CqExecOptions {
         executor,
         threads: shared.cfg.threads,
@@ -974,16 +1199,40 @@ fn handle_cq_query(
         minimize,
         mem_budget: shared.cfg.mem_budget,
     };
-    // Admitted on the AGM bound of the compiled body before a tuple moves;
-    // binding and planning come after.
-    let admitted = compile_query(&ndb, &q, minimize)
-        .admit(shared.cfg.max_cost)
-        .map_err(rejection)?;
-    let peak = admitted.certified_peak();
-    let prepared = admitted
-        .prepare(strategy, &opts)
-        .map_err(|e| err("data", e.to_string()))?;
-    let (_permit, cancel) = gate(shared, peak, exec.deadline_ms)?;
+    let compiled = compile_query(&ndb, &query, minimize);
+    let body = compiled.query().clone();
+    let summary = compiled.minimize().cloned();
+    let agm_bound = compiled.agm_bound();
+    // Admitted before a tuple moves; binding and planning come after.
+    let prepared = match compiled.admit(shared.cfg.max_cost) {
+        Err(r) => Err(CqRefusal::Admission(r)),
+        Ok(admitted) => admitted
+            .prepare(strategy, &opts)
+            .map_err(|e| CqRefusal::Data(e.to_string())),
+    };
+    let plan = CqPlan {
+        query,
+        body,
+        minimize: summary,
+        agm_bound,
+        prepared,
+    };
+    Ok((plan, epoch))
+}
+
+/// `query` with a `cq` payload: run one conjunctive query over the loaded
+/// relations, compiled by [`plan_cq`] or memoized. Like every execution
+/// verb it waits on the capacity gate — charged the compiled body's AGM
+/// bound — honours `deadline_ms`, and lands in the session ledger.
+fn handle_cq_query(shared: &Shared, catalog: &str, key: PlanKey, exec: Exec<'_>) -> Reply {
+    let planned = planned(shared, catalog, key)?;
+    let plan = planned.cq();
+    let prepared = match &plan.prepared {
+        Ok(prepared) => prepared,
+        Err(CqRefusal::Admission(r)) => return Err(rejection(r.clone())),
+        Err(CqRefusal::Data(message)) => return Err(err("data", message.clone())),
+    };
+    let (_permit, cancel) = gate(shared, plan.agm_bound, exec.deadline_ms)?;
     let (res, decisions) = prepared.execute(Some(cancel)).map_err(deadline_cancelled)?;
     trace::add("serve.cq_query", 1);
     exec.ledger.charge(&res.ledger);
@@ -999,14 +1248,14 @@ fn handle_cq_query(
         .collect();
     let mut resp = ok("query")
         .set("catalog", J::str(catalog))
-        .set("cq", J::Str(q.to_string()))
+        .set("cq", J::Str(plan.query.to_string()))
         .set("minimize", minimize_summary_json(res.minimize.as_ref()))
         .set("components", J::Arr(components))
         .set("rows", J::u64(res.len() as u64))
         .set("cost", J::u64(res.ledger.total()));
     if exec.want_tsv {
         let mut buf = Vec::new();
-        res.write_tsv(&q.head_vars, &mut buf)
+        res.write_tsv(&plan.query.head_vars, &mut buf)
             .expect("writing to memory");
         let text = String::from_utf8(buf).expect("TSV output is UTF-8");
         resp = resp.set("tsv", J::Str(text));
@@ -1016,12 +1265,12 @@ fn handle_cq_query(
 
 /// `explain` with a `cq` payload: the minimization report (core, dropped
 /// atoms, pre/post AGM bounds) plus the query lints — no execution. The
-/// core is the one `query` would compile ([`compile_query`]).
-fn handle_cq_explain(shared: &Shared, catalog: &str, cq: &str, minimize: bool) -> Reply {
-    let q = parse_query(cq).map_err(|e| err("protocol", format!("bad cq: {e}")))?;
-    let ndb = named_db_snapshot(shared, catalog)?;
+/// core is the one `query` would compile ([`plan_cq`]).
+fn handle_cq_explain(shared: &Shared, catalog: &str, key: PlanKey) -> Reply {
+    let planned = planned(shared, catalog, key)?;
+    let plan = planned.cq();
     trace::add("serve.explain", 1);
-    let report = mjoin_cq::lint_query(&q);
+    let report = mjoin_cq::lint_query(&plan.query);
     let lints: Vec<J> = report
         .diagnostics
         .iter()
@@ -1034,24 +1283,30 @@ fn handle_cq_explain(shared: &Shared, catalog: &str, cq: &str, minimize: bool) -
                 .set_opt("excerpt", d.excerpt.clone().map(J::Str))
         })
         .collect();
-    let compiled = compile_query(&ndb, &q, minimize);
-    let report = compiled.minimize().map(|m| {
-        let core = J::Str(compiled.query().to_string());
+    let report = plan.minimize.as_ref().map(|m| {
+        let core = J::Str(plan.body.to_string());
         minimize_summary_json(Some(m)).set("core", core)
     });
-    let (bound, max_cost) = (compiled.agm_bound(), shared.cfg.max_cost);
+    // The query as written: minimization's pre-fold bound, or the compiled
+    // body's when nothing was folded.
+    let written = plan
+        .minimize
+        .as_ref()
+        .map_or(plan.agm_bound, |m| m.agm_before);
+    let (bound, max_cost) = (plan.agm_bound, shared.cfg.max_cost);
     Ok(ok("explain")
         .set("catalog", J::str(catalog))
-        .set("cq", J::Str(q.to_string()))
+        .set("cq", J::Str(plan.query.to_string()))
         .set("lints", J::Arr(lints))
-        .set("agm_bound", J::u64(query_agm_bound(&ndb, &q.body)))
+        .set("agm_bound", J::u64(written))
         .set_opt("minimize", report)
         .set_opt("budget", max_cost.map(J::u64))
         .set_opt("admitted", max_cost.map(|b| J::Bool(bound <= b))))
 }
 
-fn handle_explain(shared: &Shared, catalog: &str, source: Source<'_>) -> Reply {
-    let prepared = resolve(shared, catalog, source, ExecutorKind::Auto)?;
+fn handle_explain(shared: &Shared, catalog: &str, key: PlanKey) -> Reply {
+    let planned = planned(shared, catalog, key)?;
+    let prepared = planned.engine();
     // One analysis context and one certificate behind all three reports.
     let analysis = prepared.analysis();
     let report = analysis.admission();

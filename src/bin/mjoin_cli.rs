@@ -491,15 +491,16 @@ fn run_audit(
     let mut exact = mjoin::optimizer::ExactOracle::new(db);
     let mut histogram = mjoin::optimizer::HistogramOracle::new(prepared.scheme(), db);
     let mut estimate = |set: RelSet| histogram.subjoin_size(set);
+    let cx = analysis.cx();
     let report = mjoin::analyze::audit(
-        analysis.cx(),
+        &cx,
         analysis.certificate().clone(),
         &out.ledger,
         |set| exact.subjoin_size(set),
         Some(&mut estimate),
     );
     let rendered = match format {
-        "text" => report.render_text(analysis.cx()),
+        "text" => report.render_text(&cx),
         "json" => report
             .to_json(prepared.scheme(), prepared.catalog())
             .render(),
