@@ -16,7 +16,7 @@
 //!
 //! A catalog only grows, so a request's plan depends on nothing but the
 //! request and the catalog's *epoch*, which every `load` and `compile`
-//! bumps. Each catalog memoizes up to [`PLAN_MEMO_ENTRIES`] plans by
+//! bumps. Each catalog memoizes up to `PLAN_MEMO_ENTRIES` plans by
 //! request source, stamped with the epoch they were planned at: a `run`
 //! or `query` whose plan is memoized at the current epoch skips parsing,
 //! relation assignment, validation, tree search, Algorithms 1–2, query
