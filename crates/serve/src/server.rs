@@ -16,8 +16,8 @@
 //!
 //! A catalog only grows, so a request's plan depends on nothing but the
 //! request and the catalog's *epoch*, which every `load` and `compile`
-//! bumps. Each catalog memoizes up to `PLAN_MEMO_ENTRIES` plans by
-//! request source, stamped with the epoch they were planned at: a `run`
+//! bumps. Each catalog memoizes up to `PLAN_MEMO_ENTRIES` engine plans
+//! and as many `cq` plans by request source, stamped with the epoch they were planned at: a `run`
 //! or `query` whose plan is memoized at the current epoch skips parsing,
 //! relation assignment, validation, tree search, Algorithms 1–2, query
 //! minimization and binding, and the analyses, which the shared
@@ -49,6 +49,7 @@ use mjoin_relation::{tsv, Catalog, CostLedger, Database, Relation, Schema};
 use mjoin_trace as trace;
 use mjoin_trace::json::Value as J;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::Hash;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -129,26 +130,20 @@ struct CatalogEntry {
     /// Bumped by every `load` and `compile`: a plan is reused only at the
     /// epoch it was planned at.
     epoch: u64,
-    plans: PlanMemo,
+    plans: PlanMemo<PlanKey, Arc<Prepared>>,
+    cq_plans: PlanMemo<CqKey, Arc<CqPlan>>,
 }
 
-/// How many plans one catalog memoizes; past it the least recently used
-/// goes.
+/// How many plans one catalog memoizes per memo; past it the least
+/// recently used goes.
 const PLAN_MEMO_ENTRIES: usize = 32;
 
-/// A request source a plan is memoized under.
+/// The source of an engine request a plan is memoized under.
 #[derive(Clone, PartialEq, Eq, Hash)]
 enum PlanKey {
-    /// A `run` (program executor) or `explain` (`auto`) of the program
-    /// compiled under `name`.
-    Compiled {
-        name: String,
-        executor: ExecutorKind,
-    },
-    /// The same of inline program text, with its `scheme` field.
-    Inline {
-        program: String,
-        scheme: Option<String>,
+    /// A `run` (program executor) or `explain` (`auto`) of a program.
+    Program {
+        source: Source,
         executor: ExecutorKind,
     },
     /// A scheme-form `query` over every loaded relation.
@@ -156,40 +151,28 @@ enum PlanKey {
         strategy: PlanStrategy,
         executor: ExecutorKind,
     },
-    /// A `cq` `query`; its `explain` shares the default knobs' entry.
-    Cq {
-        text: String,
-        minimize: bool,
-        strategy: PlanStrategy,
-        executor: ExecutorKind,
+}
+
+/// Where a `run`/`explain` program comes from.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Source {
+    /// The program compiled under this name.
+    Compiled(String),
+    /// Inline program text, with its `scheme` field.
+    Inline {
+        program: String,
+        scheme: Option<String>,
     },
 }
 
-/// What a memo miss planned, shared by every request with its key while
-/// the catalog's epoch holds.
-#[derive(Clone)]
-enum Planned {
-    /// A `run`, scheme-form `query` or `explain`: the engine request, which
-    /// keeps its analyses.
-    Engine(Arc<Prepared>),
-    /// A `cq` query.
-    Cq(Arc<CqPlan>),
-}
-
-impl Planned {
-    fn engine(&self) -> &Prepared {
-        match self {
-            Planned::Engine(p) => p,
-            Planned::Cq(_) => unreachable!("a program key plans an engine request"),
-        }
-    }
-
-    fn cq(&self) -> &CqPlan {
-        match self {
-            Planned::Cq(p) => p,
-            Planned::Engine(_) => unreachable!("a cq key plans a cq query"),
-        }
-    }
+/// The source of a `cq` `query` a plan is memoized under; its `explain`
+/// shares the default knobs' entry.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct CqKey {
+    text: String,
+    minimize: bool,
+    strategy: PlanStrategy,
+    executor: ExecutorKind,
 }
 
 /// A compiled `cq` query: the parsed text, the body that runs, what
@@ -213,17 +196,25 @@ enum CqRefusal {
     Data(String),
 }
 
-/// One catalog's memoized plans, each stamped with the epoch it was
-/// planned at.
-#[derive(Default)]
-struct PlanMemo {
-    entries: HashMap<PlanKey, (u64, Planned, u64)>,
+/// One catalog's memoized plans of one kind, each stamped with the epoch
+/// it was planned at.
+struct PlanMemo<K, V> {
+    entries: HashMap<K, (u64, V, u64)>,
     tick: u64,
 }
 
-impl PlanMemo {
+impl<K, V> Default for PlanMemo<K, V> {
+    fn default() -> Self {
+        PlanMemo {
+            entries: HashMap::new(),
+            tick: 0,
+        }
+    }
+}
+
+impl<K: Clone + Eq + Hash, V: Clone> PlanMemo<K, V> {
     /// The plan memoized for `key` at `epoch`.
-    fn get(&mut self, key: &PlanKey, epoch: u64) -> Option<Planned> {
+    fn get(&mut self, key: &K, epoch: u64) -> Option<V> {
         self.tick += 1;
         let (at, plan, last_used) = self.entries.get_mut(key)?;
         if *at != epoch {
@@ -236,7 +227,7 @@ impl PlanMemo {
     /// Memoize `plan` for `key` at `epoch`, the catalog's current one:
     /// entries of earlier epochs go, then the least recently used while
     /// the memo is full.
-    fn insert(&mut self, key: PlanKey, epoch: u64, plan: Planned) {
+    fn insert(&mut self, key: K, epoch: u64, plan: V) {
         self.tick += 1;
         self.entries.retain(|_, (at, ..)| *at == epoch);
         self.entries.remove(&key);
@@ -665,7 +656,7 @@ fn route(shared: &Shared, req: Request, ledger: &mut SessionLedger) -> J {
             let knobs = query_knobs(optimizer.as_deref(), executor.as_deref());
             knobs.and_then(|(strategy, executor)| match cq {
                 Some(text) => {
-                    let key = PlanKey::Cq {
+                    let key = CqKey {
                         text,
                         minimize,
                         strategy,
@@ -689,7 +680,7 @@ fn route(shared: &Shared, req: Request, ledger: &mut SessionLedger) -> J {
         } => match cq {
             Some(text) => {
                 // The entry a `query` with the default knobs plans.
-                let key = PlanKey::Cq {
+                let key = CqKey {
                     text,
                     minimize,
                     strategy: PlanStrategy::Greedy,
@@ -831,46 +822,76 @@ fn source_key(
     scheme: Option<String>,
     executor: ExecutorKind,
 ) -> PlanKey {
-    match name {
-        Some(name) => PlanKey::Compiled { name, executor },
-        None => PlanKey::Inline {
+    let source = match name {
+        Some(name) => Source::Compiled(name),
+        None => Source::Inline {
             program: program.expect("protocol guarantees name xor program"),
             scheme,
-            executor,
         },
-    }
+    };
+    PlanKey::Program { source, executor }
 }
 
-/// The plan for `key` in `catalog`: the one memoized at the catalog's
-/// current epoch (`serve.plan_hit`), or one planned now by [`plan`] and
-/// memoized (`serve.plan_miss`). A request that fails to plan memoizes
-/// nothing.
-fn planned(shared: &Shared, catalog: &str, key: PlanKey) -> Result<Planned, J> {
+/// The plan for `key` in `catalog`: the one memoized in the entry's
+/// `memo` at the catalog's current epoch (`serve.plan_hit`), or one made
+/// now by `plan` — which returns it with the epoch of the snapshot it read
+/// — and memoized (`serve.plan_miss`). A request that fails to plan
+/// memoizes nothing.
+fn planned<K: Clone + Eq + Hash, V: Clone>(
+    shared: &Shared,
+    catalog: &str,
+    key: K,
+    memo: fn(&mut CatalogEntry) -> &mut PlanMemo<K, V>,
+    plan: impl FnOnce(&K) -> Result<(V, u64), J>,
+) -> Result<V, J> {
     if let Some(entry) = lock(&shared.catalogs).get_mut(catalog) {
-        if let Some(hit) = entry.plans.get(&key, entry.epoch) {
+        let epoch = entry.epoch;
+        if let Some(hit) = memo(entry).get(&key, epoch) {
             trace::add("serve.plan_hit", 1);
             return Ok(hit);
         }
     }
     trace::add("serve.plan_miss", 1);
-    let (planned, epoch) = plan(shared, catalog, &key)?;
+    let (planned, epoch) = plan(&key)?;
     if let Some(entry) = lock(&shared.catalogs).get_mut(catalog) {
         // A load or compile since the snapshot left this plan stale.
         if entry.epoch == epoch {
-            entry.plans.insert(key, epoch, planned.clone());
+            memo(entry).insert(key, epoch, planned.clone());
         }
     }
     Ok(planned)
 }
 
-/// The memo-miss path, the one place a request is compiled and planned:
-/// snapshot what `key` names in the catalog under its lock, then — with the
-/// lock dropped — hand it to the engine (or, for a `cq`, to [`plan_cq`]).
-/// Returns the plan and the epoch of the snapshot.
-fn plan(shared: &Shared, catalog: &str, key: &PlanKey) -> Result<(Planned, u64), J> {
+/// The engine request for `key`, memoized or planned by [`plan`].
+fn planned_engine(shared: &Shared, catalog: &str, key: PlanKey) -> Result<Arc<Prepared>, J> {
+    planned(
+        shared,
+        catalog,
+        key,
+        |e| &mut e.plans,
+        |key| plan(shared, catalog, key),
+    )
+}
+
+/// The `cq` plan for `key`, memoized or compiled by [`plan_cq`].
+fn planned_cq(shared: &Shared, catalog: &str, key: CqKey) -> Result<Arc<CqPlan>, J> {
+    planned(
+        shared,
+        catalog,
+        key,
+        |e| &mut e.cq_plans,
+        |key| plan_cq(shared, catalog, key).map(|(plan, epoch)| (Arc::new(plan), epoch)),
+    )
+}
+
+/// The engine's memo-miss path, the one place a `run`, scheme `query` or
+/// `explain` is planned: snapshot what `key` names in the catalog under its
+/// lock, then — with the lock dropped — hand it to the engine. Returns the
+/// prepared request and the epoch of the snapshot.
+fn plan(shared: &Shared, catalog: &str, key: &PlanKey) -> Result<(Arc<Prepared>, u64), J> {
     let (scheme, db, cat, plan, executor, epoch) = match key {
-        PlanKey::Compiled { executor, .. } | PlanKey::Inline { executor, .. } => {
-            let (program, scheme, db, cat, epoch) = resolve(shared, catalog, key)?;
+        PlanKey::Program { source, executor } => {
+            let (program, scheme, db, cat, epoch) = resolve(shared, catalog, source)?;
             (scheme, db, cat, Plan::Program(program), *executor, epoch)
         }
         PlanKey::Query { strategy, executor } => {
@@ -891,45 +912,35 @@ fn plan(shared: &Shared, catalog: &str, key: &PlanKey) -> Result<(Planned, u64),
             };
             (scheme, db, cat, plan, *executor, epoch)
         }
-        PlanKey::Cq {
-            text,
-            minimize,
-            strategy,
-            executor,
-        } => {
-            let (plan, epoch) = plan_cq(shared, catalog, text, *minimize, (*strategy, *executor))?;
-            return Ok((Planned::Cq(Arc::new(plan)), epoch));
-        }
     };
     let prepared =
         engine::prepare(scheme, db, cat, plan, executor).map_err(|e| err("data", e.to_string()))?;
-    Ok((Planned::Engine(Arc::new(prepared)), epoch))
+    Ok((Arc::new(prepared), epoch))
 }
 
-/// Look up (or inline-parse) the program a `run`/`explain` key names and
+/// Look up (or inline-parse) the program a `run`/`explain` names and
 /// line the entry's loaded relations up with its scheme edges by attribute
 /// set; the engine validates the program.
 fn resolve(
     shared: &Shared,
     catalog_name: &str,
-    key: &PlanKey,
+    source: &Source,
 ) -> Result<(Program, DbScheme, Database, Catalog, u64), J> {
     let mut catalogs = lock(&shared.catalogs);
     let entry = catalogs
         .get_mut(catalog_name)
         .ok_or_else(|| err("not_found", format!("no catalog `{catalog_name}`")))?;
-    let (program, scheme) = match key {
-        PlanKey::Compiled { name, .. } => {
+    let (program, scheme) = match source {
+        Source::Compiled(name) => {
             let c = entry
                 .programs
                 .get(name)
                 .ok_or_else(|| err("not_found", format!("no compiled program `{name}`")))?;
             (c.program.clone(), c.scheme.clone())
         }
-        PlanKey::Inline {
-            program, scheme, ..
-        } => parse_program_in(&mut entry.catalog, scheme.as_deref(), program)?,
-        PlanKey::Query { .. } | PlanKey::Cq { .. } => unreachable!("not a program source"),
+        Source::Inline { program, scheme } => {
+            parse_program_in(&mut entry.catalog, scheme.as_deref(), program)?
+        }
     };
     // Order-independent; the catalog may hold more relations than this
     // program's scheme names.
@@ -1086,8 +1097,8 @@ fn cache_stats(shared: &Shared) -> J {
 }
 
 fn handle_run(shared: &Shared, catalog: &str, key: PlanKey, exec: Exec<'_>) -> Reply {
-    let planned = planned(shared, catalog, key)?;
-    execute_prepared(shared, planned.engine(), exec, |_| {
+    let prepared = planned_engine(shared, catalog, key)?;
+    execute_prepared(shared, &prepared, exec, |_| {
         ok("run").set("catalog", J::str(catalog))
     })
 }
@@ -1128,9 +1139,8 @@ fn snapshot(shared: &Shared, catalog: &str) -> Result<Snapshot, J> {
 }
 
 fn handle_query(shared: &Shared, catalog: &str, key: PlanKey, exec: Exec<'_>) -> Reply {
-    let planned = planned(shared, catalog, key)?;
-    let prepared = planned.engine();
-    execute_prepared(shared, prepared, exec, |admitted| {
+    let prepared = planned_engine(shared, catalog, key)?;
+    execute_prepared(shared, &prepared, exec, |admitted| {
         // Both sides of the executor decision are reported for every
         // query, whichever executor was asked for.
         let sel = admitted.analysis().selection();
@@ -1183,13 +1193,13 @@ fn minimize_summary_json(m: Option<&MinimizeSummary>) -> J {
 /// actually run — so a query rejected verbatim can be admitted once its
 /// redundant atoms fold away — and, admitted, bound and planned. Returns
 /// the epoch of the snapshot too.
-fn plan_cq(
-    shared: &Shared,
-    catalog: &str,
-    text: &str,
-    minimize: bool,
-    (strategy, executor): (PlanStrategy, ExecutorKind),
-) -> Result<(CqPlan, u64), J> {
+fn plan_cq(shared: &Shared, catalog: &str, key: &CqKey) -> Result<(CqPlan, u64), J> {
+    let &CqKey {
+        ref text,
+        minimize,
+        strategy,
+        executor,
+    } = key;
     let query = parse_query(text).map_err(|e| err("protocol", format!("bad cq: {e}")))?;
     let (ndb, epoch) = named_db_snapshot(shared, catalog)?;
     let opts = CqExecOptions {
@@ -1224,9 +1234,8 @@ fn plan_cq(
 /// relations, compiled by [`plan_cq`] or memoized. Like every execution
 /// verb it waits on the capacity gate — charged the compiled body's AGM
 /// bound — honours `deadline_ms`, and lands in the session ledger.
-fn handle_cq_query(shared: &Shared, catalog: &str, key: PlanKey, exec: Exec<'_>) -> Reply {
-    let planned = planned(shared, catalog, key)?;
-    let plan = planned.cq();
+fn handle_cq_query(shared: &Shared, catalog: &str, key: CqKey, exec: Exec<'_>) -> Reply {
+    let plan = planned_cq(shared, catalog, key)?;
     let prepared = match &plan.prepared {
         Ok(prepared) => prepared,
         Err(CqRefusal::Admission(r)) => return Err(rejection(r.clone())),
@@ -1266,9 +1275,8 @@ fn handle_cq_query(shared: &Shared, catalog: &str, key: PlanKey, exec: Exec<'_>)
 /// `explain` with a `cq` payload: the minimization report (core, dropped
 /// atoms, pre/post AGM bounds) plus the query lints — no execution. The
 /// core is the one `query` would compile ([`plan_cq`]).
-fn handle_cq_explain(shared: &Shared, catalog: &str, key: PlanKey) -> Reply {
-    let planned = planned(shared, catalog, key)?;
-    let plan = planned.cq();
+fn handle_cq_explain(shared: &Shared, catalog: &str, key: CqKey) -> Reply {
+    let plan = planned_cq(shared, catalog, key)?;
     trace::add("serve.explain", 1);
     let report = mjoin_cq::lint_query(&plan.query);
     let lints: Vec<J> = report
@@ -1305,8 +1313,7 @@ fn handle_cq_explain(shared: &Shared, catalog: &str, key: PlanKey) -> Reply {
 }
 
 fn handle_explain(shared: &Shared, catalog: &str, key: PlanKey) -> Reply {
-    let planned = planned(shared, catalog, key)?;
-    let prepared = planned.engine();
+    let prepared = planned_engine(shared, catalog, key)?;
     // One analysis context and one certificate behind all three reports.
     let analysis = prepared.analysis();
     let report = analysis.admission();
