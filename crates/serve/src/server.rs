@@ -16,8 +16,9 @@
 //!
 //! A catalog only grows, so a request's plan depends on nothing but the
 //! request and the catalog's *epoch*, which every `load` and `compile`
-//! bumps. Each catalog memoizes up to `PLAN_MEMO_ENTRIES` engine plans
-//! and as many `cq` plans by request source, stamped with the epoch they were planned at: a `run`
+//! bumps. The server memoizes up to `PLAN_MEMO_ENTRIES` engine plans and
+//! as many `cq` plans, over all catalogs, by catalog and request source,
+//! stamped with the catalog's epoch they were planned at: a `run`
 //! or `query` whose plan is memoized at the current epoch skips parsing,
 //! relation assignment, validation, tree search, Algorithms 1–2, query
 //! minimization and binding, and the analyses, which the shared
@@ -130,13 +131,13 @@ struct CatalogEntry {
     /// Bumped by every `load` and `compile`: a plan is reused only at the
     /// epoch it was planned at.
     epoch: u64,
-    plans: PlanMemo<PlanKey, Arc<Prepared>>,
-    cq_plans: PlanMemo<CqKey, Arc<CqPlan>>,
 }
 
-/// How many plans one catalog memoizes per memo; past it the least
-/// recently used goes.
-const PLAN_MEMO_ENTRIES: usize = 32;
+/// How many plans of each kind the server memoizes over all its catalogs;
+/// past it the least recently used goes. The bound is the server's, not
+/// each catalog's, so catalogs planned once and never again do not each
+/// keep a plan.
+const PLAN_MEMO_ENTRIES: usize = 64;
 
 /// The source of an engine request a plan is memoized under.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -196,10 +197,10 @@ enum CqRefusal {
     Data(String),
 }
 
-/// One catalog's memoized plans of one kind, each stamped with the epoch
-/// it was planned at.
+/// The server's memoized plans of one kind, keyed by catalog name and
+/// request source, each stamped with its catalog's epoch when planned.
 struct PlanMemo<K, V> {
-    entries: HashMap<K, (u64, V, u64)>,
+    entries: HashMap<(String, K), (u64, V, u64)>,
     tick: u64,
 }
 
@@ -213,8 +214,8 @@ impl<K, V> Default for PlanMemo<K, V> {
 }
 
 impl<K: Clone + Eq + Hash, V: Clone> PlanMemo<K, V> {
-    /// The plan memoized for `key` at `epoch`.
-    fn get(&mut self, key: &K, epoch: u64) -> Option<V> {
+    /// The plan memoized for `key` at `epoch`, its catalog's current one.
+    fn get(&mut self, key: &(String, K), epoch: u64) -> Option<V> {
         self.tick += 1;
         let (at, plan, last_used) = self.entries.get_mut(key)?;
         if *at != epoch {
@@ -224,12 +225,13 @@ impl<K: Clone + Eq + Hash, V: Clone> PlanMemo<K, V> {
         Some(plan.clone())
     }
 
-    /// Memoize `plan` for `key` at `epoch`, the catalog's current one:
-    /// entries of earlier epochs go, then the least recently used while
-    /// the memo is full.
-    fn insert(&mut self, key: K, epoch: u64, plan: V) {
+    /// Memoize `plan` for `key` at `epoch`, its catalog's current one:
+    /// the catalog's entries of earlier epochs go, then the least recently
+    /// used while the memo is full.
+    fn insert(&mut self, key: (String, K), epoch: u64, plan: V) {
         self.tick += 1;
-        self.entries.retain(|_, (at, ..)| *at == epoch);
+        self.entries
+            .retain(|(catalog, _), (at, ..)| *catalog != key.0 || *at == epoch);
         self.entries.remove(&key);
         while self.entries.len() >= PLAN_MEMO_ENTRIES {
             let lru = self.entries.iter().min_by_key(|(_, e)| e.2);
@@ -364,6 +366,9 @@ impl Gate {
 struct Shared {
     cfg: ServeConfig,
     catalogs: Mutex<HashMap<String, CatalogEntry>>,
+    /// Engine and `cq` plans; locked after `catalogs`, never before.
+    plans: Mutex<PlanMemo<PlanKey, Arc<Prepared>>>,
+    cq_plans: Mutex<PlanMemo<CqKey, Arc<CqPlan>>>,
     cache: SharedIndexCache,
     gate: Gate,
     /// Cumulative counters (`index_cache.*`, `serve.*`, …): each request's
@@ -444,6 +449,8 @@ impl Server {
             gate: Gate::new(cfg.max_cost, cfg.queue_depth),
             cfg,
             catalogs: Mutex::new(HashMap::new()),
+            plans: Mutex::default(),
+            cq_plans: Mutex::default(),
             totals: Mutex::new(BTreeMap::new()),
             shutdown: AtomicBool::new(false),
             in_flight: AtomicU64::new(0),
@@ -832,56 +839,45 @@ fn source_key(
     PlanKey::Program { source, executor }
 }
 
-/// The plan for `key` in `catalog`: the one memoized in the entry's
-/// `memo` at the catalog's current epoch (`serve.plan_hit`), or one made
-/// now by `plan` — which returns it with the epoch of the snapshot it read
-/// — and memoized (`serve.plan_miss`). A request that fails to plan
-/// memoizes nothing.
+/// The plan for `key` in `catalog`: the one `memo` holds at the
+/// catalog's current epoch (`serve.plan_hit`), or one made now by `plan` —
+/// which returns it with the epoch of the snapshot it read — and memoized
+/// (`serve.plan_miss`). A request that fails to plan memoizes nothing.
 fn planned<K: Clone + Eq + Hash, V: Clone>(
     shared: &Shared,
     catalog: &str,
     key: K,
-    memo: fn(&mut CatalogEntry) -> &mut PlanMemo<K, V>,
+    memo: &Mutex<PlanMemo<K, V>>,
     plan: impl FnOnce(&K) -> Result<(V, u64), J>,
 ) -> Result<V, J> {
-    if let Some(entry) = lock(&shared.catalogs).get_mut(catalog) {
-        let epoch = entry.epoch;
-        if let Some(hit) = memo(entry).get(&key, epoch) {
-            trace::add("serve.plan_hit", 1);
-            return Ok(hit);
-        }
+    let key = (catalog.to_string(), key);
+    let epoch = lock(&shared.catalogs).get(catalog).map(|e| e.epoch);
+    if let Some(hit) = epoch.and_then(|epoch| lock(memo).get(&key, epoch)) {
+        trace::add("serve.plan_hit", 1);
+        return Ok(hit);
     }
     trace::add("serve.plan_miss", 1);
-    let (planned, epoch) = plan(&key)?;
-    if let Some(entry) = lock(&shared.catalogs).get_mut(catalog) {
-        // A load or compile since the snapshot left this plan stale.
-        if entry.epoch == epoch {
-            memo(entry).insert(key, epoch, planned.clone());
-        }
+    let (planned, epoch) = plan(&key.1)?;
+    let catalogs = lock(&shared.catalogs);
+    // A load or compile since the snapshot left this plan stale.
+    if catalogs.get(catalog).is_some_and(|e| e.epoch == epoch) {
+        lock(memo).insert(key, epoch, planned.clone());
     }
     Ok(planned)
 }
 
 /// The engine request for `key`, memoized or planned by [`plan`].
 fn planned_engine(shared: &Shared, catalog: &str, key: PlanKey) -> Result<Arc<Prepared>, J> {
-    planned(
-        shared,
-        catalog,
-        key,
-        |e| &mut e.plans,
-        |key| plan(shared, catalog, key),
-    )
+    planned(shared, catalog, key, &shared.plans, |key| {
+        plan(shared, catalog, key)
+    })
 }
 
 /// The `cq` plan for `key`, memoized or compiled by [`plan_cq`].
 fn planned_cq(shared: &Shared, catalog: &str, key: CqKey) -> Result<Arc<CqPlan>, J> {
-    planned(
-        shared,
-        catalog,
-        key,
-        |e| &mut e.cq_plans,
-        |key| plan_cq(shared, catalog, key).map(|(plan, epoch)| (Arc::new(plan), epoch)),
-    )
+    planned(shared, catalog, key, &shared.cq_plans, |key| {
+        plan_cq(shared, catalog, key).map(|(plan, epoch)| (Arc::new(plan), epoch))
+    })
 }
 
 /// The engine's memo-miss path, the one place a `run`, scheme `query` or
@@ -1411,6 +1407,28 @@ mod tests {
         J::obj()
             .set("cmd", J::str(name))
             .set("catalog", J::str("c"))
+    }
+
+    /// The memo's bound is the server's: plans of catalogs that are never
+    /// asked again age out, the most recently used stay, and a catalog's
+    /// new epoch drops only that catalog's older plans.
+    #[test]
+    fn the_plan_memo_is_bounded_over_all_catalogs() {
+        let mut memo = PlanMemo::<u8, usize>::default();
+        let key = |catalog: &str| (catalog.to_string(), 0);
+        memo.insert(key("warm"), 0, 0);
+        for i in 0..4 * PLAN_MEMO_ENTRIES {
+            assert_eq!(memo.get(&key("warm"), 0), Some(0), "the warm plan stays");
+            memo.insert(key(&format!("fresh{i}")), 0, i);
+        }
+        assert_eq!(memo.entries.len(), PLAN_MEMO_ENTRIES);
+        assert_eq!(memo.get(&key("fresh0"), 0), None, "an old one-off went");
+        let last = format!("fresh{}", 4 * PLAN_MEMO_ENTRIES - 1);
+        assert_eq!(memo.get(&key(&last), 0), Some(4 * PLAN_MEMO_ENTRIES - 1));
+
+        memo.insert((last.clone(), 1), 1, 7);
+        assert_eq!(memo.get(&key(&last), 0), None, "an earlier epoch went");
+        assert_eq!(memo.get(&key("warm"), 0), Some(0), "other catalogs stay");
     }
 
     fn load(name: &str, tsv: &str) -> J {
